@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
-from .expr import DomainError, Num, ScalarField, number, partial, variable
+from .expr import DomainError, Num, ScalarField, number, parameter, partial, variable
 from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec
 
 
@@ -119,10 +118,6 @@ class Trajectory:
     def n(self) -> int:
         return self.samples[0].n
 
-    def states(self) -> np.ndarray:
-        """(len, 2n+1) array of (q, p, S) rows."""
-        return np.array([np.concatenate([s.q, s.p, [s.S]]) for s in self.samples])
-
     def to_csv(self, target) -> None:
         """Write columns t, q0..q(n-1), p0..p(n-1), S, then tracked labels."""
         n = self.n
@@ -179,12 +174,12 @@ def adaptive_rk45(
     t_end: float,
     cfg: IntegratorConfig,
     on_accept: Callable[[float, np.ndarray], None] | None = None,
-    admissible: Callable[[float, np.ndarray], bool] | None = None,
+    veto: Callable[[float, np.ndarray], str | None] | None = None,
 ) -> tuple[IntegratorStats, str | None]:
     """Drive the DP 5(4) pair from t0 to t_end.
 
     `on_accept` is called for every accepted step (not for the initial state);
-    `admissible` vetoes accepted states, flagging a DomainViolation.
+    `veto` may stop the run at an accepted state by returning an error tag.
     Returns the stats plus an error tag (None on clean completion).
     """
     if t_end <= t0:
@@ -224,16 +219,14 @@ def adaptive_rk45(
                 # forced acceptance at the step floor would hide real error
                 return stats, STEP_SIZE_UNDERFLOW
             t_new = t + h
-            if admissible is not None and not admissible(t_new, y_new):
-                return stats, DOMAIN_VIOLATION
+            vetoed = veto(t_new, y_new) if veto is not None else None
+            if vetoed is not None:
+                return stats, vetoed
             stats.accepted += 1
             stats.max_error_estimate = max(stats.max_error_estimate, err)
             if on_accept is not None:
                 on_accept(t_new, y_new)
-            try:
-                f0 = rhs(t_new, y_new)  # FSAL would reuse k[6]; recompute keeps guards simple
-            except DomainError:
-                return stats, DOMAIN_VIOLATION
+            f0 = k[6]  # first same as last: stage 7 is rhs(t_new, y_new)
             t, y = t_new, y_new
             facold = max(err, 1e-4)
             if not fixed_step:
@@ -249,21 +242,19 @@ def adaptive_rk45(
     return stats, None
 
 
-def _field_rhs(system: ContactSystem, field: VectorFieldSpec):
-    n = system.n
-    comps = [c.eval_env for c in (*field.Yq, *field.Yp, field.YS)]
-    params = dict(system.params)
-    qp_names = [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
+class AuxComponent(NamedTuple):
+    """An extra state component integrated alongside (q, p, S).
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        env = dict(params)
-        for i, nm in enumerate(qp_names):
-            env[nm] = y[i]
-        env["S"] = y[2 * n]
-        env["t"] = t
-        return np.array([fn(env) for fn in comps])
+    `rate` is its d/dt, a field over (q, p, S, t), the parameters and the
+    names of all extra components.  A component with a `box` is a positive
+    function whose rate is singular at zero: an accepted value outside the
+    open box stops the flow tagged AuxiliaryBlowup, and a stage value with
+    |value| < 1e-12 raises DomainError in the right-hand side.
+    """
 
-    return rhs
+    initial: float
+    rate: ScalarField
+    box: tuple[float, float] | None = None
 
 
 def integrate(
@@ -274,51 +265,112 @@ def integrate(
     cfg: IntegratorConfig | None = None,
     tracked: Mapping[str, ScalarField] | None = None,
     extra_params: Mapping[str, float] | None = None,
+    aux: Mapping[str, AuxComponent] | None = None,
 ) -> Trajectory:
     """Integrate the flow of a dynamics field (Yt identically 0 or 1).
 
-    The independent variable is t itself; tracked fields are evaluated at
-    every accepted step.  Guard or step-size failures return the partial
-    trajectory with an error tag instead of raising.
+    The independent variable is t itself.  `aux` adds state components
+    advanced under the same step controller; the right-hand side and the
+    tracked fields see their names next to q, p, S, t, the system parameters
+    and `extra_params`.  Tracked fields, then the `aux` components, are
+    recorded at the start and at every accepted step.  Guard, blow-up or
+    step-size failures return the partial trajectory with an error tag
+    instead of raising.
     """
     cfg = cfg or IntegratorConfig()
-    tracked = dict(tracked or {})
+    aux = dict(aux or {})
     if not (isinstance(field.Yt.ast, Num) and field.Yt.ast.value in (0.0, 1.0)):
         raise ValueError("flow fields must have a constant time component 0 or 1")
     if not system.admissible(start, cfg.guard_margin):
         raise ValueError("start point is outside the admissible region")
     n = system.n
-    rhs = _field_rhs(system, field)
     params = dict(system.params)
     if extra_params:
         params.update(extra_params)
+    names = [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] + ["S", *aux]
+    comps = [c.eval_env for c in (*field.Yq, *field.Yp, field.YS)]
+    comps += [c.rate.eval_env for c in aux.values()]
+    columns = {**(tracked or {}), **{nm: parameter(nm, n) for nm in aux}}
+    boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
-    samples = [start]
-    tracked_vals: dict[str, list[float]] = {lbl: [] for lbl in tracked}
+    def env_of(t: float, y: np.ndarray) -> dict[str, float]:
+        env = dict(params)
+        env.update(zip(names, y))
+        env["t"] = t
+        return env
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        for i, nm, _ in boxed:
+            if abs(y[i]) < 1e-12:
+                raise DomainError("auxiliary function vanished", nm)
+        env = env_of(t, y)
+        return np.array([fn(env) for fn in comps])
+
+    samples: list[ExtendedPoint] = []
+    values: dict[str, list[float]] = {lbl: [] for lbl in columns}
 
     def record(t: float, y: np.ndarray) -> None:
-        pt = ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t)
-        samples.append(pt)
-        if tracked:
-            env = pt.env()
-            env.update(params)
-            for lbl, f in tracked.items():
-                tracked_vals[lbl].append(f.eval_env(env))
+        samples.append(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t))
+        env = env_of(t, y)
+        for lbl, f in columns.items():
+            values[lbl].append(f.eval_env(env))
 
-    def admissible(t: float, y: np.ndarray) -> bool:
-        return system.admissible(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t),
-                                 cfg.guard_margin)
+    def veto(t: float, y: np.ndarray) -> str | None:
+        for i, _, (lo, hi) in boxed:
+            if not (lo < y[i] < hi):
+                return AUXILIARY_BLOWUP
+        if system.admissible(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t), cfg.guard_margin):
+            return None
+        return DOMAIN_VIOLATION
 
-    if tracked:
-        env0 = start.env()
-        env0.update(params)
-        for lbl, f in tracked.items():
-            tracked_vals[lbl].append(f.eval_env(env0))
+    y0 = np.concatenate([start.q, start.p, [start.S], [c.initial for c in aux.values()]])
+    record(start.t, y0)
+    stats, tag = adaptive_rk45(rhs, start.t, y0, t_end, cfg, record, veto)
+    return Trajectory(samples, {lbl: np.array(v) for lbl, v in values.items()}, stats, tag)
 
-    y0 = np.concatenate([start.q, start.p, [start.S]])
-    stats, tag = adaptive_rk45(rhs, start.t, y0, t_end, cfg, record, admissible)
-    return Trajectory(samples, {lbl: np.array(v) for lbl, v in tracked_vals.items()},
-                      stats, tag)
+
+def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over [x_i, x_i+1] of the parabola through samples i, i+1, i+2."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral of samples y over the increasing grid x, from 0.
+
+    Composite Simpson rule for non-uniform grids; fewer than 3 samples fall
+    back to the trapezoid rule.  Same formulas and operation order as
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``, so results
+    agree bit for bit.
+    """
+    dx = np.diff(x)
+    if y.size < 3:
+        res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    else:
+        forward = _simpson_pieces(y, dx)
+        backward = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+        pieces = np.empty(y.size - 1)
+        pieces[:-1:2] = forward[::2]
+        pieces[1::2] = backward[::2]
+        pieces[-1] = backward[-1]  # no parabola starts at the last interval
+        res = np.cumsum(pieces)
+    return np.concatenate(([0.0], res + 0.0))  # scipy adds `initial`: -0.0 becomes 0.0
+
+
+def cumulative_integral(system: ContactSystem, traj: Trajectory, integrand: ScalarField,
+                        extra_params: Mapping[str, float] | None = None) -> np.ndarray:
+    """Running integral of `integrand` along the trajectory, from 0 at the
+    first sample, by composite Simpson on the (non-uniform) sample grid."""
+    vals = [integrand.eval_env(system.env(s, extra_params)) for s in traj.samples]
+    return _cumulative_simpson(np.array(vals), traj.ts)
 
 
 def action_consistency(system: ContactSystem, traj: Trajectory,
@@ -334,15 +386,6 @@ def action_consistency(system: ContactSystem, traj: Trajectory,
     for i in range(n):
         integrand = integrand + variable(f"p{i}", n) * system.h_p[i]
     integrand = integrand - system.h
-    params = dict(system.params)
-    if extra_params:
-        params.update(extra_params)
-    vals = []
-    for s in traj.samples:
-        env = s.env()
-        env.update(params)
-        vals.append(integrand.eval_env(env))
-    ts = traj.ts
-    quad = cumulative_simpson(np.array(vals), x=ts, initial=0.0)
+    quad = cumulative_integral(system, traj, integrand, extra_params)
     S = np.array([s.S for s in traj.samples])
     return float(np.max(np.abs(S - S[0] - quad)))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .expr import DomainError, ExprError, ScalarField, number, partial, variable
-from .dynamics import Trajectory, contact_field, contact_field_of, extended_field
+from .dynamics import (Trajectory, contact_field, contact_field_of, cumulative_integral,
+                       extended_field)
 from .geometry import (
     ContactSystem,
     ExtendedPoint,
@@ -317,17 +317,7 @@ def dissipation_compensation(system: ContactSystem, traj: Trajectory,
                              extra_params: Mapping[str, float] | None = None) -> np.ndarray:
     """Per-sample factor exp(integral of R(h) dt) along a trajectory, so that
     compensated dissipated quantities F * factor should be constant."""
-    rate = system.h_S
-    params = dict(system.params)
-    if extra_params:
-        params.update(extra_params)
-    vals = []
-    for s in traj.samples:
-        env = s.env()
-        env.update(params)
-        vals.append(rate.eval_env(env))
-    quad = cumulative_simpson(np.array(vals), x=traj.ts, initial=0.0)
-    return np.exp(quad)
+    return np.exp(cumulative_integral(system, traj, system.h_S, extra_params))
 
 
 def max_relative_drift(values: np.ndarray) -> float:

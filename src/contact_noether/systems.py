@@ -6,6 +6,8 @@ oscillator invariants (Lewis-Riesenfeld and its dissipative generalisation,
 plus the linear-in-momentum one) need auxiliary Ermakov-type functions;
 those enter the invariant fields as per-sample parameter bindings
 (rho, rho_dot, a, a_dot, b, b_dot) and are co-integrated alongside the flow.
+Their defining ODEs are written once, in `_AUX_ODES`; the self-test and the
+co-integration both evaluate that table.
 
 Two transcription corrections relative to common printed forms, both forced
 by the dissipation equation and locked in by a mandatory residual self-test
@@ -19,20 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .expr import DomainError, ScalarField, number, parameter, parse, partial, variable
+from .expr import ScalarField, number, parameter, parse, partial, substitute, variable
 from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec
-from .dynamics import (
-    AUXILIARY_BLOWUP,
-    DOMAIN_VIOLATION,
-    IntegratorConfig,
-    Trajectory,
-    adaptive_rk45,
-    extended_field,
-)
+from .dynamics import AuxComponent, IntegratorConfig, Trajectory, extended_field, integrate
 from .noether import dissipation_residual, symmetry_from_invariant
-from .scaling import case3_system, dot_qp
+from .scaling import _f0, _f1, _f2, case3_system, dot_qp
 
 CONSERVED = "conserved"
 DISSIPATED = "dissipated"
@@ -97,9 +90,9 @@ def make_kepler(m: float = 1.0, eps: float | None = None,
         sample_box=SampleBox(q=(-2.0, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.0, 5.0)),
         label="kepler",
     )
-    q_k = 2.0 * dot_qp(n) - 3.0 * variable("t", n) * h - variable("S", n)
     system.meta["k_grav"] = 4.0 * eps
-    system.meta["invariants"] = {"Q_K": TrackedInvariant("Q_K", q_k, CONSERVED)}
+    system.meta["invariants"] = {
+        "Q_K": TrackedInvariant("Q_K", kepler_invariant(system), CONSERVED)}
     return system
 
 
@@ -158,20 +151,17 @@ def make_harmonic_dissipative(m: float, f_spec: ScalarField | str | float,
 
 def f0_invariant(n: int = 1) -> ScalarField:
     """q.p - 2S (the k = 2 scaling invariant; independent of f)."""
-    return dot_qp(n) - 2.0 * variable("S", n)
+    return _f0(n)
 
 
 def f1_invariant(system: ContactSystem) -> ScalarField:
     """q.p - 2 t h with the system Hamiltonian inlined (k = -2 case)."""
-    return dot_qp(system.n) - 2.0 * variable("t", system.n) * system.h
+    return substitute(_f1(system.n), "h", system.h)
 
 
 def f2_invariant(system: ContactSystem, k: float) -> ScalarField:
     """(2/(2-k)) q.p - t h - ((2+k)/(2-k)) S with h inlined."""
-    n = system.n
-    return ((2.0 / (2.0 - k)) * dot_qp(n)
-            - variable("t", n) * system.h
-            - ((2.0 + k) / (2.0 - k)) * variable("S", n))
+    return substitute(_f2(system.n, k), "h", system.h)
 
 
 def kepler_invariant(system: ContactSystem) -> ScalarField:
@@ -207,7 +197,7 @@ def glr_invariant(n: int = 1) -> ScalarField:
 
 
 def em_invariant(n: int = 1) -> ScalarField:
-    """b p - m b_dot q with b solving b'' + g0 b' + f b = 0."""
+    """b p - m b_dot q with b solving its auxiliary ODE in `_AUX_ODES`."""
     _verify_aux_forms()
     return parameter("b", n) * variable("p0", n) \
         - parameter("m", n) * parameter("b_dot", n) * variable("q0", n)
@@ -237,14 +227,14 @@ def em_invariant_closed_form(system: ContactSystem, b0: float = 1.0,
 
 
 def lr_equilibrium(f0: float, rho0: float = 1.0) -> tuple[float, float]:
-    """Constant solution of rho'' + f0 rho = rho0/rho^3: rho = (rho0/f0)^(1/4)."""
+    """Constant solution of the rho equation at f = f0: rho = (rho0/f0)^(1/4)."""
     if f0 <= 0 or rho0 <= 0:
         raise ValueError("need f0 > 0 and rho0 > 0")
     return (rho0 / f0) ** 0.25, 0.0
 
 
 def glr_equilibrium(f0: float, g0: float, a0: float = 1.0) -> tuple[float, float]:
-    """Constant solution of the dissipative auxiliary equation:
+    """Constant solution of the a equation at f = f0:
     a = (a0^3 (1 + 3 a0 g0^2/4) / (f0 - g0^2/4))^(1/4)."""
     denom = f0 - g0 * g0 / 4.0
     if denom <= 0 or a0 <= 0:
@@ -265,19 +255,26 @@ def glr_symmetry(system: ContactSystem) -> VectorFieldSpec:
 
 _AUX_FORMS_VERIFIED = False
 
+# The defining ODEs of the auxiliary functions, as first-order rates: each
+# name maps to its d/dt over the auxiliary names, rho0, a0, g0 and f, which
+# stands for the system's f(t).  The self-test checks the invariants against
+# this table, and co_integrate integrates this same table.
+_AUX_ODES = {
+    "rho": "rho_dot",
+    "rho_dot": "rho0/rho^3 - f*rho",
+    "a": "a_dot",
+    "a_dot": "(g0*g0/4)*a - f*a + (a0^3/a^3)*(1 + 0.75*a0*g0*g0)",
+    "b": "b_dot",
+    "b_dot": "-g0*b_dot - f*b",
+}
+# rho and a leaving this open box end the flow tagged AuxiliaryBlowup
+_AUX_BOX = {"rho": (1e-6, 1e6), "a": (1e-6, 1e6)}
+
 
 def _aux_rates(which: str, vals: Mapping[str, float], f_val: float, g0: float) -> dict[str, float]:
-    """d/dt of the auxiliary parameters, from their defining ODEs."""
-    if which == "rho":
-        rho, rho_dot, rho0 = vals["rho"], vals["rho_dot"], vals["rho0"]
-        return {"rho": rho_dot, "rho_dot": rho0 / rho**3 - f_val * rho}
-    if which == "a":
-        a, a_dot, a0 = vals["a"], vals["a_dot"], vals["a0"]
-        acc = (g0 * g0 / 4.0) * a - f_val * a + (a0**3 / a**3) * (1.0 + 0.75 * a0 * g0 * g0)
-        return {"a": a_dot, "a_dot": acc}
-    if which == "b":
-        return {"b": vals["b_dot"], "b_dot": -g0 * vals["b_dot"] - f_val * vals["b"]}
-    raise ValueError(which)
+    """d/dt of the auxiliary block `which`, from `_AUX_ODES` at f = f_val."""
+    env = {**vals, "f": f_val, "g0": g0}
+    return {nm: parse(_AUX_ODES[nm], 1).eval_env(env) for nm in (which, f"{which}_dot")}
 
 
 def _verify_aux_forms() -> None:
@@ -324,116 +321,25 @@ def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliarySta
                  t_end: float, cfg: IntegratorConfig | None = None,
                  tracked: Sequence[TrackedInvariant] | Mapping[str, ScalarField] | None = None,
                  ) -> Trajectory:
-    """Integrate the contact flow together with the active auxiliary ODEs as
-    one coupled first-order system under a single step controller.
+    """Integrate the contact flow together with the active auxiliary ODEs of
+    `_AUX_ODES`, through `integrate`, under a single step controller.
 
     Tracked fields see the auxiliary values (and rho0/a0) as parameters at
-    every accepted step; the auxiliary components are also recorded as
-    tracked columns.  rho or a leaving (1e-6, 1e6) tags the trajectory
+    every accepted step; the auxiliary components follow them as tracked
+    columns.  rho or a leaving (1e-6, 1e6) tags the trajectory
     AuxiliaryBlowup and returns the partial result.
     """
-    cfg = cfg or IntegratorConfig()
-    f_field, g0 = _harmonic_meta(system)
-    n = system.n
-    if isinstance(tracked, Mapping):
-        tracked_list = [TrackedInvariant(lbl, fld) for lbl, fld in tracked.items()]
-    else:
-        tracked_list = list(tracked or [])
-
-    field = extended_field(system)
-    main_fns = [c.eval_env for c in (*field.Yq, *field.Yp, field.YS)]
-    f_fn = f_field.eval_env
-    params = dict(system.params)
-    params.update(aux0.constants())
-    rho0, a0 = aux0.rho0, aux0.a0
-    K_glr = 1.0 + 0.75 * a0 * g0 * g0
-
-    blocks: list[str] = []
-    y0 = list(np.concatenate([start.q, start.p, [start.S]]))
-    if aux0.use_rho:
-        blocks.append("rho")
-        y0 += [aux0.rho, aux0.rho_dot]
-    if aux0.use_a:
-        blocks.append("a")
-        y0 += [aux0.a, aux0.a_dot]
-    if aux0.use_b:
-        blocks.append("b")
-        y0 += [aux0.b, aux0.b_dot]
-    base = 2 * n + 1
-    offsets = {blk: base + 2 * i for i, blk in enumerate(blocks)}
-    qp_names = [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-
-    def env_of(t: float, y: np.ndarray) -> dict[str, float]:
-        env = dict(params)
-        for i, nm in enumerate(qp_names):
-            env[nm] = y[i]
-        env["S"] = y[2 * n]
-        env["t"] = t
-        for blk in blocks:
-            o = offsets[blk]
-            env[blk] = y[o]
-            env[f"{blk}_dot"] = y[o + 1]
-        return env
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        env = env_of(t, y)
-        out = np.empty_like(y)
-        for i, fn in enumerate(main_fns):
-            out[i] = fn(env)
-        f_val = f_fn(env)
-        for blk in blocks:
-            o = offsets[blk]
-            u, v = y[o], y[o + 1]
-            out[o] = v
-            if blk == "rho":
-                if abs(u) < 1e-12:
-                    raise DomainError("auxiliary function vanished", "rho")
-                out[o + 1] = rho0 / u**3 - f_val * u
-            elif blk == "a":
-                if abs(u) < 1e-12:
-                    raise DomainError("auxiliary function vanished", "a")
-                out[o + 1] = (g0 * g0 / 4.0) * u - f_val * u + (a0**3 / u**3) * K_glr
-            else:
-                out[o + 1] = -g0 * v - f_val * u
-        return out
-
-    samples = [start]
-    labels = [ti.label for ti in tracked_list]
-    aux_labels = [nm for blk in blocks for nm in (blk, f"{blk}_dot")]
-    tracked_vals: dict[str, list[float]] = {lbl: [] for lbl in labels + aux_labels}
-
-    def record_env(t: float, y: np.ndarray) -> None:
-        env = env_of(t, y)
-        for ti in tracked_list:
-            tracked_vals[ti.label].append(ti.field.eval_env(env))
-        for blk in blocks:
-            o = offsets[blk]
-            tracked_vals[blk].append(y[o])
-            tracked_vals[f"{blk}_dot"].append(y[o + 1])
-
-    def on_accept(t: float, y: np.ndarray) -> None:
-        samples.append(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t))
-        record_env(t, y)
-
-    blew_up = [False]
-
-    def admissible(t: float, y: np.ndarray) -> bool:
-        for blk in ("rho", "a"):
-            if blk in offsets:
-                u = y[offsets[blk]]
-                if not (1e-6 < u < 1e6):
-                    blew_up[0] = True
-                    return False
-        pt = ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t)
-        return system.admissible(pt, cfg.guard_margin)
-
-    record_env(start.t, np.asarray(y0))
-    stats, tag = adaptive_rk45(rhs, start.t, np.asarray(y0), t_end, cfg,
-                               on_accept, admissible)
-    if tag == DOMAIN_VIOLATION and blew_up[0]:
-        tag = AUXILIARY_BLOWUP
-    return Trajectory(samples, {lbl: np.array(v) for lbl, v in tracked_vals.items()},
-                      stats, tag)
+    f_field, _ = _harmonic_meta(system)
+    if not isinstance(tracked, Mapping):
+        tracked = {ti.label: ti.field for ti in tracked or []}
+    aux: dict[str, AuxComponent] = {}
+    for block in ("rho", "a", "b"):
+        if getattr(aux0, f"use_{block}"):
+            for nm in (block, f"{block}_dot"):
+                rate = substitute(parse(_AUX_ODES[nm], system.n), "f", f_field)
+                aux[nm] = AuxComponent(getattr(aux0, nm), rate, _AUX_BOX.get(nm))
+    return integrate(system, extended_field(system), start, t_end, cfg, tracked,
+                     aux0.constants(), aux)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from contact_noether.dynamics import (
     STEP_SIZE_UNDERFLOW,
     IntegratorConfig,
     TimeDependentHamiltonian,
+    _cumulative_simpson,
     action_consistency,
+    adaptive_rk45,
     contact_field,
     extended_field,
     integrate,
@@ -146,6 +152,69 @@ class TestIntegrate:
         assert lines[0] == "t,q0,p0,S,mom"
         first = [float(x) for x in lines[1].split(",")]
         assert first == [0.0, 0.5, 2.0, 0.0, 2.0]
+
+
+class TestRhsCalls:
+    @staticmethod
+    def counting_rhs():
+        calls = []
+
+        def rhs(t, y):
+            out = np.array([-50.0 * (y[0] - math.cos(t)), y[0]])
+            calls.append((t, y.copy()))
+            return out
+
+        return rhs, calls
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-8])
+    def test_adaptive_reuses_last_stage(self, rel_tol):
+        # 1 initial derivative + 1 initial-step probe + 6 stages per attempt;
+        # stage 7 of an accepted step is the next step's first stage
+        rhs, calls = self.counting_rhs()
+        accepted = []
+        stats, tag = adaptive_rk45(rhs, 0.0, np.array([2.0, 0.0]), 5.0,
+                                   IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2),
+                                   on_accept=lambda t, y: accepted.append((t, y.copy())))
+        assert tag is None and stats.accepted > 0
+        assert len(calls) == 2 + 6 * (stats.accepted + stats.rejected)
+        # the reused stage was evaluated at exactly the accepted state
+        evaluated = {(t, y.tobytes()) for t, y in calls}
+        assert all((t, y.tobytes()) in evaluated for t, y in accepted)
+
+    def test_fixed_step_call_count(self):
+        rhs, calls = self.counting_rhs()
+        cfg = IntegratorConfig(min_step=0.01, max_step=0.01)
+        stats, tag = adaptive_rk45(rhs, 0.0, np.array([2.0, 0.0]), 1.0, cfg)
+        assert tag is None and stats.rejected == 0
+        assert len(calls) == 1 + 6 * stats.accepted
+
+
+class TestCumulativeSimpson:
+    def test_matches_scipy_bitwise(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rng = np.random.default_rng(94)
+        for size in [1, 2, 3, 4, 5, *rng.integers(6, 400, size=60)]:
+            x = np.cumsum(rng.uniform(1e-3, 1.0, size=size)) - 0.5
+            y = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
+            ref = scipy_integrate.cumulative_simpson(y, x=x, initial=0.0)
+            assert _cumulative_simpson(y, x).tobytes() == ref.tobytes()
+
+    def test_exact_for_quadratic_on_nonuniform_grid(self):
+        rng = np.random.default_rng(96)
+        x = np.cumsum(rng.uniform(0.05, 0.5, size=41))
+        y = 3.0 * x**2 - 2.0 * x + 1.0
+        F = x**3 - x**2 + x
+        assert np.allclose(_cumulative_simpson(y, x), F - F[0], rtol=1e-13, atol=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, contact_noether; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestConservationAlongFlow:

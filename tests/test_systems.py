@@ -26,6 +26,8 @@ from contact_noether.systems import (
     em_invariant,
     em_invariant_closed_form,
     f0_invariant,
+    f1_invariant,
+    f2_invariant,
     glr_equilibrium,
     glr_invariant,
     glr_symmetry,
@@ -140,6 +142,19 @@ class TestClosedFormSelfTest:
             systems._verify_aux_forms()
         assert not systems._AUX_FORMS_VERIFIED
 
+    def test_corrupted_ode_table_fails_loudly(self, damped_oscillator, monkeypatch):
+        # the table co_integrate integrates is the one the self-test checks
+        monkeypatch.setitem(systems._AUX_ODES, "a_dot", systems._AUX_ODES["a_dot"] + " + 0.1")
+        monkeypatch.setattr(systems, "_AUX_FORMS_VERIFIED", False)
+        with pytest.raises(RuntimeError, match="self-test failed for a"):
+            systems._verify_aux_forms()
+        assert not systems._AUX_FORMS_VERIFIED
+        # and co_integrate picks up the same slip: the equilibrium now drifts
+        a_eq, _ = glr_equilibrium(1.0, 0.2, 1.0)
+        traj = co_integrate(damped_oscillator, point(1.0, 0.5),
+                            AuxiliaryState(use_a=True, a=a_eq), 1.0, CFG)
+        assert np.max(np.abs(traj.tracked["a_dot"])) > 1e-2
+
     def test_residuals_with_consistent_aux_rates(self):
         # F_LR, F_GLR, F_EM satisfy the dissipation equation exactly once the
         # auxiliary time dependence is threaded through
@@ -239,12 +254,31 @@ class TestCoIntegrate:
                             60.0, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
         assert traj.error_tag == AUXILIARY_BLOWUP
 
+    def test_rho_blowup_returns_partial_trajectory(self):
+        system = make_harmonic_dissipative(1.0, -5.0, 0.1)
+        aux = AuxiliaryState(use_rho=True, use_b=True)
+        traj = co_integrate(system, point(0.1, 0.0), aux, 60.0,
+                            IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10),
+                            [system.meta["invariants"]["F0"]])
+        assert traj.error_tag == AUXILIARY_BLOWUP
+        assert traj.samples[-1].t < 60.0
+        assert all(len(v) == len(traj.samples) for v in traj.tracked.values())
+        assert np.all((traj.tracked["rho"] > 1e-6) & (traj.tracked["rho"] < 1e6))
+
     def test_aux_columns_in_csv(self, free_oscillator):
         aux = AuxiliaryState(use_rho=True)
         traj = co_integrate(free_oscillator, point(1.0, 0.0), aux, 1.0, CFG)
         buf = io.StringIO()
         traj.to_csv(buf)
         assert buf.getvalue().splitlines()[0] == "t,q0,p0,S,rho,rho_dot"
+
+    def test_csv_column_order_with_two_blocks(self, damped_oscillator):
+        aux = AuxiliaryState(use_a=True, use_b=True)
+        invs = [damped_oscillator.meta["invariants"][k] for k in ("F_EM", "F0")]
+        traj = co_integrate(damped_oscillator, point(1.0, 0.5), aux, 1.0, CFG, invs)
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        assert buf.getvalue().splitlines()[0] == "t,q0,p0,S,F_EM,F0,a,a_dot,b,b_dot"
 
     def test_needs_harmonic_system(self, kepler):
         with pytest.raises(ValueError):
@@ -293,6 +327,23 @@ class TestGlrSymmetry:
             env_lr = system.env(pt, {"rho": a, "rho_dot": a_dot, "rho0": a0**3})
             diff = Y_glr.eval(env_glr) - Y_lr.eval(env_lr)
             assert np.max(np.abs(diff)) <= 1e-10
+
+
+class TestInvariantCatalog:
+    def test_sources_unchanged(self, kepler):
+        osc = make_harmonic_dissipative(1.0, "1 + 0.4*sin(t)", 0.3)
+        h_k = ("(p0^2.0 + p1^2.0 + p2^2.0)/(2.0*m) - 4.0*eps/sqrt(q0^2.0 + q1^2.0 + q2^2.0)")
+        h_o = "p0^2.0/(2.0*m) + m/2.0*(1.0 + 0.4*sin(t))*q0^2.0 + g0*S"
+        assert f0_invariant(1).source() == "q0*p0 - 2.0*S"
+        assert f0_invariant(3).source() == "q0*p0 + q1*p1 + q2*p2 - 2.0*S"
+        assert f1_invariant(kepler).source() == f"q0*p0 + q1*p1 + q2*p2 - 2.0*t*({h_k})"
+        assert f1_invariant(osc).source() == f"q0*p0 - 2.0*t*({h_o})"
+        assert f2_invariant(kepler, -1.0).source() == (
+            f"0.6666666666666666*(q0*p0 + q1*p1 + q2*p2) - t*({h_k}) - 0.3333333333333333*S")
+        assert f2_invariant(osc, 0.5).source() == (
+            f"1.3333333333333333*q0*p0 - t*({h_o}) - 1.6666666666666667*S")
+        assert kepler.meta["invariants"]["Q_K"].field.source() == (
+            f"2.0*(q0*p0 + q1*p1 + q2*p2) - 3.0*t*({h_k}) - S")
 
 
 class TestBuiltinRegistry:
