@@ -29,6 +29,7 @@ from .noether import (  # noqa: F401
     SimilarityReport,
     SymmetryReport,
     closure_check,
+    dissipation_field,
     dissipation_residual,
     invariant_from_symmetry,
     ratio_invariant,

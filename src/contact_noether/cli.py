@@ -27,7 +27,7 @@ from .noether import (
     SYMBOLIC_THRESHOLD,
     closure_check,
     dissipation_compensation,
-    dissipation_residual,
+    dissipation_field,
     max_relative_drift,
     noether_lambda,
     sample_points,
@@ -271,8 +271,8 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
                      f"{sc.name}: residual check references unknown invariant")
             inv = sc.invariants[c["invariant"]]
             entry["target"] = inv.label
-            worst = max(abs(dissipation_residual(sc.system, inv.field, pt,
-                                                 extra=sc.point_params))
+            field = dissipation_field(sc.system, inv.field)
+            worst = max(abs(field.eval_env(sc.system.env(pt, sc.point_params)))
                         for pt in points())
             entry["value"] = float(worst)
             entry["passed"] = bool(worst <= tol)

@@ -381,11 +381,6 @@ def action_consistency(system: ContactSystem, traj: Trajectory,
     a consistency check on the action identity dS/dt = p.dh/dp - h, not an
     exactness claim.
     """
-    n = system.n
-    integrand = number(0.0, n)
-    for i in range(n):
-        integrand = integrand + variable(f"p{i}", n) * system.h_p[i]
-    integrand = integrand - system.h
-    quad = cumulative_integral(system, traj, integrand, extra_params)
+    quad = cumulative_integral(system, traj, extended_field(system).YS, extra_params)
     S = np.array([s.S for s in traj.samples])
     return float(np.max(np.abs(S - S[0] - quad)))

@@ -395,9 +395,5 @@ def jacobi_bracket(system: ContactSystem, F: ScalarField, G: ScalarField) -> Sca
             raise ValueError("Jacobi bracket arguments must be t-independent")
     from .dynamics import contact_field_of
 
-    n = system.n
-    bracket = lie_bracket(contact_field_of(F), contact_field_of(G))
-    acc = bracket.YS
-    for i in range(n):
-        acc = acc - variable(f"p{i}", n) * bracket.Yq[i]
-    return acc
+    return interior_product_eta_extended(
+        system, lie_bracket(contact_field_of(F), contact_field_of(G)))

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import DomainError, ExprError, ScalarField, number, partial, variable
+from .expr import DomainError, ExprError, ScalarField, number, partial
 from .dynamics import (Trajectory, contact_field, contact_field_of, cumulative_integral,
                        extended_field)
 from .geometry import (
@@ -26,6 +26,7 @@ from .geometry import (
     VectorFieldSpec,
     directional_derivative,
     eta_extended,
+    interior_product_eta_extended,
     lie_bracket,
     proportionality_residual,
 )
@@ -116,6 +117,12 @@ def sample_points(system: ContactSystem, count: int, seed: int,
 # dissipation equation
 
 
+def dissipation_field(system: ContactSystem, F: ScalarField) -> ScalarField:
+    """X_h^t(F) + R(h) F with R(h) = dh/dS; identically zero when F is
+    dissipated.  Build it once and evaluate it at every sample."""
+    return directional_derivative(extended_field(system), F) + system.h_S * F
+
+
 def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedPoint,
                          extra: Mapping[str, float] | None = None,
                          param_rates: Mapping[str, float] | None = None) -> float:
@@ -123,28 +130,16 @@ def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedP
 
     `param_rates` supplies d(param)/dt for parameters that stand in for
     time-dependent auxiliary functions, so their implicit time dependence
-    enters the d/dt term exactly.
+    enters the d/dt term exactly.  For evaluation at many points, build
+    :func:`dissipation_field` once instead.
     """
     env = system.env(point, extra)
-    n = system.n
-    hS = system.h_S.eval_env(env)
-    acc = partial(F, "t").eval_env(env) if "t" in F.free_vars else 0.0
-    for i in range(n):
-        if f"q{i}" in F.free_vars:
-            acc += system.h_p[i].eval_env(env) * partial(F, f"q{i}").eval_env(env)
-        if f"p{i}" in F.free_vars:
-            pdot = -system.h_q[i].eval_env(env) - point.p[i] * hS
-            acc += pdot * partial(F, f"p{i}").eval_env(env)
-    if "S" in F.free_vars:
-        sdot = -system.h_value(point, extra)
-        for i in range(n):
-            sdot += point.p[i] * system.h_p[i].eval_env(env)
-        acc += sdot * partial(F, "S").eval_env(env)
+    acc = dissipation_field(system, F).eval_env(env)
     if param_rates:
         for name, rate in param_rates.items():
             if name in F.free_params:
                 acc += rate * partial(F, name).eval_env(env)
-    return acc + hS * F.eval_env(env)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +148,7 @@ def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedP
 
 def invariant_from_symmetry(system: ContactSystem, Y: VectorFieldSpec) -> ScalarField:
     """F = -iota_Y eta_E = p_a Y^a - Y^S - h Y^t."""
-    n = system.n
-    acc = -Y.YS
-    for i in range(n):
-        acc = acc + variable(f"p{i}", n) * Y.Yq[i]
-    return acc - system.h * Y.Yt
+    return -interior_product_eta_extended(system, Y)
 
 
 def symmetry_from_invariant(system: ContactSystem, F: ScalarField,
@@ -271,16 +262,14 @@ def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpe
 def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
                            samples: Sequence[ExtendedPoint],
                            extra: Mapping[str, float] | None = None) -> float:
-    """Contact-level Noether obstruction: max |iota_[X_h, Y] eta| over samples.
+    """Contact-level Noether obstruction: max |iota_[X_h, Y] eta_E| over samples.
 
-    Zero (to tolerance) is necessary for Y to generate a dissipated quantity
-    at the non-extended contact level.
+    For a t-independent Y this is |X_h^t(F) + R(h) F| with F = -iota_Y eta_E,
+    so zero (to tolerance) is necessary for Y to generate a dissipated
+    quantity.  When Y^t does not depend on (q, p, S), [X_h, Y] has no dt
+    component and eta_E may be read as the contact form eta.
     """
-    bracket = lie_bracket(contact_field(system), Y)
-    n = system.n
-    scalar = bracket.YS
-    for i in range(n):
-        scalar = scalar - variable(f"p{i}", n) * bracket.Yq[i]
+    scalar = interior_product_eta_extended(system, lie_bracket(contact_field(system), Y))
     worst = 0.0
     for pt in samples:
         worst = max(worst, abs(scalar.eval_env(system.env(pt, extra))))

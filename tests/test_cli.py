@@ -1,7 +1,11 @@
 import json
 from pathlib import Path
 
-from contact_noether import cli
+import numpy as np
+
+from contact_noether import cli, expr
+from contact_noether.geometry import lie_bracket
+from contact_noether.noether import sample_points
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -46,6 +50,39 @@ class TestBundledScenarios:
     def test_free_particle_passes(self, tmp_path):
         report, code = cli.run(SCENARIOS / "free-particle.json", tmp_path, quiet=True)
         assert code == 0
+
+    def test_kepler_scaling_closure_brackets_distinct_symmetries(self):
+        # [Y, Y] = 0 identically, so a closure check of Y with itself cannot fail
+        sc = cli.load_scenario(SCENARIOS / "kepler-scaling.json")
+        closure = next(c for c in sc.checks if c["type"] == "closure")
+        bracket = lie_bracket(sc.symmetries[closure["first"]]["field"],
+                              sc.symmetries[closure["second"]]["field"])
+        pts = sample_points(sc.system, 10, sc.seed)
+        assert max(np.max(np.abs(bracket.eval(sc.system.env(pt)))) for pt in pts) > 1e-2
+
+
+def test_residual_check_compiles_independently_of_sample_count(tmp_path, monkeypatch):
+    compiled = []
+    real = expr._compile
+
+    def counting(node, names):
+        compiled.append(node)
+        return real(node, names)
+
+    monkeypatch.setattr(expr, "_compile", counting)
+    counts = []
+    for samples in (5, 50):
+        path = write_scenario(tmp_path, f"residual-{samples}", {
+            "system": {"builtin": "kepler"},
+            "sample_count": samples,
+            "invariants": [{"label": "Q_K", "builtin": "Q_K"}],
+            "checks": [{"type": "residual", "invariant": "Q_K", "tol": 1e-10}],
+        })
+        compiled.clear()
+        _, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert code == 0
+        counts.append(len(compiled))
+    assert counts[0] == counts[1]
 
 
 class TestExitCodes:

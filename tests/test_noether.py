@@ -32,6 +32,7 @@ from contact_noether.noether import (
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from contact_noether.systems import f0_invariant, lr_invariant, lr_equilibrium
 from conftest import point
+from randfields import central_fd
 
 
 def zero_field(n):
@@ -68,6 +69,20 @@ class TestDissipationResidual:
         F0 = f0_invariant(1)
         for pt in sample_points(system, 50, seed=19):
             assert dissipation_residual(system, F0, pt) == pytest.approx(0.0, abs=1e-13)
+
+    def test_nonzero_residual_matches_finite_difference_oracle(self):
+        # S- and t-dependent oscillator, non-invariant F: every term of
+        # X_h^t(F) + R(h) F is live and the residual is far from zero
+        from contact_noether.systems import make_harmonic_dissipative
+        system = make_harmonic_dissipative(1.3, "1 + 0.4*sin(t)", 0.35)
+        F = parse("q0*p0^2 + S*t + sin(q0*S) + exp(0.3*t)*p0", 1)
+        X = extended_field(system)
+        for pt in sample_points(system, 25, seed=81):
+            env = system.env(pt)
+            grad = np.array([central_fd(F, nm, env, 1e-6) for nm in ("q0", "p0", "S", "t")])
+            expected = float(X.eval(env) @ grad) + system.h_S.eval_env(env) * F.eval_env(env)
+            assert abs(expected) > 1e-3
+            assert dissipation_residual(system, F, pt) == pytest.approx(expected, rel=1e-6)
 
 
 class TestInvariantFromSymmetry:
