@@ -9,6 +9,7 @@ steps, which the order-check tests rely on.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -123,13 +124,8 @@ class Trajectory:
         n = self.n
         header = ["t"] + [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] + ["S"]
         header += list(self.tracked)
-        close = False
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            fh = open(target, "w", newline="")
-            close = True
-        else:
-            fh = target
-        try:
+        is_path = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+        with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
             fh.write(",".join(header) + "\n")
             for k, s in enumerate(self.samples):
                 row = [repr(s.t)]
@@ -138,9 +134,6 @@ class Trajectory:
                 row.append(repr(s.S))
                 row += [repr(float(self.tracked[lbl][k])) for lbl in self.tracked]
                 fh.write(",".join(row) + "\n")
-        finally:
-            if close:
-                fh.close()
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: IntegratorConfig) -> float:

@@ -20,14 +20,19 @@ integer exponents are detected syntactically (a literal exponent with
 integral value) and are valid for any base.  The only simplification
 performed is eager constant folding (including 0/1 identity elimination,
 which keeps repeated derivatives small); no canonicalisation beyond that.
+
+Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.
+Derivatives and free names are computed once per distinct node, and a field
+compiles to one statement per distinct node, bit-identical to `eval_node`.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
 
@@ -61,11 +66,14 @@ class IndexOutOfRange(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation left the real domain; carries the offending subexpression."""
+    """Evaluation left the real domain; carries the offending subexpression.
 
-    def __init__(self, message: str, where: str):
-        super().__init__(f"{message} in `{where}`")
-        self.where = where
+    `where` is its source text, or the node itself, which is rendered here,
+    only once an error is actually raised."""
+
+    def __init__(self, message: str, where: "str | Node"):
+        self.where = where if isinstance(where, str) else to_source(where)
+        super().__init__(f"{message} in `{self.where}`")
 
 
 class UnboundParameter(ExprError):
@@ -73,61 +81,79 @@ class UnboundParameter(ExprError):
 
 
 # ---------------------------------------------------------------------------
-# AST nodes
+# AST nodes (hash-consed)
+
+_INTERN: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Base of the AST nodes.  Constructing a node returns the live node of
+    equal structure if there is one, so structurally equal subtrees are one
+    object and equality is identity.  The table holds nodes weakly, and its
+    key tells ``Num(0.0)`` from ``Num(-0.0)``."""
+
+    def __new__(cls, *args):
+        if cls is Num:
+            args = (float(args[0]),)
+            key: tuple = (cls, args[0], math.copysign(1.0, args[0]))
+        else:
+            key = (cls, *args)
+        node = _INTERN.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls.__match_args__, args))
+            _INTERN[key] = node
+        return node
+
+    def __init_subclass__(cls) -> None:
+        dataclass(frozen=True, eq=False, init=False)(cls)
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
+
+
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: "Node"
     exponent: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Node"
 
@@ -143,16 +169,13 @@ def _int_exponent(node: Node) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (constant folding only)
-
-
-def _num(v: float) -> Num:
-    return Num(float(v))
+# smart constructors (constant folding only; a non-finite result is not
+# folded, so that evaluation sees the operation)
 
 
 def add_(a: Node, b: Node) -> Node:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value + b.value)
+    if isinstance(a, Num) and isinstance(b, Num) and math.isfinite(v := a.value + b.value):
+        return Num(v)
     if isinstance(a, Num) and a.value == 0.0:
         return b
     if isinstance(b, Num) and b.value == 0.0:
@@ -161,8 +184,8 @@ def add_(a: Node, b: Node) -> Node:
 
 
 def sub_(a: Node, b: Node) -> Node:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value - b.value)
+    if isinstance(a, Num) and isinstance(b, Num) and math.isfinite(v := a.value - b.value):
+        return Num(v)
     if isinstance(b, Num) and b.value == 0.0:
         return a
     if isinstance(a, Num) and a.value == 0.0:
@@ -171,34 +194,35 @@ def sub_(a: Node, b: Node) -> Node:
 
 
 def mul_(a: Node, b: Node) -> Node:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _num(a.value * b.value)
+    if isinstance(a, Num) and isinstance(b, Num) and math.isfinite(v := a.value * b.value):
+        return Num(v)
     if isinstance(a, Num):
         if a.value == 0.0:
-            return _num(0.0)
+            return Num(0.0)
         if a.value == 1.0:
             return b
     if isinstance(b, Num):
         if b.value == 0.0:
-            return _num(0.0)
+            return Num(0.0)
         if b.value == 1.0:
             return a
     return Mul(a, b)
 
 
 def div_(a: Node, b: Node) -> Node:
-    if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-        return _num(a.value / b.value)
+    if (isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0
+            and math.isfinite(v := a.value / b.value)):
+        return Num(v)
     if isinstance(a, Num) and a.value == 0.0:
-        return _num(0.0)
+        return Num(0.0)
     if isinstance(b, Num) and b.value == 1.0:
         return a
     return Div(a, b)
 
 
 def neg_(a: Node) -> Node:
-    if isinstance(a, Num):
-        return _num(-a.value)
+    if isinstance(a, Num) and math.isfinite(a.value):
+        return Num(-a.value)
     if isinstance(a, Neg):
         return a.arg
     return Neg(a)
@@ -209,7 +233,7 @@ def pow_(a: Node, b: Node) -> Node:
         if b.value == 1.0:
             return a
         if b.value == 0.0:
-            return _num(1.0)
+            return Num(1.0)
         if isinstance(a, Num):
             try:
                 k = _int_exponent(b)
@@ -217,7 +241,7 @@ def pow_(a: Node, b: Node) -> Node:
             except (OverflowError, ZeroDivisionError, ValueError):
                 return Pow(a, b)
             if isinstance(v, float) and math.isfinite(v):
-                return _num(v)
+                return Num(v)
     return Pow(a, b)
 
 
@@ -227,76 +251,65 @@ def call_(fn: str, arg: Node) -> Node:
             v = _INTRINSIC_IMPL[fn](arg.value, fn)
         except DomainError:
             return Call(fn, arg)
-        return _num(v)
+        return Num(v)
     return Call(fn, arg)
 
 
 # ---------------------------------------------------------------------------
 # guarded numeric kernels (shared by the interpreter and compiled code,
-# so both paths are bit-identical)
+# so both paths are bit-identical); `where` is the node being evaluated,
+# or its text, and is rendered only if an error is raised
 
 
-def _guard_finite(v: float, where: str) -> float:
+def _guard_finite(v: float, where: Node) -> float:
     if not math.isfinite(v):
         raise DomainError("non-finite result", where)
     return v
 
 
-def _k_sin(x: float, where: str) -> float:
-    return math.sin(x)
-
-
-def _k_cos(x: float, where: str) -> float:
-    return math.cos(x)
-
-
-def _k_exp(x: float, where: str) -> float:
+def _k_exp(x: float, where: Node) -> float:
     try:
         return math.exp(x)
     except OverflowError:
         raise DomainError("exp overflow", where) from None
 
 
-def _k_ln(x: float, where: str) -> float:
+def _k_ln(x: float, where: Node) -> float:
     if x <= 0.0:
         raise DomainError("ln of non-positive value", where)
     return math.log(x)
 
 
-def _k_sqrt(x: float, where: str) -> float:
+def _k_sqrt(x: float, where: Node) -> float:
     if x < 0.0:
         raise DomainError("sqrt of negative value", where)
     return math.sqrt(x)
 
 
-def _k_abs(x: float, where: str) -> float:
-    return abs(x)
-
-
-_INTRINSIC_IMPL: dict[str, Callable[[float, str], float]] = {
-    "sin": _k_sin,
-    "cos": _k_cos,
+_INTRINSIC_IMPL: dict[str, Callable[[float, Node], float]] = {
+    "sin": lambda x, where: math.sin(x),
+    "cos": lambda x, where: math.cos(x),
     "exp": _k_exp,
     "ln": _k_ln,
     "sqrt": _k_sqrt,
-    "abs": _k_abs,
+    "abs": lambda x, where: abs(x),
 }
 
 
-def _k_div(a: float, b: float, where: str) -> float:
+def _k_div(a: float, b: float, where: Node) -> float:
     if b == 0.0:
         raise DomainError("division by zero", where)
     return _guard_finite(a / b, where)
 
 
-def _k_pow_int(b: float, k: int, where: str) -> float:
+def _k_pow_int(b: float, k: int, where: Node) -> float:
     try:
         return _guard_finite(b**k, where)
     except (OverflowError, ZeroDivisionError):
         raise DomainError("integer power out of domain", where) from None
 
 
-def _k_pow(b: float, e: float, where: str) -> float:
+def _k_pow(b: float, e: float, where: Node) -> float:
     if b <= 0.0:
         raise DomainError("non-integer power of non-positive base", where)
     try:
@@ -372,66 +385,67 @@ def eval_node(node: Node, env: Mapping[str, float]) -> float:
     if isinstance(node, Mul):
         return eval_node(node.left, env) * eval_node(node.right, env)
     if isinstance(node, Div):
-        return _k_div(eval_node(node.left, env), eval_node(node.right, env), to_source(node))
+        return _k_div(eval_node(node.left, env), eval_node(node.right, env), node)
     if isinstance(node, Pow):
         k = _int_exponent(node.exponent)
         if k is not None:
-            return _k_pow_int(eval_node(node.base, env), k, to_source(node))
-        return _k_pow(eval_node(node.base, env), eval_node(node.exponent, env), to_source(node))
+            return _k_pow_int(eval_node(node.base, env), k, node)
+        return _k_pow(eval_node(node.base, env), eval_node(node.exponent, env), node)
     if isinstance(node, Call):
-        return _INTRINSIC_IMPL[node.fn](eval_node(node.arg, env), to_source(node))
+        return _INTRINSIC_IMPL[node.fn](eval_node(node.arg, env), node)
     raise TypeError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------
-# compilation to a python callable (same operation order as eval_node)
+# compilation to a python callable: one local per distinct node, assigned in
+# the left-to-right post-order of eval_node, so every value and the first
+# DomainError raised are the interpreter's
 
 
-def _codegen(node: Node, consts: list[str]) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Param)):
-        return f"_v_{node.name}"
+def _template(node: Node) -> tuple[str, tuple[Node, ...]]:
+    """Source of one operation over its operands' values ({0}, {1}) and its
+    error label ({n}), and those operands in eval_node's order."""
     if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg, consts)})"
-    if isinstance(node, Add):
-        return f"({_codegen(node.left, consts)} + {_codegen(node.right, consts)})"
-    if isinstance(node, Sub):
-        return f"({_codegen(node.left, consts)} - {_codegen(node.right, consts)})"
-    if isinstance(node, Mul):
-        return f"({_codegen(node.left, consts)}*{_codegen(node.right, consts)})"
+        return "-{0}", (node.arg,)
+    if isinstance(node, (Add, Sub, Mul)):
+        op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
+        return f"{{0}} {op} {{1}}", (node.left, node.right)
     if isinstance(node, Div):
-        consts.append(to_source(node))
-        return f"_div({_codegen(node.left, consts)}, {_codegen(node.right, consts)}, _c{len(consts) - 1})"
+        return "_div({0}, {1}, {n})", (node.left, node.right)
     if isinstance(node, Pow):
         k = _int_exponent(node.exponent)
-        consts.append(to_source(node))
-        label = f"_c{len(consts) - 1}"
         if k is not None:
-            return f"_powi({_codegen(node.base, consts)}, {k}, {label})"
-        return f"_powf({_codegen(node.base, consts)}, {_codegen(node.exponent, consts)}, {label})"
+            return f"_powi({{0}}, {k}, {{n}})", (node.base,)
+        return "_powf({0}, {1}, {n})", (node.base, node.exponent)
     if isinstance(node, Call):
-        consts.append(to_source(node))
-        return f"_{node.fn}({_codegen(node.arg, consts)}, _c{len(consts) - 1})"
+        return f"_{node.fn}({{0}}, {{n}})", (node.arg,)
     raise TypeError(f"unknown node {node!r}")
 
 
 def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
-    consts: list[str] = []
-    body = _codegen(node, consts)
-    lines = ["def _f(_env):"]
-    for nm in sorted(names):
-        lines.append(f"    _v_{nm} = _env[{nm!r}]")
-    lines.append(f"    return {body}")
-    glb: dict[str, object] = {
-        "_div": _k_div,
-        "_powi": _k_pow_int,
-        "_powf": _k_pow,
-    }
-    for fn, impl in _INTRINSIC_IMPL.items():
-        glb[f"_{fn}"] = impl
-    for i, c in enumerate(consts):
-        glb[f"_c{i}"] = c
+    lines = ["def _f(_env):"] + [f"    _v_{nm} = _env[{nm!r}]" for nm in sorted(names)]
+    glb: dict[str, object] = {"_div": _k_div, "_powi": _k_pow_int, "_powf": _k_pow,
+                              "inf": math.inf, "nan": math.nan}
+    glb.update((f"_{fn}", impl) for fn, impl in _INTRINSIC_IMPL.items())
+    ref: dict[Node, str] = {}
+
+    def emit(node: Node) -> str:
+        if node not in ref:
+            if isinstance(node, Num):
+                ref[node] = repr(node.value)
+            elif isinstance(node, (Var, Param)):
+                ref[node] = f"_v_{node.name}"
+            else:
+                template, operands = _template(node)
+                values = [emit(a) for a in operands]
+                i = len(lines)
+                if "{n}" in template:
+                    glb[f"_n{i}"] = node  # the label is rendered only if raised
+                lines.append(f"    _t{i} = " + template.format(*values, n=f"_n{i}"))
+                ref[node] = f"_t{i}"
+        return ref[node]
+
+    lines.append(f"    return {emit(node)}")
     loc: dict[str, object] = {}
     exec(compile("\n".join(lines), "<scalar-field>", "exec"), glb, loc)
     return loc["_f"]  # type: ignore[return-value]
@@ -441,26 +455,40 @@ def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]]
 # scalar fields
 
 
-def _collect_names(node: Node, vars_out: set[str], params_out: set[str]) -> None:
-    if isinstance(node, Var):
-        vars_out.add(node.name)
-    elif isinstance(node, Param):
-        params_out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_names(node.arg, vars_out, params_out)
-    elif isinstance(node, (Add, Sub, Mul, Div)):
-        _collect_names(node.left, vars_out, params_out)
-        _collect_names(node.right, vars_out, params_out)
-    elif isinstance(node, Pow):
-        _collect_names(node.base, vars_out, params_out)
-        _collect_names(node.exponent, vars_out, params_out)
-    elif isinstance(node, Call):
-        _collect_names(node.arg, vars_out, params_out)
+_NAMES: "weakref.WeakKeyDictionary[Node, tuple[frozenset[str], ...]]" = weakref.WeakKeyDictionary()
 
 
+def _collect_names(root: Node) -> tuple[frozenset[str], frozenset[str]]:
+    """(Var names, Param names) under `root`, visiting each distinct node
+    once and taking the names under an earlier field's root from the cache."""
+    names = _NAMES.get(root)
+    if names is None:
+        vs: set[str] = set()
+        ps: set[str] = set()
+        seen: set[Node] = set()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            known = _NAMES.get(node)
+            if known is not None:
+                vs |= known[0]
+                ps |= known[1]
+            elif isinstance(node, Var):
+                vs.add(node.name)
+            elif isinstance(node, Param):
+                ps.add(node.name)
+            else:
+                stack.extend(v for v in vars(node).values() if isinstance(v, _Node))
+        names = _NAMES[root] = (frozenset(vs), frozenset(ps))
+    return names
+
+
+@lru_cache(maxsize=None)
 def valid_variables(n: int) -> frozenset[str]:
-    names = {f"q{i}" for i in range(n)} | {f"p{i}" for i in range(n)} | {"S", "t"}
-    return frozenset(names)
+    return frozenset({f"q{i}" for i in range(n)} | {f"p{i}" for i in range(n)} | {"S", "t"})
 
 
 @dataclass(eq=False)
@@ -476,14 +504,10 @@ class ScalarField:
     n: int
 
     def __post_init__(self) -> None:
-        vs: set[str] = set()
-        ps: set[str] = set()
-        _collect_names(self.ast, vs, ps)
-        bad = vs - valid_variables(self.n)
+        self.free_vars, self.free_params = _collect_names(self.ast)
+        bad = self.free_vars - valid_variables(self.n)
         if bad:
             raise IndexOutOfRange(f"variables {sorted(bad)} out of range for dimension n={self.n}")
-        self.free_vars: frozenset[str] = frozenset(vs)
-        self.free_params: frozenset[str] = frozenset(ps)
 
     @cached_property
     def _fn(self) -> Callable[[Mapping[str, float]], float]:
@@ -501,7 +525,7 @@ class ScalarField:
             if other.n != self.n:
                 raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
             return other.ast
-        return _num(float(other))
+        return Num(other)
 
     def _make(self, node: Node) -> "ScalarField":
         return ScalarField(node, self.n)
@@ -541,7 +565,7 @@ class ScalarField:
 
 
 def number(v: float, n: int) -> ScalarField:
-    return ScalarField(_num(v), n)
+    return ScalarField(Num(v), n)
 
 
 def variable(name: str, n: int) -> ScalarField:
@@ -616,8 +640,11 @@ class _Tokenizer:
         m = _NUMBER_RE.match(self.source, self.pos)
         if m is None:
             return None
+        v = float(m.group(0))
+        if not math.isfinite(v):
+            raise self.error(f"numeric literal {m.group(0)!r} is not a finite float")
         self.pos = m.end()
-        return float(m.group(0))
+        return v
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -670,7 +697,7 @@ class _Parser:
         start = self.tk.pos
         v = self.tk.num()
         if v is not None:
-            return _num(v)
+            return Num(v)
         name = self.tk.ident()
         if name is not None:
             if self.tk.peek() == "(":
@@ -714,7 +741,7 @@ def parse(source: str, n: int) -> ScalarField:
 
 
 def evaluate(field: ScalarField, ctx: EvalContext) -> float:
-    """Evaluate at ctx.point with ctx.params bound; never returns NaN/Inf."""
+    """Evaluate at ctx.point with ctx.params bound; `+ - *` may return inf."""
     missing = field.free_params - set(ctx.params)
     if missing:
         raise UnboundParameter(f"unbound parameters {sorted(missing)}")
@@ -725,47 +752,54 @@ def evaluate(field: ScalarField, ctx: EvalContext) -> float:
     return field.eval_env(env)
 
 
-def _diff(node: Node, name: str) -> Node:
+_DIFF: "weakref.WeakKeyDictionary[Node, dict[str, weakref.ref[Node]]]" = weakref.WeakKeyDictionary()
+
+
+def _diff(node: Node, name: str, memo: dict[Node, Node]) -> Node:
+    """d(node)/d(name).  `memo` holds the derivative of every node visited in
+    this walk, so each distinct node is differentiated once; `_DIFF` keeps
+    earlier walks' derivatives, weakly, per (node, name)."""
+    if node not in memo:
+        known = _DIFF.setdefault(node, {})
+        d = known[name]() if name in known else None
+        if d is None:
+            d = _derive(node, name, lambda child: _diff(child, name, memo))
+            known[name] = weakref.ref(d)
+        memo[node] = d
+    return memo[node]
+
+
+def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
+    """The derivative rule of `node`, with `d` differentiating its operands."""
     if isinstance(node, Num):
-        return _num(0.0)
+        return Num(0.0)
     if isinstance(node, (Var, Param)):
-        return _num(1.0 if node.name == name else 0.0)
+        return Num(1.0 if node.name == name else 0.0)
     if isinstance(node, Neg):
-        return neg_(_diff(node.arg, name))
+        return neg_(d(node.arg))
     if isinstance(node, Add):
-        return add_(_diff(node.left, name), _diff(node.right, name))
+        return add_(d(node.left), d(node.right))
     if isinstance(node, Sub):
-        return sub_(_diff(node.left, name), _diff(node.right, name))
+        return sub_(d(node.left), d(node.right))
     if isinstance(node, Mul):
-        return add_(
-            mul_(_diff(node.left, name), node.right),
-            mul_(node.left, _diff(node.right, name)),
-        )
+        return add_(mul_(d(node.left), node.right), mul_(node.left, d(node.right)))
     if isinstance(node, Div):
         # (f/g)' = f'/g - f g'/g^2
         return sub_(
-            div_(_diff(node.left, name), node.right),
-            div_(mul_(node.left, _diff(node.right, name)), pow_(node.right, _num(2.0))),
+            div_(d(node.left), node.right),
+            div_(mul_(node.left, d(node.right)), pow_(node.right, Num(2.0))),
         )
     if isinstance(node, Pow):
-        dbase = _diff(node.base, name)
+        dbase = d(node.base)
         if isinstance(node.exponent, Num):
             k = node.exponent.value
-            return mul_(
-                mul_(_num(k), pow_(node.base, _num(k - 1.0))),
-                dbase,
-            )
-        dexp = _diff(node.exponent, name)
+            return mul_(mul_(Num(k), pow_(node.base, Num(k - 1.0))), dbase)
+        dexp = d(node.exponent)
         # f^g * (g' ln f + g f'/f); valid on the f > 0 domain of f^g
-        return mul_(
-            Pow(node.base, node.exponent),
-            add_(
-                mul_(dexp, call_("ln", node.base)),
-                mul_(node.exponent, div_(dbase, node.base)),
-            ),
-        )
+        return mul_(node, add_(mul_(dexp, call_("ln", node.base)),
+                               mul_(node.exponent, div_(dbase, node.base))))
     if isinstance(node, Call):
-        inner = _diff(node.arg, name)
+        inner = d(node.arg)
         a = node.arg
         if node.fn == "sin":
             outer: Node = call_("cos", a)
@@ -774,9 +808,9 @@ def _diff(node: Node, name: str) -> Node:
         elif node.fn == "exp":
             outer = call_("exp", a)
         elif node.fn == "ln":
-            outer = div_(_num(1.0), a)
+            outer = div_(Num(1.0), a)
         elif node.fn == "sqrt":
-            outer = div_(_num(1.0), mul_(_num(2.0), call_("sqrt", a)))
+            outer = div_(Num(1.0), mul_(Num(2.0), call_("sqrt", a)))
         elif node.fn == "abs":
             # sign(a) away from zero; evaluation at a == 0 raises DomainError
             outer = div_(a, call_("abs", a))
@@ -790,7 +824,7 @@ def partial(field: ScalarField, name: str) -> ScalarField:
     """Exact partial derivative with respect to a variable or parameter."""
     if name not in valid_variables(field.n) and not _IDENT_RE.fullmatch(name):
         raise ValueError(f"invalid differentiation target {name!r}")
-    return ScalarField(_diff(field.ast, name), field.n)
+    return ScalarField(_diff(field.ast, name, {}), field.n)
 
 
 def _subst(node: Node, name: str, replacement: Node) -> Node:
@@ -798,21 +832,8 @@ def _subst(node: Node, name: str, replacement: Node) -> Node:
         return replacement if node.name == name else node
     if isinstance(node, Num):
         return node
-    if isinstance(node, Neg):
-        return neg_(_subst(node.arg, name, replacement))
-    if isinstance(node, Add):
-        return add_(_subst(node.left, name, replacement), _subst(node.right, name, replacement))
-    if isinstance(node, Sub):
-        return sub_(_subst(node.left, name, replacement), _subst(node.right, name, replacement))
-    if isinstance(node, Mul):
-        return mul_(_subst(node.left, name, replacement), _subst(node.right, name, replacement))
-    if isinstance(node, Div):
-        return div_(_subst(node.left, name, replacement), _subst(node.right, name, replacement))
-    if isinstance(node, Pow):
-        return pow_(_subst(node.base, name, replacement), _subst(node.exponent, name, replacement))
-    if isinstance(node, Call):
-        return call_(node.fn, _subst(node.arg, name, replacement))
-    raise TypeError(f"unknown node {node!r}")
+    smart = {Neg: neg_, Add: add_, Sub: sub_, Mul: mul_, Div: div_, Pow: pow_, Call: call_}[type(node)]
+    return smart(*(_subst(v, name, replacement) if isinstance(v, _Node) else v for v in vars(node).values()))
 
 
 def substitute(field: ScalarField, name: str, replacement: ScalarField | float) -> ScalarField:
@@ -822,5 +843,5 @@ def substitute(field: ScalarField, name: str, replacement: ScalarField | float) 
             raise ValueError("dimension mismatch in substitution")
         rep = replacement.ast
     else:
-        rep = _num(float(replacement))
+        rep = Num(replacement)
     return ScalarField(_subst(field.ast, name, rep), field.n)

@@ -12,7 +12,7 @@ derivatives use exact structural derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -51,11 +51,6 @@ class ExtendedPoint:
         env["S"] = self.S
         env["t"] = self.t
         return env
-
-    def replace(self, **kw) -> "ExtendedPoint":
-        data = {"q": self.q, "p": self.p, "S": self.S, "t": self.t}
-        data.update(kw)
-        return ExtendedPoint(**data)
 
 
 @dataclass(frozen=True)
@@ -110,10 +105,6 @@ class VectorFieldSpec:
     def eval(self, env: Mapping[str, float]) -> np.ndarray:
         return np.array([c.eval_env(env) for c in self.components()])
 
-    def apply_to(self, f: ScalarField) -> ScalarField:
-        """Directional derivative Y(f) as a ScalarField."""
-        return directional_derivative(self, f)
-
     def __add__(self, other: "VectorFieldSpec") -> "VectorFieldSpec":
         if other.n != self.n:
             raise ValueError("dimension mismatch")
@@ -141,17 +132,10 @@ class VectorFieldSpec:
         return VectorFieldSpec((z,) * n, (z,) * n, z, z)
 
 
-_COORD_NAMES_CACHE: dict[int, tuple[str, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def coordinate_names(n: int) -> tuple[str, ...]:
     """Coordinate order used for component arrays: q0.., p0.., S, t."""
-    try:
-        return _COORD_NAMES_CACHE[n]
-    except KeyError:
-        names = tuple(f"q{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n)) + ("S", "t")
-        _COORD_NAMES_CACHE[n] = names
-        return names
+    return tuple(f"q{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n)) + ("S", "t")
 
 
 @dataclass(eq=False)

@@ -111,6 +111,14 @@ class TestExitCodes:
         _, code = cli.run(unparsable, tmp_path, quiet=True)
         assert code == 2
 
+    def test_non_finite_literal_is_config_error(self, tmp_path):
+        bad = json.loads(json.dumps(FREE_PARTICLE))
+        bad["invariants"] = [{"label": "huge", "expression": "1e400*p0"}]
+        bad["checks"] = [{"type": "drift", "invariant": "huge", "tol": 1e-12}]
+        path = write_scenario(tmp_path, "huge", bad)
+        _, code = cli.run(path, tmp_path, quiet=True)
+        assert code == 2
+
     def test_unknown_builtin_invariant_is_config_error(self, tmp_path):
         bad = json.loads(json.dumps(FREE_PARTICLE))
         bad["system"] = {"builtin": "kepler"}

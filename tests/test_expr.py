@@ -1,3 +1,8 @@
+import gc
+import math
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +131,105 @@ class TestEvaluate:
                 continue
             assert f.eval_env(env) == ref
             checked += 1
+
+    def test_compiled_raises_the_interpreters_domain_error(self):
+        # the first failing subexpression, and its label, agree with eval_node
+        # on random fields and on their derivatives, which share subexpressions
+        def outcome(fn, env):
+            try:
+                return float(fn(env)).hex()
+            except DomainError as e:
+                return f"DomainError: {e}"
+
+        rng = np.random.default_rng(13)
+        raised = 0
+        for _ in range(1000):
+            f = random_field(rng, 2, 6)
+            env = random_env(rng, 2)
+            for g in (f, partial(f, "q0")):
+                ref = outcome(lambda e: expr.eval_node(g.ast, e), env)
+                assert outcome(g.eval_env, env) == ref
+                raised += ref.startswith("DomainError")
+        assert raised >= 50
+
+
+class TestNonFiniteConstants:
+    def test_overflowing_fold_is_kept_as_an_operation(self):
+        for src in ("1e200*1e200*q0", "1e200*1e200", "q0 - 1e308 - 1e308"):
+            f = parse(src, 1)
+            env = {"q0": 1.0}
+            assert f.eval_env(env) == expr.eval_node(f.ast, env)
+        assert not isinstance(parse("1e200*1e200", 1).ast, expr.Num)
+        assert parse("1e200*1e200*q0", 1).eval_env({"q0": 1.0}) == math.inf
+        assert expr.number(-math.inf, 1).eval_env({}) == -math.inf
+
+    def test_non_finite_literal_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse("1e400*q0", 1)
+        assert ei.value.offset == 0
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse("q0 + 2e999", 1)
+        assert ei.value.offset == 5
+
+    def test_constructors_fold_only_finite_results(self):
+        big = expr.Num(1e200)
+        assert isinstance(expr.mul_(big, big), expr.Mul)
+        assert isinstance(expr.add_(expr.Num(1.7e308), expr.Num(1.7e308)), expr.Add)
+        assert isinstance(expr.sub_(expr.Num(-1.7e308), expr.Num(1.7e308)), expr.Sub)
+        assert isinstance(expr.div_(expr.Num(1.0), expr.Num(1e-320)), expr.Div)
+        assert expr.mul_(expr.Num(2.0), expr.Num(3.0)) is expr.Num(6.0)
+
+
+class TestSharing:
+    def test_equal_structure_is_one_object(self):
+        src = "sqrt(q0^2 + q1^2)*p0 - 3*S/t"
+        assert parse(src, 2).ast is parse(src, 2).ast
+        assert partial(parse(src, 2), "q0").ast is partial(parse(src, 2), "q0").ast
+        assert parse("(q0 + 1)*(q0 + 1)", 1).ast.left is parse("(q0 + 1)*(q0 + 1)", 1).ast.right
+        ast = parse(src, 2).ast
+        assert pickle.loads(pickle.dumps(ast)) is ast
+
+    def test_signed_zeros_stay_distinct(self):
+        assert expr.Num(0.0) is not expr.Num(-0.0)
+        assert math.copysign(1.0, expr.Num(-0.0).value) == -1.0
+        assert math.copysign(1.0, expr.Num(0.0).value) == 1.0
+
+    def test_dropped_nodes_are_freed(self):
+        f = parse("exp(q0*0.0012345) + sin(p0)/q0", 1)
+        node = weakref.ref(f.ast)
+        d = partial(f, "q0")
+        d.eval_env({"q0": 0.5, "p0": 0.25})
+        f.eval_env({"q0": 0.5, "p0": 0.25})
+        del f, d
+        gc.collect()
+        assert node() is None
+
+    def test_each_distinct_subexpression_is_evaluated_once(self, monkeypatch):
+        calls = []
+        real = expr._INTRINSIC_IMPL["sqrt"]
+
+        def counting(x, where):
+            calls.append(x)
+            return real(x, where)
+
+        f = parse("sqrt(q0^2+1)*sqrt(q0^2+1) + q0/sqrt(q0^2+1)", 1)
+        ref = expr.eval_node(f.ast, {"q0": 2.0})
+        monkeypatch.setitem(expr._INTRINSIC_IMPL, "sqrt", counting)
+        assert f.eval_env({"q0": 2.0}) == ref
+        assert calls == [5.0]
+
+    def test_derivative_visits_each_distinct_node_once(self, monkeypatch):
+        # 8 levels of f -> sin(f*f + f): 16401 tree nodes, 25 distinct ones
+        f = parse("q0", 1)
+        for _ in range(8):
+            f = expr.apply_intrinsic("sin", f * f + f)
+        rules = []
+        real = expr._derive
+        monkeypatch.setattr(expr, "_derive", lambda node, *a: rules.append(node) or real(node, *a))
+        d = partial(f, "q0")
+        assert len(rules) == len(set(rules)) == 25
+        env = {"q0": 0.3}
+        assert d.eval_env(env) == expr.eval_node(d.ast, env)
 
 
 class TestPartial:
