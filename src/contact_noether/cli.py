@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -212,14 +213,6 @@ def _run_flow(sc: Scenario) -> Trajectory:
                      sc.integrator, tracked)
 
 
-def _drift_series(sc: Scenario, traj: Trajectory, inv: TrackedInvariant) -> np.ndarray:
-    vals = traj.tracked[inv.label]
-    if inv.expected == systems.DISSIPATED:
-        comp = dissipation_compensation(sc.system, traj, sc.point_params)
-        return vals * comp
-    return vals
-
-
 def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     """Execute every check of a loaded scenario; returns (report, trajectory)."""
     report: dict[str, Any] = {
@@ -243,14 +236,10 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
         if traj.error_tag is not None:
             raise RuntimeError(f"integration aborted: {traj.error_tag}")
 
-    pts = None
-
-    def points() -> list[ExtendedPoint]:
-        nonlocal pts
-        if pts is None:
-            pts = sample_points(sc.system, sc.sample_count, sc.seed,
-                                margin=sc.integrator.guard_margin, extra=sc.point_params)
-        return pts
+    # built on first use, once per run
+    points = cache(lambda: sample_points(sc.system, sc.sample_count, sc.seed,
+                                         margin=sc.integrator.guard_margin, extra=sc.point_params))
+    compensation = cache(lambda: dissipation_compensation(sc.system, traj, sc.point_params))
 
     for c in sc.checks:
         ctype = c["type"]
@@ -263,7 +252,9 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
                      f"{sc.name}: drift check references unknown invariant")
             inv = sc.invariants[c["invariant"]]
             entry["target"] = inv.label
-            series = _drift_series(sc, traj, inv)
+            series = traj.tracked[inv.label]
+            if inv.expected == systems.DISSIPATED:
+                series = series * compensation()
             entry["value"] = float(max_relative_drift(series))
             entry["passed"] = bool(entry["value"] <= tol)
         elif ctype == "residual":

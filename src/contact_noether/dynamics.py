@@ -15,8 +15,9 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .expr import DomainError, Num, ScalarField, number, parameter, partial, variable
-from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec
+from .expr import (DomainError, Num, ScalarField, compile_bundle, number, parameter, partial,
+                   variable)
+from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names
 
 
 class TimeDependentHamiltonian(Exception):
@@ -65,9 +66,24 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # difference between the 5th-order propagating and 4th-order embedded weights
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _combination(coeffs: tuple[float, ...], base: bool) -> Callable:
+    """`(y, h, k) -> [y + h*(0 + c*k[j] + ...)]` (without `y + ` unless `base`)
+    over the nonzero c, on rows of floats: numpy's elementwise operations
+    and order for `y + h * sum(c * k[j] ...)`, so the rows are bit-identical."""
+    js = [j for j, c in enumerate(coeffs) if c != 0.0]
+    terms = " + ".join(f"{coeffs[j]!r} * k{j}" for j in js)
+    ks, rows = ", ".join(f"k{j}" for j in js), ", ".join(f"k[{j}]" for j in js)
+    return eval(f"lambda y, h, k: [{'y_ + ' if base else ''}h * (0 + {terms}) "
+                f"for y_, {ks} in zip(y, {rows})]")
+
+
+# the last stage is taken at the 5th-order solution, whose weights are _DP_A[6]
+_STAGES = tuple(_combination(_DP_A[i], True) for i in range(1, 7))
+_ERROR = _combination(_DP_E, False)
 
 _SAFETY = 0.9
 _BETA = 0.04
@@ -136,11 +152,6 @@ class Trajectory:
                 fh.write(",".join(row) + "\n")
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: IntegratorConfig) -> float:
-    sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / sc) ** 2)))
-
-
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
                   span: float, cfg: IntegratorConfig) -> float:
     sc = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
@@ -187,26 +198,27 @@ def adaptive_rk45(
     fixed_step = cfg.min_step == cfg.max_step
     h = cfg.max_step if fixed_step else _initial_step(rhs, t, y, f0, t_end - t0, cfg)
     facold = 1e-4
-    k = [np.empty_like(y) for _ in range(7)]
+    row = y.tolist()
+    k = [f0.tolist()]
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h = min(h, cfg.max_step, t_end - t)
         h = max(h, cfg.min_step)
         if t + h > t_end:
             h = t_end - t
+        del k[1:]
         try:
-            k[0] = f0
-            for i in range(1, 7):
-                yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
-                k[i] = rhs(t + _DP_C[i] * h, yi)
+            for i, stage in enumerate(_STAGES, 1):
+                new_row = stage(row, h, k)
+                y_new = np.array(new_row)  # the 5th-order solution after the last stage
+                k.append(rhs(t + _DP_C[i] * h, y_new).tolist())
         except DomainError:
             stats.rejected += 1
             if h <= cfg.min_step * (1.0 + 1e-12):
                 return stats, STEP_SIZE_UNDERFLOW
             h = max(cfg.min_step, 0.25 * h)
             continue
-        y_new = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
-        err_vec = h * sum(e * k[i] for i, e in enumerate(_DP_E) if e != 0.0)
-        err = _error_norm(err_vec, y, y_new, cfg)
+        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean((np.array(_ERROR(row, h, k)) / sc) ** 2)))
         if err <= 1.0 or fixed_step or h <= cfg.min_step * (1.0 + 1e-12):
             if not (err <= 1.0 or fixed_step):
                 # forced acceptance at the step floor would hide real error
@@ -219,8 +231,8 @@ def adaptive_rk45(
             stats.max_error_estimate = max(stats.max_error_estimate, err)
             if on_accept is not None:
                 on_accept(t_new, y_new)
-            f0 = k[6]  # first same as last: stage 7 is rhs(t_new, y_new)
-            t, y = t_new, y_new
+            k[0] = k[6]  # first same as last: stage 7 is rhs(t_new, y_new)
+            t, y, row = t_new, y_new, new_row
             facold = max(err, 1e-4)
             if not fixed_step:
                 fac11 = err**_EXPO1 if err > 0.0 else 1e-10
@@ -277,36 +289,35 @@ def integrate(
     if not system.admissible(start, cfg.guard_margin):
         raise ValueError("start point is outside the admissible region")
     n = system.n
-    params = dict(system.params)
-    if extra_params:
-        params.update(extra_params)
-    names = [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] + ["S", *aux]
-    comps = [c.eval_env for c in (*field.Yq, *field.Yp, field.YS)]
-    comps += [c.rate.eval_env for c in aux.values()]
+    state = [*coordinate_names(n)[:-1], *aux, "t"]
+    consts = {k: v for k, v in {**system.params, **(extra_params or {})}.items() if k not in state}
+    argnames = [*state, *consts]
+    rhs_fn = compile_bundle([*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values())],
+                            argnames)
     columns = {**(tracked or {}), **{nm: parameter(nm, n) for nm in aux}}
+    # a field that overrides eval_env (RatioField's guard) keeps its own evaluation
+    plain = [lbl for lbl, f in columns.items() if type(f).eval_env is ScalarField.eval_env]
+    custom = [lbl for lbl in columns if lbl not in plain]
+    columns_fn = compile_bundle([columns[lbl] for lbl in plain], argnames)
     boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
-    def env_of(t: float, y: np.ndarray) -> dict[str, float]:
-        env = dict(params)
-        env.update(zip(names, y))
-        env["t"] = t
-        return env
-
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        row = y.tolist()
         for i, nm, _ in boxed:
-            if abs(y[i]) < 1e-12:
+            if abs(row[i]) < 1e-12:
                 raise DomainError("auxiliary function vanished", nm)
-        env = env_of(t, y)
-        return np.array([fn(env) for fn in comps])
+        return np.array(rhs_fn(*row, t, *consts.values()))
 
     samples: list[ExtendedPoint] = []
     values: dict[str, list[float]] = {lbl: [] for lbl in columns}
 
     def record(t: float, y: np.ndarray) -> None:
         samples.append(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t))
-        env = env_of(t, y)
-        for lbl, f in columns.items():
-            values[lbl].append(f.eval_env(env))
+        args = (*y.tolist(), t, *consts.values())
+        for lbl, v in zip(plain, columns_fn(*args)):
+            values[lbl].append(v)
+        for lbl in custom:
+            values[lbl].append(columns[lbl].eval_env(dict(zip(argnames, args))))
 
     def veto(t: float, y: np.ndarray) -> str | None:
         for i, _, (lo, hi) in boxed:
@@ -362,7 +373,10 @@ def cumulative_integral(system: ContactSystem, traj: Trajectory, integrand: Scal
                         extra_params: Mapping[str, float] | None = None) -> np.ndarray:
     """Running integral of `integrand` along the trajectory, from 0 at the
     first sample, by composite Simpson on the (non-uniform) sample grid."""
-    vals = [integrand.eval_env(system.env(s, extra_params)) for s in traj.samples]
+    state = coordinate_names(system.n)
+    consts = {k: v for k, v in {**system.params, **(extra_params or {})}.items() if k not in state}
+    fn = compile_bundle([integrand], [*state, *consts])
+    vals = [fn(*s.q.tolist(), *s.p.tolist(), s.S, s.t, *consts.values())[0] for s in traj.samples]
     return _cumulative_simpson(np.array(vals), traj.ts)
 
 

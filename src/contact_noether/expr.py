@@ -22,8 +22,8 @@ performed is eager constant folding (including 0/1 identity elimination,
 which keeps repeated derivatives small); no canonicalisation beyond that.
 
 Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.
-Derivatives and free names are computed once per distinct node, and a field
-compiles to one statement per distinct node, bit-identical to `eval_node`.
+Derivatives and free names are computed once per distinct node; a bundle of
+fields compiles to one statement per distinct node, bit-identical to eval_node.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
 INTRINSICS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
@@ -296,19 +296,6 @@ _INTRINSIC_IMPL: dict[str, Callable[[float, Node], float]] = {
 }
 
 
-def _k_div(a: float, b: float, where: Node) -> float:
-    if b == 0.0:
-        raise DomainError("division by zero", where)
-    return _guard_finite(a / b, where)
-
-
-def _k_pow_int(b: float, k: int, where: Node) -> float:
-    try:
-        return _guard_finite(b**k, where)
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError("integer power out of domain", where) from None
-
-
 def _k_pow(b: float, e: float, where: Node) -> float:
     if b <= 0.0:
         raise DomainError("non-integer power of non-positive base", where)
@@ -385,70 +372,102 @@ def eval_node(node: Node, env: Mapping[str, float]) -> float:
     if isinstance(node, Mul):
         return eval_node(node.left, env) * eval_node(node.right, env)
     if isinstance(node, Div):
-        return _k_div(eval_node(node.left, env), eval_node(node.right, env), node)
+        a, b = eval_node(node.left, env), eval_node(node.right, env)
+        if b == 0.0:
+            raise DomainError("division by zero", node)
+        return _guard_finite(a / b, node)
     if isinstance(node, Pow):
-        k = _int_exponent(node.exponent)
-        if k is not None:
-            return _k_pow_int(eval_node(node.base, env), k, node)
-        return _k_pow(eval_node(node.base, env), eval_node(node.exponent, env), node)
+        b, k = eval_node(node.base, env), _int_exponent(node.exponent)
+        if k is None:
+            return _k_pow(b, eval_node(node.exponent, env), node)
+        try:
+            return _guard_finite(b**k, node)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError("integer power out of domain", node) from None
     if isinstance(node, Call):
         return _INTRINSIC_IMPL[node.fn](eval_node(node.arg, env), node)
     raise TypeError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------
-# compilation to a python callable: one local per distinct node, assigned in
-# the left-to-right post-order of eval_node, so every value and the first
-# DomainError raised are the interpreter's
+# compilation: one python function per bundle of fields, with one local per
+# distinct node across the bundle.  `/` and integer `^` run inline and their
+# results are checked once per call, by one isfinite test on their sum.  Any
+# exception or non-finite checked value re-runs eval_node, so values and the
+# first DomainError are the interpreter's; kernels called here get an empty
+# label, because an error they raise is never shown
+
+_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _template(node: Node) -> tuple[str, tuple[Node, ...]]:
-    """Source of one operation over its operands' values ({0}, {1}) and its
-    error label ({n}), and those operands in eval_node's order."""
-    if isinstance(node, Neg):
-        return "-{0}", (node.arg,)
-    if isinstance(node, (Add, Sub, Mul)):
-        op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
-        return f"{{0}} {op} {{1}}", (node.left, node.right)
-    if isinstance(node, Div):
-        return "_div({0}, {1}, {n})", (node.left, node.right)
-    if isinstance(node, Pow):
-        k = _int_exponent(node.exponent)
-        if k is not None:
-            return f"_powi({{0}}, {k}, {{n}})", (node.base,)
-        return "_powf({0}, {1}, {n})", (node.base, node.exponent)
-    if isinstance(node, Call):
-        return f"_{node.fn}({{0}}, {{n}})", (node.arg,)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
-    lines = ["def _f(_env):"] + [f"    _v_{nm} = _env[{nm!r}]" for nm in sorted(names)]
-    glb: dict[str, object] = {"_div": _k_div, "_powi": _k_pow_int, "_powf": _k_pow,
-                              "inf": math.inf, "nan": math.nan}
-    glb.update((f"_{fn}", impl) for fn, impl in _INTRINSIC_IMPL.items())
+def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: bool,
+             slow: Callable) -> Callable:
+    """`def _f(<params>)`: run `reads`, then every node under `roots`, and
+    return the roots' values (as a tuple, or the only one), or `_slow(<params>)`."""
+    lines = [f"def _f({params}):", *reads, "    try:"]
+    glb = {"_isfinite": math.isfinite, "_powf": _k_pow, "_slow": slow, "inf": math.inf,
+           "nan": math.nan, **{f"_{fn}": impl for fn, impl in _INTRINSIC_IMPL.items()}}
     ref: dict[Node, str] = {}
+    checked: list[str] = []
 
     def emit(node: Node) -> str:
         if node not in ref:
             if isinstance(node, Num):
-                ref[node] = repr(node.value)
-            elif isinstance(node, (Var, Param)):
-                ref[node] = f"_v_{node.name}"
+                return ref.setdefault(node, repr(node.value))
+            if isinstance(node, (Var, Param)):
+                return ref.setdefault(node, f"_v_{node.name}")
+            k = _int_exponent(node.exponent) if isinstance(node, Pow) else None
+            if isinstance(node, Neg):
+                value = f"-{emit(node.arg)}"
+            elif isinstance(node, Call):
+                value = f"_{node.fn}({emit(node.arg)}, '')"
+            elif k is not None:
+                value = f"({emit(node.base)}) ** {k}"  # parenthesised: a base may be `-0.5`
+            elif isinstance(node, Pow):
+                value = f"_powf({emit(node.base)}, {emit(node.exponent)}, '')"
             else:
-                template, operands = _template(node)
-                values = [emit(a) for a in operands]
-                i = len(lines)
-                if "{n}" in template:
-                    glb[f"_n{i}"] = node  # the label is rendered only if raised
-                lines.append(f"    _t{i} = " + template.format(*values, n=f"_n{i}"))
-                ref[node] = f"_t{i}"
+                value = f"{emit(node.left)} {_OPS[type(node)]} {emit(node.right)}"
+            ref[node] = f"_t{len(lines)}"
+            if k is not None or isinstance(node, Div):
+                checked.append(ref[node])
+            lines.append(f"        {ref[node]} = {value}")
         return ref[node]
 
-    lines.append(f"    return {emit(node)}")
+    values = [emit(r) for r in roots]
+    del emit  # a recursive closure is a reference cycle, which would keep the nodes
+    out = f"({''.join(v + ', ' for v in values)})" if as_tuple else values[0]
+    if checked:
+        lines.append(f"        if _isfinite({' + '.join(checked)}):")
+    lines += [f"{'    ' if checked else ''}        return {out}", "    except Exception:",
+              "        pass", f"    return _slow({params})"]
     loc: dict[str, object] = {}
     exec(compile("\n".join(lines), "<scalar-field>", "exec"), glb, loc)
     return loc["_f"]  # type: ignore[return-value]
+
+
+def compile_bundle(fields: Sequence["ScalarField"],
+                   argnames: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+    """One function of positional floats, given in the order of `argnames`,
+    that returns a tuple with one value per field, bit for bit eval_node's,
+    and raises eval_node's first DomainError."""
+    roots = [f.ast for f in fields]
+    unbound = set().union(*(f.free_vars | f.free_params for f in fields)) - set(argnames)
+    if unbound:
+        raise UnboundParameter(f"unbound names {sorted(unbound)}")
+
+    def slow(*args: float) -> tuple[float, ...]:
+        env = dict(zip(argnames, args))
+        return tuple(eval_node(r, env) for r in roots)
+
+    return _codegen(roots, ", ".join(f"_v_{nm}" for nm in argnames), [], True, slow)
+
+
+def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
+    """The one-field case over a name->value environment.  The function holds
+    `node` weakly, so that it may be cached per node."""
+    root = weakref.ref(node)
+    reads = [f"    _v_{nm} = _env[{nm!r}]" for nm in sorted(names)]
+    return _codegen([node], "_env", reads, False, lambda env: eval_node(root(), env))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +475,7 @@ def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]]
 
 
 _NAMES: "weakref.WeakKeyDictionary[Node, tuple[frozenset[str], ...]]" = weakref.WeakKeyDictionary()
+_COMPILED: "weakref.WeakKeyDictionary[Node, Callable]" = weakref.WeakKeyDictionary()
 
 
 def _collect_names(root: Node) -> tuple[frozenset[str], frozenset[str]]:
@@ -511,7 +531,10 @@ class ScalarField:
 
     @cached_property
     def _fn(self) -> Callable[[Mapping[str, float]], float]:
-        return _compile(self.ast, self.free_vars | self.free_params)
+        fn = _COMPILED.get(self.ast)
+        if fn is None:
+            fn = _COMPILED[self.ast] = _compile(self.ast, self.free_vars | self.free_params)
+        return fn
 
     def eval_env(self, env: Mapping[str, float]) -> float:
         """Evaluate with a prebuilt name->value environment (hot path)."""

@@ -85,6 +85,21 @@ def test_residual_check_compiles_independently_of_sample_count(tmp_path, monkeyp
     assert counts[0] == counts[1]
 
 
+def test_dissipation_compensation_is_computed_once_per_run(tmp_path, monkeypatch):
+    # the bundled oscillator has three drift checks on dissipated quantities
+    sc = cli.load_scenario(SCENARIOS / "dissipative-oscillator.json")
+    dissipated = [c for c in sc.checks if c["type"] == "drift"
+                  and sc.invariants[c["invariant"]].expected == "dissipated"]
+    assert len(dissipated) == 3
+    calls = []
+    real = cli.dissipation_compensation
+    monkeypatch.setattr(cli, "dissipation_compensation",
+                        lambda *args: calls.append(args) or real(*args))
+    report, code = cli.run(SCENARIOS / "dissipative-oscillator.json", tmp_path, quiet=True)
+    assert code == 0 and report["passed"]
+    assert len(calls) == 1
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, tmp_path):
         path = write_scenario(tmp_path, "fp", FREE_PARTICLE)

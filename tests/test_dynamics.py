@@ -189,6 +189,65 @@ class TestRhsCalls:
         assert len(calls) == 1 + 6 * stats.accepted
 
 
+class TestFloatStages:
+    def test_rows_match_the_numpy_combinations_bitwise(self):
+        from contact_noether.dynamics import _DP_A, _DP_E, _ERROR, _STAGES
+
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            y = rng.normal(size=5) * 10.0 ** rng.integers(-8, 8)
+            k = [rng.normal(size=5) * 10.0 ** rng.integers(-8, 8) for _ in range(7)]
+            k[rng.integers(0, 7)][rng.integers(0, 5)] = -0.0
+            y[rng.integers(0, 5)] = -0.0
+            h = float(rng.uniform(1e-6, 1.0))
+            rows = [kj.tolist() for kj in k]
+            for i, stage in enumerate(_STAGES, 1):
+                ref = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
+                assert np.array(stage(y.tolist(), h, rows)).tobytes() == ref.tobytes()
+            ref = h * sum(e * k[j] for j, e in enumerate(_DP_E) if e != 0.0)
+            assert np.array(_ERROR(y.tolist(), h, rows)).tobytes() == ref.tobytes()
+
+
+class TestCompiledOnce:
+    """integrate compiles its right-hand side and its recorded columns as one
+    bundle each, whatever the number of components, and evaluates no field
+    through the env-dict path while it runs."""
+
+    @staticmethod
+    def count(monkeypatch, run):
+        from contact_noether import expr
+
+        codegen, evals = [], []
+        real_codegen, real_eval = expr._codegen, expr.ScalarField.eval_env
+        monkeypatch.setattr(expr, "_codegen", lambda *a: codegen.append(a) or real_codegen(*a))
+        monkeypatch.setattr(expr.ScalarField, "eval_env",
+                            lambda self, env: evals.append(self) or real_eval(self, env))
+        traj = run()
+        monkeypatch.undo()
+        assert traj.error_tag is None and traj.stats.accepted > 10
+        return len(codegen), len(evals)
+
+    def test_kepler_with_two_tracked_fields(self, kepler, monkeypatch):
+        field = extended_field(kepler)
+        tracked = {"h": kepler.h, "Q_K": kepler.meta["invariants"]["Q_K"].field}
+        start = point([1, 0, 0], [0, 1.2, 0])
+        for columns in ({}, {"h": tracked["h"]}, tracked):
+            counts = self.count(monkeypatch, lambda: integrate(
+                kepler, field, start, 3.0, IntegratorConfig(), tracked=columns))
+            assert counts == (2, 0)
+
+    def test_co_integrated_oscillator_with_two_auxiliary_blocks(self, damped_oscillator,
+                                                               monkeypatch):
+        from contact_noether.systems import AuxiliaryState, co_integrate
+
+        invariants = list(damped_oscillator.meta["invariants"].values())
+        tracked = [ti for ti in invariants if ti.label in ("F0", "F_GLR", "F_EM")]
+        aux0 = AuxiliaryState(use_a=True, use_b=True)
+        counts = self.count(monkeypatch, lambda: co_integrate(
+            damped_oscillator, point(1.0, 0.5), aux0, 5.0, IntegratorConfig(), tracked))
+        assert counts == (2, 0)
+
+
 class TestCumulativeSimpson:
     def test_matches_scipy_bitwise(self):
         scipy_integrate = pytest.importorskip("scipy.integrate")

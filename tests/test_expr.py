@@ -153,6 +153,59 @@ class TestEvaluate:
         assert raised >= 50
 
 
+def _outcome(fn):
+    """Values bit for bit, or the DomainError's type, message and `where`."""
+    try:
+        return [float(v).hex() for v in fn()]
+    except DomainError as e:
+        return type(e), str(e), e.where
+
+
+class TestBundle:
+    def test_bundles_of_random_fields_match_the_interpreter(self):
+        # fields drawn from a pool of random fields, their partials and a
+        # product, so that the fields of one bundle share subexpressions
+        rng = np.random.default_rng(29)
+        raised = 0
+        for _ in range(400):
+            f, g = random_field(rng, 2, 6), random_field(rng, 2, 5)
+            pool = [f, partial(f, "q0"), g, partial(g, "p1"), f * g]
+            picks = rng.choice(len(pool), size=rng.integers(1, 5), replace=False)
+            fields = [pool[i] for i in picks]
+            env = random_env(rng, 2)
+            bundle = expr.compile_bundle(fields, list(env))
+            ref = _outcome(lambda: [expr.eval_node(fl.ast, env) for fl in fields])
+            assert _outcome(lambda: bundle(*env.values())) == ref
+            assert _outcome(lambda: [fl.eval_env(env) for fl in fields]) == ref
+            raised += isinstance(ref, tuple)
+        assert 30 <= raised <= 370
+
+    # nodes are built in the test: a node held by the module would keep its
+    # memoized derivatives alive for the tests that count derivative rules
+    @pytest.mark.parametrize("make, q0", [
+        (lambda: expr.Pow(expr.Num(-0.728), expr.Num(2.0)), 1.0),  # not -(0.728 ** 2)
+        (lambda: expr.Pow(expr.Num(0.0), expr.Num(-1.0)), 1.0),
+        # finite, but the interpreter raises at the inner inf
+        (lambda: expr.Div(expr.Num(1.0), expr.Div(expr.Num(1.0), expr.Var("q0"))), 1e-310),
+        (lambda: expr.Call("ln", expr.Num(0.0)), 1.0),
+        (lambda: expr.Call("sqrt", expr.Neg(expr.Var("q0"))), 1.0),
+        (lambda: expr.Call("exp", expr.Mul(expr.Num(800.0), expr.Var("q0"))), 1.0),
+        (lambda: expr.Pow(expr.Num(0.0), expr.Num(0.5)), 1.0),
+    ], ids=["negative-literal-base", "zero-to-minus-one", "inner-inf", "ln-zero",
+            "sqrt-negative", "exp-overflow", "zero-to-one-half"])
+    def test_fixed_cases(self, make, q0):
+        field, other = expr.ScalarField(make(), 1), parse("q0 + 1", 1)
+        env = {"q0": q0}
+        for fields in ([field], [other, field], [field, other]):
+            ref = _outcome(lambda: [expr.eval_node(fl.ast, env) for fl in fields])
+            assert _outcome(lambda: expr.compile_bundle(fields, ["q0"])(q0)) == ref
+            assert _outcome(lambda: [fl.eval_env(env) for fl in fields]) == ref
+
+    def test_unbound_names_are_rejected(self):
+        with pytest.raises(UnboundParameter):
+            expr.compile_bundle([parse("q0*m", 1)], ["q0"])
+
+
 class TestNonFiniteConstants:
     def test_overflowing_fold_is_kept_as_an_operation(self):
         for src in ("1e200*1e200*q0", "1e200*1e200", "q0 - 1e308 - 1e308"):
@@ -203,6 +256,17 @@ class TestSharing:
         del f, d
         gc.collect()
         assert node() is None
+
+    def test_an_ast_is_compiled_once_for_every_field_that_wraps_it(self, monkeypatch):
+        compiled = []
+        real = expr._compile
+        monkeypatch.setattr(expr, "_compile",
+                            lambda node, names: compiled.append(node) or real(node, names))
+        f = parse("q0*exp(p0) + q0/p0", 1)
+        env = {"q0": 0.5, "p0": 0.25}
+        for g in (f, expr.ScalarField(f.ast, 1), parse("q0*exp(p0) + q0/p0", 1)):
+            assert g.eval_env(env) == expr.eval_node(f.ast, env)
+        assert compiled == [f.ast]
 
     def test_each_distinct_subexpression_is_evaluated_once(self, monkeypatch):
         calls = []
