@@ -13,7 +13,7 @@ from .dynamics import (  # noqa: F401
     extended_field,
     integrate,
 )
-from .expr import EvalContext, ScalarField, evaluate, parse, partial  # noqa: F401
+from .expr import ScalarField, parse, partial  # noqa: F401
 from .geometry import (  # noqa: F401
     ContactSystem,
     ExtendedPoint,

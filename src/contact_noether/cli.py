@@ -28,9 +28,9 @@ from .noether import (
     SYMBOLIC_THRESHOLD,
     closure_check,
     dissipation_compensation,
-    dissipation_field,
     max_relative_drift,
     noether_lambda,
+    residual_at,
     sample_points,
     similarity_test,
     symmetry_from_invariant,
@@ -262,9 +262,8 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
                      f"{sc.name}: residual check references unknown invariant")
             inv = sc.invariants[c["invariant"]]
             entry["target"] = inv.label
-            field = dissipation_field(sc.system, inv.field)
-            worst = max(abs(field.eval_env(sc.system.env(pt, sc.point_params)))
-                        for pt in points())
+            residual = residual_at(sc.system, inv.field, sc.point_params)
+            worst = max(abs(residual(pt)) for pt in points())
             entry["value"] = float(worst)
             entry["passed"] = bool(worst <= tol)
         elif ctype == "symmetry":

@@ -17,7 +17,7 @@ import numpy as np
 
 from .expr import (DomainError, Num, ScalarField, compile_bundle, number, parameter, partial,
                    variable)
-from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names
+from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names, point_bundle
 
 
 class TimeDependentHamiltonian(Exception):
@@ -373,10 +373,8 @@ def cumulative_integral(system: ContactSystem, traj: Trajectory, integrand: Scal
                         extra_params: Mapping[str, float] | None = None) -> np.ndarray:
     """Running integral of `integrand` along the trajectory, from 0 at the
     first sample, by composite Simpson on the (non-uniform) sample grid."""
-    state = coordinate_names(system.n)
-    consts = {k: v for k, v in {**system.params, **(extra_params or {})}.items() if k not in state}
-    fn = compile_bundle([integrand], [*state, *consts])
-    vals = [fn(*s.q.tolist(), *s.p.tolist(), s.S, s.t, *consts.values())[0] for s in traj.samples]
+    at = point_bundle([integrand], {**system.params, **(extra_params or {})})
+    vals = [at(s)[0] for s in traj.samples]
     return _cumulative_simpson(np.array(vals), traj.ts)
 
 

@@ -609,14 +609,6 @@ def apply_intrinsic(fn: str, arg: ScalarField) -> ScalarField:
     return ScalarField(call_(fn, arg.ast), arg.n)
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    """A point plus parameter bindings for one evaluation."""
-
-    point: "object"  # geometry.ExtendedPoint (duck-typed: has .env() and .n)
-    params: Mapping[str, float]
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -760,19 +752,7 @@ def parse(source: str, n: int) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# evaluation / differentiation / substitution
-
-
-def evaluate(field: ScalarField, ctx: EvalContext) -> float:
-    """Evaluate at ctx.point with ctx.params bound; `+ - *` may return inf."""
-    missing = field.free_params - set(ctx.params)
-    if missing:
-        raise UnboundParameter(f"unbound parameters {sorted(missing)}")
-    if ctx.point.n != field.n:
-        raise ValueError(f"point dimension {ctx.point.n} != field dimension {field.n}")
-    env = dict(ctx.point.env())
-    env.update(ctx.params)
-    return field.eval_env(env)
+# differentiation / substitution
 
 
 _DIFF: "weakref.WeakKeyDictionary[Node, dict[str, weakref.ref[Node]]]" = weakref.WeakKeyDictionary()

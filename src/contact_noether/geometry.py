@@ -1,24 +1,25 @@
-"""Pointwise exterior calculus on the extended contact phase space.
+"""Exterior calculus on the extended contact phase space.
 
 Conventions (pinned by the test suite): the contact form is
 ``eta = dS - p_a dq^a`` with Reeb field ``d/dS``; the extended form is
 ``eta_E = dS - p_a dq^a + h dt`` and ``d(eta_E) = dq^a ^ dp_a + dh ^ dt``.
 
-One-forms are evaluated pointwise (plain numbers); vector fields are kept
-symbolic (per-component ScalarFields) so that Lie brackets and Lie
-derivatives use exact structural derivatives.
+Vector fields and the one-forms ``iota_Y d(eta_E)`` and ``L_Y eta_E`` are
+symbolic (ScalarFields per component, in coordinate_names order, with exact
+structural derivatives); `point_bundle` compiles a set of fields once into
+one function of a point.  OneFormValue is what one-point wrappers return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import expr
-from .expr import ScalarField, number, partial, variable
+from .expr import ScalarField, compile_bundle, number, partial, variable
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,19 @@ def coordinate_names(n: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n)) + ("S", "t")
 
 
+def point_bundle(fields: Sequence[ScalarField],
+                 params: Mapping[str, float]) -> Callable[[ExtendedPoint], tuple[float, ...]]:
+    """Compile `fields` once, as one bundle, into a function of a point that
+    returns one value per field.  `params` binds the parameters (pass
+    ``{**system.params, **extra}``, so that `extra` wins); a parameter named
+    like a coordinate is ignored, so that none shadows a coordinate."""
+    state = coordinate_names(fields[0].n)
+    consts = {k: v for k, v in params.items() if k not in state}
+    fn = compile_bundle(fields, [*state, *consts])
+    values = tuple(consts.values())
+    return lambda pt: fn(*pt.q.tolist(), *pt.p.tolist(), pt.S, pt.t, *values)
+
+
 @dataclass(eq=False)
 class ContactSystem:
     """A contact Hamiltonian system: dimension, Hamiltonian, parameter bindings.
@@ -188,7 +202,7 @@ class ContactSystem:
         return env
 
     def h_value(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> float:
-        return self.h.eval_env(self.env(point, extra))
+        return point_bundle([self.h], {**self.params, **(extra or {})})(point)[0]
 
     def admissible(self, point: ExtendedPoint, margin: float = 1e-3) -> bool:
         if point.n != self.n:
@@ -212,15 +226,13 @@ class SampleBox:
 
 def eta_contact(point: ExtendedPoint) -> OneFormValue:
     """eta = dS - p_a dq^a at a point (dt coefficient zero)."""
-    n = point.n
-    return OneFormValue(-point.p, np.zeros(n), 1.0, 0.0)
+    return OneFormValue(-point.p, np.zeros(point.n), 1.0, 0.0)
 
 
 def eta_extended(system: ContactSystem, point: ExtendedPoint,
                  extra: Mapping[str, float] | None = None) -> OneFormValue:
     """eta_E = dS - p_a dq^a + h dt at a point."""
-    n = point.n
-    return OneFormValue(-point.p, np.zeros(n), 1.0, system.h_value(point, extra))
+    return OneFormValue(-point.p, np.zeros(point.n), 1.0, system.h_value(point, extra))
 
 
 def contract_d_eta_contact(Y: VectorFieldSpec, point: ExtendedPoint,
@@ -232,26 +244,15 @@ def contract_d_eta_contact(Y: VectorFieldSpec, point: ExtendedPoint,
     return OneFormValue(-yp, yq, 0.0, 0.0)
 
 
-def contract_d_eta_extended(system: ContactSystem, Y: VectorFieldSpec, point: ExtendedPoint,
-                            extra: Mapping[str, float] | None = None) -> OneFormValue:
-    """iota_Y d(eta_E) with d(eta_E) = dq^a ^ dp_a + dh ^ dt, exact partials of h."""
-    env = system.env(point, extra)
-    yq = np.array([c.eval_env(env) for c in Y.Yq])
-    yp = np.array([c.eval_env(env) for c in Y.Yp])
-    ys = Y.YS.eval_env(env)
-    yt = Y.Yt.eval_env(env)
-    hq = np.array([c.eval_env(env) for c in system.h_q])
-    hp = np.array([c.eval_env(env) for c in system.h_p])
-    hS = system.h_S.eval_env(env)
-    ht = system.h_t.eval_env(env)
+def contract_d_eta_extended(system: ContactSystem, Y: VectorFieldSpec) -> tuple[ScalarField, ...]:
+    """iota_Y d(eta_E) with d(eta_E) = dq^a ^ dp_a + dh ^ dt, exact partials of h,
+    as 2n+2 fields in coordinate_names order."""
+    n, Yt = system.n, Y.Yt
     # iota_Y(dh ^ dt) = Y(h) dt - Yt dh
-    y_of_h = float(yq @ hq + yp @ hp + ys * hS + yt * ht)
-    return OneFormValue(
-        -yp - yt * hq,
-        yq - yt * hp,
-        -yt * hS,
-        y_of_h - yt * ht,
-    )
+    return (*(-Y.Yp[i] - Yt * system.h_q[i] for i in range(n)),
+            *(Y.Yq[i] - Yt * system.h_p[i] for i in range(n)),
+            -Yt * system.h_S,
+            directional_derivative(Y, system.h) - Yt * system.h_t)
 
 
 def interior_product_eta_extended(system: ContactSystem, Y: VectorFieldSpec) -> ScalarField:
@@ -264,38 +265,41 @@ def interior_product_eta_extended(system: ContactSystem, Y: VectorFieldSpec) -> 
 
 
 class LieDerivativeEta:
-    """L_Y eta_E prepared for repeated pointwise evaluation: the partials of
-    iota_Y eta_E are built (and compiled) once per (system, Y) pair."""
+    """L_Y eta_E = iota_Y d(eta_E) + d(iota_Y eta_E) (Cartan formula), written
+    once per (system, Y) pair as 2n+2 fields in coordinate_names order."""
 
     def __init__(self, system: ContactSystem, Y: VectorFieldSpec):
         self.system = system
         self.Y = Y
         self.scalar = interior_product_eta_extended(system, Y)
-        names = coordinate_names(system.n)
-        self._grads = tuple(partial(self.scalar, nm) for nm in names)
-        self._param_grads: dict[str, ScalarField] = {}
+        self.form = tuple(c + partial(self.scalar, nm) for c, nm in
+                          zip(contract_d_eta_extended(system, Y), coordinate_names(system.n)))
 
-    def _rate_term(self, name: str, env: Mapping[str, float]) -> float:
-        if name not in self.scalar.free_params:
-            return 0.0
-        grad = self._param_grads.get(name)
-        if grad is None:
-            grad = self._param_grads[name] = partial(self.scalar, name)
-        return grad.eval_env(env)
+    def bundle(self, extra: Mapping[str, float] | None = None,
+               param_rates: Mapping[str, float] | None = None, *more: ScalarField):
+        """One bundle of the form, `more`, and d(iota_Y eta_E)/d(param) for each
+        parameter in `param_rates` (a function of t, so rate * that column is
+        added to dt): maps a point to (the form's values, the values of `more`)."""
+        rates = dict(param_rates or {})
+        m, k = len(self.form), len(self.form) + len(more)
+        at = point_bundle([*self.form, *more, *(partial(self.scalar, nm) for nm in rates)],
+                          {**self.system.params, **(extra or {})})
+
+        def values(point: ExtendedPoint) -> tuple[list[float], tuple[float, ...]]:
+            v = at(point)
+            omega = list(v[:m])
+            for rate, column in zip(rates.values(), v[k:]):
+                omega[-1] += rate * column
+            return omega, v[m:k]
+
+        return values
 
     def __call__(self, point: ExtendedPoint,
                  extra: Mapping[str, float] | None = None,
                  param_rates: Mapping[str, float] | None = None) -> OneFormValue:
-        env = self.system.env(point, extra)
-        contracted = contract_d_eta_extended(self.system, self.Y, point, extra)
+        omega, _ = self.bundle(extra, param_rates)(point)
         n = self.system.n
-        grads = np.array([g.eval_env(env) for g in self._grads])
-        ddt = grads[2 * n + 1]
-        if param_rates:
-            for name, rate in param_rates.items():
-                ddt += rate * self._rate_term(name, env)
-        return OneFormValue(contracted.dq + grads[:n], contracted.dp + grads[n:2 * n],
-                            contracted.dS + grads[2 * n], contracted.dt + ddt)
+        return OneFormValue(omega[:n], omega[n:2 * n], omega[2 * n], omega[2 * n + 1])
 
 
 def lie_derivative_eta(system: ContactSystem, Y: VectorFieldSpec, point: ExtendedPoint,
@@ -306,21 +310,20 @@ def lie_derivative_eta(system: ContactSystem, Y: VectorFieldSpec, point: Extende
     `param_rates` gives d(param)/dt for parameters standing in for
     time-dependent auxiliary functions; their contribution enters the dt
     component of the exact differential.  For evaluation at many points,
-    build a :class:`LieDerivativeEta` once instead.
+    compile :meth:`LieDerivativeEta.bundle` once instead.
     """
     return LieDerivativeEta(system, Y)(point, extra, param_rates)
 
 
-def proportionality_residual(omega: OneFormValue, eta: OneFormValue) -> tuple[float, float]:
-    """Decompose omega against eta_E: lambda from the dS slot (eta_E.dS == 1),
+def proportionality_residual(omega: Sequence[float], eta: Sequence[float]) -> tuple[float, float]:
+    """Decompose omega against eta_E, both given as 2n+2 coefficients in
+    coordinate_names order: lambda from the dS slot (eta_E.dS == 1),
     residual = max over the remaining components of |omega_i - lambda*eta_i|,
     normalised by max(1, ||omega||_inf)."""
-    lam = omega.dS
-    w = omega.as_array()
-    e = eta.as_array()
-    mism = np.abs(w - lam * e)
-    mism[2 * len(omega.dq)] = 0.0  # dS slot defines lambda exactly
-    return lam, float(np.max(mism) / max(1.0, np.max(np.abs(w))))
+    s = len(omega) - 2  # the dS slot defines lambda exactly
+    lam = omega[s]
+    mism = max(abs(w - lam * e) for i, (w, e) in enumerate(zip(omega, eta)) if i != s)
+    return lam, mism / max(1.0, max(abs(w) for w in omega))
 
 
 # ---------------------------------------------------------------------------

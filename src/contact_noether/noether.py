@@ -11,7 +11,7 @@ closure checks live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .geometry import (
     SampleBox,
     VectorFieldSpec,
     directional_derivative,
-    eta_extended,
     interior_product_eta_extended,
     lie_bracket,
+    point_bundle,
     proportionality_residual,
 )
 
@@ -92,6 +92,7 @@ def sample_points(system: ContactSystem, count: int, seed: int,
     points (guard violations or Hamiltonian domain errors)."""
     box = box or system.sample_box or SampleBox()
     rng = np.random.default_rng(seed)
+    h_at = point_bundle([system.h], {**system.params, **(extra or {})})
     out: list[ExtendedPoint] = []
     attempts = 0
     while len(out) < count:
@@ -106,7 +107,7 @@ def sample_points(system: ContactSystem, count: int, seed: int,
         if not system.admissible(pt, margin):
             continue
         try:
-            system.h_value(pt, extra)
+            h_at(pt)
         except DomainError:
             continue
         out.append(pt)
@@ -123,23 +124,32 @@ def dissipation_field(system: ContactSystem, F: ScalarField) -> ScalarField:
     return directional_derivative(extended_field(system), F) + system.h_S * F
 
 
+def residual_at(system: ContactSystem, F: ScalarField,
+                extra: Mapping[str, float] | None = None,
+                rated: Sequence[str] = ()) -> Callable[..., float]:
+    """`dissipation_field` and dF/d(param) for each name in `rated` compiled
+    once: a function of (point, param_rates) that adds rate * dF/d(param)."""
+    rated = [name for name in rated if name in F.free_params]
+    at = point_bundle([dissipation_field(system, F), *(partial(F, name) for name in rated)],
+                      {**system.params, **(extra or {})})
+
+    def residual(point: ExtendedPoint, param_rates: Mapping[str, float] | None = None) -> float:
+        acc, *columns = at(point)
+        for name, column in zip(rated, columns):
+            acc += param_rates[name] * column
+        return acc
+
+    return residual
+
+
 def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedPoint,
                          extra: Mapping[str, float] | None = None,
                          param_rates: Mapping[str, float] | None = None) -> float:
-    """X_h^t(F) + R(h) F at a point, with exact partials.
-
-    `param_rates` supplies d(param)/dt for parameters that stand in for
-    time-dependent auxiliary functions, so their implicit time dependence
-    enters the d/dt term exactly.  For evaluation at many points, build
-    :func:`dissipation_field` once instead.
-    """
-    env = system.env(point, extra)
-    acc = dissipation_field(system, F).eval_env(env)
-    if param_rates:
-        for name, rate in param_rates.items():
-            if name in F.free_params:
-                acc += rate * partial(F, name).eval_env(env)
-    return acc
+    """X_h^t(F) + R(h) F at a point, with exact partials.  `param_rates`
+    supplies d(param)/dt for parameters that stand in for functions of t, so
+    that their time dependence enters exactly.  For many points, build
+    :func:`residual_at` once instead."""
+    return residual_at(system, F, extra, param_rates or ())(point, param_rates)
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +165,9 @@ def symmetry_from_invariant(system: ContactSystem, F: ScalarField,
                             Yt: ScalarField | float = 0.0) -> VectorFieldSpec:
     """The most general symmetry associated with a dissipated quantity F:
     X_F plus the gauge term Yt * X_h^t (Yt a free function)."""
-    n = system.n
     if not isinstance(Yt, ScalarField):
-        Yt = number(float(Yt), n)
-    base = contact_field_of(F)
-    gauge = extended_field(system).scaled(Yt)
-    return VectorFieldSpec(
-        tuple(b + g for b, g in zip(base.Yq, gauge.Yq)),
-        tuple(b + g for b, g in zip(base.Yp, gauge.Yp)),
-        base.YS + gauge.YS,
-        Yt,
-    )
+        Yt = number(float(Yt), system.n)
+    return contact_field_of(F) + extended_field(system).scaled(Yt)
 
 
 def noether_lambda(system: ContactSystem, F: ScalarField,
@@ -181,6 +183,25 @@ def noether_lambda(system: ContactSystem, F: ScalarField,
 # classification
 
 
+def _symmetry_report(system: ContactSystem, Y: VectorFieldSpec, samples: Sequence[ExtendedPoint],
+                     threshold: float, extra: Mapping[str, float] | None,
+                     param_rates: Mapping[str, float] | None, *expected: ScalarField) -> SymmetryReport:
+    """lambda and the proportionality residual at every sample, from one bundle of
+    L_Y eta_E, h and the expected lambda, if given (the defect is its largest deviation)."""
+    at = LieDerivativeEta(system, Y).bundle(extra, param_rates, system.h, *expected)
+    zeros = (0.0,) * system.n
+    lambdas, worst, defect = [], 0.0, 0.0
+    for pt in samples:
+        omega, (h, *rest) = at(pt)
+        lam, res = proportionality_residual(omega, (*(-p for p in pt.p.tolist()), *zeros, 1.0, h))
+        lambdas.append(lam)
+        worst = max(worst, res)
+        defect = max([defect, *(abs(e - lam) for e in rest)])
+    failed = worst > threshold or (expected and defect > threshold)
+    return SymmetryReport(np.array(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
+                          threshold, defect if expected else None)
+
+
 def symmetry_test(system: ContactSystem, Y: VectorFieldSpec,
                   samples: Sequence[ExtendedPoint],
                   threshold: float = SYMBOLIC_THRESHOLD,
@@ -188,17 +209,7 @@ def symmetry_test(system: ContactSystem, Y: VectorFieldSpec,
                   param_rates: Mapping[str, float] | None = None) -> SymmetryReport:
     """Test L_Y eta_E = lambda eta_E pointwise; lambda is read from the dS
     component (eta_E has dS coefficient identically 1)."""
-    lie_d = LieDerivativeEta(system, Y)
-    lambdas = np.empty(len(samples))
-    worst = 0.0
-    for k, pt in enumerate(samples):
-        omega = lie_d(pt, extra, param_rates)
-        eta = eta_extended(system, pt, extra)
-        lam, res = proportionality_residual(omega, eta)
-        lambdas[k] = lam
-        worst = max(worst, res)
-    verdict = GENERALIZED_NOETHER if worst <= threshold else NOT_SYMMETRY
-    return SymmetryReport(lambdas, worst, verdict, threshold)
+    return _symmetry_report(system, Y, samples, threshold, extra, param_rates)
 
 
 def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
@@ -208,30 +219,28 @@ def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
                     params: Mapping[str, float] | None = None) -> SimilarityReport:
     """Test [Y, X] = Lambda X pointwise.  Lambda is read at the index of X's
     largest-magnitude component, then residual-checked on all components."""
-    bracket = lie_bracket(Y, X)
-    params = dict(params or {})
-    Lambdas = np.empty(len(samples))
-    worst = 0.0
+    m = 2 * X.n + 2
+    at = point_bundle([*X.components(), *lie_bracket(Y, X).components()], params or {})
+    Lambdas, worst = [], 0.0
     for k, pt in enumerate(samples):
-        env = pt.env()
-        env.update(params)
-        xv = X.eval(env)
-        bv = bracket.eval(env)
-        xmax = float(np.max(np.abs(xv)))
+        xv, bv = (v := at(pt))[:m], v[m:]
+        xabs = [abs(x) for x in xv]
+        xmax = max(xabs)
         if xmax <= 1e-8:
             raise DegeneratePoint(f"reference field vanishes at sample {k}")
-        idx = int(np.argmax(np.abs(xv)))
+        idx = xabs.index(xmax)
         lam = bv[idx] / xv[idx]
-        Lambdas[k] = lam
-        res = float(np.max(np.abs(bv - lam * xv))) / max(1.0, float(np.max(np.abs(bv))))
+        Lambdas.append(lam)
+        res = max(abs(b - lam * x) for b, x in zip(bv, xv)) / max(1.0, max(abs(b) for b in bv))
         worst = max(worst, res)
     if worst > residual_threshold:
         verdict = NEITHER
-    elif float(np.max(np.abs(Lambdas))) <= lambda_threshold:
+    elif max(abs(lam) for lam in Lambdas) <= lambda_threshold:
         verdict = DYNAMICAL_SYMMETRY
     else:
         verdict = SIMILARITY
-    return SimilarityReport(Lambdas, worst, verdict, residual_threshold, lambda_threshold)
+    return SimilarityReport(np.array(Lambdas), worst, verdict, residual_threshold,
+                            lambda_threshold)
 
 
 def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpec,
@@ -242,21 +251,10 @@ def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpe
                   extra: Mapping[str, float] | None = None) -> SymmetryReport:
     """Check that [Y1, Y2] is again a symmetry; when the factors lambda_i of
     Y1, Y2 are supplied, also verify lambda_bracket = Y1(lambda2) - Y2(lambda1)."""
-    bracket = lie_bracket(Y1, Y2)
-    report = symmetry_test(system, bracket, samples, threshold, extra)
-    defect = None
+    expected = []
     if lambda1 is not None and lambda2 is not None:
-        expected = directional_derivative(Y1, lambda2) - directional_derivative(Y2, lambda1)
-        defect = 0.0
-        for k, pt in enumerate(samples):
-            env = system.env(pt, extra)
-            defect = max(defect, abs(expected.eval_env(env) - report.lambda_at_samples[k]))
-        if defect > threshold:
-            report = SymmetryReport(report.lambda_at_samples, report.residual,
-                                    NOT_SYMMETRY, threshold, defect)
-            return report
-    return SymmetryReport(report.lambda_at_samples, report.residual, report.verdict,
-                          threshold, defect)
+        expected = [directional_derivative(Y1, lambda2) - directional_derivative(Y2, lambda1)]
+    return _symmetry_report(system, lie_bracket(Y1, Y2), samples, threshold, extra, None, *expected)
 
 
 def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
@@ -270,10 +268,8 @@ def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
     component and eta_E may be read as the contact form eta.
     """
     scalar = interior_product_eta_extended(system, lie_bracket(contact_field(system), Y))
-    worst = 0.0
-    for pt in samples:
-        worst = max(worst, abs(scalar.eval_env(system.env(pt, extra))))
-    return worst
+    at = point_bundle([scalar], {**system.params, **(extra or {})})
+    return max([0.0, *(abs(at(pt)[0]) for pt in samples)])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import ScalarField, number, parameter, partial, substitute, variable
-from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec
+from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec, point_bundle
 
 TRIVIAL = "Trivial"
 K2_F0 = "K2_F0"
@@ -107,12 +107,10 @@ def homogeneity_check(V: ScalarField, k: float, samples: Sequence[ExtendedPoint]
     euler = number(0.0, n)
     for i in range(n):
         euler = euler + variable(f"q{i}", n) * partial(V, f"q{i}")
-    params = params or {}
+    at = point_bundle([euler, V], params or {})
     for pt in samples:
-        env = pt.env()
-        env.update(params)
-        lhs = euler.eval_env(env)
-        rhs = k * V.eval_env(env)
+        lhs, v = at(pt)
+        rhs = k * v
         if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
             return False
     return True

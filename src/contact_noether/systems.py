@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .expr import ScalarField, number, parameter, parse, partial, substitute, variable
 from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec
 from .dynamics import AuxComponent, IntegratorConfig, Trajectory, extended_field, integrate
-from .noether import dissipation_residual, symmetry_from_invariant
+from .noether import residual_at, symmetry_from_invariant
 from .scaling import _f0, _f1, _f2, case3_system, dot_qp
 
 CONSERVED = "conserved"
@@ -271,10 +272,16 @@ _AUX_ODES = {
 _AUX_BOX = {"rho": (1e-6, 1e6), "a": (1e-6, 1e6)}
 
 
+@lru_cache(maxsize=None)
+def _rate_template(source: str, n: int) -> ScalarField:
+    """A rate of `_AUX_ODES`, parsed once per text (a patched table is new text)."""
+    return parse(source, n)
+
+
 def _aux_rates(which: str, vals: Mapping[str, float], f_val: float, g0: float) -> dict[str, float]:
     """d/dt of the auxiliary block `which`, from `_AUX_ODES` at f = f_val."""
     env = {**vals, "f": f_val, "g0": g0}
-    return {nm: parse(_AUX_ODES[nm], 1).eval_env(env) for nm in (which, f"{which}_dot")}
+    return {nm: _rate_template(_AUX_ODES[nm], 1).eval_env(env) for nm in (which, f"{which}_dot")}
 
 
 def _verify_aux_forms() -> None:
@@ -294,11 +301,10 @@ def _verify_aux_forms() -> None:
         ]
         for which, g0, field, aux in checks:
             system = make_harmonic_dissipative(1.37, f, g0)
+            residual = residual_at(system, field, aux, (which, f"{which}_dot"))
             for qv, pv, sv, tv in ((0.7, -1.1, 0.3, 0.9), (-0.4, 0.6, -1.0, 2.1)):
-                pt = ExtendedPoint([qv], [pv], sv, tv)
-                f_val = f.eval_env({"t": tv})
-                rates = _aux_rates(which, aux, f_val, g0)
-                res = dissipation_residual(system, field, pt, extra=aux, param_rates=rates)
+                rates = _aux_rates(which, aux, f.eval_env({"t": tv}), g0)
+                res = residual(ExtendedPoint([qv], [pv], sv, tv), rates)
                 if abs(res) > 1e-9:
                     raise RuntimeError(
                         f"auxiliary invariant self-test failed for {which}: residual {res!r}")
@@ -336,7 +342,7 @@ def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliarySta
     for block in ("rho", "a", "b"):
         if getattr(aux0, f"use_{block}"):
             for nm in (block, f"{block}_dot"):
-                rate = substitute(parse(_AUX_ODES[nm], system.n), "f", f_field)
+                rate = substitute(_rate_template(_AUX_ODES[nm], system.n), "f", f_field)
                 aux[nm] = AuxComponent(getattr(aux0, nm), rate, _AUX_BOX.get(nm))
     return integrate(system, extended_field(system), start, t_end, cfg, tracked,
                      aux0.constants(), aux)

@@ -61,28 +61,42 @@ class TestBundledScenarios:
         assert max(np.max(np.abs(bracket.eval(sc.system.env(pt)))) for pt in pts) > 1e-2
 
 
-def test_residual_check_compiles_independently_of_sample_count(tmp_path, monkeypatch):
-    compiled = []
-    real = expr._compile
-
-    def counting(node, names):
-        compiled.append(node)
-        return real(node, names)
-
-    monkeypatch.setattr(expr, "_compile", counting)
+def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
+    # one bundle for the sampler's h and one per residual, symmetry, similarity
+    # and closure check, whatever the sample count; nothing goes through an env dict
+    codegens, evals = [], []
+    real_codegen, real_eval = expr._codegen, expr.ScalarField.eval_env
+    monkeypatch.setattr(expr, "_codegen", lambda *a: codegens.append(a) or real_codegen(*a))
+    monkeypatch.setattr(expr.ScalarField, "eval_env",
+                        lambda self, env: evals.append(self) or real_eval(self, env))
+    checks = [
+        {"type": "residual", "invariant": "Q_K", "tol": 1e-10},
+        {"type": "symmetry", "symmetry": "noether-of-QK"},
+        {"type": "similarity", "symmetry": "scaling", "expect_Lambda": -3.0},
+        {"type": "closure", "first": "noether-of-QK", "second": "noether-of-QK-gauged",
+         "tol": 1e-8},
+    ]
     counts = []
     for samples in (5, 50):
-        path = write_scenario(tmp_path, f"residual-{samples}", {
+        path = write_scenario(tmp_path, f"pointwise-{samples}", {
             "system": {"builtin": "kepler"},
             "sample_count": samples,
             "invariants": [{"label": "Q_K", "builtin": "Q_K"}],
-            "checks": [{"type": "residual", "invariant": "Q_K", "tol": 1e-10}],
+            "symmetries": [
+                {"label": "scaling",
+                 "ansatz": {"alpha": 2.0, "beta": -1.0, "gamma": 1.0, "sigma": 3.0}},
+                {"label": "noether-of-QK", "from_invariant": "Q_K", "Yt": "3*t"},
+                {"label": "noether-of-QK-gauged", "from_invariant": "Q_K",
+                 "Yt": "t + 0.05*t^2"},
+            ],
+            "checks": checks,
         })
-        compiled.clear()
-        _, code = cli.run(path, tmp_path / "out", quiet=True)
-        assert code == 0
-        counts.append(len(compiled))
-    assert counts[0] == counts[1]
+        codegens.clear()
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert code == 0 and len(report["checks"]) == len(checks)
+        counts.append(len(codegens))
+    assert counts == [1 + len(checks)] * 2
+    assert evals == []
 
 
 def test_dissipation_compensation_is_computed_once_per_run(tmp_path, monkeypatch):

@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 from contact_noether import expr
 from contact_noether.expr import (
     DomainError,
-    EvalContext,
     ExprSyntaxError,
     IndexOutOfRange,
     UnboundParameter,
     UnknownIntrinsic,
-    evaluate,
     parse,
     partial,
     substitute,
 )
+from contact_noether.geometry import point_bundle
 from conftest import point
 from randfields import central_fd, derivative_pair, random_env, random_field
 
@@ -42,8 +41,8 @@ class TestParse:
     def test_kepler_hamiltonian_value(self):
         # value from direct substitution into p.p/2m - 4 eps/|q|
         f = parse("(p0^2+p1^2+p2^2)/(2*m) - 4*eps/sqrt(q0^2+q1^2+q2^2)", 3)
-        ctx = EvalContext(point([1, 0, 0], [0, 1, 0]), {"m": 1.0, "eps": 0.25})
-        assert evaluate(f, ctx) == pytest.approx(-0.5, abs=1e-15)
+        env = {**point([1, 0, 0], [0, 1, 0]).env(), "m": 1.0, "eps": 0.25}
+        assert f.eval_env(env) == pytest.approx(-0.5, abs=1e-15)
 
     def test_syntax_error_offset(self):
         with pytest.raises(ExprSyntaxError) as ei:
@@ -85,7 +84,7 @@ class TestEvaluate:
 
     def test_unbound_parameter(self):
         with pytest.raises(UnboundParameter):
-            evaluate(parse("a*q0", 1), EvalContext(point(1.0, 0.0), {}))
+            point_bundle([parse("a*q0", 1)], {})
 
     def test_domain_errors_name_subexpression(self):
         with pytest.raises(DomainError, match="sqrt"):
@@ -283,16 +282,18 @@ class TestSharing:
         assert calls == [5.0]
 
     def test_derivative_visits_each_distinct_node_once(self, monkeypatch):
-        # 8 levels of f -> sin(f*f + f): 16401 tree nodes, 25 distinct ones
-        f = parse("q0", 1)
+        # 8 levels of f -> sin(f*f + f): 16401 tree nodes, 25 distinct ones, over
+        # a parameter no other test uses, so that the weak derivative memo holds
+        # none of them whatever else the test run keeps alive
+        f = expr.parameter("xi_sharing", 1)
         for _ in range(8):
             f = expr.apply_intrinsic("sin", f * f + f)
         rules = []
         real = expr._derive
         monkeypatch.setattr(expr, "_derive", lambda node, *a: rules.append(node) or real(node, *a))
-        d = partial(f, "q0")
+        d = partial(f, "xi_sharing")
         assert len(rules) == len(set(rules)) == 25
-        env = {"q0": 0.3}
+        env = {"xi_sharing": 0.3}
         assert d.eval_env(env) == expr.eval_node(d.ast, env)
 
 

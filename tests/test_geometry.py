@@ -1,11 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from contact_noether import cli, systems
 from contact_noether.dynamics import contact_field, extended_field
-from contact_noether.expr import parse, partial, variable
+from contact_noether.expr import DomainError, parse, partial, variable
 from contact_noether.geometry import (
     ContactSystem,
+    ExtendedPoint,
+    LieDerivativeEta,
     VectorFieldSpec,
+    coordinate_names,
     contract_d_eta_contact,
     contract_d_eta_extended,
     directional_derivative,
@@ -14,12 +20,14 @@ from contact_noether.geometry import (
     jacobi_bracket,
     lie_bracket,
     lie_derivative_eta,
+    point_bundle,
     poisson_bracket,
     proportionality_residual,
 )
-from contact_noether.noether import sample_points
+from contact_noether.noether import sample_points, symmetry_from_invariant
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from conftest import point
+from randfields import PARAM_NAMES, random_env, random_field
 
 
 def const_field(v, n):
@@ -50,32 +58,35 @@ class TestEtaExtended:
 
 
 class TestContractDEta:
+    # contract_d_eta_extended is symbolic: (dq0, dp0, dS, dt) fields for n = 1
+    @staticmethod
+    def at(system, Y, pt):
+        return point_bundle(contract_d_eta_extended(system, Y), system.params)(pt)
+
     def test_dt_direction_gives_minus_dh(self):
         sys1 = make_system("p0^2/2 + q0^2/2", 1)
         Y = VectorFieldSpec((const_field(0, 1),), (const_field(0, 1),),
                             const_field(0, 1), const_field(1, 1))
-        pt = point(0.7, -1.3)
-        val = contract_d_eta_extended(sys1, Y, pt)
-        assert val.dq[0] == pytest.approx(-0.7)
-        assert val.dp[0] == pytest.approx(1.3)
-        assert val.dS == 0.0
-        assert val.dt == 0.0
+        dq, dp, dS, dt = self.at(sys1, Y, point(0.7, -1.3))
+        assert dq == pytest.approx(-0.7)
+        assert dp == pytest.approx(1.3)
+        assert dS == 0.0
+        assert dt == 0.0
 
     def test_dS_direction_annihilates_when_h_S_independent(self):
         sys1 = make_system("p0^2/2 + q0^2/2", 1)
         Y = VectorFieldSpec((const_field(0, 1),), (const_field(0, 1),),
                             const_field(1, 1), const_field(0, 1))
-        val = contract_d_eta_extended(sys1, Y, point(0.3, 0.4))
-        assert val.max_abs() == 0.0
+        assert max(map(abs, self.at(sys1, Y, point(0.3, 0.4)))) == 0.0
 
     def test_h_equals_S_dS_direction(self):
         sys1 = make_system("S", 1)
         Y = VectorFieldSpec((const_field(0, 1),), (const_field(0, 1),),
                             const_field(1, 1), const_field(0, 1))
-        val = contract_d_eta_extended(sys1, Y, point(0.3, 0.4, S=2.0))
-        assert np.allclose(val.dq, 0.0) and np.allclose(val.dp, 0.0)
-        assert val.dS == 0.0
-        assert val.dt == 1.0
+        dq, dp, dS, dt = self.at(sys1, Y, point(0.3, 0.4, S=2.0))
+        assert np.allclose(dq, 0.0) and np.allclose(dp, 0.0)
+        assert dS == 0.0
+        assert dt == 1.0
 
 
 class TestLieBracket:
@@ -135,8 +146,74 @@ class TestLieDerivativeEta:
                             kepler.h, const_field(0, 3))
         pt = point([1, 0, 0], [0, 1, 0])
         omega = lie_derivative_eta(kepler, Y, pt)
-        _, residual = proportionality_residual(omega, eta_extended(kepler, pt))
+        _, residual = proportionality_residual(omega.as_array(),
+                                               eta_extended(kepler, pt).as_array())
         assert residual > 0.1
+
+
+def _sympy_lie_derivative_eta(sp, system, Y, values):
+    """(L_Y eta_E)_i = Y^j d_j eta_i + eta_j d_i Y^j in coordinates, with
+    eta_E = (-p, 0, 1, h), each field rebuilt by sympy from its source and
+    differentiated there; evaluated at `values` to 30 digits."""
+    n = system.n
+    xs = [sp.Symbol(nm) for nm in coordinate_names(n)]
+    names = {nm: sp.Symbol(nm) for nm in values}
+    names.update(ln=sp.log, abs=sp.Abs, sqrt=sp.sqrt, exp=sp.exp, sin=sp.sin, cos=sp.cos)
+    to_sympy = lambda f: sp.parse_expr(f.source().replace("^", "**"), local_dict=names)
+    ys = [to_sympy(c) for c in Y.components()]
+    eta = [-x for x in xs[n:2 * n]] + [sp.Integer(0)] * n + [sp.Integer(1), to_sympy(system.h)]
+    subs = {names[nm]: sp.Float(v, 30) for nm, v in values.items()}
+    return [float(sum(ys[j] * sp.diff(eta[i], xs[j]) + eta[j] * sp.diff(ys[j], xs[i])
+                      for j in range(2 * n + 2)).evalf(30, subs=subs))
+            for i in range(2 * n + 2)]
+
+
+def _oracle_cases():
+    """(system, Y, extra, points): the bundled scenarios' symmetries, the
+    td-Kepler and oscillator symmetries of the benchmark sweep, and random
+    fields over a random Hamiltonian."""
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    kep = cli.load_scenario(scenarios / "kepler-scaling.json")
+    for entry in kep.symmetries.values():
+        yield kep.system, entry["field"], {}, sample_points(kep.system, 4, seed=61)
+    td = systems.make_td_kepler(1.3, 0.2, 1.5)
+    F_tdk = td.meta["invariants"]["F_TDK"].field
+    for Y in (scaling_generator(ScalingAnsatz(1.25, 0.25, 1.5, 1.0), 3),
+              symmetry_from_invariant(td, F_tdk, parse("t^2", 3))):
+        yield td, Y, {}, sample_points(td, 4, seed=62)
+    osc = systems.make_harmonic_dissipative(1.1, "1 + 0.3*sin(t)", 0.25)
+    aux = {"a": 1.2, "a_dot": -0.3, "a0": 0.9}
+    for Y in (scaling_generator(ScalingAnsatz(1.0, 1.0, 2.0, 0.0), 1), systems.glr_symmetry(osc)):
+        yield osc, Y, aux, sample_points(osc, 4, seed=63, extra=aux)
+    rng = np.random.default_rng(64)
+    for _ in range(4):
+        params = {nm: float(rng.uniform(0.5, 1.5)) for nm in PARAM_NAMES}
+        system = ContactSystem(n=2, h=random_field(rng, 2, 3), params=params)
+        Y = VectorFieldSpec(*(tuple(random_field(rng, 2, 3) for _ in range(2)) for _ in range(2)),
+                            random_field(rng, 2, 3), random_field(rng, 2, 3))
+        envs = [random_env(rng, 2) for _ in range(4)]
+        yield system, Y, {}, [ExtendedPoint([e["q0"], e["q1"]], [e["p0"], e["p1"]], e["S"], e["t"])
+                              for e in envs]
+
+
+def test_lie_derivative_eta_matches_the_coordinate_formula():
+    sp = pytest.importorskip("sympy")
+    compared = 0
+    for system, Y, extra, points in _oracle_cases():
+        params = {**system.params, **extra}
+        at = point_bundle(LieDerivativeEta(system, Y).form, params)
+        for pt in points:
+            try:
+                ours = at(pt)
+            except DomainError:
+                continue
+            values = {**params, **dict(zip(coordinate_names(system.n),
+                                           [*pt.q.tolist(), *pt.p.tolist(), pt.S, pt.t]))}
+            oracle = _sympy_lie_derivative_eta(sp, system, Y, values)
+            scale = max(1.0, *map(abs, oracle))
+            assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(ours, oracle)), (ours, oracle)
+            compared += 1
+    assert compared >= 40
 
 
 class TestReebAndHamiltonianFieldIdentities:

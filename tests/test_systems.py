@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,22 @@ class TestClosedFormSelfTest:
         with pytest.raises(RuntimeError, match="self-test"):
             systems._verify_aux_forms()
         assert not systems._AUX_FORMS_VERIFIED
+
+    def test_self_test_compiles_each_bundle_once(self):
+        # in a fresh interpreter: one bundle per block (the residual field and
+        # its two rate columns) for both points, and one function each for f(t)
+        # and the six rate templates of _AUX_ODES, parsed once per text
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("from contact_noether import expr, systems\n"
+                "sizes, real = [], expr._codegen\n"
+                "expr._codegen = lambda *a: sizes.append(len(a[0])) or real(*a)\n"
+                "systems._verify_aux_forms()\n"
+                "print(sorted(sizes))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == str([1] * 7 + [3] * 3)
 
     def test_corrupted_ode_table_fails_loudly(self, damped_oscillator, monkeypatch):
         # the table co_integrate integrates is the one the self-test checks
