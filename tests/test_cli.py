@@ -1,7 +1,9 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from contact_noether import cli, expr
 from contact_noether.geometry import lie_bracket
@@ -200,6 +202,34 @@ class TestArtifacts:
                                  (base / "report.json").read_bytes(),
                                  (base / "trajectory.csv").read_bytes()))
         assert report_bytes[0] == report_bytes[1]
+
+    # sha256 of (report.json, trajectory.csv), as scripts/report_digests.py prints them
+    PINNED_DIGESTS = {
+        "dissipative-oscillator": (
+            "81118fb49d9659c80f34d14f94375163730fa51d9df09052397ab61b9bdef1b8",
+            "887be2debaea751c561dacced19d7cb3d94d91bb780789f5c7c69bce20b5f6cb"),
+        "free-particle": (
+            "6b24d3a9eda4f8719fc85211a20024692d5dc9ad154f3be591b8dbb5213f5a6b",
+            "2bc6e892858c6422d47c4873c6fe225abeea154eb7d0bdc392c74e3ab3b34bb6"),
+        "kepler-scaling": (
+            "1c7fa65ba3cab13fbeb306719063f0464af96e4171ef216c00a9ab5a59295512",
+            "6d8f159b1198d02904d4952491c13199587f9803827d5e21f6f5bca1315e47c1"),
+        "td-kepler": (
+            "1c66372c5c8036b60d257bf2bdab989e3f133e29dcf6f1bf6f64e7967a27a7f9",
+            "b0045fc83417993e2b369081ab6d9d24a1ef2237a20f7743cb9cbd5905e60ddf"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_bundled_scenario_digests_are_pinned(self, tmp_path, name):
+        """report.json and trajectory.csv of each bundled scenario, at its own
+        seed, are byte for byte the pinned ones.  The digests belong to
+        CPython 3.11.7 with numpy 2.4.6 on x86_64 Linux (glibc 2.36): another
+        libm or float formatting may move a last bit and so every digest."""
+        report, code = cli.run(SCENARIOS / f"{name}.json", tmp_path, quiet=True)
+        assert code == 0 and report["passed"]
+        got = tuple(hashlib.sha256((tmp_path / name / fname).read_bytes()).hexdigest()
+                    for fname in ("report.json", "trajectory.csv"))
+        assert got == self.PINNED_DIGESTS[name]
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_scenario(tmp_path, "fp", FREE_PARTICLE)
