@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
 from .expr import ExprError, ScalarField, parse
-from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec
+from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, nan_max
 from .noether import (
     FLOW_THRESHOLD,
     SYMBOLIC_THRESHOLD,
@@ -228,7 +228,7 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     if needs_flow:
         traj = _run_flow(sc)
         report["trajectory"] = {
-            "samples": len(traj.samples),
+            "samples": len(traj.times),
             "accepted": traj.stats.accepted,
             "rejected": traj.stats.rejected,
             "error_tag": traj.error_tag,
@@ -263,7 +263,7 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             inv = sc.invariants[c["invariant"]]
             entry["target"] = inv.label
             residual = residual_at(sc.system, inv.field, sc.point_params)
-            worst = max(abs(residual(pt)) for pt in points())
+            worst = nan_max(abs(residual(pt)) for pt in points())
             entry["value"] = float(worst)
             entry["passed"] = bool(worst <= tol)
         elif ctype == "symmetry":
@@ -301,7 +301,6 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             for key in ("numerator", "denominator"):
                 _require(c.get(key) in sc.invariants,
                          f"{sc.name}: ratio check references unknown invariant")
-            _require(traj is not None, f"{sc.name}: ratio check needs a trajectory")
             num = traj.tracked[c["numerator"]]
             den = traj.tracked[c["denominator"]]
             mask = np.abs(den) >= 1e-12
@@ -380,7 +379,7 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
             traj.to_csv(out_dir / "trajectory.csv")
             if not quiet:
                 print(f"{sc.name}: wrote {out_dir / 'trajectory.csv'} "
-                      f"({len(traj.samples)} samples, error_tag={traj.error_tag})")
+                      f"({len(traj.times)} samples, error_tag={traj.error_tag})")
             return {"scenario": sc.name, "passed": traj.error_tag is None}, \
                 (0 if traj.error_tag is None else 3)
         report, traj = run_checks(sc)

@@ -9,15 +9,16 @@ steps, which the order-check tests rely on.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .expr import (DomainError, Num, ScalarField, compile_bundle, number, parameter, partial,
-                   variable)
-from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names, point_bundle
+from .expr import DomainError, Num, ScalarField, compile_bundle, number, partial, variable
+from .geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec, bindable_params,
+                       coordinate_names)
 
 
 class TimeDependentHamiltonian(Exception):
@@ -120,48 +121,56 @@ class IntegratorStats:
 
 @dataclass
 class Trajectory:
-    """Time-ordered samples plus tracked field values and diagnostics."""
+    """Accepted flow states in time order, plus tracked field values and
+    diagnostics.  `rows[k]` is the state at `times[k]`: q..., p..., S, then
+    the auxiliary components of `integrate`."""
 
-    samples: list[ExtendedPoint]
+    n: int
+    times: list[float]
+    rows: list[Sequence[float]]
     tracked: dict[str, np.ndarray]
     stats: IntegratorStats
     error_tag: str | None = None
 
     @property
     def ts(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return np.array(self.times)
 
     @property
-    def n(self) -> int:
-        return self.samples[0].n
+    def samples(self) -> list[ExtendedPoint]:
+        """The states as points, built on each access (the flow never builds them)."""
+        n = self.n
+        return [ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t)
+                for t, y in zip(self.times, self.rows)]
 
     def to_csv(self, target) -> None:
         """Write columns t, q0..q(n-1), p0..p(n-1), S, then tracked labels."""
-        n = self.n
+        n, m = self.n, 2 * self.n + 1
         header = ["t"] + [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] + ["S"]
         header += list(self.tracked)
         is_path = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
         with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
             fh.write(",".join(header) + "\n")
-            for k, s in enumerate(self.samples):
-                row = [repr(s.t)]
-                row += [repr(float(v)) for v in s.q]
-                row += [repr(float(v)) for v in s.p]
-                row.append(repr(s.S))
-                row += [repr(float(self.tracked[lbl][k])) for lbl in self.tracked]
-                fh.write(",".join(row) + "\n")
+            for t, row, *values in zip(self.times, self.rows, *self.tracked.values()):
+                fh.write(",".join([repr(t), *map(repr, row[:m]),
+                                   *(repr(float(v)) for v in values)]) + "\n")
 
 
-def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
+def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
+    """sqrt(mean((values / scale) ** 2)), in numpy's operation order."""
+    return float(np.sqrt(np.mean([(r := v / s) * r for v, s in zip(values, scale)])))
+
+
+def _initial_step(rhs, t0: float, y0: Sequence[float], f0: Sequence[float],
                   span: float, cfg: IntegratorConfig) -> float:
-    sc = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
+    sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     try:
-        f1 = rhs(t0 + h0, y0 + h0 * f0)
-        d2 = float(np.sqrt(np.mean(((f1 - f0) / sc) ** 2))) / h0
+        f1 = rhs(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
+        d2 = _rms([b - a for a, b in zip(f0, f1)], sc) / h0
     except DomainError:
         d2 = d1
     if max(d1, d2) <= 1e-15:
@@ -172,34 +181,32 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 
 
 def adaptive_rk45(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, Sequence[float]], Sequence[float]],
     t0: float,
-    y0: np.ndarray,
+    y0: Sequence[float],
     t_end: float,
     cfg: IntegratorConfig,
-    on_accept: Callable[[float, np.ndarray], None] | None = None,
-    veto: Callable[[float, np.ndarray], str | None] | None = None,
+    on_accept: Callable[[float, list[float]], str | None] | None = None,
 ) -> tuple[IntegratorStats, str | None]:
-    """Drive the DP 5(4) pair from t0 to t_end.
+    """Drive the DP 5(4) pair from t0 to t_end on states given as sequences
+    of floats; `rhs(t, y)` returns one rate per component.
 
-    `on_accept` is called for every accepted step (not for the initial state);
-    `veto` may stop the run at an accepted state by returning an error tag.
+    `on_accept(t, y)` is called at every accepted step (not at the initial
+    state); returning an error tag stops the run before that state counts.
     Returns the stats plus an error tag (None on clean completion).
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed start time")
     stats = IntegratorStats()
-    t = t0
-    y = np.asarray(y0, dtype=float).copy()
+    t, row = t0, y0
     try:
-        f0 = rhs(t, y)
+        f0 = rhs(t, row)
     except DomainError:
         return stats, DOMAIN_VIOLATION
     fixed_step = cfg.min_step == cfg.max_step
-    h = cfg.max_step if fixed_step else _initial_step(rhs, t, y, f0, t_end - t0, cfg)
+    h = cfg.max_step if fixed_step else _initial_step(rhs, t, row, f0, t_end - t0, cfg)
     facold = 1e-4
-    row = y.tolist()
-    k = [f0.tolist()]
+    k = [f0]
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h = min(h, cfg.max_step, t_end - t)
         h = max(h, cfg.min_step)
@@ -208,31 +215,30 @@ def adaptive_rk45(
         del k[1:]
         try:
             for i, stage in enumerate(_STAGES, 1):
-                new_row = stage(row, h, k)
-                y_new = np.array(new_row)  # the 5th-order solution after the last stage
-                k.append(rhs(t + _DP_C[i] * h, y_new).tolist())
+                new_row = stage(row, h, k)  # the 5th-order solution after the last stage
+                k.append(rhs(t + _DP_C[i] * h, new_row))
         except DomainError:
             stats.rejected += 1
             if h <= cfg.min_step * (1.0 + 1e-12):
                 return stats, STEP_SIZE_UNDERFLOW
             h = max(cfg.min_step, 0.25 * h)
             continue
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((np.array(_ERROR(row, h, k)) / sc) ** 2)))
+        # numpy.maximum of the magnitudes: a NaN in either state makes the scale NaN
+        sc = [cfg.abs_tol + cfg.rel_tol * (a if a >= b or a != a else b)
+              for a, b in zip(map(abs, row), map(abs, new_row))]
+        err = _rms(_ERROR(row, h, k), sc)
         if err <= 1.0 or fixed_step or h <= cfg.min_step * (1.0 + 1e-12):
             if not (err <= 1.0 or fixed_step):
                 # forced acceptance at the step floor would hide real error
                 return stats, STEP_SIZE_UNDERFLOW
             t_new = t + h
-            vetoed = veto(t_new, y_new) if veto is not None else None
-            if vetoed is not None:
-                return stats, vetoed
+            tag = on_accept(t_new, new_row) if on_accept is not None else None
+            if tag is not None:
+                return stats, tag
             stats.accepted += 1
             stats.max_error_estimate = max(stats.max_error_estimate, err)
-            if on_accept is not None:
-                on_accept(t_new, y_new)
-            k[0] = k[6]  # first same as last: stage 7 is rhs(t_new, y_new)
-            t, y, row = t_new, y_new, new_row
+            k[0] = k[6]  # first same as last: stage 7 is rhs(t_new, new_row)
+            t, row = t_new, new_row
             facold = max(err, 1e-4)
             if not fixed_step:
                 fac11 = err**_EXPO1 if err > 0.0 else 1e-10
@@ -277,10 +283,10 @@ def integrate(
     The independent variable is t itself.  `aux` adds state components
     advanced under the same step controller; the right-hand side and the
     tracked fields see their names next to q, p, S, t, the system parameters
-    and `extra_params`.  Tracked fields, then the `aux` components, are
-    recorded at the start and at every accepted step.  Guard, blow-up or
-    step-size failures return the partial trajectory with an error tag
-    instead of raising.
+    and `extra_params`.  The start and every accepted state are recorded as
+    rows, the tracked fields, then the `aux` components, as columns.  Guard,
+    non-finite state, blow-up or step-size failures return the partial
+    trajectory with an error tag instead of raising.
     """
     cfg = cfg or IntegratorConfig()
     aux = dict(aux or {})
@@ -290,47 +296,39 @@ def integrate(
         raise ValueError("start point is outside the admissible region")
     n = system.n
     state = [*coordinate_names(n)[:-1], *aux, "t"]
-    consts = {k: v for k, v in {**system.params, **(extra_params or {})}.items() if k not in state}
+    consts = bindable_params({**system.params, **(extra_params or {})}, state)
     argnames = [*state, *consts]
     rhs_fn = compile_bundle([*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values())],
                             argnames)
-    columns = {**(tracked or {}), **{nm: parameter(nm, n) for nm in aux}}
-    # a field that overrides eval_env (RatioField's guard) keeps its own evaluation
-    plain = [lbl for lbl, f in columns.items() if type(f).eval_env is ScalarField.eval_env]
-    custom = [lbl for lbl in columns if lbl not in plain]
-    columns_fn = compile_bundle([columns[lbl] for lbl in plain], argnames)
+    columns_fn = compile_bundle(list((tracked or {}).values()), argnames)
     boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        row = y.tolist()
+    def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
         for i, nm, _ in boxed:
-            if abs(row[i]) < 1e-12:
+            if abs(y[i]) < 1e-12:
                 raise DomainError("auxiliary function vanished", nm)
-        return np.array(rhs_fn(*row, t, *consts.values()))
+        return rhs_fn(*y, t, *consts.values())
 
-    samples: list[ExtendedPoint] = []
-    values: dict[str, list[float]] = {lbl: [] for lbl in columns}
+    times = [start.t]
+    rows = [[*start.q.tolist(), *start.p.tolist(), start.S,
+             *(float(c.initial) for c in aux.values())]]
 
-    def record(t: float, y: np.ndarray) -> None:
-        samples.append(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t))
-        args = (*y.tolist(), t, *consts.values())
-        for lbl, v in zip(plain, columns_fn(*args)):
-            values[lbl].append(v)
-        for lbl in custom:
-            values[lbl].append(columns[lbl].eval_env(dict(zip(argnames, args))))
-
-    def veto(t: float, y: np.ndarray) -> str | None:
+    def accept(t: float, y: list[float]) -> str | None:
         for i, _, (lo, hi) in boxed:
             if not (lo < y[i] < hi):
                 return AUXILIARY_BLOWUP
-        if system.admissible(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t), cfg.guard_margin):
-            return None
-        return DOMAIN_VIOLATION
+        if not all(map(math.isfinite, y)) or system.domain_guard is not None and not \
+                system.admissible(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t), cfg.guard_margin):
+            return DOMAIN_VIOLATION
+        times.append(t)
+        rows.append(y)
+        return None
 
-    y0 = np.concatenate([start.q, start.p, [start.S], [c.initial for c in aux.values()]])
-    record(start.t, y0)
-    stats, tag = adaptive_rk45(rhs, start.t, y0, t_end, cfg, record, veto)
-    return Trajectory(samples, {lbl: np.array(v) for lbl, v in values.items()}, stats, tag)
+    stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg, accept)
+    columns = zip(*(columns_fn(*y, t, *consts.values()) for t, y in zip(times, rows)))
+    recorded = dict(zip(tracked or {}, map(np.array, columns)))
+    recorded.update({nm: np.array([y[i] for y in rows]) for i, nm in enumerate(aux, 2 * n + 1)})
+    return Trajectory(n, times, rows, recorded, stats, tag)
 
 
 def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -373,8 +371,10 @@ def cumulative_integral(system: ContactSystem, traj: Trajectory, integrand: Scal
                         extra_params: Mapping[str, float] | None = None) -> np.ndarray:
     """Running integral of `integrand` along the trajectory, from 0 at the
     first sample, by composite Simpson on the (non-uniform) sample grid."""
-    at = point_bundle([integrand], {**system.params, **(extra_params or {})})
-    vals = [at(s)[0] for s in traj.samples]
+    state, m = coordinate_names(traj.n), 2 * traj.n + 1
+    consts = bindable_params({**system.params, **(extra_params or {})}, state)
+    fn = compile_bundle([integrand], [*state, *consts])
+    vals = [fn(*y[:m], t, *consts.values())[0] for t, y in zip(traj.times, traj.rows)]
     return _cumulative_simpson(np.array(vals), traj.ts)
 
 
@@ -387,5 +387,5 @@ def action_consistency(system: ContactSystem, traj: Trajectory,
     exactness claim.
     """
     quad = cumulative_integral(system, traj, extended_field(system).YS, extra_params)
-    S = np.array([s.S for s in traj.samples])
+    S = np.array([y[2 * traj.n] for y in traj.rows])
     return float(np.max(np.abs(S - S[0] - quad)))

@@ -331,7 +331,9 @@ def _wrap(node: Node, min_prec: int) -> str:
 
 
 def to_source(node: Node) -> str:
-    """Render a node back to parseable source (round-trip safe)."""
+    """Render a node back to source that parses to the same tree: binary
+    operators associate left, so a right operand of equal precedence is
+    parenthesised, and re-parsing evaluates bit for bit as the original."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, (Var, Param)):
@@ -339,11 +341,11 @@ def to_source(node: Node) -> str:
     if isinstance(node, Neg):
         return "-" + _wrap(node.arg, _PREC_NEG)
     if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_ADD)}"
+        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_MUL)}"
     if isinstance(node, Sub):
         return f"{_wrap(node.left, _PREC_ADD)} - {_wrap(node.right, _PREC_MUL)}"
     if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL)}*{_wrap(node.right, _PREC_MUL)}"
+        return f"{_wrap(node.left, _PREC_MUL)}*{_wrap(node.right, _PREC_NEG)}"
     if isinstance(node, Div):
         return f"{_wrap(node.left, _PREC_MUL)}/{_wrap(node.right, _PREC_NEG)}"
     if isinstance(node, Pow):

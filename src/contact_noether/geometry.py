@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,14 +139,20 @@ def coordinate_names(n: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n)) + ("S", "t")
 
 
+def bindable_params(params: Mapping[str, float], state: Sequence[str]) -> dict[str, float]:
+    """`params` less any parameter named like a state variable, so that none
+    shadows one."""
+    return {k: v for k, v in params.items() if k not in state}
+
+
 def point_bundle(fields: Sequence[ScalarField],
                  params: Mapping[str, float]) -> Callable[[ExtendedPoint], tuple[float, ...]]:
     """Compile `fields` once, as one bundle, into a function of a point that
     returns one value per field.  `params` binds the parameters (pass
-    ``{**system.params, **extra}``, so that `extra` wins); a parameter named
-    like a coordinate is ignored, so that none shadows a coordinate."""
+    ``{**system.params, **extra}``, so that `extra` wins) by `bindable_params`
+    over the coordinates."""
     state = coordinate_names(fields[0].n)
-    consts = {k: v for k, v in params.items() if k not in state}
+    consts = bindable_params(params, state)
     fn = compile_bundle(fields, [*state, *consts])
     values = tuple(consts.values())
     return lambda pt: fn(*pt.q.tolist(), *pt.p.tolist(), pt.S, pt.t, *values)
@@ -315,14 +321,21 @@ def lie_derivative_eta(system: ContactSystem, Y: VectorFieldSpec, point: Extende
     return LieDerivativeEta(system, Y)(point, extra, param_rates)
 
 
+def nan_max(values: Iterable[float]) -> float:
+    """The largest of some magnitudes, 0.0 for none, and NaN when any is NaN
+    (the builtin max drops a NaN unless it comes first)."""
+    values = list(values)
+    return next((v for v in values if v != v), max(values, default=0.0))
+
+
 def proportionality_residual(omega: Sequence[float], eta: Sequence[float]) -> tuple[float, float]:
     """Decompose omega against eta_E, both given as 2n+2 coefficients in
     coordinate_names order: lambda from the dS slot (eta_E.dS == 1),
     residual = max over the remaining components of |omega_i - lambda*eta_i|,
-    normalised by max(1, ||omega||_inf)."""
+    normalised by max(1, ||omega||_inf); NaN when any coefficient is NaN."""
     s = len(omega) - 2  # the dS slot defines lambda exactly
     lam = omega[s]
-    mism = max(abs(w - lam * e) for i, (w, e) in enumerate(zip(omega, eta)) if i != s)
+    mism = nan_max(abs(w - lam * e) for i, (w, e) in enumerate(zip(omega, eta)) if i != s)
     return lam, mism / max(1.0, max(abs(w) for w in omega))
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import DomainError, ExprError, ScalarField, number, partial
+from .expr import DomainError, ScalarField, number, partial
 from .dynamics import (Trajectory, contact_field, contact_field_of, cumulative_integral,
                        extended_field)
 from .geometry import (
@@ -27,6 +27,7 @@ from .geometry import (
     directional_derivative,
     interior_product_eta_extended,
     lie_bracket,
+    nan_max,
     point_bundle,
     proportionality_residual,
 )
@@ -45,10 +46,6 @@ FLOW_THRESHOLD = 1e-6
 
 class DegeneratePoint(Exception):
     """The reference field vanishes at a sample, so no similarity factor fits."""
-
-
-class DivisionNearZero(ExprError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -190,14 +187,15 @@ def _symmetry_report(system: ContactSystem, Y: VectorFieldSpec, samples: Sequenc
     L_Y eta_E, h and the expected lambda, if given (the defect is its largest deviation)."""
     at = LieDerivativeEta(system, Y).bundle(extra, param_rates, system.h, *expected)
     zeros = (0.0,) * system.n
-    lambdas, worst, defect = [], 0.0, 0.0
+    lambdas, residuals, deviations = [], [], []
     for pt in samples:
         omega, (h, *rest) = at(pt)
         lam, res = proportionality_residual(omega, (*(-p for p in pt.p.tolist()), *zeros, 1.0, h))
         lambdas.append(lam)
-        worst = max(worst, res)
-        defect = max([defect, *(abs(e - lam) for e in rest)])
-    failed = worst > threshold or (expected and defect > threshold)
+        residuals.append(res)
+        deviations.extend(abs(e - lam) for e in rest)
+    worst, defect = nan_max(residuals), nan_max(deviations)
+    failed = not worst <= threshold or (expected and not defect <= threshold)
     return SymmetryReport(np.array(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
                           threshold, defect if expected else None)
 
@@ -221,7 +219,7 @@ def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
     largest-magnitude component, then residual-checked on all components."""
     m = 2 * X.n + 2
     at = point_bundle([*X.components(), *lie_bracket(Y, X).components()], params or {})
-    Lambdas, worst = [], 0.0
+    Lambdas, residuals = [], []
     for k, pt in enumerate(samples):
         xv, bv = (v := at(pt))[:m], v[m:]
         xabs = [abs(x) for x in xv]
@@ -231,9 +229,10 @@ def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
         idx = xabs.index(xmax)
         lam = bv[idx] / xv[idx]
         Lambdas.append(lam)
-        res = max(abs(b - lam * x) for b, x in zip(bv, xv)) / max(1.0, max(abs(b) for b in bv))
-        worst = max(worst, res)
-    if worst > residual_threshold:
+        residuals.append(nan_max(abs(b - lam * x) for b, x in zip(bv, xv))
+                         / max(1.0, max(abs(b) for b in bv)))
+    worst = nan_max(residuals)
+    if not worst <= residual_threshold:
         verdict = NEITHER
     elif max(abs(lam) for lam in Lambdas) <= lambda_threshold:
         verdict = DYNAMICAL_SYMMETRY
@@ -269,33 +268,19 @@ def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
     """
     scalar = interior_product_eta_extended(system, lie_bracket(contact_field(system), Y))
     at = point_bundle([scalar], {**system.params, **(extra or {})})
-    return max([0.0, *(abs(at(pt)[0]) for pt in samples)])
+    return nan_max(abs(at(pt)[0]) for pt in samples)
 
 
 # ---------------------------------------------------------------------------
 # ratios and flow compensation
 
 
-@dataclass(eq=False)
-class RatioField(ScalarField):
-    """Quotient of two dissipated quantities; conserved wherever defined."""
-
-    num: ScalarField = None  # type: ignore[assignment]
-    den: ScalarField = None  # type: ignore[assignment]
-
-    def eval_env(self, env: Mapping[str, float]) -> float:
-        d = self.den.eval_env(env)
-        if abs(d) < 1e-12:
-            raise DivisionNearZero(f"denominator |{self.den.source()}| < 1e-12")
-        return self.num.eval_env(env) / d
-
-
-def ratio_invariant(F: ScalarField, G: ScalarField) -> RatioField:
-    """F/G with a near-zero denominator guard at evaluation time."""
+def ratio_invariant(F: ScalarField, G: ScalarField) -> ScalarField:
+    """F/G, conserved where defined when F and G are dissipated at the same
+    rate; a zero denominator raises DomainError like any other quotient."""
     if F.n != G.n:
         raise ValueError("dimension mismatch")
-    quotient = F / G
-    return RatioField(quotient.ast, F.n, num=F, den=G)
+    return F / G
 
 
 def dissipation_compensation(system: ContactSystem, traj: Trajectory,

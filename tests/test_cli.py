@@ -131,6 +131,20 @@ class TestExitCodes:
         assert code == 1
         assert report["checks"][0]["value"] > 1.0  # q grows linearly to 6
 
+    def test_nan_residual_is_a_failure(self, tmp_path):
+        # F is inf - inf where |q0| > 1.34, at the third and fifth of the five samples
+        path = write_scenario(tmp_path, "nan-residual", {
+            "system": {"builtin": "kepler"},
+            "seed": 0,
+            "sample_count": 5,
+            "invariants": [{"label": "F", "expression":
+                            "(1e154*q0)*(1e154*q0) - (1e154*q0)*(1e154*q0)"}],
+            "checks": [{"type": "residual", "invariant": "F", "tol": 1e-9}],
+        })
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert code == 1
+        assert np.isnan(report["checks"][0]["value"]) and not report["checks"][0]["passed"]
+
     def test_config_error_is_two(self, tmp_path):
         _, code = cli.run(tmp_path / "missing.json", tmp_path, quiet=True)
         assert code == 2

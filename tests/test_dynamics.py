@@ -160,8 +160,8 @@ class TestRhsCalls:
         calls = []
 
         def rhs(t, y):
-            out = np.array([-50.0 * (y[0] - math.cos(t)), y[0]])
-            calls.append((t, y.copy()))
+            out = [-50.0 * (y[0] - math.cos(t)), y[0]]
+            calls.append((t, tuple(y)))
             return out
 
         return rhs, calls
@@ -172,21 +172,79 @@ class TestRhsCalls:
         # stage 7 of an accepted step is the next step's first stage
         rhs, calls = self.counting_rhs()
         accepted = []
-        stats, tag = adaptive_rk45(rhs, 0.0, np.array([2.0, 0.0]), 5.0,
+        stats, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 5.0,
                                    IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2),
-                                   on_accept=lambda t, y: accepted.append((t, y.copy())))
+                                   on_accept=lambda t, y: accepted.append((t, tuple(y))))
         assert tag is None and stats.accepted > 0
         assert len(calls) == 2 + 6 * (stats.accepted + stats.rejected)
         # the reused stage was evaluated at exactly the accepted state
-        evaluated = {(t, y.tobytes()) for t, y in calls}
-        assert all((t, y.tobytes()) in evaluated for t, y in accepted)
+        evaluated = set(calls)
+        assert all((t, y) in evaluated for t, y in accepted)
 
     def test_fixed_step_call_count(self):
         rhs, calls = self.counting_rhs()
         cfg = IntegratorConfig(min_step=0.01, max_step=0.01)
-        stats, tag = adaptive_rk45(rhs, 0.0, np.array([2.0, 0.0]), 1.0, cfg)
+        stats, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 1.0, cfg)
         assert tag is None and stats.rejected == 0
         assert len(calls) == 1 + 6 * stats.accepted
+
+
+class TestOnAccept:
+    def test_tag_stops_before_the_state_counts(self):
+        seen = []
+
+        def on_accept(t, y):
+            seen.append(t)
+            return "Stop" if len(seen) == 3 else None
+
+        stats, tag = adaptive_rk45(lambda t, y: [-y[0]], 0.0, [1.0], 5.0, IntegratorConfig(),
+                                   on_accept)
+        assert tag == "Stop" and stats.accepted == 2 and len(seen) == 3
+
+    def test_nan_rhs_underflows_with_finite_states(self):
+        # y' = -y, NaN for t > 0.5: every step across t = 0.5 has a NaN error
+        # scale, so it is rejected until the step size underflows
+        def rhs(t, y):
+            return [math.nan if t > 0.5 else -v for v in y]
+
+        accepted = []
+        stats, tag = adaptive_rk45(rhs, 0.0, [1.0], 1.0,
+                                   IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8),
+                                   lambda t, y: accepted.append((t, *y)))
+        assert tag == STEP_SIZE_UNDERFLOW
+        assert (stats.accepted, stats.rejected) == (32, 56)
+        assert len(accepted) == 32 and all(map(math.isfinite, np.ravel(accepted)))
+
+    def test_fixed_step_nan_state_is_tagged(self):
+        # fixed steps accept whatever the error; a non-finite state ends the
+        # flow (pdot is -(inf - inf) for t > 0)
+        sys1 = make_system("q0*((1e200*t)*(1e200*t) - (1e200*t)*(1e200*t))")
+        cfg = IntegratorConfig(min_step=0.1, max_step=0.1)
+        traj = integrate(sys1, extended_field(sys1), point(0.5, 1.0), 1.0, cfg)
+        assert traj.error_tag == DOMAIN_VIOLATION
+        assert traj.rows == [[0.5, 1.0, 0.0]] and traj.stats.accepted == 0
+
+
+class TestFlowBuildsNoPoints:
+    def test_oscillator_flow_and_its_readers(self, damped_oscillator, monkeypatch, tmp_path):
+        from contact_noether.geometry import ExtendedPoint
+        from contact_noether.noether import dissipation_compensation
+        from contact_noether.systems import AuxiliaryState, co_integrate
+
+        start = point(1.0, 0.5)
+        built = []
+        real = ExtendedPoint.__post_init__
+        monkeypatch.setattr(ExtendedPoint, "__post_init__",
+                            lambda self: built.append(self) or real(self))
+        tracked = [ti for ti in damped_oscillator.meta["invariants"].values()
+                   if ti.label in ("F0", "F_GLR", "F_EM")]
+        traj = co_integrate(damped_oscillator, start, AuxiliaryState(use_a=True, use_b=True),
+                            5.0, IntegratorConfig(), tracked)
+        dissipation_compensation(damped_oscillator, traj)
+        action_consistency(damped_oscillator, traj)
+        traj.to_csv(tmp_path / "trajectory.csv")
+        assert traj.error_tag is None and traj.stats.accepted > 10
+        assert built == []
 
 
 class TestFloatStages:

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contact_noether import expr
@@ -390,6 +390,7 @@ class TestRoundTrip:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6))
+    @example(seed=133237)  # Add(p0, Add(1.59, q0)) printed without parentheses reassociated
     def test_random_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         f = random_field(rng, 2, 5)
@@ -399,8 +400,7 @@ class TestRoundTrip:
             a = f.eval_env(env)
         except expr.ExprError:
             return
-        b = g.eval_env(env)
-        assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
+        assert g.eval_env(env) == a
 
 
 class TestSubstitute:

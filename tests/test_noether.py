@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contact_noether.dynamics import IntegratorConfig, extended_field, integrate
-from contact_noether.expr import number, parse
+from contact_noether.expr import DomainError, number, parse
 from contact_noether.geometry import (
     ContactSystem,
     VectorFieldSpec,
@@ -15,7 +15,6 @@ from contact_noether.noether import (
     NOT_SYMMETRY,
     SIMILARITY,
     DegeneratePoint,
-    DivisionNearZero,
     closure_check,
     contact_bracket_defect,
     dissipation_compensation,
@@ -295,16 +294,56 @@ class TestTheoremProperties:
         assert defect > hmin
 
 
+class TestNaNFails:
+    """A NaN at any sample fails the check and is reported, wherever it falls
+    in the sample order: (a*q0)*(a*q0) - (a*q0)*(a*q0) is inf - inf."""
+
+    @staticmethod
+    def overflowing_field(slot=0):
+        # component `slot` of Y, in coordinate_names order; slots past 0 put
+        # the NaN after finite components of L_Y eta_E or of [Y, X]
+        components = [number(0.0, 3)] * 8
+        components[slot] = parse("(1e200*q0)*(1e200*q0) - (1e200*q0)*(1e200*q0)", 3)
+        return VectorFieldSpec(components[:3], components[3:6], *components[6:])
+
+    @pytest.mark.parametrize("slot", [0, 4])
+    def test_symmetry_test(self, kepler, slot):
+        rep = symmetry_test(kepler, self.overflowing_field(slot), sample_points(kepler, 5, 0))
+        assert rep.verdict == NOT_SYMMETRY and np.isnan(rep.residual)
+
+    @pytest.mark.parametrize("slot", [0, 7])
+    def test_similarity_test(self, kepler, slot):
+        rep = similarity_test(self.overflowing_field(slot), extended_field(kepler),
+                              sample_points(kepler, 5, 0), params=kepler.params)
+        assert rep.verdict == NEITHER and np.isnan(rep.residual)
+
+    def test_contact_bracket_defect(self, kepler):
+        Y = self.overflowing_field()
+        assert np.isnan(contact_bracket_defect(kepler, Y, sample_points(kepler, 5, 0)))
+
+    def test_nan_after_a_finite_sample(self, kepler):
+        # the proportionality residual is NaN only where |q0| overflows 1e154*q0 squared
+        zero = number(0.0, 3)
+        Yq0 = parse("(1e154*q0)*(1e154*q0) - (1e154*q0)*(1e154*q0)", 3)
+        Y = VectorFieldSpec((Yq0, zero, zero), (zero,) * 3, zero, zero)
+        pts = sample_points(kepler, 5, 0)
+        assert abs(pts[0].q[0]) < 1.3 and max(abs(pt.q[0]) for pt in pts) > 1.4
+        assert np.isnan(symmetry_test(kepler, Y, pts).residual)
+        assert np.isnan(contact_bracket_defect(kepler, Y, pts))
+
+
 class TestRatioInvariant:
     def test_equal_fields_give_one(self):
         F = parse("q0*p0 - 2*S", 1)
         r = ratio_invariant(F, F)
         assert r.eval_env({"q0": 1.0, "p0": 2.0, "S": 0.4, "t": 0.0}) == 1.0
 
-    def test_near_zero_denominator_raises(self):
+    def test_zero_denominator_is_a_domain_error(self):
+        # the 1e-12 mask lives in the cli ratio check only
         r = ratio_invariant(parse("1", 1), parse("S", 1))
-        with pytest.raises(DivisionNearZero):
-            r.eval_env({"S": 1e-13})
+        assert r.eval_env({"S": 1e-13}) == 1.0 / 1e-13
+        with pytest.raises(DomainError):
+            r.eval_env({"S": 0.0})
 
     def test_dissipated_over_h_conserved_along_flow(self):
         # h t-independent but S-dependent: F/h is conserved even though both

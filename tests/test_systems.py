@@ -361,9 +361,12 @@ class TestInvariantCatalog:
         assert f2_invariant(kepler, -1.0).source() == (
             f"0.6666666666666666*(q0*p0 + q1*p1 + q2*p2) - t*({h_k}) - 0.3333333333333333*S")
         assert f2_invariant(osc, 0.5).source() == (
-            f"1.3333333333333333*q0*p0 - t*({h_o}) - 1.6666666666666667*S")
+            f"1.3333333333333333*(q0*p0) - t*({h_o}) - 1.6666666666666667*S")
         assert kepler.meta["invariants"]["Q_K"].field.source() == (
             f"2.0*(q0*p0 + q1*p1 + q2*p2) - 3.0*t*({h_k}) - S")
+        # each printed source parses back to the same (interned) tree
+        for F in (f1_invariant(kepler), f2_invariant(osc, 0.5), f2_invariant(kepler, -1.0)):
+            assert parse(F.source(), F.n).ast is F.ast
 
 
 class TestBuiltinRegistry:
