@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -329,9 +330,19 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     return report, traj
 
 
+def _strict(obj: Any) -> Any:
+    """`obj` with each non-finite float spelled as the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return {k: _strict(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
+
+
 def _write_report(report: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    (out_dir / "report.json").write_text(
+        json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n")
     lines = [f"scenario: {report['scenario']}",
              f"version: {report['version']}",
              f"seed: {report['seed']}",

@@ -12,6 +12,8 @@ import math
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -146,53 +148,60 @@ class Trajectory:
     def to_csv(self, target) -> None:
         """Write columns t, q0..q(n-1), p0..p(n-1), S, then tracked labels."""
         n, m = self.n, 2 * self.n + 1
-        header = ["t"] + [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] + ["S"]
-        header += list(self.tracked)
+        header = ["t", *coordinate_names(n)[:-1], *self.tracked]
+        columns = [c.tolist() for c in self.tracked.values()]
         is_path = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
         with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
             fh.write(",".join(header) + "\n")
-            for t, row, *values in zip(self.times, self.rows, *self.tracked.values()):
-                fh.write(",".join([repr(t), *map(repr, row[:m]),
-                                   *(repr(float(v)) for v in values)]) + "\n")
+            for t, row, *values in zip(self.times, self.rows, *columns):
+                fh.write(",".join(map(repr, (t, *row[:m], *values))) + "\n")
+
+
+def _sum(a: list[float]) -> float:
+    """np.add.reduce of non-negative floats, in numpy's order: one by one
+    below 8 values, eight interleaved accumulators up to 128, halves above."""
+    n = len(a)
+    m, half = n - n % 8, n // 2 - n // 2 % 8
+    if n > 128:
+        return _sum(a[:half]) + _sum(a[half:])
+    if n < 8:
+        return reduce(add, a, 0.0)
+    r = [reduce(add, a[j:m:8], 0.0) for j in range(8)]
+    return reduce(add, a[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
-    """sqrt(mean((values / scale) ** 2)), in numpy's operation order."""
-    return float(np.sqrt(np.mean([(r := v / s) * r for v, s in zip(values, scale)])))
+    """sqrt(mean((values / scale) ** 2)) over the first len(scale) values, bit
+    for bit numpy's np.sqrt(np.mean(...))."""
+    squares = [(r := v / s) * r for v, s in zip(values, scale)]
+    return math.sqrt(_sum(squares) / len(squares))
 
 
 def _initial_step(rhs, t0: float, y0: Sequence[float], f0: Sequence[float],
                   span: float, cfg: IntegratorConfig) -> float:
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
-    d0 = _rms(y0, sc)
-    d1 = _rms(f0, sc)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
+    d0, d1 = _rms(y0, sc), _rms(f0, sc)
+    h0 = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, span)
     try:
         f1 = rhs(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
         d2 = _rms([b - a for a, b in zip(f0, f1)], sc) / h0
     except DomainError:
         d2 = d1
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     return max(cfg.min_step, min(100.0 * h0, h1, span, cfg.max_step))
 
 
-def adaptive_rk45(
-    rhs: Callable[[float, Sequence[float]], Sequence[float]],
-    t0: float,
-    y0: Sequence[float],
-    t_end: float,
-    cfg: IntegratorConfig,
-    on_accept: Callable[[float, list[float]], str | None] | None = None,
-) -> tuple[IntegratorStats, str | None]:
+def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: float,
+                  y0: Sequence[float], t_end: float, cfg: IntegratorConfig,
+                  on_accept: Callable[[float, list[float], Sequence[float]], str | None]
+                  | None = None) -> tuple[IntegratorStats, str | None]:
     """Drive the DP 5(4) pair from t0 to t_end on states given as sequences
-    of floats; `rhs(t, y)` returns one rate per component.
+    of floats; `rhs(t, y)` returns one rate per component, then any number
+    of trailing values, which the stepping ignores.
 
-    `on_accept(t, y)` is called at every accepted step (not at the initial
-    state); returning an error tag stops the run before that state counts.
+    `on_accept(t, y, f)` is called at every accepted step (not at the initial
+    state) with `f = rhs(t, y)`, the last stage; returning an error tag stops
+    the run before that state counts.
     Returns the stats plus an error tag (None on clean completion).
     """
     if t_end <= t0:
@@ -232,7 +241,7 @@ def adaptive_rk45(
                 # forced acceptance at the step floor would hide real error
                 return stats, STEP_SIZE_UNDERFLOW
             t_new = t + h
-            tag = on_accept(t_new, new_row) if on_accept is not None else None
+            tag = on_accept(t_new, new_row, k[6]) if on_accept is not None else None
             if tag is not None:
                 return stats, tag
             stats.accepted += 1
@@ -268,23 +277,19 @@ class AuxComponent(NamedTuple):
     box: tuple[float, float] | None = None
 
 
-def integrate(
-    system: ContactSystem,
-    field: VectorFieldSpec,
-    start: ExtendedPoint,
-    t_end: float,
-    cfg: IntegratorConfig | None = None,
-    tracked: Mapping[str, ScalarField] | None = None,
-    extra_params: Mapping[str, float] | None = None,
-    aux: Mapping[str, AuxComponent] | None = None,
-) -> Trajectory:
+def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoint, t_end: float,
+              cfg: IntegratorConfig | None = None, tracked: Mapping[str, ScalarField] | None = None,
+              extra_params: Mapping[str, float] | None = None,
+              aux: Mapping[str, AuxComponent] | None = None) -> Trajectory:
     """Integrate the flow of a dynamics field (Yt identically 0 or 1).
 
     The independent variable is t itself.  `aux` adds state components
     advanced under the same step controller; the right-hand side and the
     tracked fields see their names next to q, p, S, t, the system parameters
     and `extra_params`.  The start and every accepted state are recorded as
-    rows, the tracked fields, then the `aux` components, as columns.  Guard,
+    rows, the tracked fields, then the `aux` components, as columns.  The
+    system's guards are trailing columns of the right-hand side, so the last
+    stage of a step holds their values at the accepted state.  Guard,
     non-finite state, blow-up or step-size failures return the partial
     trajectory with an error tag instead of raising.
     """
@@ -297,9 +302,9 @@ def integrate(
     n = system.n
     state = [*coordinate_names(n)[:-1], *aux, "t"]
     consts = bindable_params({**system.params, **(extra_params or {})}, state)
-    argnames = [*state, *consts]
-    rhs_fn = compile_bundle([*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values())],
-                            argnames)
+    argnames, values = [*state, *consts], tuple(consts.values())
+    rhs_fn = compile_bundle([*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values()),
+                             *system.guards], argnames)
     columns_fn = compile_bundle(list((tracked or {}).values()), argnames)
     boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
@@ -307,25 +312,24 @@ def integrate(
         for i, nm, _ in boxed:
             if abs(y[i]) < 1e-12:
                 raise DomainError("auxiliary function vanished", nm)
-        return rhs_fn(*y, t, *consts.values())
+        return rhs_fn(*y, t, *values)
 
     times = [start.t]
     rows = [[*start.q.tolist(), *start.p.tolist(), start.S,
              *(float(c.initial) for c in aux.values())]]
 
-    def accept(t: float, y: list[float]) -> str | None:
+    def accept(t: float, y: list[float], f: Sequence[float]) -> str | None:
         for i, _, (lo, hi) in boxed:
             if not (lo < y[i] < hi):
                 return AUXILIARY_BLOWUP
-        if not all(map(math.isfinite, y)) or system.domain_guard is not None and not \
-                system.admissible(ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t), cfg.guard_margin):
+        if not all(map(math.isfinite, y)) or not all(g >= cfg.guard_margin for g in f[len(y):]):
             return DOMAIN_VIOLATION
         times.append(t)
         rows.append(y)
         return None
 
     stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg, accept)
-    columns = zip(*(columns_fn(*y, t, *consts.values()) for t, y in zip(times, rows)))
+    columns = zip(*(columns_fn(*y, t, *values) for t, y in zip(times, rows)))
     recorded = dict(zip(tracked or {}, map(np.array, columns)))
     recorded.update({nm: np.array([y[i] for y in rows]) for i, nm in enumerate(aux, 2 * n + 1)})
     return Trajectory(n, times, rows, recorded, stats, tag)
@@ -333,16 +337,11 @@ def integrate(
 
 def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Integral over [x_i, x_i+1] of the parabola through samples i, i+1, i+2."""
-    x21 = dx[:-1]
-    x32 = dx[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      + -x21x21_x31x32 * y[2:])
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -162,8 +162,9 @@ def point_bundle(fields: Sequence[ScalarField],
 class ContactSystem:
     """A contact Hamiltonian system: dimension, Hamiltonian, parameter bindings.
 
-    `domain_guard(point, margin)` marks the admissible region (e.g. a
-    singularity exclusion zone); None means the whole space is admissible.
+    `guards` mark the admissible region (e.g. a singularity exclusion zone):
+    a point is admissible iff every guard value is >= the margin (a NaN value
+    or a DomainError makes it inadmissible); no guards admit the whole space.
     `sample_box` documents the box used by seeded point generators.
     `meta` carries optional system-specific extras (auxiliary ODE data,
     registered invariants) and is not interpreted by this module.
@@ -172,7 +173,7 @@ class ContactSystem:
     n: int
     h: ScalarField
     params: dict[str, float] = dc_field(default_factory=dict)
-    domain_guard: Callable[[ExtendedPoint, float], bool] | None = None
+    guards: tuple[ScalarField, ...] = ()
     sample_box: "SampleBox | None" = None
     label: str = ""
     meta: dict = dc_field(default_factory=dict)
@@ -201,19 +202,18 @@ class ContactSystem:
         return partial(self.h, "t")
 
     def env(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> dict[str, float]:
-        env = point.env()
-        env.update(self.params)
-        if extra:
-            env.update(extra)
-        return env
+        return {**point.env(), **self.params, **(extra or {})}
 
     def h_value(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> float:
-        return point_bundle([self.h], {**self.params, **(extra or {})})(point)[0]
+        """h by its cached compiled function; a coordinate wins over a like-named parameter."""
+        return self.h.eval_env({**self.params, **(extra or {}), **point.env()})
 
     def admissible(self, point: ExtendedPoint, margin: float = 1e-3) -> bool:
-        if point.n != self.n:
+        env = {**self.params, **point.env()}
+        try:
+            return point.n == self.n and all(expr.eval_node(g.ast, env) >= margin for g in self.guards)
+        except expr.DomainError:
             return False
-        return self.domain_guard is None or bool(self.domain_guard(point, margin))
 
 
 @dataclass(frozen=True)

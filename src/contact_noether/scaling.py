@@ -15,11 +15,10 @@ dissipation equation is linear, so both scalings are solutions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import ScalarField, number, parameter, partial, substitute, variable
+from .expr import ScalarField, apply_intrinsic, number, parameter, partial, substitute, variable
 from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec, point_bundle
 
 TRIVIAL = "Trivial"
@@ -267,20 +266,13 @@ def case3_system(k: float, Lambda: float, m: float, coupling: float = 1.0,
     h = pp / (2.0 * m) + coupling * (variable("t", n) ** exponent) * (qq ** (k / 2.0))
 
     singular_at_origin = not float(k / 2.0).is_integer() or k < 0
-
-    def guard(pt: ExtendedPoint, margin: float) -> bool:
-        if pt.t < margin:
-            return False
-        if singular_at_origin and math.sqrt(float(pt.q @ pt.q)) < margin:
-            return False
-        return True
-
+    guards = (variable("t", n),) + ((apply_intrinsic("sqrt", qq),) if singular_at_origin else ())
     invariant = ((Lambda + 1.0) * dot_qp(n)
                  - 2.0 * variable("t", n) * h
                  - 2.0 * Lambda * variable("S", n))
     return ContactSystem(
         n=n, h=h, params={},
-        domain_guard=guard,
+        guards=guards,
         sample_box=SampleBox(q=(0.3, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.5, 5.0)),
         label=label or f"case3(k={k}, Lambda={Lambda})",
         meta={"invariant": invariant, "invariant_label": "case3-invariant",

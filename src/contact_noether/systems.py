@@ -67,10 +67,6 @@ class AuxiliaryState:
 # builtin systems
 
 
-def _kepler_guard(pt: ExtendedPoint, margin: float) -> bool:
-    return math.sqrt(float(pt.q @ pt.q)) >= margin
-
-
 def make_kepler(m: float = 1.0, eps: float | None = None,
                 k_grav: float | None = None) -> ContactSystem:
     """Kepler problem h = p.p/2m - 4 eps / sqrt(q.q) in n = 3.
@@ -87,7 +83,7 @@ def make_kepler(m: float = 1.0, eps: float | None = None,
     h = parse("(p0^2 + p1^2 + p2^2)/(2*m) - 4*eps/sqrt(q0^2 + q1^2 + q2^2)", n)
     system = ContactSystem(
         n=n, h=h, params={"m": float(m), "eps": float(eps)},
-        domain_guard=_kepler_guard,
+        guards=(parse("sqrt(q0^2 + q1^2 + q2^2)", n),),  # a node of h: no new arithmetic
         sample_box=SampleBox(q=(-2.0, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.0, 5.0)),
         label="kepler",
     )

@@ -76,11 +76,7 @@ def report(n, text):
 def inverse_square_system(m=1.0, c=0.7):
     """1-d inverse-square potential (degree k = -2), the F1 host system."""
     h = parse(f"p0^2/(2*{m!r}) + {c!r}*q0^(-2)", 1)
-
-    def guard(pt, margin):
-        return abs(pt.q[0]) >= margin
-
-    return ContactSystem(n=1, h=h, domain_guard=guard,
+    return ContactSystem(n=1, h=h, guards=(parse("abs(q0)", 1),),
                          sample_box=SampleBox(q=(0.4, 2.0), p=(-2.0, 2.0),
                                               S=(-1.0, 1.0), t=(0.0, 5.0)))
 
@@ -207,7 +203,7 @@ def test_criterion_05_scaling_case_table():
     for args, h_src in concrete:
         system = ContactSystem(
             n=1, h=parse(h_src, 1),
-            domain_guard=lambda pt, margin: pt.q[0] >= margin and pt.t >= margin,
+            guards=(parse("q0", 1), parse("t", 1)),
             sample_box=SampleBox(q=(0.4, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.5, 3.0)))
         for sol in solve_scaling(1.0, **args):
             if sol.case_tag == TRIVIAL:

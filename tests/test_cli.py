@@ -145,6 +145,25 @@ class TestExitCodes:
         assert code == 1
         assert np.isnan(report["checks"][0]["value"]) and not report["checks"][0]["passed"]
 
+    def test_nan_residual_report_is_strict_json(self, tmp_path):
+        path = write_scenario(tmp_path, "nan-residual", {
+            "system": {"builtin": "kepler"},
+            "seed": 0,
+            "sample_count": 5,
+            "invariants": [{"label": "F", "expression":
+                            "(1e154*q0)*(1e154*q0) - (1e154*q0)*(1e154*q0)"}],
+            "checks": [{"type": "residual", "invariant": "F", "tol": 1e-9}],
+        })
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert code == 1 and np.isnan(report["checks"][0]["value"])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "out" / "nan-residual" / "report.json").read_text()
+        written = json.loads(text, parse_constant=reject)
+        assert written["checks"][0]["value"] == "NaN" and written["checks"][0]["passed"] is False
+
     def test_config_error_is_two(self, tmp_path):
         _, code = cli.run(tmp_path / "missing.json", tmp_path, quiet=True)
         assert code == 2

@@ -27,8 +27,8 @@ from contact_noether.systems import make_harmonic_dissipative
 from conftest import point
 
 
-def make_system(h_src, n=1, params=None, guard=None):
-    return ContactSystem(n=n, h=parse(h_src, n), params=params or {}, domain_guard=guard)
+def make_system(h_src, n=1, params=None, guards=()):
+    return ContactSystem(n=n, h=parse(h_src, n), params=params or {}, guards=guards)
 
 
 def env_of(system, pt):
@@ -120,13 +120,21 @@ class TestIntegrate:
 
     def test_domain_violation_returns_partial(self):
         # radial plunge: q moving toward the excluded ball around the origin
-        guard = lambda pt, margin: abs(pt.q[0]) >= margin
-        sys1 = make_system("p0^2/2 + 0*q0", guard=guard)
+        sys1 = make_system("p0^2/2 + 0*q0", guards=(parse("abs(q0)", 1),))
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, guard_margin=0.5, max_step=0.05)
         traj = integrate(sys1, extended_field(sys1), point(2.0, -1.0), 10.0, cfg)
         assert traj.error_tag == DOMAIN_VIOLATION
         assert len(traj.samples) > 1
         assert all(abs(s.q[0]) >= 0.5 for s in traj.samples)
+
+    def test_kepler_guard_violation_returns_partial(self, kepler):
+        # radial plunge toward the origin: the radius guard ends the flow
+        # before the singularity, with the states reached so far
+        cfg = IntegratorConfig(guard_margin=0.5)
+        traj = integrate(kepler, extended_field(kepler), point([1, 0, 0], [-1.0, 0, 0]), 10.0, cfg)
+        assert traj.error_tag == DOMAIN_VIOLATION
+        assert len(traj.times) > 1 and traj.times[-1] < 10.0
+        assert all(math.sqrt(float(s.q @ s.q)) >= 0.5 for s in traj.samples)
 
     def test_step_size_underflow_near_singularity(self):
         # 1/q0 blows up at the origin; domain errors force endless shrinking
@@ -174,7 +182,7 @@ class TestRhsCalls:
         accepted = []
         stats, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 5.0,
                                    IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2),
-                                   on_accept=lambda t, y: accepted.append((t, tuple(y))))
+                                   on_accept=lambda t, y, f: accepted.append((t, tuple(y))))
         assert tag is None and stats.accepted > 0
         assert len(calls) == 2 + 6 * (stats.accepted + stats.rejected)
         # the reused stage was evaluated at exactly the accepted state
@@ -193,7 +201,7 @@ class TestOnAccept:
     def test_tag_stops_before_the_state_counts(self):
         seen = []
 
-        def on_accept(t, y):
+        def on_accept(t, y, f):
             seen.append(t)
             return "Stop" if len(seen) == 3 else None
 
@@ -210,7 +218,7 @@ class TestOnAccept:
         accepted = []
         stats, tag = adaptive_rk45(rhs, 0.0, [1.0], 1.0,
                                    IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8),
-                                   lambda t, y: accepted.append((t, *y)))
+                                   lambda t, y, f: accepted.append((t, *y)))
         assert tag == STEP_SIZE_UNDERFLOW
         assert (stats.accepted, stats.rejected) == (32, 56)
         assert len(accepted) == 32 and all(map(math.isfinite, np.ravel(accepted)))
@@ -245,6 +253,72 @@ class TestFlowBuildsNoPoints:
         traj.to_csv(tmp_path / "trajectory.csv")
         assert traj.error_tag is None and traj.stats.accepted > 10
         assert built == []
+
+    @pytest.mark.parametrize("label", ["kepler", "td-kepler"])
+    def test_guarded_flow(self, label, monkeypatch):
+        # the guards are evaluated as trailing columns of the right-hand side
+        from contact_noether.geometry import ExtendedPoint
+        from contact_noether.systems import make_kepler, make_td_kepler
+
+        system = make_kepler() if label == "kepler" else make_td_kepler(1.0, 0.25, 1.5)
+        assert system.guards
+        start = point([1, 0, 0], [0, 1.2, 0], t=1.0)
+        built = []
+        real = ExtendedPoint.__post_init__
+        monkeypatch.setattr(ExtendedPoint, "__post_init__",
+                            lambda self: built.append(self) or real(self))
+        traj = integrate(system, extended_field(system), start, 3.0, IntegratorConfig(),
+                         tracked={"h": system.h})
+        assert traj.error_tag is None and traj.stats.accepted > 10
+        assert built == []
+
+
+class TestFloatNorm:
+    def test_rms_matches_numpy_bitwise(self):
+        # sequential below 8 values, 8 accumulators up to 128, halving above
+        from contact_noether.dynamics import _rms
+
+        rng = np.random.default_rng(5)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        for size in range(1, 301):
+            for case in range(4):
+                v = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+                s = rng.uniform(0.5, 2.0, size=size) * 10.0 ** rng.integers(-12, 1, size=size)
+                if case == 1:
+                    v[rng.integers(0, size, size=max(1, size // 3))] = -0.0
+                elif case >= 2:
+                    v[rng.integers(0, size)] = specials[rng.integers(0, len(specials))]
+                ref = np.sqrt(np.mean([(r := a / b) * r for a, b in zip(v.tolist(), s.tolist())]))
+                assert _rms(v.tolist(), s.tolist()).hex() == float(ref).hex(), (size, case)
+
+    def test_trailing_values_are_ignored(self):
+        from contact_noether.dynamics import _rms
+
+        assert _rms([3.0, 4.0, math.nan], [1.0, 1.0]) == math.sqrt(12.5)
+
+
+class TestIntegratorEdges:
+    def test_fixed_step_ends_with_a_short_step(self):
+        # 0.1 steps to 1.05: the last step is 0.05, below min_step, and lands on t_end
+        times = []
+        cfg = IntegratorConfig(min_step=0.1, max_step=0.1)
+        stats, tag = adaptive_rk45(lambda t, y: [-y[0]], 0.0, [1.0], 1.05, cfg,
+                                   lambda t, y, f: times.append(t))
+        assert tag is None and stats.accepted == 11 and len(times) == 11
+        assert times[-1] == 1.05
+
+    def test_completed_runs_end_at_t_end(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            t0 = float(rng.uniform(-50.0, 50.0))
+            t_end = t0 + float(10.0 ** rng.uniform(-3.0, 2.0))
+            cfg = IntegratorConfig(rel_tol=float(10.0 ** rng.uniform(-10, -4)),
+                                   max_step=float(10.0 ** rng.uniform(-2, 1)))
+            times = []
+            stats, tag = adaptive_rk45(lambda t, y: [math.cos(t) * y[0]], t0, [1.0], t_end, cfg,
+                                       lambda t, y, f: times.append(t))
+            if tag is None:
+                assert abs(times[-1] - t_end) <= 1e-14 * max(1.0, abs(t_end))
 
 
 class TestFloatStages:
@@ -414,6 +488,22 @@ class TestSamplingHelpers:
         assert len(pts) == 100
         for pt in pts:
             assert math.sqrt(float(pt.q @ pt.q)) >= 1e-3
+
+    @pytest.mark.parametrize("label, digest", [
+        ("kepler", "9793ec3565d2aacf91a1505e7d4c2ce7b559905277f8ed53c256103da3be9585"),
+        ("td-kepler", "5545e106cd97641470e3f164c7d6b8f1ecaaddc27828fe233c6f7d8b655a9f5f"),
+    ])
+    def test_guarded_samples_are_pinned(self, label, digest):
+        # a margin of 1 makes both the radius guard and td-Kepler's t guard reject
+        # points; the digest was taken when the guards were callables of a point
+        import hashlib
+
+        from contact_noether.systems import make_kepler, make_td_kepler
+
+        system = make_kepler() if label == "kepler" else make_td_kepler(1.0, 0.25, 1.5)
+        pts = sample_points(system, 60, seed=5, margin=1.0)
+        data = b"".join(np.concatenate([p.q, p.p, [p.S, p.t]]).tobytes() for p in pts)
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_seed_determinism(self, kepler):
         a = sample_points(kepler, 10, seed=11)

@@ -33,11 +33,7 @@ def family_system(k: float, f_src: str = "1", g_src: str | None = None,
     if g_src:
         pieces.append(g_src)
     h = parse(" + ".join(pieces), 1)
-
-    def guard(pt: ExtendedPoint, margin: float) -> bool:
-        return pt.q[0] >= margin and pt.t >= margin
-
-    return ContactSystem(n=1, h=h, domain_guard=guard,
+    return ContactSystem(n=1, h=h, guards=(parse("q0", 1), parse("t", 1)),
                          sample_box=SampleBox(q=(0.4, 2.0), p=(-2.0, 2.0),
                                               S=(-1.0, 1.0), t=(0.5, 3.0)))
 

@@ -15,7 +15,7 @@ from contact_noether.dynamics import (
     integrate,
 )
 from contact_noether.expr import parse
-from contact_noether.geometry import ExtendedPoint
+from contact_noether.geometry import ContactSystem, ExtendedPoint
 from contact_noether.noether import (
     dissipation_residual,
     invariant_from_symmetry,
@@ -52,6 +52,36 @@ CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 class TestKepler:
     def test_h_value(self, kepler):
         assert kepler.h_value(point([1, 0, 0], [0, 1, 0])) == pytest.approx(-0.5, abs=1e-15)
+
+    def test_h_value_and_admissible_compile_at_most_once(self, kepler, monkeypatch):
+        # h_value uses h's cached compiled function; the guards go through eval_node
+        from contact_noether import expr
+
+        codegen, evals = [], []
+        real_codegen, real_eval = expr._codegen, expr.ScalarField.eval_env
+        monkeypatch.setattr(expr, "_codegen", lambda *a: codegen.append(a) or real_codegen(*a))
+        pts = sample_points(kepler, 200, seed=4)
+        codegen.clear()
+        assert all(kepler.admissible(pt) for pt in pts) and codegen == []
+        monkeypatch.setattr(expr.ScalarField, "eval_env",
+                            lambda self, env: evals.append(self) or real_eval(self, env))
+        values = [kepler.h_value(pt) for pt in pts]
+        assert len(codegen) <= 1 and len(evals) == 200
+        ref = [expr.eval_node(kepler.h.ast, {**kepler.params, **pt.env()}) for pt in pts]
+        assert [v.hex() for v in values] == [v.hex() for v in ref]
+
+    def test_guards_mark_the_admissible_region(self, kepler):
+        assert kepler.admissible(point([0.6, 0, 0.8], [0, 0, 0]), margin=1.0)
+        assert not kepler.admissible(point([0.6, 0, 0.79], [0, 0, 0]), margin=1.0)
+        td = make_td_kepler(1.0, 0.25, 1.5)
+        assert td.admissible(point([1, 0, 0], [0, 0, 0], t=0.5), margin=0.5)
+        assert not td.admissible(point([1, 0, 0], [0, 0, 0], t=0.49), margin=0.5)
+        assert not td.admissible(point([0.1, 0, 0], [0, 0, 0], t=1.0), margin=0.5)
+        nan_guard = ContactSystem(n=1, h=parse("p0", 1),
+                                  guards=(parse("q0*(1e200*1e200 - 1e200*1e200)", 1),))
+        assert not nan_guard.admissible(point(1.0, 0.0))
+        raising = ContactSystem(n=1, h=parse("p0", 1), guards=(parse("ln(q0)", 1),))
+        assert raising.admissible(point(3.0, 0.0)) and not raising.admissible(point(-1.0, 0.0))
 
     def test_k_grav_convention(self):
         assert make_kepler(1.0, eps=0.25).meta["k_grav"] == 1.0
