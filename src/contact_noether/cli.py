@@ -18,8 +18,6 @@ from functools import cache
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import __version__, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
 from .expr import ExprError, ScalarField, parse
@@ -255,7 +253,7 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             entry["target"] = inv.label
             series = traj.tracked[inv.label]
             if inv.expected == systems.DISSIPATED:
-                series = series * compensation()
+                series = [v * c for v, c in zip(series, compensation())]
             entry["value"] = float(max_relative_drift(series))
             entry["passed"] = bool(entry["value"] <= tol)
         elif ctype == "residual":
@@ -302,11 +300,9 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             for key in ("numerator", "denominator"):
                 _require(c.get(key) in sc.invariants,
                          f"{sc.name}: ratio check references unknown invariant")
-            num = traj.tracked[c["numerator"]]
-            den = traj.tracked[c["denominator"]]
-            mask = np.abs(den) >= 1e-12
-            _require(bool(mask.any()), f"{sc.name}: ratio denominator vanishes everywhere")
-            series = num[mask] / den[mask]
+            series = [a / b for a, b in zip(traj.tracked[c["numerator"]],
+                                            traj.tracked[c["denominator"]]) if abs(b) >= 1e-12]
+            _require(bool(series), f"{sc.name}: ratio denominator vanishes everywhere")
             entry["target"] = f"{c['numerator']}/{c['denominator']}"
             entry["value"] = float(max_relative_drift(series))
             entry["passed"] = bool(entry["value"] <= tol)

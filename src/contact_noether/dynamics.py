@@ -13,14 +13,13 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import add
 from typing import Callable, Mapping, NamedTuple
 
-import numpy as np
-
 from .expr import DomainError, Num, ScalarField, compile_bundle, number, partial, variable
 from .geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec, bindable_params,
-                       coordinate_names)
+                       coordinate_names, nan_max)
 
 
 class TimeDependentHamiltonian(Exception):
@@ -73,20 +72,21 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _combination(coeffs: tuple[float, ...], base: bool) -> Callable:
+def _combination(coeffs: tuple[float, ...], base: bool, name: str) -> Callable:
     """`(y, h, k) -> [y + h*(0 + c*k[j] + ...)]` (without `y + ` unless `base`)
-    over the nonzero c, on rows of floats: numpy's elementwise operations
-    and order for `y + h * sum(c * k[j] ...)`, so the rows are bit-identical."""
+    over the nonzero c, on rows of floats, each element summed left to right
+    in that one order, so the rows are reproducible bit for bit.  `name` is
+    its file name in tracebacks and profiles."""
     js = [j for j, c in enumerate(coeffs) if c != 0.0]
     terms = " + ".join(f"{coeffs[j]!r} * k{j}" for j in js)
     ks, rows = ", ".join(f"k{j}" for j in js), ", ".join(f"k[{j}]" for j in js)
-    return eval(f"lambda y, h, k: [{'y_ + ' if base else ''}h * (0 + {terms}) "
-                f"for y_, {ks} in zip(y, {rows})]")
+    return eval(compile(f"lambda y, h, k: [{'y_ + ' if base else ''}h * (0 + {terms}) "
+                        f"for y_, {ks} in zip(y, {rows})]", f"<{name}>", "eval"))
 
 
 # the last stage is taken at the 5th-order solution, whose weights are _DP_A[6]
-_STAGES = tuple(_combination(_DP_A[i], True) for i in range(1, 7))
-_ERROR = _combination(_DP_E, False)
+_STAGES = tuple(_combination(_DP_A[i], True, f"dp54-stage-{i}") for i in range(1, 7))
+_ERROR = _combination(_DP_E, False, "dp54-error")
 
 _SAFETY = 0.9
 _BETA = 0.04
@@ -125,18 +125,15 @@ class IntegratorStats:
 class Trajectory:
     """Accepted flow states in time order, plus tracked field values and
     diagnostics.  `rows[k]` is the state at `times[k]`: q..., p..., S, then
-    the auxiliary components of `integrate`."""
+    the auxiliary components of `integrate`; `tracked` maps each label to
+    its values, one float per state."""
 
     n: int
     times: list[float]
     rows: list[Sequence[float]]
-    tracked: dict[str, np.ndarray]
+    tracked: dict[str, list[float]]
     stats: IntegratorStats
     error_tag: str | None = None
-
-    @property
-    def ts(self) -> np.ndarray:
-        return np.array(self.times)
 
     @property
     def samples(self) -> list[ExtendedPoint]:
@@ -149,7 +146,7 @@ class Trajectory:
         """Write columns t, q0..q(n-1), p0..p(n-1), S, then tracked labels."""
         n, m = self.n, 2 * self.n + 1
         header = ["t", *coordinate_names(n)[:-1], *self.tracked]
-        columns = [c.tolist() for c in self.tracked.values()]
+        columns = self.tracked.values()
         is_path = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
         with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
             fh.write(",".join(header) + "\n")
@@ -158,8 +155,9 @@ class Trajectory:
 
 
 def _sum(a: list[float]) -> float:
-    """np.add.reduce of non-negative floats, in numpy's order: one by one
-    below 8 values, eight interleaved accumulators up to 128, halves above."""
+    """Pairwise sum of non-negative floats in the order of NumPy's add.reduce:
+    one by one below 8 values, eight interleaved accumulators up to 128,
+    halves above."""
     n = len(a)
     m, half = n - n % 8, n // 2 - n // 2 % 8
     if n > 128:
@@ -171,8 +169,8 @@ def _sum(a: list[float]) -> float:
 
 
 def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
-    """sqrt(mean((values / scale) ** 2)) over the first len(scale) values, bit
-    for bit numpy's np.sqrt(np.mean(...))."""
+    """sqrt(mean((values / scale) ** 2)) over the first len(scale) values, with
+    the mean summed by `_sum`."""
     squares = [(r := v / s) * r for v, s in zip(values, scale)]
     return math.sqrt(_sum(squares) / len(squares))
 
@@ -232,7 +230,7 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
                 return stats, STEP_SIZE_UNDERFLOW
             h = max(cfg.min_step, 0.25 * h)
             continue
-        # numpy.maximum of the magnitudes: a NaN in either state makes the scale NaN
+        # the larger magnitude, and NaN when either state's value is NaN
         sc = [cfg.abs_tol + cfg.rel_tol * (a if a >= b or a != a else b)
               for a, b in zip(map(abs, row), map(abs, new_row))]
         err = _rms(_ERROR(row, h, k), sc)
@@ -315,7 +313,7 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
         return rhs_fn(*y, t, *values)
 
     times = [start.t]
-    rows = [[*start.q.tolist(), *start.p.tolist(), start.S,
+    rows = [[*start.q, *start.p, start.S,
              *(float(c.initial) for c in aux.values())]]
 
     def accept(t: float, y: list[float], f: Sequence[float]) -> str | None:
@@ -330,51 +328,48 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
 
     stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg, accept)
     columns = zip(*(columns_fn(*y, t, *values) for t, y in zip(times, rows)))
-    recorded = dict(zip(tracked or {}, map(np.array, columns)))
-    recorded.update({nm: np.array([y[i] for y in rows]) for i, nm in enumerate(aux, 2 * n + 1)})
+    recorded = dict(zip(tracked or {}, map(list, columns)))
+    recorded.update({nm: [y[i] for y in rows] for i, nm in enumerate(aux, 2 * n + 1)})
     return Trajectory(n, times, rows, recorded, stats, tag)
 
 
-def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Integral over [x_i, x_i+1] of the parabola through samples i, i+1, i+2."""
-    x21, x32 = dx[:-1], dx[1:]
+def _simpson_piece(x21: float, x32: float, y1: float, y2: float, y3: float) -> float:
+    """Integral from sample 1 to 2 of the parabola through samples 1-3, x21 and x32 apart."""
     x21_x31 = x21 / (x21 + x32)
     x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                      + -x21x21_x31x32 * y[2:])
+    return x21 / 6 * ((3 - x21_x31) * y1 + (3 + x21x21_x31x32 + x21_x31) * y2
+                      + -x21x21_x31x32 * y3)
 
 
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _cumulative_simpson(y: Sequence[float], x: Sequence[float]) -> list[float]:
     """Running integral of samples y over the increasing grid x, from 0.
 
-    Composite Simpson rule for non-uniform grids; fewer than 3 samples fall
+    Composite Simpson rule for non-uniform grids: interval i takes the
+    parabola through samples i..i+2 when i is even, except the last, and
+    the one through samples i-1..i+1 otherwise; fewer than 3 samples fall
     back to the trapezoid rule.  Same formulas and operation order as
     ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``, so results
     agree bit for bit.
     """
-    dx = np.diff(x)
-    if y.size < 3:
-        res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    n, dx = len(y), [b - a for a, b in zip(x, x[1:])]
+    if n < 3:
+        pieces = [d * (b + a) / 2.0 for d, a, b in zip(dx, y, y[1:])]
     else:
-        forward = _simpson_pieces(y, dx)
-        backward = _simpson_pieces(y[::-1], dx[::-1])[::-1]
-        pieces = np.empty(y.size - 1)
-        pieces[:-1:2] = forward[::2]
-        pieces[1::2] = backward[::2]
-        pieces[-1] = backward[-1]  # no parabola starts at the last interval
-        res = np.cumsum(pieces)
-    return np.concatenate(([0.0], res + 0.0))  # scipy adds `initial`: -0.0 becomes 0.0
+        pieces = [_simpson_piece(dx[i], dx[i + 1], y[i], y[i + 1], y[i + 2])
+                  if i % 2 == 0 and i < n - 2 else
+                  _simpson_piece(dx[i], dx[i - 1], y[i + 1], y[i], y[i - 1]) for i in range(n - 1)]
+    return [0.0, *(v + 0.0 for v in accumulate(pieces))]  # scipy adds `initial`: -0.0 becomes 0.0
 
 
 def cumulative_integral(system: ContactSystem, traj: Trajectory, integrand: ScalarField,
-                        extra_params: Mapping[str, float] | None = None) -> np.ndarray:
+                        extra_params: Mapping[str, float] | None = None) -> list[float]:
     """Running integral of `integrand` along the trajectory, from 0 at the
     first sample, by composite Simpson on the (non-uniform) sample grid."""
     state, m = coordinate_names(traj.n), 2 * traj.n + 1
     consts = bindable_params({**system.params, **(extra_params or {})}, state)
     fn = compile_bundle([integrand], [*state, *consts])
     vals = [fn(*y[:m], t, *consts.values())[0] for t, y in zip(traj.times, traj.rows)]
-    return _cumulative_simpson(np.array(vals), traj.ts)
+    return _cumulative_simpson(vals, traj.times)
 
 
 def action_consistency(system: ContactSystem, traj: Trajectory,
@@ -386,5 +381,5 @@ def action_consistency(system: ContactSystem, traj: Trajectory,
     exactness claim.
     """
     quad = cumulative_integral(system, traj, extended_field(system).YS, extra_params)
-    S = np.array([y[2 * traj.n] for y in traj.rows])
-    return float(np.max(np.abs(S - S[0] - quad)))
+    S0 = traj.rows[0][2 * traj.n]
+    return nan_max(abs(y[2 * traj.n] - S0 - v) for y, v in zip(traj.rows, quad))

@@ -28,6 +28,7 @@ fields compiles to one statement per distinct node, bit-identical to eval_node.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import weakref
@@ -400,6 +401,8 @@ def eval_node(node: Node, env: Mapping[str, float]) -> float:
 # label, because an error they raise is never shown
 
 _OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# numbers the generated functions' file names, so that profiles tell them apart
+_SERIALS = itertools.count(1)
 
 
 def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: bool,
@@ -443,7 +446,7 @@ def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: boo
     lines += [f"{'    ' if checked else ''}        return {out}", "    except Exception:",
               "        pass", f"    return _slow({params})"]
     loc: dict[str, object] = {}
-    exec(compile("\n".join(lines), "<scalar-field>", "exec"), glb, loc)
+    exec(compile("\n".join(lines), f"<scalar-field-{next(_SERIALS)}>", "exec"), glb, loc)
     return loc["_f"]  # type: ignore[return-value]
 
 

@@ -12,11 +12,10 @@ one function of a point.  OneFormValue is what one-point wrappers return.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import expr
 from .expr import ScalarField, compile_bundle, number, partial, variable
@@ -24,56 +23,57 @@ from .expr import ScalarField, compile_bundle, number, partial, variable
 
 @dataclass(frozen=True)
 class ExtendedPoint:
-    """A state (q, p, S, t) on the extended contact phase space."""
+    """A state (q, p, S, t) on the extended contact phase space; q and p are
+    tuples of floats."""
 
-    q: np.ndarray
-    p: np.ndarray
+    q: tuple[float, ...]
+    p: tuple[float, ...]
     S: float
     t: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+        try:
+            q, p = (() if isinstance(v, str) else tuple(map(float, v)) for v in (self.q, self.p))
+        except TypeError:
+            q = p = ()
+        if len(q) != len(p) or not q:
+            raise ValueError("q and p must be flat sequences of equal length >= 1")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "S", float(self.S))
         object.__setattr__(self, "t", float(self.t))
-        if self.q.shape != self.p.shape or self.q.ndim != 1 or self.q.size < 1:
-            raise ValueError("q and p must be 1-d arrays of equal length >= 1")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))
-                and np.isfinite(self.S) and np.isfinite(self.t)):
+        if not all(map(math.isfinite, (*q, *p, self.S, self.t))):
             raise ValueError("non-finite state entries")
 
     @property
     def n(self) -> int:
-        return self.q.size
+        return len(self.q)
 
     def env(self) -> dict[str, float]:
-        env = {f"q{i}": float(self.q[i]) for i in range(self.n)}
-        env.update({f"p{i}": float(self.p[i]) for i in range(self.n)})
-        env["S"] = self.S
-        env["t"] = self.t
-        return env
+        return dict(zip(coordinate_names(self.n), (*self.q, *self.p, self.S, self.t)))
 
 
 @dataclass(frozen=True)
 class OneFormValue:
     """Coefficients of a 1-form at a point, in the basis (dq^a, dp_a, dS, dt)."""
 
-    dq: np.ndarray
-    dp: np.ndarray
+    dq: tuple[float, ...]
+    dp: tuple[float, ...]
     dS: float
     dt: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dq", np.asarray(self.dq, dtype=float))
-        object.__setattr__(self, "dp", np.asarray(self.dp, dtype=float))
+        object.__setattr__(self, "dq", tuple(map(float, self.dq)))
+        object.__setattr__(self, "dp", tuple(map(float, self.dp)))
         object.__setattr__(self, "dS", float(self.dS))
         object.__setattr__(self, "dt", float(self.dt))
 
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.dq, self.dp, [self.dS, self.dt]])
+    def coefficients(self) -> tuple[float, ...]:
+        """All 2n+2 coefficients in coordinate_names order."""
+        return (*self.dq, *self.dp, self.dS, self.dt)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.as_array())))
+        return nan_max(map(abs, self.coefficients()))
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ class VectorFieldSpec:
         """All 2n+2 components ordered (Yq..., Yp..., YS, Yt)."""
         return (*self.Yq, *self.Yp, self.YS, self.Yt)
 
-    def eval(self, env: Mapping[str, float]) -> np.ndarray:
-        return np.array([c.eval_env(env) for c in self.components()])
+    def eval(self, env: Mapping[str, float]) -> tuple[float, ...]:
+        return tuple(c.eval_env(env) for c in self.components())
 
     def __add__(self, other: "VectorFieldSpec") -> "VectorFieldSpec":
         if other.n != self.n:
@@ -155,7 +155,7 @@ def point_bundle(fields: Sequence[ScalarField],
     consts = bindable_params(params, state)
     fn = compile_bundle(fields, [*state, *consts])
     values = tuple(consts.values())
-    return lambda pt: fn(*pt.q.tolist(), *pt.p.tolist(), pt.S, pt.t, *values)
+    return lambda pt: fn(*pt.q, *pt.p, pt.S, pt.t, *values)
 
 
 @dataclass(eq=False)
@@ -232,22 +232,21 @@ class SampleBox:
 
 def eta_contact(point: ExtendedPoint) -> OneFormValue:
     """eta = dS - p_a dq^a at a point (dt coefficient zero)."""
-    return OneFormValue(-point.p, np.zeros(point.n), 1.0, 0.0)
+    return OneFormValue([-p for p in point.p], (0.0,) * point.n, 1.0, 0.0)
 
 
 def eta_extended(system: ContactSystem, point: ExtendedPoint,
                  extra: Mapping[str, float] | None = None) -> OneFormValue:
     """eta_E = dS - p_a dq^a + h dt at a point."""
-    return OneFormValue(-point.p, np.zeros(point.n), 1.0, system.h_value(point, extra))
+    return OneFormValue([-p for p in point.p], (0.0,) * point.n, 1.0, system.h_value(point, extra))
 
 
 def contract_d_eta_contact(Y: VectorFieldSpec, point: ExtendedPoint,
                            env: Mapping[str, float] | None = None) -> OneFormValue:
     """iota_Y (dq^a ^ dp_a) at a point."""
     e = dict(point.env()) if env is None else env
-    yq = np.array([c.eval_env(e) for c in Y.Yq])
-    yp = np.array([c.eval_env(e) for c in Y.Yp])
-    return OneFormValue(-yp, yq, 0.0, 0.0)
+    yq = [c.eval_env(e) for c in Y.Yq]
+    return OneFormValue([-c.eval_env(e) for c in Y.Yp], yq, 0.0, 0.0)
 
 
 def contract_d_eta_extended(system: ContactSystem, Y: VectorFieldSpec) -> tuple[ScalarField, ...]:

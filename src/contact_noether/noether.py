@@ -10,10 +10,9 @@ closure checks live here as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .expr import DomainError, ScalarField, number, partial
 from .dynamics import (Trajectory, contact_field, contact_field_of, cumulative_integral,
@@ -52,7 +51,7 @@ class DegeneratePoint(Exception):
 class SymmetryReport:
     """Outcome of testing L_Y eta_E = lambda eta_E over a sample batch."""
 
-    lambda_at_samples: np.ndarray
+    lambda_at_samples: tuple[float, ...]
     residual: float
     verdict: str
     threshold: float
@@ -67,7 +66,7 @@ class SymmetryReport:
 class SimilarityReport:
     """Outcome of testing [Y, X] = Lambda X over a sample batch."""
 
-    Lambda_at_samples: np.ndarray
+    Lambda_at_samples: tuple[float, ...]
     residual: float
     verdict: str
     residual_threshold: float
@@ -81,6 +80,49 @@ class SimilarityReport:
 # ---------------------------------------------------------------------------
 # seeded sample generation
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _hasher(const: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's 32-bit hashmix, whose constant advances per call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _uniform_draws(seed: int) -> Callable[[float, float], float]:
+    """`uniform(lo, hi)`, one draw per call, bit for bit the draws of NumPy's
+    ``default_rng(seed).uniform``: SeedSequence(seed) seeds PCG64 (O'Neill's
+    XSL-RR 128/64), and a draw is lo + (hi - lo) * ((next64 >> 11) * 2**-53)."""
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(max(4, len(entropy))):  # mix_entropy: pool words, then words past 4
+        for dst in range(4):
+            if src != dst:
+                y = hashmix(pool[src] if src < 4 else entropy[src])
+                pool[dst] = (r := 0xCA01F9DD * pool[dst] - 0x4973F715 * y & _M32) ^ r >> 16
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [out(pool[i % 4]) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & _M128  # step from 0, add seed, step
+
+    def uniform(lo: float, hi: float) -> float:
+        nonlocal state
+        state = state * mult + inc & _M128
+        word, rot = (state >> 64 ^ state) & _M64, state >> 122
+        bits = (word >> rot | word << 64 - rot) & _M64
+        return float(lo) + (float(hi) - float(lo)) * ((bits >> 11) * 2.0**-53)
+
+    return uniform
+
 
 def sample_points(system: ContactSystem, count: int, seed: int,
                   box: SampleBox | None = None, margin: float = 1e-3,
@@ -88,7 +130,7 @@ def sample_points(system: ContactSystem, count: int, seed: int,
     """Uniform seeded samples from the system's box, rejecting inadmissible
     points (guard violations or Hamiltonian domain errors)."""
     box = box or system.sample_box or SampleBox()
-    rng = np.random.default_rng(seed)
+    uniform = _uniform_draws(seed)
     h_at = point_bundle([system.h], {**system.params, **(extra or {})})
     out: list[ExtendedPoint] = []
     attempts = 0
@@ -96,11 +138,9 @@ def sample_points(system: ContactSystem, count: int, seed: int,
         attempts += 1
         if attempts > 200 * count + 1000:
             raise RuntimeError("sampling box rejects too many points")
-        q = rng.uniform(box.q[0], box.q[1], system.n)
-        p = rng.uniform(box.p[0], box.p[1], system.n)
-        S = rng.uniform(box.S[0], box.S[1])
-        t = rng.uniform(box.t[0], box.t[1])
-        pt = ExtendedPoint(q, p, S, t)
+        q = [uniform(*box.q) for _ in range(system.n)]
+        p = [uniform(*box.p) for _ in range(system.n)]
+        pt = ExtendedPoint(q, p, uniform(*box.S), uniform(*box.t))
         if not system.admissible(pt, margin):
             continue
         try:
@@ -190,13 +230,13 @@ def _symmetry_report(system: ContactSystem, Y: VectorFieldSpec, samples: Sequenc
     lambdas, residuals, deviations = [], [], []
     for pt in samples:
         omega, (h, *rest) = at(pt)
-        lam, res = proportionality_residual(omega, (*(-p for p in pt.p.tolist()), *zeros, 1.0, h))
+        lam, res = proportionality_residual(omega, (*(-p for p in pt.p), *zeros, 1.0, h))
         lambdas.append(lam)
         residuals.append(res)
         deviations.extend(abs(e - lam) for e in rest)
     worst, defect = nan_max(residuals), nan_max(deviations)
     failed = not worst <= threshold or (expected and not defect <= threshold)
-    return SymmetryReport(np.array(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
+    return SymmetryReport(tuple(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
                           threshold, defect if expected else None)
 
 
@@ -238,7 +278,7 @@ def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
         verdict = DYNAMICAL_SYMMETRY
     else:
         verdict = SIMILARITY
-    return SimilarityReport(np.array(Lambdas), worst, verdict, residual_threshold,
+    return SimilarityReport(tuple(Lambdas), worst, verdict, residual_threshold,
                             lambda_threshold)
 
 
@@ -284,13 +324,14 @@ def ratio_invariant(F: ScalarField, G: ScalarField) -> ScalarField:
 
 
 def dissipation_compensation(system: ContactSystem, traj: Trajectory,
-                             extra_params: Mapping[str, float] | None = None) -> np.ndarray:
+                             extra_params: Mapping[str, float] | None = None) -> list[float]:
     """Per-sample factor exp(integral of R(h) dt) along a trajectory, so that
     compensated dissipated quantities F * factor should be constant."""
-    return np.exp(cumulative_integral(system, traj, system.h_S, extra_params))
+    return [math.inf if v > 709.782712893384 else math.exp(v)  # exp past it overflows
+            for v in cumulative_integral(system, traj, system.h_S, extra_params)]
 
 
-def max_relative_drift(values: np.ndarray) -> float:
-    """max_k |v_k - v_0| / max(1, |v_0|)."""
-    v = np.asarray(values, dtype=float)
-    return float(np.max(np.abs(v - v[0])) / max(1.0, abs(v[0])))
+def max_relative_drift(values: Sequence[float]) -> float:
+    """max_k |v_k - v_0| / max(1, |v_0|); NaN when any value is NaN."""
+    v0 = values[0]
+    return nan_max(abs(v - v0) for v in values) / max(1.0, abs(v0))

@@ -101,7 +101,7 @@ def test_criterion_02_kepler_similarity_factor():
                           residual_threshold=1e-9, params=kepler.params)
     assert rep.passed
     assert rep.residual <= 1e-9
-    assert np.max(np.abs(rep.Lambda_at_samples + 3.0)) <= 1e-9
+    assert np.max(np.abs(np.asarray(rep.Lambda_at_samples) + 3.0)) <= 1e-9
     report(2, f"contact scaling generator rescales the Kepler field by "
               f"Lambda = -3 (residual {rep.residual:.3e})")
 
@@ -241,12 +241,12 @@ def test_criterion_07_dissipative_oscillator_suite():
     invs = [system.meta["invariants"][k] for k in ("F0", "F_GLR", "F_EM")]
     traj = co_integrate(system, point(1.0, 0.5), aux, 20.0, CFG10, invs)
     assert traj.error_tag is None
-    comp = np.exp(g0 * traj.ts)
+    comp = np.exp(g0 * np.asarray(traj.times))
     for label in ("F0", "F_GLR", "F_EM"):
-        drift = max_relative_drift(traj.tracked[label] * comp)
+        drift = max_relative_drift(np.asarray(traj.tracked[label]) * comp)
         assert drift <= 1e-6, (label, drift)
     for label in ("F_GLR", "F_EM"):
-        ratio = traj.tracked[label] / traj.tracked["F0"]
+        ratio = np.asarray(traj.tracked[label]) / np.asarray(traj.tracked["F0"])
         assert max_relative_drift(ratio) <= 1e-6, label
 
     free = make_harmonic_dissipative(1.0, 1.0, 0.0)

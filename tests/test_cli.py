@@ -239,7 +239,7 @@ class TestArtifacts:
     # sha256 of (report.json, trajectory.csv), as scripts/report_digests.py prints them
     PINNED_DIGESTS = {
         "dissipative-oscillator": (
-            "81118fb49d9659c80f34d14f94375163730fa51d9df09052397ab61b9bdef1b8",
+            "099d5fafe4e65bfb813083ad7500d7c14521f7b10d97566db1d7b325e26a97c4",
             "887be2debaea751c561dacced19d7cb3d94d91bb780789f5c7c69bce20b5f6cb"),
         "free-particle": (
             "6b24d3a9eda4f8719fc85211a20024692d5dc9ad154f3be591b8dbb5213f5a6b",
@@ -256,7 +256,8 @@ class TestArtifacts:
     def test_bundled_scenario_digests_are_pinned(self, tmp_path, name):
         """report.json and trajectory.csv of each bundled scenario, at its own
         seed, are byte for byte the pinned ones.  The digests belong to
-        CPython 3.11.7 with numpy 2.4.6 on x86_64 Linux (glibc 2.36): another
+        CPython 3.11.7 on x86_64 Linux with glibc 2.36's libm (`math.exp` in
+        the compensation, `sin`, `sqrt` and friends in the fields): another
         libm or float formatting may move a last bit and so every digest."""
         report, code = cli.run(SCENARIOS / f"{name}.json", tmp_path, quiet=True)
         assert code == 0 and report["passed"]

@@ -30,6 +30,28 @@ from conftest import point
 from randfields import PARAM_NAMES, random_env, random_field
 
 
+class TestExtendedPoint:
+    def test_coordinates_are_tuples_of_floats(self):
+        pt = ExtendedPoint([1, 2], np.array([3.0, 4.0]), 0, 1)
+        assert pt.q == (1.0, 2.0) and pt.p == (3.0, 4.0) and pt.n == 2
+        assert all(type(v) is float for v in (*pt.q, *pt.p, pt.S, pt.t))
+
+    @pytest.mark.parametrize("q, p, S", [
+        ([[1.0, 2.0]], [[0.0, 0.0]], 0.0),           # nested
+        (np.zeros((2, 1)), np.zeros((2, 1)), 0.0),   # nested array
+        ([], [], 0.0),                               # empty
+        ([1.0, 2.0], [0.0], 0.0),                    # unequal
+        (1.0, 2.0, 0.0),                             # not sequences
+        ("12", "34", 0.0),
+        ([1.0, float("nan")], [0.0, 0.0], 0.0),      # non-finite
+        ([1.0], [float("inf")], 0.0),
+        ([1.0], [0.0], float("-inf")),
+    ])
+    def test_rejects_malformed_input(self, q, p, S):
+        with pytest.raises(ValueError):
+            ExtendedPoint(q, p, S, 0.0)
+
+
 def const_field(v, n):
     from contact_noether.expr import number
     return number(v, n)
@@ -50,7 +72,7 @@ class TestEtaExtended:
     def test_origin(self):
         sys1 = make_system("p0*q0", 1)
         val = eta_extended(sys1, point(0.0, 0.0))
-        assert val.as_array().tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert list(val.coefficients()) == [0.0, 0.0, 1.0, 0.0]
 
     def test_kepler_dt_coefficient(self, kepler):
         val = eta_extended(kepler, point([1, 0, 0], [0, 1, 0]))
@@ -116,8 +138,8 @@ class TestLieBracket:
         B = lie_bracket(Y, X)
         for pt in sample_points(kepler, 100, seed=42):
             env = kepler.env(pt)
-            bv = B.eval(env)
-            xv = X.eval(env)
+            bv = np.asarray(B.eval(env))
+            xv = np.asarray(X.eval(env))
             scale = max(1.0, float(np.max(np.abs(bv))))
             assert np.max(np.abs(bv + 3.0 * xv)) / scale < 1e-9
 
@@ -130,9 +152,9 @@ class TestLieDerivativeEta:
                 omega = lie_derivative_eta(system, X, pt)
                 eta = eta_extended(system, pt)
                 rh = system.h_S.eval_env(system.env(pt))
-                expected = -rh * eta.as_array()
+                expected = -rh * np.asarray(eta.coefficients())
                 scale = max(1.0, np.max(np.abs(expected)))
-                assert np.max(np.abs(omega.as_array() - expected)) / scale < 1e-12
+                assert np.max(np.abs(np.asarray(omega.coefficients()) - expected)) / scale < 1e-12
 
     def test_zero_field(self, kepler):
         Y = VectorFieldSpec.zero(3)
@@ -146,8 +168,8 @@ class TestLieDerivativeEta:
                             kepler.h, const_field(0, 3))
         pt = point([1, 0, 0], [0, 1, 0])
         omega = lie_derivative_eta(kepler, Y, pt)
-        _, residual = proportionality_residual(omega.as_array(),
-                                               eta_extended(kepler, pt).as_array())
+        _, residual = proportionality_residual(omega.coefficients(),
+                                               eta_extended(kepler, pt).coefficients())
         assert residual > 0.1
 
 
@@ -208,7 +230,7 @@ def test_lie_derivative_eta_matches_the_coordinate_formula():
             except DomainError:
                 continue
             values = {**params, **dict(zip(coordinate_names(system.n),
-                                           [*pt.q.tolist(), *pt.p.tolist(), pt.S, pt.t]))}
+                                           [*pt.q, *pt.p, pt.S, pt.t]))}
             oracle = _sympy_lie_derivative_eta(sp, system, Y, values)
             scale = max(1.0, *map(abs, oracle))
             assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(ours, oracle)), (ours, oracle)
@@ -236,15 +258,15 @@ class TestReebAndHamiltonianFieldIdentities:
             X = contact_field(system)
             for pt in sample_points(system, 100, seed=6):
                 env = system.env(pt)
-                xv = X.eval(env)
+                xv = np.asarray(X.eval(env))
                 h = system.h_value(pt)
-                iota_eta = xv[2 * n] - float(pt.p @ xv[:n])
+                iota_eta = xv[2 * n] - float(np.asarray(pt.p) @ xv[:n])
                 assert abs(iota_eta + h) <= 1e-12 * max(1.0, abs(h))
-                lhs = contract_d_eta_contact(X, pt, env).as_array()
+                lhs = np.asarray(contract_d_eta_contact(X, pt, env).coefficients())
                 hq = np.array([c.eval_env(env) for c in system.h_q])
                 hp = np.array([c.eval_env(env) for c in system.h_p])
                 hS = system.h_S.eval_env(env)
-                eta = eta_contact(pt).as_array()
+                eta = np.asarray(eta_contact(pt).coefficients())
                 rhs = np.concatenate([hq, hp, [hS, 0.0]]) - hS * eta
                 scale = max(1.0, np.max(np.abs(rhs)))
                 assert np.max(np.abs(lhs - rhs)) / scale <= 1e-12
@@ -255,9 +277,9 @@ class TestReebAndHamiltonianFieldIdentities:
             X = extended_field(system)
             for pt in sample_points(system, 100, seed=7):
                 env = system.env(pt)
-                xv = X.eval(env)
+                xv = np.asarray(X.eval(env))
                 h = system.h_value(pt)
-                val = xv[2 * n] - float(pt.p @ xv[:n]) + h * xv[2 * n + 1]
+                val = xv[2 * n] - float(np.asarray(pt.p) @ xv[:n]) + h * xv[2 * n + 1]
                 assert abs(val) <= 1e-12 * max(1.0, abs(h))
 
 

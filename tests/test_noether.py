@@ -5,8 +5,11 @@ from contact_noether.dynamics import IntegratorConfig, extended_field, integrate
 from contact_noether.expr import DomainError, number, parse
 from contact_noether.geometry import (
     ContactSystem,
+    ExtendedPoint,
+    SampleBox,
     VectorFieldSpec,
     lie_bracket,
+    point_bundle,
 )
 from contact_noether.noether import (
     DYNAMICAL_SYMMETRY,
@@ -15,6 +18,7 @@ from contact_noether.noether import (
     NOT_SYMMETRY,
     SIMILARITY,
     DegeneratePoint,
+    _uniform_draws,
     closure_check,
     contact_bracket_defect,
     dissipation_compensation,
@@ -134,7 +138,7 @@ class TestSymmetryFromInvariant:
         for pt in sample_points(kepler, 30, seed=12):
             env = kepler.env(pt)
             yt = Yt.eval_env(env)
-            assert np.allclose(Y.eval(env), yt * X.eval(env), rtol=1e-12, atol=1e-12)
+            assert np.allclose(Y.eval(env), yt * np.asarray(X.eval(env)), rtol=1e-12, atol=1e-12)
 
 
 class TestSymmetryTest:
@@ -262,9 +266,9 @@ class TestTheoremProperties:
             B = lie_bracket(Y, X)
             for pt in pts:
                 env = kepler.env(pt)
-                bv = B.eval(env)
+                bv = np.asarray(B.eval(env))
                 h = kepler.h_value(pt)
-                val = bv[2 * n] - float(pt.p @ bv[:n]) + h * bv[2 * n + 1]
+                val = bv[2 * n] - float(np.asarray(pt.p) @ bv[:n]) + h * bv[2 * n + 1]
                 assert abs(val) <= 1e-9 * max(1.0, float(np.max(np.abs(bv))))
 
     def test_symmetries_are_similarities(self, kepler):
@@ -386,6 +390,70 @@ class TestClosure:
         assert rep.passed
 
 
+class TestSeededDraws:
+    """The pure-Python sampler draws what numpy's default_rng(seed).uniform
+    draws, bit for bit."""
+
+    SEEDS = [*range(60), 2**32 + 5, 2**70 + 3, 123456789]
+
+    @staticmethod
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    def test_uniform_matches_numpy(self):
+        numpy = pytest.importorskip("numpy")
+        for seed in self.SEEDS:
+            uniform, rng = _uniform_draws(seed), numpy.random.default_rng(seed)
+            for batch in range(80):
+                lo, hi = -2.0 + 0.1 * batch, 0.5 + 0.3 * batch
+                size = 1 + batch % 4
+                got = [uniform(lo, hi) for _ in range(size)]
+                assert self.hexes(got) == self.hexes(rng.uniform(lo, hi, size)), (seed, batch)
+
+    @staticmethod
+    def numpy_sample_points(numpy, system, count, seed):
+        """sample_points as it was written on numpy's generator."""
+        box = system.sample_box or SampleBox()
+        rng = numpy.random.default_rng(seed)
+        h_at = point_bundle([system.h], system.params)
+        out = []
+        while len(out) < count:
+            q = rng.uniform(box.q[0], box.q[1], system.n)
+            p = rng.uniform(box.p[0], box.p[1], system.n)
+            pt = ExtendedPoint(q, p, rng.uniform(box.S[0], box.S[1]),
+                               rng.uniform(box.t[0], box.t[1]))
+            if not system.admissible(pt):
+                continue
+            try:
+                h_at(pt)
+            except DomainError:
+                continue
+            out.append(pt)
+        return out
+
+    def test_sample_points_match_numpy(self, kepler, damped_oscillator):
+        numpy = pytest.importorskip("numpy")
+        from contact_noether.systems import make_td_kepler
+
+        for system in (kepler, make_td_kepler(1.0, 0.25, 1.5), damped_oscillator):
+            for seed in range(1, 21):
+                ours = sample_points(system, 20, seed)
+                ref = self.numpy_sample_points(numpy, system, 20, seed)
+                assert [self.hexes((*a.q, *a.p, a.S, a.t)) for a in ours] == \
+                    [self.hexes((*b.q, *b.p, b.S, b.t)) for b in ref], (system.label, seed)
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError):
+            _uniform_draws(-1)
+
+
+@pytest.mark.parametrize("where", [0, 1, 4])
+def test_max_relative_drift_is_nan_when_any_value_is(where):
+    values = [1.0, 2.0, 0.5, 3.0, 1.5]
+    values[where] = float("nan")
+    assert np.isnan(max_relative_drift(values))
+
+
 class TestDissipatedAlongFlow:
     def test_compensated_invariant_constant(self):
         from contact_noether.systems import make_harmonic_dissipative
@@ -396,6 +464,6 @@ class TestDissipatedAlongFlow:
         traj = integrate(system, extended_field(system), point(1.0, 0.4, S=0.1),
                          12.0, cfg, tracked={"F0": F0})
         comp = dissipation_compensation(system, traj)
-        assert np.allclose(comp, np.exp(g0 * traj.ts), rtol=1e-10)
-        series = traj.tracked["F0"] * comp
+        assert np.allclose(comp, np.exp(g0 * np.asarray(traj.times)), rtol=1e-10)
+        series = np.asarray(traj.tracked["F0"]) * comp
         assert max_relative_drift(series) <= 10 * 1e-7

@@ -255,7 +255,7 @@ class TestCoIntegrate:
                             [system.meta["invariants"]["F_LR"],
                              system.meta["invariants"]["F0"]])
         assert traj.error_tag is None
-        assert np.max(np.abs(traj.tracked["rho"] - rho)) <= 1e-9
+        assert np.max(np.abs(np.asarray(traj.tracked["rho"]) - rho)) <= 1e-9
         assert max_relative_drift(traj.tracked["F_LR"]) <= 1e-8
         assert max_relative_drift(traj.tracked["F0"]) <= 1e-8
 
@@ -266,8 +266,8 @@ class TestCoIntegrate:
         traj = co_integrate(system, point(0.3, 1.1), aux, 15.0, CFG,
                             [system.meta["invariants"]["F_EM"]])
         assert traj.error_tag is None
-        expected = np.cos(omega * traj.ts)
-        assert np.max(np.abs(traj.tracked["b"] - expected)) <= 1e-8
+        expected = np.cos(omega * np.asarray(traj.times))
+        assert np.max(np.abs(np.asarray(traj.tracked["b"]) - expected)) <= 1e-8
         assert max_relative_drift(traj.tracked["F_EM"]) <= 1e-8
 
     def test_glr_reduces_to_lr_at_zero_dissipation(self):
@@ -290,11 +290,11 @@ class TestCoIntegrate:
         invs = [system.meta["invariants"][k] for k in ("F0", "F_GLR", "F_EM")]
         traj = co_integrate(system, point(1.0, 0.5), aux, 20.0, CFG, invs)
         assert traj.error_tag is None
-        comp = np.exp(0.2 * traj.ts)
+        comp = np.exp(0.2 * np.asarray(traj.times))
         for label in ("F0", "F_GLR", "F_EM"):
-            assert max_relative_drift(traj.tracked[label] * comp) <= 1e-6
-        assert max_relative_drift(traj.tracked["F_GLR"] / traj.tracked["F0"]) <= 1e-6
-        assert max_relative_drift(traj.tracked["F_EM"] / traj.tracked["F0"]) <= 1e-6
+            assert max_relative_drift(np.asarray(traj.tracked[label]) * comp) <= 1e-6
+        assert max_relative_drift(np.asarray(traj.tracked["F_GLR"]) / np.asarray(traj.tracked["F0"])) <= 1e-6
+        assert max_relative_drift(np.asarray(traj.tracked["F_EM"]) / np.asarray(traj.tracked["F0"])) <= 1e-6
 
     def test_auxiliary_blowup_is_tagged(self):
         # inverted potential: the auxiliary a-equation grows exponentially
@@ -313,7 +313,7 @@ class TestCoIntegrate:
         assert traj.error_tag == AUXILIARY_BLOWUP
         assert traj.samples[-1].t < 60.0
         assert all(len(v) == len(traj.samples) for v in traj.tracked.values())
-        assert np.all((traj.tracked["rho"] > 1e-6) & (traj.tracked["rho"] < 1e6))
+        assert np.all((np.asarray(traj.tracked["rho"]) > 1e-6) & (np.asarray(traj.tracked["rho"]) < 1e6))
 
     def test_aux_columns_in_csv(self, free_oscillator):
         aux = AuxiliaryState(use_rho=True)
@@ -375,7 +375,7 @@ class TestGlrSymmetry:
             a0 = rng.uniform(0.5, 1.5)
             env_glr = system.env(pt, {"a": a, "a_dot": a_dot, "a0": a0})
             env_lr = system.env(pt, {"rho": a, "rho_dot": a_dot, "rho0": a0**3})
-            diff = Y_glr.eval(env_glr) - Y_lr.eval(env_lr)
+            diff = np.asarray(Y_glr.eval(env_glr)) - np.asarray(Y_lr.eval(env_lr))
             assert np.max(np.abs(diff)) <= 1e-10
 
 
