@@ -49,6 +49,12 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(value: Any, least: int, where: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+             f"{where} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -123,8 +129,8 @@ def load_scenario(path: str | Path) -> Scenario:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: bad integrator config: {e}") from e
 
-    seed = int(raw.get("seed", 0))
-    sample_count = int(raw.get("sample_count", 100))
+    seed = _integer(raw.get("seed", 0), 0, f"{path}: 'seed'")
+    sample_count = _integer(raw.get("sample_count", 100), 1, f"{path}: 'sample_count'")
 
     auxiliary = None
     if "auxiliary" in raw:
@@ -374,7 +380,7 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
     try:
         sc = load_scenario(scenario_path)
         if seed is not None:
-            sc.seed = seed
+            sc.seed = _integer(seed, 0, "--seed")
         if tol_override is not None:
             for c in sc.checks:
                 c["tol"] = tol_override

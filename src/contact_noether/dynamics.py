@@ -12,9 +12,8 @@ import math
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 from itertools import accumulate
-from operator import add
 from typing import Callable, Mapping, NamedTuple
 
 from .expr import DomainError, Num, ScalarField, compile_bundle, number, partial, variable
@@ -72,21 +71,71 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _combination(coeffs: tuple[float, ...], base: bool, name: str) -> Callable:
-    """`(y, h, k) -> [y + h*(0 + c*k[j] + ...)]` (without `y + ` unless `base`)
-    over the nonzero c, on rows of floats, each element summed left to right
-    in that one order, so the rows are reproducible bit for bit.  `name` is
-    its file name in tracebacks and profiles."""
-    js = [j for j, c in enumerate(coeffs) if c != 0.0]
-    terms = " + ".join(f"{coeffs[j]!r} * k{j}" for j in js)
-    ks, rows = ", ".join(f"k{j}" for j in js), ", ".join(f"k[{j}]" for j in js)
-    return eval(compile(f"lambda y, h, k: [{'y_ + ' if base else ''}h * (0 + {terms}) "
-                        f"for y_, {ks} in zip(y, {rows})]", f"<{name}>", "eval"))
+def _pairwise(terms: list[str]) -> str:
+    """Source of the sum of `terms`, non-negative floats, in the order of
+    NumPy's add.reduce: one by one below 8 terms, eight interleaved
+    accumulators up to 128, halves above."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return f"({_pairwise(terms[:half])} + {_pairwise(terms[half:])})"
+    if n < 8:
+        return f"({' + '.join(['0.0', *terms])})"
+    m = n - n % 8
+    r = [f"({' + '.join(['0.0', *terms[j:m:8]])})" for j in range(8)]
+    return (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+            f"{''.join(f' + {v}' for v in terms[m:])})")
 
 
-# the last stage is taken at the 5th-order solution, whose weights are _DP_A[6]
-_STAGES = tuple(_combination(_DP_A[i], True, f"dp54-stage-{i}") for i in range(1, 7))
-_ERROR = _combination(_DP_E, False, "dp54-error")
+def _function(lines: list[str], name: str) -> Callable:
+    """The function `_f` that `lines` define, named `<name>` in tracebacks and profiles."""
+    scope = {"abs": abs, "sqrt": math.sqrt}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), scope)
+    return scope["_f"]  # type: ignore[return-value]
+
+
+def _rms_source(m: int) -> str:  # sqrt(mean(r * r)) over the locals r0..r(m-1)
+    return f"sqrt({_pairwise([f'r{c} * r{c}' for c in range(m)])} / {m})"
+
+
+@cache
+def _rms_of(m: int) -> Callable[[Sequence[float], Sequence[float]], float]:
+    return _function(["def _f(v, s):", *(f"    r{c} = v[{c}] / s[{c}]" for c in range(m)),
+                      f"    return {_rms_source(m)}"], f"rms-{m}")
+
+
+def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
+    """sqrt(mean((values / scale) ** 2)) over the first len(scale) values."""
+    return _rms_of(len(scale))(values, scale)
+
+
+@cache
+def _dp54_attempt(m: int) -> Callable:
+    """One Dormand-Prince 5(4) attempt on m floats as straight-line code:
+    `(rhs, t, y, h, k0, atol, rtol) -> (new_row, k6 = rhs(t + h, new_row), err)`,
+    err the RMS of the error over atol + rtol * max(|y|, |new_row|) (NaN if
+    either is).  Rows are `y + h*(0 + a*k + ...)` over the nonzero a, summed
+    left to right, so they are reproducible bit for bit."""
+    def unpack(name: str) -> str:
+        return "".join(f"{name}{c}, " for c in range(m))
+
+    def terms(coeffs: tuple[float, ...], c: int) -> str:
+        return " + ".join(f"{a!r} * k{j}_{c}" for j, a in enumerate(coeffs) if a != 0.0)
+
+    def row(i: int) -> str:
+        return f"[{', '.join(f'y{c} + h * (0 + {terms(_DP_A[i], c)})' for c in range(m))}]"
+
+    lines = ["def _f(rhs, t, y, h, k0, atol, rtol):", f"    {unpack('y')}= y"]
+    for i in range(1, 7):  # the last stage is taken at the 5th-order solution
+        lines += [f"    {unpack(f'k{i - 1}_')}= k{i - 1}[:{m}]", f"    new = {row(i)}",
+                  f"    k{i} = rhs(t + {_DP_C[i]!r} * h, new)"]
+    lines += [f"    {unpack('k6_')}= k6[:{m}]", f"    {unpack('n')}= new"]
+    for c in range(m):
+        lines += [f"    a, b = abs(y{c}), abs(n{c})",
+                  f"    r{c} = h * (0 + {terms(_DP_E, c)}) / "
+                  "(atol + rtol * (a if a >= b or a != a else b))"]
+    return _function([*lines, f"    return new, k6, {_rms_source(m)}"], f"dp54-step-{m}")
+
 
 _SAFETY = 0.9
 _BETA = 0.04
@@ -108,6 +157,9 @@ class IntegratorConfig:
     guard_margin: float = 1e-3
 
     def __post_init__(self) -> None:
+        for name in ("rel_tol", "abs_tol", "guard_margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.min_step <= self.max_step):
             raise ValueError("require 0 < min_step <= max_step")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
@@ -154,27 +206,6 @@ class Trajectory:
                 fh.write(",".join(map(repr, (t, *row[:m], *values))) + "\n")
 
 
-def _sum(a: list[float]) -> float:
-    """Pairwise sum of non-negative floats in the order of NumPy's add.reduce:
-    one by one below 8 values, eight interleaved accumulators up to 128,
-    halves above."""
-    n = len(a)
-    m, half = n - n % 8, n // 2 - n // 2 % 8
-    if n > 128:
-        return _sum(a[:half]) + _sum(a[half:])
-    if n < 8:
-        return reduce(add, a, 0.0)
-    r = [reduce(add, a[j:m:8], 0.0) for j in range(8)]
-    return reduce(add, a[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-
-
-def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
-    """sqrt(mean((values / scale) ** 2)) over the first len(scale) values, with
-    the mean summed by `_sum`."""
-    squares = [(r := v / s) * r for v, s in zip(values, scale)]
-    return math.sqrt(_sum(squares) / len(squares))
-
-
 def _initial_step(rhs, t0: float, y0: Sequence[float], f0: Sequence[float],
                   span: float, cfg: IntegratorConfig) -> float:
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
@@ -213,38 +244,31 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
     fixed_step = cfg.min_step == cfg.max_step
     h = cfg.max_step if fixed_step else _initial_step(rhs, t, row, f0, t_end - t0, cfg)
     facold = 1e-4
-    k = [f0]
+    attempt = _dp54_attempt(len(row))
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h = min(h, cfg.max_step, t_end - t)
         h = max(h, cfg.min_step)
         if t + h > t_end:
             h = t_end - t
-        del k[1:]
         try:
-            for i, stage in enumerate(_STAGES, 1):
-                new_row = stage(row, h, k)  # the 5th-order solution after the last stage
-                k.append(rhs(t + _DP_C[i] * h, new_row))
+            new_row, f1, err = attempt(rhs, t, row, h, f0, cfg.abs_tol, cfg.rel_tol)
         except DomainError:
             stats.rejected += 1
             if h <= cfg.min_step * (1.0 + 1e-12):
                 return stats, STEP_SIZE_UNDERFLOW
             h = max(cfg.min_step, 0.25 * h)
             continue
-        # the larger magnitude, and NaN when either state's value is NaN
-        sc = [cfg.abs_tol + cfg.rel_tol * (a if a >= b or a != a else b)
-              for a, b in zip(map(abs, row), map(abs, new_row))]
-        err = _rms(_ERROR(row, h, k), sc)
         if err <= 1.0 or fixed_step or h <= cfg.min_step * (1.0 + 1e-12):
             if not (err <= 1.0 or fixed_step):
                 # forced acceptance at the step floor would hide real error
                 return stats, STEP_SIZE_UNDERFLOW
             t_new = t + h
-            tag = on_accept(t_new, new_row, k[6]) if on_accept is not None else None
+            tag = on_accept(t_new, new_row, f1) if on_accept is not None else None
             if tag is not None:
                 return stats, tag
             stats.accepted += 1
             stats.max_error_estimate = max(stats.max_error_estimate, err)
-            k[0] = k[6]  # first same as last: stage 7 is rhs(t_new, new_row)
+            f0 = f1  # first same as last: stage 7 is rhs(t_new, new_row)
             t, row = t_new, new_row
             facold = max(err, 1e-4)
             if not fixed_step:

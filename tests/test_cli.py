@@ -200,6 +200,26 @@ class TestExitCodes:
         _, code = cli.run(path, tmp_path, quiet=True)
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("seed", "x"), ("seed", 1.7),
+                                            ("sample_count", 0), ("sample_count", -3)])
+    def test_bad_scenario_number_is_config_error(self, tmp_path, capsys, key, value):
+        path = write_scenario(tmp_path, "numbers", {**FREE_PARTICLE, key: value})
+        _, code = cli.run(path, tmp_path / "out")
+        assert code == 2 and f"'{key}' must be an integer" in capsys.readouterr().err
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "fp", FREE_PARTICLE)
+        code = cli.main(["--out", str(tmp_path / "out"), "--seed", "-1", "check", str(path)])
+        assert code == 2 and "--seed must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("rel_tol", float("nan")), ("abs_tol", float("inf")),
+                                            ("guard_margin", float("nan"))])
+    def test_non_finite_integrator_setting_is_config_error(self, tmp_path, capsys, key, value):
+        path = write_scenario(tmp_path, "settings", {
+            **FREE_PARTICLE, "integrator": {**FREE_PARTICLE["integrator"], key: value}})
+        _, code = cli.run(path, tmp_path / "out")
+        assert code == 2 and f"{key} must be finite" in capsys.readouterr().err
+
     def test_domain_violation_is_three(self, tmp_path):
         plunge = {
             "name": "plunge",

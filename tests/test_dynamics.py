@@ -20,7 +20,7 @@ from contact_noether.dynamics import (
     extended_field,
     integrate,
 )
-from contact_noether.expr import parse
+from contact_noether.expr import DomainError, parse
 from contact_noether.geometry import ContactSystem
 from contact_noether.noether import sample_points
 from contact_noether.systems import make_harmonic_dissipative
@@ -298,6 +298,12 @@ class TestFloatNorm:
 
 
 class TestIntegratorEdges:
+    @pytest.mark.parametrize("name, value", [("rel_tol", math.nan), ("abs_tol", math.inf),
+                                             ("guard_margin", math.nan)])
+    def test_non_finite_setting_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            IntegratorConfig(**{name: value})
+
     def test_fixed_step_ends_with_a_short_step(self):
         # 0.1 steps to 1.05: the last step is 0.05, below min_step, and lands on t_end
         times = []
@@ -322,22 +328,59 @@ class TestIntegratorEdges:
 
 
 class TestFloatStages:
-    def test_rows_match_the_numpy_combinations_bitwise(self):
-        from contact_noether.dynamics import _DP_A, _DP_E, _ERROR, _STAGES
+    @pytest.mark.parametrize("m", [*range(1, 21), 130])
+    def test_attempt_matches_the_numpy_formulas_bitwise(self, m):
+        # a scripted rhs returns preset rates, each with a trailing value the
+        # stepping ignores; rows, new state and error norm against numpy
+        from contact_noether.dynamics import _DP_A, _DP_C, _DP_E, _dp54_attempt
 
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            y = rng.normal(size=5) * 10.0 ** rng.integers(-8, 8)
-            k = [rng.normal(size=5) * 10.0 ** rng.integers(-8, 8) for _ in range(7)]
-            k[rng.integers(0, 7)][rng.integers(0, 5)] = -0.0
-            y[rng.integers(0, 5)] = -0.0
-            h = float(rng.uniform(1e-6, 1.0))
-            rows = [kj.tolist() for kj in k]
-            for i, stage in enumerate(_STAGES, 1):
+        rng = np.random.default_rng(3 + m)
+        for trial in range(200):
+            y = rng.normal(size=m) * 10.0 ** rng.integers(-8, 8)
+            k = [rng.normal(size=m) * 10.0 ** rng.integers(-8, 8) for _ in range(7)]
+            k[rng.integers(0, 7)][rng.integers(0, m)] = -0.0
+            y[rng.integers(0, m)] = -0.0
+            if trial % 4 == 3:
+                k[rng.integers(0, 7)][rng.integers(0, m)] = math.nan
+            t, h = float(rng.uniform(-10.0, 10.0)), float(rng.uniform(1e-6, 1.0))
+            atol, rtol = (float(v) for v in 10.0 ** rng.uniform(-14, -4, size=2))
+            calls, outs = [], []
+
+            def rhs(ti, row):
+                calls.append((ti, row))
+                outs.append((*k[len(calls)].tolist(), 7.5))
+                return outs[-1]
+
+            new_row, last, err = _dp54_attempt(m)(rhs, t, y.tolist(), h,
+                                                  (*k[0].tolist(), -1.0), atol, rtol)
+            assert len(calls) == 6 and last is outs[-1] and new_row is calls[-1][1]
+            for i, (ti, row) in enumerate(calls, 1):
                 ref = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
-                assert np.array(stage(y.tolist(), h, rows)).tobytes() == ref.tobytes()
-            ref = h * sum(e * k[j] for j, e in enumerate(_DP_E) if e != 0.0)
-            assert np.array(_ERROR(y.tolist(), h, rows)).tobytes() == ref.tobytes()
+                assert ti == t + _DP_C[i] * h
+                assert type(row) is list and np.array(row).tobytes() == ref.tobytes(), (m, i)
+            est = h * sum(e * k[j] for j, e in enumerate(_DP_E) if e != 0.0)
+            sc = atol + rtol * np.maximum(np.abs(y), np.abs(ref))
+            ref_err = np.sqrt(np.mean((est / sc) ** 2))
+            assert type(err) is float and np.float64(err).tobytes() == ref_err.tobytes(), m
+
+    def test_domain_error_at_stage_3_rejects_and_quarters_the_step(self, monkeypatch):
+        from contact_noether import dynamics
+
+        monkeypatch.setattr(dynamics, "_initial_step", lambda *args: 0.5)
+        times, accepted = [], []
+
+        def rhs(t, y):
+            times.append(t)
+            if len(times) == 4:  # the initial rates, then stages 1-3 of the first attempt
+                raise DomainError("scripted", "q0")
+            return [-y[0]]
+
+        stats, tag = adaptive_rk45(rhs, 0.0, [1.0], 1.0,
+                                   IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6),
+                                   lambda t, y, f: accepted.append(t))
+        assert tag is None and stats.rejected == 1
+        assert times[:5] == [0.0, 0.2 * 0.5, 0.3 * 0.5, 0.8 * 0.5, 0.2 * (0.25 * 0.5)]
+        assert accepted[0] == 0.25 * 0.5
 
 
 class TestCompiledOnce:
@@ -460,14 +503,15 @@ def test_bundled_runs_leave_numpy_unloaded(tmp_path):
 
 def test_generated_functions_have_distinct_file_names():
     # cProfile keys functions by file name, line and name: every compiled
-    # bundle and every Dormand-Prince combination must be told apart
-    from contact_noether.dynamics import _ERROR, _STAGES
+    # bundle and the Dormand-Prince attempt of every state size must be told apart
+    from contact_noether.dynamics import _dp54_attempt
     from contact_noether.expr import compile_bundle
 
     fields = [parse("q0*p0", 1)]
     bundles = [compile_bundle(fields, ["q0", "p0"]) for _ in range(2)]
-    names = [f.__code__.co_filename for f in (*bundles, *_STAGES, _ERROR)]
-    assert len(set(names)) == len(names) == 9
+    names = [f.__code__.co_filename for f in (*bundles, _dp54_attempt(3), _dp54_attempt(7))]
+    assert len(set(names)) == len(names) == 4
+    assert names[2:] == ["<dp54-step-3>", "<dp54-step-7>"]
 
 
 class TestConservationAlongFlow:
