@@ -55,6 +55,13 @@ def _integer(value: Any, least: int, where: str) -> int:
     return value
 
 
+def _finite(value: Any, where: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max,
+             f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -122,7 +129,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"{path}: bad initial state: {e}") from e
         _require(initial.n == system.n, f"{path}: initial state dimension != system dimension")
 
-    t_end = float(raw["t_end"]) if "t_end" in raw else None
+    t_end = _finite(raw["t_end"], f"{path}: 't_end'") if "t_end" in raw else None
     try:
         integ = IntegratorConfig(**{k: float(v) for k, v in
                                     (raw.get("integrator") or {}).items()})

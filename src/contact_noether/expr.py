@@ -398,27 +398,39 @@ def eval_node(node: Node, env: Mapping[str, float]) -> float:
 # results are checked once per call, by one isfinite test on their sum.  Any
 # exception or non-finite checked value re-runs eval_node, so values and the
 # first DomainError are the interpreter's; kernels called here get an empty
-# label, because an error they raise is never shown
+# label, because an error they raise is never shown.  Each number is a closure
+# cell, not text, so bundles that differ only in their numbers share one compile
 
 _OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_KERNELS = "".join(f", _{fn}" for fn in ("isfinite", "powf", *_INTRINSIC_IMPL))
 # numbers the generated functions' file names, so that profiles tell them apart
 _SERIALS = itertools.count(1)
+
+
+@lru_cache(maxsize=256)
+def _factory(source: str) -> Callable:
+    """The `_mk` that `source` defines, compiled once per distinct text."""
+    loc: dict[str, object] = {}
+    exec(compile(source, f"<scalar-field-{next(_SERIALS)}>", "exec"), {}, loc)
+    return loc["_mk"]  # type: ignore[return-value]
 
 
 def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: bool,
              slow: Callable) -> Callable:
     """`def _f(<params>)`: run `reads`, then every node under `roots`, and
-    return the roots' values (as a tuple, or the only one), or `_slow(<params>)`."""
+    return the roots' values (as a tuple, or the only one), or `_slow(<params>)`.
+    `_f` is made by `_mk(_slow, <kernels>, _k0, _k1, ...)`, the i-th distinct
+    number under `roots` being `_ki`; the kernels are read when `_f` is made."""
     lines = [f"def _f({params}):", *reads, "    try:"]
-    glb = {"_isfinite": math.isfinite, "_powf": _k_pow, "_slow": slow, "inf": math.inf,
-           "nan": math.nan, **{f"_{fn}": impl for fn, impl in _INTRINSIC_IMPL.items()}}
     ref: dict[Node, str] = {}
+    consts: list[float] = []
     checked: list[str] = []
 
     def emit(node: Node) -> str:
         if node not in ref:
             if isinstance(node, Num):
-                return ref.setdefault(node, repr(node.value))
+                consts.append(node.value)
+                return ref.setdefault(node, f"_k{len(consts) - 1}")
             if isinstance(node, (Var, Param)):
                 return ref.setdefault(node, f"_v_{node.name}")
             k = _int_exponent(node.exponent) if isinstance(node, Pow) else None
@@ -427,7 +439,7 @@ def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: boo
             elif isinstance(node, Call):
                 value = f"_{node.fn}({emit(node.arg)}, '')"
             elif k is not None:
-                value = f"({emit(node.base)}) ** {k}"  # parenthesised: a base may be `-0.5`
+                value = f"{emit(node.base)} ** {k}"
             elif isinstance(node, Pow):
                 value = f"_powf({emit(node.base)}, {emit(node.exponent)}, '')"
             else:
@@ -445,9 +457,10 @@ def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: boo
         lines.append(f"        if _isfinite({' + '.join(checked)}):")
     lines += [f"{'    ' if checked else ''}        return {out}", "    except Exception:",
               "        pass", f"    return _slow({params})"]
-    loc: dict[str, object] = {}
-    exec(compile("\n".join(lines), f"<scalar-field-{next(_SERIALS)}>", "exec"), glb, loc)
-    return loc["_f"]  # type: ignore[return-value]
+    slots = "".join(f", _k{i}" for i in range(len(consts)))
+    source = "\n".join([f"def _mk(_slow{_KERNELS}{slots}):", *("    " + ln for ln in lines),
+                        "    return _f"])
+    return _factory(source)(slow, math.isfinite, _k_pow, *_INTRINSIC_IMPL.values(), *consts)
 
 
 def compile_bundle(fields: Sequence["ScalarField"],

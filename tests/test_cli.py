@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -207,6 +208,14 @@ class TestExitCodes:
         _, code = cli.run(path, tmp_path / "out")
         assert code == 2 and f"'{key}' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "x",
+                                       None, 10**400],
+                             ids=["nan", "inf", "-inf", "bool", "string", "null", "huge-int"])
+    def test_bad_t_end_is_config_error(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, "horizon", {**FREE_PARTICLE, "t_end": value})
+        _, code = cli.run(path, tmp_path / "out")
+        assert code == 2 and "'t_end' must be a finite number" in capsys.readouterr().err
+
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "fp", FREE_PARTICLE)
         code = cli.main(["--out", str(tmp_path / "out"), "--seed", "-1", "check", str(path)])
@@ -284,6 +293,37 @@ class TestArtifacts:
         got = tuple(hashlib.sha256((tmp_path / name / fname).read_bytes()).hexdigest()
                     for fname in ("report.json", "trajectory.csv"))
         assert got == self.PINNED_DIGESTS[name]
+
+    def test_digests_do_not_depend_on_what_ran_before(self, tmp_path):
+        """Generated code is compiled once per shape and shared by every later
+        scenario of the process: two passes over the bundled scenarios, the
+        second in reverse order, both write the pinned bytes."""
+        names = sorted(self.PINNED_DIGESTS)
+        for k, order in enumerate((names, names[::-1])):
+            for name in order:
+                report, code = cli.run(SCENARIOS / f"{name}.json", tmp_path / str(k), quiet=True)
+                assert code == 0 and report["passed"]
+                got = tuple(hashlib.sha256((tmp_path / str(k) / name / fname).read_bytes())
+                            .hexdigest() for fname in ("report.json", "trajectory.csv"))
+                assert got == self.PINNED_DIGESTS[name], (k, name)
+
+    def test_report_digests_names_a_scenario_whose_second_pass_differs(self, monkeypatch,
+                                                                       capsys):
+        spec = importlib.util.spec_from_file_location(
+            "report_digests", SCENARIOS.parent / "scripts" / "report_digests.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        runs = []
+
+        def fake_run(path, out, quiet):
+            runs.append(path)
+            (out / path).mkdir(parents=True, exist_ok=True)
+            (out / path / "report.json").write_text(str(runs.count(path)) if path == "b" else "")
+            return {"scenario": path}, 0
+
+        monkeypatch.setattr(tool, "run", fake_run)
+        assert tool.main(["a", "b"]) == 1 and runs == ["a", "b", "b", "a"]
+        assert capsys.readouterr().err == "b: the reverse-order second pass wrote different files\n"
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_scenario(tmp_path, "fp", FREE_PARTICLE)

@@ -502,15 +502,20 @@ def test_bundled_runs_leave_numpy_unloaded(tmp_path):
 
 
 def test_generated_functions_have_distinct_file_names():
-    # cProfile keys functions by file name, line and name: every compiled
-    # bundle and the Dormand-Prince attempt of every state size must be told apart
+    # cProfile keys functions by file name, line and name: every distinct
+    # generated source and the Dormand-Prince attempt of every state size must
+    # be told apart, while bundles that differ only in their numbers share
+    # one code object and keep their own numbers
     from contact_noether.dynamics import _dp54_attempt
     from contact_noether.expr import compile_bundle
 
-    fields = [parse("q0*p0", 1)]
-    bundles = [compile_bundle(fields, ["q0", "p0"]) for _ in range(2)]
-    names = [f.__code__.co_filename for f in (*bundles, _dp54_attempt(3), _dp54_attempt(7))]
+    same = [compile_bundle([parse(f"{c}*q0*p0", 1)], ["q0", "p0"]) for c in (2.5, 3.5)]
+    other = compile_bundle([parse("q0*p0 + 2.5", 1)], ["q0", "p0"])
+    assert same[0].__code__ is same[1].__code__
+    assert (same[0](2.0, 3.0), same[1](2.0, 3.0)) == ((15.0,), (21.0,))
+    names = [f.__code__.co_filename for f in (same[0], other, _dp54_attempt(3), _dp54_attempt(7))]
     assert len(set(names)) == len(names) == 4
+    assert names[0].startswith("<scalar-field-") and names[1].startswith("<scalar-field-")
     assert names[2:] == ["<dp54-step-3>", "<dp54-step-7>"]
 
 

@@ -2,6 +2,7 @@ import gc
 import math
 import pickle
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,6 +205,44 @@ class TestBundle:
         with pytest.raises(UnboundParameter):
             expr.compile_bundle([parse("q0*m", 1)], ["q0"])
 
+    def test_bundles_that_differ_in_their_numbers_share_one_compile(self):
+        rng = np.random.default_rng(31)
+        raised = 0
+        for _ in range(200):
+            f = random_field(rng, 2, 6)
+            g = expr.ScalarField(_with_new_numbers(f.ast), 2)
+            env = random_env(rng, 2)
+            first = expr.compile_bundle([f], list(env))
+            with mock.patch("builtins.compile", wraps=compile) as spy:
+                second = expr.compile_bundle([g], list(env))
+            assert spy.call_count == 0 and second.__code__ is first.__code__
+            for field, bundle in ((f, first), (g, second)):
+                ref = _outcome(lambda: [expr.eval_node(field.ast, env)])
+                assert _outcome(lambda: bundle(*env.values())) == ref
+                raised += isinstance(ref, tuple)
+        assert 20 <= raised <= 380
+
+
+def _with_new_numbers(root: expr.Node) -> expr.Node:
+    """`root` rebuilt without folding, each distinct number moved by its own
+    multiple of 2^-10, except integer exponents, which are part of the code."""
+    memo: dict = {}
+
+    def copy(node):
+        if node not in memo:
+            if isinstance(node, expr.Num):
+                memo[node] = expr.Num(node.value + (len(memo) + 1) / 1024)
+            elif isinstance(node, (expr.Var, expr.Param)):
+                memo[node] = node
+            elif isinstance(node, expr.Pow) and expr._int_exponent(node.exponent) is not None:
+                memo[node] = expr.Pow(copy(node.base), node.exponent)
+            else:
+                memo[node] = type(node)(*(copy(v) if isinstance(v, expr._Node) else v
+                                          for v in vars(node).values()))
+        return memo[node]
+
+    return copy(root)
+
 
 class TestNonFiniteConstants:
     def test_overflowing_fold_is_kept_as_an_operation(self):
@@ -255,6 +294,16 @@ class TestSharing:
         del f, d
         gc.collect()
         assert node() is None
+
+    def test_the_compile_cache_holds_no_tree_and_no_fallback(self):
+        f = parse("q0*xi_cache + exp(p0)/q0", 1)  # a parameter no other test uses
+        fn = expr.compile_bundle([f, partial(f, "q0")], ["q0", "p0", "xi_cache"])
+        env = {"q0": 0.5, "p0": 0.25, "xi_cache": 1.5}
+        assert f.eval_env(env) == fn(0.5, 0.25, 1.5)[0] == expr.eval_node(f.ast, env)
+        node, function = weakref.ref(f.ast), weakref.ref(fn)
+        del f, fn
+        gc.collect()
+        assert node() is None and function() is None
 
     def test_an_ast_is_compiled_once_for_every_field_that_wraps_it(self, monkeypatch):
         compiled = []

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from contact_noether.expr import DomainError, number, parse
 from contact_noether.geometry import (
     ContactSystem,
     ExtendedPoint,
+    LieDerivativeEta,
     SampleBox,
     VectorFieldSpec,
     lie_bracket,
+    lie_derivative_eta,
     point_bundle,
 )
 from contact_noether.noether import (
@@ -22,6 +26,7 @@ from contact_noether.noether import (
     closure_check,
     contact_bracket_defect,
     dissipation_compensation,
+    dissipation_field,
     dissipation_residual,
     invariant_from_symmetry,
     max_relative_drift,
@@ -33,9 +38,10 @@ from contact_noether.noether import (
     symmetry_test,
 )
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
-from contact_noether.systems import f0_invariant, lr_invariant, lr_equilibrium
+from contact_noether.systems import (f0_invariant, lr_invariant, lr_equilibrium,
+                                     make_harmonic_dissipative, make_kepler, make_td_kepler)
 from conftest import point
-from randfields import central_fd
+from randfields import PARAM_NAMES, central_fd, random_field
 
 
 def zero_field(n):
@@ -52,6 +58,19 @@ class TestDissipationResidual:
     def test_symplectic_conserved_momentum(self):
         sys1 = ContactSystem(n=1, h=parse("p0^2/2", 1))
         assert dissipation_residual(sys1, parse("p0", 1), point(0.4, 1.7)) == 0.0
+
+    def test_one_point_wrappers_compile_at_most_once(self, kepler):
+        # each call builds its bundle again, but from the same shape, so the
+        # compiled code is reused
+        Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
+        F = invariant_from_symmetry(kepler, Y)
+        pts = sample_points(kepler, 200, seed=8)
+        for wrapper in (lambda pt: dissipation_residual(kepler, F, pt),
+                        lambda pt: lie_derivative_eta(kepler, Y, pt)):
+            with mock.patch("builtins.compile", wraps=compile) as spy:
+                for pt in pts:
+                    wrapper(pt)
+            assert spy.call_count <= 1
 
     def test_kepler_scaling_invariant(self, kepler):
         F = parse("(2/3)*(q0*p0+q1*p1+q2*p2) - t*((p0^2+p1^2+p2^2)/2 "
@@ -467,3 +486,33 @@ class TestDissipatedAlongFlow:
         assert np.allclose(comp, np.exp(g0 * np.asarray(traj.times)), rtol=1e-10)
         series = np.asarray(traj.tracked["F0"]) * comp
         assert max_relative_drift(series) <= 10 * 1e-7
+
+
+@pytest.mark.parametrize("label", ["kepler", "td-kepler", "oscillator"])
+def test_noether_contraction_identity_holds_for_any_field(label):
+    """iota_X(L_Y eta_E) + X(F) + R(h) F = 0 with F = -iota_Y eta_E and X = X_h^t,
+    for every Y, symmetry or not, because iota_X d(eta_E) = -R(h) eta_E and
+    eta_E(X) = 0: the Cartan form (`LieDerivativeEta`) and the dissipation
+    equation (`dissipation_field`) are built apart and must agree to rounding."""
+    system = {"kepler": make_kepler, "td-kepler": lambda: make_td_kepler(1.0, 0.25, 1.5),
+              "oscillator": lambda: make_harmonic_dissipative(1.0, "1 + 0.4*sin(t)", 0.35),
+              }[label]()
+    n, rng = system.n, np.random.default_rng(73)
+    X = extended_field(system).components()
+    params = {**system.params, **{nm: float(rng.uniform(0.5, 1.5)) for nm in PARAM_NAMES}}
+    points = sample_points(system, 8, seed=74)
+    evaluated = 0
+    for _ in range(15):
+        Y = VectorFieldSpec(*(tuple(random_field(rng, n, 3) for _ in range(n)) for _ in range(2)),
+                            random_field(rng, n, 3), random_field(rng, n, 3))
+        terms = [c * x for c, x in zip(LieDerivativeEta(system, Y).form, X)]
+        at = point_bundle([*terms, dissipation_field(system, invariant_from_symmetry(system, Y))],
+                          params)
+        for pt in points:
+            try:
+                values = at(pt)
+            except DomainError:
+                continue
+            assert abs(sum(values)) <= 1e-12 * max(map(abs, values)), values
+            evaluated += 1
+    assert evaluated >= 60
