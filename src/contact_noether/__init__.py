@@ -17,12 +17,9 @@ from .expr import ScalarField, parse, partial  # noqa: F401
 from .geometry import (  # noqa: F401
     ContactSystem,
     ExtendedPoint,
-    OneFormValue,
     VectorFieldSpec,
-    eta_extended,
     jacobi_bracket,
     lie_bracket,
-    lie_derivative_eta,
     poisson_bracket,
 )
 from .noether import (  # noqa: F401
@@ -30,9 +27,9 @@ from .noether import (  # noqa: F401
     SymmetryReport,
     closure_check,
     dissipation_field,
-    dissipation_residual,
     invariant_from_symmetry,
     ratio_invariant,
+    residual_at,
     sample_points,
     similarity_test,
     symmetry_from_invariant,

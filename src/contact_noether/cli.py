@@ -174,8 +174,8 @@ def load_scenario(path: str | Path) -> Scenario:
         entry: dict[str, Any] = {}
         if "ansatz" in spec:
             a = spec["ansatz"]
-            ans = scaling.ScalingAnsatz(float(a.get("alpha", 0.0)), float(a.get("beta", 0.0)),
-                                        float(a.get("gamma", 0.0)), float(a.get("sigma", 0.0)))
+            ans = scaling.ScalingAnsatz(*(_finite(a.get(k, 0.0), f"{path}: {label}.ansatz.{k}")
+                                          for k in ("alpha", "beta", "gamma", "sigma")))
             entry["field"] = scaling.scaling_generator(ans, system.n)
         elif "from_invariant" in spec:
             _require(spec["from_invariant"] in invariants,
@@ -204,8 +204,13 @@ def load_scenario(path: str | Path) -> Scenario:
     for c in checks:
         _require(isinstance(c, dict) and c.get("type") in known,
                  f"{path}: each check needs a 'type' in {sorted(known)}")
+        for key in ("tol", "Lambda_tol", "expect_Lambda"):  # tol and Lambda_tol: also >= 0
+            if key in c:
+                value = _finite(c[key], f"{path}: check '{key}'")
+                _require(value >= 0 or key == "expect_Lambda", f"{path}: check '{key}' must be >= 0")
 
-    point_params = {k: float(v) for k, v in (raw.get("point_params") or {}).items()}
+    point_params = {k: _finite(v, f"{path}: point_params {k!r}")
+                    for k, v in (raw.get("point_params") or {}).items()}
     return Scenario(name, system, initial, t_end, integ, seed, sample_count,
                     invariants, symmetries, checks, auxiliary, point_params)
 
@@ -389,6 +394,7 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
         if seed is not None:
             sc.seed = _integer(seed, 0, "--seed")
         if tol_override is not None:
+            _require(_finite(tol_override, "--tol-override") >= 0, "--tol-override must be >= 0")
             for c in sc.checks:
                 c["tol"] = tol_override
         out_root = Path(out_root or os.environ.get(DEFAULT_OUT_ENV, "out"))

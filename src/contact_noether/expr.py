@@ -33,7 +33,7 @@ import math
 import re
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
@@ -481,11 +481,9 @@ def compile_bundle(fields: Sequence["ScalarField"],
 
 
 def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
-    """The one-field case over a name->value environment.  The function holds
-    `node` weakly, so that it may be cached per node."""
-    root = weakref.ref(node)
+    """The one-field case over a name->value environment (`eval_env`)."""
     reads = [f"    _v_{nm} = _env[{nm!r}]" for nm in sorted(names)]
-    return _codegen([node], "_env", reads, False, lambda env: eval_node(root(), env))
+    return _codegen([node], "_env", reads, False, lambda env: eval_node(node, env))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +491,6 @@ def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]]
 
 
 _NAMES: "weakref.WeakKeyDictionary[Node, tuple[frozenset[str], ...]]" = weakref.WeakKeyDictionary()
-_COMPILED: "weakref.WeakKeyDictionary[Node, Callable]" = weakref.WeakKeyDictionary()
 
 
 def _collect_names(root: Node) -> tuple[frozenset[str], frozenset[str]]:
@@ -541,22 +538,14 @@ class ScalarField:
     ast: Node
     n: int
 
-    def __post_init__(self) -> None:
-        self.free_vars, self.free_params = _collect_names(self.ast)
-        bad = self.free_vars - valid_variables(self.n)
-        if bad:
-            raise IndexOutOfRange(f"variables {sorted(bad)} out of range for dimension n={self.n}")
-
-    @cached_property
-    def _fn(self) -> Callable[[Mapping[str, float]], float]:
-        fn = _COMPILED.get(self.ast)
-        if fn is None:
-            fn = _COMPILED[self.ast] = _compile(self.ast, self.free_vars | self.free_params)
-        return fn
+    # computed on first use, once per distinct node
+    free_vars = property(lambda self: _collect_names(self.ast)[0])
+    free_params = property(lambda self: _collect_names(self.ast)[1])
 
     def eval_env(self, env: Mapping[str, float]) -> float:
-        """Evaluate with a prebuilt name->value environment (hot path)."""
-        return self._fn(env)
+        """The value at a name->value environment, compiled on each call; build
+        a bundle (`compile_bundle`, `geometry.point_bundle`) to evaluate often."""
+        return _compile(self.ast, self.free_vars | self.free_params)(env)
 
     def source(self) -> str:
         return to_source(self.ast)

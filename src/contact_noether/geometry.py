@@ -6,8 +6,10 @@ Conventions (pinned by the test suite): the contact form is
 
 Vector fields and the one-forms ``iota_Y d(eta_E)`` and ``L_Y eta_E`` are
 symbolic (ScalarFields per component, in coordinate_names order, with exact
-structural derivatives); `point_bundle` compiles a set of fields once into
-one function of a point.  OneFormValue is what one-point wrappers return.
+structural derivatives).  `point_bundle` compiles a set of fields once into
+one function of a point; it is how fields are evaluated at points.  A 1-form
+at a point is its 2n+2 coefficients in coordinate_names order, e.g. eta_E at
+a point is ``(-p..., 0..., 1, h)``.
 """
 
 from __future__ import annotations
@@ -54,29 +56,6 @@ class ExtendedPoint:
 
 
 @dataclass(frozen=True)
-class OneFormValue:
-    """Coefficients of a 1-form at a point, in the basis (dq^a, dp_a, dS, dt)."""
-
-    dq: tuple[float, ...]
-    dp: tuple[float, ...]
-    dS: float
-    dt: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dq", tuple(map(float, self.dq)))
-        object.__setattr__(self, "dp", tuple(map(float, self.dp)))
-        object.__setattr__(self, "dS", float(self.dS))
-        object.__setattr__(self, "dt", float(self.dt))
-
-    def coefficients(self) -> tuple[float, ...]:
-        """All 2n+2 coefficients in coordinate_names order."""
-        return (*self.dq, *self.dp, self.dS, self.dt)
-
-    def max_abs(self) -> float:
-        return nan_max(map(abs, self.coefficients()))
-
-
-@dataclass(frozen=True)
 class VectorFieldSpec:
     """Symbolic components of a vector field on the extended space."""
 
@@ -102,9 +81,6 @@ class VectorFieldSpec:
     def components(self) -> tuple[ScalarField, ...]:
         """All 2n+2 components ordered (Yq..., Yp..., YS, Yt)."""
         return (*self.Yq, *self.Yp, self.YS, self.Yt)
-
-    def eval(self, env: Mapping[str, float]) -> tuple[float, ...]:
-        return tuple(c.eval_env(env) for c in self.components())
 
     def __add__(self, other: "VectorFieldSpec") -> "VectorFieldSpec":
         if other.n != self.n:
@@ -202,14 +178,11 @@ class ContactSystem:
         return partial(self.h, "t")
 
     def env(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> dict[str, float]:
-        return {**point.env(), **self.params, **(extra or {})}
-
-    def h_value(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> float:
-        """h by its cached compiled function; a coordinate wins over a like-named parameter."""
-        return self.h.eval_env({**self.params, **(extra or {}), **point.env()})
+        """Parameters, then `extra`, then coordinates, which win as in `bindable_params`."""
+        return {**self.params, **(extra or {}), **point.env()}
 
     def admissible(self, point: ExtendedPoint, margin: float = 1e-3) -> bool:
-        env = {**self.params, **point.env()}
+        env = self.env(point)
         try:
             return point.n == self.n and all(expr.eval_node(g.ast, env) >= margin for g in self.guards)
         except expr.DomainError:
@@ -227,29 +200,10 @@ class SampleBox:
 
 
 # ---------------------------------------------------------------------------
-# 1-form evaluations
+# 1-forms
 
 
-def eta_contact(point: ExtendedPoint) -> OneFormValue:
-    """eta = dS - p_a dq^a at a point (dt coefficient zero)."""
-    return OneFormValue([-p for p in point.p], (0.0,) * point.n, 1.0, 0.0)
-
-
-def eta_extended(system: ContactSystem, point: ExtendedPoint,
-                 extra: Mapping[str, float] | None = None) -> OneFormValue:
-    """eta_E = dS - p_a dq^a + h dt at a point."""
-    return OneFormValue([-p for p in point.p], (0.0,) * point.n, 1.0, system.h_value(point, extra))
-
-
-def contract_d_eta_contact(Y: VectorFieldSpec, point: ExtendedPoint,
-                           env: Mapping[str, float] | None = None) -> OneFormValue:
-    """iota_Y (dq^a ^ dp_a) at a point."""
-    e = dict(point.env()) if env is None else env
-    yq = [c.eval_env(e) for c in Y.Yq]
-    return OneFormValue([-c.eval_env(e) for c in Y.Yp], yq, 0.0, 0.0)
-
-
-def contract_d_eta_extended(system: ContactSystem, Y: VectorFieldSpec) -> tuple[ScalarField, ...]:
+def contract_d_eta_E(system: ContactSystem, Y: VectorFieldSpec) -> tuple[ScalarField, ...]:
     """iota_Y d(eta_E) with d(eta_E) = dq^a ^ dp_a + dh ^ dt, exact partials of h,
     as 2n+2 fields in coordinate_names order."""
     n, Yt = system.n, Y.Yt
@@ -260,7 +214,7 @@ def contract_d_eta_extended(system: ContactSystem, Y: VectorFieldSpec) -> tuple[
             directional_derivative(Y, system.h) - Yt * system.h_t)
 
 
-def interior_product_eta_extended(system: ContactSystem, Y: VectorFieldSpec) -> ScalarField:
+def interior_product_eta_E(system: ContactSystem, Y: VectorFieldSpec) -> ScalarField:
     """iota_Y eta_E = Y^S - p_a Y^a + h Y^t as a symbolic field."""
     n = system.n
     acc = Y.YS
@@ -276,9 +230,9 @@ class LieDerivativeEta:
     def __init__(self, system: ContactSystem, Y: VectorFieldSpec):
         self.system = system
         self.Y = Y
-        self.scalar = interior_product_eta_extended(system, Y)
+        self.scalar = interior_product_eta_E(system, Y)
         self.form = tuple(c + partial(self.scalar, nm) for c, nm in
-                          zip(contract_d_eta_extended(system, Y), coordinate_names(system.n)))
+                          zip(contract_d_eta_E(system, Y), coordinate_names(system.n)))
 
     def bundle(self, extra: Mapping[str, float] | None = None,
                param_rates: Mapping[str, float] | None = None, *more: ScalarField):
@@ -301,23 +255,9 @@ class LieDerivativeEta:
 
     def __call__(self, point: ExtendedPoint,
                  extra: Mapping[str, float] | None = None,
-                 param_rates: Mapping[str, float] | None = None) -> OneFormValue:
-        omega, _ = self.bundle(extra, param_rates)(point)
-        n = self.system.n
-        return OneFormValue(omega[:n], omega[n:2 * n], omega[2 * n], omega[2 * n + 1])
-
-
-def lie_derivative_eta(system: ContactSystem, Y: VectorFieldSpec, point: ExtendedPoint,
-                       extra: Mapping[str, float] | None = None,
-                       param_rates: Mapping[str, float] | None = None) -> OneFormValue:
-    """Cartan formula L_Y eta_E = iota_Y d(eta_E) + d(iota_Y eta_E) at a point.
-
-    `param_rates` gives d(param)/dt for parameters standing in for
-    time-dependent auxiliary functions; their contribution enters the dt
-    component of the exact differential.  For evaluation at many points,
-    compile :meth:`LieDerivativeEta.bundle` once instead.
-    """
-    return LieDerivativeEta(system, Y)(point, extra, param_rates)
+                 param_rates: Mapping[str, float] | None = None) -> list[float]:
+        """The 2n+2 coefficients at one point, compiling a bundle on each call."""
+        return self.bundle(extra, param_rates)(point)[0]
 
 
 def nan_max(values: Iterable[float]) -> float:
@@ -394,5 +334,5 @@ def jacobi_bracket(system: ContactSystem, F: ScalarField, G: ScalarField) -> Sca
             raise ValueError("Jacobi bracket arguments must be t-independent")
     from .dynamics import contact_field_of
 
-    return interior_product_eta_extended(
+    return interior_product_eta_E(
         system, lie_bracket(contact_field_of(F), contact_field_of(G)))

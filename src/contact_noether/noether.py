@@ -24,7 +24,7 @@ from .geometry import (
     SampleBox,
     VectorFieldSpec,
     directional_derivative,
-    interior_product_eta_extended,
+    interior_product_eta_E,
     lie_bracket,
     nan_max,
     point_bundle,
@@ -182,10 +182,7 @@ def residual_at(system: ContactSystem, F: ScalarField,
 def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedPoint,
                          extra: Mapping[str, float] | None = None,
                          param_rates: Mapping[str, float] | None = None) -> float:
-    """X_h^t(F) + R(h) F at a point, with exact partials.  `param_rates`
-    supplies d(param)/dt for parameters that stand in for functions of t, so
-    that their time dependence enters exactly.  For many points, build
-    :func:`residual_at` once instead."""
+    """`residual_at` at one point, compiling its bundle on each call."""
     return residual_at(system, F, extra, param_rates or ())(point, param_rates)
 
 
@@ -195,7 +192,7 @@ def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedP
 
 def invariant_from_symmetry(system: ContactSystem, Y: VectorFieldSpec) -> ScalarField:
     """F = -iota_Y eta_E = p_a Y^a - Y^S - h Y^t."""
-    return -interior_product_eta_extended(system, Y)
+    return -interior_product_eta_E(system, Y)
 
 
 def symmetry_from_invariant(system: ContactSystem, F: ScalarField,
@@ -306,7 +303,7 @@ def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
     quantity.  When Y^t does not depend on (q, p, S), [X_h, Y] has no dt
     component and eta_E may be read as the contact form eta.
     """
-    scalar = interior_product_eta_extended(system, lie_bracket(contact_field(system), Y))
+    scalar = interior_product_eta_E(system, lie_bracket(contact_field(system), Y))
     at = point_bundle([scalar], {**system.params, **(extra or {})})
     return nan_max(abs(at(pt)[0]) for pt in samples)
 

@@ -34,10 +34,6 @@ G_KINDS = ("zero", "homogeneous")
 _TOL = 1e-12
 
 
-class InadmissibleCase(Exception):
-    """No scaling symmetry exists for the requested family parameters."""
-
-
 @dataclass(frozen=True)
 class ScalingAnsatz:
     """Exponent rates of the diagonal transformation

@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .expr import ScalarField, number, parameter, parse, partial, substitute, variable
-from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec
+from .expr import (ScalarField, compile_bundle, eval_node, number, parameter, parse, partial,
+                   substitute, variable)
+from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec, point_bundle
 from .dynamics import AuxComponent, IntegratorConfig, Trajectory, extended_field, integrate
 from .noether import residual_at, symmetry_from_invariant
 from .scaling import _f0, _f1, _f2, case3_system, dot_qp
@@ -207,7 +208,7 @@ def em_invariant_closed_form(system: ContactSystem, b0: float = 1.0,
     f, g0 = _harmonic_meta(system)
     if f.free_vars:
         raise ValueError("closed-form b(t) requires constant f")
-    f0 = f.eval_env(system.params)
+    f0 = eval_node(f.ast, system.params)
     disc = f0 - g0 * g0 / 4.0
     if disc <= 0.0:
         raise ValueError("need f > g0^2/4 for the oscillatory closed form")
@@ -269,15 +270,21 @@ _AUX_BOX = {"rho": (1e-6, 1e6), "a": (1e-6, 1e6)}
 
 
 @lru_cache(maxsize=None)
-def _rate_template(source: str, n: int) -> ScalarField:
-    """A rate of `_AUX_ODES`, parsed once per text (a patched table is new text)."""
-    return parse(source, n)
+def _rate_block(sources: tuple[str, ...], n: int) -> tuple[tuple[ScalarField, ...], Callable]:
+    """The rates of an auxiliary block of `_AUX_ODES`, parsed once per tuple of
+    texts (a patched table is new text), and one bundle of them as a function
+    of a name->value mapping."""
+    rates = tuple(parse(src, n) for src in sources)
+    names = sorted(set().union(*(r.free_vars | r.free_params for r in rates)))
+    fn = compile_bundle(rates, names)
+    return rates, lambda env: fn(*(env[nm] for nm in names))
 
 
 def _aux_rates(which: str, vals: Mapping[str, float], f_val: float, g0: float) -> dict[str, float]:
     """d/dt of the auxiliary block `which`, from `_AUX_ODES` at f = f_val."""
-    env = {**vals, "f": f_val, "g0": g0}
-    return {nm: _rate_template(_AUX_ODES[nm], 1).eval_env(env) for nm in (which, f"{which}_dot")}
+    block = (which, f"{which}_dot")
+    _, rates = _rate_block(tuple(_AUX_ODES[nm] for nm in block), 1)
+    return dict(zip(block, rates({**vals, "f": f_val, "g0": g0})))
 
 
 def _verify_aux_forms() -> None:
@@ -290,6 +297,7 @@ def _verify_aux_forms() -> None:
     _AUX_FORMS_VERIFIED = True
     try:
         f = parse("0.8 + 0.3*t + 0.1*sin(t)", 1)
+        f_at = point_bundle([f], {})
         checks = [
             ("rho", 0.0, lr_invariant(), {"rho": 1.3, "rho_dot": -0.4, "rho0": 0.9}),
             ("a", 0.45, glr_invariant(), {"a": 1.2, "a_dot": 0.7, "a0": 1.1}),
@@ -299,8 +307,8 @@ def _verify_aux_forms() -> None:
             system = make_harmonic_dissipative(1.37, f, g0)
             residual = residual_at(system, field, aux, (which, f"{which}_dot"))
             for qv, pv, sv, tv in ((0.7, -1.1, 0.3, 0.9), (-0.4, 0.6, -1.0, 2.1)):
-                rates = _aux_rates(which, aux, f.eval_env({"t": tv}), g0)
-                res = residual(ExtendedPoint([qv], [pv], sv, tv), rates)
+                pt = ExtendedPoint([qv], [pv], sv, tv)
+                res = residual(pt, _aux_rates(which, aux, f_at(pt)[0], g0))
                 if abs(res) > 1e-9:
                     raise RuntimeError(
                         f"auxiliary invariant self-test failed for {which}: residual {res!r}")
@@ -337,9 +345,11 @@ def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliarySta
     aux: dict[str, AuxComponent] = {}
     for block in ("rho", "a", "b"):
         if getattr(aux0, f"use_{block}"):
-            for nm in (block, f"{block}_dot"):
-                rate = substitute(_rate_template(_AUX_ODES[nm], system.n), "f", f_field)
-                aux[nm] = AuxComponent(getattr(aux0, nm), rate, _AUX_BOX.get(nm))
+            names = (block, f"{block}_dot")
+            rates, _ = _rate_block(tuple(_AUX_ODES[nm] for nm in names), system.n)
+            for nm, rate in zip(names, rates):
+                aux[nm] = AuxComponent(getattr(aux0, nm), substitute(rate, "f", f_field),
+                                       _AUX_BOX.get(nm))
     return integrate(system, extended_field(system), start, t_end, cfg, tracked,
                      aux0.constants(), aux)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contact_noether.expr import compile_bundle
 from contact_noether.geometry import ExtendedPoint
 from contact_noether.systems import make_harmonic_dissipative, make_kepler
 
@@ -22,3 +23,12 @@ def free_oscillator():
 
 def point(q, p, S=0.0, t=0.0) -> ExtendedPoint:
     return ExtendedPoint(np.atleast_1d(q), np.atleast_1d(p), S, t)
+
+
+def values(fields, env) -> tuple[float, ...]:
+    """Each field at a name->value environment, through one compiled bundle."""
+    return compile_bundle(list(fields), list(env))(*env.values())
+
+
+def value(field, env) -> float:
+    return values([field], env)[0]

@@ -70,7 +70,7 @@ def central_fd(field: ScalarField, name: str, env: dict[str, float], step: float
     lo = dict(env)
     hi[name] = env[name] + step
     lo[name] = env[name] - step
-    return (field.eval_env(hi) - field.eval_env(lo)) / (2.0 * step)
+    return (expr.eval_node(field.ast, hi) - expr.eval_node(field.ast, lo)) / (2.0 * step)
 
 
 def derivative_pair(rng: np.random.Generator, n: int = 2, depth: int = 6,
@@ -89,7 +89,7 @@ def derivative_pair(rng: np.random.Generator, n: int = 2, depth: int = 6,
         name = str(rng.choice(candidates))
         env = random_env(rng, n)
         try:
-            v0 = field.eval_env(env)
+            v0 = expr.eval_node(field.ast, env)
             fd1 = central_fd(field, name, env, step)
             fd2 = central_fd(field, name, env, 2.0 * step)
         except expr.ExprError:

@@ -24,16 +24,17 @@ from contact_noether.geometry import (
     ExtendedPoint,
     SampleBox,
     VectorFieldSpec,
+    point_bundle,
 )
 from contact_noether.noether import (
     DYNAMICAL_SYMMETRY,
     NOT_SYMMETRY,
     closure_check,
     contact_bracket_defect,
-    dissipation_residual,
     invariant_from_symmetry,
     max_relative_drift,
     noether_lambda,
+    residual_at,
     sample_points,
     similarity_test,
     symmetry_from_invariant,
@@ -63,7 +64,7 @@ from contact_noether.systems import (
     make_kepler,
     make_td_kepler,
 )
-from conftest import point
+from conftest import point, value
 from randfields import derivative_pair
 
 CFG10 = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -139,12 +140,11 @@ def test_criterion_03_inverse_theorem_round_trip():
             lam = noether_lambda(system, F, Yt)
             rep = symmetry_test(system, Y, pts, threshold=1e-9, extra=extra)
             assert rep.passed, (name, yt_src, rep.residual)
+            at = point_bundle([F, back, lam], {**system.params, **extra})
             for k, pt in enumerate(pts):
-                env = system.env(pt, extra)
-                want = F.eval_env(env)
-                got = back.eval_env(env)
+                want, got, lam_k = at(pt)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, yt_src)
-                assert abs(rep.lambda_at_samples[k] - lam.eval_env(env)) <= 1e-9
+                assert abs(rep.lambda_at_samples[k] - lam_k) <= 1e-9
     report(3, "Y_F = X_F + Yt X_h^t reproduces each builtin invariant "
               "(7 invariants x Yt in {0, t, 3t}) with matching lambda")
 
@@ -157,9 +157,9 @@ def test_criterion_04_gauge_freedom():
             Y = symmetry_from_invariant(system, F, parse(yt_src, system.n))
             F1 = invariant_from_symmetry(system, Y)
             F2 = invariant_from_symmetry(system, Y + gauge)
+            at = point_bundle([F1, F2], {**system.params, **extra})
             for pt in pts:
-                env = system.env(pt, extra)
-                a, b = F1.eval_env(env), F2.eval_env(env)
+                a, b = at(pt)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (name, yt_src)
     report(4, "adding 7t X_h^t to any constructed symmetry leaves its "
               "invariant unchanged (1e-12)")
@@ -172,7 +172,7 @@ def test_criterion_05_scaling_case_table():
     def check_form(sol, expected):
         for env in probes:
             want = expected(env)
-            assert sol.invariant.eval_env(env) == pytest.approx(want, rel=1e-12, abs=1e-13)
+            assert value(sol.invariant, env) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     sol = next(s for s in solve_scaling(1.0, 2.0, "constant", "zero") if s.case_tag == K2_F0)
     check_form(sol, lambda e: e["q0"] * e["p0"] - 2 * e["S"])
@@ -208,9 +208,9 @@ def test_criterion_05_scaling_case_table():
         for sol in solve_scaling(1.0, **args):
             if sol.case_tag == TRIVIAL:
                 continue
-            F = sol.invariant_for(system)
+            residual = residual_at(system, sol.invariant_for(system))
             for pt in sample_points(system, 100, seed=105):
-                assert abs(dissipation_residual(system, F, pt)) <= 1e-10, sol.case_tag
+                assert abs(residual(pt)) <= 1e-10, sol.case_tag
     report(5, "case table reproduces F0/F1/F2 and the forced-linear "
               "dissipative branch; all residuals <= 1e-10")
 
@@ -227,8 +227,9 @@ def test_criterion_06_time_dependent_kepler():
         drift = max_relative_drift(traj.tracked["F"])
         assert drift <= 1e-7, (lam, drift)
     td_static = make_td_kepler(1.0, 0.25, 1.0 / 3.0)
+    td_h, kepler_h = (point_bundle([s.h], s.params) for s in (td_static, kepler))
     for pt in sample_points(td_static, 100, seed=106):
-        a, b = td_static.h_value(pt), kepler.h_value(pt)
+        (a,), (b,) = td_h(pt), kepler_h(pt)
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
     report(6, "forced power-law Kepler invariant conserved for Lambda in "
               "{1/3, 1, 2}; Lambda = 1/3 collapses to the static problem")
@@ -299,7 +300,7 @@ def test_criterion_10_numerics_hygiene():
     rng = np.random.default_rng(20260810)
     for _ in range(1000):
         field, name, env, fd = derivative_pair(rng)
-        d = partial(field, name).eval_env(env)
+        d = value(partial(field, name), env)
         assert abs(d - fd) <= 1e-5 * max(1.0, abs(fd))
 
     oscillator = ContactSystem(n=1, h=parse("p0^2/2 + q0^2/2", 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from contact_noether import cli, expr
-from contact_noether.geometry import lie_bracket
+from contact_noether.geometry import lie_bracket, point_bundle
 from contact_noether.noether import sample_points
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -60,8 +60,8 @@ class TestBundledScenarios:
         closure = next(c for c in sc.checks if c["type"] == "closure")
         bracket = lie_bracket(sc.symmetries[closure["first"]]["field"],
                               sc.symmetries[closure["second"]]["field"])
-        pts = sample_points(sc.system, 10, sc.seed)
-        assert max(np.max(np.abs(bracket.eval(sc.system.env(pt)))) for pt in pts) > 1e-2
+        at = point_bundle(bracket.components(), sc.system.params)
+        assert max(max(map(abs, at(pt))) for pt in sample_points(sc.system, 10, sc.seed)) > 1e-2
 
 
 def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
@@ -215,6 +215,39 @@ class TestExitCodes:
         path = write_scenario(tmp_path, "horizon", {**FREE_PARTICLE, "t_end": value})
         _, code = cli.run(path, tmp_path / "out")
         assert code == 2 and "'t_end' must be a finite number" in capsys.readouterr().err
+
+    # a squeeze of q0 on the free particle is no symmetry: its check fails with value 1.0
+    SQUEEZE = {**FREE_PARTICLE, "checks": [{"type": "symmetry", "symmetry": "squeeze"}],
+               "symmetries": [{"label": "squeeze", "Yq": ["q0"], "Yp": ["0"], "YS": "0", "Yt": "0"}]}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s["checks"][0].update(tol=float("inf")), "check 'tol' must be a finite number"),
+        (lambda s: s["checks"][0].update(tol="abc"), "check 'tol' must be a finite number"),
+        (lambda s: s["checks"][0].update(tol=-1e-9), "check 'tol' must be >= 0"),
+        (lambda s: s["checks"][0].update(type="similarity", Lambda_tol="x"),
+         "check 'Lambda_tol' must be a finite number"),
+        (lambda s: s["checks"][0].update(type="similarity", expect_Lambda=float("nan")),
+         "check 'expect_Lambda' must be a finite number"),
+        (lambda s: s.update(point_params={"a": "1.0"}), "point_params 'a' must be a finite number"),
+        (lambda s: s["symmetries"].append({"label": "Z", "ansatz": {"alpha": "2"}}),
+         "Z.ansatz.alpha must be a finite number"),
+    ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
+            "string-point_param", "string-exponent"])
+    def test_bad_check_number_is_config_error(self, tmp_path, capsys, edit, message):
+        scenario = json.loads(json.dumps(self.SQUEEZE))
+        path = write_scenario(tmp_path, "squeeze", scenario)
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert code == 1 and report["checks"][0]["value"] == 1.0
+        edit(scenario)
+        path = write_scenario(tmp_path, "squeeze", scenario)
+        _, code = cli.run(path, tmp_path / "out")
+        assert code == 2 and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_bad_tol_override_is_config_error(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, "fp", FREE_PARTICLE)
+        code = cli.main(["--out", str(tmp_path / "out"), f"--tol-override={value}", "check", str(path)])
+        assert code == 2 and "--tol-override must be" in capsys.readouterr().err
 
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "fp", FREE_PARTICLE)

@@ -24,15 +24,11 @@ from contact_noether.expr import DomainError, parse
 from contact_noether.geometry import ContactSystem
 from contact_noether.noether import sample_points
 from contact_noether.systems import make_harmonic_dissipative
-from conftest import point
+from conftest import point, values
 
 
 def make_system(h_src, n=1, params=None, guards=()):
     return ContactSystem(n=n, h=parse(h_src, n), params=params or {}, guards=guards)
-
-
-def env_of(system, pt):
-    return system.env(pt)
 
 
 class TestFieldConstruction:
@@ -40,7 +36,7 @@ class TestFieldConstruction:
         sys1 = make_system("p0^2/2")
         X = contact_field(sys1)
         env = point(0.0, 2.0).env()
-        v = X.eval(env)
+        v = values(X.components(), env)
         assert v[0] == 2.0          # qdot = p
         assert v[1] == 0.0          # pdot = 0
         assert v[2] == 2.0          # Sdot = p^2/2
@@ -50,14 +46,14 @@ class TestFieldConstruction:
         sys1 = make_system("p0^2/2 + q0^2/2 + g0*S", params={"g0": 0.3})
         X = contact_field(sys1)
         env = sys1.env(point(1.5, -0.4))
-        v = X.eval(env)
+        v = values(X.components(), env)
         assert v[1] == pytest.approx(-1.5 - 0.3 * -0.4, rel=1e-15)
 
     def test_h_equals_S(self):
         sys1 = make_system("S")
         X = contact_field(sys1)
         env = point(0.7, 1.1, S=0.9).env()
-        v = X.eval(env)
+        v = values(X.components(), env)
         assert v[0] == 0.0
         assert v[1] == pytest.approx(-1.1)
         assert v[2] == pytest.approx(-0.9)
@@ -72,15 +68,15 @@ class TestFieldConstruction:
         Xc = contact_field(sys1)
         Xe = extended_field(sys1)
         env = point(0.8, -0.3).env()
-        assert np.allclose(Xe.eval(env)[:3], Xc.eval(env)[:3])
-        assert Xe.eval(env)[3] == 1.0
+        assert np.allclose(values(Xe.components(), env)[:3], values(Xc.components(), env)[:3])
+        assert values(Xe.components(), env)[3] == 1.0
 
     def test_extended_field_time_dependent_coefficient(self):
         # h of harmonic type with f(t) = 1 + t: pdot = -m(1+t) q - g0 p
         system = make_harmonic_dissipative(1.0, "1 + t", 0.4)
         X = extended_field(system)
         env = system.env(point(2.0, 0.5, t=3.0))
-        v = X.eval(env)
+        v = values(X.components(), env)
         assert v[1] == pytest.approx(-(1 + 3.0) * 2.0 - 0.4 * 0.5, rel=1e-14)
 
 

@@ -21,12 +21,12 @@ from contact_noether.expr import (
     substitute,
 )
 from contact_noether.geometry import point_bundle
-from conftest import point
+from conftest import point, value
 from randfields import central_fd, derivative_pair, random_env, random_field
 
 
 def ev(source, n=1, env=None):
-    return parse(source, n).eval_env(env or {})
+    return value(parse(source, n), env or {})
 
 
 class TestParse:
@@ -37,13 +37,13 @@ class TestParse:
 
     def test_pythagorean(self):
         f = parse("sqrt(q0^2+q1^2+q2^2)", 3)
-        assert f.eval_env(point([3, 0, 4], [0, 0, 0]).env()) == 5.0
+        assert value(f, point([3, 0, 4], [0, 0, 0]).env()) == 5.0
 
     def test_kepler_hamiltonian_value(self):
         # value from direct substitution into p.p/2m - 4 eps/|q|
         f = parse("(p0^2+p1^2+p2^2)/(2*m) - 4*eps/sqrt(q0^2+q1^2+q2^2)", 3)
         env = {**point([1, 0, 0], [0, 1, 0]).env(), "m": 1.0, "eps": 0.25}
-        assert f.eval_env(env) == pytest.approx(-0.5, abs=1e-15)
+        assert value(f, env) == pytest.approx(-0.5, abs=1e-15)
 
     def test_syntax_error_offset(self):
         with pytest.raises(ExprSyntaxError) as ei:
@@ -114,10 +114,10 @@ class TestEvaluate:
             f = random_field(rng, 2, 5)
             env = random_env(rng, 2)
             try:
-                a = f.eval_env(env)
+                a = value(f, env)
             except expr.ExprError:
                 continue
-            assert f.eval_env(env) == a
+            assert value(f, env) == a
 
     def test_compiled_matches_interpreter_bitwise(self):
         rng = np.random.default_rng(11)
@@ -129,7 +129,7 @@ class TestEvaluate:
                 ref = expr.eval_node(f.ast, env)
             except expr.ExprError:
                 continue
-            assert f.eval_env(env) == ref
+            assert value(f, env) == ref
             checked += 1
 
     def test_compiled_raises_the_interpreters_domain_error(self):
@@ -148,7 +148,7 @@ class TestEvaluate:
             env = random_env(rng, 2)
             for g in (f, partial(f, "q0")):
                 ref = outcome(lambda e: expr.eval_node(g.ast, e), env)
-                assert outcome(g.eval_env, env) == ref
+                assert outcome(lambda e: value(g, e), env) == ref
                 raised += ref.startswith("DomainError")
         assert raised >= 50
 
@@ -176,7 +176,6 @@ class TestBundle:
             bundle = expr.compile_bundle(fields, list(env))
             ref = _outcome(lambda: [expr.eval_node(fl.ast, env) for fl in fields])
             assert _outcome(lambda: bundle(*env.values())) == ref
-            assert _outcome(lambda: [fl.eval_env(env) for fl in fields]) == ref
             raised += isinstance(ref, tuple)
         assert 30 <= raised <= 370
 
@@ -199,7 +198,6 @@ class TestBundle:
         for fields in ([field], [other, field], [field, other]):
             ref = _outcome(lambda: [expr.eval_node(fl.ast, env) for fl in fields])
             assert _outcome(lambda: expr.compile_bundle(fields, ["q0"])(q0)) == ref
-            assert _outcome(lambda: [fl.eval_env(env) for fl in fields]) == ref
 
     def test_unbound_names_are_rejected(self):
         with pytest.raises(UnboundParameter):
@@ -249,10 +247,10 @@ class TestNonFiniteConstants:
         for src in ("1e200*1e200*q0", "1e200*1e200", "q0 - 1e308 - 1e308"):
             f = parse(src, 1)
             env = {"q0": 1.0}
-            assert f.eval_env(env) == expr.eval_node(f.ast, env)
+            assert value(f, env) == expr.eval_node(f.ast, env)
         assert not isinstance(parse("1e200*1e200", 1).ast, expr.Num)
-        assert parse("1e200*1e200*q0", 1).eval_env({"q0": 1.0}) == math.inf
-        assert expr.number(-math.inf, 1).eval_env({}) == -math.inf
+        assert value(parse("1e200*1e200*q0", 1), {"q0": 1.0}) == math.inf
+        assert value(expr.number(-math.inf, 1), {}) == -math.inf
 
     def test_non_finite_literal_is_a_syntax_error(self):
         with pytest.raises(ExprSyntaxError) as ei:
@@ -289,8 +287,8 @@ class TestSharing:
         f = parse("exp(q0*0.0012345) + sin(p0)/q0", 1)
         node = weakref.ref(f.ast)
         d = partial(f, "q0")
-        d.eval_env({"q0": 0.5, "p0": 0.25})
-        f.eval_env({"q0": 0.5, "p0": 0.25})
+        value(d, {"q0": 0.5, "p0": 0.25})
+        value(f, {"q0": 0.5, "p0": 0.25})
         del f, d
         gc.collect()
         assert node() is None
@@ -299,22 +297,11 @@ class TestSharing:
         f = parse("q0*xi_cache + exp(p0)/q0", 1)  # a parameter no other test uses
         fn = expr.compile_bundle([f, partial(f, "q0")], ["q0", "p0", "xi_cache"])
         env = {"q0": 0.5, "p0": 0.25, "xi_cache": 1.5}
-        assert f.eval_env(env) == fn(0.5, 0.25, 1.5)[0] == expr.eval_node(f.ast, env)
+        assert value(f, env) == fn(0.5, 0.25, 1.5)[0] == expr.eval_node(f.ast, env)
         node, function = weakref.ref(f.ast), weakref.ref(fn)
         del f, fn
         gc.collect()
         assert node() is None and function() is None
-
-    def test_an_ast_is_compiled_once_for_every_field_that_wraps_it(self, monkeypatch):
-        compiled = []
-        real = expr._compile
-        monkeypatch.setattr(expr, "_compile",
-                            lambda node, names: compiled.append(node) or real(node, names))
-        f = parse("q0*exp(p0) + q0/p0", 1)
-        env = {"q0": 0.5, "p0": 0.25}
-        for g in (f, expr.ScalarField(f.ast, 1), parse("q0*exp(p0) + q0/p0", 1)):
-            assert g.eval_env(env) == expr.eval_node(f.ast, env)
-        assert compiled == [f.ast]
 
     def test_each_distinct_subexpression_is_evaluated_once(self, monkeypatch):
         calls = []
@@ -327,7 +314,7 @@ class TestSharing:
         f = parse("sqrt(q0^2+1)*sqrt(q0^2+1) + q0/sqrt(q0^2+1)", 1)
         ref = expr.eval_node(f.ast, {"q0": 2.0})
         monkeypatch.setitem(expr._INTRINSIC_IMPL, "sqrt", counting)
-        assert f.eval_env({"q0": 2.0}) == ref
+        assert value(f, {"q0": 2.0}) == ref
         assert calls == [5.0]
 
     def test_derivative_visits_each_distinct_node_once(self, monkeypatch):
@@ -343,7 +330,7 @@ class TestSharing:
         d = partial(f, "xi_sharing")
         assert len(rules) == len(set(rules)) == 25
         env = {"xi_sharing": 0.3}
-        assert d.eval_env(env) == expr.eval_node(d.ast, env)
+        assert value(d, env) == expr.eval_node(d.ast, env)
 
 
 class TestPartial:
@@ -355,23 +342,23 @@ class TestPartial:
     def test_norm_gradient_matches_fd(self):
         f = parse("sqrt(q0^2+q1^2)", 2)
         env = point([3.0, 4.0], [0.0, 0.0]).env()
-        d = partial(f, "q0").eval_env(env)
+        d = value(partial(f, "q0"), env)
         fd = central_fd(f, "q0", env, 1e-6)
         assert d == pytest.approx(0.6, abs=1e-12)
         assert d == pytest.approx(fd, abs=1e-6)
 
     def test_power_rule(self):
-        assert partial(parse("t^2", 1), "t").eval_env({"t": 3.0}) == 6.0
+        assert value(partial(parse("t^2", 1), "t"), {"t": 3.0}) == 6.0
 
     def test_higher_partials(self):
         f = parse("q0^4", 1)
         d2 = partial(partial(f, "q0"), "q0")
-        assert d2.eval_env({"q0": 2.0}) == 48.0
+        assert value(d2, {"q0": 2.0}) == 48.0
 
     def test_partial_wrt_parameter(self):
         f = parse("a*t^2 + b", 1)
-        assert partial(f, "a").eval_env({"t": 3.0, "b": 0.0, "a": 0.0}) == 9.0
-        assert partial(f, "b").eval_env({}) == 1.0
+        assert value(partial(f, "a"), {"t": 3.0, "b": 0.0, "a": 0.0}) == 9.0
+        assert value(partial(f, "b"), {}) == 1.0
 
     def test_free_vars_shrink(self):
         f = parse("q0*p0 + sin(S)", 1)
@@ -379,10 +366,10 @@ class TestPartial:
 
     def test_abs_derivative_away_from_zero(self):
         f = parse("abs(q0)", 1)
-        assert partial(f, "q0").eval_env({"q0": -3.0}) == -1.0
-        assert partial(f, "q0").eval_env({"q0": 2.0}) == 1.0
+        assert value(partial(f, "q0"), {"q0": -3.0}) == -1.0
+        assert value(partial(f, "q0"), {"q0": 2.0}) == 1.0
         with pytest.raises(DomainError):
-            partial(f, "q0").eval_env({"q0": 0.0})
+            value(partial(f, "q0"), {"q0": 0.0})
 
     def test_product_rule_identity(self):
         rng = np.random.default_rng(23)
@@ -392,8 +379,8 @@ class TestPartial:
             env = random_env(rng, 2)
             name = "q0"
             try:
-                lhs = partial(f * g, name).eval_env(env)
-                rhs = (partial(f, name) * g + f * partial(g, name)).eval_env(env)
+                lhs = value(partial(f * g, name), env)
+                rhs = value(partial(f, name) * g + f * partial(g, name), env)
             except expr.ExprError:
                 continue
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -405,8 +392,8 @@ class TestPartial:
             f = expr.apply_intrinsic("sin", g)
             env = random_env(rng, 2)
             try:
-                lhs = partial(f, "p1").eval_env(env)
-                rhs = (expr.apply_intrinsic("cos", g) * partial(g, "p1")).eval_env(env)
+                lhs = value(partial(f, "p1"), env)
+                rhs = value(expr.apply_intrinsic("cos", g) * partial(g, "p1"), env)
             except expr.ExprError:
                 continue
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -416,7 +403,7 @@ class TestPartial:
         rng = np.random.default_rng(20260810)
         for _ in range(1000):
             field, name, env, fd = derivative_pair(rng)
-            d = partial(field, name).eval_env(env)
+            d = value(partial(field, name), env)
             assert abs(d - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
@@ -434,7 +421,7 @@ class TestRoundTrip:
         for src in sources:
             f = parse(src, 1)
             g = parse(f.source(), 1)
-            a, b = f.eval_env(env), g.eval_env(env)
+            a, b = value(f, env), value(g, env)
             assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
 
     @settings(max_examples=150, deadline=None)
@@ -446,10 +433,10 @@ class TestRoundTrip:
         env = random_env(rng, 2)
         g = parse(f.source(), 2)
         try:
-            a = f.eval_env(env)
+            a = value(f, env)
         except expr.ExprError:
             return
-        assert g.eval_env(env) == a
+        assert value(g, env) == a
 
 
 class TestSubstitute:
@@ -459,8 +446,8 @@ class TestSubstitute:
         concrete = substitute(template, "h", h)
         assert "h" not in concrete.free_params
         env = {"q0": 1.0, "p0": 2.0, "S": 0.5, "t": 1.0}
-        assert concrete.eval_env(env) == 2.0 * 2.0 - 3.0 * 2.0 - 0.5
+        assert value(concrete, env) == 2.0 * 2.0 - 3.0 * 2.0 - 0.5
 
     def test_substitute_number(self):
         f = substitute(parse("w*t", 1), "w", 2.5)
-        assert f.eval_env({"t": 2.0}) == 5.0
+        assert value(f, {"t": 2.0}) == 5.0

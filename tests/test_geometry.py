@@ -12,21 +12,18 @@ from contact_noether.geometry import (
     LieDerivativeEta,
     VectorFieldSpec,
     coordinate_names,
-    contract_d_eta_contact,
-    contract_d_eta_extended,
+    contract_d_eta_E,
     directional_derivative,
-    eta_contact,
-    eta_extended,
+    interior_product_eta_E,
     jacobi_bracket,
     lie_bracket,
-    lie_derivative_eta,
     point_bundle,
     poisson_bracket,
     proportionality_residual,
 )
 from contact_noether.noether import sample_points, symmetry_from_invariant
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
-from conftest import point
+from conftest import point, value, values
 from randfields import PARAM_NAMES, random_env, random_field
 
 
@@ -61,29 +58,40 @@ def make_system(h_src, n, params=None):
     return ContactSystem(n=n, h=parse(h_src, n), params=params or {})
 
 
+def eta_at(pt, h):
+    """eta_E = dS - p_a dq^a + h dt at a point, as coefficients in coordinate_names order."""
+    return (*(-p for p in pt.p), *(0.0,) * pt.n, 1.0, h)
+
+
 class TestEtaExtended:
+    # eta_E's coefficients read off as iota_e eta_E for each coordinate vector field e
+    @staticmethod
+    def at(system, pt):
+        n, m = system.n, 2 * system.n + 2
+        basis = [[const_field(float(i == j), n) for j in range(m)] for i in range(m)]
+        fields = [VectorFieldSpec(e[:n], e[n:2 * n], *e[2 * n:]) for e in basis]
+        iotas = [interior_product_eta_E(system, e) for e in fields]
+        return point_bundle(iotas, system.params)(pt)
+
     def test_read_off_definition(self):
         sys2 = make_system("5", 2)  # constant Hamiltonian = 5
-        val = eta_extended(sys2, point([0.0, 0.0], [1.0, 2.0]))
-        assert np.allclose(val.dq, [-1.0, -2.0])
-        assert np.allclose(val.dp, [0.0, 0.0])
-        assert val.dS == 1.0 and val.dt == 5.0
+        val = self.at(sys2, point([0.0, 0.0], [1.0, 2.0]))
+        assert val == eta_at(point([0.0, 0.0], [1.0, 2.0]), 5.0) == (-1.0, -2.0, 0.0, 0.0, 1.0, 5.0)
 
     def test_origin(self):
         sys1 = make_system("p0*q0", 1)
-        val = eta_extended(sys1, point(0.0, 0.0))
-        assert list(val.coefficients()) == [0.0, 0.0, 1.0, 0.0]
+        assert list(self.at(sys1, point(0.0, 0.0))) == [0.0, 0.0, 1.0, 0.0]
 
     def test_kepler_dt_coefficient(self, kepler):
-        val = eta_extended(kepler, point([1, 0, 0], [0, 1, 0]))
-        assert val.dt == pytest.approx(-0.5, abs=1e-15)
+        val = self.at(kepler, point([1, 0, 0], [0, 1, 0]))
+        assert val[-1] == pytest.approx(-0.5, abs=1e-15)
 
 
 class TestContractDEta:
-    # contract_d_eta_extended is symbolic: (dq0, dp0, dS, dt) fields for n = 1
+    # contract_d_eta_E is symbolic: (dq0, dp0, dS, dt) fields for n = 1
     @staticmethod
     def at(system, Y, pt):
-        return point_bundle(contract_d_eta_extended(system, Y), system.params)(pt)
+        return point_bundle(contract_d_eta_E(system, Y), system.params)(pt)
 
     def test_dt_direction_gives_minus_dh(self):
         sys1 = make_system("p0^2/2 + q0^2/2", 1)
@@ -117,7 +125,7 @@ class TestLieBracket:
                             parse("S*t", 1), parse("t", 1))
         B = lie_bracket(Y, Y)
         env = point(0.3, -0.9, 0.4, 1.7).env()
-        assert np.allclose(B.eval(env), 0.0)
+        assert np.allclose(values(B.components(), env), 0.0)
 
     def test_textbook_bracket(self):
         # [d/dt, t d/dt] = d/dt
@@ -128,18 +136,16 @@ class TestLieBracket:
                               const_field(0, n), parse("t", n))
         B = lie_bracket(dt, tdt)
         env = point(0.0, 0.0, 0.0, 2.5).env()
-        assert np.allclose(B.eval(env), [0.0, 0.0, 0.0, 1.0])
+        assert np.allclose(values(B.components(), env), [0.0, 0.0, 0.0, 1.0])
 
     def test_kepler_scaling_similarity_bracket(self, kepler):
         # the scaling generator with time component 3t rescales the extended
         # Kepler field by -3, componentwise at seeded points
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         X = extended_field(kepler)
-        B = lie_bracket(Y, X)
+        at = point_bundle([*lie_bracket(Y, X).components(), *X.components()], kepler.params)
         for pt in sample_points(kepler, 100, seed=42):
-            env = kepler.env(pt)
-            bv = np.asarray(B.eval(env))
-            xv = np.asarray(X.eval(env))
+            bv, xv = np.split(np.asarray(at(pt)), 2)
             scale = max(1.0, float(np.max(np.abs(bv))))
             assert np.max(np.abs(bv + 3.0 * xv)) / scale < 1e-9
 
@@ -147,19 +153,18 @@ class TestLieBracket:
 class TestLieDerivativeEta:
     def test_flow_field_rescales_eta(self, kepler, damped_oscillator):
         for system in (kepler, damped_oscillator):
-            X = extended_field(system)
+            at = LieDerivativeEta(system, extended_field(system)).bundle(
+                None, None, system.h, system.h_S)
             for pt in sample_points(system, 20, seed=3):
-                omega = lie_derivative_eta(system, X, pt)
-                eta = eta_extended(system, pt)
-                rh = system.h_S.eval_env(system.env(pt))
-                expected = -rh * np.asarray(eta.coefficients())
+                omega, (h, rh) = at(pt)
+                expected = -rh * np.asarray(eta_at(pt, h))
                 scale = max(1.0, np.max(np.abs(expected)))
-                assert np.max(np.abs(np.asarray(omega.coefficients()) - expected)) / scale < 1e-12
+                assert np.max(np.abs(np.asarray(omega) - expected)) / scale < 1e-12
 
     def test_zero_field(self, kepler):
-        Y = VectorFieldSpec.zero(3)
-        omega = lie_derivative_eta(kepler, Y, point([1, 0, 0], [0, 1, 0]))
-        assert omega.max_abs() == 0.0
+        omega, _ = LieDerivativeEta(kepler, VectorFieldSpec.zero(3)).bundle()(
+            point([1, 0, 0], [0, 1, 0]))
+        assert max(map(abs, omega)) == 0.0
 
     def test_vertical_rescaling_is_not_proportional(self, kepler):
         # Y = H_K d/dS: a dynamical symmetry of the flow but L_Y eta_E is not
@@ -167,9 +172,8 @@ class TestLieDerivativeEta:
         Y = VectorFieldSpec((const_field(0, 3),) * 3, (const_field(0, 3),) * 3,
                             kepler.h, const_field(0, 3))
         pt = point([1, 0, 0], [0, 1, 0])
-        omega = lie_derivative_eta(kepler, Y, pt)
-        _, residual = proportionality_residual(omega.coefficients(),
-                                               eta_extended(kepler, pt).coefficients())
+        omega, (h,) = LieDerivativeEta(kepler, Y).bundle(None, None, kepler.h)(pt)
+        _, residual = proportionality_residual(omega, eta_at(pt, h))
         assert residual > 0.1
 
 
@@ -244,41 +248,38 @@ class TestReebAndHamiltonianFieldIdentities:
             n = system.n
             R = VectorFieldSpec((const_field(0, n),) * n, (const_field(0, n),) * n,
                                 const_field(1, n), const_field(0, n))
+            at = point_bundle(R.components(), system.params)
             for pt in sample_points(system, 100, seed=5):
-                contracted = contract_d_eta_contact(R, pt)
-                assert contracted.max_abs() <= 1e-14
-                eta = eta_contact(pt)
-                # iota_R eta = dS coefficient = 1
-                assert eta.dS == 1.0
+                r = at(pt)
+                # iota_R (dq^a ^ dp_a) = (-R^p, R^q, 0, 0) = 0 and iota_R eta = R^S - p.R^q = 1
+                assert max(map(abs, r[:2 * n])) <= 1e-14
+                assert r[2 * n] - sum(p * rq for p, rq in zip(pt.p, r[:n])) == 1.0
 
     def test_contact_field_conditions(self, kepler, damped_oscillator):
         # iota_{X_h} eta = -h and iota_{X_h} d eta = dh - R(h) eta
         for system in (kepler, damped_oscillator):
             n = system.n
             X = contact_field(system)
+            x_at = point_bundle(X.components(), system.params)
+            h_at = point_bundle([system.h, *system.h_q, *system.h_p, system.h_S], system.params)
             for pt in sample_points(system, 100, seed=6):
-                env = system.env(pt)
-                xv = np.asarray(X.eval(env))
-                h = system.h_value(pt)
+                xv = np.asarray(x_at(pt))
+                h, *dh = h_at(pt)
                 iota_eta = xv[2 * n] - float(np.asarray(pt.p) @ xv[:n])
                 assert abs(iota_eta + h) <= 1e-12 * max(1.0, abs(h))
-                lhs = np.asarray(contract_d_eta_contact(X, pt, env).coefficients())
-                hq = np.array([c.eval_env(env) for c in system.h_q])
-                hp = np.array([c.eval_env(env) for c in system.h_p])
-                hS = system.h_S.eval_env(env)
-                eta = np.asarray(eta_contact(pt).coefficients())
-                rhs = np.concatenate([hq, hp, [hS, 0.0]]) - hS * eta
+                # iota_X (dq^a ^ dp_a) = (-X^p, X^q, 0, 0); eta = (-p, 0, 1, 0)
+                lhs = np.concatenate([-xv[n:2 * n], xv[:n], [0.0, 0.0]])
+                rhs = np.asarray([*dh, 0.0]) - dh[-1] * np.asarray(eta_at(pt, 0.0))
                 scale = max(1.0, np.max(np.abs(rhs)))
                 assert np.max(np.abs(lhs - rhs)) / scale <= 1e-12
 
     def test_extended_field_in_kernel_of_eta(self, kepler, damped_oscillator):
         for system in (kepler, damped_oscillator):
             n = system.n
-            X = extended_field(system)
+            at = point_bundle([*extended_field(system).components(), system.h], system.params)
             for pt in sample_points(system, 100, seed=7):
-                env = system.env(pt)
-                xv = np.asarray(X.eval(env))
-                h = system.h_value(pt)
+                *xv, h = at(pt)
+                xv = np.asarray(xv)
                 val = xv[2 * n] - float(np.asarray(pt.p) @ xv[:n]) + h * xv[2 * n + 1]
                 assert abs(val) <= 1e-12 * max(1.0, abs(h))
 
@@ -286,17 +287,17 @@ class TestReebAndHamiltonianFieldIdentities:
 class TestPoissonBracket:
     def test_canonical_pair(self):
         b = poisson_bracket(parse("q0", 1), parse("p0", 1))
-        assert b.eval_env({}) == 1.0
+        assert value(b, {}) == 1.0
 
     def test_antisymmetry_with_self(self):
         F = parse("q0^2*p0 + sin(q0)", 1)
         b = poisson_bracket(F, F)
-        assert b.eval_env({"q0": 0.4, "p0": -0.8}) == pytest.approx(0.0, abs=1e-15)
+        assert value(b, {"q0": 0.4, "p0": -0.8}) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_computed(self):
         b = poisson_bracket(parse("q0*p0", 1), parse("p0^2/2", 1))
         for p0 in (0.3, -1.7, 2.0):
-            assert b.eval_env({"q0": 5.0, "p0": p0}) == pytest.approx(p0**2, rel=1e-14)
+            assert value(b, {"q0": 5.0, "p0": p0}) == pytest.approx(p0**2, rel=1e-14)
 
 
 def jacobi_coordinate_formula(F, G):
@@ -315,21 +316,21 @@ class TestJacobiBracket:
         F = parse("q0*p0 - 2*S", 1)
         b = jacobi_bracket(self.system, F, F)
         env = point(0.3, -1.1, 0.7).env()
-        assert b.eval_env(env) == pytest.approx(0.0, abs=1e-13)
+        assert value(b, env) == pytest.approx(0.0, abs=1e-13)
 
     def test_reduces_to_poisson_for_s_independent(self):
         F, G = parse("q0*p0", 1), parse("p0^2/2", 1)
         b = jacobi_bracket(self.system, F, G)
         for p0 in (0.5, -1.5):
-            assert b.eval_env({"q0": 1.0, "p0": p0, "S": 0.0}) == pytest.approx(p0**2, rel=1e-14)
+            assert value(b, {"q0": 1.0, "p0": p0, "S": 0.0}) == pytest.approx(p0**2, rel=1e-14)
 
     def test_constant_with_g(self):
         # iota_[X_1, X_G] eta = dG/dS; on G = S the value is +1
         one, G = parse("1", 1), parse("S", 1)
         b = jacobi_bracket(self.system, one, G)
         env = point(0.2, 0.3, 1.4).env()
-        assert b.eval_env(env) == pytest.approx(1.0, abs=1e-14)
-        assert jacobi_coordinate_formula(one, G).eval_env(env) == pytest.approx(1.0, abs=1e-14)
+        assert value(b, env) == pytest.approx(1.0, abs=1e-14)
+        assert value(jacobi_coordinate_formula(one, G), env) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_coordinate_formula(self):
         rng = np.random.default_rng(31)
@@ -340,7 +341,7 @@ class TestJacobiBracket:
         for _ in range(25):
             env = {"q0": rng.uniform(-2, 2), "p0": rng.uniform(-2, 2),
                    "S": rng.uniform(-1, 1)}
-            assert b.eval_env(env) == pytest.approx(oracle.eval_env(env), rel=1e-12, abs=1e-12)
+            assert value(b, env) == pytest.approx(value(oracle, env), rel=1e-12, abs=1e-12)
 
     def test_antisymmetry(self):
         F = parse("q0*p0 + S^2", 1)
@@ -351,7 +352,7 @@ class TestJacobiBracket:
         for _ in range(20):
             env = {"q0": rng.uniform(-2, 2), "p0": rng.uniform(-2, 2),
                    "S": rng.uniform(-1, 1)}
-            assert fg.eval_env(env) == pytest.approx(-gf.eval_env(env), rel=1e-12, abs=1e-12)
+            assert value(fg, env) == pytest.approx(-value(gf, env), rel=1e-12, abs=1e-12)
 
     def test_rejects_time_dependent_inputs(self):
         with pytest.raises(ValueError):
@@ -367,4 +368,4 @@ class TestDirectionalDerivative:
         env = point(1.2, -0.7, 0.5, 2.0).env()
         manual = (env["q0"] * env["p0"]) + (-env["p0"]) * env["q0"] \
             + env["S"] * env["t"] + 3 * env["t"] * env["S"]
-        assert g.eval_env(env) == pytest.approx(manual, rel=1e-14)
+        assert value(g, env) == pytest.approx(manual, rel=1e-14)

@@ -12,7 +12,6 @@ from contact_noether.geometry import (
     SampleBox,
     VectorFieldSpec,
     lie_bracket,
-    lie_derivative_eta,
     point_bundle,
 )
 from contact_noether.noether import (
@@ -32,6 +31,7 @@ from contact_noether.noether import (
     max_relative_drift,
     noether_lambda,
     ratio_invariant,
+    residual_at,
     sample_points,
     similarity_test,
     symmetry_from_invariant,
@@ -40,7 +40,7 @@ from contact_noether.noether import (
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from contact_noether.systems import (f0_invariant, lr_invariant, lr_equilibrium,
                                      make_harmonic_dissipative, make_kepler, make_td_kepler)
-from conftest import point
+from conftest import point, value
 from randfields import PARAM_NAMES, central_fd, random_field
 
 
@@ -57,40 +57,41 @@ def vertical_field(system):
 class TestDissipationResidual:
     def test_symplectic_conserved_momentum(self):
         sys1 = ContactSystem(n=1, h=parse("p0^2/2", 1))
-        assert dissipation_residual(sys1, parse("p0", 1), point(0.4, 1.7)) == 0.0
+        assert residual_at(sys1, parse("p0", 1))(point(0.4, 1.7)) == 0.0
 
     def test_one_point_wrappers_compile_at_most_once(self, kepler):
-        # each call builds its bundle again, but from the same shape, so the
-        # compiled code is reused
+        # the shims the benchmark hooks build their bundle on each call, from
+        # the same shape, so the compiled code is reused; values are the bundles'
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         F = invariant_from_symmetry(kepler, Y)
         pts = sample_points(kepler, 200, seed=8)
-        for wrapper in (lambda pt: dissipation_residual(kepler, F, pt),
-                        lambda pt: lie_derivative_eta(kepler, Y, pt)):
+        form, residual = LieDerivativeEta(kepler, Y), residual_at(kepler, F)
+        for wrapper, bundle in ((lambda pt: dissipation_residual(kepler, F, pt), residual),
+                                (form, lambda pt: form.bundle()(pt)[0])):
             with mock.patch("builtins.compile", wraps=compile) as spy:
                 for pt in pts:
-                    wrapper(pt)
+                    assert wrapper(pt) == bundle(pt)
             assert spy.call_count <= 1
 
     def test_kepler_scaling_invariant(self, kepler):
         F = parse("(2/3)*(q0*p0+q1*p1+q2*p2) - t*((p0^2+p1^2+p2^2)/2 "
                   "- 1/sqrt(q0^2+q1^2+q2^2)) - S/3", 3)
-        res = dissipation_residual(kepler, F, point([1, 0, 0], [0, 1, 0]))
+        res = residual_at(kepler, F)(point([1, 0, 0], [0, 1, 0]))
         assert abs(res) <= 1e-12
 
     def test_f0_on_dissipative_oscillator_at_seeded_points(self):
         from contact_noether.systems import make_harmonic_dissipative
         system = make_harmonic_dissipative(1.0, 1.0, 0.5)
-        F0 = f0_invariant(1)
+        residual = residual_at(system, f0_invariant(1))
         for pt in sample_points(system, 100, seed=17):
-            assert abs(dissipation_residual(system, F0, pt)) <= 1e-12
+            assert abs(residual(pt)) <= 1e-12
 
     def test_f0_residual_is_f_independent(self):
         from contact_noether.systems import make_harmonic_dissipative
         system = make_harmonic_dissipative(1.0, "1 + 0.1*t", 0.2)
-        F0 = f0_invariant(1)
+        residual = residual_at(system, f0_invariant(1))
         for pt in sample_points(system, 50, seed=19):
-            assert dissipation_residual(system, F0, pt) == pytest.approx(0.0, abs=1e-13)
+            assert residual(pt) == pytest.approx(0.0, abs=1e-13)
 
     def test_nonzero_residual_matches_finite_difference_oracle(self):
         # S- and t-dependent oscillator, non-invariant F: every term of
@@ -98,28 +99,32 @@ class TestDissipationResidual:
         from contact_noether.systems import make_harmonic_dissipative
         system = make_harmonic_dissipative(1.3, "1 + 0.4*sin(t)", 0.35)
         F = parse("q0*p0^2 + S*t + sin(q0*S) + exp(0.3*t)*p0", 1)
-        X = extended_field(system)
+        at = point_bundle([*extended_field(system).components(), system.h_S, F], system.params)
+        residual = residual_at(system, F)
         for pt in sample_points(system, 25, seed=81):
             env = system.env(pt)
             grad = np.array([central_fd(F, nm, env, 1e-6) for nm in ("q0", "p0", "S", "t")])
-            expected = float(X.eval(env) @ grad) + system.h_S.eval_env(env) * F.eval_env(env)
+            *xv, hS, f = at(pt)
+            expected = float(np.asarray(xv) @ grad) + hS * f
             assert abs(expected) > 1e-3
-            assert dissipation_residual(system, F, pt) == pytest.approx(expected, rel=1e-6)
+            assert residual(pt) == pytest.approx(expected, rel=1e-6)
 
 
 class TestInvariantFromSymmetry:
     def test_flow_field_gives_zero(self, kepler):
         F = invariant_from_symmetry(kepler, extended_field(kepler))
+        at = point_bundle([F], kepler.params)
         for pt in sample_points(kepler, 30, seed=2):
-            assert abs(F.eval_env(kepler.env(pt))) <= 1e-12
+            assert abs(at(pt)[0]) <= 1e-12
 
     def test_kepler_scaling_generator(self, kepler):
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         F = invariant_from_symmetry(kepler, Y)
         QK = kepler.meta["invariants"]["Q_K"].field
+        at = point_bundle([F, QK], kepler.params)
         for pt in sample_points(kepler, 50, seed=4):
-            env = kepler.env(pt)
-            assert F.eval_env(env) == pytest.approx(QK.eval_env(env), rel=1e-12, abs=1e-12)
+            f, qk = at(pt)
+            assert f == pytest.approx(qk, rel=1e-12, abs=1e-12)
 
     def test_vertical_scaling_reads_off_eta(self):
         sys1 = ContactSystem(n=1, h=parse("p0^2/2", 1))
@@ -127,7 +132,7 @@ class TestInvariantFromSymmetry:
         z = number(0.0, 1)
         Y = VectorFieldSpec((z,), (z,), gamma * parse("S", 1), z)
         F = invariant_from_symmetry(sys1, Y)
-        assert F.eval_env({"q0": 0.0, "p0": 0.0, "S": 2.0, "t": 0.0}) == pytest.approx(-gamma * 2.0)
+        assert value(F, {"q0": 0.0, "p0": 0.0, "S": 2.0, "t": 0.0}) == pytest.approx(-gamma * 2.0)
 
 
 class TestSymmetryFromInvariant:
@@ -136,28 +141,29 @@ class TestSymmetryFromInvariant:
         pts = sample_points(kepler, 100, seed=8)
         for yt_src in ("0", "t", "3*t"):
             Y = symmetry_from_invariant(kepler, QK, parse(yt_src, 3))
-            F = invariant_from_symmetry(kepler, Y)
+            at = point_bundle([invariant_from_symmetry(kepler, Y), QK], kepler.params)
             for pt in pts:
-                env = kepler.env(pt)
-                assert abs(F.eval_env(env) - QK.eval_env(env)) <= \
-                    1e-12 * max(1.0, abs(QK.eval_env(env)))
+                f, qk = at(pt)
+                assert abs(f - qk) <= 1e-12 * max(1.0, abs(qk))
 
     def test_kepler_scaling_generator_recovered(self, kepler):
         QK = kepler.meta["invariants"]["Q_K"].field
         Y = symmetry_from_invariant(kepler, QK, parse("3*t", 3))
         expected = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
+        at = point_bundle([*Y.components(), *expected.components()], kepler.params)
         for pt in sample_points(kepler, 50, seed=10):
-            env = kepler.env(pt)
-            assert np.allclose(Y.eval(env), expected.eval(env), rtol=1e-11, atol=1e-11)
+            y, e = np.split(np.asarray(at(pt)), 2)
+            assert np.allclose(y, e, rtol=1e-11, atol=1e-11)
 
     def test_zero_invariant_gives_pure_gauge(self, kepler):
         Yt = parse("t^2 - 2", 3)
         Y = symmetry_from_invariant(kepler, number(0.0, 3), Yt)
-        X = extended_field(kepler)
+        at = point_bundle([Yt, *Y.components(), *extended_field(kepler).components()],
+                          kepler.params)
         for pt in sample_points(kepler, 30, seed=12):
-            env = kepler.env(pt)
-            yt = Yt.eval_env(env)
-            assert np.allclose(Y.eval(env), yt * np.asarray(X.eval(env)), rtol=1e-12, atol=1e-12)
+            yt, *v = at(pt)
+            y, x = np.split(np.asarray(v), 2)
+            assert np.allclose(y, yt * x, rtol=1e-12, atol=1e-12)
 
 
 class TestSymmetryTest:
@@ -237,9 +243,9 @@ class TestGaugeFreedom:
             Y = symmetry_from_invariant(kepler, QK, parse(yt_src, 3))
             F1 = invariant_from_symmetry(kepler, Y)
             F2 = invariant_from_symmetry(kepler, Y + gauge)
+            at = point_bundle([F1, F2], kepler.params)
             for pt in sample_points(kepler, 40, seed=28):
-                env = kepler.env(pt)
-                a, b = F1.eval_env(env), F2.eval_env(env)
+                a, b = at(pt)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -259,9 +265,9 @@ class TestTheoremProperties:
         pts = sample_points(kepler, 60, seed=30)
         for Y in self._symmetries(kepler):
             assert symmetry_test(kepler, Y, pts, 1e-9).passed
-            F = invariant_from_symmetry(kepler, Y)
+            residual = residual_at(kepler, invariant_from_symmetry(kepler, Y))
             for pt in pts:
-                assert abs(dissipation_residual(kepler, F, pt)) <= 1e-8
+                assert abs(residual(pt)) <= 1e-8
 
     def test_inverse_direction_with_lambda(self, kepler):
         pts = sample_points(kepler, 60, seed=32)
@@ -271,10 +277,9 @@ class TestTheoremProperties:
             Y = symmetry_from_invariant(kepler, QK, Yt)
             rep = symmetry_test(kepler, Y, pts, 1e-9)
             assert rep.passed
-            lam = noether_lambda(kepler, QK, Yt)
+            lam = point_bundle([noether_lambda(kepler, QK, Yt)], kepler.params)
             for k, pt in enumerate(pts):
-                assert rep.lambda_at_samples[k] == pytest.approx(
-                    lam.eval_env(kepler.env(pt)), abs=1e-9)
+                assert rep.lambda_at_samples[k] == pytest.approx(lam(pt)[0], abs=1e-9)
 
     def test_kernel_lemma(self, kepler):
         # iota_[Y, X_h^t] eta_E = 0 for any generalized Noether symmetry
@@ -282,11 +287,10 @@ class TestTheoremProperties:
         pts = sample_points(kepler, 60, seed=34)
         n = 3
         for Y in self._symmetries(kepler):
-            B = lie_bracket(Y, X)
+            at = point_bundle([*lie_bracket(Y, X).components(), kepler.h], kepler.params)
             for pt in pts:
-                env = kepler.env(pt)
-                bv = np.asarray(B.eval(env))
-                h = kepler.h_value(pt)
+                *bv, h = at(pt)
+                bv = np.asarray(bv)
                 val = bv[2 * n] - float(np.asarray(pt.p) @ bv[:n]) + h * bv[2 * n + 1]
                 assert abs(val) <= 1e-9 * max(1.0, float(np.max(np.abs(bv))))
 
@@ -294,8 +298,7 @@ class TestTheoremProperties:
         pts = sample_points(kepler, 40, seed=36)
         X = extended_field(kepler)
         for Y in self._symmetries(kepler):
-            env0 = kepler.env(pts[0])
-            if np.max(np.abs(Y.eval(env0))) < 1e-12:
+            if max(map(abs, point_bundle(Y.components(), kepler.params)(pts[0]))) < 1e-12:
                 continue  # zero field: trivially a similarity
             rep = similarity_test(Y, X, pts, 1e-8, params=kepler.params)
             assert rep.passed
@@ -313,7 +316,8 @@ class TestTheoremProperties:
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 0.0), 3)
         pts = sample_points(kepler, 40, seed=40)
         defect = contact_bracket_defect(kepler, Y, pts)
-        hmin = min(abs(kepler.h_value(pt)) for pt in pts)
+        h_at = point_bundle([kepler.h], kepler.params)
+        hmin = min(abs(h_at(pt)[0]) for pt in pts)
         assert defect > hmin
 
 
@@ -359,14 +363,14 @@ class TestRatioInvariant:
     def test_equal_fields_give_one(self):
         F = parse("q0*p0 - 2*S", 1)
         r = ratio_invariant(F, F)
-        assert r.eval_env({"q0": 1.0, "p0": 2.0, "S": 0.4, "t": 0.0}) == 1.0
+        assert value(r, {"q0": 1.0, "p0": 2.0, "S": 0.4, "t": 0.0}) == 1.0
 
     def test_zero_denominator_is_a_domain_error(self):
         # the 1e-12 mask lives in the cli ratio check only
         r = ratio_invariant(parse("1", 1), parse("S", 1))
-        assert r.eval_env({"S": 1e-13}) == 1.0 / 1e-13
+        assert value(r, {"S": 1e-13}) == 1.0 / 1e-13
         with pytest.raises(DomainError):
-            r.eval_env({"S": 0.0})
+            value(r, {"S": 0.0})
 
     def test_dissipated_over_h_conserved_along_flow(self):
         # h t-independent but S-dependent: F/h is conserved even though both
@@ -488,16 +492,24 @@ class TestDissipatedAlongFlow:
         assert max_relative_drift(series) <= 10 * 1e-7
 
 
-@pytest.mark.parametrize("label", ["kepler", "td-kepler", "oscillator"])
+@pytest.mark.parametrize("label", ["kepler", "td-kepler", "oscillator", "random-h-1", "random-h-2"])
 def test_noether_contraction_identity_holds_for_any_field(label):
     """iota_X(L_Y eta_E) + X(F) + R(h) F = 0 with F = -iota_Y eta_E and X = X_h^t,
-    for every Y, symmetry or not, because iota_X d(eta_E) = -R(h) eta_E and
-    eta_E(X) = 0: the Cartan form (`LieDerivativeEta`) and the dissipation
+    for every Y, symmetry or not, and every h, because iota_X d(eta_E) = -R(h) eta_E
+    and eta_E(X) = 0: the Cartan form (`LieDerivativeEta`) and the dissipation
     equation (`dissipation_field`) are built apart and must agree to rounding."""
+    rng = np.random.default_rng(73)
+
+    def random_h(n):  # the first draw in which every term of X_h^t and R(h) is live
+        while not {"q0", "p0", "S", "t"} <= (h := random_field(rng, n, 4)).free_vars:
+            pass
+        return ContactSystem(n=n, h=h, params=dict.fromkeys(PARAM_NAMES, 1.0))
+
     system = {"kepler": make_kepler, "td-kepler": lambda: make_td_kepler(1.0, 0.25, 1.5),
               "oscillator": lambda: make_harmonic_dissipative(1.0, "1 + 0.4*sin(t)", 0.35),
+              "random-h-1": lambda: random_h(1), "random-h-2": lambda: random_h(2),
               }[label]()
-    n, rng = system.n, np.random.default_rng(73)
+    n = system.n
     X = extended_field(system).components()
     params = {**system.params, **{nm: float(rng.uniform(0.5, 1.5)) for nm in PARAM_NAMES}}
     points = sample_points(system, 8, seed=74)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from contact_noether.expr import parse
-from contact_noether.geometry import ContactSystem, ExtendedPoint, SampleBox
-from contact_noether.noether import dissipation_residual, sample_points, symmetry_test
+from contact_noether.geometry import ContactSystem, ExtendedPoint, SampleBox, point_bundle
+from contact_noether.noether import residual_at, sample_points, symmetry_test
 from contact_noether.scaling import (
     CASE3,
     DISSIPATIVE_F0,
@@ -21,7 +21,7 @@ from contact_noether.scaling import (
     solve_scaling_explained,
 )
 from contact_noether.systems import make_kepler
-from conftest import point
+from conftest import point, value, values
 
 
 def family_system(k: float, f_src: str = "1", g_src: str | None = None,
@@ -66,7 +66,7 @@ class TestGenerator:
     def test_contact_level_kepler_scalings(self):
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 0.0), 3)
         env = point([1.0, 2.0, -0.5], [0.3, 0.1, 0.7], S=1.1, t=4.0).env()
-        v = Y.eval(env)
+        v = values(Y.components(), env)
         assert np.allclose(v[:3], [2.0, 4.0, -1.0])
         assert np.allclose(v[3:6], [-0.3, -0.1, -0.7])
         assert v[6] == pytest.approx(1.1)
@@ -74,7 +74,7 @@ class TestGenerator:
 
     def test_zero_ansatz(self):
         Y = scaling_generator(ScalingAnsatz(0, 0, 0, 0), 2)
-        assert np.allclose(Y.eval(point([1, 1], [1, 1], 1, 1).env()), 0.0)
+        assert np.allclose(values(Y.components(), point([1, 1], [1, 1], 1, 1).env()), 0.0)
 
     def test_extended_kepler_scalings_pass_symmetry_test(self):
         kepler = make_kepler(1.0, k_grav=1.0)
@@ -89,25 +89,25 @@ class TestSolveScaling:
         # F2 = (2/3) q.p - t h - (1/3) S
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9, "t": 2.0, "h": 1.25}
         expected = (2.0 / 3.0) * (1.5 * -0.8) - 2.0 * 1.25 - (1.0 / 3.0) * 0.9
-        assert sol.invariant.eval_env(env) == pytest.approx(expected, rel=1e-14)
+        assert value(sol.invariant, env) == pytest.approx(expected, rel=1e-14)
 
     def test_k2_gives_f0(self):
         sol = by_tag(solve_scaling(1.0, 2.0, "constant", "zero"), K2_F0)
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9}
-        assert sol.invariant.eval_env(env) == pytest.approx(1.5 * -0.8 - 2 * 0.9, rel=1e-14)
+        assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 0.9, rel=1e-14)
         assert sol.f_required is None
 
     def test_kminus2_gives_s_independent_f1(self):
         sol = by_tag(solve_scaling(1.0, -2.0, "constant", "zero"), KMINUS2_F1)
         assert "S" not in sol.invariant.free_vars
         env = {"q0": 1.5, "p0": -0.8, "t": 2.0, "h": 1.25}
-        assert sol.invariant.eval_env(env) == pytest.approx(1.5 * -0.8 - 2 * 2.0 * 1.25, rel=1e-14)
+        assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 2.0 * 1.25, rel=1e-14)
 
     def test_dissipative_branch_k2(self):
         sols = solve_scaling(1.0, 2.0, "constant", "homogeneous", g0=0.3, kappa=1.0)
         sol = by_tag(sols, DISSIPATIVE_F0)
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9}
-        assert sol.invariant.eval_env(env) == pytest.approx(1.5 * -0.8 - 2 * 0.9, rel=1e-14)
+        assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 0.9, rel=1e-14)
         assert any("g0*S" in line for line in sol.constraints_log)
         assert not sol.informational
 
@@ -134,10 +134,10 @@ class TestSolveScaling:
         # with k = -1 the forced power is t^((3 Lambda - 1)/2)
         for lam, t in ((1.0, 2.0), (1.0 / 3.0, 3.0), (2.0, 1.7)):
             expected = t ** ((3.0 * lam - 1.0) / 2.0)
-            assert sol.f_required.eval_env({"t": t, "Lambda": lam}) == \
+            assert value(sol.f_required, {"t": t, "Lambda": lam}) == \
                 pytest.approx(expected, rel=1e-14)
         env = {"q0": 1.0, "p0": 2.0, "S": 0.4, "t": 1.3, "h": -0.7, "Lambda": 1.0}
-        assert sol.invariant.eval_env(env) == pytest.approx(
+        assert value(sol.invariant, env) == pytest.approx(
             2.0 * 2.0 - 2.0 * 1.3 * -0.7 - 2.0 * 0.4, rel=1e-14)
 
     def test_free_f_only_k2(self):
@@ -172,9 +172,9 @@ class TestEmittedSolutionsSatisfyTheirSystems:
         assert sols
         system = mk_system()
         for sol in sols:
-            F = sol.invariant_for(system)
+            residual = residual_at(system, sol.invariant_for(system), extra)
             for pt in sample_points(system, 100, seed=52, extra=extra):
-                res = dissipation_residual(system, F, pt, extra=extra)
+                res = residual(pt)
                 assert abs(res) <= 1e-10, (sol.case_tag, res)
 
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)
@@ -211,7 +211,7 @@ class TestEmittedSolutionsSatisfyTheirSystems:
                 if sol.ansatz is None or sol.case_tag == TRIVIAL:
                     continue
                 base = invariant_from_ansatz(sol.ansatz, 1)
-                ratios = [sol.invariant.eval_env(e) / base.eval_env(e) for e in probes]
+                ratios = [value(sol.invariant, e) / value(base, e) for e in probes]
                 assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
                 assert ratios[0] > 0
 
@@ -225,7 +225,7 @@ class TestNormalizationInvariance:
             F1 = invariant_from_ansatz(a, 1)
             Fc = invariant_from_ansatz(a.scaled(c), 1)
             for env in probes:
-                assert Fc.eval_env(env) == pytest.approx(c * F1.eval_env(env), rel=1e-13)
+                assert value(Fc, env) == pytest.approx(c * value(F1, env), rel=1e-13)
 
     def test_verdicts_survive_rescaling(self):
         kepler = make_kepler(1.0, k_grav=1.0)
@@ -241,31 +241,29 @@ class TestCase3System:
         # exponent (3*1 - 1)/2 = 1: the coupling scales linearly in t
         pt_a = point([1.0, 0.0, 0.0], [0, 0, 0], t=1.0)
         pt_b = point([1.0, 0.0, 0.0], [0, 0, 0], t=3.0)
-        va = system.h_value(pt_a)
-        vb = system.h_value(pt_b)
+        h_at = point_bundle([system.h, system.meta["invariant"]], system.params)
+        (va, _), (vb, _) = h_at(pt_a), h_at(pt_b)
         assert vb == pytest.approx(3.0 * va, rel=1e-14)
-        inv = system.meta["invariant"]
         probe = point([1, 0, 0], [0.4, 1, 0], S=0.2, t=2.0)
-        env = system.env(probe)
-        h = system.h_value(probe)
+        h, inv = h_at(probe)
         qdotp = 1.0 * 0.4
-        assert inv.eval_env(env) == pytest.approx(2 * qdotp - 2 * 2.0 * h - 2 * 0.2, rel=1e-12)
+        assert inv == pytest.approx(2 * qdotp - 2 * 2.0 * h - 2 * 0.2, rel=1e-12)
 
     def test_lambda_third_reduces_to_static_kepler(self):
         kepler = make_kepler(1.0, eps=0.25)
         system = case3_system(k=-1.0, Lambda=1.0 / 3.0, m=1.0, coupling=-1.0)
         rng = np.random.default_rng(58)
+        kepler_h, system_h = (point_bundle([s.h], s.params) for s in (kepler, system))
         for _ in range(50):
             q = rng.uniform(0.3, 2.0, 3)
             p = rng.uniform(-2.0, 2.0, 3)
             pt = ExtendedPoint(q, p, rng.uniform(-1, 1), rng.uniform(0.5, 5.0))
-            a = kepler.h_value(pt)
-            b = system.h_value(pt)
+            (a,), (b,) = kepler_h(pt), system_h(pt)
             assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
 
     @pytest.mark.parametrize("k,lam", [(-1.0, 1.0), (-1.0, 2.0), (0.5, 1.3), (-2.0, 0.7)])
     def test_registered_invariant_is_dissipation_free(self, k, lam):
         system = case3_system(k=k, Lambda=lam, m=1.2, coupling=0.6)
-        inv = system.meta["invariant"]
+        residual = residual_at(system, system.meta["invariant"])
         for pt in sample_points(system, 100, seed=60):
-            assert abs(dissipation_residual(system, inv, pt)) <= 1e-10
+            assert abs(residual(pt)) <= 1e-10

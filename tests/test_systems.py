@@ -15,11 +15,11 @@ from contact_noether.dynamics import (
     integrate,
 )
 from contact_noether.expr import parse
-from contact_noether.geometry import ContactSystem, ExtendedPoint
+from contact_noether.geometry import ContactSystem, ExtendedPoint, point_bundle
 from contact_noether.noether import (
-    dissipation_residual,
     invariant_from_symmetry,
     max_relative_drift,
+    residual_at,
     sample_points,
     similarity_test,
     symmetry_test,
@@ -43,7 +43,7 @@ from contact_noether.systems import (
     make_td_kepler,
 )
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
-from conftest import point
+from conftest import point, value, values
 
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -51,24 +51,33 @@ CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
 class TestKepler:
     def test_h_value(self, kepler):
-        assert kepler.h_value(point([1, 0, 0], [0, 1, 0])) == pytest.approx(-0.5, abs=1e-15)
+        h_at = point_bundle([kepler.h], kepler.params)
+        assert h_at(point([1, 0, 0], [0, 1, 0]))[0] == pytest.approx(-0.5, abs=1e-15)
 
-    def test_h_value_and_admissible_compile_at_most_once(self, kepler, monkeypatch):
-        # h_value uses h's cached compiled function; the guards go through eval_node
+    def test_admissible_compiles_nothing(self, kepler, monkeypatch):
+        # the guards go through eval_node; h's bundle agrees with it bit for bit
         from contact_noether import expr
 
-        codegen, evals = [], []
-        real_codegen, real_eval = expr._codegen, expr.ScalarField.eval_env
+        codegen = []
+        real_codegen = expr._codegen
         monkeypatch.setattr(expr, "_codegen", lambda *a: codegen.append(a) or real_codegen(*a))
         pts = sample_points(kepler, 200, seed=4)
         codegen.clear()
         assert all(kepler.admissible(pt) for pt in pts) and codegen == []
-        monkeypatch.setattr(expr.ScalarField, "eval_env",
-                            lambda self, env: evals.append(self) or real_eval(self, env))
-        values = [kepler.h_value(pt) for pt in pts]
-        assert len(codegen) <= 1 and len(evals) == 200
-        ref = [expr.eval_node(kepler.h.ast, {**kepler.params, **pt.env()}) for pt in pts]
-        assert [v.hex() for v in values] == [v.hex() for v in ref]
+        h_at = point_bundle([kepler.h], kepler.params)
+        ref = [expr.eval_node(kepler.h.ast, kepler.env(pt)) for pt in pts]
+        assert [h_at(pt)[0].hex() for pt in pts] == [v.hex() for v in ref]
+
+    def test_a_coordinate_wins_over_a_like_named_parameter(self):
+        # every path binds t from the point, not from params, as bindable_params does
+        system = ContactSystem(n=1, h=parse("q0 + t*p0", 1), params={"t": 5.0})
+        pt = point(1.0, 2.0, t=0.5)
+        env = system.env(pt)
+        assert env["t"] == 0.5
+        assert system.h.eval_env(env) == value(system.h, env) == 2.0
+        assert point_bundle([system.h], system.params)(pt) == (2.0,)
+        guarded = ContactSystem(n=1, h=system.h, params={"t": 5.0}, guards=(parse("1 - t", 1),))
+        assert guarded.admissible(pt, 0.5) and not guarded.admissible(point(1.0, 2.0, t=0.6), 0.5)
 
     def test_guards_mark_the_admissible_region(self, kepler):
         assert kepler.admissible(point([0.6, 0, 0.8], [0, 0, 0]), margin=1.0)
@@ -107,8 +116,9 @@ class TestTdKepler:
     def test_lambda_third_is_static_kepler(self):
         td = make_td_kepler(1.0, 0.25, 1.0 / 3.0)
         kep = make_kepler(1.0, eps=0.25)
+        td_h, kep_h = (point_bundle([s.h], s.params) for s in (td, kep))
         for pt in sample_points(td, 50, seed=64):
-            a, b = td.h_value(pt), kep.h_value(pt)
+            (a,), (b,) = td_h(pt), kep_h(pt)
             assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
 
     def test_h_is_s_independent_so_invariant_is_conserved(self):
@@ -121,8 +131,9 @@ class TestTdKepler:
     def test_invariant_residual_and_flow(self, lam):
         td = make_td_kepler(1.0, 0.25, lam)
         inv = td.meta["invariants"]["F_TDK"].field
+        residual = residual_at(td, inv)
         for pt in sample_points(td, 100, seed=66):
-            assert abs(dissipation_residual(td, inv, pt)) <= 1e-10
+            assert abs(residual(pt)) <= 1e-10
         traj = integrate(td, extended_field(td),
                          ExtendedPoint([2, 0, 0], [0, 2.0, 0], 0.0, 1.0), 5.0, CFG,
                          tracked={"F": inv})
@@ -135,18 +146,18 @@ class TestHarmonicDissipative:
         system = make_harmonic_dissipative(2.0, "1 + t", 0.4)
         pt = point(1.5, 3.0, S=2.0, t=1.0)
         expected = 3.0**2 / 4.0 + (2.0 / 2.0) * (1 + 1.0) * 1.5**2 + 0.4 * 2.0
-        assert system.h_value(pt) == pytest.approx(expected, rel=1e-14)
+        assert point_bundle([system.h], system.params)(pt)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_time_dependent_h_is_not_dissipated(self):
         system = make_harmonic_dissipative(1.0, "1 + 0.5*t", 0.2)
-        res = dissipation_residual(system, system.h, point(1.0, 0.5, S=0.1, t=1.0))
+        res = residual_at(system, system.h)(point(1.0, 0.5, S=0.1, t=1.0))
         assert abs(res) > 1e-3  # dh/dt spoils the dissipation equation
 
     def test_f0_residual_vanishes_for_any_f(self):
         system = make_harmonic_dissipative(1.0, "1 + 0.1*t", 0.2)
+        residual = residual_at(system, f0_invariant(1))
         for pt in sample_points(system, 50, seed=68):
-            assert dissipation_residual(system, f0_invariant(1), pt) == \
-                pytest.approx(0.0, abs=1e-13)
+            assert residual(pt) == pytest.approx(0.0, abs=1e-13)
 
     def test_expected_behaviour_registry(self):
         assert make_harmonic_dissipative(1.0, 1.0, 0.0).meta["invariants"]["F0"].expected \
@@ -177,9 +188,9 @@ class TestClosedFormSelfTest:
         assert not systems._AUX_FORMS_VERIFIED
 
     def test_self_test_compiles_each_bundle_once(self):
-        # in a fresh interpreter: one bundle per block (the residual field and
-        # its two rate columns) for both points, and one function each for f(t)
-        # and the six rate templates of _AUX_ODES, parsed once per text
+        # in a fresh interpreter: one bundle per block for both points of the
+        # residual field and its two rate columns, and of the block's two rates
+        # in _AUX_ODES, and one bundle of f(t)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -190,7 +201,7 @@ class TestClosedFormSelfTest:
                 "print(sorted(sizes))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.strip() == str([1] * 7 + [3] * 3)
+        assert out.stdout.strip() == str([1] + [2] * 3 + [3] * 3)
 
     def test_corrupted_ode_table_fails_loudly(self, damped_oscillator, monkeypatch):
         # the table co_integrate integrates is the one the self-test checks
@@ -213,12 +224,12 @@ class TestClosedFormSelfTest:
         system = make_harmonic_dissipative(1.0, f, g0)
         aux = {"a": 1.4, "a_dot": -0.2, "a0": 1.0, "rho0": 1.0, "b": 0.7, "b_dot": 0.5,
                "rho": 1.1, "rho_dot": 0.6}
+        residuals = {which: residual_at(system, field, aux, (which, f"{which}_dot"))
+                     for which, field in (("a", glr_invariant()), ("b", em_invariant()))}
         for pt in sample_points(system, 20, seed=70):
-            f_val = f.eval_env({"t": pt.t})
-            for which, field in (("a", glr_invariant()), ("b", em_invariant())):
-                rates = systems._aux_rates(which, aux, f_val, g0)
-                res = dissipation_residual(system, field, pt, extra=aux, param_rates=rates)
-                assert abs(res) <= 1e-11
+            f_val = value(f, {"t": pt.t})
+            for which, residual in residuals.items():
+                assert abs(residual(pt, systems._aux_rates(which, aux, f_val, g0))) <= 1e-11
 
     def test_linear_combinations_stay_solutions(self):
         system = make_harmonic_dissipative(1.0, 1.0, 0.2)
@@ -226,8 +237,9 @@ class TestClosedFormSelfTest:
         extra = {"a": a_eq, "a_dot": 0.0, "a0": 1.0}
         F_em = em_invariant_closed_form(system)
         combo = 0.7 * f0_invariant(1) + 1.3 * glr_invariant() - 2.1 * F_em
+        residual = residual_at(system, combo, extra)
         for pt in sample_points(system, 30, seed=72):
-            assert abs(dissipation_residual(system, combo, pt, extra=extra)) <= 1e-10
+            assert abs(residual(pt)) <= 1e-10
 
 
 class TestEquilibria:
@@ -282,7 +294,7 @@ class TestCoIntegrate:
                    "a": rng.uniform(0.5, 2.0), "a_dot": rng.uniform(-1, 1), "a0": a0}
             env_lr = {"q0": env["q0"], "p0": env["p0"], "m": env["m"],
                       "rho": env["a"], "rho_dot": env["a_dot"], "rho0": a0**3}
-            assert glr.eval_env(env) == pytest.approx(lr.eval_env(env_lr), rel=1e-12)
+            assert value(glr, env) == pytest.approx(value(lr, env_lr), rel=1e-12)
 
     def test_dissipative_suite_compensated_constants(self, damped_oscillator):
         system = damped_oscillator
@@ -344,9 +356,8 @@ class TestGlrSymmetry:
         rng = np.random.default_rng(76)
         for pt in sample_points(system, 50, seed=78):
             aux = {"a": rng.uniform(0.5, 2.0), "a_dot": rng.uniform(-1, 1), "a0": 1.0}
-            env = system.env(pt, aux)
-            assert abs(F.eval_env(env) - G.eval_env(env)) <= \
-                1e-10 * max(1.0, abs(G.eval_env(env)))
+            f, g = values([F, G], system.env(pt, aux))
+            assert abs(f - g) <= 1e-10 * max(1.0, abs(g))
 
     def test_symmetry_along_co_integrated_flow(self, damped_oscillator):
         system = damped_oscillator
@@ -358,7 +369,7 @@ class TestGlrSymmetry:
             pt = traj.samples[k]
             aux = {"a": traj.tracked["a"][k], "a_dot": traj.tracked["a_dot"][k],
                    "a0": 1.0}
-            f_val = f_field.eval_env({"t": pt.t})
+            f_val = value(f_field, {"t": pt.t})
             rates = systems._aux_rates("a", aux, f_val, g0)
             rep = symmetry_test(system, Y, [pt], 1e-9, extra=aux, param_rates=rates)
             assert rep.passed, rep.residual
@@ -375,7 +386,8 @@ class TestGlrSymmetry:
             a0 = rng.uniform(0.5, 1.5)
             env_glr = system.env(pt, {"a": a, "a_dot": a_dot, "a0": a0})
             env_lr = system.env(pt, {"rho": a, "rho_dot": a_dot, "rho0": a0**3})
-            diff = np.asarray(Y_glr.eval(env_glr)) - np.asarray(Y_lr.eval(env_lr))
+            diff = np.asarray(values(Y_glr.components(), env_glr)) \
+                - np.asarray(values(Y_lr.components(), env_lr))
             assert np.max(np.abs(diff)) <= 1e-10
 
 
