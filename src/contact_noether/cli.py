@@ -62,6 +62,13 @@ def _finite(value: Any, where: str) -> float:
     return float(value)
 
 
+def _object(value: Any, where: str) -> dict:
+    """`value` as a JSON object, null meaning an empty one."""
+    _require(value is None or isinstance(value, dict),
+             f"{where} must be a JSON object, got {value!r}")
+    return value or {}
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -103,17 +110,17 @@ def load_scenario(path: str | Path) -> Scenario:
     name = raw.get("name") or path.stem
     sysspec = raw.get("system")
     _require(isinstance(sysspec, dict), f"{path}: missing 'system' object")
+    params = _object(sysspec.get("params"), f"{path}: system 'params'")
     try:
         if "builtin" in sysspec:
-            system = make_builtin(sysspec["builtin"], sysspec.get("params"))
+            system = make_builtin(sysspec["builtin"], params)
         else:
             _require("expression" in sysspec and "dimension" in sysspec,
                      f"{path}: system needs 'builtin' or 'expression'+'dimension'")
             n = int(sysspec["dimension"])
             h = _parse_field(sysspec["expression"], n, f"{path}: system.expression")
             system = ContactSystem(n=n, h=h,
-                                   params={k: float(v) for k, v in
-                                           (sysspec.get("params") or {}).items()},
+                                   params={k: float(v) for k, v in params.items()},
                                    label=name)
             system.meta["invariants"] = {}
     except (KeyError, ValueError, ExprError) as e:
@@ -130,9 +137,9 @@ def load_scenario(path: str | Path) -> Scenario:
         _require(initial.n == system.n, f"{path}: initial state dimension != system dimension")
 
     t_end = _finite(raw["t_end"], f"{path}: 't_end'") if "t_end" in raw else None
+    settings = _object(raw.get("integrator"), f"{path}: 'integrator'")
     try:
-        integ = IntegratorConfig(**{k: float(v) for k, v in
-                                    (raw.get("integrator") or {}).items()})
+        integ = IntegratorConfig(**{k: float(v) for k, v in settings.items()})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: bad integrator config: {e}") from e
 
@@ -173,7 +180,7 @@ def load_scenario(path: str | Path) -> Scenario:
         label = spec["label"]
         entry: dict[str, Any] = {}
         if "ansatz" in spec:
-            a = spec["ansatz"]
+            a = _object(spec["ansatz"], f"{path}: {label}.ansatz")
             ans = scaling.ScalingAnsatz(*(_finite(a.get(k, 0.0), f"{path}: {label}.ansatz.{k}")
                                           for k in ("alpha", "beta", "gamma", "sigma")))
             entry["field"] = scaling.scaling_generator(ans, system.n)
@@ -209,8 +216,8 @@ def load_scenario(path: str | Path) -> Scenario:
                 value = _finite(c[key], f"{path}: check '{key}'")
                 _require(value >= 0 or key == "expect_Lambda", f"{path}: check '{key}' must be >= 0")
 
-    point_params = {k: _finite(v, f"{path}: point_params {k!r}")
-                    for k, v in (raw.get("point_params") or {}).items()}
+    point_params = _object(raw.get("point_params"), f"{path}: 'point_params'")
+    point_params = {k: _finite(v, f"{path}: point_params {k!r}") for k, v in point_params.items()}
     return Scenario(name, system, initial, t_end, integ, seed, sample_count,
                     invariants, symmetries, checks, auxiliary, point_params)
 

@@ -16,7 +16,8 @@ from functools import cache
 from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple
 
-from .expr import DomainError, Num, ScalarField, compile_bundle, number, partial, variable
+from .expr import (DomainError, Num, ScalarField, _emit, _make, compile_bundle, number, partial,
+                   variable)
 from .geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec, bindable_params,
                        coordinate_names, nan_max)
 
@@ -109,32 +110,67 @@ def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
     return _rms_of(len(scale))(values, scale)
 
 
-@cache
-def _dp54_attempt(m: int) -> Callable:
-    """One Dormand-Prince 5(4) attempt on m floats as straight-line code:
-    `(rhs, t, y, h, k0, atol, rtol) -> (new_row, k6 = rhs(t + h, new_row), err)`,
-    err the RMS of the error over atol + rtol * max(|y|, |new_row|) (NaN if
-    either is).  Rows are `y + h*(0 + a*k + ...)` over the nonzero a, summed
-    left to right, so they are reproducible bit for bit."""
-    def unpack(name: str) -> str:
-        return "".join(f"{name}{c}, " for c in range(m))
+def _unpack(name: str, m: int) -> str:
+    return "".join(f"{name}{c}, " for c in range(m))
+
+
+def _attempt_lines(names: list[str], stage: Callable[[int], list[str]], result: str) -> list[str]:
+    """`_f(rhs, t, y, h, k0, atol, rtol) -> (new_row, k6, err)`: one Dormand-Prince
+    5(4) attempt on m floats as straight-line code.  Stage i puts its row
+    `y + h*(0 + a*k + ...)` (over the nonzero a, summed left to right, so
+    reproducible bit for bit) and its time in the m + 1 locals `names`, then
+    `stage(i)` puts its rates in `k{i}_0, k{i}_1, ...`; `result` returns the
+    last row and rates.  err is the RMS of the error over
+    atol + rtol * max(|y|, |new_row|) (NaN if either is)."""
+    m = len(names) - 1
 
     def terms(coeffs: tuple[float, ...], c: int) -> str:
         return " + ".join(f"{a!r} * k{j}_{c}" for j, a in enumerate(coeffs) if a != 0.0)
 
-    def row(i: int) -> str:
-        return f"[{', '.join(f'y{c} + h * (0 + {terms(_DP_A[i], c)})' for c in range(m))}]"
-
-    lines = ["def _f(rhs, t, y, h, k0, atol, rtol):", f"    {unpack('y')}= y"]
+    lines = ["def _f(rhs, t, y, h, k0, atol, rtol):", f"    {_unpack('y', m)}= y",
+             f"    {_unpack('k0_', m)}= k0[:{m}]"]
     for i in range(1, 7):  # the last stage is taken at the 5th-order solution
-        lines += [f"    {unpack(f'k{i - 1}_')}= k{i - 1}[:{m}]", f"    new = {row(i)}",
-                  f"    k{i} = rhs(t + {_DP_C[i]!r} * h, new)"]
-    lines += [f"    {unpack('k6_')}= k6[:{m}]", f"    {unpack('n')}= new"]
-    for c in range(m):
-        lines += [f"    a, b = abs(y{c}), abs(n{c})",
-                  f"    r{c} = h * (0 + {terms(_DP_E, c)}) / "
+        lines += [*(f"    {nm} = y{c} + h * (0 + {terms(_DP_A[i], c)})"
+                    for c, nm in enumerate(names[:m])),
+                  f"    {names[m]} = t + {_DP_C[i]!r} * h", *stage(i)]
+    for c, nm in enumerate(names[:m]):
+        lines += [f"    a, b = abs(y{c}), abs({nm})", f"    r{c} = h * (0 + {terms(_DP_E, c)}) / "
                   "(atol + rtol * (a if a >= b or a != a else b))"]
-    return _function([*lines, f"    return new, k6, {_rms_source(m)}"], f"dp54-step-{m}")
+    return [*lines, f"    return {result}, {_rms_source(m)}"]
+
+
+@cache
+def _dp54_attempt(m: int) -> Callable:
+    """The attempt that calls `rhs(time, row)` at each stage, the row a new list."""
+    row = [f"s{c}" for c in range(m)]
+
+    def stage(i: int) -> list[str]:
+        return [f"    new = [{', '.join(row)}]", f"    k{i} = rhs(ts, new)",
+                f"    {_unpack(f'k{i}_', m)}= k{i}[:{m}]"]
+
+    return _function(_attempt_lines([*row, "ts"], stage, "new, k6"), f"dp54-step-{m}")
+
+
+def _flow_attempt(fields: Sequence[ScalarField], state: Sequence[str], consts: Mapping[str, float],
+                  boxed: Sequence[tuple[int, str, object]]) -> Callable:
+    """The attempt for `rhs(t, y) = compile_bundle(fields, [*state, *consts])(*y, t,
+    *consts.values())` after a DomainError test of |y[i]| < 1e-12 for each boxed
+    (i, name, _), with that test and the bundle's body inlined at every stage and
+    the parameters as numbers, so it compiles once per literal-free shape.  A stage
+    whose body raises or fails its isfinite test is re-run as `rhs(time, row)`."""
+    body, slots, checked, outs = _emit([f.ast for f in fields], consts)
+    names = [f"_v_{nm}" for nm in state]  # the row, then the time, as the body reads them
+    row, width = ", ".join(names[:-1]), len(fields)
+    check = f"_isfinite({' + '.join(checked)})" if checked else "True"
+    inline = [*(ln for j, nm, _ in boxed for ln in (
+                  f"    if abs({names[j]}) < 1e-12:",
+                  f"        raise _DomainError('auxiliary function vanished', {nm!r})")),
+              "    try:", *body, f"        _ok = {check}",
+              "    except Exception:", "        _ok = False"]
+    rates = f"({''.join(v + ', ' for v in outs)}) if _ok else rhs({names[-1]}, [{row}])"
+    lines = _attempt_lines(names, lambda i: [*inline, f"    {_unpack(f'k{i}_', width)}= {rates}"],
+                           f"[{row}], ({_unpack('k6_', width)})")
+    return _make(lines, "dp54-flow", {"_DomainError": DomainError, "sqrt": math.sqrt}, slots)
 
 
 _SAFETY = 0.9
@@ -171,6 +207,9 @@ class IntegratorStats:
     accepted: int = 0
     rejected: int = 0
     max_error_estimate: float = 0.0  # scaled local error norm among accepted steps
+    # right-hand sides asked for: the initial rates, the initial-step probe and
+    # six stages per attempt, inlined or not (six also when a stage raised)
+    rhs_calls: int = 0
 
 
 @dataclass
@@ -223,7 +262,8 @@ def _initial_step(rhs, t0: float, y0: Sequence[float], f0: Sequence[float],
 def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: float,
                   y0: Sequence[float], t_end: float, cfg: IntegratorConfig,
                   on_accept: Callable[[float, list[float], Sequence[float]], str | None]
-                  | None = None) -> tuple[IntegratorStats, str | None]:
+                  | None = None, *, attempt: Callable | None = None,
+                  ) -> tuple[IntegratorStats, str | None]:
     """Drive the DP 5(4) pair from t0 to t_end on states given as sequences
     of floats; `rhs(t, y)` returns one rate per component, then any number
     of trailing values, which the stepping ignores.
@@ -231,25 +271,30 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
     `on_accept(t, y, f)` is called at every accepted step (not at the initial
     state) with `f = rhs(t, y)`, the last stage; returning an error tag stops
     the run before that state counts.
+    `attempt` takes each step; by default `_dp54_attempt(len(y0))`, which
+    calls `rhs` at every stage.  `integrate` passes one with its right-hand
+    side inlined, which calls `rhs` only to re-run a failing stage.
     Returns the stats plus an error tag (None on clean completion).
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed start time")
-    stats = IntegratorStats()
+    stats = IntegratorStats(rhs_calls=1)
     t, row = t0, y0
     try:
         f0 = rhs(t, row)
     except DomainError:
         return stats, DOMAIN_VIOLATION
     fixed_step = cfg.min_step == cfg.max_step
+    stats.rhs_calls += not fixed_step  # the initial-step probe
     h = cfg.max_step if fixed_step else _initial_step(rhs, t, row, f0, t_end - t0, cfg)
     facold = 1e-4
-    attempt = _dp54_attempt(len(row))
+    attempt = attempt or _dp54_attempt(len(row))
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h = min(h, cfg.max_step, t_end - t)
         h = max(h, cfg.min_step)
         if t + h > t_end:
             h = t_end - t
+        stats.rhs_calls += 6
         try:
             new_row, f1, err = attempt(rhs, t, row, h, f0, cfg.abs_tol, cfg.rel_tol)
         except DomainError:
@@ -325,8 +370,8 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
     state = [*coordinate_names(n)[:-1], *aux, "t"]
     consts = bindable_params({**system.params, **(extra_params or {})}, state)
     argnames, values = [*state, *consts], tuple(consts.values())
-    rhs_fn = compile_bundle([*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values()),
-                             *system.guards], argnames)
+    fields = [*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values()), *system.guards]
+    rhs_fn = compile_bundle(fields, argnames)
     columns_fn = compile_bundle(list((tracked or {}).values()), argnames)
     boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
@@ -350,7 +395,8 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
         rows.append(y)
         return None
 
-    stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg, accept)
+    stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg, accept,
+                               attempt=_flow_attempt(fields, state, consts, boxed))
     columns = zip(*(columns_fn(*y, t, *values) for t, y in zip(times, rows)))
     recorded = dict(zip(tracked or {}, map(list, columns)))
     recorded.update({nm: [y[i] for y in rows] for i, nm in enumerate(aux, 2 * n + 1)})

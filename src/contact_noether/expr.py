@@ -408,31 +408,34 @@ _SERIALS = itertools.count(1)
 
 
 @lru_cache(maxsize=256)
-def _factory(source: str) -> Callable:
-    """The `_mk` that `source` defines, compiled once per distinct text."""
+def _factory(source: str, kind: str) -> Callable:
+    """The `_mk` that `source` defines, compiled once per distinct text into
+    a file named `<kind-N>`."""
     loc: dict[str, object] = {}
-    exec(compile(source, f"<scalar-field-{next(_SERIALS)}>", "exec"), {}, loc)
+    exec(compile(source, f"<{kind}-{next(_SERIALS)}>", "exec"), {}, loc)
     return loc["_mk"]  # type: ignore[return-value]
 
 
-def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: bool,
-             slow: Callable) -> Callable:
-    """`def _f(<params>)`: run `reads`, then every node under `roots`, and
-    return the roots' values (as a tuple, or the only one), or `_slow(<params>)`.
-    `_f` is made by `_mk(_slow, <kernels>, _k0, _k1, ...)`, the i-th distinct
-    number under `roots` being `_ki`; the kernels are read when `_f` is made."""
-    lines = [f"def _f({params}):", *reads, "    try:"]
+def _emit(roots: Sequence[Node], slots: Mapping[str, float] = {},
+          ) -> tuple[list[str], list[float], list[str], list[str]]:
+    """The statements `_tN = <value>`, indented for a try block of a function,
+    that evaluate every node under `roots`, one per distinct node, with `_ki`
+    for the i-th distinct number or name of `slots` and `_v_<name>` for any
+    other name.  Returns the statements, the slot values, the checked
+    temporaries (`/` and integer `^`) and the roots' values."""
+    lines: list[str] = []
     ref: dict[Node, str] = {}
     consts: list[float] = []
     checked: list[str] = []
 
     def emit(node: Node) -> str:
         if node not in ref:
-            if isinstance(node, Num):
-                consts.append(node.value)
+            if isinstance(node, (Num, Var, Param)):
+                slot = node.value if isinstance(node, Num) else slots.get(node.name)
+                if slot is None:
+                    return ref.setdefault(node, f"_v_{node.name}")
+                consts.append(slot)
                 return ref.setdefault(node, f"_k{len(consts) - 1}")
-            if isinstance(node, (Var, Param)):
-                return ref.setdefault(node, f"_v_{node.name}")
             k = _int_exponent(node.exponent) if isinstance(node, Pow) else None
             if isinstance(node, Neg):
                 value = f"-{emit(node.arg)}"
@@ -452,15 +455,32 @@ def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: boo
 
     values = [emit(r) for r in roots]
     del emit  # a recursive closure is a reference cycle, which would keep the nodes
+    return lines, consts, checked, values
+
+
+def _make(lines: list[str], kind: str, prelude: Mapping[str, object],
+          consts: Sequence[float]) -> Callable:
+    """The function `_f` that `lines` define, made by `_mk(<prelude>, <kernels>,
+    _k0, _k1, ...)` with the numbers `consts`; the kernels are read when `_f` is made."""
+    slots = "".join(f", _k{i}" for i in range(len(consts)))
+    source = "\n".join([f"def _mk({', '.join(prelude)}{_KERNELS}{slots}):",
+                        *("    " + ln for ln in lines), "    return _f"])
+    return _factory(source, kind)(*prelude.values(), math.isfinite, _k_pow,
+                                  *_INTRINSIC_IMPL.values(), *consts)
+
+
+def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: bool,
+             slow: Callable) -> Callable:
+    """`def _f(<params>)`: run `reads`, then every node under `roots`, and
+    return the roots' values (as a tuple, or the only one), or `_slow(<params>)`."""
+    body, consts, checked, values = _emit(roots)
     out = f"({''.join(v + ', ' for v in values)})" if as_tuple else values[0]
+    lines = [f"def _f({params}):", *reads, "    try:", *body]
     if checked:
         lines.append(f"        if _isfinite({' + '.join(checked)}):")
     lines += [f"{'    ' if checked else ''}        return {out}", "    except Exception:",
               "        pass", f"    return _slow({params})"]
-    slots = "".join(f", _k{i}" for i in range(len(consts)))
-    source = "\n".join([f"def _mk(_slow{_KERNELS}{slots}):", *("    " + ln for ln in lines),
-                        "    return _f"])
-    return _factory(source)(slow, math.isfinite, _k_pow, *_INTRINSIC_IMPL.values(), *consts)
+    return _make(lines, "scalar-field", {"_slow": slow}, consts)
 
 
 def compile_bundle(fields: Sequence["ScalarField"],
@@ -834,6 +854,8 @@ def partial(field: ScalarField, name: str) -> ScalarField:
     """Exact partial derivative with respect to a variable or parameter."""
     if name not in valid_variables(field.n) and not _IDENT_RE.fullmatch(name):
         raise ValueError(f"invalid differentiation target {name!r}")
+    if name not in valid_variables(field.n) and _QP_RE.match(name):
+        raise IndexOutOfRange(f"{name!r} is not a variable for dimension n={field.n}")
     return ScalarField(_diff(field.ast, name, {}), field.n)
 
 

@@ -231,8 +231,14 @@ class TestExitCodes:
         (lambda s: s.update(point_params={"a": "1.0"}), "point_params 'a' must be a finite number"),
         (lambda s: s["symmetries"].append({"label": "Z", "ansatz": {"alpha": "2"}}),
          "Z.ansatz.alpha must be a finite number"),
+        (lambda s: s.update(point_params=[1, 2]), "'point_params' must be a JSON object"),
+        (lambda s: s["symmetries"].append({"label": "Z", "ansatz": [1, 2]}),
+         "Z.ansatz must be a JSON object"),
+        (lambda s: s.update(integrator=[1, 2]), "'integrator' must be a JSON object"),
+        (lambda s: s["system"].update(params=[1, 2]), "system 'params' must be a JSON object"),
     ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
-            "string-point_param", "string-exponent"])
+            "string-point_param", "string-exponent", "list-point_params", "list-ansatz",
+            "list-integrator", "list-system-params"])
     def test_bad_check_number_is_config_error(self, tmp_path, capsys, edit, message):
         scenario = json.loads(json.dumps(self.SQUEEZE))
         path = write_scenario(tmp_path, "squeeze", scenario)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from contact_noether.dynamics import (
+    AUXILIARY_BLOWUP,
     DOMAIN_VIOLATION,
     STEP_SIZE_UNDERFLOW,
     IntegratorConfig,
@@ -419,6 +420,192 @@ class TestCompiledOnce:
         assert counts == (2, 0)
 
 
+def _kepler_flow(system, start, t_end, cfg=None):
+    return integrate(system, extended_field(system), start, t_end, cfg or IntegratorConfig(),
+                     tracked={"h": system.h})
+
+
+def _oscillator_flow(system, start, aux, t_end, cfg=None):
+    from contact_noether.systems import co_integrate
+
+    tracked = [ti for ti in system.meta["invariants"].values() if ti.label in ("F0", "F_GLR")]
+    return co_integrate(system, start, aux, t_end, cfg or IntegratorConfig(), tracked)
+
+
+def _flows():
+    from contact_noether.systems import AuxiliaryState, make_kepler, make_td_kepler
+
+    osc = make_harmonic_dissipative(1.0, 1.0, 0.2)
+    inverted = make_harmonic_dissipative(1.0, -5.0, 0.1)
+    coarse = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    # the check of `/` fails on every stage: each quotient is finite, their sum is not
+    overflowing = make_system("p0^2/2 + q0*(1e308/w - 1e308/v)", params={"w": 1.0, "v": 1.0})
+    return {
+        "kepler": (lambda: _kepler_flow(make_kepler(), point([1, 0, 0], [0, 1.2, 0]), 5.0),
+                   None, "never"),
+        "td-kepler": (lambda: _kepler_flow(make_td_kepler(1.0, 0.25, 1.5),
+                                           point([1, 0, 0], [0, 1.2, 0], t=1.0), 3.0),
+                      None, "never"),
+        "oscillator": (lambda: _oscillator_flow(osc, point(1.0, 0.5),
+                                                AuxiliaryState(use_a=True, use_b=True), 5.0),
+                       None, "never"),
+        "guard": (lambda: _kepler_flow(make_kepler(), point([1, 0, 0], [-1.0, 0, 0]), 10.0,
+                                       IntegratorConfig(guard_margin=0.5)),
+                  DOMAIN_VIOLATION, "never"),
+        "blowup": (lambda: _oscillator_flow(inverted, point(0.1, 0.0),
+                                            AuxiliaryState(use_a=True), 60.0, coarse),
+                   AUXILIARY_BLOWUP, "never"),
+        "raising-stages": (lambda: _kepler_flow(make_system("p0^2/2 + q0*sqrt(2 - t)"),
+                                                point(1.0, 0.5), 3.0,
+                                                IntegratorConfig(min_step=1e-6)),
+                           STEP_SIZE_UNDERFLOW, "sometimes"),
+        "overflowing-check": (lambda: _kepler_flow(overflowing, point(1.0, 0.5), 2.0),
+                              None, "always"),
+        "vanishing-aux": (_vanishing_aux_flow, STEP_SIZE_UNDERFLOW, "never"),
+    }
+
+
+def _vanishing_aux_flow():
+    # a decays toward 0, where stages with |a| < 1e-12 raise: the steps shrink to the floor
+    from contact_noether.dynamics import AuxComponent
+
+    free = make_system("p0^2/2")
+    return integrate(free, extended_field(free), point(0.0, 1.0), 2.0,
+                     IntegratorConfig(min_step=1e-6),
+                     aux={"a": AuxComponent(1.0, parse("-50*a", 1), (0.0, 2.0))})
+
+
+class TestFlowAttempt:
+    """integrate takes its steps with one generated attempt whose stages run
+    the right-hand side's body inline; it must take the steps of the generic
+    attempt that calls the same compiled right-hand side, bit for bit."""
+
+    @staticmethod
+    def run(monkeypatch, flow, fused=True):
+        # integrate's flow, with its attempt or the generic one; rhs calls counted
+        from contact_noether import dynamics
+
+        real, calls = dynamics.adaptive_rk45, []
+
+        def stepper(rhs, *args, attempt):
+            def counted(t, y):
+                calls.append(t)
+                return rhs(t, y)
+
+            return real(counted, *args, attempt=attempt if fused else None)
+
+        monkeypatch.setattr(dynamics, "adaptive_rk45", stepper)
+        try:
+            return flow(), len(calls)
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", list(_flows()))
+    def test_same_flow_as_the_generic_attempt(self, name, monkeypatch):
+        flow, tag, falls_back = _flows()[name]
+        (fused, calls), (generic, _) = (self.run(monkeypatch, flow, kind) for kind in (True, False))
+
+        def bits(traj):
+            return ([t.hex() for t in traj.times], [[v.hex() for v in y] for y in traj.rows],
+                    {k: [v.hex() for v in c] for k, c in traj.tracked.items()})
+
+        assert fused.error_tag == generic.error_tag == tag
+        assert fused.stats == generic.stats and fused.stats.accepted > 3
+        assert bits(fused) == bits(generic)
+        # rhs runs for the initial rates, the initial-step probe and each stage re-run
+        reruns, stages = calls - 2, fused.stats.rhs_calls - 2
+        assert {"never": reruns == 0, "always": reruns == stages,
+                "sometimes": 0 < reruns < stages}[falls_back]
+
+    @staticmethod
+    def made(monkeypatch, flow):
+        """The rhs and the attempt that `flow` passes to adaptive_rk45."""
+        from contact_noether import dynamics
+
+        real, made = dynamics.adaptive_rk45, []
+        monkeypatch.setattr(dynamics, "adaptive_rk45", lambda rhs, *args, attempt: made.append(
+            (rhs, attempt)) or real(rhs, *args, attempt=attempt))
+        flow()
+        monkeypatch.undo()
+        return made[0]
+
+    def test_a_raising_stage_rejects_with_eval_nodes_error(self, monkeypatch):
+        from contact_noether import dynamics
+        from contact_noether.expr import eval_node
+
+        sys1 = make_system("p0^2/2 + q0*sqrt(2 - t)")
+        rhs, fused = self.made(monkeypatch, lambda: _kepler_flow(sys1, point(1.0, 0.5), 1.0))
+        seen = []
+
+        def recorded(t, row):
+            seen.append((t, list(row)))
+            return rhs(t, row)
+
+        # stage 1 is taken at t = 2.0, stage 2 past it, where sqrt(2 - t) raises
+        t, y, h = 1.9, [1.0, 0.5, 0.0], 0.5
+        errors = []
+        for attempt in (fused, dynamics._dp54_attempt(3)):
+            with pytest.raises(DomainError) as info:
+                attempt(recorded, t, y, h, rhs(t, y), 1e-12, 1e-10)
+            errors.append(info.value)
+        # the fused attempt re-ran the raising stage only, at the row the generic one built
+        assert len(seen) == 3 and seen[0] == seen[2] and seen[0][0] == t + 0.3 * h
+        env = dict(zip(["q0", "p0", "S", "t"], [*seen[0][1], seen[0][0]]))
+        field = extended_field(sys1)
+        with pytest.raises(DomainError) as info:
+            for f in (*field.Yq, *field.Yp, field.YS):
+                eval_node(f.ast, env)
+        expected = info.value
+        assert expected.where.startswith("sqrt(")
+        for e in errors:
+            assert (type(e), str(e), e.where) == (type(expected), str(expected), expected.where)
+
+    def test_a_vanishing_auxiliary_value_raises_the_rhs_error(self, monkeypatch):
+        from contact_noether import dynamics
+
+        rhs, fused = self.made(monkeypatch, _vanishing_aux_flow)
+        y = [0.0, 1.0, 0.0, 1e-3]  # stage 1 takes a to 1e-3 + 0.1 * 0.2 * -0.05, about 0
+        errors = []
+        for attempt in (fused, dynamics._dp54_attempt(4)):
+            with pytest.raises(DomainError) as info:
+                attempt(rhs, 0.0, y, 0.1, rhs(0.0, y), 1e-12, 1e-10)
+            errors.append((str(info.value), info.value.where))
+        assert errors[0] == errors[1] == ("auxiliary function vanished in `a`", "a")
+
+    def test_rhs_calls_count_every_stage(self, kepler, damped_oscillator):
+        from contact_noether.systems import AuxiliaryState
+
+        for traj in (_kepler_flow(kepler, point([1, 0, 0], [0, 1.2, 0]), 5.0),
+                     _oscillator_flow(damped_oscillator, point(1.0, 0.5),
+                                      AuxiliaryState(use_a=True, use_b=True), 5.0)):
+            st = traj.stats
+            assert traj.error_tag is None and st.accepted > 10
+            assert st.rhs_calls == 2 + 6 * (st.accepted + st.rejected)
+        fixed = _kepler_flow(kepler, point([1, 0, 0], [0, 1.2, 0]), 1.0,
+                             IntegratorConfig(min_step=0.01, max_step=0.01)).stats
+        assert fixed.rejected == 0 and fixed.rhs_calls == 1 + 6 * fixed.accepted
+        # the generic attempt: the count is the number of calls
+        rhs, calls = TestRhsCalls.counting_rhs()
+        st, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 5.0, IntegratorConfig(rel_tol=1e-4))
+        assert tag is None and st.rejected > 0 and st.rhs_calls == len(calls)
+
+    def test_a_second_kepler_flow_compiles_nothing(self, monkeypatch):
+        import builtins
+
+        from contact_noether.systems import make_kepler
+
+        def flow(m, eps, start):
+            return _kepler_flow(make_kepler(m, eps), start, 2.0)
+
+        flow(1.0, 0.25, point([1, 0, 0], [0, 1.2, 0]))
+        compiled, real = [], builtins.compile
+        monkeypatch.setattr(builtins, "compile", lambda *a, **k: compiled.append(a) or real(*a, **k))
+        traj = flow(1.7, 0.4, point([0.2, 1.1, -0.3], [0.9, 0.1, 0.2]))
+        monkeypatch.undo()
+        assert traj.error_tag is None and traj.stats.accepted > 10
+        assert compiled == []
+
+
 class TestCumulativeSimpson:
     def test_matches_scipy_bitwise(self):
         scipy_integrate = pytest.importorskip("scipy.integrate")
@@ -502,7 +689,7 @@ def test_generated_functions_have_distinct_file_names():
     # generated source and the Dormand-Prince attempt of every state size must
     # be told apart, while bundles that differ only in their numbers share
     # one code object and keep their own numbers
-    from contact_noether.dynamics import _dp54_attempt
+    from contact_noether.dynamics import _dp54_attempt, _flow_attempt
     from contact_noether.expr import compile_bundle
 
     same = [compile_bundle([parse(f"{c}*q0*p0", 1)], ["q0", "p0"]) for c in (2.5, 3.5)]
@@ -513,6 +700,9 @@ def test_generated_functions_have_distinct_file_names():
     assert len(set(names)) == len(names) == 4
     assert names[0].startswith("<scalar-field-") and names[1].startswith("<scalar-field-")
     assert names[2:] == ["<dp54-step-3>", "<dp54-step-7>"]
+    flow = _flow_attempt([parse("p0", 1), parse("-q0", 1), parse("p0^2/2", 1)],
+                         ["q0", "p0", "S", "t"], {}, []).__code__.co_filename
+    assert flow.startswith("<dp54-flow-") and flow not in names
 
 
 class TestConservationAlongFlow:

@@ -355,6 +355,14 @@ class TestPartial:
         d2 = partial(partial(f, "q0"), "q0")
         assert value(d2, {"q0": 2.0}) == 48.0
 
+    def test_out_of_range_coordinate_is_rejected(self):
+        # as the parser and variable() reject it, instead of differentiating a parameter
+        f = parse("q0*p1", 3)
+        for name in ("q5", "p3"):
+            with pytest.raises(IndexOutOfRange, match=name):
+                partial(f, name)
+        assert partial(f, "p1").source() == "q0"
+
     def test_partial_wrt_parameter(self):
         f = parse("a*t^2 + b", 1)
         assert value(partial(f, "a"), {"t": 3.0, "b": 0.0, "a": 0.0}) == 9.0
