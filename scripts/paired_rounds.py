@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Compare two checkouts' round times on one certbench workload, in one process.
+
+Usage: python3 scripts/paired_rounds.py PARENT_SRC CHANGE_SRC --workload W --rounds N [--seed S]
+
+PARENT_SRC and CHANGE_SRC are `src` directories that each hold a
+`contact_noether` package.  Both are imported into this process, as
+`cn_parent` and `cn_change`, and run the same scenario files of the certbench
+workload W (generated by `certbench/workloads.py`, which is only read)
+through `cli.run`.  After an untimed warm-up round on each tree, round k runs
+the workload's round-k scenarios on one tree and then on the other, and the
+tree that goes first alternates from round to round.  The two halves of a
+pair run within the same second or so, which cancels most of the drift of a
+shared host, where a lone run's time moves by up to a factor of two within a
+minute.
+
+Prints each round's two times and their ratio (change / parent), then the
+median ratio with its quartiles; a ratio below 1 means the change is faster.
+A scenario whose report differs between the trees is named on stderr, and
+the exit code is then 1.
+"""
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "certbench"))
+
+import workloads  # noqa: E402
+
+FIXED = {"bundled": workloads.bundled, "long-flow": workloads.long_flow}
+
+
+def load(src: str, name: str):
+    """The `contact_noether` package under `src`, imported as `name`."""
+    pkg = Path(src).resolve() / "contact_noether"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(workload: str, seed: int, k: int) -> list:
+    if workload in FIXED:
+        return FIXED[workload](seed)
+    return workloads.symbolic_sweep_round(seed, k)
+
+
+def run_round(cn, paths: list[Path], out: Path) -> tuple[float, list[dict]]:
+    """Seconds to run every scenario of `paths` through `cn.cli.run`, and the reports."""
+    t0 = perf_counter()
+    reports = [cn.cli.run(path, out, quiet=True)[0] for path in paths]
+    return perf_counter() - t0, reports
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src")
+    ap.add_argument("--workload", required=True, choices=[*FIXED, "symbolic-sweep"])
+    ap.add_argument("--rounds", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    trees = {"parent": load(args.parent_src, "cn_parent"),
+             "change": load(args.change_src, "cn_change")}
+    differing: set[str] = set()
+    ratios: list[float] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for k in range(args.rounds + 1):  # round 0 is the warm-up
+            round_cases = cases(args.workload, args.seed, k)
+            paths = [case.write(work) for case in round_cases]
+            order = ["parent", "change"] if k % 2 else ["change", "parent"]
+            seconds, reports = {}, {}
+            for side in order:
+                seconds[side], reports[side] = run_round(trees[side], paths, work / side)
+            differing.update(case.name for case, a, b in
+                             zip(round_cases, reports["parent"], reports["change"]) if a != b)
+            if k:
+                ratios.append(seconds["change"] / seconds["parent"])
+                print(f"round {k} ({order[0]} first): parent {seconds['parent']:.4f} s, "
+                      f"change {seconds['change']:.4f} s, ratio {ratios[-1]:.3f}")
+    q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    wins = sum(r < 1.0 for r in ratios)
+    print(f"{args.workload}: median change/parent round-time ratio {med:.3f} "
+          f"(q1 {q1:.3f}, q3 {q3:.3f}); change faster in {wins}/{len(ratios)} rounds")
+    for name in sorted(differing):
+        print(f"report differs: {name}", file=sys.stderr)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,13 +85,32 @@ class UnboundParameter(ExprError):
 # AST nodes (hash-consed)
 
 _INTERN: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
+_LIVE = _INTERN.data  # key -> weak reference, read directly; entries are set through _INTERN
+_Names = tuple[frozenset[str], frozenset[str]]  # (Var names, Param names)
+_NO_NAMES: _Names = (frozenset(), frozenset())
+
+
+def _union(a: _Names, b: _Names) -> _Names:
+    """The pairwise union of two name pairs, reusing one if it holds the other."""
+    if b[0] <= a[0] and b[1] <= a[1]:
+        return a
+    if a[0] <= b[0] and a[1] <= b[1]:
+        return b
+    return a[0] | b[0], a[1] | b[1]
 
 
 class _Node:
     """Base of the AST nodes.  Constructing a node returns the live node of
     equal structure if there is one, so structurally equal subtrees are one
     object and equality is identity.  The table holds nodes weakly, and its
-    key tells ``Num(0.0)`` from ``Num(-0.0)``."""
+    key tells ``Num(0.0)`` from ``Num(-0.0)``.
+
+    Two slots, outside ``vars(node)`` and the dataclass fields, hold what is
+    known of a node: ``_names``, its (Var names, Param names), set when the
+    node is built from its children's; and ``_d``, made on first use, its
+    derivatives by name, held weakly (``exp(a)``'s refers back to it)."""
+
+    __slots__ = ("_names", "_d")
 
     def __new__(cls, *args):
         if cls is Num:
@@ -99,10 +118,21 @@ class _Node:
             key: tuple = (cls, args[0], math.copysign(1.0, args[0]))
         else:
             key = (cls, *args)
-        node = _INTERN.get(key)
+        ref = _LIVE.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             node.__dict__.update(zip(cls.__match_args__, args))
+            if cls is Var:
+                names = (frozenset(args), _NO_NAMES[1])
+            elif cls is Param:
+                names = (_NO_NAMES[0], frozenset(args))
+            else:
+                names = _NO_NAMES
+                for kid in args:
+                    if isinstance(kid, _Node):
+                        names = _union(names, kid._names)
+            object.__setattr__(node, "_names", names)
             _INTERN[key] = node
         return node
 
@@ -160,6 +190,7 @@ class Call(_Node):
 
 
 Node = Union[Num, Var, Param, Neg, Add, Sub, Mul, Div, Pow, Call]
+_ZERO, _ONE = Num(0.0), Num(1.0)  # shared by every rule that returns 0 or 1, and always live
 
 
 def _int_exponent(node: Node) -> int | None:
@@ -199,12 +230,12 @@ def mul_(a: Node, b: Node) -> Node:
         return Num(v)
     if isinstance(a, Num):
         if a.value == 0.0:
-            return Num(0.0)
+            return _ZERO
         if a.value == 1.0:
             return b
     if isinstance(b, Num):
         if b.value == 0.0:
-            return Num(0.0)
+            return _ZERO
         if b.value == 1.0:
             return a
     return Mul(a, b)
@@ -215,7 +246,7 @@ def div_(a: Node, b: Node) -> Node:
             and math.isfinite(v := a.value / b.value)):
         return Num(v)
     if isinstance(a, Num) and a.value == 0.0:
-        return Num(0.0)
+        return _ZERO
     if isinstance(b, Num) and b.value == 1.0:
         return a
     return Div(a, b)
@@ -234,7 +265,7 @@ def pow_(a: Node, b: Node) -> Node:
         if b.value == 1.0:
             return a
         if b.value == 0.0:
-            return Num(1.0)
+            return _ONE
         if isinstance(a, Num):
             try:
                 k = _int_exponent(b)
@@ -249,7 +280,7 @@ def pow_(a: Node, b: Node) -> Node:
 def call_(fn: str, arg: Node) -> Node:
     if isinstance(arg, Num):
         try:
-            v = _INTRINSIC_IMPL[fn](arg.value, fn)
+            v = _intrinsic(fn, arg.value, fn)
         except DomainError:
             return Call(fn, arg)
         return Num(v)
@@ -257,9 +288,8 @@ def call_(fn: str, arg: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# guarded numeric kernels (shared by the interpreter and compiled code,
-# so both paths are bit-identical); `where` is the node being evaluated,
-# or its text, and is rendered only if an error is raised
+# guarded numeric kernels of the interpreter; `where` is the node being
+# evaluated, or its text, and is rendered only if an error is raised
 
 
 def _guard_finite(v: float, where: Node) -> float:
@@ -268,33 +298,21 @@ def _guard_finite(v: float, where: Node) -> float:
     return v
 
 
-def _k_exp(x: float, where: Node) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise DomainError("exp overflow", where) from None
-
-
-def _k_ln(x: float, where: Node) -> float:
-    if x <= 0.0:
-        raise DomainError("ln of non-positive value", where)
-    return math.log(x)
-
-
-def _k_sqrt(x: float, where: Node) -> float:
-    if x < 0.0:
-        raise DomainError("sqrt of negative value", where)
-    return math.sqrt(x)
-
-
-_INTRINSIC_IMPL: dict[str, Callable[[float, Node], float]] = {
-    "sin": lambda x, where: math.sin(x),
-    "cos": lambda x, where: math.cos(x),
-    "exp": _k_exp,
-    "ln": _k_ln,
-    "sqrt": _k_sqrt,
-    "abs": lambda x, where: abs(x),
+# the intrinsics are the math functions, which compiled code calls directly;
+# sin and cos raise on an infinite argument, exp on overflow, ln and sqrt
+# outside their domain, and abs never
+_INTRINSIC_IMPL: dict[str, Callable[[float], float]] = {
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
 }
+_DOMAIN = {"sin": "sin of infinite value", "cos": "cos of infinite value", "exp": "exp overflow",
+           "ln": "ln of non-positive value", "sqrt": "sqrt of negative value"}
+
+
+def _intrinsic(fn: str, x: float, where: Node) -> float:
+    try:
+        return _INTRINSIC_IMPL[fn](x)
+    except (ValueError, OverflowError):
+        raise DomainError(_DOMAIN[fn], where) from None
 
 
 def _k_pow(b: float, e: float, where: Node) -> float:
@@ -388,21 +406,22 @@ def eval_node(node: Node, env: Mapping[str, float]) -> float:
         except (OverflowError, ZeroDivisionError):
             raise DomainError("integer power out of domain", node) from None
     if isinstance(node, Call):
-        return _INTRINSIC_IMPL[node.fn](eval_node(node.arg, env), node)
+        return _intrinsic(node.fn, eval_node(node.arg, env), node)
     raise TypeError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------
 # compilation: one python function per bundle of fields, with one local per
-# distinct node across the bundle.  `/` and integer `^` run inline and their
-# results are checked once per call, by one isfinite test on their sum.  Any
-# exception or non-finite checked value re-runs eval_node, so values and the
-# first DomainError are the interpreter's; kernels called here get an empty
-# label, because an error they raise is never shown.  Each number is a closure
-# cell, not text, so bundles that differ only in their numbers share one compile
+# distinct node across the bundle.  `/` and `^` run inline (a non-integer `^`
+# of a base that is not positive gives NaN) and their results are checked once
+# per call, by one isfinite test on their sum; the intrinsics are the math
+# functions, which raise where eval_node does.  Any exception or non-finite
+# checked value re-runs eval_node, so values and the first DomainError are the
+# interpreter's.  Each number is a closure cell, not text, so bundles that
+# differ only in their numbers share one compile
 
 _OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_KERNELS = "".join(f", _{fn}" for fn in ("isfinite", "powf", *_INTRINSIC_IMPL))
+_KERNELS = "".join(f", _{fn}" for fn in ("isfinite", "nan", *_INTRINSIC_IMPL))
 # numbers the generated functions' file names, so that profiles tell them apart
 _SERIALS = itertools.count(1)
 
@@ -422,7 +441,7 @@ def _emit(roots: Sequence[Node], slots: Mapping[str, float] = {},
     that evaluate every node under `roots`, one per distinct node, with `_ki`
     for the i-th distinct number or name of `slots` and `_v_<name>` for any
     other name.  Returns the statements, the slot values, the checked
-    temporaries (`/` and integer `^`) and the roots' values."""
+    temporaries (`/` and `^`) and the roots' values."""
     lines: list[str] = []
     ref: dict[Node, str] = {}
     consts: list[float] = []
@@ -440,15 +459,16 @@ def _emit(roots: Sequence[Node], slots: Mapping[str, float] = {},
             if isinstance(node, Neg):
                 value = f"-{emit(node.arg)}"
             elif isinstance(node, Call):
-                value = f"_{node.fn}({emit(node.arg)}, '')"
+                value = f"_{node.fn}({emit(node.arg)})"
             elif k is not None:
                 value = f"{emit(node.base)} ** {k}"
             elif isinstance(node, Pow):
-                value = f"_powf({emit(node.base)}, {emit(node.exponent)}, '')"
+                base = emit(node.base)
+                value = f"{base} ** {emit(node.exponent)} if {base} > 0.0 else _nan"
             else:
                 value = f"{emit(node.left)} {_OPS[type(node)]} {emit(node.right)}"
             ref[node] = f"_t{len(lines)}"
-            if k is not None or isinstance(node, Div):
+            if isinstance(node, (Pow, Div)):
                 checked.append(ref[node])
             lines.append(f"        {ref[node]} = {value}")
         return ref[node]
@@ -465,7 +485,7 @@ def _make(lines: list[str], kind: str, prelude: Mapping[str, object],
     slots = "".join(f", _k{i}" for i in range(len(consts)))
     source = "\n".join([f"def _mk({', '.join(prelude)}{_KERNELS}{slots}):",
                         *("    " + ln for ln in lines), "    return _f"])
-    return _factory(source, kind)(*prelude.values(), math.isfinite, _k_pow,
+    return _factory(source, kind)(*prelude.values(), math.isfinite, math.nan,
                                   *_INTRINSIC_IMPL.values(), *consts)
 
 
@@ -510,37 +530,6 @@ def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]]
 # scalar fields
 
 
-_NAMES: "weakref.WeakKeyDictionary[Node, tuple[frozenset[str], ...]]" = weakref.WeakKeyDictionary()
-
-
-def _collect_names(root: Node) -> tuple[frozenset[str], frozenset[str]]:
-    """(Var names, Param names) under `root`, visiting each distinct node
-    once and taking the names under an earlier field's root from the cache."""
-    names = _NAMES.get(root)
-    if names is None:
-        vs: set[str] = set()
-        ps: set[str] = set()
-        seen: set[Node] = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            known = _NAMES.get(node)
-            if known is not None:
-                vs |= known[0]
-                ps |= known[1]
-            elif isinstance(node, Var):
-                vs.add(node.name)
-            elif isinstance(node, Param):
-                ps.add(node.name)
-            else:
-                stack.extend(v for v in vars(node).values() if isinstance(v, _Node))
-        names = _NAMES[root] = (frozenset(vs), frozenset(ps))
-    return names
-
-
 @lru_cache(maxsize=None)
 def valid_variables(n: int) -> frozenset[str]:
     return frozenset({f"q{i}" for i in range(n)} | {f"p{i}" for i in range(n)} | {"S", "t"})
@@ -558,9 +547,9 @@ class ScalarField:
     ast: Node
     n: int
 
-    # computed on first use, once per distinct node
-    free_vars = property(lambda self: _collect_names(self.ast)[0])
-    free_params = property(lambda self: _collect_names(self.ast)[1])
+    # computed when each distinct node is built
+    free_vars = property(lambda self: self.ast._names[0])
+    free_params = property(lambda self: self.ast._names[1])
 
     def eval_env(self, env: Mapping[str, float]) -> float:
         """The value at a name->value environment, compiled on each call; build
@@ -782,29 +771,12 @@ def parse(source: str, n: int) -> ScalarField:
 # differentiation / substitution
 
 
-_DIFF: "weakref.WeakKeyDictionary[Node, dict[str, weakref.ref[Node]]]" = weakref.WeakKeyDictionary()
-
-
-def _diff(node: Node, name: str, memo: dict[Node, Node]) -> Node:
-    """d(node)/d(name).  `memo` holds the derivative of every node visited in
-    this walk, so each distinct node is differentiated once; `_DIFF` keeps
-    earlier walks' derivatives, weakly, per (node, name)."""
-    if node not in memo:
-        known = _DIFF.setdefault(node, {})
-        d = known[name]() if name in known else None
-        if d is None:
-            d = _derive(node, name, lambda child: _diff(child, name, memo))
-            known[name] = weakref.ref(d)
-        memo[node] = d
-    return memo[node]
-
-
 def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
     """The derivative rule of `node`, with `d` differentiating its operands."""
     if isinstance(node, Num):
-        return Num(0.0)
+        return _ZERO
     if isinstance(node, (Var, Param)):
-        return Num(1.0 if node.name == name else 0.0)
+        return _ONE if node.name == name else _ZERO
     if isinstance(node, Neg):
         return neg_(d(node.arg))
     if isinstance(node, Add):
@@ -838,9 +810,9 @@ def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
         elif node.fn == "exp":
             outer = call_("exp", a)
         elif node.fn == "ln":
-            outer = div_(Num(1.0), a)
+            outer = div_(_ONE, a)
         elif node.fn == "sqrt":
-            outer = div_(Num(1.0), mul_(Num(2.0), call_("sqrt", a)))
+            outer = div_(_ONE, mul_(Num(2.0), call_("sqrt", a)))
         elif node.fn == "abs":
             # sign(a) away from zero; evaluation at a == 0 raises DomainError
             outer = div_(a, call_("abs", a))
@@ -856,7 +828,29 @@ def partial(field: ScalarField, name: str) -> ScalarField:
         raise ValueError(f"invalid differentiation target {name!r}")
     if name not in valid_variables(field.n) and _QP_RE.match(name):
         raise IndexOutOfRange(f"{name!r} is not a variable for dimension n={field.n}")
-    return ScalarField(_diff(field.ast, name, {}), field.n)
+    memo: dict[Node, Node] = {}
+
+    def d(node: Node) -> Node:
+        """d(node)/d(name).  `memo` holds the derivative of every node visited
+        in this walk, so each distinct node is differentiated once; the node's
+        `_d` keeps earlier walks' derivatives, weakly, per name."""
+        if node not in memo:
+            try:
+                known = node._d
+            except AttributeError:
+                known = {}
+                object.__setattr__(node, "_d", known)
+            ref = known.get(name)
+            dn = None if ref is None else ref()
+            if dn is None:
+                dn = _derive(node, name, d)
+                known[name] = weakref.ref(dn)
+            memo[node] = dn
+        return memo[node]
+
+    root = d(field.ast)
+    del d  # a recursive closure is a reference cycle, which would keep the nodes
+    return ScalarField(root, field.n)
 
 
 def _subst(node: Node, name: str, replacement: Node) -> Node:

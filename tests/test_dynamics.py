@@ -560,6 +560,16 @@ class TestFlowAttempt:
         for e in errors:
             assert (type(e), str(e), e.where) == (type(expected), str(expected), expected.where)
 
+    def test_sin_of_an_overflowing_argument_rejects_the_step(self):
+        # q0 grows as e^t, so q0*q0*q0 overflows near t = 1.73; sin(inf) is eval_node's
+        # DomainError, which rejects the step, and no ValueError leaves integrate
+        sys1 = make_system("p0*q0 + sin(q0*q0*q0)")
+        traj = integrate(sys1, extended_field(sys1), point(1e102, 0.0), 5.0,
+                         IntegratorConfig(min_step=0.01, max_step=0.01))
+        assert traj.error_tag == STEP_SIZE_UNDERFLOW
+        assert traj.stats.accepted == 173 and traj.stats.rejected == 1
+        assert 5.6e102 < traj.rows[-1][0] < 5.65e102
+
     def test_a_vanishing_auxiliary_value_raises_the_rhs_error(self, monkeypatch):
         from contact_noether import dynamics
 

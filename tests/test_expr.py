@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import pickle
@@ -307,9 +308,9 @@ class TestSharing:
         calls = []
         real = expr._INTRINSIC_IMPL["sqrt"]
 
-        def counting(x, where):
+        def counting(x):
             calls.append(x)
-            return real(x, where)
+            return real(x)
 
         f = parse("sqrt(q0^2+1)*sqrt(q0^2+1) + q0/sqrt(q0^2+1)", 1)
         ref = expr.eval_node(f.ast, {"q0": 2.0})
@@ -459,3 +460,104 @@ class TestSubstitute:
     def test_substitute_number(self):
         f = substitute(parse("w*t", 1), "w", 2.5)
         assert value(f, {"t": 2.0}) == 5.0
+
+
+def _names_by_walk(root):
+    """(Var names, Param names) under `root`, by a walk over its fields."""
+    vs, ps, stack = set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, expr.Var):
+            vs.add(node.name)
+        elif isinstance(node, expr.Param):
+            ps.add(node.name)
+        else:
+            stack.extend(v for v in vars(node).values() if isinstance(v, expr._Node))
+    return vs, ps
+
+
+class TestNodeFacts:
+    """Names and derivatives are kept on each distinct node, in slots that the
+    structural views of a node (`vars`, the dataclass fields) do not show."""
+
+    def test_names_match_a_walk(self):
+        rng = np.random.default_rng(37)
+        for _ in range(400):
+            f = random_field(rng, 2, 6)
+            name = str(rng.choice(sorted(_names_by_walk(f.ast)[0] | {"q0"})))
+            for g in (f, partial(f, name), partial(f, "mu"),
+                      substitute(f, "c1", parse("q1*mu - t", 2))):
+                assert (g.free_vars, g.free_params) == _names_by_walk(g.ast)
+
+    def test_structural_views_hold_only_the_fields(self):
+        f = parse("sin(q0*mu)^1.5 - -p0/t", 1)
+        partial(f, "q0")  # gives the nodes under f their derivative slot
+        stack = [f.ast]
+        while stack:
+            node = stack.pop()
+            names = [fl.name for fl in dataclasses.fields(type(node))]
+            assert list(vars(node)) == names == list(type(node).__match_args__)
+            stack.extend(v for v in vars(node).values() if isinstance(v, expr._Node))
+
+    def test_pickle_round_trip_returns_the_same_node(self):
+        f = parse("exp(q0*xi_pickle)/(1 + p0^2)", 1)
+        d = partial(f, "q0")
+        for node in (f.ast, d.ast, expr.Num(-0.0)):
+            assert pickle.loads(pickle.dumps(node)) is node
+
+    def test_dropped_fields_and_partials_leave_the_table_as_it_was(self):
+        # names no other test uses, so that every node built here is new; with the
+        # collector off, only reference counts can free them, so no cycle holds one
+        rng = np.random.default_rng(41)
+        gc.collect()
+        baseline = len(expr._INTERN)
+        gc.disable()
+        try:
+            for i in range(200):
+                f = random_field(rng, 2, 5) * expr.parameter(f"xi_drop{i}", 2)
+                for name in ("q0", "p1", f"xi_drop{i}"):
+                    f = f + partial(f, name)
+                assert len(expr._INTERN) > baseline
+                del f
+            assert len(expr._INTERN) == baseline
+        finally:
+            gc.enable()
+        gc.collect()
+        assert len(expr._INTERN) == baseline
+
+
+class TestIntrinsicDomain:
+    """Every way out of the real domain is eval_node's DomainError, through
+    both evaluation paths; compiled code calls the math functions directly."""
+
+    @pytest.mark.parametrize("source, where", [
+        ("sin(q0*q0*q0)", "sin(q0*q0*q0)"),
+        ("cos(q0*q0*q0) + 1", "cos(q0*q0*q0)"),
+        ("q0 - sin(-q0*q0*q0)*p0", "sin(-q0*q0*q0)"),
+    ])
+    def test_sin_and_cos_of_an_infinite_argument(self, source, where):
+        f = parse(source, 1)
+        bundle = expr.compile_bundle([f], ["q0", "p0"])
+        for run in (lambda: expr.eval_node(f.ast, {"q0": 1e200, "p0": 1.0}),
+                    lambda: bundle(1e200, 1.0)):
+            with pytest.raises(DomainError) as info:
+                run()
+            assert info.value.where == where
+            assert str(info.value) == f"{where[:3]} of infinite value in `{where}`"
+        assert bundle(2.0, 1.0)[0] == expr.eval_node(f.ast, {"q0": 2.0, "p0": 1.0})
+
+    @pytest.mark.parametrize("source", [
+        "abs(q0^0.5)",           # abs of a complex power would be a real number
+        "abs(q0^c) + 1",         # an exponent known only at the call
+        "q0^1.5 - q0^1.5",
+        "abs(p0*q0^-0.25)*0.5",
+    ])
+    @pytest.mark.parametrize("q0", [-4.0, -0.0])
+    def test_non_integer_power_of_a_negative_base(self, source, q0):
+        f = parse(source, 1)
+        env = {"q0": q0, "p0": 2.0, "c": 0.5}
+        ref = _outcome(lambda: [expr.eval_node(f.ast, env)])
+        assert isinstance(ref, tuple) and "non-positive base" in ref[1]
+        got = _outcome(lambda: expr.compile_bundle([f, parse("p0 + 1", 1)], list(env))(
+            *env.values()))
+        assert got == ref
