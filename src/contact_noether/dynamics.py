@@ -14,6 +14,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 from .expr import (DomainError, Num, ScalarField, _emit, _make, compile_bundle, number, partial,
@@ -90,7 +91,7 @@ def _pairwise(terms: list[str]) -> str:
 
 def _function(lines: list[str], name: str) -> Callable:
     """The function `_f` that `lines` define, named `<name>` in tracebacks and profiles."""
-    scope = {"abs": abs, "sqrt": math.sqrt}
+    scope = {"abs": abs, "sqrt": math.sqrt, "_DomainError": DomainError}
     exec(compile("\n".join(lines), f"<{name}>", "exec"), scope)
     return scope["_f"]  # type: ignore[return-value]
 
@@ -114,65 +115,6 @@ def _unpack(name: str, m: int) -> str:
     return "".join(f"{name}{c}, " for c in range(m))
 
 
-def _attempt_lines(names: list[str], stage: Callable[[int], list[str]], result: str) -> list[str]:
-    """`_f(rhs, t, y, h, k0, atol, rtol) -> (new_row, k6, err)`: one Dormand-Prince
-    5(4) attempt on m floats as straight-line code.  Stage i puts its row
-    `y + h*(0 + a*k + ...)` (over the nonzero a, summed left to right, so
-    reproducible bit for bit) and its time in the m + 1 locals `names`, then
-    `stage(i)` puts its rates in `k{i}_0, k{i}_1, ...`; `result` returns the
-    last row and rates.  err is the RMS of the error over
-    atol + rtol * max(|y|, |new_row|) (NaN if either is)."""
-    m = len(names) - 1
-
-    def terms(coeffs: tuple[float, ...], c: int) -> str:
-        return " + ".join(f"{a!r} * k{j}_{c}" for j, a in enumerate(coeffs) if a != 0.0)
-
-    lines = ["def _f(rhs, t, y, h, k0, atol, rtol):", f"    {_unpack('y', m)}= y",
-             f"    {_unpack('k0_', m)}= k0[:{m}]"]
-    for i in range(1, 7):  # the last stage is taken at the 5th-order solution
-        lines += [*(f"    {nm} = y{c} + h * (0 + {terms(_DP_A[i], c)})"
-                    for c, nm in enumerate(names[:m])),
-                  f"    {names[m]} = t + {_DP_C[i]!r} * h", *stage(i)]
-    for c, nm in enumerate(names[:m]):
-        lines += [f"    a, b = abs(y{c}), abs({nm})", f"    r{c} = h * (0 + {terms(_DP_E, c)}) / "
-                  "(atol + rtol * (a if a >= b or a != a else b))"]
-    return [*lines, f"    return {result}, {_rms_source(m)}"]
-
-
-@cache
-def _dp54_attempt(m: int) -> Callable:
-    """The attempt that calls `rhs(time, row)` at each stage, the row a new list."""
-    row = [f"s{c}" for c in range(m)]
-
-    def stage(i: int) -> list[str]:
-        return [f"    new = [{', '.join(row)}]", f"    k{i} = rhs(ts, new)",
-                f"    {_unpack(f'k{i}_', m)}= k{i}[:{m}]"]
-
-    return _function(_attempt_lines([*row, "ts"], stage, "new, k6"), f"dp54-step-{m}")
-
-
-def _flow_attempt(fields: Sequence[ScalarField], state: Sequence[str], consts: Mapping[str, float],
-                  boxed: Sequence[tuple[int, str, object]]) -> Callable:
-    """The attempt for `rhs(t, y) = compile_bundle(fields, [*state, *consts])(*y, t,
-    *consts.values())` after a DomainError test of |y[i]| < 1e-12 for each boxed
-    (i, name, _), with that test and the bundle's body inlined at every stage and
-    the parameters as numbers, so it compiles once per literal-free shape.  A stage
-    whose body raises or fails its isfinite test is re-run as `rhs(time, row)`."""
-    body, slots, checked, outs = _emit([f.ast for f in fields], consts)
-    names = [f"_v_{nm}" for nm in state]  # the row, then the time, as the body reads them
-    row, width = ", ".join(names[:-1]), len(fields)
-    check = f"_isfinite({' + '.join(checked)})" if checked else "True"
-    inline = [*(ln for j, nm, _ in boxed for ln in (
-                  f"    if abs({names[j]}) < 1e-12:",
-                  f"        raise _DomainError('auxiliary function vanished', {nm!r})")),
-              "    try:", *body, f"        _ok = {check}",
-              "    except Exception:", "        _ok = False"]
-    rates = f"({''.join(v + ', ' for v in outs)}) if _ok else rhs({names[-1]}, [{row}])"
-    lines = _attempt_lines(names, lambda i: [*inline, f"    {_unpack(f'k{i}_', width)}= {rates}"],
-                           f"[{row}], ({_unpack('k6_', width)})")
-    return _make(lines, "dp54-flow", {"_DomainError": DomainError, "sqrt": math.sqrt}, slots)
-
-
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
@@ -182,6 +124,126 @@ _FAC_MAX = 10.0  # largest allowed growth factor per step
 STEP_SIZE_UNDERFLOW = "StepSizeUnderflow"
 DOMAIN_VIOLATION = "DomainViolation"
 AUXILIARY_BLOWUP = "AuxiliaryBlowup"
+
+# what a run returns before its tag: the counts, the largest accepted error
+# norm, and the smallest (inf if none) and largest accepted step
+_DONE = "accepted, rejected, attempts, max_err, smallest, largest"
+_IND = " " * 12  # the indent of an attempt's statements, in the run's `while` and `try`
+
+
+def _loop_lines(names: list[str], stage: Callable[[int], list[str]], accept: list[str],
+                setup: Sequence[str] = ()) -> list[str]:
+    """`_f(rhs, on_accept, t, y, f, h, t_end, cfg) -> (<_DONE>, tag)`: the whole
+    Dormand-Prince 5(4) run on m floats from state y at time t, with rates f
+    and first step h, after `setup`.  Stage i of an attempt puts its row
+    `y + h*(0.0 + a*k + ...)` (over the nonzero a, summed left to right, so
+    reproducible bit for bit) and its time in the m + 1 locals `names`, then
+    `stage(i)` puts its rates in `k{i}_0, k{i}_1, ...`; a DomainError rejects
+    the attempt.  The error norm is the RMS of the error over atol + rtol *
+    max(|y|, |new row|) (NaN if either is).  An accepted step runs `accept`
+    (which may return a tag) at time `t_new`; its last stage's rates are the
+    next step's first.  The PI controller writes min(a, b) as `b if b < a
+    else a` and max(a, b) as `b if b > a else a`: the same floats, NaN too."""
+    m, ind = len(names) - 1, _IND
+    lo, hi = f"{1.0 / _FAC_MAX!r}", f"{1.0 / _FAC_MIN!r}"
+    underflow = f"{ind}    return {_DONE}, {STEP_SIZE_UNDERFLOW!r}"
+
+    def terms(coeffs: tuple[float, ...], c: int) -> str:
+        return " + ".join(f"{a!r} * k{j}_{c}" for j, a in enumerate(coeffs) if a != 0.0)
+
+    lines = ["def _f(rhs, on_accept, t, y, f, h, t_end, cfg):", f"    {_unpack('y', m)}= y",
+             f"    {_unpack('k0_', m)}= f[:{m}]", "    atol, rtol = cfg.abs_tol, cfg.rel_tol",
+             "    min_step, max_step = cfg.min_step, cfg.max_step",
+             "    fixed, floor = min_step == max_step, min_step * (1.0 + 1e-12)",
+             "    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))",
+             "    accepted = rejected = attempts = 0",
+             "    max_err, smallest, largest, facold = 0.0, float('inf'), 0.0, 1e-4", *setup,
+             "    while t < t_stop:",  # h = max(min(h, max_step, t_end - t), min_step)
+             "        if max_step < h: h = max_step", "        if t_end - t < h: h = t_end - t",
+             "        if min_step > h: h = min_step", "        if t + h > t_end: h = t_end - t",
+             "        attempts += 1", "        try:"]
+    for i in range(1, 7):  # the last stage is taken at the 5th-order solution
+        lines += [*(f"{ind}{nm} = y{c} + h * (0.0 + {terms(_DP_A[i], c)})"
+                    for c, nm in enumerate(names[:m])), f"{ind}{names[m]} = t + {_DP_C[i]!r} * h",
+                  *stage(i)]
+    lines += ["        except _DomainError:", f"{ind}rejected += 1", f"{ind}if h <= floor:",
+              underflow, f"{ind}h = 0.25 * h if 0.25 * h > min_step else min_step",
+              f"{ind}continue"]
+    for c, nm in enumerate(names[:m]):
+        lines += [f"        a, b = abs(y{c}), abs({nm})", f"        r{c} = h * (0.0 + "
+                  f"{terms(_DP_E, c)}) / (atol + rtol * (a if a >= b or a != a else b))"]
+    return [*lines, f"        err = {_rms_source(m)}",
+            "        if err <= 1.0 or fixed or h <= floor:",
+            # forced acceptance at the step floor would hide real error
+            f"{ind}if not (err <= 1.0 or fixed):", underflow, f"{ind}t_new = t + h", *accept,
+            f"{ind}accepted += 1", f"{ind}if err > max_err: max_err = err",
+            f"{ind}if h < smallest: smallest = h", f"{ind}if h > largest: largest = h",
+            *(f"{ind}y{c}, k0_{c} = {nm}, k6_{c}" for c, nm in enumerate(names[:m])),
+            f"{ind}t = t_new", f"{ind}facold = 1e-4 if 1e-4 > err else err", f"{ind}if not fixed:",
+            f"{ind}    fac = (err ** {_EXPO1!r} if err > 0.0 else 1e-10) / facold ** {_BETA!r}",
+            f"{ind}    fac = fac / {_SAFETY!r}", f"{ind}    fac = fac if fac < {hi} else {hi}",
+            f"{ind}    h = h / (fac if fac > {lo} else {lo})", "        else:",
+            f"{ind}rejected += 1", f"{ind}fac = err ** {_EXPO1!r} / {_SAFETY!r}",
+            f"{ind}h = h / (fac if fac < {hi} else {hi})", f"{ind}if h < min_step:", underflow,
+            f"    return {_DONE}, None"]
+
+
+@cache
+def _dp54_loop(m: int) -> Callable:
+    """The run that calls `rhs(time, row)` at each stage, the row a new list, and
+    `on_accept(t_new, row, rates)` at each accepted step."""
+    row, ind = [f"s{c}" for c in range(m)], _IND
+
+    def stage(i: int) -> list[str]:
+        return [f"{ind}new = [{', '.join(row)}]", f"{ind}k{i} = rhs(ts, new)",
+                f"{ind}{_unpack(f'k{i}_', m)}= k{i}[:{m}]"]
+
+    accept = [f"{ind}tag = on_accept(t_new, new, k6)", f"{ind}if tag is not None:",
+              f"{ind}    return {_DONE}, tag"]
+    return _function(_loop_lines([*row, "ts"], stage, accept), f"dp54-step-{m}")
+
+
+def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], consts: Mapping[str, float],
+               boxed: Sequence[tuple[int, str, tuple[float, float]]], times: list[float],
+               rows: list[list[float]]) -> Callable:
+    """The run for `rhs(t, y) = compile_bundle(fields, [*state, *consts])(*y, t,
+    *consts.values())` after a DomainError test of |y[i]| < 1e-12 for each boxed
+    (i, name, _), with that test and the bundle's body inlined at every stage and
+    the parameters as numbers, so it compiles once per literal-free shape.
+    Statements that read only parameters and numbers run once, first; one that
+    raises leaves its name and the later ones unbound.  A stage whose body
+    raises or fails its isfinite test is re-run as `rhs(time, row)`.  An
+    accepted state is tagged AuxiliaryBlowup out of a box, DomainViolation if
+    not finite or a guard (a trailing field) is below the margin, else appended
+    to `times` and `rows`."""
+    body, slots, checked, outs, fixed = _emit([f.ast for f in fields], consts)
+    names = [f"_v_{nm}" for nm in state]  # the row, then the time, as the body reads them
+    m, width, ind = len(names) - 1, len(fields), _IND
+    row = ", ".join(names[:m])
+    check = f"_isfinite({' + '.join(checked)})" if checked else "True"
+    inline = [*(ln for j, nm, _ in boxed for ln in (
+                  f"{ind}if -1e-12 < {names[j]} < 1e-12:",
+                  f"{ind}    raise _DomainError('auxiliary function vanished', {nm!r})")),
+              f"{ind}try:", *(f"{ind}    {body[k].strip()}" for k in range(len(body))
+                              if k not in fixed),
+              f"{ind}    _ok = {check}", f"{ind}except Exception:", f"{ind}    _ok = False"]
+    rates = f"({''.join(v + ', ' for v in outs)}) if _ok else rhs({names[-1]}, [{row}])"
+    valid = [*map("_isfinite({})".format, names[:m]),
+             *(f"k6_{c} >= margin" for c in range(m, width))]
+    accept = [*(ln for b, (j, _, _) in enumerate(boxed) for ln in (
+                  f"{ind}if not (_lo{b} < {names[j]} < _hi{b}):",
+                  f"{ind}    return {_DONE}, {AUXILIARY_BLOWUP!r}")),
+              f"{ind}if not ({' and '.join(valid)}):",
+              f"{ind}    return {_DONE}, {DOMAIN_VIOLATION!r}",
+              f"{ind}_times.append(t_new)", f"{ind}_rows.append([{row}])"]
+    setup = ["    margin = cfg.guard_margin", "    try:", *(body[k] for k in sorted(fixed)),
+             "        pass", "    except Exception:", "        pass"]
+    lines = _loop_lines(names, lambda i: [*inline, f"{ind}{_unpack(f'k{i}_', width)}= {rates}"],
+                        accept, setup)
+    bounds = {f"_{side}{b}": v for b, (_, _, box) in enumerate(boxed)
+              for side, v in zip(("lo", "hi"), box)}
+    prelude = {"_DomainError": DomainError, "sqrt": math.sqrt, "_times": times, "_rows": rows}
+    return _make(lines, "dp54-flow", {**prelude, **bounds}, slots)
 
 
 @dataclass(frozen=True)
@@ -210,6 +272,8 @@ class IntegratorStats:
     # right-hand sides asked for: the initial rates, the initial-step probe and
     # six stages per attempt, inlined or not (six also when a stage raised)
     rhs_calls: int = 0
+    smallest_step: float = 0.0  # among accepted steps; both 0.0 when none was
+    largest_step: float = 0.0
 
 
 @dataclass
@@ -234,15 +298,16 @@ class Trajectory:
                 for t, y in zip(self.times, self.rows)]
 
     def to_csv(self, target) -> None:
-        """Write columns t, q0..q(n-1), p0..p(n-1), S, then tracked labels."""
-        n, m = self.n, 2 * self.n + 1
-        header = ["t", *coordinate_names(n)[:-1], *self.tracked]
-        columns = self.tracked.values()
+        """Write columns t, q0..q(n-1), p0..p(n-1), S, then tracked labels,
+        each value as its repr, column by column, one line at a time."""
+        header = ["t", *coordinate_names(self.n)[:-1], *self.tracked]
+        columns = [self.times, *(map(itemgetter(c), self.rows) for c in range(2 * self.n + 1)),
+                   *self.tracked.values()]
+        lines = map(",".join, zip(*(map(repr, c) for c in columns)))
         is_path = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
         with open(target, "w", newline="") if is_path else nullcontext(target) as fh:
             fh.write(",".join(header) + "\n")
-            for t, row, *values in zip(self.times, self.rows, *columns):
-                fh.write(",".join(map(repr, (t, *row[:m], *values))) + "\n")
+            fh.writelines(map("{}\n".format, lines))
 
 
 def _initial_step(rhs, t0: float, y0: Sequence[float], f0: Sequence[float],
@@ -250,6 +315,8 @@ def _initial_step(rhs, t0: float, y0: Sequence[float], f0: Sequence[float],
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
     d0, d1 = _rms(y0, sc), _rms(f0, sc)
     h0 = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, span)
+    if h0 == 0.0:  # d1 overflowed to inf, which makes h1 below 0 too: start at min_step
+        h0 = cfg.min_step
     try:
         f1 = rhs(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
         d2 = _rms([b - a for a, b in zip(f0, f1)], sc) / h0
@@ -262,7 +329,7 @@ def _initial_step(rhs, t0: float, y0: Sequence[float], f0: Sequence[float],
 def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: float,
                   y0: Sequence[float], t_end: float, cfg: IntegratorConfig,
                   on_accept: Callable[[float, list[float], Sequence[float]], str | None]
-                  | None = None, *, attempt: Callable | None = None,
+                  | None = None, *, loop: Callable | None = None,
                   ) -> tuple[IntegratorStats, str | None]:
     """Drive the DP 5(4) pair from t0 to t_end on states given as sequences
     of floats; `rhs(t, y)` returns one rate per component, then any number
@@ -271,62 +338,24 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
     `on_accept(t, y, f)` is called at every accepted step (not at the initial
     state) with `f = rhs(t, y)`, the last stage; returning an error tag stops
     the run before that state counts.
-    `attempt` takes each step; by default `_dp54_attempt(len(y0))`, which
-    calls `rhs` at every stage.  `integrate` passes one with its right-hand
-    side inlined, which calls `rhs` only to re-run a failing stage.
+    `loop` takes every step from the initial rates and step computed here; by
+    default `_dp54_loop(len(y0))`, which calls `rhs` at every stage.
+    `integrate` passes one with its right-hand side and `on_accept` inlined,
+    which calls `rhs` only to re-run a failing stage.
     Returns the stats plus an error tag (None on clean completion).
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed start time")
-    stats = IntegratorStats(rhs_calls=1)
-    t, row = t0, y0
     try:
-        f0 = rhs(t, row)
+        f0 = rhs(t0, y0)
     except DomainError:
-        return stats, DOMAIN_VIOLATION
+        return IntegratorStats(rhs_calls=1), DOMAIN_VIOLATION
     fixed_step = cfg.min_step == cfg.max_step
-    stats.rhs_calls += not fixed_step  # the initial-step probe
-    h = cfg.max_step if fixed_step else _initial_step(rhs, t, row, f0, t_end - t0, cfg)
-    facold = 1e-4
-    attempt = attempt or _dp54_attempt(len(row))
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        h = min(h, cfg.max_step, t_end - t)
-        h = max(h, cfg.min_step)
-        if t + h > t_end:
-            h = t_end - t
-        stats.rhs_calls += 6
-        try:
-            new_row, f1, err = attempt(rhs, t, row, h, f0, cfg.abs_tol, cfg.rel_tol)
-        except DomainError:
-            stats.rejected += 1
-            if h <= cfg.min_step * (1.0 + 1e-12):
-                return stats, STEP_SIZE_UNDERFLOW
-            h = max(cfg.min_step, 0.25 * h)
-            continue
-        if err <= 1.0 or fixed_step or h <= cfg.min_step * (1.0 + 1e-12):
-            if not (err <= 1.0 or fixed_step):
-                # forced acceptance at the step floor would hide real error
-                return stats, STEP_SIZE_UNDERFLOW
-            t_new = t + h
-            tag = on_accept(t_new, new_row, f1) if on_accept is not None else None
-            if tag is not None:
-                return stats, tag
-            stats.accepted += 1
-            stats.max_error_estimate = max(stats.max_error_estimate, err)
-            f0 = f1  # first same as last: stage 7 is rhs(t_new, new_row)
-            t, row = t_new, new_row
-            facold = max(err, 1e-4)
-            if not fixed_step:
-                fac11 = err**_EXPO1 if err > 0.0 else 1e-10
-                fac = fac11 / facold**_BETA
-                h = h / max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-        else:
-            stats.rejected += 1
-            fac11 = err**_EXPO1
-            h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-            if h < cfg.min_step:
-                return stats, STEP_SIZE_UNDERFLOW
-    return stats, None
+    h = cfg.max_step if fixed_step else _initial_step(rhs, t0, y0, f0, t_end - t0, cfg)
+    accepted, rejected, attempts, max_err, smallest, largest, tag = (loop or _dp54_loop(len(y0)))(
+        rhs, on_accept or (lambda t, y, f: None), t0, y0, f0, h, t_end, cfg)
+    return IntegratorStats(accepted, rejected, max_err, 1 + (not fixed_step) + 6 * attempts,
+                           smallest if accepted else 0.0, largest), tag
 
 
 class AuxComponent(NamedTuple):
@@ -395,8 +424,9 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
         rows.append(y)
         return None
 
+    # the flow loop runs `accept` as code; the generic loop calling it takes the same steps
     stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg, accept,
-                               attempt=_flow_attempt(fields, state, consts, boxed))
+                               loop=_flow_loop(fields, state, consts, boxed, times, rows))
     columns = zip(*(columns_fn(*y, t, *values) for t, y in zip(times, rows)))
     recorded = dict(zip(tracked or {}, map(list, columns)))
     recorded.update({nm: [y[i] for y in rows] for i, nm in enumerate(aux, 2 * n + 1)})

@@ -436,16 +436,18 @@ def _factory(source: str, kind: str) -> Callable:
 
 
 def _emit(roots: Sequence[Node], slots: Mapping[str, float] = {},
-          ) -> tuple[list[str], list[float], list[str], list[str]]:
+          ) -> tuple[list[str], list[float], list[str], list[str], set[int]]:
     """The statements `_tN = <value>`, indented for a try block of a function,
     that evaluate every node under `roots`, one per distinct node, with `_ki`
     for the i-th distinct number or name of `slots` and `_v_<name>` for any
     other name.  Returns the statements, the slot values, the checked
-    temporaries (`/` and `^`) and the roots' values."""
+    temporaries (`/` and `^`), the roots' values and the indices of the
+    statements that read names of `slots` only (none if it is empty)."""
     lines: list[str] = []
     ref: dict[Node, str] = {}
     consts: list[float] = []
     checked: list[str] = []
+    fixed: set[int] = set()
 
     def emit(node: Node) -> str:
         if node not in ref:
@@ -470,12 +472,14 @@ def _emit(roots: Sequence[Node], slots: Mapping[str, float] = {},
             ref[node] = f"_t{len(lines)}"
             if isinstance(node, (Pow, Div)):
                 checked.append(ref[node])
+            if slots and slots.keys() >= node._names[0] and slots.keys() >= node._names[1]:
+                fixed.add(len(lines))
             lines.append(f"        {ref[node]} = {value}")
         return ref[node]
 
     values = [emit(r) for r in roots]
     del emit  # a recursive closure is a reference cycle, which would keep the nodes
-    return lines, consts, checked, values
+    return lines, consts, checked, values, fixed
 
 
 def _make(lines: list[str], kind: str, prelude: Mapping[str, object],
@@ -493,7 +497,7 @@ def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: boo
              slow: Callable) -> Callable:
     """`def _f(<params>)`: run `reads`, then every node under `roots`, and
     return the roots' values (as a tuple, or the only one), or `_slow(<params>)`."""
-    body, consts, checked, values = _emit(roots)
+    body, consts, checked, values, _ = _emit(roots)
     out = f"({''.join(v + ', ' for v in values)})" if as_tuple else values[0]
     lines = [f"def _f({params}):", *reads, "    try:", *body]
     if checked:

@@ -158,6 +158,28 @@ class TestIntegrate:
         first = [float(x) for x in lines[1].split(",")]
         assert first == [0.0, 0.5, 2.0, 0.0, 2.0]
 
+    def test_csv_bytes_match_a_row_by_row_writer(self, tmp_path):
+        from contact_noether.dynamics import IntegratorStats, Trajectory
+
+        specials = [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, 0.1, -2.5e-17]
+        rows = [[1.0 + k, specials[k], -specials[k], specials[-1 - k], 9.0] for k in range(8)]
+        traj = Trajectory(2, [0.125 * k for k in range(8)], rows,
+                          {"h": specials, "a": [y[-1] for y in rows]}, IntegratorStats())
+
+        def by_row():  # the reference: one row at a time
+            lines = ["t,q0,q1,p0,p1,S,h,a"]
+            for t, row, *values in zip(traj.times, traj.rows, *traj.tracked.values()):
+                lines.append(",".join(map(repr, (t, *row[:5], *values))))
+            return "".join(ln + "\n" for ln in lines)
+
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        traj.to_csv(tmp_path / "trajectory.csv")
+        assert buf.getvalue() == by_row()
+        assert (tmp_path / "trajectory.csv").read_bytes() == by_row().encode()
+        column = [ln.split(",")[6] for ln in buf.getvalue().splitlines()[1:]]
+        assert column == ["-0.0", "5e-324", "1e+300", "nan", "inf", "-inf", "0.1", "-2.5e-17"]
+
 
 class TestRhsCalls:
     @staticmethod
@@ -205,6 +227,24 @@ class TestOnAccept:
         stats, tag = adaptive_rk45(lambda t, y: [-y[0]], 0.0, [1.0], 5.0, IntegratorConfig(),
                                    on_accept)
         assert tag == "Stop" and stats.accepted == 2 and len(seen) == 3
+
+    def test_a_stop_mid_way_counts_the_stopped_attempt(self):
+        # the README's counts: two right-hand sides before the first step, six
+        # per attempt, the stopped one included
+        rhs, calls = TestRhsCalls.counting_rhs()
+        seen = []
+
+        def on_accept(t, y, f):
+            seen.append(t)
+            return "Stop" if len(seen) == 60 else None
+
+        stats, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 5.0, IntegratorConfig(rel_tol=1e-4),
+                                   on_accept)
+        assert tag == "Stop" and stats.accepted == 59 and stats.rejected == 1
+        assert stats.rhs_calls == len(calls) == 2 + 6 * (stats.accepted + stats.rejected + 1)
+        steps = [b - a for a, b in zip([0.0, *seen], seen[:59])]
+        assert stats.smallest_step == pytest.approx(min(steps), rel=1e-12)
+        assert stats.largest_step == pytest.approx(max(steps), rel=1e-12)
 
     def test_nan_rhs_underflows_with_finite_states(self):
         # y' = -y, NaN for t > 0.5: every step across t = 0.5 has a NaN error
@@ -324,12 +364,45 @@ class TestIntegratorEdges:
                 assert abs(times[-1] - t_end) <= 1e-14 * max(1.0, abs(t_end))
 
 
+class TestStepSizes:
+    def test_fixed_steps_are_all_max_step(self):
+        sys1 = make_system("p0^2/2 + q0^2/2")
+        cfg = IntegratorConfig(min_step=0.125, max_step=0.125)
+        st = integrate(sys1, extended_field(sys1), point(1.0, 0.0), 1.0, cfg).stats
+        assert st.accepted == 8 and st.smallest_step == st.largest_step == 0.125
+
+    def test_adaptive_kepler_steps(self, kepler):
+        traj = _kepler_flow(kepler, point([1, 0, 0], [0, 1.2, 0]), 5.0)
+        st, steps = traj.stats, [b - a for a, b in zip(traj.times, traj.times[1:])]
+        assert traj.error_tag is None and st.accepted == len(steps) > 10
+        assert 0.0 < st.smallest_step < st.largest_step
+        # each step is the step size h of `t + h`, so within rounding of t
+        assert st.smallest_step == pytest.approx(min(steps), rel=1e-12)
+        assert st.largest_step == pytest.approx(max(steps), rel=1e-12)
+
+    def test_no_accepted_step(self):
+        stats, tag = adaptive_rk45(lambda t, y: [-y[0]], 0.0, [1.0], 1.0, IntegratorConfig(),
+                                   lambda t, y, f: "Stop")
+        assert tag == "Stop" and stats.accepted == 0
+        assert stats.smallest_step == stats.largest_step == 0.0
+
+    def test_rates_too_large_for_the_initial_step_heuristic(self):
+        # the scaled RMS of the initial rates overflows, so the heuristic's first
+        # step is 0; the flow starts at min_step instead, where the attempt's
+        # error is too large, and the run ends tagged
+        sys1 = make_system("p0*q0 + sin(q0*q0*q0)")
+        traj = integrate(sys1, extended_field(sys1), point(1e102, 0.0), 5.0, IntegratorConfig())
+        assert traj.error_tag == STEP_SIZE_UNDERFLOW
+        assert traj.rows == [[1e102, 0.0, 0.0]] and traj.stats.rhs_calls == 2 + 6
+
+
 class TestFloatStages:
     @pytest.mark.parametrize("m", [*range(1, 21), 130])
     def test_attempt_matches_the_numpy_formulas_bitwise(self, m):
         # a scripted rhs returns preset rates, each with a trailing value the
-        # stepping ignores; rows, new state and error norm against numpy
-        from contact_noether.dynamics import _DP_A, _DP_C, _DP_E, _dp54_attempt
+        # stepping ignores; rows, new state and error norm against numpy, over
+        # one step of the generic loop, fixed, then at its floor
+        from contact_noether.dynamics import _DP_A, _DP_C, _DP_E, _dp54_loop
 
         rng = np.random.default_rng(3 + m)
         for trial in range(200):
@@ -341,15 +414,24 @@ class TestFloatStages:
                 k[rng.integers(0, 7)][rng.integers(0, m)] = math.nan
             t, h = float(rng.uniform(-10.0, 10.0)), float(rng.uniform(1e-6, 1.0))
             atol, rtol = (float(v) for v in 10.0 ** rng.uniform(-14, -4, size=2))
-            calls, outs = [], []
+            calls, outs, accepted = [], [], []
 
             def rhs(ti, row):
                 calls.append((ti, row))
                 outs.append((*k[len(calls)].tolist(), 7.5))
                 return outs[-1]
 
-            new_row, last, err = _dp54_attempt(m)(rhs, t, y.tolist(), h,
-                                                  (*k[0].tolist(), -1.0), atol, rtol)
+            def step(max_step):
+                calls.clear()
+                outs.clear()
+                accepted.clear()
+                cfg = IntegratorConfig(rel_tol=rtol, abs_tol=atol, min_step=h, max_step=max_step)
+                return _dp54_loop(m)(rhs, lambda *a: accepted.append(a), t, y.tolist(),
+                                     (*k[0].tolist(), -1.0), h, t + h, cfg)
+
+            done = step(h)  # a fixed step is accepted whatever its error
+            (t_new, new_row, last), = accepted
+            assert t_new == t + h
             assert len(calls) == 6 and last is outs[-1] and new_row is calls[-1][1]
             for i, (ti, row) in enumerate(calls, 1):
                 ref = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
@@ -358,7 +440,17 @@ class TestFloatStages:
             est = h * sum(e * k[j] for j, e in enumerate(_DP_E) if e != 0.0)
             sc = atol + rtol * np.maximum(np.abs(y), np.abs(ref))
             ref_err = np.sqrt(np.mean((est / sc) ** 2))
-            assert type(err) is float and np.float64(err).tobytes() == ref_err.tobytes(), m
+            # the largest accepted norm; max() keeps its start 0.0 over a NaN
+            err = done[3]
+            kept = np.float64(0.0) if np.isnan(ref_err) else ref_err
+            assert type(err) is float and np.float64(err).tobytes() == kept.tobytes(), m
+            # at its floor an adaptive step is refused unless its norm is at most 1, NaN not
+            done = step(2 * h)
+            assert len(calls) == 6
+            if ref_err <= 1.0:
+                assert done[:4] == (1, 0, 1, err) and done[-1] is None
+            else:
+                assert done[:3] == (0, 0, 1) and done[-1] == STEP_SIZE_UNDERFLOW
 
     def test_domain_error_at_stage_3_rejects_and_quarters_the_step(self, monkeypatch):
         from contact_noether import dynamics
@@ -482,17 +574,17 @@ class TestFlowAttempt:
 
     @staticmethod
     def run(monkeypatch, flow, fused=True):
-        # integrate's flow, with its attempt or the generic one; rhs calls counted
+        # integrate's flow, with its loop or the generic one; rhs calls counted
         from contact_noether import dynamics
 
         real, calls = dynamics.adaptive_rk45, []
 
-        def stepper(rhs, *args, attempt):
+        def stepper(rhs, *args, loop):
             def counted(t, y):
                 calls.append(t)
                 return rhs(t, y)
 
-            return real(counted, *args, attempt=attempt if fused else None)
+            return real(counted, *args, loop=loop if fused else None)
 
         monkeypatch.setattr(dynamics, "adaptive_rk45", stepper)
         try:
@@ -519,15 +611,31 @@ class TestFlowAttempt:
 
     @staticmethod
     def made(monkeypatch, flow):
-        """The rhs and the attempt that `flow` passes to adaptive_rk45."""
+        """The rhs and the loop that `flow` passes to adaptive_rk45."""
         from contact_noether import dynamics
 
         real, made = dynamics.adaptive_rk45, []
-        monkeypatch.setattr(dynamics, "adaptive_rk45", lambda rhs, *args, attempt: made.append(
-            (rhs, attempt)) or real(rhs, *args, attempt=attempt))
+        monkeypatch.setattr(dynamics, "adaptive_rk45", lambda rhs, *args, loop: made.append(
+            (rhs, loop)) or real(rhs, *args, loop=loop))
         flow()
         monkeypatch.undo()
         return made[0]
+
+    @staticmethod
+    def one_step(loop, rhs, t, y, f, h):
+        """`loop` from (t, y) with rates f, one fixed step of h to t + h; the
+        DomainErrors made meanwhile, as (type, message, where)."""
+        made, real = [], DomainError.__init__
+
+        def init(self, message, where):
+            real(self, message, where)
+            made.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DomainError, "__init__", init)
+            done = loop(rhs, None, t, y, f, h, t + h, IntegratorConfig(min_step=h, max_step=h))
+        assert done == (0, 1, 1, 0.0, math.inf, 0.0, STEP_SIZE_UNDERFLOW)
+        return [(type(e), str(e), e.where) for e in made]
 
     def test_a_raising_stage_rejects_with_eval_nodes_error(self, monkeypatch):
         from contact_noether import dynamics
@@ -543,12 +651,9 @@ class TestFlowAttempt:
 
         # stage 1 is taken at t = 2.0, stage 2 past it, where sqrt(2 - t) raises
         t, y, h = 1.9, [1.0, 0.5, 0.0], 0.5
-        errors = []
-        for attempt in (fused, dynamics._dp54_attempt(3)):
-            with pytest.raises(DomainError) as info:
-                attempt(recorded, t, y, h, rhs(t, y), 1e-12, 1e-10)
-            errors.append(info.value)
-        # the fused attempt re-ran the raising stage only, at the row the generic one built
+        errors = [self.one_step(loop, recorded, t, y, rhs(t, y), h)
+                  for loop in (fused, dynamics._dp54_loop(3))]
+        # the fused loop re-ran the raising stage only, at the row the generic one built
         assert len(seen) == 3 and seen[0] == seen[2] and seen[0][0] == t + 0.3 * h
         env = dict(zip(["q0", "p0", "S", "t"], [*seen[0][1], seen[0][0]]))
         field = extended_field(sys1)
@@ -558,7 +663,7 @@ class TestFlowAttempt:
         expected = info.value
         assert expected.where.startswith("sqrt(")
         for e in errors:
-            assert (type(e), str(e), e.where) == (type(expected), str(expected), expected.where)
+            assert e == [(type(expected), str(expected), expected.where)]
 
     def test_sin_of_an_overflowing_argument_rejects_the_step(self):
         # q0 grows as e^t, so q0*q0*q0 overflows near t = 1.73; sin(inf) is eval_node's
@@ -575,12 +680,43 @@ class TestFlowAttempt:
 
         rhs, fused = self.made(monkeypatch, _vanishing_aux_flow)
         y = [0.0, 1.0, 0.0, 1e-3]  # stage 1 takes a to 1e-3 + 0.1 * 0.2 * -0.05, about 0
-        errors = []
-        for attempt in (fused, dynamics._dp54_attempt(4)):
-            with pytest.raises(DomainError) as info:
-                attempt(rhs, 0.0, y, 0.1, rhs(0.0, y), 1e-12, 1e-10)
-            errors.append((str(info.value), info.value.where))
-        assert errors[0] == errors[1] == ("auxiliary function vanished in `a`", "a")
+        errors = [self.one_step(loop, rhs, 0.0, y, rhs(0.0, y), 0.1)
+                  for loop in (fused, dynamics._dp54_loop(4))]
+        assert errors[0] == errors[1] == [(DomainError, "auxiliary function vanished in `a`", "a")]
+
+    @pytest.mark.parametrize("source, m", [("p0^2/2 + q0/(m - 1)", 1.0),
+                                           ("p0^2/2 + q0*sqrt(m - 2)", 1.0),
+                                           ("p0^2/2 + q0*(1e300/m)", 1e-10)])
+    def test_a_failing_parameter_statement_takes_the_generic_steps(self, source, m,
+                                                                   monkeypatch):
+        # `m - 1` runs once before the first step and the quotient that reads q0
+        # at every stage; `sqrt(m - 2)` raises and `1e300/m` overflows before
+        # the first step: the stages that read them re-run through `rhs`
+        from contact_noether import dynamics
+        from contact_noether.expr import eval_node
+
+        sys1 = make_system(source, params={"m": m})
+        flow = lambda: integrate(sys1, extended_field(sys1), point(1.0, 0.5), 1.0)  # noqa: E731
+        fused, generic = (self.run(monkeypatch, flow, kind)[0] for kind in (True, False))
+        assert fused.error_tag == generic.error_tag == DOMAIN_VIOLATION
+        assert fused.stats == generic.stats and fused.rows == generic.rows == [[1.0, 0.5, 0.0]]
+
+        rhs, loop = self.made(monkeypatch, flow)
+        y, seen = [1.0, 0.5, 0.0], []
+
+        def recorded(t, row):
+            seen.append((t, list(row)))
+            return rhs(t, row)
+
+        errors = [self.one_step(each, recorded, 0.0, y, [0.0, 0.0, 0.0], 0.1)
+                  for each in (loop, dynamics._dp54_loop(3))]
+        assert len(seen) == 2 and seen[0] == seen[1] and seen[0][0] == 0.2 * 0.1
+        with pytest.raises(DomainError) as info:
+            field = extended_field(sys1)
+            for f in (*field.Yq, *field.Yp, field.YS):
+                eval_node(f.ast, {"q0": 1.0, "p0": 0.5, "S": 0.0, "t": 0.02, "m": m})
+        expected = info.value
+        assert errors[0] == errors[1] == [(DomainError, str(expected), expected.where)]
 
     def test_rhs_calls_count_every_stage(self, kepler, damped_oscillator):
         from contact_noether.systems import AuxiliaryState
@@ -699,19 +835,19 @@ def test_generated_functions_have_distinct_file_names():
     # generated source and the Dormand-Prince attempt of every state size must
     # be told apart, while bundles that differ only in their numbers share
     # one code object and keep their own numbers
-    from contact_noether.dynamics import _dp54_attempt, _flow_attempt
+    from contact_noether.dynamics import _dp54_loop, _flow_loop
     from contact_noether.expr import compile_bundle
 
     same = [compile_bundle([parse(f"{c}*q0*p0", 1)], ["q0", "p0"]) for c in (2.5, 3.5)]
     other = compile_bundle([parse("q0*p0 + 2.5", 1)], ["q0", "p0"])
     assert same[0].__code__ is same[1].__code__
     assert (same[0](2.0, 3.0), same[1](2.0, 3.0)) == ((15.0,), (21.0,))
-    names = [f.__code__.co_filename for f in (same[0], other, _dp54_attempt(3), _dp54_attempt(7))]
+    names = [f.__code__.co_filename for f in (same[0], other, _dp54_loop(3), _dp54_loop(7))]
     assert len(set(names)) == len(names) == 4
     assert names[0].startswith("<scalar-field-") and names[1].startswith("<scalar-field-")
     assert names[2:] == ["<dp54-step-3>", "<dp54-step-7>"]
-    flow = _flow_attempt([parse("p0", 1), parse("-q0", 1), parse("p0^2/2", 1)],
-                         ["q0", "p0", "S", "t"], {}, []).__code__.co_filename
+    flow = _flow_loop([parse("p0", 1), parse("-q0", 1), parse("p0^2/2", 1)],
+                      ["q0", "p0", "S", "t"], {}, [], [], []).__code__.co_filename
     assert flow.startswith("<dp54-flow-") and flow not in names
 
 
