@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the sha256 of each scenario's report.json and trajectory.csv.
+"""Print the sha256 of each scenario's report.json, report.txt and trajectory.csv.
 
 Usage: python3 scripts/report_digests.py scenarios/*.json
 
@@ -28,7 +28,7 @@ def digest_lines(path: str, out: Path) -> list[str]:
     report, code = run(path, out, quiet=True)
     name = report.get("scenario", Path(path).stem)
     lines = [f"exit {code}  {name}"]
-    for fname in ("report.json", "trajectory.csv"):
+    for fname in ("report.json", "report.txt", "trajectory.csv"):
         target = out / name / fname
         if target.exists():
             lines.append(f"{hashlib.sha256(target.read_bytes()).hexdigest()}  {name}/{fname}")

@@ -69,8 +69,24 @@ def _object(value: Any, where: str) -> dict:
     return value or {}
 
 
+def _list(value: Any, where: str) -> list:
+    _require(isinstance(value, list), f"{where} must be a list, got {value!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+# per check type: what it refers to, the keys that name it, and its report target
+CHECK_REFERENCES: dict[str, tuple[str, tuple[str, ...], str]] = {
+    "drift": ("invariant", ("invariant",), "{}"),
+    "residual": ("invariant", ("invariant",), "{}"),
+    "ratio": ("invariant", ("numerator", "denominator"), "{}/{}"),
+    "symmetry": ("symmetry", ("symmetry",), "{}"),
+    "similarity": ("symmetry", ("symmetry",), "{}"),
+    "closure": ("symmetry", ("first", "second"), "[{}, {}]"),
+}
 
 
 @dataclass
@@ -117,7 +133,7 @@ def load_scenario(path: str | Path) -> Scenario:
         else:
             _require("expression" in sysspec and "dimension" in sysspec,
                      f"{path}: system needs 'builtin' or 'expression'+'dimension'")
-            n = int(sysspec["dimension"])
+            n = _integer(sysspec["dimension"], 1, f"{path}: system 'dimension'")
             h = _parse_field(sysspec["expression"], n, f"{path}: system.expression")
             system = ContactSystem(n=n, h=h,
                                    params={k: float(v) for k, v in params.items()},
@@ -155,8 +171,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     builtin_invs = system.meta.get("invariants", {})
     invariants: dict[str, TrackedInvariant] = {}
-    for spec in raw.get("invariants", []):
-        _require(isinstance(spec, dict) and "label" in spec,
+    for spec in _list(raw.get("invariants", []), f"{path}: 'invariants'"):
+        _require(isinstance(spec, dict) and isinstance(spec.get("label"), str),
                  f"{path}: each invariant needs a 'label'")
         label = spec["label"]
         _require(label not in invariants, f"{path}: duplicate invariant label {label!r}")
@@ -165,19 +181,22 @@ def load_scenario(path: str | Path) -> Scenario:
                      f"{path}: unknown builtin invariant {spec['builtin']!r} "
                      f"(available: {sorted(builtin_invs)})")
             base = builtin_invs[spec["builtin"]]
-            invariants[label] = TrackedInvariant(label, base.field,
-                                                 spec.get("expected", base.expected))
+            fld, expected = base.field, base.expected
         else:
-            fld = _parse_field(spec.get("expression"), system.n,
-                               f"{path}: invariant {label!r}")
-            invariants[label] = TrackedInvariant(label, fld,
-                                                 spec.get("expected", systems.CONSERVED))
+            fld = _parse_field(spec.get("expression"), system.n, f"{path}: invariant {label!r}")
+            expected = systems.CONSERVED
+        expected = spec.get("expected", expected)
+        _require(expected in (systems.CONSERVED, systems.DISSIPATED),
+                 f"{path}: invariant {label!r} 'expected' must be {systems.CONSERVED!r} "
+                 f"or {systems.DISSIPATED!r}, got {expected!r}")
+        invariants[label] = TrackedInvariant(label, fld, expected)
 
     symmetries: dict[str, dict] = {}
-    for spec in raw.get("symmetries", []):
-        _require(isinstance(spec, dict) and "label" in spec,
+    for spec in _list(raw.get("symmetries", []), f"{path}: 'symmetries'"):
+        _require(isinstance(spec, dict) and isinstance(spec.get("label"), str),
                  f"{path}: each symmetry needs a 'label'")
         label = spec["label"]
+        _require(label not in symmetries, f"{path}: duplicate symmetry label {label!r}")
         entry: dict[str, Any] = {}
         if "ansatz" in spec:
             a = _object(spec["ansatz"], f"{path}: {label}.ansatz")
@@ -205,12 +224,18 @@ def load_scenario(path: str | Path) -> Scenario:
                 _parse_field(spec["Yt"], system.n, f"{path}: {label}.Yt"))
         symmetries[label] = entry
 
-    checks = raw.get("checks", [])
-    _require(isinstance(checks, list), f"{path}: 'checks' must be a list")
-    known = {"drift", "residual", "symmetry", "similarity", "ratio", "closure"}
+    checks = _list(raw.get("checks", []), f"{path}: 'checks'")
     for c in checks:
-        _require(isinstance(c, dict) and c.get("type") in known,
-                 f"{path}: each check needs a 'type' in {sorted(known)}")
+        _require(isinstance(c, dict) and c.get("type") in CHECK_REFERENCES,
+                 f"{path}: each check needs a 'type' in {sorted(CHECK_REFERENCES)}")
+        kind, keys, _ = CHECK_REFERENCES[c["type"]]
+        labels = invariants if kind == "invariant" else symmetries
+        for key in keys:
+            _require(isinstance(c.get(key), str) and c[key] in labels,
+                     f"{path}: {c['type']} check '{key}' references unknown {kind} {c.get(key)!r}")
+        against = c.get("against", "extended")
+        _require(against in ("extended", "contact"),
+                 f"{path}: check 'against' must be 'extended' or 'contact', got {against!r}")
         for key in ("tol", "Lambda_tol", "expect_Lambda"):  # tol and Lambda_tol: also >= 0
             if key in c:
                 value = _finite(c[key], f"{path}: check '{key}'")
@@ -267,44 +292,32 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
 
     for c in sc.checks:
         ctype = c["type"]
-        tol = float(c.get("tol", SYMBOLIC_THRESHOLD
-                    if ctype in ("symmetry", "similarity", "closure")
-                    else FLOW_THRESHOLD))
-        entry: dict[str, Any] = {"type": ctype, "tol": tol}
+        kind, keys, target = CHECK_REFERENCES[ctype]
+        tol = float(c.get("tol", SYMBOLIC_THRESHOLD if kind == "symmetry" else FLOW_THRESHOLD))
+        entry: dict[str, Any] = {"type": ctype, "target": target.format(*(c[k] for k in keys)),
+                                 "tol": tol}
         if ctype == "drift":
-            _require(c.get("invariant") in sc.invariants,
-                     f"{sc.name}: drift check references unknown invariant")
             inv = sc.invariants[c["invariant"]]
-            entry["target"] = inv.label
             series = traj.tracked[inv.label]
             if inv.expected == systems.DISSIPATED:
                 series = [v * c for v, c in zip(series, compensation())]
             entry["value"] = float(max_relative_drift(series))
             entry["passed"] = bool(entry["value"] <= tol)
         elif ctype == "residual":
-            _require(c.get("invariant") in sc.invariants,
-                     f"{sc.name}: residual check references unknown invariant")
             inv = sc.invariants[c["invariant"]]
-            entry["target"] = inv.label
             residual = residual_at(sc.system, inv.field, sc.point_params)
             worst = nan_max(abs(residual(pt)) for pt in points())
             entry["value"] = float(worst)
             entry["passed"] = bool(worst <= tol)
         elif ctype == "symmetry":
-            _require(c.get("symmetry") in sc.symmetries,
-                     f"{sc.name}: symmetry check references unknown symmetry")
             Y = sc.symmetries[c["symmetry"]]["field"]
-            entry["target"] = c["symmetry"]
             rep = symmetry_test(sc.system, Y, points(), tol, extra=sc.point_params)
             entry["value"] = float(rep.residual)
             entry["verdict"] = rep.verdict
             entry["lambda_table"] = [float(v) for v in rep.lambda_at_samples]
             entry["passed"] = bool(rep.passed == bool(c.get("expect_symmetry", True)))
         elif ctype == "similarity":
-            _require(c.get("symmetry") in sc.symmetries,
-                     f"{sc.name}: similarity check references unknown symmetry")
             Y = sc.symmetries[c["symmetry"]]["field"]
-            entry["target"] = c["symmetry"]
             against = c.get("against", "extended")
             X = extended_field(sc.system) if against == "extended" else contact_field(sc.system)
             env_params = dict(sc.system.params)
@@ -322,22 +335,13 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
                 ok = rep.verdict == c["expect_verdict"]
             entry["passed"] = bool(ok)
         elif ctype == "ratio":
-            for key in ("numerator", "denominator"):
-                _require(c.get(key) in sc.invariants,
-                         f"{sc.name}: ratio check references unknown invariant")
             series = [a / b for a, b in zip(traj.tracked[c["numerator"]],
                                             traj.tracked[c["denominator"]]) if abs(b) >= 1e-12]
             _require(bool(series), f"{sc.name}: ratio denominator vanishes everywhere")
-            entry["target"] = f"{c['numerator']}/{c['denominator']}"
             entry["value"] = float(max_relative_drift(series))
             entry["passed"] = bool(entry["value"] <= tol)
         elif ctype == "closure":
-            for key in ("first", "second"):
-                _require(c.get(key) in sc.symmetries,
-                         f"{sc.name}: closure check references unknown symmetry")
-            s1 = sc.symmetries[c["first"]]
-            s2 = sc.symmetries[c["second"]]
-            entry["target"] = f"[{c['first']}, {c['second']}]"
+            s1, s2 = sc.symmetries[c["first"]], sc.symmetries[c["second"]]
             rep = closure_check(sc.system, s1["field"], s2["field"], points(), tol,
                                 s1.get("lambda"), s2.get("lambda"), extra=sc.point_params)
             entry["value"] = float(rep.residual)
@@ -360,36 +364,23 @@ def _strict(obj: Any) -> Any:
     return {k: _strict(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
 
 
+def _text(value: Any) -> str:
+    """`value` as report.txt writes it: floats by `repr`, lists comma-joined."""
+    if isinstance(value, list):
+        return ",".join(_fmt(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 def _write_report(report: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n")
-    lines = [f"scenario: {report['scenario']}",
-             f"version: {report['version']}",
-             f"seed: {report['seed']}",
-             f"sample_count: {report['sample_count']}"]
-    if "trajectory" in report:
-        tr = report["trajectory"]
-        lines.append(f"trajectory.samples: {tr['samples']}")
-        lines.append(f"trajectory.accepted: {tr['accepted']}")
-        lines.append(f"trajectory.rejected: {tr['rejected']}")
-        lines.append(f"trajectory.error_tag: {tr['error_tag']}")
+    items = [(k, report[k]) for k in ("scenario", "version", "seed", "sample_count")]
+    items += [(f"trajectory.{k}", v) for k, v in report.get("trajectory", {}).items()]
     for i, c in enumerate(report["checks"]):
-        prefix = f"check[{i}].{c['type']}"
-        lines.append(f"{prefix}.target: {c.get('target', '-')}")
-        lines.append(f"{prefix}.tol: {_fmt(c['tol'])}")
-        if "value" in c:
-            lines.append(f"{prefix}.value: {_fmt(c['value'])}")
-        if "verdict" in c:
-            lines.append(f"{prefix}.verdict: {c['verdict']}")
-        for key in ("lambda_table", "Lambda_table"):
-            if key in c:
-                lines.append(f"{prefix}.{key}: " + ",".join(_fmt(v) for v in c[key]))
-        if "lambda_defect" in c:
-            lines.append(f"{prefix}.lambda_defect: {_fmt(c['lambda_defect'])}")
-        lines.append(f"{prefix}.passed: {c['passed']}")
-    lines.append(f"passed: {report['passed']}")
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+        items += [(f"check[{i}].{c['type']}.{k}", v) for k, v in c.items() if k != "type"]
+    items.append(("passed", report["passed"]))
+    (out_dir / "report.txt").write_text("".join(f"{k}: {_text(v)}\n" for k, v in items))
 
 
 def run(scenario_path: str | Path, out_root: str | Path | None = None,
@@ -422,8 +413,8 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
         if not quiet:
             for c in report["checks"]:
                 status = "PASS" if c["passed"] else "FAIL"
-                print(f"{sc.name}: {status} {c['type']} {c.get('target', '')} "
-                      f"value={_fmt(c.get('value', float('nan')))} tol={_fmt(c['tol'])}")
+                print(f"{sc.name}: {status} {c['type']} {c['target']} "
+                      f"value={_fmt(c['value'])} tol={_fmt(c['tol'])}")
             print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}")
         return report, (0 if report["passed"] else 1)
     except ConfigError as e:

@@ -175,7 +175,8 @@ def _loop_lines(names: list[str], stage: Callable[[int], list[str]], accept: lis
     return [*lines, f"        err = {_rms_source(m)}",
             "        if err <= 1.0 or fixed or h <= floor:",
             # forced acceptance at the step floor would hide real error
-            f"{ind}if not (err <= 1.0 or fixed):", underflow, f"{ind}t_new = t + h", *accept,
+            f"{ind}if not (err <= 1.0 or fixed):", f"{ind}    rejected += 1", underflow,
+            f"{ind}t_new = t + h", *accept,
             f"{ind}accepted += 1", f"{ind}if err > max_err: max_err = err",
             f"{ind}if h < smallest: smallest = h", f"{ind}if h > largest: largest = h",
             *(f"{ind}y{c}, k0_{c} = {nm}, k6_{c}" for c, nm in enumerate(names[:m])),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contact_noether import cli, expr
+from contact_noether import cli, dynamics, expr
 from contact_noether.geometry import lie_bracket, point_bundle
 from contact_noether.noether import sample_points
 
@@ -236,9 +236,34 @@ class TestExitCodes:
          "Z.ansatz must be a JSON object"),
         (lambda s: s.update(integrator=[1, 2]), "'integrator' must be a JSON object"),
         (lambda s: s["system"].update(params=[1, 2]), "system 'params' must be a JSON object"),
+        (lambda s: s["checks"].append({"type": "drift", "invariant": "momentum"}),
+         "drift check 'invariant' references unknown invariant 'momentum'"),
+        (lambda s: s["checks"][0].update(symmetry="squash"),
+         "symmetry check 'symmetry' references unknown symmetry 'squash'"),
+        (lambda s: s["checks"].append({"type": "ratio", "numerator": "p", "denominator": "mom"}),
+         "ratio check 'numerator' references unknown invariant 'p'"),
+        (lambda s: s["checks"].append({"type": "ratio", "numerator": "mom", "denominator": "p"}),
+         "ratio check 'denominator' references unknown invariant 'p'"),
+        (lambda s: s["checks"].append({"type": "closure", "first": "Z", "second": "squeeze"}),
+         "closure check 'first' references unknown symmetry 'Z'"),
+        (lambda s: s["checks"].append({"type": "closure", "first": "squeeze", "second": "Z"}),
+         "closure check 'second' references unknown symmetry 'Z'"),
+        (lambda s: s["checks"][0].update(type="similarity", against="extnded"),
+         "check 'against' must be 'extended' or 'contact', got 'extnded'"),
+        (lambda s: s["symmetries"].append({"label": "squeeze", "ansatz": {}}),
+         "duplicate symmetry label 'squeeze'"),
+        (lambda s: s["system"].update(dimension=1.9), "system 'dimension' must be an integer >= 1"),
+        (lambda s: s["system"].update(dimension=True),
+         "system 'dimension' must be an integer >= 1"),
+        (lambda s: s.update(invariants=5), "'invariants' must be a list, got 5"),
+        (lambda s: s["invariants"][0].update(expected="dissipatd"),
+         "invariant 'mom' 'expected' must be 'conserved' or 'dissipated', got 'dissipatd'"),
     ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
             "string-point_param", "string-exponent", "list-point_params", "list-ansatz",
-            "list-integrator", "list-system-params"])
+            "list-integrator", "list-system-params", "unknown-invariant", "unknown-symmetry",
+            "unknown-numerator", "unknown-denominator", "unknown-first", "unknown-second",
+            "bad-against", "duplicate-symmetry", "fractional-dimension", "bool-dimension",
+            "number-invariants", "bad-expected"])
     def test_bad_check_number_is_config_error(self, tmp_path, capsys, edit, message):
         scenario = json.loads(json.dumps(self.SQUEEZE))
         path = write_scenario(tmp_path, "squeeze", scenario)
@@ -268,19 +293,32 @@ class TestExitCodes:
         _, code = cli.run(path, tmp_path / "out")
         assert code == 2 and f"{key} must be finite" in capsys.readouterr().err
 
+    # a radial fall into the Kepler singularity: the flow aborts
+    PLUNGE = {
+        "name": "plunge",
+        "system": {"builtin": "kepler"},
+        "initial": {"q": [1.0, 0.0, 0.0], "p": [-1.0, 0.0, 0.0]},
+        "t_end": 5.0,
+        "integrator": {"rel_tol": 1e-8, "abs_tol": 1e-10, "guard_margin": 0.5},
+        "invariants": [{"label": "Q_K", "builtin": "Q_K"}],
+        "checks": [{"type": "drift", "invariant": "Q_K", "tol": 1e-6}],
+    }
+
     def test_domain_violation_is_three(self, tmp_path):
-        plunge = {
-            "name": "plunge",
-            "system": {"builtin": "kepler"},
-            "initial": {"q": [1.0, 0.0, 0.0], "p": [-1.0, 0.0, 0.0]},
-            "t_end": 5.0,
-            "integrator": {"rel_tol": 1e-8, "abs_tol": 1e-10, "guard_margin": 0.5},
-            "invariants": [{"label": "Q_K", "builtin": "Q_K"}],
-            "checks": [{"type": "drift", "invariant": "Q_K", "tol": 1e-6}],
-        }
-        path = write_scenario(tmp_path, "plunge", plunge)
+        path = write_scenario(tmp_path, "plunge", self.PLUNGE)
         _, code = cli.run(path, tmp_path, quiet=True)
         assert code == 3
+
+    def test_a_bad_reference_is_refused_before_the_flow(self, tmp_path, capsys, monkeypatch):
+        # the same aborting flow with a check naming no invariant: a config error
+        # found at load, so the flow is never integrated
+        calls = []
+        for module in (cli, dynamics):
+            monkeypatch.setattr(module, "integrate", lambda *args: calls.append(args))
+        bad = {**self.PLUNGE, "checks": [{"type": "drift", "invariant": "Q_k", "tol": 1e-6}]}
+        _, code = cli.run(write_scenario(tmp_path, "plunge", bad), tmp_path)
+        assert code == 2 and calls == []
+        assert "references unknown invariant 'Q_k'" in capsys.readouterr().err
 
 
 class TestArtifacts:
@@ -304,33 +342,38 @@ class TestArtifacts:
                                  (base / "trajectory.csv").read_bytes()))
         assert report_bytes[0] == report_bytes[1]
 
-    # sha256 of (report.json, trajectory.csv), as scripts/report_digests.py prints them
+    # sha256 of each of FILES, as scripts/report_digests.py prints them
+    FILES = ("report.json", "report.txt", "trajectory.csv")
     PINNED_DIGESTS = {
         "dissipative-oscillator": (
             "099d5fafe4e65bfb813083ad7500d7c14521f7b10d97566db1d7b325e26a97c4",
+            "4c8e9371f6fabea7e79148169c5e20f9c879e2e60be5471ad9212760375d092f",
             "887be2debaea751c561dacced19d7cb3d94d91bb780789f5c7c69bce20b5f6cb"),
         "free-particle": (
             "6b24d3a9eda4f8719fc85211a20024692d5dc9ad154f3be591b8dbb5213f5a6b",
+            "e4217a89b4ae641961725c056748ab09030c22fabe539c233f0e37847a138f4b",
             "2bc6e892858c6422d47c4873c6fe225abeea154eb7d0bdc392c74e3ab3b34bb6"),
         "kepler-scaling": (
             "1c7fa65ba3cab13fbeb306719063f0464af96e4171ef216c00a9ab5a59295512",
+            "63ffa4efe7ecc1708c72145bf7a8655252d786b7f601d8f37ad25f1dd572844b",
             "6d8f159b1198d02904d4952491c13199587f9803827d5e21f6f5bca1315e47c1"),
         "td-kepler": (
             "1c66372c5c8036b60d257bf2bdab989e3f133e29dcf6f1bf6f64e7967a27a7f9",
+            "0714f98ee3e760a39d4259d71c4ab8da45e8e2f6152a694c3ee795c28c232bfa",
             "b0045fc83417993e2b369081ab6d9d24a1ef2237a20f7743cb9cbd5905e60ddf"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_bundled_scenario_digests_are_pinned(self, tmp_path, name):
-        """report.json and trajectory.csv of each bundled scenario, at its own
-        seed, are byte for byte the pinned ones.  The digests belong to
+        """report.json, report.txt and trajectory.csv of each bundled scenario,
+        at its own seed, are byte for byte the pinned ones.  The digests belong to
         CPython 3.11.7 on x86_64 Linux with glibc 2.36's libm (`math.exp` in
         the compensation, `sin`, `sqrt` and friends in the fields): another
         libm or float formatting may move a last bit and so every digest."""
         report, code = cli.run(SCENARIOS / f"{name}.json", tmp_path, quiet=True)
         assert code == 0 and report["passed"]
         got = tuple(hashlib.sha256((tmp_path / name / fname).read_bytes()).hexdigest()
-                    for fname in ("report.json", "trajectory.csv"))
+                    for fname in self.FILES)
         assert got == self.PINNED_DIGESTS[name]
 
     def test_digests_do_not_depend_on_what_ran_before(self, tmp_path):
@@ -343,7 +386,7 @@ class TestArtifacts:
                 report, code = cli.run(SCENARIOS / f"{name}.json", tmp_path / str(k), quiet=True)
                 assert code == 0 and report["passed"]
                 got = tuple(hashlib.sha256((tmp_path / str(k) / name / fname).read_bytes())
-                            .hexdigest() for fname in ("report.json", "trajectory.csv"))
+                            .hexdigest() for fname in self.FILES)
                 assert got == self.PINNED_DIGESTS[name], (k, name)
 
     def test_report_digests_names_a_scenario_whose_second_pass_differs(self, monkeypatch,

@@ -389,11 +389,13 @@ class TestStepSizes:
     def test_rates_too_large_for_the_initial_step_heuristic(self):
         # the scaled RMS of the initial rates overflows, so the heuristic's first
         # step is 0; the flow starts at min_step instead, where the attempt's
-        # error is too large, and the run ends tagged
+        # error is too large, so it is refused (and counted as rejected) and the
+        # run ends tagged
         sys1 = make_system("p0*q0 + sin(q0*q0*q0)")
         traj = integrate(sys1, extended_field(sys1), point(1e102, 0.0), 5.0, IntegratorConfig())
         assert traj.error_tag == STEP_SIZE_UNDERFLOW
         assert traj.rows == [[1e102, 0.0, 0.0]] and traj.stats.rhs_calls == 2 + 6
+        assert traj.stats.accepted == 0 and traj.stats.rejected == 1
 
 
 class TestFloatStages:
@@ -450,7 +452,7 @@ class TestFloatStages:
             if ref_err <= 1.0:
                 assert done[:4] == (1, 0, 1, err) and done[-1] is None
             else:
-                assert done[:3] == (0, 0, 1) and done[-1] == STEP_SIZE_UNDERFLOW
+                assert done[:3] == (0, 1, 1) and done[-1] == STEP_SIZE_UNDERFLOW
 
     def test_domain_error_at_stage_3_rejects_and_quarters_the_step(self, monkeypatch):
         from contact_noether import dynamics
