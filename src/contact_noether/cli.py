@@ -87,6 +87,7 @@ CHECK_REFERENCES: dict[str, tuple[str, tuple[str, ...], str]] = {
     "similarity": ("symmetry", ("symmetry",), "{}"),
     "closure": ("symmetry", ("first", "second"), "[{}, {}]"),
 }
+VERDICTS = (noether.SIMILARITY, noether.DYNAMICAL_SYMMETRY, noether.NEITHER)  # similarity verdicts
 
 
 @dataclass
@@ -124,6 +125,7 @@ def load_scenario(path: str | Path) -> Scenario:
     _require(isinstance(raw, dict), f"{path}: scenario must be a JSON object")
 
     name = raw.get("name") or path.stem
+    _require(isinstance(name, str), f"{path}: 'name' must be a string, got {name!r}")
     sysspec = raw.get("system")
     _require(isinstance(sysspec, dict), f"{path}: missing 'system' object")
     params = _object(sysspec.get("params"), f"{path}: system 'params'")
@@ -177,7 +179,7 @@ def load_scenario(path: str | Path) -> Scenario:
         label = spec["label"]
         _require(label not in invariants, f"{path}: duplicate invariant label {label!r}")
         if "builtin" in spec:
-            _require(spec["builtin"] in builtin_invs,
+            _require(isinstance(spec["builtin"], str) and spec["builtin"] in builtin_invs,
                      f"{path}: unknown builtin invariant {spec['builtin']!r} "
                      f"(available: {sorted(builtin_invs)})")
             base = builtin_invs[spec["builtin"]]
@@ -204,9 +206,10 @@ def load_scenario(path: str | Path) -> Scenario:
                                           for k in ("alpha", "beta", "gamma", "sigma")))
             entry["field"] = scaling.scaling_generator(ans, system.n)
         elif "from_invariant" in spec:
-            _require(spec["from_invariant"] in invariants,
-                     f"{path}: symmetry {label!r} references unknown invariant")
-            F = invariants[spec["from_invariant"]].field
+            source = spec["from_invariant"]
+            _require(isinstance(source, str) and source in invariants,
+                     f"{path}: symmetry {label!r} references unknown invariant {source!r}")
+            F = invariants[source].field
             Yt = _parse_field(spec.get("Yt", "0"), system.n, f"{path}: symmetry {label!r} Yt")
             entry["field"] = symmetry_from_invariant(system, F, Yt)
             entry["lambda"] = noether_lambda(system, F, Yt)
@@ -236,6 +239,11 @@ def load_scenario(path: str | Path) -> Scenario:
         against = c.get("against", "extended")
         _require(against in ("extended", "contact"),
                  f"{path}: check 'against' must be 'extended' or 'contact', got {against!r}")
+        flag, verdict = c.get("expect_symmetry", True), c.get("expect_verdict", noether.NEITHER)
+        _require(isinstance(flag, bool),
+                 f"{path}: check 'expect_symmetry' must be true or false, got {flag!r}")
+        _require(verdict in VERDICTS,
+                 f"{path}: check 'expect_verdict' must be one of {VERDICTS}, got {verdict!r}")
         for key in ("tol", "Lambda_tol", "expect_Lambda"):  # tol and Lambda_tol: also >= 0
             if key in c:
                 value = _finite(c[key], f"{path}: check '{key}'")
@@ -315,15 +323,13 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             entry["value"] = float(rep.residual)
             entry["verdict"] = rep.verdict
             entry["lambda_table"] = [float(v) for v in rep.lambda_at_samples]
-            entry["passed"] = bool(rep.passed == bool(c.get("expect_symmetry", True)))
+            entry["passed"] = rep.passed == c.get("expect_symmetry", True)
         elif ctype == "similarity":
             Y = sc.symmetries[c["symmetry"]]["field"]
             against = c.get("against", "extended")
             X = extended_field(sc.system) if against == "extended" else contact_field(sc.system)
-            env_params = dict(sc.system.params)
-            env_params.update(sc.point_params)
-            rep = similarity_test(Y, X, points(), tol,
-                                  float(c.get("Lambda_tol", 1e-9)), env_params)
+            rep = similarity_test(Y, X, points(), tol, float(c.get("Lambda_tol", 1e-9)),
+                                  {**sc.system.params, **sc.point_params})
             entry["value"] = float(rep.residual)
             entry["verdict"] = rep.verdict
             entry["Lambda_table"] = [float(v) for v in rep.Lambda_at_samples]

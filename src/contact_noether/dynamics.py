@@ -17,10 +17,9 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
-from .expr import (DomainError, Num, ScalarField, _emit, _make, compile_bundle, number, partial,
-                   variable)
-from .geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec, bindable_params,
-                       coordinate_names, nan_max)
+from .expr import (DomainError, Num, ScalarField, _emit, _make, bindable_params, compile_bundle,
+                   number, partial, variable)
+from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names, nan_max
 
 
 class TimeDependentHamiltonian(Exception):
@@ -204,12 +203,12 @@ def _dp54_loop(m: int) -> Callable:
     return _function(_loop_lines([*row, "ts"], stage, accept), f"dp54-step-{m}")
 
 
-def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], consts: Mapping[str, float],
+def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], params: Mapping[str, float],
                boxed: Sequence[tuple[int, str, tuple[float, float]]], times: list[float],
                rows: list[list[float]]) -> Callable:
-    """The run for `rhs(t, y) = compile_bundle(fields, [*state, *consts])(*y, t,
-    *consts.values())` after a DomainError test of |y[i]| < 1e-12 for each boxed
-    (i, name, _), with that test and the bundle's body inlined at every stage and
+    """The run for `rhs(t, y) = compile_bundle(fields, state, params)(*y, t)`
+    after a DomainError test of |y[i]| < 1e-12 for each boxed (i, name, _),
+    with that test and the bundle's body inlined at every stage and
     the parameters as numbers, so it compiles once per literal-free shape.
     Statements that read only parameters and numbers run once, first; one that
     raises leaves its name and the later ones unbound.  A stage whose body
@@ -217,7 +216,8 @@ def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], consts: Mapp
     accepted state is tagged AuxiliaryBlowup out of a box, DomainViolation if
     not finite or a guard (a trailing field) is below the margin, else appended
     to `times` and `rows`."""
-    body, slots, checked, outs, fixed = _emit([f.ast for f in fields], consts)
+    body, slots, checked, outs, fixed = _emit([f.ast for f in fields],
+                                              bindable_params(params, state))
     names = [f"_v_{nm}" for nm in state]  # the row, then the time, as the body reads them
     m, width, ind = len(names) - 1, len(fields), _IND
     row = ", ".join(names[:m])
@@ -398,18 +398,17 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
         raise ValueError("start point is outside the admissible region")
     n = system.n
     state = [*coordinate_names(n)[:-1], *aux, "t"]
-    consts = bindable_params({**system.params, **(extra_params or {})}, state)
-    argnames, values = [*state, *consts], tuple(consts.values())
+    params = {**system.params, **(extra_params or {})}
     fields = [*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values()), *system.guards]
-    rhs_fn = compile_bundle(fields, argnames)
-    columns_fn = compile_bundle(list((tracked or {}).values()), argnames)
+    rhs_fn = compile_bundle(fields, state, params)
+    columns_fn = compile_bundle(list((tracked or {}).values()), state, params)
     boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
     def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
         for i, nm, _ in boxed:
             if abs(y[i]) < 1e-12:
                 raise DomainError("auxiliary function vanished", nm)
-        return rhs_fn(*y, t, *values)
+        return rhs_fn(*y, t)
 
     times = [start.t]
     rows = [[*start.q, *start.p, start.S,
@@ -427,8 +426,8 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
 
     # the flow loop runs `accept` as code; the generic loop calling it takes the same steps
     stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg, accept,
-                               loop=_flow_loop(fields, state, consts, boxed, times, rows))
-    columns = zip(*(columns_fn(*y, t, *values) for t, y in zip(times, rows)))
+                               loop=_flow_loop(fields, state, params, boxed, times, rows))
+    columns = zip(*(columns_fn(*y, t) for t, y in zip(times, rows)))
     recorded = dict(zip(tracked or {}, map(list, columns)))
     recorded.update({nm: [y[i] for y in rows] for i, nm in enumerate(aux, 2 * n + 1)})
     return Trajectory(n, times, rows, recorded, stats, tag)
@@ -466,10 +465,9 @@ def cumulative_integral(system: ContactSystem, traj: Trajectory, integrand: Scal
                         extra_params: Mapping[str, float] | None = None) -> list[float]:
     """Running integral of `integrand` along the trajectory, from 0 at the
     first sample, by composite Simpson on the (non-uniform) sample grid."""
-    state, m = coordinate_names(traj.n), 2 * traj.n + 1
-    consts = bindable_params({**system.params, **(extra_params or {})}, state)
-    fn = compile_bundle([integrand], [*state, *consts])
-    vals = [fn(*y[:m], t, *consts.values())[0] for t, y in zip(traj.times, traj.rows)]
+    params, m = {**system.params, **(extra_params or {})}, 2 * traj.n + 1
+    fn = compile_bundle([integrand], coordinate_names(traj.n), params)
+    vals = [fn(*y[:m], t)[0] for t, y in zip(traj.times, traj.rows)]
     return _cumulative_simpson(vals, traj.times)
 
 

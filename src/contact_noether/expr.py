@@ -417,8 +417,8 @@ def eval_node(node: Node, env: Mapping[str, float]) -> float:
 # per call, by one isfinite test on their sum; the intrinsics are the math
 # functions, which raise where eval_node does.  Any exception or non-finite
 # checked value re-runs eval_node, so values and the first DomainError are the
-# interpreter's.  Each number is a closure cell, not text, so bundles that
-# differ only in their numbers share one compile
+# interpreter's.  Each number and bound parameter is a closure cell, not text,
+# so bundles that differ only in these values share one compile
 
 _OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _KERNELS = "".join(f", _{fn}" for fn in ("isfinite", "nan", *_INTRINSIC_IMPL))
@@ -435,7 +435,7 @@ def _factory(source: str, kind: str) -> Callable:
     return loc["_mk"]  # type: ignore[return-value]
 
 
-def _emit(roots: Sequence[Node], slots: Mapping[str, float] = {},
+def _emit(roots: Sequence[Node], slots: Mapping[str, float],
           ) -> tuple[list[str], list[float], list[str], list[str], set[int]]:
     """The statements `_tN = <value>`, indented for a try block of a function,
     that evaluate every node under `roots`, one per distinct node, with `_ki`
@@ -493,41 +493,47 @@ def _make(lines: list[str], kind: str, prelude: Mapping[str, object],
                                   *_INTRINSIC_IMPL.values(), *consts)
 
 
-def _codegen(roots: Sequence[Node], params: str, reads: list[str], as_tuple: bool,
+def bindable_params(params: Mapping[str, float], argnames: Sequence[str]) -> dict[str, float]:
+    """`params` less any parameter named like an argument, so that none shadows one."""
+    return {k: v for k, v in params.items() if k not in argnames}
+
+
+def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str, float],
              slow: Callable) -> Callable:
-    """`def _f(<params>)`: run `reads`, then every node under `roots`, and
-    return the roots' values (as a tuple, or the only one), or `_slow(<params>)`."""
-    body, consts, checked, values, _ = _emit(roots)
-    out = f"({''.join(v + ', ' for v in values)})" if as_tuple else values[0]
-    lines = [f"def _f({params}):", *reads, "    try:", *body]
-    if checked:
-        lines.append(f"        if _isfinite({' + '.join(checked)}):")
-    lines += [f"{'    ' if checked else ''}        return {out}", "    except Exception:",
-              "        pass", f"    return _slow({params})"]
+    """`def _f(<argnames>)`: run every node under `roots`, the names of `bound`
+    as numbers, and return the roots' values as a tuple, or `_slow(<argnames>)`."""
+    body, consts, checked, values, _ = _emit(roots, bound)
+    params = ", ".join(f"_v_{nm}" for nm in argnames)
+    check = f"_isfinite({' + '.join(checked)})" if checked else "True"
+    lines = [f"def _f({params}):", "    try:", *body, f"        if {check}:",
+             f"            return ({''.join(v + ', ' for v in values)})",
+             "    except Exception:", "        pass", f"    return _slow({params})"]
     return _make(lines, "scalar-field", {"_slow": slow}, consts)
 
 
-def compile_bundle(fields: Sequence["ScalarField"],
-                   argnames: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
+                   params: Mapping[str, float] = {}) -> Callable[..., tuple[float, ...]]:
     """One function of positional floats, given in the order of `argnames`,
     that returns a tuple with one value per field, bit for bit eval_node's,
-    and raises eval_node's first DomainError."""
-    roots = [f.ast for f in fields]
-    unbound = set().union(*(f.free_vars | f.free_params for f in fields)) - set(argnames)
+    and raises eval_node's first DomainError; `params` binds the other names,
+    by `bindable_params`, as numbers of the function."""
+    roots, bound = [f.ast for f in fields], bindable_params(params, argnames)
+    unbound = set().union(*(f.free_vars | f.free_params for f in fields)) - {*argnames, *bound}
     if unbound:
         raise UnboundParameter(f"unbound names {sorted(unbound)}")
 
     def slow(*args: float) -> tuple[float, ...]:
-        env = dict(zip(argnames, args))
+        env = {**bound, **dict(zip(argnames, args))}
         return tuple(eval_node(r, env) for r in roots)
 
-    return _codegen(roots, ", ".join(f"_v_{nm}" for nm in argnames), [], True, slow)
+    return _codegen(roots, argnames, bound, slow)
 
 
 def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
-    """The one-field case over a name->value environment (`eval_env`)."""
-    reads = [f"    _v_{nm} = _env[{nm!r}]" for nm in sorted(names)]
-    return _codegen([node], "_env", reads, False, lambda env: eval_node(node, env))
+    """The one-field bundle over `names`, read from a name->value environment (`eval_env`)."""
+    names = sorted(names)
+    fn = compile_bundle([ScalarField(node, 1)], names)  # the dimension is not read
+    return lambda env: fn(*[env[nm] for nm in names])[0]
 
 
 # ---------------------------------------------------------------------------

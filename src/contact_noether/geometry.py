@@ -115,23 +115,14 @@ def coordinate_names(n: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n)) + ("S", "t")
 
 
-def bindable_params(params: Mapping[str, float], state: Sequence[str]) -> dict[str, float]:
-    """`params` less any parameter named like a state variable, so that none
-    shadows one."""
-    return {k: v for k, v in params.items() if k not in state}
-
-
 def point_bundle(fields: Sequence[ScalarField],
                  params: Mapping[str, float]) -> Callable[[ExtendedPoint], tuple[float, ...]]:
     """Compile `fields` once, as one bundle, into a function of a point that
     returns one value per field.  `params` binds the parameters (pass
-    ``{**system.params, **extra}``, so that `extra` wins) by `bindable_params`
-    over the coordinates."""
-    state = coordinate_names(fields[0].n)
-    consts = bindable_params(params, state)
-    fn = compile_bundle(fields, [*state, *consts])
-    values = tuple(consts.values())
-    return lambda pt: fn(*pt.q, *pt.p, pt.S, pt.t, *values)
+    ``{**system.params, **extra}``, so that `extra` wins); the coordinates
+    win over like-named parameters (`expr.bindable_params`)."""
+    fn = compile_bundle(fields, coordinate_names(fields[0].n), params)
+    return lambda pt: fn(*pt.q, *pt.p, pt.S, pt.t)
 
 
 @dataclass(eq=False)
@@ -178,7 +169,7 @@ class ContactSystem:
         return partial(self.h, "t")
 
     def env(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> dict[str, float]:
-        """Parameters, then `extra`, then coordinates, which win as in `bindable_params`."""
+        """Parameters, then `extra`, then coordinates, which win as in `expr.bindable_params`."""
         return {**self.params, **(extra or {}), **point.env()}
 
     def admissible(self, point: ExtendedPoint, margin: float = 1e-3) -> bool:

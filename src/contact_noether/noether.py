@@ -128,27 +128,25 @@ def sample_points(system: ContactSystem, count: int, seed: int,
                   box: SampleBox | None = None, margin: float = 1e-3,
                   extra: Mapping[str, float] | None = None) -> list[ExtendedPoint]:
     """Uniform seeded samples from the system's box, rejecting inadmissible
-    points (guard violations or Hamiltonian domain errors)."""
+    points: a DomainError of h or a guard, or a guard value below `margin` or
+    NaN.  One bundle of h and the guards, bound like h, screens each point."""
     box = box or system.sample_box or SampleBox()
     uniform = _uniform_draws(seed)
-    h_at = point_bundle([system.h], {**system.params, **(extra or {})})
+    at = point_bundle([system.h, *system.guards], {**system.params, **(extra or {})})
     out: list[ExtendedPoint] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200 * count + 1000:
-            raise RuntimeError("sampling box rejects too many points")
+    for _ in range(200 * count + 1000):
         q = [uniform(*box.q) for _ in range(system.n)]
         p = [uniform(*box.p) for _ in range(system.n)]
         pt = ExtendedPoint(q, p, uniform(*box.S), uniform(*box.t))
-        if not system.admissible(pt, margin):
-            continue
         try:
-            h_at(pt)
+            _, *guards = at(pt)
         except DomainError:
             continue
-        out.append(pt)
-    return out
+        if all(g >= margin for g in guards):
+            out.append(pt)
+        if len(out) >= count:
+            return out
+    raise RuntimeError("sampling box rejects too many points")
 
 
 # ---------------------------------------------------------------------------

@@ -258,12 +258,23 @@ class TestExitCodes:
         (lambda s: s.update(invariants=5), "'invariants' must be a list, got 5"),
         (lambda s: s["invariants"][0].update(expected="dissipatd"),
          "invariant 'mom' 'expected' must be 'conserved' or 'dissipated', got 'dissipatd'"),
+        (lambda s: s["checks"][0].update(expect_symmetry="no"),
+         "check 'expect_symmetry' must be true or false, got 'no'"),
+        (lambda s: s["checks"][0].update(type="similarity", expect_verdict="Similarty"),
+         "check 'expect_verdict' must be one of ('Similarity', 'DynamicalSymmetry', 'Neither'), "
+         "got 'Similarty'"),
+        (lambda s: s["symmetries"].append({"label": "Z", "from_invariant": ["mom"]}),
+         "symmetry 'Z' references unknown invariant ['mom']"),
+        (lambda s: s["invariants"].append({"label": "Q", "builtin": ["Q_K"]}),
+         "unknown builtin invariant ['Q_K']"),
+        (lambda s: s.update(name=["fp"]), "'name' must be a string, got ['fp']"),
     ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
             "string-point_param", "string-exponent", "list-point_params", "list-ansatz",
             "list-integrator", "list-system-params", "unknown-invariant", "unknown-symmetry",
             "unknown-numerator", "unknown-denominator", "unknown-first", "unknown-second",
             "bad-against", "duplicate-symmetry", "fractional-dimension", "bool-dimension",
-            "number-invariants", "bad-expected"])
+            "number-invariants", "bad-expected", "string-expect_symmetry",
+            "misspelt-expect_verdict", "list-from_invariant", "list-builtin", "list-name"])
     def test_bad_check_number_is_config_error(self, tmp_path, capsys, edit, message):
         scenario = json.loads(json.dumps(self.SQUEEZE))
         path = write_scenario(tmp_path, "squeeze", scenario)

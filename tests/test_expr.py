@@ -200,6 +200,34 @@ class TestBundle:
             ref = _outcome(lambda: [expr.eval_node(fl.ast, env) for fl in fields])
             assert _outcome(lambda: expr.compile_bundle(fields, ["q0"])(q0)) == ref
 
+    def test_bound_parameters_match_the_positional_compile(self):
+        # a random subset of the names bound as numbers at compile: the values bit
+        # for bit, and the first DomainError, of the bundle taking every name
+        rng = np.random.default_rng(37)
+        raised = 0
+        for _ in range(300):
+            fields = [random_field(rng, 2, 6), random_field(rng, 2, 5)]
+            env = random_env(rng, 2)
+            bound = {k: v for k, v in env.items() if rng.random() < 0.5}
+            args = [k for k in env if k not in bound]
+            ref = _outcome(lambda: expr.compile_bundle(fields, list(env))(*env.values()))
+            got = _outcome(lambda: expr.compile_bundle(fields, args, bound)(
+                *(env[k] for k in args)))
+            assert got == ref
+            raised += isinstance(ref, tuple)
+        assert 20 <= raised <= 280
+
+    def test_parameter_values_share_one_compile(self):
+        f = parse("m*q0 + sin(m)", 1)
+        two, three = (expr.compile_bundle([f], ["q0"], {"m": m}) for m in (2.0, 3.0))
+        assert two.__code__ is three.__code__
+        for m, bundle in ((2.0, two), (3.0, three)):
+            assert bundle(0.5) == (expr.eval_node(f.ast, {"q0": 0.5, "m": m}),)
+
+    def test_a_parameter_named_like_an_argument_is_ignored(self):
+        fn = expr.compile_bundle([parse("q0*m", 1)], ["q0", "m"], {"m": 5.0, "q0": 7.0})
+        assert fn(2.0, 3.0) == (6.0,)
+
     def test_unbound_names_are_rejected(self):
         with pytest.raises(UnboundParameter):
             expr.compile_bundle([parse("q0*m", 1)], ["q0"])

@@ -465,6 +465,61 @@ class TestSeededDraws:
                 assert [self.hexes((*a.q, *a.p, a.S, a.t)) for a in ours] == \
                     [self.hexes((*b.q, *b.p, b.S, b.t)) for b in ref], (system.label, seed)
 
+    @staticmethod
+    def reference_sample_points(system, count, seed):
+        """The same draws filtered by admissible, then eval_node of h."""
+        from contact_noether.expr import eval_node
+
+        box = system.sample_box or SampleBox()
+        uniform, out = _uniform_draws(seed), []
+        while len(out) < count:
+            q = [uniform(*box.q) for _ in range(system.n)]
+            p = [uniform(*box.p) for _ in range(system.n)]
+            pt = ExtendedPoint(q, p, uniform(*box.S), uniform(*box.t))
+            if not system.admissible(pt):
+                continue
+            try:
+                eval_node(system.h.ast, system.env(pt))
+            except DomainError:
+                continue
+            out.append(pt)
+        return out
+
+    SCREENED = {
+        "kepler": lambda: make_kepler(1.0, k_grav=1.0),
+        "td-kepler": lambda: make_td_kepler(1.0, 0.25, 1.5),
+        # ln of a non-positive q0 in the guard, sqrt of p0 + 1 < 0 in h
+        "raising": lambda: ContactSystem(n=1, h=parse("p0^2/2 + sqrt(p0 + 1)", 1),
+                                         guards=(parse("ln(q0)", 1),)),
+        # inf - inf = NaN where q0 and p0 share a sign, else +-inf
+        "nan": lambda: ContactSystem(n=1, h=parse("p0", 1),
+                                     guards=(parse("p0*1e200*1e200 - q0*1e200*1e200", 1),)),
+    }
+
+    @pytest.mark.parametrize("label, raises", [("kepler", False), ("td-kepler", False),
+                                               ("raising", True), ("nan", False)])
+    def test_sample_points_match_a_reference_filter(self, label, raises):
+        # one bundle of h and the guards screens each candidate; the interpreter
+        # runs only to re-raise a candidate's DomainError
+        from contact_noether import expr
+
+        system = self.SCREENED[label]()
+        for seed in range(1, 6):
+            with mock.patch.object(expr, "eval_node", wraps=expr.eval_node) as spy:
+                ours = sample_points(system, 30, seed)
+            assert (spy.call_count > 0) == raises
+            ref = self.reference_sample_points(system, 30, seed)
+            assert [self.hexes((*a.q, *a.p, a.S, a.t)) for a in ours] == \
+                [self.hexes((*b.q, *b.p, b.S, b.t)) for b in ref], (label, seed)
+
+    def test_guards_see_extra_as_h_does(self):
+        system = ContactSystem(n=1, h=parse("p0", 1), params={"c": 0.0},
+                               guards=(parse("q0 - c", 1),))
+        pts = sample_points(system, 40, seed=3, extra={"c": 1.0})
+        assert min(pt.q[0] for pt in pts) >= 1.001
+        with pytest.raises(RuntimeError, match="rejects too many points"):
+            sample_points(system, 2, seed=3, extra={"c": 5.0})
+
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError):
             _uniform_draws(-1)
