@@ -62,6 +62,11 @@ def _finite(value: Any, where: str) -> float:
     return float(value)
 
 
+def _flag(value: Any, where: str) -> bool:
+    _require(isinstance(value, bool), f"{where} must be true or false, got {value!r}")
+    return value
+
+
 def _object(value: Any, where: str) -> dict:
     """`value` as a JSON object, null meaning an empty one."""
     _require(value is None or isinstance(value, dict),
@@ -166,8 +171,12 @@ def load_scenario(path: str | Path) -> Scenario:
 
     auxiliary = None
     if "auxiliary" in raw:
+        spec = raw["auxiliary"]
+        _require(isinstance(spec, dict), f"{path}: 'auxiliary' must be a JSON object, got {spec!r}")
         try:
-            auxiliary = AuxiliaryState(**raw["auxiliary"])
+            auxiliary = AuxiliaryState(**{
+                k: (_flag if k.startswith("use_") else _finite)(v, f"{path}: auxiliary {k!r}")
+                for k, v in spec.items()})
         except TypeError as e:
             raise ConfigError(f"{path}: bad auxiliary spec: {e}") from e
 
@@ -239,9 +248,8 @@ def load_scenario(path: str | Path) -> Scenario:
         against = c.get("against", "extended")
         _require(against in ("extended", "contact"),
                  f"{path}: check 'against' must be 'extended' or 'contact', got {against!r}")
-        flag, verdict = c.get("expect_symmetry", True), c.get("expect_verdict", noether.NEITHER)
-        _require(isinstance(flag, bool),
-                 f"{path}: check 'expect_symmetry' must be true or false, got {flag!r}")
+        _flag(c.get("expect_symmetry", True), f"{path}: check 'expect_symmetry'")
+        verdict = c.get("expect_verdict", noether.NEITHER)
         _require(verdict in VERDICTS,
                  f"{path}: check 'expect_verdict' must be one of {VERDICTS}, got {verdict!r}")
         for key in ("tol", "Lambda_tol", "expect_Lambda"):  # tol and Lambda_tol: also >= 0

@@ -394,7 +394,7 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
     aux = dict(aux or {})
     if not (isinstance(field.Yt.ast, Num) and field.Yt.ast.value in (0.0, 1.0)):
         raise ValueError("flow fields must have a constant time component 0 or 1")
-    if not system.admissible(start, cfg.guard_margin):
+    if not system.admissible(start, cfg.guard_margin, extra_params):
         raise ValueError("start point is outside the admissible region")
     n = system.n
     state = [*coordinate_names(n)[:-1], *aux, "t"]

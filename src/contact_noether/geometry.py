@@ -135,6 +135,9 @@ class ContactSystem:
     `sample_box` documents the box used by seeded point generators.
     `meta` carries optional system-specific extras (auxiliary ODE data,
     registered invariants) and is not interpreted by this module.
+    `param_rates` maps each parameter that varies along the flow to its d/dt,
+    a field over the coordinates and the parameters; `rate_term` is the chain
+    rule through them, which the residual and L_Y eta_E add to d/dt.
     """
 
     n: int
@@ -144,11 +147,12 @@ class ContactSystem:
     sample_box: "SampleBox | None" = None
     label: str = ""
     meta: dict = dc_field(default_factory=dict)
+    param_rates: dict[str, ScalarField] = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.h.n != self.n:
             raise ValueError("Hamiltonian dimension disagrees with system dimension")
-        unbound = self.h.free_params - set(self.params)
+        unbound = set().union(*(f.free_params for f in (self.h, *self.guards))) - set(self.params)
         if unbound:
             raise expr.UnboundParameter(f"system parameters {sorted(unbound)} unbound")
 
@@ -166,14 +170,26 @@ class ContactSystem:
 
     @cached_property
     def h_t(self) -> ScalarField:
+        """The partial dh/dt: it meets the partial t-term of Y(h) in iota_Y d(eta_E),
+        so any rates through which h moves would cancel there."""
         return partial(self.h, "t")
+
+    def rate_term(self, F: ScalarField) -> ScalarField:
+        """The sum of rate * dF/d(name) over the rated parameters F reads: the
+        number 0 when it reads none, so adding it leaves a field's tree as it is."""
+        acc = number(0.0, self.n)
+        for name, rate in self.param_rates.items():
+            if name in F.free_params:
+                acc = acc + rate * partial(F, name)
+        return acc
 
     def env(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> dict[str, float]:
         """Parameters, then `extra`, then coordinates, which win as in `expr.bindable_params`."""
         return {**self.params, **(extra or {}), **point.env()}
 
-    def admissible(self, point: ExtendedPoint, margin: float = 1e-3) -> bool:
-        env = self.env(point)
+    def admissible(self, point: ExtendedPoint, margin: float = 1e-3,
+                   extra: Mapping[str, float] | None = None) -> bool:
+        env = self.env(point, extra)
         try:
             return point.n == self.n and all(expr.eval_node(g.ast, env) >= margin for g in self.guards)
         except expr.DomainError:
@@ -222,33 +238,21 @@ class LieDerivativeEta:
         self.system = system
         self.Y = Y
         self.scalar = interior_product_eta_E(system, Y)
-        self.form = tuple(c + partial(self.scalar, nm) for c, nm in
-                          zip(contract_d_eta_E(system, Y), coordinate_names(system.n)))
+        d_scalar = [partial(self.scalar, nm) for nm in coordinate_names(system.n)]
+        d_scalar[-1] += system.rate_term(self.scalar)  # dt: t moves the rated parameters too
+        self.form = tuple(c + d for c, d in zip(contract_d_eta_E(system, Y), d_scalar))
 
-    def bundle(self, extra: Mapping[str, float] | None = None,
-               param_rates: Mapping[str, float] | None = None, *more: ScalarField):
-        """One bundle of the form, `more`, and d(iota_Y eta_E)/d(param) for each
-        parameter in `param_rates` (a function of t, so rate * that column is
-        added to dt): maps a point to (the form's values, the values of `more`)."""
-        rates = dict(param_rates or {})
-        m, k = len(self.form), len(self.form) + len(more)
-        at = point_bundle([*self.form, *more, *(partial(self.scalar, nm) for nm in rates)],
-                          {**self.system.params, **(extra or {})})
-
-        def values(point: ExtendedPoint) -> tuple[list[float], tuple[float, ...]]:
-            v = at(point)
-            omega = list(v[:m])
-            for rate, column in zip(rates.values(), v[k:]):
-                omega[-1] += rate * column
-            return omega, v[m:k]
-
-        return values
+    def bundle(self, extra: Mapping[str, float] | None = None, *more: ScalarField):
+        """One bundle of the form and `more`: maps a point to (the form's
+        values, the values of `more`)."""
+        m = len(self.form)
+        at = point_bundle([*self.form, *more], {**self.system.params, **(extra or {})})
+        return lambda point: (list((v := at(point))[:m]), v[m:])
 
     def __call__(self, point: ExtendedPoint,
-                 extra: Mapping[str, float] | None = None,
-                 param_rates: Mapping[str, float] | None = None) -> list[float]:
+                 extra: Mapping[str, float] | None = None) -> list[float]:
         """The 2n+2 coefficients at one point, compiling a bundle on each call."""
-        return self.bundle(extra, param_rates)(point)[0]
+        return self.bundle(extra)(point)[0]
 
 
 def nan_max(values: Iterable[float]) -> float:

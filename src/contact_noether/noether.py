@@ -154,34 +154,24 @@ def sample_points(system: ContactSystem, count: int, seed: int,
 
 
 def dissipation_field(system: ContactSystem, F: ScalarField) -> ScalarField:
-    """X_h^t(F) + R(h) F with R(h) = dh/dS; identically zero when F is
-    dissipated.  Build it once and evaluate it at every sample."""
-    return directional_derivative(extended_field(system), F) + system.h_S * F
+    """X_h^t(F) + R(h) F with R(h) = dh/dS, the t-derivative taken through the
+    rated parameters too; identically zero when F is dissipated.  Build it
+    once and evaluate it at every sample."""
+    return directional_derivative(extended_field(system), F) + system.h_S * F \
+        + system.rate_term(F)
 
 
 def residual_at(system: ContactSystem, F: ScalarField,
-                extra: Mapping[str, float] | None = None,
-                rated: Sequence[str] = ()) -> Callable[..., float]:
-    """`dissipation_field` and dF/d(param) for each name in `rated` compiled
-    once: a function of (point, param_rates) that adds rate * dF/d(param)."""
-    rated = [name for name in rated if name in F.free_params]
-    at = point_bundle([dissipation_field(system, F), *(partial(F, name) for name in rated)],
-                      {**system.params, **(extra or {})})
-
-    def residual(point: ExtendedPoint, param_rates: Mapping[str, float] | None = None) -> float:
-        acc, *columns = at(point)
-        for name, column in zip(rated, columns):
-            acc += param_rates[name] * column
-        return acc
-
-    return residual
+                extra: Mapping[str, float] | None = None) -> Callable[[ExtendedPoint], float]:
+    """`dissipation_field` compiled once, as a function of a point."""
+    at = point_bundle([dissipation_field(system, F)], {**system.params, **(extra or {})})
+    return lambda point: at(point)[0]
 
 
 def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedPoint,
-                         extra: Mapping[str, float] | None = None,
-                         param_rates: Mapping[str, float] | None = None) -> float:
+                         extra: Mapping[str, float] | None = None) -> float:
     """`residual_at` at one point, compiling its bundle on each call."""
-    return residual_at(system, F, extra, param_rates or ())(point, param_rates)
+    return residual_at(system, F, extra)(point)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +207,10 @@ def noether_lambda(system: ContactSystem, F: ScalarField,
 
 def _symmetry_report(system: ContactSystem, Y: VectorFieldSpec, samples: Sequence[ExtendedPoint],
                      threshold: float, extra: Mapping[str, float] | None,
-                     param_rates: Mapping[str, float] | None, *expected: ScalarField) -> SymmetryReport:
+                     *expected: ScalarField) -> SymmetryReport:
     """lambda and the proportionality residual at every sample, from one bundle of
     L_Y eta_E, h and the expected lambda, if given (the defect is its largest deviation)."""
-    at = LieDerivativeEta(system, Y).bundle(extra, param_rates, system.h, *expected)
+    at = LieDerivativeEta(system, Y).bundle(extra, system.h, *expected)
     zeros = (0.0,) * system.n
     lambdas, residuals, deviations = [], [], []
     for pt in samples:
@@ -238,11 +228,10 @@ def _symmetry_report(system: ContactSystem, Y: VectorFieldSpec, samples: Sequenc
 def symmetry_test(system: ContactSystem, Y: VectorFieldSpec,
                   samples: Sequence[ExtendedPoint],
                   threshold: float = SYMBOLIC_THRESHOLD,
-                  extra: Mapping[str, float] | None = None,
-                  param_rates: Mapping[str, float] | None = None) -> SymmetryReport:
+                  extra: Mapping[str, float] | None = None) -> SymmetryReport:
     """Test L_Y eta_E = lambda eta_E pointwise; lambda is read from the dS
     component (eta_E has dS coefficient identically 1)."""
-    return _symmetry_report(system, Y, samples, threshold, extra, param_rates)
+    return _symmetry_report(system, Y, samples, threshold, extra)
 
 
 def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
@@ -288,7 +277,7 @@ def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpe
     expected = []
     if lambda1 is not None and lambda2 is not None:
         expected = [directional_derivative(Y1, lambda2) - directional_derivative(Y2, lambda1)]
-    return _symmetry_report(system, lie_bracket(Y1, Y2), samples, threshold, extra, None, *expected)
+    return _symmetry_report(system, lie_bracket(Y1, Y2), samples, threshold, extra, *expected)
 
 
 def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,

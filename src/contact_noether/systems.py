@@ -6,8 +6,9 @@ oscillator invariants (Lewis-Riesenfeld and its dissipative generalisation,
 plus the linear-in-momentum one) need auxiliary Ermakov-type functions;
 those enter the invariant fields as per-sample parameter bindings
 (rho, rho_dot, a, a_dot, b, b_dot) and are co-integrated alongside the flow.
-Their defining ODEs are written once, in `_AUX_ODES`; the self-test and the
-co-integration both evaluate that table.
+Their defining ODEs are written once, in `_AUX_ODES`, and the oscillator
+carries them as its `param_rates`: the self-test's residuals and the
+co-integration both read them.
 
 Two transcription corrections relative to common printed forms, both forced
 by the dissipation equation and locked in by a mandatory residual self-test
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .expr import (ScalarField, compile_bundle, eval_node, number, parameter, parse, partial,
-                   substitute, variable)
-from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec, point_bundle
+from .expr import (ScalarField, eval_node, number, parameter, parse, partial, substitute,
+                   variable)
+from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec
 from .dynamics import AuxComponent, IntegratorConfig, Trajectory, extended_field, integrate
 from .noether import residual_at, symmetry_from_invariant
 from .scaling import _f0, _f1, _f2, case3_system, dot_qp
@@ -130,16 +130,18 @@ def make_harmonic_dissipative(m: float, f_spec: ScalarField | str | float,
         n=n, h=h, params={"m": float(m), "g0": float(g0)},
         sample_box=SampleBox(q=(-2.0, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.0, 5.0)),
         label="harmonic-dissipative",
+        param_rates={nm: substitute(parse(src, n), "f", f) for nm, src in _AUX_ODES.items()},
     )
     expected = CONSERVED if g0 == 0.0 else DISSIPATED
     system.meta.update({"kind": "harmonic-dissipative", "f": f, "m": float(m),
                         "g0": float(g0)})
     system.meta["invariants"] = {
         "F0": TrackedInvariant("F0", f0_invariant(n), expected),
-        "F_LR": TrackedInvariant("F_LR", lr_invariant(), CONSERVED if g0 == 0.0 else DISSIPATED),
         "F_GLR": TrackedInvariant("F_GLR", glr_invariant(), expected),
         "F_EM": TrackedInvariant("F_EM", em_invariant(), expected),
     }
+    if g0 == 0.0:  # F_LR solves the undamped equation only
+        system.meta["invariants"]["F_LR"] = TrackedInvariant("F_LR", lr_invariant(), CONSERVED)
     return system
 
 
@@ -255,8 +257,9 @@ _AUX_FORMS_VERIFIED = False
 
 # The defining ODEs of the auxiliary functions, as first-order rates: each
 # name maps to its d/dt over the auxiliary names, rho0, a0, g0 and f, which
-# stands for the system's f(t).  The self-test checks the invariants against
-# this table, and co_integrate integrates this same table.
+# stands for the system's f(t).  The oscillator keeps them, f written in, as
+# its `param_rates`: the self-test's residuals take the t-derivative through
+# them, and co_integrate integrates them.
 _AUX_ODES = {
     "rho": "rho_dot",
     "rho_dot": "rho0/rho^3 - f*rho",
@@ -269,24 +272,6 @@ _AUX_ODES = {
 _AUX_BOX = {"rho": (1e-6, 1e6), "a": (1e-6, 1e6)}
 
 
-@lru_cache(maxsize=None)
-def _rate_block(sources: tuple[str, ...], n: int) -> tuple[tuple[ScalarField, ...], Callable]:
-    """The rates of an auxiliary block of `_AUX_ODES`, parsed once per tuple of
-    texts (a patched table is new text), and one bundle of them as a function
-    of a name->value mapping."""
-    rates = tuple(parse(src, n) for src in sources)
-    names = sorted(set().union(*(r.free_vars | r.free_params for r in rates)))
-    fn = compile_bundle(rates, names)
-    return rates, lambda env: fn(*(env[nm] for nm in names))
-
-
-def _aux_rates(which: str, vals: Mapping[str, float], f_val: float, g0: float) -> dict[str, float]:
-    """d/dt of the auxiliary block `which`, from `_AUX_ODES` at f = f_val."""
-    block = (which, f"{which}_dot")
-    _, rates = _rate_block(tuple(_AUX_ODES[nm] for nm in block), 1)
-    return dict(zip(block, rates({**vals, "f": f_val, "g0": g0})))
-
-
 def _verify_aux_forms() -> None:
     """Spot-check the hard-coded oscillator invariants against their
     auxiliary ODEs, once per process; a nonzero residual means a transcription
@@ -297,18 +282,15 @@ def _verify_aux_forms() -> None:
     _AUX_FORMS_VERIFIED = True
     try:
         f = parse("0.8 + 0.3*t + 0.1*sin(t)", 1)
-        f_at = point_bundle([f], {})
         checks = [
             ("rho", 0.0, lr_invariant(), {"rho": 1.3, "rho_dot": -0.4, "rho0": 0.9}),
             ("a", 0.45, glr_invariant(), {"a": 1.2, "a_dot": 0.7, "a0": 1.1}),
             ("b", 0.45, em_invariant(), {"b": 0.8, "b_dot": -0.5}),
         ]
         for which, g0, field, aux in checks:
-            system = make_harmonic_dissipative(1.37, f, g0)
-            residual = residual_at(system, field, aux, (which, f"{which}_dot"))
+            residual = residual_at(make_harmonic_dissipative(1.37, f, g0), field, aux)
             for qv, pv, sv, tv in ((0.7, -1.1, 0.3, 0.9), (-0.4, 0.6, -1.0, 2.1)):
-                pt = ExtendedPoint([qv], [pv], sv, tv)
-                res = residual(pt, _aux_rates(which, aux, f_at(pt)[0], g0))
+                res = residual(ExtendedPoint([qv], [pv], sv, tv))
                 if abs(res) > 1e-9:
                     raise RuntimeError(
                         f"auxiliary invariant self-test failed for {which}: residual {res!r}")
@@ -339,17 +321,14 @@ def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliarySta
     columns.  rho or a leaving (1e-6, 1e6) tags the trajectory
     AuxiliaryBlowup and returns the partial result.
     """
-    f_field, _ = _harmonic_meta(system)
+    _harmonic_meta(system)
     if not isinstance(tracked, Mapping):
         tracked = {ti.label: ti.field for ti in tracked or []}
     aux: dict[str, AuxComponent] = {}
     for block in ("rho", "a", "b"):
         if getattr(aux0, f"use_{block}"):
-            names = (block, f"{block}_dot")
-            rates, _ = _rate_block(tuple(_AUX_ODES[nm] for nm in names), system.n)
-            for nm, rate in zip(names, rates):
-                aux[nm] = AuxComponent(getattr(aux0, nm), substitute(rate, "f", f_field),
-                                       _AUX_BOX.get(nm))
+            for nm in (block, f"{block}_dot"):
+                aux[nm] = AuxComponent(getattr(aux0, nm), system.param_rates[nm], _AUX_BOX.get(nm))
     return integrate(system, extended_field(system), start, t_end, cfg, tracked,
                      aux0.constants(), aux)
 

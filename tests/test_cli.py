@@ -193,6 +193,38 @@ class TestExitCodes:
         _, code = cli.run(path, tmp_path, quiet=True)
         assert code == 2
 
+    def test_undamped_invariant_on_a_damped_oscillator_is_config_error(self, tmp_path, capsys):
+        # F_LR solves the equation of the undamped oscillator only
+        path = write_scenario(tmp_path, "damped-lr", {
+            "system": {"builtin": "harmonic-dissipative", "params": {"g0": 0.2}},
+            "invariants": [{"label": "F_LR", "builtin": "F_LR"}]})
+        _, code = cli.run(path, tmp_path / "out")
+        assert code == 2
+        assert "unknown builtin invariant 'F_LR' (available: ['F0', 'F_EM', 'F_GLR'])" \
+            in capsys.readouterr().err
+
+    # a time-dependent, damped oscillator with its auxiliary functions frozen as
+    # point values: the checks take d/dt through the system's rates for them
+    AUX_POINT_PARAMS = {
+        "name": "aux-point-params",
+        "system": {"builtin": "harmonic-dissipative",
+                   "params": {"m": 1.0, "f": "1 + 0.3*sin(t)", "g0": 0.2}},
+        "seed": 3,
+        "sample_count": 40,
+        "point_params": {"a": 1.2, "a_dot": -0.3, "a0": 0.9, "b": 0.8, "b_dot": 0.4},
+        "invariants": [{"label": "F_GLR", "builtin": "F_GLR"}, {"label": "F_EM", "builtin": "F_EM"}],
+        "symmetries": [{"label": "glr", "from_invariant": "F_GLR"}],
+        "checks": [{"type": "residual", "invariant": "F_GLR", "tol": 1e-12},
+                   {"type": "residual", "invariant": "F_EM", "tol": 1e-12},
+                   {"type": "symmetry", "symmetry": "glr", "tol": 1e-12}],
+    }
+
+    def test_rated_parameters_given_as_point_params_pass(self, tmp_path):
+        path = write_scenario(tmp_path, "aux", self.AUX_POINT_PARAMS)
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert code == 0, report["checks"]
+        assert [c["passed"] for c in report["checks"]] == [True] * 3
+
     def test_duplicate_invariant_label_is_config_error(self, tmp_path):
         bad = json.loads(json.dumps(FREE_PARTICLE))
         bad["invariants"] = [{"label": "mom", "expression": "p0"},
@@ -268,13 +300,22 @@ class TestExitCodes:
         (lambda s: s["invariants"].append({"label": "Q", "builtin": ["Q_K"]}),
          "unknown builtin invariant ['Q_K']"),
         (lambda s: s.update(name=["fp"]), "'name' must be a string, got ['fp']"),
+        (lambda s: s.update(auxiliary={"use_a": "false"}),
+         "auxiliary 'use_a' must be true or false, got 'false'"),
+        (lambda s: s.update(auxiliary={"a": True}), "auxiliary 'a' must be a finite number"),
+        (lambda s: s.update(auxiliary={"a": "x"}), "auxiliary 'a' must be a finite number"),
+        (lambda s: s.update(auxiliary={"a": float("inf")}),
+         "auxiliary 'a' must be a finite number"),
+        (lambda s: s.update(auxiliary=[1]), "'auxiliary' must be a JSON object, got [1]"),
     ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
             "string-point_param", "string-exponent", "list-point_params", "list-ansatz",
             "list-integrator", "list-system-params", "unknown-invariant", "unknown-symmetry",
             "unknown-numerator", "unknown-denominator", "unknown-first", "unknown-second",
             "bad-against", "duplicate-symmetry", "fractional-dimension", "bool-dimension",
             "number-invariants", "bad-expected", "string-expect_symmetry",
-            "misspelt-expect_verdict", "list-from_invariant", "list-builtin", "list-name"])
+            "misspelt-expect_verdict", "list-from_invariant", "list-builtin", "list-name",
+            "string-use_a", "bool-aux-value", "string-aux-value", "inf-aux-value",
+            "list-auxiliary"])
     def test_bad_check_number_is_config_error(self, tmp_path, capsys, edit, message):
         scenario = json.loads(json.dumps(self.SQUEEZE))
         path = write_scenario(tmp_path, "squeeze", scenario)

@@ -154,7 +154,7 @@ class TestLieDerivativeEta:
     def test_flow_field_rescales_eta(self, kepler, damped_oscillator):
         for system in (kepler, damped_oscillator):
             at = LieDerivativeEta(system, extended_field(system)).bundle(
-                None, None, system.h, system.h_S)
+                None, system.h, system.h_S)
             for pt in sample_points(system, 20, seed=3):
                 omega, (h, rh) = at(pt)
                 expected = -rh * np.asarray(eta_at(pt, h))
@@ -172,7 +172,7 @@ class TestLieDerivativeEta:
         Y = VectorFieldSpec((const_field(0, 3),) * 3, (const_field(0, 3),) * 3,
                             kepler.h, const_field(0, 3))
         pt = point([1, 0, 0], [0, 1, 0])
-        omega, (h,) = LieDerivativeEta(kepler, Y).bundle(None, None, kepler.h)(pt)
+        omega, (h,) = LieDerivativeEta(kepler, Y).bundle(None, kepler.h)(pt)
         _, residual = proportionality_residual(omega, eta_at(pt, h))
         assert residual > 0.1
 
@@ -180,16 +180,19 @@ class TestLieDerivativeEta:
 def _sympy_lie_derivative_eta(sp, system, Y, values):
     """(L_Y eta_E)_i = Y^j d_j eta_i + eta_j d_i Y^j in coordinates, with
     eta_E = (-p, 0, 1, h), each field rebuilt by sympy from its source and
-    differentiated there; evaluated at `values` to 30 digits."""
+    differentiated there, d_t also through each rated parameter (chain rule on
+    the sources of the system's rates); evaluated at `values` to 30 digits."""
     n = system.n
     xs = [sp.Symbol(nm) for nm in coordinate_names(n)]
     names = {nm: sp.Symbol(nm) for nm in values}
     names.update(ln=sp.log, abs=sp.Abs, sqrt=sp.sqrt, exp=sp.exp, sin=sp.sin, cos=sp.cos)
     to_sympy = lambda f: sp.parse_expr(f.source().replace("^", "**"), local_dict=names)
+    rates = {names[nm]: to_sympy(r) for nm, r in system.param_rates.items() if nm in values}
+    d = lambda f, x: sp.diff(f, x) + sum(r * sp.diff(f, s) for s, r in rates.items() if x == xs[-1])
     ys = [to_sympy(c) for c in Y.components()]
     eta = [-x for x in xs[n:2 * n]] + [sp.Integer(0)] * n + [sp.Integer(1), to_sympy(system.h)]
     subs = {names[nm]: sp.Float(v, 30) for nm, v in values.items()}
-    return [float(sum(ys[j] * sp.diff(eta[i], xs[j]) + eta[j] * sp.diff(ys[j], xs[i])
+    return [float(sum(ys[j] * d(eta[i], xs[j]) + eta[j] * d(ys[j], xs[i])
                       for j in range(2 * n + 2)).evalf(30, subs=subs))
             for i in range(2 * n + 2)]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contact_noether.dynamics import IntegratorConfig, extended_field, integrate
-from contact_noether.expr import DomainError, number, parse
+from contact_noether.expr import DomainError, number, parse, substitute
 from contact_noether.geometry import (
     ContactSystem,
     ExtendedPoint,
@@ -547,31 +547,45 @@ class TestDissipatedAlongFlow:
         assert max_relative_drift(series) <= 10 * 1e-7
 
 
-@pytest.mark.parametrize("label", ["kepler", "td-kepler", "oscillator", "random-h-1", "random-h-2"])
+@pytest.mark.parametrize("label", ["kepler", "td-kepler", "oscillator", "oscillator-aux",
+                                   "random-h-1", "random-h-2", "random-h-rated"])
 def test_noether_contraction_identity_holds_for_any_field(label):
     """iota_X(L_Y eta_E) + X(F) + R(h) F = 0 with F = -iota_Y eta_E and X = X_h^t,
     for every Y, symmetry or not, and every h, because iota_X d(eta_E) = -R(h) eta_E
     and eta_E(X) = 0: the Cartan form (`LieDerivativeEta`) and the dissipation
-    equation (`dissipation_field`) are built apart and must agree to rounding."""
+    equation (`dissipation_field`) are built apart and must agree to rounding.
+    With rated parameters (the oscillator's a, a_dot, b, b_dot, or random rates
+    of parameters that h reads too) both take d/dt through the rates."""
     rng = np.random.default_rng(73)
 
-    def random_h(n):  # the first draw in which every term of X_h^t and R(h) is live
-        while not {"q0", "p0", "S", "t"} <= (h := random_field(rng, n, 4)).free_vars:
+    def random_h(n, rated=False):  # the first draw in which every term of X_h^t and R(h) is live
+        while not {"q0", "p0", "S", "t"} <= (h := random_field(rng, n, 4)).free_vars \
+                or rated and not h.free_params:
             pass
-        return ContactSystem(n=n, h=h, params=dict.fromkeys(PARAM_NAMES, 1.0))
+        rates = {nm: random_field(rng, n, 2) for nm in PARAM_NAMES} if rated else {}
+        return ContactSystem(n=n, h=h, params=dict.fromkeys(PARAM_NAMES, 1.0), param_rates=rates)
 
+    oscillator = lambda: make_harmonic_dissipative(1.0, "1 + 0.4*sin(t)", 0.35)
     system = {"kepler": make_kepler, "td-kepler": lambda: make_td_kepler(1.0, 0.25, 1.5),
-              "oscillator": lambda: make_harmonic_dissipative(1.0, "1 + 0.4*sin(t)", 0.35),
+              "oscillator": oscillator, "oscillator-aux": oscillator,
               "random-h-1": lambda: random_h(1), "random-h-2": lambda: random_h(2),
+              "random-h-rated": lambda: random_h(1, rated=True),
               }[label]()
     n = system.n
     X = extended_field(system).components()
     params = {**system.params, **{nm: float(rng.uniform(0.5, 1.5)) for nm in PARAM_NAMES}}
+    # the oscillator's random parameters become its auxiliary functions
+    aux = {"c1": "a", "c2": "a_dot", "mu": "b*b_dot"} if label == "oscillator-aux" else {}
+    if aux:
+        params.update({nm: float(rng.uniform(0.5, 1.5)) for nm in ("a", "a_dot", "a0", "b", "b_dot")})
     points = sample_points(system, 8, seed=74)
-    evaluated = 0
+    evaluated, rated = 0, set()
     for _ in range(15):
-        Y = VectorFieldSpec(*(tuple(random_field(rng, n, 3) for _ in range(n)) for _ in range(2)),
-                            random_field(rng, n, 3), random_field(rng, n, 3))
+        comps = [random_field(rng, n, 3) for _ in range(2 * n + 2)]
+        for name, src in aux.items():
+            comps = [substitute(c, name, parse(src, n)) for c in comps]
+        Y = VectorFieldSpec(comps[:n], comps[n:2 * n], comps[2 * n], comps[2 * n + 1])
+        rated.update(nm for c in comps for nm in c.free_params if nm in system.param_rates)
         terms = [c * x for c, x in zip(LieDerivativeEta(system, Y).form, X)]
         at = point_bundle([*terms, dissipation_field(system, invariant_from_symmetry(system, Y))],
                           params)
@@ -583,3 +597,5 @@ def test_noether_contraction_identity_holds_for_any_field(label):
             assert abs(sum(values)) <= 1e-12 * max(map(abs, values)), values
             evaluated += 1
     assert evaluated >= 60
+    assert rated == {"oscillator-aux": {"a", "a_dot", "b", "b_dot"},
+                     "random-h-rated": set(PARAM_NAMES)}.get(label, set())
