@@ -16,8 +16,11 @@ minute.
 
 Prints each round's two times and their ratio (change / parent), then the
 median ratio with its quartiles; a ratio below 1 means the change is faster.
-A scenario whose report differs between the trees is named on stderr, and
-the exit code is then 1.
+The number of scenarios whose reports differ between the trees goes to
+stderr: a change that moves values by design (step counts, drift values)
+differs there and still exits 0.  A scenario whose outcome differs (the exit
+code, the report's `passed`, or a check's `verdict` or `passed`) is named on
+stderr, and the exit code is then 1.
 """
 
 import argparse
@@ -52,11 +55,19 @@ def cases(workload: str, seed: int, k: int) -> list:
     return workloads.symbolic_sweep_round(seed, k)
 
 
-def run_round(cn, paths: list[Path], out: Path) -> tuple[float, list[dict]]:
-    """Seconds to run every scenario of `paths` through `cn.cli.run`, and the reports."""
+def run_round(cn, paths: list[Path], out: Path) -> tuple[float, list[tuple[dict, int]]]:
+    """Seconds to run every scenario of `paths` through `cn.cli.run`, and the
+    (report, exit code) pairs."""
     t0 = perf_counter()
-    reports = [cn.cli.run(path, out, quiet=True)[0] for path in paths]
-    return perf_counter() - t0, reports
+    runs = [cn.cli.run(path, out, quiet=True) for path in paths]
+    return perf_counter() - t0, runs
+
+
+def outcome(run: tuple[dict, int]) -> tuple:
+    """What a run decided: its exit code, `passed`, and each check's verdict and `passed`."""
+    report, code = run
+    return code, report.get("passed"), [(c.get("verdict"), c.get("passed"))
+                                        for c in report.get("checks", [])]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--rounds must be at least 1")
     trees = {"parent": load(args.parent_src, "cn_parent"),
              "change": load(args.change_src, "cn_change")}
-    differing: set[str] = set()
+    differing, moved = set(), set()
     ratios: list[float] = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -82,8 +93,11 @@ def main(argv: list[str] | None = None) -> int:
             seconds, reports = {}, {}
             for side in order:
                 seconds[side], reports[side] = run_round(trees[side], paths, work / side)
-            differing.update(case.name for case, a, b in
-                             zip(round_cases, reports["parent"], reports["change"]) if a != b)
+            for case, a, b in zip(round_cases, reports["parent"], reports["change"]):
+                if a[0] != b[0]:
+                    moved.add(case.name)
+                if outcome(a) != outcome(b):
+                    differing.add(case.name)
             if k:
                 ratios.append(seconds["change"] / seconds["parent"])
                 print(f"round {k} ({order[0]} first): parent {seconds['parent']:.4f} s, "
@@ -92,8 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     wins = sum(r < 1.0 for r in ratios)
     print(f"{args.workload}: median change/parent round-time ratio {med:.3f} "
           f"(q1 {q1:.3f}, q3 {q3:.3f}); change faster in {wins}/{len(ratios)} rounds")
+    print(f"{len(moved)} scenario(s) with reports that differ", file=sys.stderr)
     for name in sorted(differing):
-        print(f"report differs: {name}", file=sys.stderr)
+        print(f"outcome differs: {name}", file=sys.stderr)
     return 1 if differing else 0
 
 

@@ -296,6 +296,10 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             "samples": len(traj.times),
             "accepted": traj.stats.accepted,
             "rejected": traj.stats.rejected,
+            "rhs_calls": traj.stats.rhs_calls,
+            "max_error_estimate": traj.stats.max_error_estimate,
+            "smallest_step": traj.stats.smallest_step,
+            "largest_step": traj.stats.largest_step,
             "error_tag": traj.error_tag,
         }
         if traj.error_tag is not None:
@@ -337,7 +341,7 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             against = c.get("against", "extended")
             X = extended_field(sc.system) if against == "extended" else contact_field(sc.system)
             rep = similarity_test(Y, X, points(), tol, float(c.get("Lambda_tol", 1e-9)),
-                                  {**sc.system.params, **sc.point_params})
+                                  {**sc.system.params, **sc.point_params}, sc.system)
             entry["value"] = float(rep.residual)
             entry["verdict"] = rep.verdict
             entry["Lambda_table"] = [float(v) for v in rep.Lambda_at_samples]

@@ -1,9 +1,14 @@
-"""Contact Hamiltonian vector fields and adaptive Runge-Kutta flow.
+"""Contact Hamiltonian vector fields, adaptive Runge-Kutta flow and quadrature.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with the classical
-PI step controller (beta = 0.04, safety 0.9) and the Hairer-Norsett-Wanner
-initial-step heuristic.  Setting ``min_step == max_step`` forces fixed
-steps, which the order-check tests rely on.
+The integrator is Hairer's DOP853: a 12-stage 8th-order pair whose last
+stage, taken at the new state, is the next step's first, with Hairer's error
+norm (5th- and 3rd-order estimates), the classical PI step controller
+(exponent 1/8 - 0.2 beta, beta = 0.04, safety 0.9) and the
+Hairer-Norsett-Wanner initial-step heuristic.  Setting
+``min_step == max_step`` forces fixed steps, which the order-check tests rely
+on.  Integrals along a trajectory use the two-point Hermite rule of degree 7
+on its accepted grid, with the derivatives of the integrand taken along the
+flow.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from typing import Callable, Mapping, NamedTuple
 
 from .expr import (DomainError, Num, ScalarField, _emit, _make, bindable_params, compile_bundle,
                    number, partial, variable)
-from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names, nan_max
+from .geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names,
+                       directional_derivative, nan_max)
 
 
 class TimeDependentHamiltonian(Exception):
@@ -56,20 +62,44 @@ def extended_field(system: ContactSystem) -> VectorFieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4)
+# adaptive DOP853: Hairer's 12-stage 8th-order pair with 5th- and 3rd-order
+# error estimates (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10)
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+      0.8571428571428571, 1.0, 1.0)
+_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    # the 8th-order weights: stage 12 is taken at the new state
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
 )
-# difference between the 5th-order propagating and 4th-order embedded weights
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# the 5th- and 3rd-order error estimates, over the rates of stages 0-11
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+       -0.022355307863886294)
+_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+       0.02265179219836082)
+_STAGES = len(_A) - 1
 
 
 def _pairwise(terms: list[str]) -> str:
@@ -95,14 +125,14 @@ def _function(lines: list[str], name: str) -> Callable:
     return scope["_f"]  # type: ignore[return-value]
 
 
-def _rms_source(m: int) -> str:  # sqrt(mean(r * r)) over the locals r0..r(m-1)
-    return f"sqrt({_pairwise([f'r{c} * r{c}' for c in range(m)])} / {m})"
+def _squares(name: str, m: int) -> str:  # the sum of squares of the locals name0..name(m-1)
+    return _pairwise([f"{name}{c} * {name}{c}" for c in range(m)])
 
 
 @cache
 def _rms_of(m: int) -> Callable[[Sequence[float], Sequence[float]], float]:
     return _function(["def _f(v, s):", *(f"    r{c} = v[{c}] / s[{c}]" for c in range(m)),
-                      f"    return {_rms_source(m)}"], f"rms-{m}")
+                      f"    return sqrt({_squares('r', m)} / {m})"], f"rms-{m}")
 
 
 def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
@@ -116,7 +146,7 @@ def _unpack(name: str, m: int) -> str:
 
 _SAFETY = 0.9
 _BETA = 0.04
-_EXPO1 = 0.2 - 0.75 * _BETA
+_EXPO1 = 1 / 8 - 0.2 * _BETA
 _FAC_MIN = 0.2   # largest allowed shrink factor per step
 _FAC_MAX = 10.0  # largest allowed growth factor per step
 
@@ -133,17 +163,20 @@ _IND = " " * 12  # the indent of an attempt's statements, in the run's `while` a
 def _loop_lines(names: list[str], stage: Callable[[int], list[str]], accept: list[str],
                 setup: Sequence[str] = ()) -> list[str]:
     """`_f(rhs, on_accept, t, y, f, h, t_end, cfg) -> (<_DONE>, tag)`: the whole
-    Dormand-Prince 5(4) run on m floats from state y at time t, with rates f
-    and first step h, after `setup`.  Stage i of an attempt puts its row
+    DOP853 run on m floats from state y at time t, with rates f and first
+    step h, after `setup`.  Stage i of an attempt puts its row
     `y + h*(0.0 + a*k + ...)` (over the nonzero a, summed left to right, so
     reproducible bit for bit) and its time in the m + 1 locals `names`, then
     `stage(i)` puts its rates in `k{i}_0, k{i}_1, ...`; a DomainError rejects
-    the attempt.  The error norm is the RMS of the error over atol + rtol *
-    max(|y|, |new row|) (NaN if either is).  An accepted step runs `accept`
-    (which may return a tag) at time `t_new`; its last stage's rates are the
-    next step's first.  The PI controller writes min(a, b) as `b if b < a
-    else a` and max(a, b) as `b if b > a else a`: the same floats, NaN too."""
-    m, ind = len(names) - 1, _IND
+    the attempt.  Stage 12's row is the new state.  The error norm is
+    Hairer's, h * n5 / sqrt((n5 + 0.01 * n3) * m), where n5 and n3 are the
+    sums of squares of the 5th- and 3rd-order estimates over atol + rtol *
+    max(|y|, |new row|) (NaN if either is), and 0 when both sums are.  An
+    accepted step runs `accept` (which may return a tag) at time `t_new`; its
+    last stage's rates are the next step's first.  The PI controller writes
+    min(a, b) as `b if b < a else a` and max(a, b) as `b if b > a else a`:
+    the same floats, NaN too."""
+    m, ind, last = len(names) - 1, _IND, _STAGES
     lo, hi = f"{1.0 / _FAC_MAX!r}", f"{1.0 / _FAC_MIN!r}"
     underflow = f"{ind}    return {_DONE}, {STEP_SIZE_UNDERFLOW!r}"
 
@@ -161,24 +194,29 @@ def _loop_lines(names: list[str], stage: Callable[[int], list[str]], accept: lis
              "        if max_step < h: h = max_step", "        if t_end - t < h: h = t_end - t",
              "        if min_step > h: h = min_step", "        if t + h > t_end: h = t_end - t",
              "        attempts += 1", "        try:"]
-    for i in range(1, 7):  # the last stage is taken at the 5th-order solution
-        lines += [*(f"{ind}{nm} = y{c} + h * (0.0 + {terms(_DP_A[i], c)})"
-                    for c, nm in enumerate(names[:m])), f"{ind}{names[m]} = t + {_DP_C[i]!r} * h",
+    for i in range(1, last + 1):
+        lines += [*(f"{ind}{nm} = y{c} + h * (0.0 + {terms(_A[i], c)})"
+                    for c, nm in enumerate(names[:m])), f"{ind}{names[m]} = t + {_C[i]!r} * h",
                   *stage(i)]
     lines += ["        except _DomainError:", f"{ind}rejected += 1", f"{ind}if h <= floor:",
               underflow, f"{ind}h = 0.25 * h if 0.25 * h > min_step else min_step",
               f"{ind}continue"]
     for c, nm in enumerate(names[:m]):
-        lines += [f"        a, b = abs(y{c}), abs({nm})", f"        r{c} = h * (0.0 + "
-                  f"{terms(_DP_E, c)}) / (atol + rtol * (a if a >= b or a != a else b))"]
-    return [*lines, f"        err = {_rms_source(m)}",
+        lines += [f"        a, b = abs(y{c}), abs({nm})",
+                  f"        s = atol + rtol * (a if a >= b or a != a else b)",
+                  f"        e{c} = (0.0 + {terms(_E5, c)}) / s",
+                  f"        r{c} = (0.0 + {terms(_E3, c)}) / s"]
+    return [*lines, f"        n5 = {_squares('e', m)}", f"        n3 = {_squares('r', m)}",
+            # h > 0, so h is Hairer's |h|
+            f"        err = h * n5 / sqrt((n5 + 0.01 * n3) * {m}) "
+            "if n5 != 0.0 or n3 != 0.0 else 0.0",
             "        if err <= 1.0 or fixed or h <= floor:",
             # forced acceptance at the step floor would hide real error
             f"{ind}if not (err <= 1.0 or fixed):", f"{ind}    rejected += 1", underflow,
             f"{ind}t_new = t + h", *accept,
             f"{ind}accepted += 1", f"{ind}if err > max_err: max_err = err",
             f"{ind}if h < smallest: smallest = h", f"{ind}if h > largest: largest = h",
-            *(f"{ind}y{c}, k0_{c} = {nm}, k6_{c}" for c, nm in enumerate(names[:m])),
+            *(f"{ind}y{c}, k0_{c} = {nm}, k{last}_{c}" for c, nm in enumerate(names[:m])),
             f"{ind}t = t_new", f"{ind}facold = 1e-4 if 1e-4 > err else err", f"{ind}if not fixed:",
             f"{ind}    fac = (err ** {_EXPO1!r} if err > 0.0 else 1e-10) / facold ** {_BETA!r}",
             f"{ind}    fac = fac / {_SAFETY!r}", f"{ind}    fac = fac if fac < {hi} else {hi}",
@@ -189,7 +227,7 @@ def _loop_lines(names: list[str], stage: Callable[[int], list[str]], accept: lis
 
 
 @cache
-def _dp54_loop(m: int) -> Callable:
+def _dop853_loop(m: int) -> Callable:
     """The run that calls `rhs(time, row)` at each stage, the row a new list, and
     `on_accept(t_new, row, rates)` at each accepted step."""
     row, ind = [f"s{c}" for c in range(m)], _IND
@@ -198,9 +236,9 @@ def _dp54_loop(m: int) -> Callable:
         return [f"{ind}new = [{', '.join(row)}]", f"{ind}k{i} = rhs(ts, new)",
                 f"{ind}{_unpack(f'k{i}_', m)}= k{i}[:{m}]"]
 
-    accept = [f"{ind}tag = on_accept(t_new, new, k6)", f"{ind}if tag is not None:",
+    accept = [f"{ind}tag = on_accept(t_new, new, k{_STAGES})", f"{ind}if tag is not None:",
               f"{ind}    return {_DONE}, tag"]
-    return _function(_loop_lines([*row, "ts"], stage, accept), f"dp54-step-{m}")
+    return _function(_loop_lines([*row, "ts"], stage, accept), f"dop853-step-{m}")
 
 
 def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], params: Mapping[str, float],
@@ -208,29 +246,22 @@ def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], params: Mapp
                rows: list[list[float]]) -> Callable:
     """The run for `rhs(t, y) = compile_bundle(fields, state, params)(*y, t)`
     after a DomainError test of |y[i]| < 1e-12 for each boxed (i, name, _),
-    with that test and the bundle's body inlined at every stage and
-    the parameters as numbers, so it compiles once per literal-free shape.
-    Statements that read only parameters and numbers run once, first; one that
-    raises leaves its name and the later ones unbound.  A stage whose body
-    raises or fails its isfinite test is re-run as `rhs(time, row)`.  An
-    accepted state is tagged AuxiliaryBlowup out of a box, DomainViolation if
-    not finite or a guard (a trailing field) is below the margin, else appended
-    to `times` and `rows`."""
+    with that test and the bundle's body written once, in a stage function
+    `_stage(<row>, <time>)` that every stage calls, and the parameters as
+    numbers, so it compiles once per literal-free shape.  Statements that read
+    only parameters and numbers run once, first; one that raises leaves its
+    name and the later ones unbound.  A stage whose body raises or fails its
+    isfinite test is re-run as `rhs(time, row)`.  An accepted state is tagged
+    AuxiliaryBlowup out of a box, DomainViolation if not finite or a guard (a
+    trailing field) is below the margin, else appended to `times` and `rows`."""
     body, slots, checked, outs, fixed = _emit([f.ast for f in fields],
                                               bindable_params(params, state))
     names = [f"_v_{nm}" for nm in state]  # the row, then the time, as the body reads them
-    m, width, ind = len(names) - 1, len(fields), _IND
+    m, width, ind, last = len(names) - 1, len(fields), _IND, _STAGES
     row = ", ".join(names[:m])
     check = f"_isfinite({' + '.join(checked)})" if checked else "True"
-    inline = [*(ln for j, nm, _ in boxed for ln in (
-                  f"{ind}if -1e-12 < {names[j]} < 1e-12:",
-                  f"{ind}    raise _DomainError('auxiliary function vanished', {nm!r})")),
-              f"{ind}try:", *(f"{ind}    {body[k].strip()}" for k in range(len(body))
-                              if k not in fixed),
-              f"{ind}    _ok = {check}", f"{ind}except Exception:", f"{ind}    _ok = False"]
-    rates = f"({''.join(v + ', ' for v in outs)}) if _ok else rhs({names[-1]}, [{row}])"
     valid = [*map("_isfinite({})".format, names[:m]),
-             *(f"k6_{c} >= margin" for c in range(m, width))]
+             *(f"k{last}_{c} >= margin" for c in range(m, width))]
     accept = [*(ln for b, (j, _, _) in enumerate(boxed) for ln in (
                   f"{ind}if not (_lo{b} < {names[j]} < _hi{b}):",
                   f"{ind}    return {_DONE}, {AUXILIARY_BLOWUP!r}")),
@@ -238,13 +269,23 @@ def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], params: Mapp
               f"{ind}    return {_DONE}, {DOMAIN_VIOLATION!r}",
               f"{ind}_times.append(t_new)", f"{ind}_rows.append([{row}])"]
     setup = ["    margin = cfg.guard_margin", "    try:", *(body[k] for k in sorted(fixed)),
-             "        pass", "    except Exception:", "        pass"]
-    lines = _loop_lines(names, lambda i: [*inline, f"{ind}{_unpack(f'k{i}_', width)}= {rates}"],
+             "        pass", "    except Exception:", "        pass",
+             f"    def _stage({', '.join(names)}):",
+             *(ln for j, nm, _ in boxed for ln in (
+                 f"        if -1e-12 < {names[j]} < 1e-12:",
+                 f"            raise _DomainError('auxiliary function vanished', {nm!r})")),
+             "        try:", *(f"    {body[k]}" for k in range(len(body)) if k not in fixed),
+             f"            if {check}:",
+             f"                return ({''.join(v + ', ' for v in outs)})",
+             "        except Exception:", "            pass",
+             f"        return rhs({names[-1]}, [{row}])"]
+    call = f"_stage({', '.join(names)})"
+    lines = _loop_lines(names, lambda i: [f"{ind}{_unpack(f'k{i}_', width)}= {call}"],
                         accept, setup)
     bounds = {f"_{side}{b}": v for b, (_, _, box) in enumerate(boxed)
               for side, v in zip(("lo", "hi"), box)}
     prelude = {"_DomainError": DomainError, "sqrt": math.sqrt, "_times": times, "_rows": rows}
-    return _make(lines, "dp54-flow", {**prelude, **bounds}, slots)
+    return _make(lines, "dop853-flow", {**prelude, **bounds}, slots)
 
 
 @dataclass(frozen=True)
@@ -271,7 +312,8 @@ class IntegratorStats:
     rejected: int = 0
     max_error_estimate: float = 0.0  # scaled local error norm among accepted steps
     # right-hand sides asked for: the initial rates, the initial-step probe and
-    # six stages per attempt, inlined or not (six also when a stage raised)
+    # twelve stages per attempt, in a stage function or not (twelve also when
+    # a stage raised)
     rhs_calls: int = 0
     smallest_step: float = 0.0  # among accepted steps; both 0.0 when none was
     largest_step: float = 0.0
@@ -332,7 +374,7 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
                   on_accept: Callable[[float, list[float], Sequence[float]], str | None]
                   | None = None, *, loop: Callable | None = None,
                   ) -> tuple[IntegratorStats, str | None]:
-    """Drive the DP 5(4) pair from t0 to t_end on states given as sequences
+    """Drive the DOP853 pair from t0 to t_end on states given as sequences
     of floats; `rhs(t, y)` returns one rate per component, then any number
     of trailing values, which the stepping ignores.
 
@@ -340,9 +382,10 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
     state) with `f = rhs(t, y)`, the last stage; returning an error tag stops
     the run before that state counts.
     `loop` takes every step from the initial rates and step computed here; by
-    default `_dp54_loop(len(y0))`, which calls `rhs` at every stage.
-    `integrate` passes one with its right-hand side and `on_accept` inlined,
-    which calls `rhs` only to re-run a failing stage.
+    default `_dop853_loop(len(y0))`, which calls `rhs` at every stage.
+    `integrate` passes one with its right-hand side as a generated stage
+    function and `on_accept` inlined, which calls `rhs` only to re-run a
+    failing stage.
     Returns the stats plus an error tag (None on clean completion).
     """
     if t_end <= t0:
@@ -353,9 +396,9 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
         return IntegratorStats(rhs_calls=1), DOMAIN_VIOLATION
     fixed_step = cfg.min_step == cfg.max_step
     h = cfg.max_step if fixed_step else _initial_step(rhs, t0, y0, f0, t_end - t0, cfg)
-    accepted, rejected, attempts, max_err, smallest, largest, tag = (loop or _dp54_loop(len(y0)))(
+    accepted, rejected, attempts, max_err, smallest, largest, tag = (loop or _dop853_loop(len(y0)))(
         rhs, on_accept or (lambda t, y, f: None), t0, y0, f0, h, t_end, cfg)
-    return IntegratorStats(accepted, rejected, max_err, 1 + (not fixed_step) + 6 * attempts,
+    return IntegratorStats(accepted, rejected, max_err, 1 + (not fixed_step) + _STAGES * attempts,
                            smallest if accepted else 0.0, largest), tag
 
 
@@ -433,52 +476,32 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
     return Trajectory(n, times, rows, recorded, stats, tag)
 
 
-def _simpson_piece(x21: float, x32: float, y1: float, y2: float, y3: float) -> float:
-    """Integral from sample 1 to 2 of the parabola through samples 1-3, x21 and x32 apart."""
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y1 + (3 + x21x21_x31x32 + x21_x31) * y2
-                      + -x21x21_x31x32 * y3)
-
-
-def _cumulative_simpson(y: Sequence[float], x: Sequence[float]) -> list[float]:
-    """Running integral of samples y over the increasing grid x, from 0.
-
-    Composite Simpson rule for non-uniform grids: interval i takes the
-    parabola through samples i..i+2 when i is even, except the last, and
-    the one through samples i-1..i+1 otherwise; fewer than 3 samples fall
-    back to the trapezoid rule.  Same formulas and operation order as
-    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``, so results
-    agree bit for bit.
-    """
-    n, dx = len(y), [b - a for a, b in zip(x, x[1:])]
-    if n < 3:
-        pieces = [d * (b + a) / 2.0 for d, a, b in zip(dx, y, y[1:])]
-    else:
-        pieces = [_simpson_piece(dx[i], dx[i + 1], y[i], y[i + 1], y[i + 2])
-                  if i % 2 == 0 and i < n - 2 else
-                  _simpson_piece(dx[i], dx[i - 1], y[i + 1], y[i], y[i - 1]) for i in range(n - 1)]
-    return [0.0, *(v + 0.0 for v in accumulate(pieces))]  # scipy adds `initial`: -0.0 becomes 0.0
-
-
 def cumulative_integral(system: ContactSystem, traj: Trajectory, integrand: ScalarField,
                         extra_params: Mapping[str, float] | None = None) -> list[float]:
-    """Running integral of `integrand` along the trajectory, from 0 at the
-    first sample, by composite Simpson on the (non-uniform) sample grid."""
+    """Running integral of `integrand` g along the trajectory, from 0 at the
+    first sample, by the two-point Hermite rule of degree 7 on the accepted
+    grid: a step of length d adds d/2 (g0 + g1) + 3d^2/28 (g0' - g1')
+    + d^3/84 (g0" + g1") + d^4/1680 (g0'" - g1'"), the derivatives of g taken
+    along X_h^t (the rated parameters moving at their rates).  So it is exact
+    for g of degree 7 in t, and for a constant g it is the one term d*g."""
     params, m = {**system.params, **(extra_params or {})}, 2 * traj.n + 1
-    fn = compile_bundle([integrand], coordinate_names(traj.n), params)
-    vals = [fn(*y[:m], t)[0] for t, y in zip(traj.times, traj.rows)]
-    return _cumulative_simpson(vals, traj.times)
+    flow, g = extended_field(system), [integrand]
+    for _ in range(3):
+        g.append(directional_derivative(flow, g[-1]) + system.rate_term(g[-1]))
+    fn = compile_bundle(g, coordinate_names(traj.n), params)
+    vals = [fn(*y[:m], t) for t, y in zip(traj.times, traj.rows)]
+    steps = [b - a for a, b in zip(traj.times, traj.times[1:])]
+    return list(accumulate((d / 2 * (u[0] + v[0]) + 3 * d * d / 28 * (u[1] - v[1])
+                            + d * d * d / 84 * (u[2] + v[2]) + d ** 4 / 1680 * (u[3] - v[3])
+                            for d, u, v in zip(steps, vals, vals[1:])), initial=0.0))
 
 
 def action_consistency(system: ContactSystem, traj: Trajectory,
                        extra_params: Mapping[str, float] | None = None) -> float:
-    """Quadrature diagnostic: max_i |S(t_i) - S(t_0) - Simpson(p.dh/dp - h)|.
-
-    Composite Simpson runs on the (non-uniform) accepted sample grid; this is
-    a consistency check on the action identity dS/dt = p.dh/dp - h, not an
-    exactness claim.
-    """
+    """Quadrature diagnostic: max_i |S(t_i) - S(t_0) - integral of (p.dh/dp - h)|,
+    the integral by `cumulative_integral` on the accepted sample grid; a
+    consistency check on the action identity dS/dt = p.dh/dp - h, not an
+    exactness claim."""
     quad = cumulative_integral(system, traj, extended_field(system).YS, extra_params)
     S0 = traj.rows[0][2 * traj.n]
     return nan_max(abs(y[2 * traj.n] - S0 - v) for y, v in zip(traj.rows, quad))

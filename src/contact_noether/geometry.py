@@ -277,8 +277,11 @@ def proportionality_residual(omega: Sequence[float], eta: Sequence[float]) -> tu
 # brackets
 
 
-def lie_bracket(Y: VectorFieldSpec, X: VectorFieldSpec) -> VectorFieldSpec:
-    """[Y, X] = (Y . grad) X - (X . grad) Y, componentwise on ASTs."""
+def lie_bracket(Y: VectorFieldSpec, X: VectorFieldSpec,
+                system: ContactSystem | None = None) -> VectorFieldSpec:
+    """[Y, X] = (Y . grad) X - (X . grad) Y, componentwise on ASTs.  With a
+    `system`, the d/dt of each component adds `system.rate_term` (t moves the
+    rated parameters too), which leaves every tree of a system without rates."""
     if Y.n != X.n:
         raise ValueError("dimension mismatch")
     n = Y.n
@@ -294,6 +297,8 @@ def lie_bracket(Y: VectorFieldSpec, X: VectorFieldSpec) -> VectorFieldSpec:
                 acc = acc + ycomps[j] * partial(xi, nm)
             if nm in yi.free_vars:
                 acc = acc - xcomps[j] * partial(yi, nm)
+        if system is not None and system.param_rates:
+            acc = acc + ycomps[-1] * system.rate_term(xi) - xcomps[-1] * system.rate_term(yi)
         return acc
 
     out = [bracket_component(i) for i in range(2 * n + 2)]

@@ -238,11 +238,13 @@ def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
                     samples: Sequence[ExtendedPoint],
                     residual_threshold: float = SYMBOLIC_THRESHOLD,
                     lambda_threshold: float = SYMBOLIC_THRESHOLD,
-                    params: Mapping[str, float] | None = None) -> SimilarityReport:
+                    params: Mapping[str, float] | None = None,
+                    system: ContactSystem | None = None) -> SimilarityReport:
     """Test [Y, X] = Lambda X pointwise.  Lambda is read at the index of X's
-    largest-magnitude component, then residual-checked on all components."""
+    largest-magnitude component, then residual-checked on all components.
+    The bracket follows the rates of `system`'s rated parameters."""
     m = 2 * X.n + 2
-    at = point_bundle([*X.components(), *lie_bracket(Y, X).components()], params or {})
+    at = point_bundle([*X.components(), *lie_bracket(Y, X, system).components()], params or {})
     Lambdas, residuals = [], []
     for k, pt in enumerate(samples):
         xv, bv = (v := at(pt))[:m], v[m:]
@@ -273,11 +275,16 @@ def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpe
                   lambda2: ScalarField | None = None,
                   extra: Mapping[str, float] | None = None) -> SymmetryReport:
     """Check that [Y1, Y2] is again a symmetry; when the factors lambda_i of
-    Y1, Y2 are supplied, also verify lambda_bracket = Y1(lambda2) - Y2(lambda1)."""
+    Y1, Y2 are supplied, also verify lambda_bracket = Y1(lambda2) - Y2(lambda1).
+    The bracket and both derivatives follow the rates of the rated parameters."""
+    def along(Y: VectorFieldSpec, f: ScalarField) -> ScalarField:
+        return directional_derivative(Y, f) + Y.Yt * system.rate_term(f)
+
     expected = []
     if lambda1 is not None and lambda2 is not None:
-        expected = [directional_derivative(Y1, lambda2) - directional_derivative(Y2, lambda1)]
-    return _symmetry_report(system, lie_bracket(Y1, Y2), samples, threshold, extra, *expected)
+        expected = [along(Y1, lambda2) - along(Y2, lambda1)]
+    return _symmetry_report(system, lie_bracket(Y1, Y2, system), samples, threshold, extra,
+                            *expected)
 
 
 def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
@@ -290,7 +297,7 @@ def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
     quantity.  When Y^t does not depend on (q, p, S), [X_h, Y] has no dt
     component and eta_E may be read as the contact form eta.
     """
-    scalar = interior_product_eta_E(system, lie_bracket(contact_field(system), Y))
+    scalar = interior_product_eta_E(system, lie_bracket(contact_field(system), Y, system))
     at = point_bundle([scalar], {**system.params, **(extra or {})})
     return nan_max(abs(at(pt)[0]) for pt in samples)
 

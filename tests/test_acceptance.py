@@ -312,7 +312,7 @@ def test_criterion_10_numerics_hygiene():
         end = traj.samples[-1]
         return math.hypot(end.q[0] - 1.0, end.p[0])
 
-    ratio = period_error(math.pi / 40) / period_error(math.pi / 80)
+    ratio = period_error(math.pi / 4) / period_error(math.pi / 8)
     assert ratio >= 4.0
 
     free = ContactSystem(n=1, h=parse("p0^2/(2*m)", 1), params={"m": 1.0})

@@ -54,6 +54,19 @@ class TestBundledScenarios:
         report, code = cli.run(SCENARIOS / "free-particle.json", tmp_path, quiet=True)
         assert code == 0
 
+    def test_kepler_scaling_reports_the_integrator_stats(self, tmp_path):
+        report, code = cli.run(SCENARIOS / "kepler-scaling.json", tmp_path, quiet=True)
+        traj = report["trajectory"]
+        assert code == 0 and list(traj) == ["samples", "accepted", "rejected", "rhs_calls",
+                                            "max_error_estimate", "smallest_step",
+                                            "largest_step", "error_tag"]
+        assert traj["rhs_calls"] == 2 + 12 * (traj["accepted"] + traj["rejected"])
+        assert 0.0 < traj["max_error_estimate"] <= 1.0
+        assert 0.0 < traj["smallest_step"] < traj["largest_step"]
+        text = (tmp_path / "kepler-scaling" / "report.txt").read_text()
+        for key in ("rhs_calls", "max_error_estimate", "smallest_step", "largest_step"):
+            assert f"trajectory.{key}: {traj[key]!r}\n" in text
+
     def test_kepler_scaling_closure_brackets_distinct_symmetries(self):
         # [Y, Y] = 0 identically, so a closure check of Y with itself cannot fail
         sc = cli.load_scenario(SCENARIOS / "kepler-scaling.json")
@@ -221,6 +234,23 @@ class TestExitCodes:
 
     def test_rated_parameters_given_as_point_params_pass(self, tmp_path):
         path = write_scenario(tmp_path, "aux", self.AUX_POINT_PARAMS)
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert code == 0, report["checks"]
+        assert [c["passed"] for c in report["checks"]] == [True] * 3
+
+    @pytest.mark.parametrize("gauges", [({}, {"Yt": "1"}), ({"Yt": "a*t"}, {"Yt": "b + t"})])
+    def test_closure_of_symmetries_of_rated_invariants_passes(self, tmp_path, gauges):
+        # the bracket, and Y1(lambda2) - Y2(lambda1) when the gauges read rated
+        # parameters, take d/dt through the rates of a, a_dot, b, b_dot too
+        path = write_scenario(tmp_path, "aux-closure", {
+            **self.AUX_POINT_PARAMS,
+            "invariants": [{"label": "F_GLR", "builtin": "F_GLR"},
+                           {"label": "F0", "builtin": "F0"}],
+            "symmetries": [{"label": "glr", "from_invariant": "F_GLR", **gauges[0]},
+                           {"label": "f0", "from_invariant": "F0", **gauges[1]}],
+            "checks": [{"type": "symmetry", "symmetry": "glr", "tol": 1e-12},
+                       {"type": "symmetry", "symmetry": "f0", "tol": 1e-12},
+                       {"type": "closure", "first": "glr", "second": "f0", "tol": 1e-10}]})
         report, code = cli.run(path, tmp_path / "out", quiet=True)
         assert code == 0, report["checks"]
         assert [c["passed"] for c in report["checks"]] == [True] * 3
@@ -398,21 +428,21 @@ class TestArtifacts:
     FILES = ("report.json", "report.txt", "trajectory.csv")
     PINNED_DIGESTS = {
         "dissipative-oscillator": (
-            "099d5fafe4e65bfb813083ad7500d7c14521f7b10d97566db1d7b325e26a97c4",
-            "4c8e9371f6fabea7e79148169c5e20f9c879e2e60be5471ad9212760375d092f",
-            "887be2debaea751c561dacced19d7cb3d94d91bb780789f5c7c69bce20b5f6cb"),
+            "8c0b4ddc439bce9a1d2479dd0e794a7e1c6e437b296ef05155b9c6fcecc6b473",
+            "5201058336bc82c2b0df1d256c3027bf53fd271bffe6c882ec1d740aa48daf57",
+            "6c8fb25cffe4b123c55ea983185d24ca39d1dfde155dde731cc6820225ade79b"),
         "free-particle": (
-            "6b24d3a9eda4f8719fc85211a20024692d5dc9ad154f3be591b8dbb5213f5a6b",
-            "e4217a89b4ae641961725c056748ab09030c22fabe539c233f0e37847a138f4b",
-            "2bc6e892858c6422d47c4873c6fe225abeea154eb7d0bdc392c74e3ab3b34bb6"),
+            "03c7109c2f9a5276dcea5941c761d4fc47fa41126ca40e2ff9684599e07350c5",
+            "969217c7571afe1aba3717f935dea1badd79b8860e71079117f4b89ad0f1af7a",
+            "d203330944584d41a648ca2b4acddfe72266a2f4153dc3e1069e9a5c62299acb"),
         "kepler-scaling": (
-            "1c7fa65ba3cab13fbeb306719063f0464af96e4171ef216c00a9ab5a59295512",
-            "63ffa4efe7ecc1708c72145bf7a8655252d786b7f601d8f37ad25f1dd572844b",
-            "6d8f159b1198d02904d4952491c13199587f9803827d5e21f6f5bca1315e47c1"),
+            "6cd624f8260ee62e3223d31fc88c2373a1a149598fde33c70efacf64cb7cef07",
+            "64ff3c07190225143e5280fdfc4059e77ac738f8047f5b87cd78a4651987386f",
+            "efad186f09cda0eb1e2ec6966d9356865bd46048f738dd74388baf1e7eed1093"),
         "td-kepler": (
-            "1c66372c5c8036b60d257bf2bdab989e3f133e29dcf6f1bf6f64e7967a27a7f9",
-            "0714f98ee3e760a39d4259d71c4ab8da45e8e2f6152a694c3ee795c28c232bfa",
-            "b0045fc83417993e2b369081ab6d9d24a1ef2237a20f7743cb9cbd5905e60ddf"),
+            "d5dbda17cf72e5a443e43d027fb5f49fa5b02d7c7318082aa17dc2f176314372",
+            "bf6625c9be50ed7ba4cfa7cad343e78e9f15eae13a919af507f81e41b470a10a",
+            "91f40214ad1110e7aeb6cae3e682f5faaaaf2ce9d5d509a8b9ec92d2275294b2"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
