@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Count the symbolic work of each round of one certbench workload.
+
+Usage: python3 scripts/symbolic_counts.py --workload W --rounds K [--seed S]
+
+Runs the scenario files of workload W (generated by `certbench/workloads.py`,
+which is only read, as in `paired_rounds.py`) through `cli.run` of the
+`contact_noether` package under `src/` next to this script.  Round 0 warms
+the process up; rounds 1..K are counted.  For each counted round it prints three counts, taken by wrappers
+installed in this process:
+
+- `derive`: calls of `expr._derive`, one derivative rule applied to one node;
+- `nodes`: calls of `_Node.__new__`, whether a node is made or found live;
+- `emitted`: statements that `_emit` writes for compiled bundles and flow loops.
+
+Then it prints their means over the counted rounds.  The counts do not depend
+on timing, so a run repeats them exactly; two checkouts can be compared by
+copying this script into each.
+"""
+
+import argparse
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from contact_noether import cli, expr  # noqa: E402
+from paired_rounds import FIXED, cases  # noqa: E402
+
+COUNTS = ("derive", "nodes", "emitted")
+
+
+def install(counts: dict[str, int]) -> None:
+    """Wrap `_derive`, `_Node.__new__` and every module binding of `_emit`
+    so that each call adds to `counts`."""
+    derive, new, emit = expr._derive, expr._Node.__new__, expr._emit
+
+    def counted_derive(*args):
+        counts["derive"] += 1
+        return derive(*args)
+
+    def counted_new(cls, *args):
+        counts["nodes"] += 1
+        return new(cls, *args)
+
+    def counted_emit(*args, **kwargs):
+        out = emit(*args, **kwargs)
+        counts["emitted"] += len(out[0])
+        return out
+
+    expr._derive = counted_derive
+    expr._Node.__new__ = staticmethod(counted_new)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("contact_noether") and getattr(module, "_emit", None) is emit:
+            module._emit = counted_emit
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=[*FIXED, "symbolic-sweep"])
+    ap.add_argument("--rounds", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    counts = dict.fromkeys(COUNTS, 0)
+    install(counts)
+    rows: list[dict[str, int]] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for k in range(args.rounds + 1):  # round 0 is the warm-up
+            paths = [case.write(work) for case in cases(args.workload, args.seed, k)]
+            counts.update(dict.fromkeys(COUNTS, 0))
+            for path in paths:
+                cli.run(path, work / "out", quiet=True)
+            if k:
+                rows.append(dict(counts))
+                print(f"round {k}: " + ", ".join(f"{c} {counts[c]}" for c in COUNTS))
+    print(f"{args.workload} seed {args.seed}, mean over rounds 1-{args.rounds}: "
+          + ", ".join(f"{c} {statistics.fmean(r[c] for r in rows):.1f}" for c in COUNTS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

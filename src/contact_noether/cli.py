@@ -20,7 +20,7 @@ from typing import Any
 
 from . import __version__, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
-from .expr import ExprError, ScalarField, parse
+from .expr import ExprError, ScalarField, derivatives_kept, parse
 from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, nan_max
 from .noether import (
     FLOW_THRESHOLD,
@@ -278,6 +278,7 @@ def _run_flow(sc: Scenario) -> Trajectory:
                      sc.integrator, tracked)
 
 
+@derivatives_kept()  # a later check finds the derivatives that an earlier one took
 def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     """Execute every check of a loaded scenario; returns (report, trajectory)."""
     report: dict[str, Any] = {

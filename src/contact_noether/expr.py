@@ -22,7 +22,11 @@ performed is eager constant folding (including 0/1 identity elimination,
 which keeps repeated derivatives small); no canonicalisation beyond that.
 
 Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.
-Derivatives and free names are computed once per distinct node; a bundle of
+Derivatives and free names are computed once per distinct node.  A node that
+does not read a name takes its derivative by it from one signed zero, kept on
+the node, so a name-free subtree is walked once in its lifetime; within
+`derivatives_kept` (one scenario's checks) one list holds every derivative, so
+a later check finds an earlier one's through the nodes' weak `_d`.  A bundle of
 fields compiles to one statement per distinct node, bit-identical to eval_node.
 """
 
@@ -32,9 +36,11 @@ import itertools
 import math
 import re
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from functools import cache, lru_cache
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 
 INTRINSICS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
@@ -88,6 +94,7 @@ _INTERN: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictiona
 _LIVE = _INTERN.data  # key -> weak reference, read directly; entries are set through _INTERN
 _Names = tuple[frozenset[str], frozenset[str]]  # (Var names, Param names)
 _NO_NAMES: _Names = (frozenset(), frozenset())
+_KEPT: "ContextVar[list[_Node] | None]" = ContextVar("_KEPT", default=None)  # see derivatives_kept
 
 
 def _union(a: _Names, b: _Names) -> _Names:
@@ -841,35 +848,52 @@ def partial(field: ScalarField, name: str) -> ScalarField:
     memo: dict[Node, Node] = {}
 
     def d(node: Node) -> Node:
-        """d(node)/d(name).  `memo` holds the derivative of every node visited
-        in this walk, so each distinct node is differentiated once; the node's
-        `_d` keeps earlier walks' derivatives, weakly, per name."""
+        """d(node)/d(name), once per distinct node of this walk (`memo`); the node's
+        `_d` keeps earlier walks' derivatives, weakly, per name, and under "" the
+        one derivative, a signed zero, by any name that the node does not read."""
         if node not in memo:
             try:
                 known = node._d
             except AttributeError:
                 known = {}
                 object.__setattr__(node, "_d", known)
-            ref = known.get(name)
-            dn = None if ref is None else ref()
-            if dn is None:
-                dn = _derive(node, name, d)
-                known[name] = weakref.ref(dn)
+            if name in node._names[0] or name in node._names[1]:
+                ref = known.get(name)
+                dn = None if ref is None else ref()
+                if dn is None:
+                    dn = _derive(node, name, d)
+                    known[name] = weakref.ref(dn)
+            elif (dn := known.get("")) is None:
+                dn = known[""] = _derive(node, "", d)
             memo[node] = dn
         return memo[node]
 
     root = d(field.ast)
     del d  # a recursive closure is a reference cycle, which would keep the nodes
+    if (kept := _KEPT.get()) is not None:
+        kept.extend(memo.values())
     return ScalarField(root, field.n)
 
 
-def _subst(node: Node, name: str, replacement: Node) -> Node:
+@contextmanager
+def derivatives_kept() -> Iterator[None]:
+    """Within the block, or a function it decorates, one list holds every derivative
+    that `partial` builds, so that the nodes' weak `_d` find it; released on exit."""
+    token = _KEPT.set([])
+    try:
+        yield
+    finally:
+        _KEPT.reset(token)
+
+
+def _subst(node: Node, name: str, replacement: Node, s: Callable[[Node], Node]) -> Node:
+    """The substitution rule of `node`, with `s` substituting in its operands."""
     if isinstance(node, (Var, Param)):
         return replacement if node.name == name else node
     if isinstance(node, Num):
         return node
     smart = {Neg: neg_, Add: add_, Sub: sub_, Mul: mul_, Div: div_, Pow: pow_, Call: call_}[type(node)]
-    return smart(*(_subst(v, name, replacement) if isinstance(v, _Node) else v for v in vars(node).values()))
+    return smart(*(s(v) if isinstance(v, _Node) else v for v in vars(node).values()))
 
 
 def substitute(field: ScalarField, name: str, replacement: ScalarField | float) -> ScalarField:
@@ -880,4 +904,7 @@ def substitute(field: ScalarField, name: str, replacement: ScalarField | float) 
         rep = replacement.ast
     else:
         rep = Num(replacement)
-    return ScalarField(_subst(field.ast, name, rep), field.n)
+    s = cache(lambda node: _subst(node, name, rep, s))  # once per distinct node, as in `partial`
+    root = s(field.ast)
+    del s  # a recursive closure is a reference cycle, which would keep the nodes
+    return ScalarField(root, field.n)

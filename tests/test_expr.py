@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contact_noether import expr
+from contact_noether import cli, expr
 from contact_noether.expr import (
     DomainError,
     ExprSyntaxError,
@@ -23,7 +24,9 @@ from contact_noether.expr import (
 )
 from contact_noether.geometry import point_bundle
 from conftest import point, value
-from randfields import central_fd, derivative_pair, random_env, random_field
+from randfields import PARAM_NAMES, central_fd, derivative_pair, random_env, random_field
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def ev(source, n=1, env=None):
@@ -298,6 +301,26 @@ class TestNonFiniteConstants:
         assert expr.mul_(expr.Num(2.0), expr.Num(3.0)) is expr.Num(6.0)
 
 
+def _tower(name: str, levels: int) -> expr.ScalarField:
+    """`levels` times f -> sin(f*f + f) from the parameter `name`: 3*levels + 1
+    distinct nodes, and 3^(levels+1)/2 - 1/2 nodes as a tree."""
+    f = expr.parameter(name, 1)
+    for _ in range(levels):
+        f = expr.apply_intrinsic("sin", f * f + f)
+    return f
+
+
+def _distinct(root):
+    """The distinct nodes under `root`, by a walk over their fields."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(v for v in vars(node).values() if isinstance(v, expr._Node))
+    return seen
+
+
 class TestSharing:
     def test_equal_structure_is_one_object(self):
         src = "sqrt(q0^2 + q1^2)*p0 - 3*S/t"
@@ -444,6 +467,44 @@ class TestPartial:
             assert abs(d - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+    def test_every_first_and_second_partial_matches_an_unpruned_walk(self):
+        # the reference applies expr._derive at every node, with a memo of its
+        # own, and never reads a node's _d, so a derivative that a node does not
+        # read the name of must come out as the same signed zero the rules give
+        def by_walk(node, name, memo):
+            if (node, name) not in memo:
+                memo[node, name] = expr._derive(node, name, lambda k: by_walk(k, name, memo))
+            return memo[node, name]
+
+        def same(got, want):
+            return got is want or expr.to_source(got) == expr.to_source(want)
+
+        names = ("q0", "q1", "p0", "p1", "S", "t", *PARAM_NAMES, "xi_unread")
+        for seed in range(1000):
+            f = parse(random_field(np.random.default_rng(seed), 2, 6).source(), 2)
+            memo: dict = {}
+            for a in names:
+                fa, want = partial(f, a), by_walk(f.ast, a, memo)
+                assert same(fa.ast, want), (seed, f.source(), a)
+                for b in names:
+                    assert same(partial(fa, b).ast, by_walk(want, b, memo)), (seed, f.source(), a, b)
+
+    def test_a_subtree_without_the_name_is_walked_once(self, monkeypatch):
+        big = parse("p0*p1 + mu", 2)
+        for _ in range(6):
+            big = expr.apply_intrinsic("sin", big * big + big / parse("p1 - mu^2", 2))
+        nodes = _distinct(big.ast)
+        f = big + expr.variable("q0", 2)
+        rules = []
+        real = expr._derive
+        monkeypatch.setattr(expr, "_derive", lambda node, *a: rules.append(node) or real(node, *a))
+        assert partial(f, "q0").ast is expr._ONE
+        for name in ("q1", "S", "t"):
+            assert expr.to_source(partial(f, name).ast) in ("0.0", "-0.0")
+        big_rules = [node for node in rules if node in nodes]
+        assert big_rules and len(big_rules) == len(set(big_rules))
+
+
 class TestRoundTrip:
     def test_examples(self):
         sources = [
@@ -488,6 +549,27 @@ class TestSubstitute:
     def test_substitute_number(self):
         f = substitute(parse("w*t", 1), "w", 2.5)
         assert value(f, {"t": 2.0}) == 5.0
+
+    def test_each_distinct_node_is_substituted_once(self, monkeypatch):
+        # 37 distinct nodes, 1,328,601 as a tree
+        f = _tower("xi_subst", 12)
+        calls = []
+        real = expr._subst
+        monkeypatch.setattr(expr, "_subst", lambda node, *a: calls.append(node) or real(node, *a))
+        g = substitute(f, "xi_subst", parse("q0 + 1", 1))
+        assert len(calls) == len(set(calls)) == 37
+        assert (g.free_vars, g.free_params) == ({"q0"}, set())
+
+    def test_results_match_a_walk_of_the_tree(self):
+        def by_tree(node, name, rep):
+            return expr._subst(node, name, rep, lambda k: by_tree(k, name, rep))
+
+        for seed in range(300):
+            f = random_field(np.random.default_rng(seed), 2, 6)
+            for name, rep in (("c1", parse("q1*mu - t", 2)), ("q0", 2.5), ("mu", parse("-c2", 2))):
+                node = rep.ast if isinstance(rep, expr.ScalarField) else expr.Num(rep)
+                want = expr.to_source(by_tree(f.ast, name, node))
+                assert expr.to_source(substitute(f, name, rep).ast) == want, (seed, name)
 
 
 def _names_by_walk(root):
@@ -552,6 +634,51 @@ class TestNodeFacts:
             gc.enable()
         gc.collect()
         assert len(expr._INTERN) == baseline
+
+
+class TestRunScopedDerivatives:
+    """While one scenario's checks run, one list holds every derivative that
+    `partial` builds, so a later check finds an earlier one's through the
+    nodes' weak `_d`; the list goes when the checks return."""
+
+    def test_a_run_derives_each_node_by_each_name_once(self, tmp_path, monkeypatch):
+        names: "weakref.WeakKeyDictionary[expr._Node, set]" = weakref.WeakKeyDictionary()
+        calls, again = [0], []
+        real = expr._derive
+
+        def counted(node, name, d):
+            calls[0] += 1
+            seen = names.setdefault(node, set())
+            if name in seen:
+                again.append((expr.to_source(node), name))
+            seen.add(name)
+            return real(node, name, d)
+
+        monkeypatch.setattr(expr, "_derive", counted)
+        report, code = cli.run(SCENARIOS / "kepler-scaling.json", tmp_path, quiet=True)
+        assert code == 0 and calls[0] > 1000
+        assert again == []
+
+    def test_a_run_leaves_the_table_as_it_was(self, tmp_path, monkeypatch):
+        # the first run may leave the absent-name zero, a number, on nodes that
+        # outlive it; with the collector off, only reference counts can free the
+        # second run's nodes, so neither the list nor a cycle holds one
+        path = SCENARIOS / "kepler-scaling.json"
+        cli.run(path, tmp_path, quiet=True)
+        sizes = []
+        real = cli._write_report
+        monkeypatch.setattr(cli, "_write_report",
+                            lambda report, out: sizes.append(len(expr._INTERN)) or real(report, out))
+        gc.collect()
+        baseline = len(expr._INTERN)
+        gc.disable()
+        try:
+            report, code = cli.run(path, tmp_path, quiet=True)
+            assert code == 0 and sizes[0] > baseline and expr._KEPT.get() is None
+            del report
+            assert len(expr._INTERN) == baseline
+        finally:
+            gc.enable()
 
 
 class TestIntrinsicDomain:
