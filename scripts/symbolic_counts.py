@@ -6,9 +6,10 @@ Usage: python3 scripts/symbolic_counts.py --workload W --rounds K [--seed S]
 Runs the scenario files of workload W (generated by `certbench/workloads.py`,
 which is only read, as in `paired_rounds.py`) through `cli.run` of the
 `contact_noether` package under `src/` next to this script.  Round 0 warms
-the process up; rounds 1..K are counted.  For each counted round it prints three counts, taken by wrappers
-installed in this process:
+the process up; rounds 1..K are counted.  For each counted round it prints
+four counts, taken by wrappers installed in this process:
 
+- `bundles`: calls of `expr._codegen`, one compiled bundle of fields;
 - `derive`: calls of `expr._derive`, one derivative rule applied to one node;
 - `nodes`: calls of `_Node.__new__`, whether a node is made or found live;
 - `emitted`: statements that `_emit` writes for compiled bundles and flow loops.
@@ -29,13 +30,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from contact_noether import cli, expr  # noqa: E402
 from paired_rounds import FIXED, cases  # noqa: E402
 
-COUNTS = ("derive", "nodes", "emitted")
+COUNTS = ("bundles", "derive", "nodes", "emitted")
 
 
 def install(counts: dict[str, int]) -> None:
-    """Wrap `_derive`, `_Node.__new__` and every module binding of `_emit`
-    so that each call adds to `counts`."""
-    derive, new, emit = expr._derive, expr._Node.__new__, expr._emit
+    """Wrap `_codegen`, `_derive`, `_Node.__new__` and every module binding
+    of `_emit` so that each call adds to `counts`."""
+    codegen, derive, new, emit = expr._codegen, expr._derive, expr._Node.__new__, expr._emit
+
+    def counted_codegen(*args):
+        counts["bundles"] += 1
+        return codegen(*args)
 
     def counted_derive(*args):
         counts["derive"] += 1
@@ -50,6 +55,7 @@ def install(counts: dict[str, int]) -> None:
         counts["emitted"] += len(out[0])
         return out
 
+    expr._codegen = counted_codegen
     expr._derive = counted_derive
     expr._Node.__new__ = staticmethod(counted_new)
     for name, module in list(sys.modules.items()):

@@ -21,19 +21,15 @@ from typing import Any
 from . import __version__, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
 from .expr import ExprError, ScalarField, derivatives_kept, parse
-from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, nan_max
+from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, point_bundle
 from .noether import (
     FLOW_THRESHOLD,
     SYMBOLIC_THRESHOLD,
-    closure_check,
     dissipation_compensation,
     max_relative_drift,
     noether_lambda,
-    residual_at,
     sample_points,
-    similarity_test,
     symmetry_from_invariant,
-    symmetry_test,
 )
 from .systems import AuxiliaryState, TrackedInvariant, co_integrate, make_builtin
 
@@ -92,6 +88,7 @@ CHECK_REFERENCES: dict[str, tuple[str, tuple[str, ...], str]] = {
     "similarity": ("symmetry", ("symmetry",), "{}"),
     "closure": ("symmetry", ("first", "second"), "[{}, {}]"),
 }
+POINTWISE = ("residual", "symmetry", "similarity", "closure")  # checks judged at samples
 VERDICTS = (noether.SIMILARITY, noether.DYNAMICAL_SYMMETRY, noether.NEITHER)  # similarity verdicts
 
 
@@ -278,6 +275,22 @@ def _run_flow(sc: Scenario) -> Trajectory:
                      sc.integrator, tracked)
 
 
+def _build(sc: Scenario, c: dict, tol: float) -> noether.Pointwise:
+    """The residual, symmetry, similarity or closure check `c`, built."""
+    if c["type"] == "residual":
+        return noether.build_residual(sc.system, sc.invariants[c["invariant"]].field)
+    if c["type"] == "closure":
+        s1, s2 = sc.symmetries[c["first"]], sc.symmetries[c["second"]]
+        return noether.build_closure(sc.system, s1["field"], s2["field"], tol,
+                                     s1.get("lambda"), s2.get("lambda"))
+    Y = sc.symmetries[c["symmetry"]]["field"]
+    if c["type"] == "symmetry":
+        return noether.build_symmetry(sc.system, Y, tol)
+    X = extended_field(sc.system) if c.get("against", "extended") == "extended" \
+        else contact_field(sc.system)
+    return noether.build_similarity(Y, X, tol, float(c.get("Lambda_tol", 1e-9)), sc.system)
+
+
 @derivatives_kept()  # a later check finds the derivatives that an earlier one took
 def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     """Execute every check of a loaded scenario; returns (report, trajectory)."""
@@ -310,13 +323,39 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     points = cache(lambda: sample_points(sc.system, sc.sample_count, sc.seed,
                                          margin=sc.integrator.guard_margin, extra=sc.point_params))
     compensation = cache(lambda: dissipation_compensation(sc.system, traj, sc.point_params))
+    tols = [float(c.get("tol", SYMBOLIC_THRESHOLD if CHECK_REFERENCES[c["type"]][0] == "symmetry"
+                        else FLOW_THRESHOLD)) for c in sc.checks]
 
-    for c in sc.checks:
+    # every pointwise check's fields in one bundle, called once per sample; if building,
+    # compiling or calling it raises, each check calls its own bundle at its turn instead,
+    # so that the first error is the one the checks raise one by one
+    params, fused = {**sc.system.params, **sc.point_params}, {}
+    if any(c["type"] in POINTWISE for c in sc.checks):
+        try:
+            built = {i: _build(sc, c, tols[i]) for i, c in enumerate(sc.checks)
+                     if c["type"] in POINTWISE}
+            at = point_bundle([f for b in built.values() for f in b.fields], params)
+            rows, lo = [at(pt) for pt in points()], 0
+        except Exception:
+            built = {}
+        for i, b in built.items():
+            fused[i] = b, [v[lo:lo + len(b.fields)] for v in rows]
+            lo += len(b.fields)
+
+    for i, (c, tol) in enumerate(zip(sc.checks, tols)):
         ctype = c["type"]
-        kind, keys, target = CHECK_REFERENCES[ctype]
-        tol = float(c.get("tol", SYMBOLIC_THRESHOLD if kind == "symmetry" else FLOW_THRESHOLD))
+        _, keys, target = CHECK_REFERENCES[ctype]
         entry: dict[str, Any] = {"type": ctype, "target": target.format(*(c[k] for k in keys)),
                                  "tol": tol}
+        if ctype in POINTWISE:
+            if i in fused:
+                b, rows = fused[i]
+            else:  # its own bundle, as the check ran alone: a residual compiled before the draw
+                if ctype != "residual":
+                    points()
+                b = _build(sc, c, tol)
+                rows = map(point_bundle(b.fields, params), points())
+            rep = b.judge(points(), rows)
         if ctype == "drift":
             inv = sc.invariants[c["invariant"]]
             series = traj.tracked[inv.label]
@@ -325,24 +364,17 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             entry["value"] = float(max_relative_drift(series))
             entry["passed"] = bool(entry["value"] <= tol)
         elif ctype == "residual":
-            inv = sc.invariants[c["invariant"]]
-            residual = residual_at(sc.system, inv.field, sc.point_params)
-            worst = nan_max(abs(residual(pt)) for pt in points())
-            entry["value"] = float(worst)
-            entry["passed"] = bool(worst <= tol)
-        elif ctype == "symmetry":
-            Y = sc.symmetries[c["symmetry"]]["field"]
-            rep = symmetry_test(sc.system, Y, points(), tol, extra=sc.point_params)
+            entry["value"] = float(rep)
+            entry["passed"] = bool(rep <= tol)
+        elif ctype in ("symmetry", "closure"):
             entry["value"] = float(rep.residual)
             entry["verdict"] = rep.verdict
             entry["lambda_table"] = [float(v) for v in rep.lambda_at_samples]
-            entry["passed"] = rep.passed == c.get("expect_symmetry", True)
+            if rep.lambda_defect is not None:
+                entry["lambda_defect"] = float(rep.lambda_defect)
+            entry["passed"] = bool(rep.passed if ctype == "closure"
+                                   else rep.passed == c.get("expect_symmetry", True))
         elif ctype == "similarity":
-            Y = sc.symmetries[c["symmetry"]]["field"]
-            against = c.get("against", "extended")
-            X = extended_field(sc.system) if against == "extended" else contact_field(sc.system)
-            rep = similarity_test(Y, X, points(), tol, float(c.get("Lambda_tol", 1e-9)),
-                                  {**sc.system.params, **sc.point_params}, sc.system)
             entry["value"] = float(rep.residual)
             entry["verdict"] = rep.verdict
             entry["Lambda_table"] = [float(v) for v in rep.Lambda_at_samples]
@@ -359,16 +391,6 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             _require(bool(series), f"{sc.name}: ratio denominator vanishes everywhere")
             entry["value"] = float(max_relative_drift(series))
             entry["passed"] = bool(entry["value"] <= tol)
-        elif ctype == "closure":
-            s1, s2 = sc.symmetries[c["first"]], sc.symmetries[c["second"]]
-            rep = closure_check(sc.system, s1["field"], s2["field"], points(), tol,
-                                s1.get("lambda"), s2.get("lambda"), extra=sc.point_params)
-            entry["value"] = float(rep.residual)
-            entry["verdict"] = rep.verdict
-            entry["lambda_table"] = [float(v) for v in rep.lambda_at_samples]
-            if rep.lambda_defect is not None:
-                entry["lambda_defect"] = float(rep.lambda_defect)
-            entry["passed"] = bool(rep.passed)
         report["checks"].append(entry)
         report["passed"] = bool(report["passed"] and entry["passed"])
     return report, traj
@@ -402,6 +424,7 @@ def _write_report(report: dict, out_dir: Path) -> None:
     (out_dir / "report.txt").write_text("".join(f"{k}: {_text(v)}\n" for k, v in items))
 
 
+@derivatives_kept()  # the checks find the derivatives that loading the scenario took
 def run(scenario_path: str | Path, out_root: str | Path | None = None,
         seed: int | None = None, tol_override: float | None = None,
         quiet: bool = False, checks: bool = True) -> tuple[dict, int]:

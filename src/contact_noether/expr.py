@@ -25,7 +25,7 @@ Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.
 Derivatives and free names are computed once per distinct node.  A node that
 does not read a name takes its derivative by it from one signed zero, kept on
 the node, so a name-free subtree is walked once in its lifetime; within
-`derivatives_kept` (one scenario's checks) one list holds every derivative, so
+`derivatives_kept` (one scenario's run) one list holds every derivative, so
 a later check finds an earlier one's through the nodes' weak `_d`.  A bundle of
 fields compiles to one statement per distinct node, bit-identical to eval_node.
 """
@@ -385,35 +385,46 @@ def to_source(node: Node) -> str:
 # reference interpreter
 
 
-def eval_node(node: Node, env: Mapping[str, float]) -> float:
-    """Tree-walking evaluator; reference semantics for the compiled path."""
+def eval_node(node: Node, env: Mapping[str, float], memo: dict[Node, float] | None = None) -> float:
+    """The reference semantics of the compiled path, over the DAG: each distinct
+    node is evaluated once per `memo` (one per call unless given), its operands
+    left to right, so the first DomainError is the tree walk's."""
+    if memo is None:
+        memo = {}
+    if node not in memo:
+        memo[node] = _eval(node, env, memo)
+    return memo[node]
+
+
+def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> float:
+    """The evaluation rule of `node`, with `eval_node` evaluating its operands."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, (Var, Param)):
         return env[node.name]
     if isinstance(node, Neg):
-        return -eval_node(node.arg, env)
+        return -eval_node(node.arg, env, memo)
     if isinstance(node, Add):
-        return eval_node(node.left, env) + eval_node(node.right, env)
+        return eval_node(node.left, env, memo) + eval_node(node.right, env, memo)
     if isinstance(node, Sub):
-        return eval_node(node.left, env) - eval_node(node.right, env)
+        return eval_node(node.left, env, memo) - eval_node(node.right, env, memo)
     if isinstance(node, Mul):
-        return eval_node(node.left, env) * eval_node(node.right, env)
+        return eval_node(node.left, env, memo) * eval_node(node.right, env, memo)
     if isinstance(node, Div):
-        a, b = eval_node(node.left, env), eval_node(node.right, env)
+        a, b = eval_node(node.left, env, memo), eval_node(node.right, env, memo)
         if b == 0.0:
             raise DomainError("division by zero", node)
         return _guard_finite(a / b, node)
     if isinstance(node, Pow):
-        b, k = eval_node(node.base, env), _int_exponent(node.exponent)
+        b, k = eval_node(node.base, env, memo), _int_exponent(node.exponent)
         if k is None:
-            return _k_pow(b, eval_node(node.exponent, env), node)
+            return _k_pow(b, eval_node(node.exponent, env, memo), node)
         try:
             return _guard_finite(b**k, node)
         except (OverflowError, ZeroDivisionError):
             raise DomainError("integer power out of domain", node) from None
     if isinstance(node, Call):
-        return _intrinsic(node.fn, eval_node(node.arg, env), node)
+        return _intrinsic(node.fn, eval_node(node.arg, env, memo), node)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -530,8 +541,8 @@ def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
         raise UnboundParameter(f"unbound names {sorted(unbound)}")
 
     def slow(*args: float) -> tuple[float, ...]:
-        env = {**bound, **dict(zip(argnames, args))}
-        return tuple(eval_node(r, env) for r in roots)
+        env, memo = {**bound, **dict(zip(argnames, args))}, {}
+        return tuple(eval_node(r, env, memo) for r in roots)
 
     return _codegen(roots, argnames, bound, slow)
 

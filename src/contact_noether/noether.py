@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import DomainError, ScalarField, number, partial
 from .dynamics import (Trajectory, contact_field, contact_field_of, cumulative_integral,
@@ -205,24 +205,42 @@ def noether_lambda(system: ContactSystem, F: ScalarField,
 # classification
 
 
-def _symmetry_report(system: ContactSystem, Y: VectorFieldSpec, samples: Sequence[ExtendedPoint],
-                     threshold: float, extra: Mapping[str, float] | None,
-                     *expected: ScalarField) -> SymmetryReport:
-    """lambda and the proportionality residual at every sample, from one bundle of
-    L_Y eta_E, h and the expected lambda, if given (the defect is its largest deviation)."""
-    at = LieDerivativeEta(system, Y).bundle(extra, system.h, *expected)
-    zeros = (0.0,) * system.n
-    lambdas, residuals, deviations = [], [], []
-    for pt in samples:
-        omega, (h, *rest) = at(pt)
-        lam, res = proportionality_residual(omega, (*(-p for p in pt.p), *zeros, 1.0, h))
-        lambdas.append(lam)
-        residuals.append(res)
-        deviations.extend(abs(e - lam) for e in rest)
-    worst, defect = nan_max(residuals), nan_max(deviations)
-    failed = not worst <= threshold or (expected and not defect <= threshold)
-    return SymmetryReport(tuple(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
-                          threshold, defect if expected else None)
+class Pointwise(NamedTuple):
+    """A pointwise check, built: the fields it reads at every sample, and `judge`,
+    which reads their values, one row per sample in sample order, into its report."""
+
+    fields: tuple[ScalarField, ...]
+    judge: Callable[[Sequence[ExtendedPoint], Iterable[Sequence[float]]], Any]
+
+    def run(self, samples: Sequence[ExtendedPoint], params: Mapping[str, float]) -> Any:
+        """Judged from a bundle of its own fields, called at each sample in turn."""
+        return self.judge(samples, map(point_bundle(self.fields, params), samples))
+
+
+def build_residual(system: ContactSystem, F: ScalarField) -> Pointwise:
+    """The largest |`dissipation_field`| over the samples."""
+    return Pointwise((dissipation_field(system, F),), lambda _, rows: nan_max(abs(v) for v, in rows))
+
+
+def build_symmetry(system: ContactSystem, Y: VectorFieldSpec, threshold: float,
+                   *expected: ScalarField) -> Pointwise:
+    """lambda and the proportionality residual at every sample, from L_Y eta_E, h and
+    the expected lambda, if given (the defect is its largest deviation)."""
+    m, zeros = 2 * system.n + 2, (0.0,) * system.n
+
+    def judge(samples: Sequence[ExtendedPoint], rows: Iterable[Sequence[float]]) -> SymmetryReport:
+        lambdas, residuals, deviations = [], [], []
+        for pt, v in zip(samples, rows):
+            lam, res = proportionality_residual(v[:m], (*(-p for p in pt.p), *zeros, 1.0, v[m]))
+            lambdas.append(lam)
+            residuals.append(res)
+            deviations.extend(abs(e - lam) for e in v[m + 1:])
+        worst, defect = nan_max(residuals), nan_max(deviations)
+        failed = not worst <= threshold or (expected and not defect <= threshold)
+        return SymmetryReport(tuple(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
+                              threshold, defect if expected else None)
+
+    return Pointwise((*LieDerivativeEta(system, Y).form, system.h, *expected), judge)
 
 
 def symmetry_test(system: ContactSystem, Y: VectorFieldSpec,
@@ -231,7 +249,38 @@ def symmetry_test(system: ContactSystem, Y: VectorFieldSpec,
                   extra: Mapping[str, float] | None = None) -> SymmetryReport:
     """Test L_Y eta_E = lambda eta_E pointwise; lambda is read from the dS
     component (eta_E has dS coefficient identically 1)."""
-    return _symmetry_report(system, Y, samples, threshold, extra)
+    return build_symmetry(system, Y, threshold).run(samples, {**system.params, **(extra or {})})
+
+
+def build_similarity(Y: VectorFieldSpec, X: VectorFieldSpec, residual_threshold: float,
+                     lambda_threshold: float, system: ContactSystem | None) -> Pointwise:
+    """`similarity_test`, built from X and [Y, X]."""
+    m = 2 * X.n + 2
+
+    def judge(_: Sequence[ExtendedPoint], rows: Iterable[Sequence[float]]) -> SimilarityReport:
+        Lambdas, residuals = [], []
+        for k, v in enumerate(rows):
+            xv, bv = v[:m], v[m:]
+            xabs = [abs(x) for x in xv]
+            xmax = max(xabs)
+            if xmax <= 1e-8:
+                raise DegeneratePoint(f"reference field vanishes at sample {k}")
+            idx = xabs.index(xmax)
+            lam = bv[idx] / xv[idx]
+            Lambdas.append(lam)
+            residuals.append(nan_max(abs(b - lam * x) for b, x in zip(bv, xv))
+                             / max(1.0, max(abs(b) for b in bv)))
+        worst = nan_max(residuals)
+        if not worst <= residual_threshold:
+            verdict = NEITHER
+        elif max(abs(lam) for lam in Lambdas) <= lambda_threshold:
+            verdict = DYNAMICAL_SYMMETRY
+        else:
+            verdict = SIMILARITY
+        return SimilarityReport(tuple(Lambdas), worst, verdict, residual_threshold,
+                                lambda_threshold)
+
+    return Pointwise((*X.components(), *lie_bracket(Y, X, system).components()), judge)
 
 
 def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
@@ -243,29 +292,21 @@ def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
     """Test [Y, X] = Lambda X pointwise.  Lambda is read at the index of X's
     largest-magnitude component, then residual-checked on all components.
     The bracket follows the rates of `system`'s rated parameters."""
-    m = 2 * X.n + 2
-    at = point_bundle([*X.components(), *lie_bracket(Y, X, system).components()], params or {})
-    Lambdas, residuals = [], []
-    for k, pt in enumerate(samples):
-        xv, bv = (v := at(pt))[:m], v[m:]
-        xabs = [abs(x) for x in xv]
-        xmax = max(xabs)
-        if xmax <= 1e-8:
-            raise DegeneratePoint(f"reference field vanishes at sample {k}")
-        idx = xabs.index(xmax)
-        lam = bv[idx] / xv[idx]
-        Lambdas.append(lam)
-        residuals.append(nan_max(abs(b - lam * x) for b, x in zip(bv, xv))
-                         / max(1.0, max(abs(b) for b in bv)))
-    worst = nan_max(residuals)
-    if not worst <= residual_threshold:
-        verdict = NEITHER
-    elif max(abs(lam) for lam in Lambdas) <= lambda_threshold:
-        verdict = DYNAMICAL_SYMMETRY
-    else:
-        verdict = SIMILARITY
-    return SimilarityReport(tuple(Lambdas), worst, verdict, residual_threshold,
-                            lambda_threshold)
+    return build_similarity(Y, X, residual_threshold, lambda_threshold, system).run(
+        samples, params or {})
+
+
+def build_closure(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpec,
+                  threshold: float, lambda1: ScalarField | None,
+                  lambda2: ScalarField | None) -> Pointwise:
+    """`closure_check`, built."""
+    def along(Y: VectorFieldSpec, f: ScalarField) -> ScalarField:
+        return directional_derivative(Y, f) + Y.Yt * system.rate_term(f)
+
+    expected = []
+    if lambda1 is not None and lambda2 is not None:
+        expected = [along(Y1, lambda2) - along(Y2, lambda1)]
+    return build_symmetry(system, lie_bracket(Y1, Y2, system), threshold, *expected)
 
 
 def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpec,
@@ -277,14 +318,8 @@ def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpe
     """Check that [Y1, Y2] is again a symmetry; when the factors lambda_i of
     Y1, Y2 are supplied, also verify lambda_bracket = Y1(lambda2) - Y2(lambda1).
     The bracket and both derivatives follow the rates of the rated parameters."""
-    def along(Y: VectorFieldSpec, f: ScalarField) -> ScalarField:
-        return directional_derivative(Y, f) + Y.Yt * system.rate_term(f)
-
-    expected = []
-    if lambda1 is not None and lambda2 is not None:
-        expected = [along(Y1, lambda2) - along(Y2, lambda1)]
-    return _symmetry_report(system, lie_bracket(Y1, Y2, system), samples, threshold, extra,
-                            *expected)
+    return build_closure(system, Y1, Y2, threshold, lambda1, lambda2).run(
+        samples, {**system.params, **(extra or {})})
 
 
 def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,

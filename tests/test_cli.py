@@ -1,14 +1,18 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contact_noether import cli, dynamics, expr
-from contact_noether.geometry import lie_bracket, point_bundle
-from contact_noether.noether import sample_points
+from contact_noether.dynamics import contact_field, extended_field
+from contact_noether.expr import DomainError, parse
+from contact_noether.geometry import ContactSystem, lie_bracket, nan_max, point_bundle
+from contact_noether.noether import (closure_check, residual_at, sample_points, similarity_test,
+                                     symmetry_test)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -78,8 +82,9 @@ class TestBundledScenarios:
 
 
 def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
-    # one bundle for the sampler's h and one per residual, symmetry, similarity
-    # and closure check, whatever the sample count; nothing goes through an env dict
+    # one bundle for the sampler's h and one for the fields of every residual,
+    # symmetry, similarity and closure check together, whatever the sample count;
+    # nothing goes through an env dict
     codegens, evals = [], []
     real_codegen, real_eval = expr._codegen, expr.ScalarField.eval_env
     monkeypatch.setattr(expr, "_codegen", lambda *a: codegens.append(a) or real_codegen(*a))
@@ -111,8 +116,119 @@ def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
         report, code = cli.run(path, tmp_path / "out", quiet=True)
         assert code == 0 and len(report["checks"]) == len(checks)
         counts.append(len(codegens))
-    assert counts == [1 + len(checks)] * 2
+    assert counts == [1 + 1] * 2
     assert evals == []
+
+
+def _alone(sc, c, tol, samples):
+    """The values that the public function of pointwise check `c` gives alone
+    at `samples`, in the order `_reported` lists a report entry's."""
+    if c["type"] == "residual":
+        residual = residual_at(sc.system, sc.invariants[c["invariant"]].field, sc.point_params)
+        return [nan_max(abs(residual(pt)) for pt in samples)]
+    if c["type"] == "closure":
+        s1, s2 = sc.symmetries[c["first"]], sc.symmetries[c["second"]]
+        rep = closure_check(sc.system, s1["field"], s2["field"], samples, tol, s1.get("lambda"),
+                            s2.get("lambda"), extra=sc.point_params)
+        return [rep.residual, *rep.lambda_at_samples, rep.lambda_defect]
+    Y = sc.symmetries[c["symmetry"]]["field"]
+    if c["type"] == "symmetry":
+        rep = symmetry_test(sc.system, Y, samples, tol, extra=sc.point_params)
+        return [rep.residual, *rep.lambda_at_samples]
+    X = (extended_field if c.get("against", "extended") == "extended" else contact_field)(sc.system)
+    rep = similarity_test(Y, X, samples, tol, float(c.get("Lambda_tol", 1e-9)),
+                          {**sc.system.params, **sc.point_params}, sc.system)
+    return [rep.residual, *rep.Lambda_at_samples]
+
+
+def _reported(entry):
+    table = entry.get("lambda_table", entry.get("Lambda_table", []))
+    defect = [entry.get("lambda_defect")] if entry["type"] == "closure" else []
+    return [entry["value"], *table, *defect]
+
+
+def _hexes(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def _sweep_cases():
+    """Round 0 of certbench's symbolic sweep at three seeds; its generator is
+    loaded under a name of its own, and taken out of `sys.modules` again."""
+    spec = importlib.util.spec_from_file_location(
+        "certbench_workloads", SCENARIOS.parent / "certbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [pytest.param(case, id=f"seed{seed}-{case.name}")
+            for seed in (2, 5, 11) for case in workloads.symbolic_sweep_round(seed, 0)]
+
+
+class TestOneBundlePerScenario:
+    """Every pointwise check of a scenario is judged from the columns of one
+    bundle; the values and the first error are those of the checks alone."""
+
+    @pytest.mark.parametrize("source", [
+        *sorted(SCENARIOS.glob("*.json")),
+        *_sweep_cases(),
+    ], ids=lambda s: getattr(s, "stem", None))
+    def test_columns_are_bit_equal_to_each_check_alone(self, tmp_path, source):
+        path = source if isinstance(source, Path) else source.write(tmp_path)
+        sc = cli.load_scenario(path)
+        report, _ = cli.run_checks(sc)
+        samples = sample_points(sc.system, sc.sample_count, sc.seed,
+                                margin=sc.integrator.guard_margin, extra=sc.point_params)
+        compared = 0
+        for c, entry in zip(sc.checks, report["checks"]):
+            if c["type"] in cli.POINTWISE:
+                alone = _alone(sc, c, entry["tol"], samples)
+                assert _hexes(_reported(entry)) == _hexes(alone), (path.stem, c)
+                compared += 1
+        assert compared > 0
+
+    def test_a_later_check_failing_at_an_earlier_sample_raises_second(self, tmp_path):
+        # the residual of sqrt(p0 - a1) first fails at sample i > 0, the symmetry
+        # that reads sqrt(q0 - a2) fails at sample 0: the residual's error wins
+        h, seed = "p0^2/2 + q0^2/2", 3
+        samples = sample_points(ContactSystem(1, parse(h, 1)), 20, seed)
+        p0, q0 = [pt.p[0] for pt in samples], [pt.q[0] for pt in samples]
+        i = next(j for j in range(1, 20) if p0[j] < p0[0])
+        path = write_scenario(tmp_path, "late", {
+            "system": {"expression": h, "dimension": 1,
+                       "params": {"a1": (p0[0] + p0[i]) / 2, "a2": q0[0] + 0.5}},
+            "seed": seed, "sample_count": 20,
+            "invariants": [{"label": "F", "expression": "sqrt(p0 - a1)"}],
+            "symmetries": [{"label": "Y", "Yq": ["sqrt(q0 - a2)"], "Yp": ["0"], "YS": "0",
+                            "Yt": "0"}],
+            "checks": [{"type": "residual", "invariant": "F"},
+                       {"type": "symmetry", "symmetry": "Y"}],
+        })
+        sc = cli.load_scenario(path)
+        residual = residual_at(sc.system, sc.invariants["F"].field)
+        with pytest.raises(DomainError) as first:
+            [residual(pt) for pt in samples]
+        with pytest.raises(DomainError) as early:
+            symmetry_test(sc.system, sc.symmetries["Y"]["field"], samples[:1])
+        assert first.value.where != early.value.where
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert (code, report["error"]) == (3, str(first.value))
+
+    def test_a_ratio_between_pointwise_checks_still_exits_two(self, tmp_path, capsys):
+        # the last check fails at every sample, after the ratio's config error
+        path = write_scenario(tmp_path, "ratio", {
+            **FREE_PARTICLE,
+            "invariants": [{"label": "mom", "expression": "p0"},
+                           {"label": "zero", "expression": "0*p0"}],
+            "symmetries": [{"label": "Y", "Yq": ["sqrt(q0 - 10)"], "Yp": ["0"], "YS": "0",
+                            "Yt": "0"}],
+            "checks": [{"type": "residual", "invariant": "mom"},
+                       {"type": "ratio", "numerator": "mom", "denominator": "zero"},
+                       {"type": "symmetry", "symmetry": "Y"}],
+        })
+        report, code = cli.run(path, tmp_path / "out")
+        assert code == 2 and report["error"] == "fp: ratio denominator vanishes everywhere"
+        assert "config error" in capsys.readouterr().err
 
 
 def test_dissipation_compensation_is_computed_once_per_run(tmp_path, monkeypatch):

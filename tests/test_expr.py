@@ -384,6 +384,22 @@ class TestSharing:
         env = {"xi_sharing": 0.3}
         assert value(d, env) == expr.eval_node(d.ast, env)
 
+    def test_the_interpreter_visits_each_distinct_node_once(self, monkeypatch):
+        # 12 levels of f -> sin(f*f + f): 37 distinct nodes, 797161 as a tree
+        f = _tower("xi_eval", 12)
+        env = {"xi_eval": 0.3}
+        ref = expr.compile_bundle([f], ["xi_eval"])(0.3)
+        bad = f + expr.apply_intrinsic("ln", expr.parameter("xi_eval", 1) - 1.0)
+        visits = []
+        real = expr._eval
+        monkeypatch.setattr(expr, "_eval", lambda node, *a: visits.append(node) or real(node, *a))
+        assert (expr.eval_node(f.ast, env),) == ref
+        assert len(visits) == len(set(visits)) == 37
+        visits.clear()
+        with pytest.raises(DomainError) as info:
+            expr.eval_node(bad.ast, env)
+        assert info.value.where == "ln(xi_eval - 1.0)" and len(visits) == len(set(visits)) == 41
+
 
 class TestPartial:
     def test_linear_term(self):
@@ -657,6 +673,26 @@ class TestRunScopedDerivatives:
         monkeypatch.setattr(expr, "_derive", counted)
         report, code = cli.run(SCENARIOS / "kepler-scaling.json", tmp_path, quiet=True)
         assert code == 0 and calls[0] > 1000
+        assert again == []
+
+    def test_loading_and_checking_derive_each_pair_once(self, tmp_path, monkeypatch):
+        # the symmetries built while loading take derivatives that the flow and
+        # the checks take again: one kept list spans both
+        names: "weakref.WeakKeyDictionary[expr._Node, set]" = weakref.WeakKeyDictionary()
+        calls, again = [0], []
+        real = expr._derive
+
+        def counted(node, name, d):
+            calls[0] += 1
+            seen = names.setdefault(node, set())
+            if name in seen:
+                again.append((expr.to_source(node), name))
+            seen.add(name)
+            return real(node, name, d)
+
+        monkeypatch.setattr(expr, "_derive", counted)
+        report, code = cli.run(SCENARIOS / "dissipative-oscillator.json", tmp_path, quiet=True)
+        assert code == 0 and calls[0] > 20
         assert again == []
 
     def test_a_run_leaves_the_table_as_it_was(self, tmp_path, monkeypatch):
