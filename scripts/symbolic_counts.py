@@ -12,7 +12,7 @@ four counts, taken by wrappers installed in this process:
 - `bundles`: calls of `expr._codegen`, one compiled bundle of fields;
 - `derive`: calls of `expr._derive`, one derivative rule applied to one node;
 - `nodes`: calls of `_Node.__new__`, whether a node is made or found live;
-- `emitted`: statements that `_emit` writes for compiled bundles and flow loops.
+- `emitted`: statements that `_emit` writes, all of them for compiled bundles.
 
 Then it prints their means over the counted rounds.  The counts do not depend
 on timing, so a run repeats them exactly; two checkouts can be compared by

@@ -28,19 +28,17 @@ from .noether import (  # noqa: F401
     closure_check,
     dissipation_field,
     invariant_from_symmetry,
-    ratio_invariant,
     residual_at,
     sample_points,
     similarity_test,
     symmetry_from_invariant,
     symmetry_test,
 )
-from .scaling import ScalingAnsatz, ScalingSolution, scaling_generator, solve_scaling  # noqa: F401
+from .scaling import ScalingAnsatz, ScalingSolution, scaling_generator  # noqa: F401
 from .systems import (  # noqa: F401
     AuxiliaryState,
     TrackedInvariant,
     co_integrate,
-    glr_symmetry,
     make_harmonic_dissipative,
     make_kepler,
     make_td_kepler,

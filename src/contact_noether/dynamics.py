@@ -9,6 +9,10 @@ Hairer-Norsett-Wanner initial-step heuristic.  Setting
 on.  Integrals along a trajectory use the two-point Hermite rule of degree 7
 on its accepted grid, with the derivatives of the integrand taken along the
 flow.
+
+`integrate` compiles its right-hand side once, as one bundle of fields
+(`expr.compile_bundle`), and steps with a loop generated per state shape whose
+stages call that bundle and whose accepted-step test is inlined.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
-from .expr import (DomainError, Num, ScalarField, _emit, _make, bindable_params, compile_bundle,
-                   number, partial, variable)
+from .expr import DomainError, Num, ScalarField, _make, compile_bundle, number, partial, variable
 from .geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names,
                        directional_derivative, nan_max)
 
@@ -118,21 +121,14 @@ def _pairwise(terms: list[str]) -> str:
             f"{''.join(f' + {v}' for v in terms[m:])})")
 
 
-def _function(lines: list[str], name: str) -> Callable:
-    """The function `_f` that `lines` define, named `<name>` in tracebacks and profiles."""
-    scope = {"abs": abs, "sqrt": math.sqrt, "_DomainError": DomainError}
-    exec(compile("\n".join(lines), f"<{name}>", "exec"), scope)
-    return scope["_f"]  # type: ignore[return-value]
-
-
 def _squares(name: str, m: int) -> str:  # the sum of squares of the locals name0..name(m-1)
     return _pairwise([f"{name}{c} * {name}{c}" for c in range(m)])
 
 
 @cache
 def _rms_of(m: int) -> Callable[[Sequence[float], Sequence[float]], float]:
-    return _function(["def _f(v, s):", *(f"    r{c} = v[{c}] / s[{c}]" for c in range(m)),
-                      f"    return sqrt({_squares('r', m)} / {m})"], f"rms-{m}")
+    return _make(["def _f(v, s):", *(f"    r{c} = v[{c}] / s[{c}]" for c in range(m)),
+                  f"    return _sqrt({_squares('r', m)} / {m})"], "rms", {}, ())
 
 
 def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
@@ -208,7 +204,7 @@ def _loop_lines(names: list[str], stage: Callable[[int], list[str]], accept: lis
                   f"        r{c} = (0.0 + {terms(_E3, c)}) / s"]
     return [*lines, f"        n5 = {_squares('e', m)}", f"        n3 = {_squares('r', m)}",
             # h > 0, so h is Hairer's |h|
-            f"        err = h * n5 / sqrt((n5 + 0.01 * n3) * {m}) "
+            f"        err = h * n5 / _sqrt((n5 + 0.01 * n3) * {m}) "
             "if n5 != 0.0 or n3 != 0.0 else 0.0",
             "        if err <= 1.0 or fixed or h <= floor:",
             # forced acceptance at the step floor would hide real error
@@ -238,28 +234,26 @@ def _dop853_loop(m: int) -> Callable:
 
     accept = [f"{ind}tag = on_accept(t_new, new, k{_STAGES})", f"{ind}if tag is not None:",
               f"{ind}    return {_DONE}, tag"]
-    return _function(_loop_lines([*row, "ts"], stage, accept), f"dop853-step-{m}")
+    return _make(_loop_lines([*row, "ts"], stage, accept), "dop853-step",
+                 {"_DomainError": DomainError}, ())
 
 
-def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], params: Mapping[str, float],
+def _flow_loop(rhs: Callable[..., tuple[float, ...]], width: int, state: Sequence[str],
                boxed: Sequence[tuple[int, str, tuple[float, float]]], times: list[float],
                rows: list[list[float]]) -> Callable:
-    """The run for `rhs(t, y) = compile_bundle(fields, state, params)(*y, t)`
-    after a DomainError test of |y[i]| < 1e-12 for each boxed (i, name, _),
-    with that test and the bundle's body written once, in a stage function
-    `_stage(<row>, <time>)` that every stage calls, and the parameters as
-    numbers, so it compiles once per literal-free shape.  Statements that read
-    only parameters and numbers run once, first; one that raises leaves its
-    name and the later ones unbound.  A stage whose body raises or fails its
-    isfinite test is re-run as `rhs(time, row)`.  An accepted state is tagged
-    AuxiliaryBlowup out of a box, DomainViolation if not finite or a guard (a
-    trailing field) is below the margin, else appended to `times` and `rows`."""
-    body, slots, checked, outs, fixed = _emit([f.ast for f in fields],
-                                              bindable_params(params, state))
-    names = [f"_v_{nm}" for nm in state]  # the row, then the time, as the body reads them
-    m, width, ind, last = len(names) - 1, len(fields), _IND, _STAGES
-    row = ", ".join(names[:m])
-    check = f"_isfinite({' + '.join(checked)})" if checked else "True"
+    """The run whose stages call `rhs(<row>, <time>)`, a compiled bundle over
+    `state` with `width` values (the rates, then the guards), after a
+    DomainError test of |row[i]| < 1e-12 for each boxed (i, name, _).  An
+    accepted state is tagged AuxiliaryBlowup out of a box, DomainViolation if
+    not finite or a guard is below the margin, else appended to `times` and
+    `rows`.  Its source reads only sizes and the boxed names, so it compiles
+    once per shape."""
+    names = [f"_v_{nm}" for nm in state]  # the row, then the time
+    m, ind, last = len(names) - 1, _IND, _STAGES
+    boxes = [ln for j, nm, _ in boxed for ln in (
+        f"{ind}if -1e-12 < {names[j]} < 1e-12:",
+        f"{ind}    raise _DomainError('auxiliary function vanished', {nm!r})")]
+    call = f"_rhs({', '.join(names)})"
     valid = [*map("_isfinite({})".format, names[:m]),
              *(f"k{last}_{c} >= margin" for c in range(m, width))]
     accept = [*(ln for b, (j, _, _) in enumerate(boxed) for ln in (
@@ -267,25 +261,13 @@ def _flow_loop(fields: Sequence[ScalarField], state: Sequence[str], params: Mapp
                   f"{ind}    return {_DONE}, {AUXILIARY_BLOWUP!r}")),
               f"{ind}if not ({' and '.join(valid)}):",
               f"{ind}    return {_DONE}, {DOMAIN_VIOLATION!r}",
-              f"{ind}_times.append(t_new)", f"{ind}_rows.append([{row}])"]
-    setup = ["    margin = cfg.guard_margin", "    try:", *(body[k] for k in sorted(fixed)),
-             "        pass", "    except Exception:", "        pass",
-             f"    def _stage({', '.join(names)}):",
-             *(ln for j, nm, _ in boxed for ln in (
-                 f"        if -1e-12 < {names[j]} < 1e-12:",
-                 f"            raise _DomainError('auxiliary function vanished', {nm!r})")),
-             "        try:", *(f"    {body[k]}" for k in range(len(body)) if k not in fixed),
-             f"            if {check}:",
-             f"                return ({''.join(v + ', ' for v in outs)})",
-             "        except Exception:", "            pass",
-             f"        return rhs({names[-1]}, [{row}])"]
-    call = f"_stage({', '.join(names)})"
-    lines = _loop_lines(names, lambda i: [f"{ind}{_unpack(f'k{i}_', width)}= {call}"],
-                        accept, setup)
+              f"{ind}_times.append(t_new)", f"{ind}_rows.append([{', '.join(names[:m])}])"]
+    lines = _loop_lines(names, lambda i: [*boxes, f"{ind}{_unpack(f'k{i}_', width)}= {call}"],
+                        accept, ["    margin = cfg.guard_margin"])
     bounds = {f"_{side}{b}": v for b, (_, _, box) in enumerate(boxed)
               for side, v in zip(("lo", "hi"), box)}
-    prelude = {"_DomainError": DomainError, "sqrt": math.sqrt, "_times": times, "_rows": rows}
-    return _make(lines, "dop853-flow", {**prelude, **bounds}, slots)
+    prelude = {"_rhs": rhs, "_DomainError": DomainError, "_times": times, "_rows": rows}
+    return _make(lines, "dop853-flow", {**prelude, **bounds}, ())
 
 
 @dataclass(frozen=True)
@@ -312,8 +294,7 @@ class IntegratorStats:
     rejected: int = 0
     max_error_estimate: float = 0.0  # scaled local error norm among accepted steps
     # right-hand sides asked for: the initial rates, the initial-step probe and
-    # twelve stages per attempt, in a stage function or not (twelve also when
-    # a stage raised)
+    # twelve stages per attempt (twelve also when a stage raised)
     rhs_calls: int = 0
     smallest_step: float = 0.0  # among accepted steps; both 0.0 when none was
     largest_step: float = 0.0
@@ -383,9 +364,9 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
     the run before that state counts.
     `loop` takes every step from the initial rates and step computed here; by
     default `_dop853_loop(len(y0))`, which calls `rhs` at every stage.
-    `integrate` passes one with its right-hand side as a generated stage
-    function and `on_accept` inlined, which calls `rhs` only to re-run a
-    failing stage.
+    `integrate` passes one that calls its compiled right-hand side at every
+    stage, with `on_accept` inlined, so `rhs` only gives the initial rates
+    and the initial-step probe.
     Returns the stats plus an error tag (None on clean completion).
     """
     if t_end <= t0:
@@ -469,7 +450,7 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
 
     # the flow loop runs `accept` as code; the generic loop calling it takes the same steps
     stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg, accept,
-                               loop=_flow_loop(fields, state, params, boxed, times, rows))
+                               loop=_flow_loop(rhs_fn, len(fields), state, boxed, times, rows))
     columns = zip(*(columns_fn(*y, t) for t, y in zip(times, rows)))
     recorded = dict(zip(tracked or {}, map(list, columns)))
     recorded.update({nm: [y[i] for y in rows] for i, nm in enumerate(aux, 2 * n + 1)})

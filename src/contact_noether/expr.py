@@ -436,10 +436,11 @@ def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> floa
 # functions, which raise where eval_node does.  Any exception or non-finite
 # checked value re-runs eval_node, so values and the first DomainError are the
 # interpreter's.  Each number and bound parameter is a closure cell, not text,
-# so bundles that differ only in these values share one compile
+# so bundles that differ only in these values share one compile; a statement
+# that reads nothing else runs once, when the function is made
 
 _OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_KERNELS = "".join(f", _{fn}" for fn in ("isfinite", "nan", *_INTRINSIC_IMPL))
+_KERNELS = tuple(f"_{fn}" for fn in ("isfinite", "nan", *_INTRINSIC_IMPL))
 # numbers the generated functions' file names, so that profiles tell them apart
 _SERIALS = itertools.count(1)
 
@@ -504,8 +505,8 @@ def _make(lines: list[str], kind: str, prelude: Mapping[str, object],
           consts: Sequence[float]) -> Callable:
     """The function `_f` that `lines` define, made by `_mk(<prelude>, <kernels>,
     _k0, _k1, ...)` with the numbers `consts`; the kernels are read when `_f` is made."""
-    slots = "".join(f", _k{i}" for i in range(len(consts)))
-    source = "\n".join([f"def _mk({', '.join(prelude)}{_KERNELS}{slots}):",
+    args = ", ".join([*prelude, *_KERNELS, *(f"_k{i}" for i in range(len(consts)))])
+    source = "\n".join([f"def _mk({args}):",
                         *("    " + ln for ln in lines), "    return _f"])
     return _factory(source, kind)(*prelude.values(), math.isfinite, math.nan,
                                   *_INTRINSIC_IMPL.values(), *consts)
@@ -519,11 +520,16 @@ def bindable_params(params: Mapping[str, float], argnames: Sequence[str]) -> dic
 def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str, float],
              slow: Callable) -> Callable:
     """`def _f(<argnames>)`: run every node under `roots`, the names of `bound`
-    as numbers, and return the roots' values as a tuple, or `_slow(<argnames>)`."""
-    body, consts, checked, values, _ = _emit(roots, bound)
+    as numbers, and return the roots' values as a tuple, or `_slow(<argnames>)`.
+    The statements that read only numbers and names of `bound` run once, when
+    `_f` is made; one that raises leaves its name and the later ones unbound,
+    so a call that reads them takes `_slow`."""
+    body, consts, checked, values, fixed = _emit(roots, bound)
     params = ", ".join(f"_v_{nm}" for nm in argnames)
     check = f"_isfinite({' + '.join(checked)})" if checked else "True"
-    lines = [f"def _f({params}):", "    try:", *body, f"        if {check}:",
+    hoisted = ["try:", *(body[k][4:] for k in sorted(fixed)), "except Exception:", "    pass"]
+    lines = [*(hoisted if fixed else ()), f"def _f({params}):", "    try:",
+             *(ln for k, ln in enumerate(body) if k not in fixed), f"        if {check}:",
              f"            return ({''.join(v + ', ' for v in values)})",
              "    except Exception:", "        pass", f"    return _slow({params})"]
     return _make(lines, "scalar-field", {"_slow": slow}, consts)

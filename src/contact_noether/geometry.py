@@ -242,17 +242,10 @@ class LieDerivativeEta:
         d_scalar[-1] += system.rate_term(self.scalar)  # dt: t moves the rated parameters too
         self.form = tuple(c + d for c, d in zip(contract_d_eta_E(system, Y), d_scalar))
 
-    def bundle(self, extra: Mapping[str, float] | None = None, *more: ScalarField):
-        """One bundle of the form and `more`: maps a point to (the form's
-        values, the values of `more`)."""
-        m = len(self.form)
-        at = point_bundle([*self.form, *more], {**self.system.params, **(extra or {})})
-        return lambda point: (list((v := at(point))[:m]), v[m:])
-
     def __call__(self, point: ExtendedPoint,
                  extra: Mapping[str, float] | None = None) -> list[float]:
         """The 2n+2 coefficients at one point, compiling a bundle on each call."""
-        return self.bundle(extra)(point)[0]
+        return list(point_bundle(self.form, {**self.system.params, **(extra or {})})(point))
 
 
 def nan_max(values: Iterable[float]) -> float:

@@ -338,15 +338,7 @@ def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
 
 
 # ---------------------------------------------------------------------------
-# ratios and flow compensation
-
-
-def ratio_invariant(F: ScalarField, G: ScalarField) -> ScalarField:
-    """F/G, conserved where defined when F and G are dissipated at the same
-    rate; a zero denominator raises DomainError like any other quotient."""
-    if F.n != G.n:
-        raise ValueError("dimension mismatch")
-    return F / G
+# flow compensation
 
 
 def dissipation_compensation(system: ContactSystem, traj: Trajectory,

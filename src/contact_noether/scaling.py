@@ -234,13 +234,6 @@ def solve_scaling_explained(
     return solutions, rejected
 
 
-def solve_scaling(m: float, k: float, f_kind: str, g_kind: str,
-                  g0: float = 0.0, kappa: float | None = None,
-                  n: int = 1) -> list[ScalingSolution]:
-    solutions, _ = solve_scaling_explained(m, k, f_kind, g_kind, g0, kappa, n)
-    return solutions
-
-
 # ---------------------------------------------------------------------------
 # concrete time-dependent systems (Case 3 instantiation)
 

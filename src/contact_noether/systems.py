@@ -24,10 +24,10 @@ from typing import Mapping, Sequence
 
 from .expr import (ScalarField, eval_node, number, parameter, parse, partial, substitute,
                    variable)
-from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec
+from .geometry import ContactSystem, ExtendedPoint, SampleBox
 from .dynamics import AuxComponent, IntegratorConfig, Trajectory, extended_field, integrate
-from .noether import residual_at, symmetry_from_invariant
-from .scaling import _f0, _f1, _f2, case3_system, dot_qp
+from .noether import residual_at
+from .scaling import _f0, case3_system, dot_qp
 
 CONSERVED = "conserved"
 DISSIPATED = "dissipated"
@@ -154,16 +154,6 @@ def f0_invariant(n: int = 1) -> ScalarField:
     return _f0(n)
 
 
-def f1_invariant(system: ContactSystem) -> ScalarField:
-    """q.p - 2 t h with the system Hamiltonian inlined (k = -2 case)."""
-    return substitute(_f1(system.n), "h", system.h)
-
-
-def f2_invariant(system: ContactSystem, k: float) -> ScalarField:
-    """(2/(2-k)) q.p - t h - ((2+k)/(2-k)) S with h inlined."""
-    return substitute(_f2(system.n, k), "h", system.h)
-
-
 def kepler_invariant(system: ContactSystem) -> ScalarField:
     """2 q.p - 3 t h - S for a Kepler-type system (h inlined)."""
     n = system.n
@@ -240,13 +230,6 @@ def glr_equilibrium(f0: float, g0: float, a0: float = 1.0) -> tuple[float, float
     if denom <= 0 or a0 <= 0:
         raise ValueError("need f0 > g0^2/4 and a0 > 0")
     return (a0**3 * (1.0 + 0.75 * a0 * g0 * g0) / denom) ** 0.25, 0.0
-
-
-def glr_symmetry(system: ContactSystem) -> VectorFieldSpec:
-    """The symmetry generated by the dissipative Lewis-Riesenfeld invariant
-    (gauge choice Yt = 0); auxiliary symbols stay as bound parameters."""
-    _harmonic_meta(system)
-    return symmetry_from_invariant(system, glr_invariant(system.n), 0.0)
 
 
 # ---------------------------------------------------------------------------

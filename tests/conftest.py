@@ -3,6 +3,7 @@ import pytest
 
 from contact_noether.expr import compile_bundle
 from contact_noether.geometry import ExtendedPoint
+from contact_noether.scaling import solve_scaling_explained
 from contact_noether.systems import make_harmonic_dissipative, make_kepler
 
 
@@ -32,3 +33,10 @@ def values(fields, env) -> tuple[float, ...]:
 
 def value(field, env) -> float:
     return values([field], env)[0]
+
+
+def case_invariant(system, tag, k):
+    """The invariant of the case-table row `tag` for f constant, no S-term and
+    a potential of degree k, with the placeholder h replaced by `system.h`."""
+    solutions, _ = solve_scaling_explained(1.0, k, "constant", "zero", n=system.n)
+    return next(s for s in solutions if s.case_tag == tag).invariant_for(system)

@@ -48,15 +48,13 @@ from contact_noether.scaling import (
     TRIVIAL,
     ScalingAnsatz,
     scaling_generator,
-    solve_scaling,
+    solve_scaling_explained,
 )
 from contact_noether.systems import (
     AuxiliaryState,
     co_integrate,
     em_invariant_closed_form,
     f0_invariant,
-    f1_invariant,
-    f2_invariant,
     glr_equilibrium,
     glr_invariant,
     lr_equilibrium,
@@ -64,7 +62,7 @@ from contact_noether.systems import (
     make_kepler,
     make_td_kepler,
 )
-from conftest import point, value
+from conftest import case_invariant, point, value
 from randfields import derivative_pair
 
 CFG10 = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -117,7 +115,7 @@ def _round_trip_cases():
         ("Q_K", kepler, kepler.meta["invariants"]["Q_K"].field, {}),
         ("F0", damped, f0_invariant(1), {}),
         ("F1", inverse_square_system(), None, {}),
-        ("F2", kepler, f2_invariant(kepler, -1.0), {}),
+        ("F2", kepler, case_invariant(kepler, GENERIC_F2, -1.0), {}),
         ("TDKeplerInv", td, td.meta["invariants"]["F_TDK"].field, {}),
         ("F_GLR", damped, glr_invariant(), {"a": a_eq, "a_dot": 0.0, "a0": 1.0}),
         ("F_EM", damped, em_invariant_closed_form(damped), {}),
@@ -125,7 +123,7 @@ def _round_trip_cases():
     out = []
     for name, system, field, extra in cases:
         if field is None:
-            field = f1_invariant(system)
+            field = case_invariant(system, KMINUS2_F1, -2.0)
         out.append((name, system, field, extra))
     return out
 
@@ -174,18 +172,19 @@ def test_criterion_05_scaling_case_table():
             want = expected(env)
             assert value(sol.invariant, env) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
-    sol = next(s for s in solve_scaling(1.0, 2.0, "constant", "zero") if s.case_tag == K2_F0)
+    sol = next(s for s in solve_scaling_explained(1.0, 2.0, "constant", "zero")[0]
+               if s.case_tag == K2_F0)
     check_form(sol, lambda e: e["q0"] * e["p0"] - 2 * e["S"])
-    sol = next(s for s in solve_scaling(1.0, -2.0, "constant", "zero")
+    sol = next(s for s in solve_scaling_explained(1.0, -2.0, "constant", "zero")[0]
                if s.case_tag == KMINUS2_F1)
     check_form(sol, lambda e: e["q0"] * e["p0"] - 2 * e["t"] * e["h"])
-    sol = next(s for s in solve_scaling(1.0, -1.0, "constant", "zero")
+    sol = next(s for s in solve_scaling_explained(1.0, -1.0, "constant", "zero")[0]
                if s.case_tag == GENERIC_F2)
     check_form(sol, lambda e: (2.0 / 3.0) * e["q0"] * e["p0"] - e["t"] * e["h"]
                - (1.0 / 3.0) * e["S"])
     for k in (0.0, 2.0):
-        sol = next(s for s in solve_scaling(1.0, k, "constant", "homogeneous",
-                                            g0=0.3, kappa=1.0)
+        sol = next(s for s in solve_scaling_explained(1.0, k, "constant", "homogeneous",
+                                                      g0=0.3, kappa=1.0)[0]
                    if s.case_tag == DISSIPATIVE_F0)
         check_form(sol, lambda e: e["q0"] * e["p0"] - 2 * e["S"])
         assert any("g0*S" in line for line in sol.constraints_log)
@@ -205,7 +204,7 @@ def test_criterion_05_scaling_case_table():
             n=1, h=parse(h_src, 1),
             guards=(parse("q0", 1), parse("t", 1)),
             sample_box=SampleBox(q=(0.4, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.5, 3.0)))
-        for sol in solve_scaling(1.0, **args):
+        for sol in solve_scaling_explained(1.0, **args)[0]:
             if sol.case_tag == TRIVIAL:
                 continue
             residual = residual_at(system, sol.invariant_for(system))

@@ -517,6 +517,26 @@ class TestCompiledOnce:
             damped_oscillator, point(1.0, 0.5), aux0, 5.0, IntegratorConfig(), tracked))
         assert counts == (2, 0)
 
+    def test_one_flow_writes_each_field_set_once(self, kepler):
+        # `_emit` writes the right-hand side once and the tracked columns once,
+        # both for `_codegen`: the stepping loop writes no copy of its own
+        import sys
+
+        from contact_noether import expr
+
+        field, start, callers = extended_field(kepler), point([1, 0, 0], [0, 1.2, 0]), []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is expr._emit.__code__:
+                callers.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            traj = integrate(kepler, field, start, 3.0, IntegratorConfig(), tracked={"h": kepler.h})
+        finally:
+            sys.setprofile(None)
+        assert traj.error_tag is None and callers == ["_codegen", "_codegen"]
+
 
 def _kepler_flow(system, start, t_end, cfg=None):
     return integrate(system, extended_field(system), start, t_end, cfg or IntegratorConfig(),
@@ -574,35 +594,44 @@ def _vanishing_aux_flow():
 
 
 class TestFlowAttempt:
-    """integrate takes its steps with one generated loop whose stages run the
-    right-hand side's body in a generated stage function; it must take the
-    steps of the generic loop that calls the same compiled right-hand side,
-    bit for bit."""
+    """integrate takes its steps with one generated loop whose stages call the
+    compiled right-hand side; it must take the steps of the generic loop that
+    calls the same compiled right-hand side, bit for bit."""
 
     @staticmethod
     def run(monkeypatch, flow, fused=True):
-        # integrate's flow, with its loop or the generic one; rhs calls counted
-        from contact_noether import dynamics
+        # integrate's flow, with its loop or the generic one; the eval_node
+        # fallbacks of the bundles called while it steps counted
+        from contact_noether import dynamics, expr
 
-        real, calls = dynamics.adaptive_rk45, []
+        real, codegen, stepping, fallbacks = dynamics.adaptive_rk45, expr._codegen, [False], []
 
-        def stepper(rhs, *args, loop):
-            def counted(t, y):
-                calls.append(t)
-                return rhs(t, y)
+        def counting(roots, argnames, bound, slow):
+            def counted(*args):
+                fallbacks.append(stepping[0])
+                return slow(*args)
 
-            return real(counted, *args, loop=loop if fused else None)
+            return codegen(roots, argnames, bound, counted)
 
+        def stepper(*args, loop):
+            stepping[0] = True
+            try:
+                return real(*args, loop=loop if fused else None)
+            finally:
+                stepping[0] = False
+
+        monkeypatch.setattr(expr, "_codegen", counting)
         monkeypatch.setattr(dynamics, "adaptive_rk45", stepper)
         try:
-            return flow(), len(calls)
+            return flow(), sum(fallbacks)
         finally:
             monkeypatch.undo()
 
     @pytest.mark.parametrize("name", list(_flows()))
     def test_same_flow_as_the_generic_attempt(self, name, monkeypatch):
         flow, tag, falls_back = _flows()[name]
-        (fused, calls), (generic, _) = (self.run(monkeypatch, flow, kind) for kind in (True, False))
+        (fused, fallbacks), (generic, _) = (self.run(monkeypatch, flow, kind)
+                                            for kind in (True, False))
 
         def bits(traj):
             return ([t.hex() for t in traj.times], [[v.hex() for v in y] for y in traj.rows],
@@ -611,10 +640,11 @@ class TestFlowAttempt:
         assert fused.error_tag == generic.error_tag == tag
         assert fused.stats == generic.stats and fused.stats.accepted > 3
         assert bits(fused) == bits(generic)
-        # rhs runs for the initial rates, the initial-step probe and each stage re-run
-        reruns, stages = calls - 2, fused.stats.rhs_calls - 2
-        assert {"never": reruns == 0, "always": reruns == stages,
-                "sometimes": 0 < reruns < stages}[falls_back]
+        # the right-hand side falls back to eval_node at the initial rates, the
+        # initial-step probe and the stages whose compiled body fails
+        calls = fused.stats.rhs_calls
+        assert {"never": fallbacks == 0, "always": fallbacks == calls,
+                "sometimes": 0 < fallbacks < calls}[falls_back]
 
     @staticmethod
     def made(monkeypatch, flow):
@@ -660,9 +690,9 @@ class TestFlowAttempt:
         t, y, h = 1.9, [1.0, 0.5, 0.0], 0.5
         errors = [self.one_step(loop, recorded, t, y, rhs(t, y), h)
                   for loop in (fused, dynamics._dop853_loop(3))]
-        # the fused loop re-ran the raising stage only, at the row the generic one built
-        assert len(seen) == 5 and seen[0] == seen[4] and seen[0][0] == t + _C[4] * h
-        env = dict(zip(["q0", "p0", "S", "t"], [*seen[0][1], seen[0][0]]))
+        # the fused loop calls no rhs; the generic one raised at its fourth stage
+        assert len(seen) == 4 and seen[3][0] == t + _C[4] * h
+        env = dict(zip(["q0", "p0", "S", "t"], [*seen[3][1], seen[3][0]]))
         field = extended_field(sys1)
         with pytest.raises(DomainError) as info:
             for f in (*field.Yq, *field.Yp, field.YS):
@@ -697,9 +727,9 @@ class TestFlowAttempt:
                                            ("p0^2/2 + q0*(1e300/m)", 1e-10)])
     def test_a_failing_parameter_statement_takes_the_generic_steps(self, source, m,
                                                                    monkeypatch):
-        # `m - 1` runs once before the first step and the quotient that reads q0
-        # at every stage; `sqrt(m - 2)` raises and `1e300/m` overflows before
-        # the first step: the stages that read them re-run through `rhs`
+        # `m - 1` runs once when the right-hand side is compiled and the quotient
+        # that reads q0 at every stage; `sqrt(m - 2)` raises and `1e300/m`
+        # overflows there: the stages that read them fall back to eval_node
         from contact_noether import dynamics
         from contact_noether.expr import eval_node
 
@@ -718,7 +748,7 @@ class TestFlowAttempt:
 
         errors = [self.one_step(each, recorded, 0.0, y, [0.0, 0.0, 0.0], 0.1)
                   for each in (loop, dynamics._dop853_loop(3))]
-        assert len(seen) == 2 and seen[0] == seen[1] and seen[0][0] == _C[1] * 0.1
+        assert len(seen) == 1 and seen[0][0] == _C[1] * 0.1
         with pytest.raises(DomainError) as info:
             field = extended_field(sys1)
             for f in (*field.Yq, *field.Yp, field.YS):
@@ -847,19 +877,21 @@ def test_generated_functions_have_distinct_file_names():
     # generated source and the DOP853 loop of every state size must
     # be told apart, while bundles that differ only in their numbers share
     # one code object and keep their own numbers
-    from contact_noether.dynamics import _dop853_loop, _flow_loop
+    from contact_noether.dynamics import _dop853_loop, _flow_loop, _rms_of
     from contact_noether.expr import compile_bundle
 
     same = [compile_bundle([parse(f"{c}*q0*p0", 1)], ["q0", "p0"]) for c in (2.5, 3.5)]
     other = compile_bundle([parse("q0*p0 + 2.5", 1)], ["q0", "p0"])
     assert same[0].__code__ is same[1].__code__
     assert (same[0](2.0, 3.0), same[1](2.0, 3.0)) == ((15.0,), (21.0,))
-    names = [f.__code__.co_filename for f in (same[0], other, _dop853_loop(3), _dop853_loop(7))]
-    assert len(set(names)) == len(names) == 4
-    assert names[0].startswith("<scalar-field-") and names[1].startswith("<scalar-field-")
-    assert names[2:] == ["<dop853-step-3>", "<dop853-step-7>"]
-    flow = _flow_loop([parse("p0", 1), parse("-q0", 1), parse("p0^2/2", 1)],
-                      ["q0", "p0", "S", "t"], {}, [], [], []).__code__.co_filename
+    names = [f.__code__.co_filename for f in (same[0], other, _dop853_loop(3), _dop853_loop(7),
+                                              _rms_of(3), _rms_of(7))]
+    assert len(set(names)) == len(names) == 6
+    kinds = ["scalar-field", "scalar-field", "dop853-step", "dop853-step", "rms", "rms"]
+    assert all(nm.startswith(f"<{kind}-") for nm, kind in zip(names, kinds))
+    state = ["q0", "p0", "S", "t"]
+    rhs = compile_bundle([parse("p0", 1), parse("-q0", 1), parse("p0^2/2", 1)], state)
+    flow = _flow_loop(rhs, 3, state, [], [], []).__code__.co_filename
     assert flow.startswith("<dop853-flow-") and flow not in names
 
 

@@ -220,6 +220,18 @@ class TestBundle:
             raised += isinstance(ref, tuple)
         assert 20 <= raised <= 280
 
+    @pytest.mark.parametrize("source, m", [("q0/(m - 1)", 1.0), ("q0*sqrt(m - 2)", 1.0),
+                                           ("q0*(1e300/m)", 1e-10)])
+    def test_failing_parameter_statements(self, source, m):
+        # what reads only `m` runs once, when the bundle is made: `m - 1` is 0
+        # there, `sqrt(m - 2)` raises and `1e300/m` overflows
+        field, other = parse(source, 1), parse("q0 + 1", 1)
+        env = {"q0": 0.5, "m": m}
+        for fields in ([field], [other, field], [field, other]):
+            ref = _outcome(lambda: [expr.eval_node(fl.ast, env) for fl in fields])
+            assert isinstance(ref, tuple)
+            assert _outcome(lambda: expr.compile_bundle(fields, ["q0"], {"m": m})(0.5)) == ref
+
     def test_parameter_values_share_one_compile(self):
         f = parse("m*q0 + sin(m)", 1)
         two, three = (expr.compile_bundle([f], ["q0"], {"m": m}) for m in (2.0, 3.0))

@@ -153,17 +153,16 @@ class TestLieBracket:
 class TestLieDerivativeEta:
     def test_flow_field_rescales_eta(self, kepler, damped_oscillator):
         for system in (kepler, damped_oscillator):
-            at = LieDerivativeEta(system, extended_field(system)).bundle(
-                None, system.h, system.h_S)
+            form = LieDerivativeEta(system, extended_field(system)).form
+            at = point_bundle([*form, system.h, system.h_S], system.params)
             for pt in sample_points(system, 20, seed=3):
-                omega, (h, rh) = at(pt)
+                *omega, h, rh = at(pt)
                 expected = -rh * np.asarray(eta_at(pt, h))
                 scale = max(1.0, np.max(np.abs(expected)))
                 assert np.max(np.abs(np.asarray(omega) - expected)) / scale < 1e-12
 
     def test_zero_field(self, kepler):
-        omega, _ = LieDerivativeEta(kepler, VectorFieldSpec.zero(3)).bundle()(
-            point([1, 0, 0], [0, 1, 0]))
+        omega = LieDerivativeEta(kepler, VectorFieldSpec.zero(3))(point([1, 0, 0], [0, 1, 0]))
         assert max(map(abs, omega)) == 0.0
 
     def test_vertical_rescaling_is_not_proportional(self, kepler):
@@ -172,7 +171,7 @@ class TestLieDerivativeEta:
         Y = VectorFieldSpec((const_field(0, 3),) * 3, (const_field(0, 3),) * 3,
                             kepler.h, const_field(0, 3))
         pt = point([1, 0, 0], [0, 1, 0])
-        omega, (h,) = LieDerivativeEta(kepler, Y).bundle(None, kepler.h)(pt)
+        *omega, h = point_bundle([*LieDerivativeEta(kepler, Y).form, kepler.h], kepler.params)(pt)
         _, residual = proportionality_residual(omega, eta_at(pt, h))
         assert residual > 0.1
 
@@ -212,7 +211,8 @@ def _oracle_cases():
         yield td, Y, {}, sample_points(td, 4, seed=62)
     osc = systems.make_harmonic_dissipative(1.1, "1 + 0.3*sin(t)", 0.25)
     aux = {"a": 1.2, "a_dot": -0.3, "a0": 0.9}
-    for Y in (scaling_generator(ScalingAnsatz(1.0, 1.0, 2.0, 0.0), 1), systems.glr_symmetry(osc)):
+    for Y in (scaling_generator(ScalingAnsatz(1.0, 1.0, 2.0, 0.0), 1),
+              symmetry_from_invariant(osc, systems.glr_invariant(), 0.0)):
         yield osc, Y, aux, sample_points(osc, 4, seed=63, extra=aux)
     rng = np.random.default_rng(64)
     for _ in range(4):

@@ -17,7 +17,6 @@ from contact_noether.scaling import (
     homogeneity_check,
     invariant_from_ansatz,
     scaling_generator,
-    solve_scaling,
     solve_scaling_explained,
 )
 from contact_noether.systems import make_kepler
@@ -85,26 +84,26 @@ class TestGenerator:
 
 class TestSolveScaling:
     def test_kepler_case_coefficients(self):
-        sol = by_tag(solve_scaling(1.0, -1.0, "constant", "zero"), GENERIC_F2)
+        sol = by_tag(solve_scaling_explained(1.0, -1.0, "constant", "zero")[0], GENERIC_F2)
         # F2 = (2/3) q.p - t h - (1/3) S
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9, "t": 2.0, "h": 1.25}
         expected = (2.0 / 3.0) * (1.5 * -0.8) - 2.0 * 1.25 - (1.0 / 3.0) * 0.9
         assert value(sol.invariant, env) == pytest.approx(expected, rel=1e-14)
 
     def test_k2_gives_f0(self):
-        sol = by_tag(solve_scaling(1.0, 2.0, "constant", "zero"), K2_F0)
+        sol = by_tag(solve_scaling_explained(1.0, 2.0, "constant", "zero")[0], K2_F0)
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9}
         assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 0.9, rel=1e-14)
         assert sol.f_required is None
 
     def test_kminus2_gives_s_independent_f1(self):
-        sol = by_tag(solve_scaling(1.0, -2.0, "constant", "zero"), KMINUS2_F1)
+        sol = by_tag(solve_scaling_explained(1.0, -2.0, "constant", "zero")[0], KMINUS2_F1)
         assert "S" not in sol.invariant.free_vars
         env = {"q0": 1.5, "p0": -0.8, "t": 2.0, "h": 1.25}
         assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 2.0 * 1.25, rel=1e-14)
 
     def test_dissipative_branch_k2(self):
-        sols = solve_scaling(1.0, 2.0, "constant", "homogeneous", g0=0.3, kappa=1.0)
+        sols = solve_scaling_explained(1.0, 2.0, "constant", "homogeneous", g0=0.3, kappa=1.0)[0]
         sol = by_tag(sols, DISSIPATIVE_F0)
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9}
         assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 0.9, rel=1e-14)
@@ -112,8 +111,8 @@ class TestSolveScaling:
         assert not sol.informational
 
     def test_dissipative_branch_k0_is_informational(self):
-        sol = by_tag(solve_scaling(1.0, 0.0, "constant", "homogeneous", g0=0.3, kappa=1.0),
-                     DISSIPATIVE_F0)
+        sols, _ = solve_scaling_explained(1.0, 0.0, "constant", "homogeneous", g0=0.3, kappa=1.0)
+        sol = by_tag(sols, DISSIPATIVE_F0)
         assert sol.informational
 
     def test_kappa_not_one_rejected(self):
@@ -129,7 +128,7 @@ class TestSolveScaling:
         assert any("k = " in r for r in rejected)
 
     def test_power_law_emits_case3(self):
-        sol = by_tag(solve_scaling(1.0, -1.0, "power-law", "zero"), CASE3)
+        sol = by_tag(solve_scaling_explained(1.0, -1.0, "power-law", "zero")[0], CASE3)
         assert sol.f_required is not None
         # with k = -1 the forced power is t^((3 Lambda - 1)/2)
         for lam, t in ((1.0, 2.0), (1.0 / 3.0, 3.0), (2.0, 1.7)):
@@ -141,7 +140,8 @@ class TestSolveScaling:
             2.0 * 2.0 - 2.0 * 1.3 * -0.7 - 2.0 * 0.4, rel=1e-14)
 
     def test_free_f_only_k2(self):
-        assert any(s.case_tag == K2_F0 for s in solve_scaling(1.0, 2.0, "free", "zero"))
+        sols, _ = solve_scaling_explained(1.0, 2.0, "free", "zero")
+        assert any(s.case_tag == K2_F0 for s in sols)
         sols, rejected = solve_scaling_explained(1.0, -1.0, "free", "zero")
         assert all(s.case_tag == TRIVIAL for s in sols)
         assert rejected
@@ -167,7 +167,7 @@ CONCRETE_CASES = [
 class TestEmittedSolutionsSatisfyTheirSystems:
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)
     def test_invariant_residual(self, args, mk_system, extra):
-        sols = solve_scaling(1.0, **args)
+        sols = solve_scaling_explained(1.0, **args)[0]
         sols = [s for s in sols if s.case_tag != TRIVIAL]
         assert sols
         system = mk_system()
@@ -179,7 +179,7 @@ class TestEmittedSolutionsSatisfyTheirSystems:
 
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)
     def test_generator_passes_symmetry_test(self, args, mk_system, extra):
-        sols = [s for s in solve_scaling(1.0, **args) if s.case_tag != TRIVIAL]
+        sols = [s for s in solve_scaling_explained(1.0, **args)[0] if s.case_tag != TRIVIAL]
         system = mk_system()
         pts = sample_points(system, 100, seed=54, extra=extra)
         for sol in sols:
@@ -192,7 +192,7 @@ class TestEmittedSolutionsSatisfyTheirSystems:
 
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)
     def test_posthoc_exponent_constraints(self, args, mk_system, extra):
-        for sol in solve_scaling(1.0, **args):
+        for sol in solve_scaling_explained(1.0, **args)[0]:
             a = sol.ansatz
             if a is None or sol.case_tag == TRIVIAL:
                 continue
@@ -207,7 +207,7 @@ class TestEmittedSolutionsSatisfyTheirSystems:
         probes = [{"q0": 1.1, "p0": 0.7, "S": 0.5, "t": 1.2, "h": -0.4},
                   {"q0": -0.6, "p0": 1.9, "S": -1.2, "t": 0.8, "h": 2.0}]
         for args, _, _ in CONCRETE_CASES:
-            for sol in solve_scaling(1.0, **args):
+            for sol in solve_scaling_explained(1.0, **args)[0]:
                 if sol.ansatz is None or sol.case_tag == TRIVIAL:
                     continue
                 base = invariant_from_ansatz(sol.ansatz, 1)

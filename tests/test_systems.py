@@ -22,6 +22,7 @@ from contact_noether.noether import (
     residual_at,
     sample_points,
     similarity_test,
+    symmetry_from_invariant,
     symmetry_test,
 )
 from contact_noether.systems import (
@@ -30,11 +31,8 @@ from contact_noether.systems import (
     em_invariant,
     em_invariant_closed_form,
     f0_invariant,
-    f1_invariant,
-    f2_invariant,
     glr_equilibrium,
     glr_invariant,
-    glr_symmetry,
     lr_equilibrium,
     lr_invariant,
     make_builtin,
@@ -42,8 +40,8 @@ from contact_noether.systems import (
     make_kepler,
     make_td_kepler,
 )
-from contact_noether.scaling import ScalingAnsatz, scaling_generator
-from conftest import point, value, values
+from contact_noether.scaling import GENERIC_F2, KMINUS2_F1, ScalingAnsatz, scaling_generator
+from conftest import case_invariant, point, value, values
 
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -359,7 +357,7 @@ class TestCoIntegrate:
 class TestGlrSymmetry:
     def test_round_trip_recovers_invariant(self, damped_oscillator):
         system = damped_oscillator
-        Y = glr_symmetry(system)
+        Y = symmetry_from_invariant(system, glr_invariant(), 0.0)
         F = invariant_from_symmetry(system, Y)
         G = glr_invariant()
         rng = np.random.default_rng(76)
@@ -372,7 +370,7 @@ class TestGlrSymmetry:
         system = damped_oscillator
         aux0 = AuxiliaryState(use_a=True)
         traj = co_integrate(system, point(1.0, 0.5), aux0, 5.0, CFG)
-        Y = glr_symmetry(system)
+        Y = symmetry_from_invariant(system, glr_invariant(), 0.0)
         for k in range(1, len(traj.samples), max(1, len(traj.samples) // 12)):
             pt = traj.samples[k]
             aux = {"a": traj.tracked["a"][k], "a_dot": traj.tracked["a_dot"][k],
@@ -381,9 +379,8 @@ class TestGlrSymmetry:
             assert rep.passed, rep.residual
 
     def test_zero_dissipation_matches_lr_generated_symmetry(self, free_oscillator):
-        from contact_noether.noether import symmetry_from_invariant
         system = free_oscillator
-        Y_glr = glr_symmetry(system)
+        Y_glr = symmetry_from_invariant(system, glr_invariant(), 0.0)
         Y_lr = symmetry_from_invariant(system, lr_invariant(), 0.0)
         rng = np.random.default_rng(80)
         for pt in sample_points(system, 30, seed=82):
@@ -404,16 +401,19 @@ class TestInvariantCatalog:
         h_o = "p0^2.0/(2.0*m) + m/2.0*(1.0 + 0.4*sin(t))*q0^2.0 + g0*S"
         assert f0_invariant(1).source() == "q0*p0 - 2.0*S"
         assert f0_invariant(3).source() == "q0*p0 + q1*p1 + q2*p2 - 2.0*S"
-        assert f1_invariant(kepler).source() == f"q0*p0 + q1*p1 + q2*p2 - 2.0*t*({h_k})"
-        assert f1_invariant(osc).source() == f"q0*p0 - 2.0*t*({h_o})"
-        assert f2_invariant(kepler, -1.0).source() == (
+        f1 = [case_invariant(system, KMINUS2_F1, -2.0) for system in (kepler, osc)]
+        f2_kepler = case_invariant(kepler, GENERIC_F2, -1.0)
+        f2_osc = case_invariant(osc, GENERIC_F2, 0.5)
+        assert f1[0].source() == f"q0*p0 + q1*p1 + q2*p2 - 2.0*t*({h_k})"
+        assert f1[1].source() == f"q0*p0 - 2.0*t*({h_o})"
+        assert f2_kepler.source() == (
             f"0.6666666666666666*(q0*p0 + q1*p1 + q2*p2) - t*({h_k}) - 0.3333333333333333*S")
-        assert f2_invariant(osc, 0.5).source() == (
+        assert f2_osc.source() == (
             f"1.3333333333333333*(q0*p0) - t*({h_o}) - 1.6666666666666667*S")
         assert kepler.meta["invariants"]["Q_K"].field.source() == (
             f"2.0*(q0*p0 + q1*p1 + q2*p2) - 3.0*t*({h_k}) - S")
         # each printed source parses back to the same (interned) tree
-        for F in (f1_invariant(kepler), f2_invariant(osc, 0.5), f2_invariant(kepler, -1.0)):
+        for F in (f1[0], f2_osc, f2_kepler):
             assert parse(F.source(), F.n).ast is F.ast
 
 
