@@ -12,11 +12,16 @@ four counts, taken by wrappers installed in this process:
 - `bundles`: calls of `expr._codegen`, one compiled bundle of fields;
 - `derive`: calls of `expr._derive`, one derivative rule applied to one node;
 - `nodes`: calls of `_Node.__new__`, whether a node is made or found live;
-- `emitted`: statements that `_emit` writes, all of them for compiled bundles.
+- `emitted`: statements that `_emit` writes, all of them for compiled bundles;
+- `kept`: the runs whose work `expr.derivatives_kept` holds after the round
+  (0 in a checkout without that table).
 
-Then it prints their means over the counted rounds.  The counts do not depend
-on timing, so a run repeats them exactly; two checkouts can be compared by
-copying this script into each.
+A run's work is kept from its scenario's second sighting on, so a workload
+whose files recur (bundled, long-flow) counts 0 bundles, derive and emitted
+from round 2; one whose files are new every round (symbolic-sweep) keeps
+nothing.  Then it prints the means of the first four counts over the counted
+rounds.  The counts do not depend on timing, so a run repeats them exactly;
+two checkouts can be compared by copying this script into each.
 """
 
 import argparse
@@ -83,7 +88,9 @@ def main(argv: list[str] | None = None) -> int:
                 cli.run(path, work / "out", quiet=True)
             if k:
                 rows.append(dict(counts))
-                print(f"round {k}: " + ", ".join(f"{c} {counts[c]}" for c in COUNTS))
+                kept = sum(v is not None for v in getattr(expr, "_RUNS", {}).values())
+                print(f"round {k}: " + ", ".join(f"{c} {counts[c]}" for c in COUNTS)
+                      + f", kept {kept}")
     print(f"{args.workload} seed {args.seed}, mean over rounds 1-{args.rounds}: "
           + ", ".join(f"{c} {statistics.fmean(r[c] for r in rows):.1f}" for c in COUNTS))
     return 0

@@ -291,7 +291,7 @@ def _build(sc: Scenario, c: dict, tol: float) -> noether.Pointwise:
     return noether.build_similarity(Y, X, tol, float(c.get("Lambda_tol", 1e-9)), sc.system)
 
 
-@derivatives_kept()  # a later check finds the derivatives that an earlier one took
+@derivatives_kept()  # a later check finds an earlier one's work; within `run`, in its list
 def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     """Execute every check of a loaded scenario; returns (report, trajectory)."""
     report: dict[str, Any] = {
@@ -424,49 +424,57 @@ def _write_report(report: dict, out_dir: Path) -> None:
     (out_dir / "report.txt").write_text("".join(f"{k}: {_text(v)}\n" for k, v in items))
 
 
-@derivatives_kept()  # the checks find the derivatives that loading the scenario took
 def run(scenario_path: str | Path, out_root: str | Path | None = None,
         seed: int | None = None, tol_override: float | None = None,
         quiet: bool = False, checks: bool = True) -> tuple[dict, int]:
-    """Load, execute and persist one scenario; returns (report, exit_code)."""
+    """Load, execute and persist one scenario; returns (report, exit_code).
+    The checks find the derivatives that loading took, and the file's bytes
+    key the run's symbolic work, so a scenario that recurs reuses it
+    (`derivatives_kept`)."""
     try:
-        sc = load_scenario(scenario_path)
-        if seed is not None:
-            sc.seed = _integer(seed, 0, "--seed")
-        if tol_override is not None:
-            _require(_finite(tol_override, "--tol-override") >= 0, "--tol-override must be >= 0")
-            for c in sc.checks:
-                c["tol"] = tol_override
-        out_root = Path(out_root or os.environ.get(DEFAULT_OUT_ENV, "out"))
-        out_dir = out_root / sc.name
-        if not checks:
-            traj = _run_flow(sc)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            traj.to_csv(out_dir / "trajectory.csv")
+        key: bytes | None = Path(scenario_path).read_bytes()
+    except OSError:  # load_scenario reports it
+        key = None
+    with derivatives_kept(key):
+        try:
+            sc = load_scenario(scenario_path)
+            if seed is not None:
+                sc.seed = _integer(seed, 0, "--seed")
+            if tol_override is not None:
+                _require(_finite(tol_override, "--tol-override") >= 0,
+                         "--tol-override must be >= 0")
+                for c in sc.checks:
+                    c["tol"] = tol_override
+            out_root = Path(out_root or os.environ.get(DEFAULT_OUT_ENV, "out"))
+            out_dir = out_root / sc.name
+            if not checks:
+                traj = _run_flow(sc)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                traj.to_csv(out_dir / "trajectory.csv")
+                if not quiet:
+                    print(f"{sc.name}: wrote {out_dir / 'trajectory.csv'} "
+                          f"({len(traj.times)} samples, error_tag={traj.error_tag})")
+                return {"scenario": sc.name, "passed": traj.error_tag is None}, \
+                    (0 if traj.error_tag is None else 3)
+            report, traj = run_checks(sc)
+            _write_report(report, out_dir)
+            if traj is not None:
+                traj.to_csv(out_dir / "trajectory.csv")
             if not quiet:
-                print(f"{sc.name}: wrote {out_dir / 'trajectory.csv'} "
-                      f"({len(traj.times)} samples, error_tag={traj.error_tag})")
-            return {"scenario": sc.name, "passed": traj.error_tag is None}, \
-                (0 if traj.error_tag is None else 3)
-        report, traj = run_checks(sc)
-        _write_report(report, out_dir)
-        if traj is not None:
-            traj.to_csv(out_dir / "trajectory.csv")
-        if not quiet:
-            for c in report["checks"]:
-                status = "PASS" if c["passed"] else "FAIL"
-                print(f"{sc.name}: {status} {c['type']} {c['target']} "
-                      f"value={_fmt(c['value'])} tol={_fmt(c['tol'])}")
-            print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}")
-        return report, (0 if report["passed"] else 1)
-    except ConfigError as e:
-        if not quiet:
-            print(f"config error: {e}", file=sys.stderr)
-        return {"error": str(e)}, 2
-    except Exception as e:  # runtime/domain errors
-        if not quiet:
-            print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
-        return {"error": str(e)}, 3
+                for c in report["checks"]:
+                    status = "PASS" if c["passed"] else "FAIL"
+                    print(f"{sc.name}: {status} {c['type']} {c['target']} "
+                          f"value={_fmt(c['value'])} tol={_fmt(c['tol'])}")
+                print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}")
+            return report, (0 if report["passed"] else 1)
+        except ConfigError as e:
+            if not quiet:
+                print(f"config error: {e}", file=sys.stderr)
+            return {"error": str(e)}, 2
+        except Exception as e:  # runtime/domain errors
+            if not quiet:
+                print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
+            return {"error": str(e)}, 3
 
 
 # ---------------------------------------------------------------------------

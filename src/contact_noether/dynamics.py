@@ -21,7 +21,7 @@ import math
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
@@ -244,30 +244,39 @@ def _flow_loop(rhs: Callable[..., tuple[float, ...]], width: int, state: Sequenc
     """The run whose stages call `rhs(<row>, <time>)`, a compiled bundle over
     `state` with `width` values (the rates, then the guards), after a
     DomainError test of |row[i]| < 1e-12 for each boxed (i, name, _).  An
-    accepted state is tagged AuxiliaryBlowup out of a box, DomainViolation if
-    not finite or a guard is below the margin, else appended to `times` and
-    `rows`.  Its source reads only sizes and the boxed names, so it compiles
-    once per shape."""
+    accepted state is tagged AuxiliaryBlowup out of its box, DomainViolation
+    if not finite or a guard is below the margin, else appended to `times`
+    and `rows`.  Its source is written once per shape (the state names, the
+    width, the boxed indices and names) and compiled once per distinct text;
+    `rhs`, `times`, `rows` and the box bounds are given to each run's copy."""
+    lines = _flow_lines(tuple(state), width, tuple((j, nm) for j, nm, _ in boxed))
+    bounds = {f"_{side}{b}": v for b, (_, _, box) in enumerate(boxed)
+              for side, v in zip(("lo", "hi"), box)}
+    prelude = {"_rhs": rhs, "_DomainError": DomainError, "_times": times, "_rows": rows}
+    return _make(lines, "dop853-flow", {**prelude, **bounds}, ())
+
+
+@lru_cache(maxsize=64)
+def _flow_lines(state: tuple[str, ...], width: int,
+                boxed: tuple[tuple[int, str], ...]) -> tuple[str, ...]:
+    """The source lines of `_flow_loop`'s run for one shape; its b-th box reads
+    `_lo{b}` and `_hi{b}`."""
     names = [f"_v_{nm}" for nm in state]  # the row, then the time
     m, ind, last = len(names) - 1, _IND, _STAGES
-    boxes = [ln for j, nm, _ in boxed for ln in (
+    boxes = [ln for j, nm in boxed for ln in (
         f"{ind}if -1e-12 < {names[j]} < 1e-12:",
         f"{ind}    raise _DomainError('auxiliary function vanished', {nm!r})")]
     call = f"_rhs({', '.join(names)})"
     valid = [*map("_isfinite({})".format, names[:m]),
              *(f"k{last}_{c} >= margin" for c in range(m, width))]
-    accept = [*(ln for b, (j, _, _) in enumerate(boxed) for ln in (
+    accept = [*(ln for b, (j, _) in enumerate(boxed) for ln in (
                   f"{ind}if not (_lo{b} < {names[j]} < _hi{b}):",
                   f"{ind}    return {_DONE}, {AUXILIARY_BLOWUP!r}")),
               f"{ind}if not ({' and '.join(valid)}):",
               f"{ind}    return {_DONE}, {DOMAIN_VIOLATION!r}",
               f"{ind}_times.append(t_new)", f"{ind}_rows.append([{', '.join(names[:m])}])"]
-    lines = _loop_lines(names, lambda i: [*boxes, f"{ind}{_unpack(f'k{i}_', width)}= {call}"],
-                        accept, ["    margin = cfg.guard_margin"])
-    bounds = {f"_{side}{b}": v for b, (_, _, box) in enumerate(boxed)
-              for side, v in zip(("lo", "hi"), box)}
-    prelude = {"_rhs": rhs, "_DomainError": DomainError, "_times": times, "_rows": rows}
-    return _make(lines, "dop853-flow", {**prelude, **bounds}, ())
+    return tuple(_loop_lines(names, lambda i: [*boxes, f"{ind}{_unpack(f'k{i}_', width)}= {call}"],
+                             accept, ["    margin = cfg.guard_margin"]))
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,11 @@ Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.
 Derivatives and free names are computed once per distinct node.  A node that
 does not read a name takes its derivative by it from one signed zero, kept on
 the node, so a name-free subtree is walked once in its lifetime; within
-`derivatives_kept` (one scenario's run) one list holds every derivative, so
-a later check finds an earlier one's through the nodes' weak `_d`.  A bundle of
-fields compiles to one statement per distinct node, bit-identical to eval_node.
+`derivatives_kept` (one scenario's run) one list holds every derivative and
+bundle, so a later check finds an earlier one's through the nodes' weak `_d`
+and the weak table of bundles; a run that recurs keeps its list for the next.
+A bundle of fields compiles to one statement per distinct node, bit-identical
+to eval_node.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ _INTERN: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictiona
 _LIVE = _INTERN.data  # key -> weak reference, read directly; entries are set through _INTERN
 _Names = tuple[frozenset[str], frozenset[str]]  # (Var names, Param names)
 _NO_NAMES: _Names = (frozenset(), frozenset())
-_KEPT: "ContextVar[list[_Node] | None]" = ContextVar("_KEPT", default=None)  # see derivatives_kept
+_KEPT: "ContextVar[list[object] | None]" = ContextVar("_KEPT", default=None)  # see derivatives_kept
+_RUNS: "dict[object, list[object] | None]" = {}  # the last _RECENT keys, oldest first
+_RECENT = 8
 
 
 def _union(a: _Names, b: _Names) -> _Names:
@@ -501,7 +505,7 @@ def _emit(roots: Sequence[Node], slots: Mapping[str, float],
     return lines, consts, checked, values, fixed
 
 
-def _make(lines: list[str], kind: str, prelude: Mapping[str, object],
+def _make(lines: Sequence[str], kind: str, prelude: Mapping[str, object],
           consts: Sequence[float]) -> Callable:
     """The function `_f` that `lines` define, made by `_mk(<prelude>, <kernels>,
     _k0, _k1, ...)` with the numbers `consts`; the kernels are read when `_f` is made."""
@@ -535,22 +539,33 @@ def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str,
     return _make(lines, "scalar-field", {"_slow": slow}, consts)
 
 
+# the live bundles by (roots, argnames, bound names with their values' type, value and sign)
+_BUNDLES: "weakref.WeakValueDictionary[tuple, Callable]" = weakref.WeakValueDictionary()
+
+
 def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
                    params: Mapping[str, float] = {}) -> Callable[..., tuple[float, ...]]:
     """One function of positional floats, given in the order of `argnames`,
     that returns a tuple with one value per field, bit for bit eval_node's,
     and raises eval_node's first DomainError; `params` binds the other names,
-    by `bindable_params`, as numbers of the function."""
+    by `bindable_params`, as numbers of the function.  While it lives, the
+    same roots, names and bound values return it again."""
     roots, bound = [f.ast for f in fields], bindable_params(params, argnames)
     unbound = set().union(*(f.free_vars | f.free_params for f in fields)) - {*argnames, *bound}
     if unbound:
         raise UnboundParameter(f"unbound names {sorted(unbound)}")
+    key = (tuple(roots), tuple(argnames),
+           tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in bound.items()))
+    fn = _BUNDLES.get(key)
+    if fn is None:
+        def slow(*args: float) -> tuple[float, ...]:
+            env, memo = {**bound, **dict(zip(argnames, args))}, {}
+            return tuple(eval_node(r, env, memo) for r in roots)
 
-    def slow(*args: float) -> tuple[float, ...]:
-        env, memo = {**bound, **dict(zip(argnames, args))}, {}
-        return tuple(eval_node(r, env, memo) for r in roots)
-
-    return _codegen(roots, argnames, bound, slow)
+        fn = _BUNDLES[key] = _codegen(roots, argnames, bound, slow)
+    if (kept := _KEPT.get()) is not None:
+        kept.append(fn)
+    return fn
 
 
 def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
@@ -888,19 +903,35 @@ def partial(field: ScalarField, name: str) -> ScalarField:
     root = d(field.ast)
     del d  # a recursive closure is a reference cycle, which would keep the nodes
     if (kept := _KEPT.get()) is not None:
+        kept.append(field.ast)
         kept.extend(memo.values())
     return ScalarField(root, field.n)
 
 
 @contextmanager
-def derivatives_kept() -> Iterator[None]:
-    """Within the block, or a function it decorates, one list holds every derivative
-    that `partial` builds, so that the nodes' weak `_d` find it; released on exit."""
-    token = _KEPT.set([])
+def derivatives_kept(key: object = None) -> Iterator[None]:
+    """Within the block, or a function it decorates, one list holds the root of
+    each `partial` call and its derivatives, so that the nodes' weak `_d` find
+    them, and every bundle that `compile_bundle` returns; a nested block joins
+    the outer one's list.  On exit the list is kept under `key` if `key` is
+    among the last `_RECENT` keys that blocks exited with, replacing its earlier
+    list; otherwise only the key is recorded, so work seen once is released.
+    The key decides only how long the work lives, never what is computed."""
+    if _KEPT.get() is not None:
+        yield
+        return
+    kept: list[object] = []
+    token = _KEPT.set(kept)
     try:
         yield
     finally:
         _KEPT.reset(token)
+        if key is not None:
+            recurs = key in _RUNS
+            _RUNS.pop(key, None)  # to be re-entered as the most recent
+            _RUNS[key] = kept if recurs else None
+            while len(_RUNS) > _RECENT:  # no lock: a race could only misjudge a lifetime
+                _RUNS.pop(next(iter(_RUNS)), None)
 
 
 def _subst(node: Node, name: str, replacement: Node, s: Callable[[Node], Node]) -> Node:

@@ -16,10 +16,9 @@ dissipation equation is linear, so both scalings are solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .expr import ScalarField, apply_intrinsic, number, parameter, partial, substitute, variable
-from .geometry import ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec, point_bundle
+from .expr import ScalarField, apply_intrinsic, number, parameter, substitute, variable
+from .geometry import ContactSystem, SampleBox, VectorFieldSpec
 
 TRIVIAL = "Trivial"
 K2_F0 = "K2_F0"
@@ -85,32 +84,6 @@ def scaling_generator(ansatz: ScalingAnsatz, n: int) -> VectorFieldSpec:
     )
 
 
-def invariant_from_ansatz(ansatz: ScalingAnsatz, n: int) -> ScalarField:
-    """The dissipated quantity alpha q.p - sigma t h - gamma S implied by a
-    scaling generator (h left as a placeholder)."""
-    h = parameter("h", n)
-    return (ansatz.alpha * dot_qp(n)
-            - ansatz.sigma * variable("t", n) * h
-            - ansatz.gamma * variable("S", n))
-
-
-def homogeneity_check(V: ScalarField, k: float, samples: Sequence[ExtendedPoint],
-                      tol: float = 1e-9,
-                      params: dict[str, float] | None = None) -> bool:
-    """Euler-identity test q . grad V = k V at every sample (relative tol)."""
-    n = V.n
-    euler = number(0.0, n)
-    for i in range(n):
-        euler = euler + variable(f"q{i}", n) * partial(V, f"q{i}")
-    at = point_bundle([euler, V], params or {})
-    for pt in samples:
-        lhs, v = at(pt)
-        rhs = k * v
-        if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the case table
 
@@ -139,15 +112,6 @@ def case3_f_required(k: float, n: int = 1) -> ScalarField:
     """The forced power law f(t; Lambda) = t^((2-k) Lambda/2 - (2+k)/2)."""
     exponent = parameter("Lambda", n) * ((2.0 - k) / 2.0) - (2.0 + k) / 2.0
     return variable("t", n) ** exponent
-
-
-def case3_ansatz(k: float, Lambda: float) -> ScalingAnsatz:
-    """Numeric ansatz for a chosen Lambda = gamma/sigma (normalised)."""
-    sigma = 1.0
-    gamma = Lambda * sigma
-    alpha = gamma / 2.0 + sigma / 2.0
-    raw = ScalingAnsatz(alpha, gamma - alpha, gamma, sigma)
-    return _normalize(raw)
 
 
 def _normalize(a: ScalingAnsatz) -> ScalingAnsatz:

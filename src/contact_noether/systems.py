@@ -18,12 +18,10 @@ F_EM = b p - m b_dot q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .expr import (ScalarField, eval_node, number, parameter, parse, partial, substitute,
-                   variable)
+from .expr import ScalarField, number, parameter, parse, substitute, variable
 from .geometry import ContactSystem, ExtendedPoint, SampleBox
 from .dynamics import AuxComponent, IntegratorConfig, Trajectory, extended_field, integrate
 from .noether import residual_at
@@ -191,45 +189,6 @@ def em_invariant(n: int = 1) -> ScalarField:
     _verify_aux_forms()
     return parameter("b", n) * variable("p0", n) \
         - parameter("m", n) * parameter("b_dot", n) * variable("q0", n)
-
-
-def em_invariant_closed_form(system: ContactSystem, b0: float = 1.0,
-                             bdot0: float = 0.0) -> ScalarField:
-    """F_EM with b(t) written out in closed form; needs constant f(t) with
-    f > g0^2/4 (underdamped auxiliary equation)."""
-    f, g0 = _harmonic_meta(system)
-    if f.free_vars:
-        raise ValueError("closed-form b(t) requires constant f")
-    f0 = eval_node(f.ast, system.params)
-    disc = f0 - g0 * g0 / 4.0
-    if disc <= 0.0:
-        raise ValueError("need f > g0^2/4 for the oscillatory closed form")
-    w = math.sqrt(disc)
-    n = system.n
-    t = variable("t", n)
-    from .expr import apply_intrinsic
-
-    decay = apply_intrinsic("exp", (-g0 / 2.0) * t)
-    c2 = (bdot0 + g0 * b0 / 2.0) / w
-    b = decay * (b0 * apply_intrinsic("cos", w * t) + c2 * apply_intrinsic("sin", w * t))
-    b_dot = partial(b, "t")
-    return b * variable("p0", n) - parameter("m", n) * b_dot * variable("q0", n)
-
-
-def lr_equilibrium(f0: float, rho0: float = 1.0) -> tuple[float, float]:
-    """Constant solution of the rho equation at f = f0: rho = (rho0/f0)^(1/4)."""
-    if f0 <= 0 or rho0 <= 0:
-        raise ValueError("need f0 > 0 and rho0 > 0")
-    return (rho0 / f0) ** 0.25, 0.0
-
-
-def glr_equilibrium(f0: float, g0: float, a0: float = 1.0) -> tuple[float, float]:
-    """Constant solution of the a equation at f = f0:
-    a = (a0^3 (1 + 3 a0 g0^2/4) / (f0 - g0^2/4))^(1/4)."""
-    denom = f0 - g0 * g0 / 4.0
-    if denom <= 0 or a0 <= 0:
-        raise ValueError("need f0 > g0^2/4 and a0 > 0")
-    return (a0**3 * (1.0 + 0.75 * a0 * g0 * g0) / denom) ** 0.25, 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
+from contact_noether import expr
 from contact_noether.expr import compile_bundle
 from contact_noether.geometry import ExtendedPoint
 from contact_noether.scaling import solve_scaling_explained
 from contact_noether.systems import make_harmonic_dissipative, make_kepler
+
+
+@pytest.fixture(autouse=True)
+def no_kept_runs():
+    """Each test starts and ends with no run's work kept (`expr.derivatives_kept`),
+    so counts of derivatives and compiles do not depend on the tests before it."""
+    expr._RUNS.clear()
+    yield
+    expr._RUNS.clear()
 
 
 @pytest.fixture

@@ -53,16 +53,14 @@ from contact_noether.scaling import (
 from contact_noether.systems import (
     AuxiliaryState,
     co_integrate,
-    em_invariant_closed_form,
     f0_invariant,
-    glr_equilibrium,
     glr_invariant,
-    lr_equilibrium,
     make_harmonic_dissipative,
     make_kepler,
     make_td_kepler,
 )
 from conftest import case_invariant, point, value
+from oracles import em_invariant_closed_form, glr_equilibrium, lr_equilibrium
 from randfields import derivative_pair
 
 CFG10 = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import pickle
 import weakref
@@ -219,6 +220,15 @@ class TestBundle:
             assert got == ref
             raised += isinstance(ref, tuple)
         assert 20 <= raised <= 280
+
+    def test_a_bound_zero_keeps_its_sign(self):
+        # a live bundle is found again by its roots, names and bound values,
+        # and 0.0 and -0.0 are two values
+        f = parse("q0*m", 1)
+        plus = expr.compile_bundle([f], ["q0"], {"m": 0.0})
+        minus = expr.compile_bundle([f], ["q0"], {"m": -0.0})
+        assert expr.compile_bundle([f], ["q0"], {"m": 0.0}) is plus and minus is not plus
+        assert [math.copysign(1.0, fn(1.0)[0]) for fn in (plus, minus)] == [1.0, -1.0]
 
     @pytest.mark.parametrize("source, m", [("q0/(m - 1)", 1.0), ("q0*sqrt(m - 2)", 1.0),
                                            ("q0*(1e300/m)", 1e-10)])
@@ -664,10 +674,18 @@ class TestNodeFacts:
         assert len(expr._INTERN) == baseline
 
 
+def _spaced(tmp_path, k: int) -> Path:
+    """kepler-scaling with k trailing spaces: the same scenario under other bytes."""
+    path = tmp_path / f"kepler-scaling-{k}.json"
+    path.write_bytes((SCENARIOS / "kepler-scaling.json").read_bytes() + b" " * k)
+    return path
+
+
 class TestRunScopedDerivatives:
-    """While one scenario's checks run, one list holds every derivative that
-    `partial` builds, so a later check finds an earlier one's through the
-    nodes' weak `_d`; the list goes when the checks return."""
+    """While one scenario runs, one list holds every derivative that `partial`
+    builds and every bundle compiled, so a later check finds an earlier one's
+    through the nodes' weak `_d`; the list goes when the run returns, unless
+    the scenario's bytes are among the last 8 that ran."""
 
     def test_a_run_derives_each_node_by_each_name_once(self, tmp_path, monkeypatch):
         names: "weakref.WeakKeyDictionary[expr._Node, set]" = weakref.WeakKeyDictionary()
@@ -710,9 +728,10 @@ class TestRunScopedDerivatives:
     def test_a_run_leaves_the_table_as_it_was(self, tmp_path, monkeypatch):
         # the first run may leave the absent-name zero, a number, on nodes that
         # outlive it; with the collector off, only reference counts can free the
-        # second run's nodes, so neither the list nor a cycle holds one
-        path = SCENARIOS / "kepler-scaling.json"
-        cli.run(path, tmp_path, quiet=True)
+        # second run's nodes, so neither the list nor a cycle holds one, and
+        # bytes that have not run before keep nothing
+        cli.run(SCENARIOS / "kepler-scaling.json", tmp_path, quiet=True)
+        path = _spaced(tmp_path, 1)
         sizes = []
         real = cli._write_report
         monkeypatch.setattr(cli, "_write_report",
@@ -727,6 +746,73 @@ class TestRunScopedDerivatives:
             assert len(expr._INTERN) == baseline
         finally:
             gc.enable()
+
+    def test_the_third_run_of_the_same_bytes_derives_and_compiles_nothing(
+            self, tmp_path, monkeypatch):
+        calls: dict[str, int] = {}
+        for name in ("_derive", "_codegen", "_emit"):
+            def counted(*args, _real=getattr(expr, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(expr, name, counted)
+        counts, outputs = [], []
+        for k in range(3):
+            calls.clear()
+            _, code = cli.run(SCENARIOS / "kepler-scaling.json", tmp_path / str(k), quiet=True)
+            assert code == 0
+            counts.append(dict(calls))
+            outputs.append([(tmp_path / str(k) / "kepler-scaling" / f).read_bytes()
+                            for f in ("report.json", "trajectory.csv")])
+        assert counts[0]["_derive"] > 1000 and counts[0]["_codegen"] == counts[0]["_emit"] > 1
+        assert counts[2] == {}
+        assert outputs[2] == outputs[1] == outputs[0]
+
+    def test_scenarios_seen_once_keep_nothing(self, tmp_path):
+        cli.run(_spaced(tmp_path, 0), tmp_path, quiet=True)
+        paths = [_spaced(tmp_path, k) for k in range(1, 21)]
+        gc.collect()
+        baseline = len(expr._INTERN)
+        gc.disable()
+        try:
+            for path in paths:
+                assert cli.run(path, tmp_path, quiet=True)[1] == 0
+            assert len(expr._INTERN) == baseline
+        finally:
+            gc.enable()
+        assert len(expr._RUNS) == 8 and all(kept is None for kept in expr._RUNS.values())
+
+    def test_a_recurring_scenario_is_released_after_eight_others(self, tmp_path):
+        paths = [_spaced(tmp_path, k) for k in range(10)]
+        cli.run(paths[9], tmp_path, quiet=True)
+        gc.collect()
+        baseline = len(expr._INTERN)
+        gc.disable()
+        try:
+            for path in (paths[0], paths[0], *paths[1:8]):
+                assert cli.run(path, tmp_path, quiet=True)[1] == 0
+            held = len(expr._INTERN)
+            assert cli.run(paths[8], tmp_path, quiet=True)[1] == 0
+            assert held > baseline and len(expr._INTERN) == baseline
+        finally:
+            gc.enable()
+
+    def test_a_recurring_domain_error_reads_the_same_every_run(self, tmp_path, capsys,
+                                                               monkeypatch):
+        path = tmp_path / "sqrt.json"
+        path.write_text(json.dumps({
+            "system": {"expression": "p0^2/2 + q0^2/2", "dimension": 1},
+            "invariants": [{"label": "F", "expression": "sqrt(q0 - 100)"}],
+            "checks": [{"type": "residual", "invariant": "F"}]}))
+        codegens = []
+        real = expr._codegen
+        monkeypatch.setattr(expr, "_codegen", lambda *args: codegens.append(1) or real(*args))
+        seen = []
+        for _ in range(3):
+            codegens.clear()
+            report, code = cli.run(path, tmp_path / "out")
+            seen.append((code, report["error"], capsys.readouterr().err))
+        assert seen[0][:2] == (3, "sqrt of negative value in `sqrt(q0 - 100.0)`")
+        assert seen[2] == seen[1] == seen[0] and codegens == []
 
 
 class TestIntrinsicDomain:

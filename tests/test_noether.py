@@ -37,9 +37,10 @@ from contact_noether.noether import (
     symmetry_test,
 )
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
-from contact_noether.systems import (f0_invariant, lr_invariant, lr_equilibrium,
-                                     make_harmonic_dissipative, make_kepler, make_td_kepler)
+from contact_noether.systems import (f0_invariant, lr_invariant, make_harmonic_dissipative,
+                                     make_kepler, make_td_kepler)
 from conftest import point, value
+from oracles import lr_equilibrium
 from randfields import PARAM_NAMES, central_fd, random_field
 
 

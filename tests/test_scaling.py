@@ -12,15 +12,13 @@ from contact_noether.scaling import (
     KMINUS2_F1,
     TRIVIAL,
     ScalingAnsatz,
-    case3_ansatz,
     case3_system,
-    homogeneity_check,
-    invariant_from_ansatz,
     scaling_generator,
     solve_scaling_explained,
 )
 from contact_noether.systems import make_kepler
 from conftest import point, value, values
+from oracles import case3_ansatz, homogeneity_check, invariant_from_ansatz
 
 
 def family_system(k: float, f_src: str = "1", g_src: str | None = None,

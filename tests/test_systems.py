@@ -29,11 +29,8 @@ from contact_noether.systems import (
     AuxiliaryState,
     co_integrate,
     em_invariant,
-    em_invariant_closed_form,
     f0_invariant,
-    glr_equilibrium,
     glr_invariant,
-    lr_equilibrium,
     lr_invariant,
     make_builtin,
     make_harmonic_dissipative,
@@ -42,6 +39,7 @@ from contact_noether.systems import (
 )
 from contact_noether.scaling import GENERIC_F2, KMINUS2_F1, ScalingAnsatz, scaling_generator
 from conftest import case_invariant, point, value, values
+from oracles import em_invariant_closed_form, glr_equilibrium, lr_equilibrium
 
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
