@@ -2,6 +2,7 @@
 """Print the sha256 of each scenario's report.json, report.txt and trajectory.csv.
 
 Usage: python3 scripts/report_digests.py scenarios/*.json
+       python3 scripts/report_digests.py -h | --help
 
 Each scenario runs through `cli.run` into a temporary directory.  Output is
 one line per file, `<sha256>  <scenario>/<file>`, plus the exit code of each
@@ -36,6 +37,9 @@ def digest_lines(path: str, out: Path) -> list[str]:
 
 
 def main(paths: list[str]) -> int:
+    if {"-h", "--help"} & set(paths):
+        print(__doc__.strip())
+        return 0
     if not paths:
         print(__doc__.strip(), file=sys.stderr)
         return 2

@@ -8,7 +8,6 @@ from . import cli, dynamics, expr, geometry, noether, scaling, systems  # noqa: 
 from .dynamics import (  # noqa: F401
     IntegratorConfig,
     Trajectory,
-    action_consistency,
     contact_field,
     extended_field,
     integrate,
@@ -18,16 +17,13 @@ from .geometry import (  # noqa: F401
     ContactSystem,
     ExtendedPoint,
     VectorFieldSpec,
-    jacobi_bracket,
     lie_bracket,
-    poisson_bracket,
 )
 from .noether import (  # noqa: F401
     SimilarityReport,
     SymmetryReport,
     closure_check,
     dissipation_field,
-    invariant_from_symmetry,
     residual_at,
     sample_points,
     similarity_test,

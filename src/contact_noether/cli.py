@@ -131,6 +131,8 @@ def load_scenario(path: str | Path) -> Scenario:
     sysspec = raw.get("system")
     _require(isinstance(sysspec, dict), f"{path}: missing 'system' object")
     params = _object(sysspec.get("params"), f"{path}: system 'params'")
+    params = {k: v if k == "f" and "builtin" in sysspec and isinstance(v, str)  # f(t), a source
+              else _finite(v, f"{path}: system params {k!r}") for k, v in params.items()}
     try:
         if "builtin" in sysspec:
             system = make_builtin(sysspec["builtin"], params)
@@ -139,9 +141,7 @@ def load_scenario(path: str | Path) -> Scenario:
                      f"{path}: system needs 'builtin' or 'expression'+'dimension'")
             n = _integer(sysspec["dimension"], 1, f"{path}: system 'dimension'")
             h = _parse_field(sysspec["expression"], n, f"{path}: system.expression")
-            system = ContactSystem(n=n, h=h,
-                                   params={k: float(v) for k, v in params.items()},
-                                   label=name)
+            system = ContactSystem(n=n, h=h, params=params, label=name)
             system.meta["invariants"] = {}
     except (KeyError, ValueError, ExprError) as e:
         raise ConfigError(f"{path}: bad system spec: {e}") from e
@@ -150,8 +150,11 @@ def load_scenario(path: str | Path) -> Scenario:
     if "initial" in raw:
         ini = raw["initial"]
         try:
-            initial = ExtendedPoint(ini["q"], ini["p"],
-                                    float(ini.get("S", 0.0)), float(ini.get("t", 0.0)))
+            q, p = ([_finite(v, f"{path}: initial {k}[{i}]")
+                     for i, v in enumerate(_list(ini[k], f"{path}: initial {k!r}"))]
+                    for k in ("q", "p"))
+            initial = ExtendedPoint(q, p, *(_finite(ini.get(k, 0.0), f"{path}: initial {k!r}")
+                                            for k in ("S", "t")))
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"{path}: bad initial state: {e}") from e
         _require(initial.n == system.n, f"{path}: initial state dimension != system dimension")
@@ -159,7 +162,8 @@ def load_scenario(path: str | Path) -> Scenario:
     t_end = _finite(raw["t_end"], f"{path}: 't_end'") if "t_end" in raw else None
     settings = _object(raw.get("integrator"), f"{path}: 'integrator'")
     try:
-        integ = IntegratorConfig(**{k: float(v) for k, v in settings.items()})
+        integ = IntegratorConfig(**{k: _finite(v, f"{path}: integrator {k!r}")
+                                    for k, v in settings.items()})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: bad integrator config: {e}") from e
 
@@ -319,22 +323,24 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
         if traj.error_tag is not None:
             raise RuntimeError(f"integration aborted: {traj.error_tag}")
 
-    # built on first use, once per run
-    points = cache(lambda: sample_points(sc.system, sc.sample_count, sc.seed,
-                                         margin=sc.integrator.guard_margin, extra=sc.point_params))
-    compensation = cache(lambda: dissipation_compensation(sc.system, traj, sc.point_params))
+    # the checks bind `point_params` over the system's; the flow does not, so that a tracked
+    # field reading a point-only name stays unbound.  Built on first use, once per run
+    bound = sc.system.with_params(sc.point_params)
+    points = cache(lambda: sample_points(bound, sc.sample_count, sc.seed,
+                                         margin=sc.integrator.guard_margin))
+    compensation = cache(lambda: dissipation_compensation(bound, traj))
     tols = [float(c.get("tol", SYMBOLIC_THRESHOLD if CHECK_REFERENCES[c["type"]][0] == "symmetry"
                         else FLOW_THRESHOLD)) for c in sc.checks]
 
     # every pointwise check's fields in one bundle, called once per sample; if building,
     # compiling or calling it raises, each check calls its own bundle at its turn instead,
     # so that the first error is the one the checks raise one by one
-    params, fused = {**sc.system.params, **sc.point_params}, {}
+    fused = {}
     if any(c["type"] in POINTWISE for c in sc.checks):
         try:
             built = {i: _build(sc, c, tols[i]) for i, c in enumerate(sc.checks)
                      if c["type"] in POINTWISE}
-            at = point_bundle([f for b in built.values() for f in b.fields], params)
+            at = point_bundle([f for b in built.values() for f in b.fields], bound.params)
             rows, lo = [at(pt) for pt in points()], 0
         except Exception:
             built = {}
@@ -354,7 +360,7 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
                 if ctype != "residual":
                     points()
                 b = _build(sc, c, tol)
-                rows = map(point_bundle(b.fields, params), points())
+                rows = map(point_bundle(b.fields, bound.params), points())
             rep = b.judge(points(), rows)
         if ctype == "drift":
             inv = sc.invariants[c["invariant"]]

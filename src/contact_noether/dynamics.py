@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .expr import DomainError, Num, ScalarField, _make, compile_bundle, number, partial, variable
 from .geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names,
-                       directional_derivative, nan_max)
+                       directional_derivative)
 
 
 class TimeDependentHamiltonian(Exception):
@@ -409,14 +409,13 @@ class AuxComponent(NamedTuple):
 
 def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoint, t_end: float,
               cfg: IntegratorConfig | None = None, tracked: Mapping[str, ScalarField] | None = None,
-              extra_params: Mapping[str, float] | None = None,
               aux: Mapping[str, AuxComponent] | None = None) -> Trajectory:
     """Integrate the flow of a dynamics field (Yt identically 0 or 1).
 
     The independent variable is t itself.  `aux` adds state components
     advanced under the same step controller; the right-hand side and the
-    tracked fields see their names next to q, p, S, t, the system parameters
-    and `extra_params`.  The start and every accepted state are recorded as
+    tracked fields see their names next to q, p, S, t and the system
+    parameters.  The start and every accepted state are recorded as
     rows, the tracked fields, then the `aux` components, as columns.  The
     system's guards are trailing columns of the right-hand side, so the last
     stage of a step holds their values at the accepted state.  Guard,
@@ -427,14 +426,13 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
     aux = dict(aux or {})
     if not (isinstance(field.Yt.ast, Num) and field.Yt.ast.value in (0.0, 1.0)):
         raise ValueError("flow fields must have a constant time component 0 or 1")
-    if not system.admissible(start, cfg.guard_margin, extra_params):
+    if not system.admissible(start, cfg.guard_margin):
         raise ValueError("start point is outside the admissible region")
     n = system.n
     state = [*coordinate_names(n)[:-1], *aux, "t"]
-    params = {**system.params, **(extra_params or {})}
     fields = [*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values()), *system.guards]
-    rhs_fn = compile_bundle(fields, state, params)
-    columns_fn = compile_bundle(list((tracked or {}).values()), state, params)
+    rhs_fn = compile_bundle(fields, state, system.params)
+    columns_fn = compile_bundle(list((tracked or {}).values()), state, system.params)
     boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
     def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
@@ -466,32 +464,21 @@ def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoin
     return Trajectory(n, times, rows, recorded, stats, tag)
 
 
-def cumulative_integral(system: ContactSystem, traj: Trajectory, integrand: ScalarField,
-                        extra_params: Mapping[str, float] | None = None) -> list[float]:
+def cumulative_integral(system: ContactSystem, traj: Trajectory,
+                        integrand: ScalarField) -> list[float]:
     """Running integral of `integrand` g along the trajectory, from 0 at the
     first sample, by the two-point Hermite rule of degree 7 on the accepted
     grid: a step of length d adds d/2 (g0 + g1) + 3d^2/28 (g0' - g1')
     + d^3/84 (g0" + g1") + d^4/1680 (g0'" - g1'"), the derivatives of g taken
     along X_h^t (the rated parameters moving at their rates).  So it is exact
     for g of degree 7 in t, and for a constant g it is the one term d*g."""
-    params, m = {**system.params, **(extra_params or {})}, 2 * traj.n + 1
-    flow, g = extended_field(system), [integrand]
+    m, flow, g = 2 * traj.n + 1, extended_field(system), [integrand]
     for _ in range(3):
         g.append(directional_derivative(flow, g[-1]) + system.rate_term(g[-1]))
-    fn = compile_bundle(g, coordinate_names(traj.n), params)
+    fn = compile_bundle(g, coordinate_names(traj.n), system.params)
     vals = [fn(*y[:m], t) for t, y in zip(traj.times, traj.rows)]
     steps = [b - a for a, b in zip(traj.times, traj.times[1:])]
     return list(accumulate((d / 2 * (u[0] + v[0]) + 3 * d * d / 28 * (u[1] - v[1])
                             + d * d * d / 84 * (u[2] + v[2]) + d ** 4 / 1680 * (u[3] - v[3])
                             for d, u, v in zip(steps, vals, vals[1:])), initial=0.0))
 
-
-def action_consistency(system: ContactSystem, traj: Trajectory,
-                       extra_params: Mapping[str, float] | None = None) -> float:
-    """Quadrature diagnostic: max_i |S(t_i) - S(t_0) - integral of (p.dh/dp - h)|,
-    the integral by `cumulative_integral` on the accepted sample grid; a
-    consistency check on the action identity dS/dt = p.dh/dp - h, not an
-    exactness claim."""
-    quad = cumulative_integral(system, traj, extended_field(system).YS, extra_params)
-    S0 = traj.rows[0][2 * traj.n]
-    return nan_max(abs(y[2 * traj.n] - S0 - v) for y, v in zip(traj.rows, quad))

@@ -15,7 +15,7 @@ a point is ``(-p..., 0..., 1, h)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -118,9 +118,9 @@ def coordinate_names(n: int) -> tuple[str, ...]:
 def point_bundle(fields: Sequence[ScalarField],
                  params: Mapping[str, float]) -> Callable[[ExtendedPoint], tuple[float, ...]]:
     """Compile `fields` once, as one bundle, into a function of a point that
-    returns one value per field.  `params` binds the parameters (pass
-    ``{**system.params, **extra}``, so that `extra` wins); the coordinates
-    win over like-named parameters (`expr.bindable_params`)."""
+    returns one value per field.  `params` binds the parameters, usually a
+    system's; the coordinates win over like-named parameters
+    (`expr.bindable_params`)."""
     fn = compile_bundle(fields, coordinate_names(fields[0].n), params)
     return lambda pt: fn(*pt.q, *pt.p, pt.S, pt.t)
 
@@ -183,13 +183,18 @@ class ContactSystem:
                 acc = acc + rate * partial(F, name)
         return acc
 
+    def with_params(self, extra: Mapping[str, float]) -> "ContactSystem":
+        """This system with `extra` bound over its parameters, so that `extra`
+        wins; the coordinates still win over both (`expr.bindable_params`).
+        With no `extra` it is this system itself, its derivatives kept."""
+        return replace(self, params={**self.params, **extra}) if extra else self
+
     def env(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> dict[str, float]:
         """Parameters, then `extra`, then coordinates, which win as in `expr.bindable_params`."""
         return {**self.params, **(extra or {}), **point.env()}
 
-    def admissible(self, point: ExtendedPoint, margin: float = 1e-3,
-                   extra: Mapping[str, float] | None = None) -> bool:
-        env = self.env(point, extra)
+    def admissible(self, point: ExtendedPoint, margin: float = 1e-3) -> bool:
+        env = self.env(point)
         try:
             return point.n == self.n and all(expr.eval_node(g.ast, env) >= margin for g in self.guards)
         except expr.DomainError:
@@ -242,10 +247,9 @@ class LieDerivativeEta:
         d_scalar[-1] += system.rate_term(self.scalar)  # dt: t moves the rated parameters too
         self.form = tuple(c + d for c, d in zip(contract_d_eta_E(system, Y), d_scalar))
 
-    def __call__(self, point: ExtendedPoint,
-                 extra: Mapping[str, float] | None = None) -> list[float]:
+    def __call__(self, point: ExtendedPoint) -> list[float]:
         """The 2n+2 coefficients at one point, compiling a bundle on each call."""
-        return list(point_bundle(self.form, {**self.system.params, **(extra or {})})(point))
+        return list(point_bundle(self.form, self.system.params)(point))
 
 
 def nan_max(values: Iterable[float]) -> float:
@@ -306,26 +310,3 @@ def directional_derivative(Y: VectorFieldSpec, f: ScalarField) -> ScalarField:
         if nm in f.free_vars:
             acc = acc + comp * partial(f, nm)
     return acc
-
-
-def poisson_bracket(F: ScalarField, G: ScalarField) -> ScalarField:
-    """{F, G} = sum_a dF/dq^a dG/dp_a - dF/dp_a dG/dq^a."""
-    if F.n != G.n:
-        raise ValueError("dimension mismatch")
-    acc = number(0.0, F.n)
-    for i in range(F.n):
-        acc = acc + partial(F, f"q{i}") * partial(G, f"p{i}") \
-                  - partial(F, f"p{i}") * partial(G, f"q{i}")
-    return acc
-
-
-def jacobi_bracket(system: ContactSystem, F: ScalarField, G: ScalarField) -> ScalarField:
-    """{F, G}_J = iota_[X_F, X_G] eta, built definitionally from the contact
-    Hamiltonian fields of F and G (inputs must be t-independent)."""
-    for f in (F, G):
-        if "t" in f.free_vars:
-            raise ValueError("Jacobi bracket arguments must be t-independent")
-    from .dynamics import contact_field_of
-
-    return interior_product_eta_E(
-        system, lie_bracket(contact_field_of(F), contact_field_of(G)))

@@ -2,7 +2,8 @@
 
 Implements both directions of the generalized Noether correspondence on the
 extended contact phase space: a symmetry Y (with L_Y eta_E = lambda eta_E)
-yields the dissipated quantity F = -iota_Y eta_E, and a dissipated quantity
+yields the dissipated quantity F = -iota_Y eta_E (the negated
+`geometry.interior_product_eta_E`), and a dissipated quantity
 F yields the symmetry X_F + Yt * X_h^t with the gauge function Yt free.
 Classification of dynamical similarities ([Y, X] = Lambda X) and Lie-algebra
 closure checks live here as well.
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import DomainError, ScalarField, number, partial
-from .dynamics import (Trajectory, contact_field, contact_field_of, cumulative_integral,
-                       extended_field)
+from .dynamics import Trajectory, contact_field_of, cumulative_integral, extended_field
 from .geometry import (
     ContactSystem,
     ExtendedPoint,
@@ -24,7 +24,6 @@ from .geometry import (
     SampleBox,
     VectorFieldSpec,
     directional_derivative,
-    interior_product_eta_E,
     lie_bracket,
     nan_max,
     point_bundle,
@@ -125,14 +124,13 @@ def _uniform_draws(seed: int) -> Callable[[float, float], float]:
 
 
 def sample_points(system: ContactSystem, count: int, seed: int,
-                  box: SampleBox | None = None, margin: float = 1e-3,
-                  extra: Mapping[str, float] | None = None) -> list[ExtendedPoint]:
+                  box: SampleBox | None = None, margin: float = 1e-3) -> list[ExtendedPoint]:
     """Uniform seeded samples from the system's box, rejecting inadmissible
     points: a DomainError of h or a guard, or a guard value below `margin` or
-    NaN.  One bundle of h and the guards, bound like h, screens each point."""
+    NaN.  One bundle of h and the guards screens each point."""
     box = box or system.sample_box or SampleBox()
     uniform = _uniform_draws(seed)
-    at = point_bundle([system.h, *system.guards], {**system.params, **(extra or {})})
+    at = point_bundle([system.h, *system.guards], system.params)
     out: list[ExtendedPoint] = []
     for _ in range(200 * count + 1000):
         q = [uniform(*box.q) for _ in range(system.n)]
@@ -161,26 +159,19 @@ def dissipation_field(system: ContactSystem, F: ScalarField) -> ScalarField:
         + system.rate_term(F)
 
 
-def residual_at(system: ContactSystem, F: ScalarField,
-                extra: Mapping[str, float] | None = None) -> Callable[[ExtendedPoint], float]:
+def residual_at(system: ContactSystem, F: ScalarField) -> Callable[[ExtendedPoint], float]:
     """`dissipation_field` compiled once, as a function of a point."""
-    at = point_bundle([dissipation_field(system, F)], {**system.params, **(extra or {})})
+    at = point_bundle([dissipation_field(system, F)], system.params)
     return lambda point: at(point)[0]
 
 
-def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedPoint,
-                         extra: Mapping[str, float] | None = None) -> float:
+def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedPoint) -> float:
     """`residual_at` at one point, compiling its bundle on each call."""
-    return residual_at(system, F, extra)(point)
+    return residual_at(system, F)(point)
 
 
 # ---------------------------------------------------------------------------
 # the two theorem directions
-
-
-def invariant_from_symmetry(system: ContactSystem, Y: VectorFieldSpec) -> ScalarField:
-    """F = -iota_Y eta_E = p_a Y^a - Y^S - h Y^t."""
-    return -interior_product_eta_E(system, Y)
 
 
 def symmetry_from_invariant(system: ContactSystem, F: ScalarField,
@@ -245,11 +236,10 @@ def build_symmetry(system: ContactSystem, Y: VectorFieldSpec, threshold: float,
 
 def symmetry_test(system: ContactSystem, Y: VectorFieldSpec,
                   samples: Sequence[ExtendedPoint],
-                  threshold: float = SYMBOLIC_THRESHOLD,
-                  extra: Mapping[str, float] | None = None) -> SymmetryReport:
+                  threshold: float = SYMBOLIC_THRESHOLD) -> SymmetryReport:
     """Test L_Y eta_E = lambda eta_E pointwise; lambda is read from the dS
     component (eta_E has dS coefficient identically 1)."""
-    return build_symmetry(system, Y, threshold).run(samples, {**system.params, **(extra or {})})
+    return build_symmetry(system, Y, threshold).run(samples, system.params)
 
 
 def build_similarity(Y: VectorFieldSpec, X: VectorFieldSpec, residual_threshold: float,
@@ -287,13 +277,13 @@ def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
                     samples: Sequence[ExtendedPoint],
                     residual_threshold: float = SYMBOLIC_THRESHOLD,
                     lambda_threshold: float = SYMBOLIC_THRESHOLD,
-                    params: Mapping[str, float] | None = None,
                     system: ContactSystem | None = None) -> SimilarityReport:
     """Test [Y, X] = Lambda X pointwise.  Lambda is read at the index of X's
     largest-magnitude component, then residual-checked on all components.
-    The bracket follows the rates of `system`'s rated parameters."""
+    The fields read `system`'s parameters (none without a system), and the
+    bracket follows the rates of its rated parameters."""
     return build_similarity(Y, X, residual_threshold, lambda_threshold, system).run(
-        samples, params or {})
+        samples, system.params if system else {})
 
 
 def build_closure(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpec,
@@ -313,40 +303,22 @@ def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpe
                   samples: Sequence[ExtendedPoint],
                   threshold: float = SYMBOLIC_THRESHOLD,
                   lambda1: ScalarField | None = None,
-                  lambda2: ScalarField | None = None,
-                  extra: Mapping[str, float] | None = None) -> SymmetryReport:
+                  lambda2: ScalarField | None = None) -> SymmetryReport:
     """Check that [Y1, Y2] is again a symmetry; when the factors lambda_i of
     Y1, Y2 are supplied, also verify lambda_bracket = Y1(lambda2) - Y2(lambda1).
     The bracket and both derivatives follow the rates of the rated parameters."""
-    return build_closure(system, Y1, Y2, threshold, lambda1, lambda2).run(
-        samples, {**system.params, **(extra or {})})
-
-
-def contact_bracket_defect(system: ContactSystem, Y: VectorFieldSpec,
-                           samples: Sequence[ExtendedPoint],
-                           extra: Mapping[str, float] | None = None) -> float:
-    """Contact-level Noether obstruction: max |iota_[X_h, Y] eta_E| over samples.
-
-    For a t-independent Y this is |X_h^t(F) + R(h) F| with F = -iota_Y eta_E,
-    so zero (to tolerance) is necessary for Y to generate a dissipated
-    quantity.  When Y^t does not depend on (q, p, S), [X_h, Y] has no dt
-    component and eta_E may be read as the contact form eta.
-    """
-    scalar = interior_product_eta_E(system, lie_bracket(contact_field(system), Y, system))
-    at = point_bundle([scalar], {**system.params, **(extra or {})})
-    return nan_max(abs(at(pt)[0]) for pt in samples)
+    return build_closure(system, Y1, Y2, threshold, lambda1, lambda2).run(samples, system.params)
 
 
 # ---------------------------------------------------------------------------
 # flow compensation
 
 
-def dissipation_compensation(system: ContactSystem, traj: Trajectory,
-                             extra_params: Mapping[str, float] | None = None) -> list[float]:
+def dissipation_compensation(system: ContactSystem, traj: Trajectory) -> list[float]:
     """Per-sample factor exp(integral of R(h) dt) along a trajectory, so that
     compensated dissipated quantities F * factor should be constant."""
     return [math.inf if v > 709.782712893384 else math.exp(v)  # exp past it overflows
-            for v in cumulative_integral(system, traj, system.h_S, extra_params)]
+            for v in cumulative_integral(system, traj, system.h_S)]
 
 
 def max_relative_drift(values: Sequence[float]) -> float:

@@ -114,16 +114,6 @@ def case3_f_required(k: float, n: int = 1) -> ScalarField:
     return variable("t", n) ** exponent
 
 
-def _normalize(a: ScalingAnsatz) -> ScalingAnsatz:
-    if abs(a.gamma) > _TOL:
-        return a.scaled(1.0 / a.gamma)
-    if abs(a.sigma) > _TOL:
-        return a.scaled(1.0 / a.sigma)
-    if abs(a.alpha) > _TOL:
-        return a.scaled(1.0 / a.alpha)
-    return a
-
-
 def solve_scaling_explained(
     m: float,
     k: float,

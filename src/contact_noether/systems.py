@@ -230,7 +230,7 @@ def _verify_aux_forms() -> None:
             ("b", 0.45, em_invariant(), {"b": 0.8, "b_dot": -0.5}),
         ]
         for which, g0, field, aux in checks:
-            residual = residual_at(make_harmonic_dissipative(1.37, f, g0), field, aux)
+            residual = residual_at(make_harmonic_dissipative(1.37, f, g0).with_params(aux), field)
             for qv, pv, sv, tv in ((0.7, -1.1, 0.3, 0.9), (-0.4, 0.6, -1.0, 2.1)):
                 res = residual(ExtendedPoint([qv], [pv], sv, tv))
                 if abs(res) > 1e-9:
@@ -264,6 +264,7 @@ def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliarySta
     AuxiliaryBlowup and returns the partial result.
     """
     _harmonic_meta(system)
+    system = system.with_params(aux0.constants())
     if not isinstance(tracked, Mapping):
         tracked = {ti.label: ti.field for ti in tracked or []}
     aux: dict[str, AuxComponent] = {}
@@ -271,8 +272,7 @@ def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliarySta
         if getattr(aux0, f"use_{block}"):
             for nm in (block, f"{block}_dot"):
                 aux[nm] = AuxComponent(getattr(aux0, nm), system.param_rates[nm], _AUX_BOX.get(nm))
-    return integrate(system, extended_field(system), start, t_end, cfg, tracked,
-                     aux0.constants(), aux)
+    return integrate(system, extended_field(system), start, t_end, cfg, tracked, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +280,25 @@ def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliarySta
 
 
 def make_builtin(name: str, params: Mapping[str, object] | None = None) -> ContactSystem:
+    """The builtin `name` built from `params`; a key it does not read is a ValueError."""
     params = dict(params or {})
     if name == "kepler":
-        return make_kepler(float(params.pop("m", 1.0)),
-                           eps=params.pop("eps", None),
-                           k_grav=params.pop("k_grav", None))
-    if name == "td-kepler":
-        return make_td_kepler(float(params.pop("m", 1.0)),
-                              float(params.pop("eps", 0.25)),
-                              float(params.pop("Lambda", 1.0)))
-    if name == "harmonic-dissipative":
-        return make_harmonic_dissipative(float(params.pop("m", 1.0)),
-                                         params.pop("f", 1.0),
-                                         float(params.pop("g0", 0.0)))
-    raise KeyError(f"unknown builtin system {name!r}")
+        system = make_kepler(float(params.pop("m", 1.0)),
+                             eps=params.pop("eps", None),
+                             k_grav=params.pop("k_grav", None))
+    elif name == "td-kepler":
+        system = make_td_kepler(float(params.pop("m", 1.0)),
+                                float(params.pop("eps", 0.25)),
+                                float(params.pop("Lambda", 1.0)))
+    elif name == "harmonic-dissipative":
+        system = make_harmonic_dissipative(float(params.pop("m", 1.0)),
+                                           params.pop("f", 1.0),
+                                           float(params.pop("g0", 0.0)))
+    else:
+        raise KeyError(f"unknown builtin system {name!r}")
+    if params:
+        raise ValueError(f"builtin {name!r} does not read params {sorted(params)}")
+    return system
 
 
 BUILTIN_DOCS = {

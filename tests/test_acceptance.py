@@ -13,7 +13,6 @@ import pytest
 from contact_noether import systems
 from contact_noether.dynamics import (
     IntegratorConfig,
-    action_consistency,
     contact_field,
     extended_field,
     integrate,
@@ -30,8 +29,6 @@ from contact_noether.noether import (
     DYNAMICAL_SYMMETRY,
     NOT_SYMMETRY,
     closure_check,
-    contact_bracket_defect,
-    invariant_from_symmetry,
     max_relative_drift,
     noether_lambda,
     residual_at,
@@ -60,7 +57,8 @@ from contact_noether.systems import (
     make_td_kepler,
 )
 from conftest import case_invariant, point, value
-from oracles import em_invariant_closed_form, glr_equilibrium, lr_equilibrium
+from oracles import (action_consistency, contact_bracket_defect, em_invariant_closed_form,
+                     glr_equilibrium, invariant_from_symmetry, lr_equilibrium)
 from randfields import derivative_pair
 
 CFG10 = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -95,7 +93,7 @@ def test_criterion_02_kepler_similarity_factor():
     Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 0.0), 3)
     rep = similarity_test(Y, contact_field(kepler),
                           sample_points(kepler, 100, seed=101),
-                          residual_threshold=1e-9, params=kepler.params)
+                          residual_threshold=1e-9, system=kepler)
     assert rep.passed
     assert rep.residual <= 1e-9
     assert np.max(np.abs(np.asarray(rep.Lambda_at_samples) + 3.0)) <= 1e-9
@@ -128,15 +126,16 @@ def _round_trip_cases():
 
 def test_criterion_03_inverse_theorem_round_trip():
     for name, system, F, extra in _round_trip_cases():
-        pts = sample_points(system, 100, seed=103, extra=extra)
+        system = system.with_params(extra)
+        pts = sample_points(system, 100, seed=103)
         for yt_src in ("0", "t", "3*t"):
             Yt = parse(yt_src, system.n)
             Y = symmetry_from_invariant(system, F, Yt)
             back = invariant_from_symmetry(system, Y)
             lam = noether_lambda(system, F, Yt)
-            rep = symmetry_test(system, Y, pts, threshold=1e-9, extra=extra)
+            rep = symmetry_test(system, Y, pts, threshold=1e-9)
             assert rep.passed, (name, yt_src, rep.residual)
-            at = point_bundle([F, back, lam], {**system.params, **extra})
+            at = point_bundle([F, back, lam], system.params)
             for k, pt in enumerate(pts):
                 want, got, lam_k = at(pt)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, yt_src)
@@ -147,13 +146,14 @@ def test_criterion_03_inverse_theorem_round_trip():
 
 def test_criterion_04_gauge_freedom():
     for name, system, F, extra in _round_trip_cases():
+        system = system.with_params(extra)
         gauge = extended_field(system).scaled(parse("7*t", system.n))
-        pts = sample_points(system, 100, seed=104, extra=extra)
+        pts = sample_points(system, 100, seed=104)
         for yt_src in ("0", "t", "3*t"):
             Y = symmetry_from_invariant(system, F, parse(yt_src, system.n))
             F1 = invariant_from_symmetry(system, Y)
             F2 = invariant_from_symmetry(system, Y + gauge)
-            at = point_bundle([F1, F2], {**system.params, **extra})
+            at = point_bundle([F1, F2], system.params)
             for pt in pts:
                 a, b = at(pt)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (name, yt_src)
@@ -260,17 +260,17 @@ def test_criterion_07_dissipative_oscillator_suite():
 
 def test_criterion_08_lie_algebra_closure():
     g0 = 0.2
-    system = make_harmonic_dissipative(1.0, 1.0, g0)
     a_eq, _ = glr_equilibrium(1.0, g0, 1.0)
-    extra = {"a": a_eq, "a_dot": 0.0, "a0": 1.0}
+    system = make_harmonic_dissipative(1.0, 1.0, g0).with_params({"a": a_eq, "a_dot": 0.0,
+                                                                   "a0": 1.0})
     F0 = f0_invariant(1)
     FG = glr_invariant()
     Y1 = symmetry_from_invariant(system, F0, 0.0)
     Y2 = symmetry_from_invariant(system, FG, 0.0)
     lam1 = noether_lambda(system, F0, 0.0)
     lam2 = noether_lambda(system, FG, 0.0)
-    pts = sample_points(system, 100, seed=108, extra=extra)
-    rep = closure_check(system, Y1, Y2, pts, 1e-8, lam1, lam2, extra=extra)
+    pts = sample_points(system, 100, seed=108)
+    rep = closure_check(system, Y1, Y2, pts, 1e-8, lam1, lam2)
     assert rep.passed
     assert rep.residual <= 1e-8
     assert rep.lambda_defect is not None and rep.lambda_defect <= 1e-8
@@ -283,7 +283,7 @@ def test_criterion_09_no_go_checks():
     z = number(0.0, 3)
     vertical = VectorFieldSpec((z,) * 3, (z,) * 3, kepler.h, z)
     pts = sample_points(kepler, 100, seed=109)
-    sim = similarity_test(vertical, extended_field(kepler), pts, params=kepler.params)
+    sim = similarity_test(vertical, extended_field(kepler), pts, system=kepler)
     assert sim.verdict == DYNAMICAL_SYMMETRY
     assert symmetry_test(kepler, vertical, pts).verdict == NOT_SYMMETRY
     contact_scaling = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 0.0), 3)

@@ -123,21 +123,21 @@ def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
 def _alone(sc, c, tol, samples):
     """The values that the public function of pointwise check `c` gives alone
     at `samples`, in the order `_reported` lists a report entry's."""
+    system = sc.system.with_params(sc.point_params)
     if c["type"] == "residual":
-        residual = residual_at(sc.system, sc.invariants[c["invariant"]].field, sc.point_params)
+        residual = residual_at(system, sc.invariants[c["invariant"]].field)
         return [nan_max(abs(residual(pt)) for pt in samples)]
     if c["type"] == "closure":
         s1, s2 = sc.symmetries[c["first"]], sc.symmetries[c["second"]]
-        rep = closure_check(sc.system, s1["field"], s2["field"], samples, tol, s1.get("lambda"),
-                            s2.get("lambda"), extra=sc.point_params)
+        rep = closure_check(system, s1["field"], s2["field"], samples, tol, s1.get("lambda"),
+                            s2.get("lambda"))
         return [rep.residual, *rep.lambda_at_samples, rep.lambda_defect]
     Y = sc.symmetries[c["symmetry"]]["field"]
     if c["type"] == "symmetry":
-        rep = symmetry_test(sc.system, Y, samples, tol, extra=sc.point_params)
+        rep = symmetry_test(system, Y, samples, tol)
         return [rep.residual, *rep.lambda_at_samples]
-    X = (extended_field if c.get("against", "extended") == "extended" else contact_field)(sc.system)
-    rep = similarity_test(Y, X, samples, tol, float(c.get("Lambda_tol", 1e-9)),
-                          {**sc.system.params, **sc.point_params}, sc.system)
+    X = (extended_field if c.get("against", "extended") == "extended" else contact_field)(system)
+    rep = similarity_test(Y, X, samples, tol, float(c.get("Lambda_tol", 1e-9)), system)
     return [rep.residual, *rep.Lambda_at_samples]
 
 
@@ -177,8 +177,8 @@ class TestOneBundlePerScenario:
         path = source if isinstance(source, Path) else source.write(tmp_path)
         sc = cli.load_scenario(path)
         report, _ = cli.run_checks(sc)
-        samples = sample_points(sc.system, sc.sample_count, sc.seed,
-                                margin=sc.integrator.guard_margin, extra=sc.point_params)
+        samples = sample_points(sc.system.with_params(sc.point_params), sc.sample_count, sc.seed,
+                                margin=sc.integrator.guard_margin)
         compared = 0
         for c, entry in zip(sc.checks, report["checks"]):
             if c["type"] in cli.POINTWISE:
@@ -398,6 +398,13 @@ class TestExitCodes:
     SQUEEZE = {**FREE_PARTICLE, "checks": [{"type": "symmetry", "symmetry": "squeeze"}],
                "symmetries": [{"label": "squeeze", "Yq": ["q0"], "Yp": ["0"], "YS": "0", "Yt": "0"}]}
 
+    @staticmethod
+    def on_kepler(params):
+        """An edit that makes the scenario a Kepler flow with no checks and `params`."""
+        return lambda s: s.update(system={"builtin": "kepler", "params": params},
+                                  initial={"q": [1.0, 0.0, 0.0], "p": [0.0, 1.2, 0.0]},
+                                  invariants=[], symmetries=[], checks=[])
+
     @pytest.mark.parametrize("edit, message", [
         (lambda s: s["checks"][0].update(tol=float("inf")), "check 'tol' must be a finite number"),
         (lambda s: s["checks"][0].update(tol="abc"), "check 'tol' must be a finite number"),
@@ -453,6 +460,18 @@ class TestExitCodes:
         (lambda s: s.update(auxiliary={"a": float("inf")}),
          "auxiliary 'a' must be a finite number"),
         (lambda s: s.update(auxiliary=[1]), "'auxiliary' must be a JSON object, got [1]"),
+        (on_kepler({"m": 1.0, "esp": 0.3}), "builtin 'kepler' does not read params ['esp']"),
+        (on_kepler({"eps": "0.25"}), "system params 'eps' must be a finite number, got '0.25'"),
+        (on_kepler({"m": float("nan")}), "system params 'm' must be a finite number, got nan"),
+        (on_kepler({"m": True}), "system params 'm' must be a finite number, got True"),
+        (lambda s: s["system"].update(params={"c": "0.5"}),
+         "system params 'c' must be a finite number, got '0.5'"),
+        (lambda s: s["initial"].update(S="0.5"), "initial 'S' must be a finite number, got '0.5'"),
+        (lambda s: s["initial"].update(t=None), "initial 't' must be a finite number, got None"),
+        (lambda s: s["initial"].update(q=["1.0"]), "initial q[0] must be a finite number, got '1.0'"),
+        (lambda s: s["initial"].update(p=[True]), "initial p[0] must be a finite number, got True"),
+        (lambda s: s["integrator"].update(rel_tol="1e-10"),
+         "integrator 'rel_tol' must be a finite number, got '1e-10'"),
     ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
             "string-point_param", "string-exponent", "list-point_params", "list-ansatz",
             "list-integrator", "list-system-params", "unknown-invariant", "unknown-symmetry",
@@ -461,7 +480,9 @@ class TestExitCodes:
             "number-invariants", "bad-expected", "string-expect_symmetry",
             "misspelt-expect_verdict", "list-from_invariant", "list-builtin", "list-name",
             "string-use_a", "bool-aux-value", "string-aux-value", "inf-aux-value",
-            "list-auxiliary"])
+            "list-auxiliary", "unread-builtin-param", "string-builtin-param",
+            "nan-builtin-param", "bool-builtin-param", "string-system-param", "string-S",
+            "null-t", "string-q", "bool-p", "string-rel_tol"])
     def test_bad_check_number_is_config_error(self, tmp_path, capsys, edit, message):
         scenario = json.loads(json.dumps(self.SQUEEZE))
         path = write_scenario(tmp_path, "squeeze", scenario)
@@ -489,7 +510,7 @@ class TestExitCodes:
         path = write_scenario(tmp_path, "settings", {
             **FREE_PARTICLE, "integrator": {**FREE_PARTICLE["integrator"], key: value}})
         _, code = cli.run(path, tmp_path / "out")
-        assert code == 2 and f"{key} must be finite" in capsys.readouterr().err
+        assert code == 2 and f"integrator '{key}' must be a finite number" in capsys.readouterr().err
 
     # a radial fall into the Kepler singularity: the flow aborts
     PLUNGE = {

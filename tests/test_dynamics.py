@@ -15,7 +15,6 @@ from contact_noether.dynamics import (
     IntegratorConfig,
     TimeDependentHamiltonian,
     _C,
-    action_consistency,
     adaptive_rk45,
     contact_field,
     cumulative_integral,
@@ -27,6 +26,7 @@ from contact_noether.geometry import ContactSystem
 from contact_noether.noether import sample_points
 from contact_noether.systems import make_harmonic_dissipative
 from conftest import point, values
+from oracles import action_consistency
 
 
 def make_system(h_src, n=1, params=None, guards=()):

@@ -15,15 +15,14 @@ from contact_noether.geometry import (
     contract_d_eta_E,
     directional_derivative,
     interior_product_eta_E,
-    jacobi_bracket,
     lie_bracket,
     point_bundle,
-    poisson_bracket,
     proportionality_residual,
 )
 from contact_noether.noether import sample_points, symmetry_from_invariant
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from conftest import point, value, values
+from oracles import jacobi_bracket, poisson_bracket
 from randfields import PARAM_NAMES, random_env, random_field
 
 
@@ -197,23 +196,23 @@ def _sympy_lie_derivative_eta(sp, system, Y, values):
 
 
 def _oracle_cases():
-    """(system, Y, extra, points): the bundled scenarios' symmetries, the
+    """(system, Y, points): the bundled scenarios' symmetries, the
     td-Kepler and oscillator symmetries of the benchmark sweep, and random
     fields over a random Hamiltonian."""
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     kep = cli.load_scenario(scenarios / "kepler-scaling.json")
     for entry in kep.symmetries.values():
-        yield kep.system, entry["field"], {}, sample_points(kep.system, 4, seed=61)
+        yield kep.system, entry["field"], sample_points(kep.system, 4, seed=61)
     td = systems.make_td_kepler(1.3, 0.2, 1.5)
     F_tdk = td.meta["invariants"]["F_TDK"].field
     for Y in (scaling_generator(ScalingAnsatz(1.25, 0.25, 1.5, 1.0), 3),
               symmetry_from_invariant(td, F_tdk, parse("t^2", 3))):
-        yield td, Y, {}, sample_points(td, 4, seed=62)
-    osc = systems.make_harmonic_dissipative(1.1, "1 + 0.3*sin(t)", 0.25)
-    aux = {"a": 1.2, "a_dot": -0.3, "a0": 0.9}
+        yield td, Y, sample_points(td, 4, seed=62)
+    osc = systems.make_harmonic_dissipative(1.1, "1 + 0.3*sin(t)", 0.25).with_params(
+        {"a": 1.2, "a_dot": -0.3, "a0": 0.9})
     for Y in (scaling_generator(ScalingAnsatz(1.0, 1.0, 2.0, 0.0), 1),
               symmetry_from_invariant(osc, systems.glr_invariant(), 0.0)):
-        yield osc, Y, aux, sample_points(osc, 4, seed=63, extra=aux)
+        yield osc, Y, sample_points(osc, 4, seed=63)
     rng = np.random.default_rng(64)
     for _ in range(4):
         params = {nm: float(rng.uniform(0.5, 1.5)) for nm in PARAM_NAMES}
@@ -221,15 +220,15 @@ def _oracle_cases():
         Y = VectorFieldSpec(*(tuple(random_field(rng, 2, 3) for _ in range(2)) for _ in range(2)),
                             random_field(rng, 2, 3), random_field(rng, 2, 3))
         envs = [random_env(rng, 2) for _ in range(4)]
-        yield system, Y, {}, [ExtendedPoint([e["q0"], e["q1"]], [e["p0"], e["p1"]], e["S"], e["t"])
-                              for e in envs]
+        yield system, Y, [ExtendedPoint([e["q0"], e["q1"]], [e["p0"], e["p1"]], e["S"], e["t"])
+                          for e in envs]
 
 
 def test_lie_derivative_eta_matches_the_coordinate_formula():
     sp = pytest.importorskip("sympy")
     compared = 0
-    for system, Y, extra, points in _oracle_cases():
-        params = {**system.params, **extra}
+    for system, Y, points in _oracle_cases():
+        params = system.params
         at = point_bundle(LieDerivativeEta(system, Y).form, params)
         for pt in points:
             try:

@@ -23,11 +23,9 @@ from contact_noether.noether import (
     DegeneratePoint,
     _uniform_draws,
     closure_check,
-    contact_bracket_defect,
     dissipation_compensation,
     dissipation_field,
     dissipation_residual,
-    invariant_from_symmetry,
     max_relative_drift,
     noether_lambda,
     residual_at,
@@ -40,7 +38,7 @@ from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from contact_noether.systems import (f0_invariant, lr_invariant, make_harmonic_dissipative,
                                      make_kepler, make_td_kepler)
 from conftest import point, value
-from oracles import lr_equilibrium
+from oracles import contact_bracket_defect, invariant_from_symmetry, lr_equilibrium
 from randfields import PARAM_NAMES, central_fd, random_field
 
 
@@ -195,7 +193,7 @@ class TestSimilarityTest:
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 0.0), 3)
         rep = similarity_test(Y, contact_field(kepler),
                               sample_points(kepler, 100, seed=20),
-                              params=kepler.params)
+                              system=kepler)
         assert rep.verdict == SIMILARITY
         assert np.allclose(rep.Lambda_at_samples, -3.0, atol=1e-9)
         assert rep.residual <= 1e-9
@@ -204,21 +202,21 @@ class TestSimilarityTest:
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         rep = similarity_test(Y, extended_field(kepler),
                               sample_points(kepler, 100, seed=21),
-                              params=kepler.params)
+                              system=kepler)
         assert rep.verdict == SIMILARITY
         assert np.allclose(rep.Lambda_at_samples, -3.0, atol=1e-9)
 
     def test_vertical_rescaling_is_dynamical_symmetry(self, kepler):
         rep = similarity_test(vertical_field(kepler), extended_field(kepler),
                               sample_points(kepler, 50, seed=22),
-                              params=kepler.params)
+                              system=kepler)
         assert rep.verdict == DYNAMICAL_SYMMETRY
         assert np.allclose(rep.Lambda_at_samples, 0.0, atol=1e-12)
 
     def test_field_with_itself(self, kepler):
         X = extended_field(kepler)
         rep = similarity_test(X, X, sample_points(kepler, 20, seed=24),
-                              params=kepler.params)
+                              system=kepler)
         assert rep.verdict == DYNAMICAL_SYMMETRY
 
     def test_degenerate_point_raises(self):
@@ -232,7 +230,7 @@ class TestSimilarityTest:
         Y = VectorFieldSpec((parse("q0^2", 3), z, z), (z, z, z), z, z)
         rep = similarity_test(Y, extended_field(kepler),
                               sample_points(kepler, 20, seed=26),
-                              params=kepler.params)
+                              system=kepler)
         assert rep.verdict == NEITHER
 
 
@@ -301,13 +299,13 @@ class TestTheoremProperties:
         for Y in self._symmetries(kepler):
             if max(map(abs, point_bundle(Y.components(), kepler.params)(pts[0]))) < 1e-12:
                 continue  # zero field: trivially a similarity
-            rep = similarity_test(Y, X, pts, 1e-8, params=kepler.params)
+            rep = similarity_test(Y, X, pts, 1e-8, system=kepler)
             assert rep.passed
 
     def test_converse_fails_for_vertical_rescaling(self, kepler):
         pts = sample_points(kepler, 40, seed=38)
         Y = vertical_field(kepler)
-        sim = similarity_test(Y, extended_field(kepler), pts, params=kepler.params)
+        sim = similarity_test(Y, extended_field(kepler), pts, system=kepler)
         assert sim.verdict == DYNAMICAL_SYMMETRY
         assert symmetry_test(kepler, Y, pts).verdict == NOT_SYMMETRY
 
@@ -342,7 +340,7 @@ class TestNaNFails:
     @pytest.mark.parametrize("slot", [0, 7])
     def test_similarity_test(self, kepler, slot):
         rep = similarity_test(self.overflowing_field(slot), extended_field(kepler),
-                              sample_points(kepler, 5, 0), params=kepler.params)
+                              sample_points(kepler, 5, 0), system=kepler)
         assert rep.verdict == NEITHER and np.isnan(rep.residual)
 
     def test_contact_bracket_defect(self, kepler):
@@ -402,7 +400,7 @@ class TestClosure:
         lam1 = noether_lambda(system, f0_invariant(1), 0.0)
         lam2 = noether_lambda(system, lr_invariant(), 0.0)
         pts = sample_points(system, 100, seed=44)
-        rep = closure_check(system, Y1, Y2, pts, 1e-8, lam1, lam2, extra=extra)
+        rep = closure_check(system.with_params(extra), Y1, Y2, pts, 1e-8, lam1, lam2)
         assert rep.passed
         assert rep.lambda_defect is not None and rep.lambda_defect <= 1e-8
 
@@ -516,10 +514,10 @@ class TestSeededDraws:
     def test_guards_see_extra_as_h_does(self):
         system = ContactSystem(n=1, h=parse("p0", 1), params={"c": 0.0},
                                guards=(parse("q0 - c", 1),))
-        pts = sample_points(system, 40, seed=3, extra={"c": 1.0})
+        pts = sample_points(system.with_params({"c": 1.0}), 40, seed=3)
         assert min(pt.q[0] for pt in pts) >= 1.001
         with pytest.raises(RuntimeError, match="rejects too many points"):
-            sample_points(system, 2, seed=3, extra={"c": 5.0})
+            sample_points(system.with_params({"c": 5.0}), 2, seed=3)
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError):

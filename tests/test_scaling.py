@@ -168,24 +168,24 @@ class TestEmittedSolutionsSatisfyTheirSystems:
         sols = solve_scaling_explained(1.0, **args)[0]
         sols = [s for s in sols if s.case_tag != TRIVIAL]
         assert sols
-        system = mk_system()
+        system = mk_system().with_params(extra)
         for sol in sols:
-            residual = residual_at(system, sol.invariant_for(system), extra)
-            for pt in sample_points(system, 100, seed=52, extra=extra):
+            residual = residual_at(system, sol.invariant_for(system))
+            for pt in sample_points(system, 100, seed=52):
                 res = residual(pt)
                 assert abs(res) <= 1e-10, (sol.case_tag, res)
 
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)
     def test_generator_passes_symmetry_test(self, args, mk_system, extra):
         sols = [s for s in solve_scaling_explained(1.0, **args)[0] if s.case_tag != TRIVIAL]
-        system = mk_system()
-        pts = sample_points(system, 100, seed=54, extra=extra)
+        system = mk_system().with_params(extra)
+        pts = sample_points(system, 100, seed=54)
         for sol in sols:
             ansatz = sol.ansatz
             if ansatz is None:  # Case 3: instantiate for the bound Lambda
                 ansatz = case3_ansatz(args["k"], extra["Lambda"])
             Y = scaling_generator(ansatz, system.n)
-            rep = symmetry_test(system, Y, pts, 1e-9, extra=extra)
+            rep = symmetry_test(system, Y, pts, 1e-9)
             assert rep.passed, (sol.case_tag, rep.residual)
 
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)

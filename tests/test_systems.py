@@ -17,7 +17,6 @@ from contact_noether.dynamics import (
 from contact_noether.expr import UnboundParameter, parse
 from contact_noether.geometry import ContactSystem, ExtendedPoint, point_bundle
 from contact_noether.noether import (
-    invariant_from_symmetry,
     max_relative_drift,
     residual_at,
     sample_points,
@@ -39,7 +38,8 @@ from contact_noether.systems import (
 )
 from contact_noether.scaling import GENERIC_F2, KMINUS2_F1, ScalingAnsatz, scaling_generator
 from conftest import case_invariant, point, value, values
-from oracles import em_invariant_closed_form, glr_equilibrium, lr_equilibrium
+from oracles import (em_invariant_closed_form, glr_equilibrium, invariant_from_symmetry,
+                     lr_equilibrium)
 
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -75,6 +75,20 @@ class TestKepler:
         guarded = ContactSystem(n=1, h=system.h, params={"t": 5.0}, guards=(parse("1 - t", 1),))
         assert guarded.admissible(pt, 0.5) and not guarded.admissible(point(1.0, 2.0, t=0.6), 0.5)
 
+    def test_with_params_binds_over_params_and_under_the_coordinates(self):
+        system = ContactSystem(n=1, h=parse("q0 + t*p0 + c", 1), params={"t": 5.0, "c": 1.0},
+                               guards=(parse("c - t", 1),))
+        h_q, h_S = system.h_q, system.h_S
+        bound = system.with_params({"c": 2.0, "t": 7.0})
+        assert bound.params == {"t": 7.0, "c": 2.0}  # extra wins over params
+        assert system.params == {"t": 5.0, "c": 1.0}  # the original's dict is untouched
+        pt = point(1.0, 2.0, t=0.5)  # ...and the coordinate t wins over both
+        assert point_bundle([bound.h, *bound.guards], bound.params)(pt) == (4.0, 1.5)
+        assert bound.env(pt)["t"] == 0.5 and bound.admissible(pt, 1.5)
+        assert not bound.admissible(pt, 1.6) and not system.admissible(pt, 0.6)
+        same = system.with_params({})
+        assert same is system and same.h_q is h_q and same.h_S is h_S
+
     def test_guards_mark_the_admissible_region(self, kepler):
         assert kepler.admissible(point([0.6, 0, 0.8], [0, 0, 0]), margin=1.0)
         assert not kepler.admissible(point([0.6, 0, 0.79], [0, 0, 0]), margin=1.0)
@@ -89,14 +103,14 @@ class TestKepler:
         assert raising.admissible(point(3.0, 0.0)) and not raising.admissible(point(-1.0, 0.0))
 
     def test_the_start_check_binds_extra_params_like_the_flow(self):
-        # the guard columns of the flow bind extra_params over params, and so
+        # the guard columns of the flow read a system's bound parameters, and so
         # does integrate's start check
         system = ContactSystem(n=1, h=parse("p0^2/2", 1), params={"c": 0.0},
                                guards=(parse("q0 - c", 1),))
-        start = point(0.5, 1.0)
-        assert system.admissible(start) and not system.admissible(start, extra={"c": 1.0})
+        start, bound = point(0.5, 1.0), system.with_params({"c": 1.0})
+        assert system.admissible(start) and not bound.admissible(start)
         with pytest.raises(ValueError, match="outside the admissible region"):
-            integrate(system, extended_field(system), start, 1.0, extra_params={"c": 1.0})
+            integrate(bound, extended_field(bound), start, 1.0)
 
     def test_a_guard_parameter_must_be_bound(self):
         with pytest.raises(UnboundParameter, match=r"\['c'\]"):
@@ -109,7 +123,7 @@ class TestKepler:
     def test_scaling_similarity(self, kepler):
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         rep = similarity_test(Y, extended_field(kepler),
-                              sample_points(kepler, 100, seed=62), params=kepler.params)
+                              sample_points(kepler, 100, seed=62), system=kepler)
         assert np.allclose(rep.Lambda_at_samples, -3.0, atol=1e-9)
 
     def test_invariant_and_energy_conserved_along_flow(self, kepler):
@@ -182,7 +196,7 @@ class TestHarmonicDissipative:
         damped = make_harmonic_dissipative(1.0, 1.0, 0.2)
         assert sorted(damped.meta["invariants"]) == ["F0", "F_EM", "F_GLR"]
         aux = {"rho": 1.1, "rho_dot": 0.3, "rho0": 1.0}
-        residual = residual_at(damped, lr_invariant(), aux)
+        residual = residual_at(damped.with_params(aux), lr_invariant())
         assert max(abs(residual(pt)) for pt in sample_points(damped, 10, seed=71)) > 0.1
 
 
@@ -231,7 +245,8 @@ class TestClosedFormSelfTest:
         system = make_harmonic_dissipative(1.0, f, g0)
         aux = {"a": 1.4, "a_dot": -0.2, "a0": 1.0, "rho0": 1.0, "b": 0.7, "b_dot": 0.5,
                "rho": 1.1, "rho_dot": 0.6}
-        residuals = [residual_at(system, field, aux) for field in (glr_invariant(), em_invariant())]
+        residuals = [residual_at(system.with_params(aux), field)
+                     for field in (glr_invariant(), em_invariant())]
         for pt in sample_points(system, 20, seed=70):
             for residual in residuals:
                 assert abs(residual(pt)) <= 1e-11
@@ -242,7 +257,7 @@ class TestClosedFormSelfTest:
         extra = {"a": a_eq, "a_dot": 0.0, "a0": 1.0}
         F_em = em_invariant_closed_form(system)
         combo = 0.7 * f0_invariant(1) + 1.3 * glr_invariant() - 2.1 * F_em
-        residual = residual_at(system, combo, extra)
+        residual = residual_at(system.with_params(extra), combo)
         for pt in sample_points(system, 30, seed=72):
             assert abs(residual(pt)) <= 1e-10
 
@@ -373,7 +388,7 @@ class TestGlrSymmetry:
             pt = traj.samples[k]
             aux = {"a": traj.tracked["a"][k], "a_dot": traj.tracked["a_dot"][k],
                    "a0": 1.0}
-            rep = symmetry_test(system, Y, [pt], 1e-9, extra=aux)
+            rep = symmetry_test(system.with_params(aux), Y, [pt], 1e-9)
             assert rep.passed, rep.residual
 
     def test_zero_dissipation_matches_lr_generated_symmetry(self, free_oscillator):
