@@ -1,6 +1,14 @@
 #!/usr/bin/env python3
 """Print the full scaling-symmetry case table for a sweep of potential
-degrees, including the dissipative branch."""
+degrees, including the dissipative branch.
+
+Usage: python3 scripts/case_table.py
+       python3 scripts/case_table.py -h | --help
+
+Each block is one `contact-noether solve-scaling` call: degrees k = 2, -2,
+-1 and 0.5 with f constant, k = -1 with a forced power-law f(t), and
+k = 2, 0 and 1 with the homogeneous dissipative term g(S) = g0 S.
+"""
 
 import sys
 from pathlib import Path
@@ -10,7 +18,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from contact_noether.cli import main as cli_main  # noqa: E402
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if {"-h", "--help"} & set(argv):
+        print(__doc__.strip())
+        return 0
     for k in (2.0, -2.0, -1.0, 0.5):
         print(f"=== V of degree k = {k}, f constant, no dissipative term ===")
         cli_main(["solve-scaling", "--k", str(k), "--f", "const"])
@@ -27,4 +38,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,7 +1,14 @@
 #!/usr/bin/env python3
 """Dissipative-oscillator demonstration: co-integrate the flow with its
 auxiliary equations and show that the three dissipated quantities all decay
-at exactly the rate g0 while their ratios stay constant."""
+at exactly the rate g0 while their ratios stay constant.
+
+Usage: python3 scripts/oscillator_decay_demo.py
+       python3 scripts/oscillator_decay_demo.py -h | --help
+
+Prints the step counts, each quantity's initial and final value with its
+drift once compensated by exp(g0 t), and the drift of F_GLR/F0 and F_EM/F0.
+"""
 
 import math
 import sys
@@ -15,7 +22,10 @@ from contact_noether.noether import max_relative_drift  # noqa: E402
 from contact_noether.systems import AuxiliaryState, co_integrate, make_harmonic_dissipative  # noqa: E402
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if {"-h", "--help"} & set(argv):
+        print(__doc__.strip())
+        return 0
     g0 = 0.2
     system = make_harmonic_dissipative(m=1.0, f_spec=1.0, g0=g0)
     aux = AuxiliaryState(use_a=True, use_b=True)
@@ -36,4 +46,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -24,7 +24,6 @@ from .noether import (  # noqa: F401
     SymmetryReport,
     closure_check,
     dissipation_field,
-    residual_at,
     sample_points,
     similarity_test,
     symmetry_from_invariant,

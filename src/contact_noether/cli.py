@@ -116,12 +116,20 @@ def _parse_field(source: Any, n: int, where: str) -> ScalarField:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
+def _read(path: Path) -> bytes:
     try:
-        raw = json.loads(path.read_text())
+        return path.read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such scenario file") from None
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return _load(Path(path), _read(Path(path)))
+
+
+def _load(path: Path, data: bytes) -> Scenario:
+    try:
+        raw = json.loads(data.decode())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from None
     _require(isinstance(raw, dict), f"{path}: scenario must be a JSON object")
@@ -227,8 +235,8 @@ def load_scenario(path: str | Path) -> Scenario:
             _require(all(k in spec for k in ("Yq", "Yp", "YS", "Yt")),
                      f"{path}: symmetry {label!r} needs ansatz, from_invariant, "
                      "or explicit Yq/Yp/YS/Yt components")
-            Yq = tuple(_parse_field(s, system.n, f"{path}: {label}.Yq") for s in spec["Yq"])
-            Yp = tuple(_parse_field(s, system.n, f"{path}: {label}.Yp") for s in spec["Yp"])
+            Yq, Yp = (tuple(_parse_field(s, system.n, f"{path}: {label}.{k}")
+                            for s in _list(spec[k], f"{path}: {label}.{k}")) for k in ("Yq", "Yp"))
             _require(len(Yq) == system.n and len(Yp) == system.n,
                      f"{path}: symmetry {label!r} needs {system.n} Yq/Yp components")
             entry["field"] = VectorFieldSpec(
@@ -292,10 +300,9 @@ def _build(sc: Scenario, c: dict, tol: float) -> noether.Pointwise:
         return noether.build_symmetry(sc.system, Y, tol)
     X = extended_field(sc.system) if c.get("against", "extended") == "extended" \
         else contact_field(sc.system)
-    return noether.build_similarity(Y, X, tol, float(c.get("Lambda_tol", 1e-9)), sc.system)
+    return noether.build_similarity(Y, X, tol, c.get("Lambda_tol", SYMBOLIC_THRESHOLD), sc.system)
 
 
-@derivatives_kept()  # a later check finds an earlier one's work; within `run`, in its list
 def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     """Execute every check of a loaded scenario; returns (report, trajectory)."""
     report: dict[str, Any] = {
@@ -434,16 +441,14 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
         seed: int | None = None, tol_override: float | None = None,
         quiet: bool = False, checks: bool = True) -> tuple[dict, int]:
     """Load, execute and persist one scenario; returns (report, exit_code).
-    The checks find the derivatives that loading took, and the file's bytes
-    key the run's symbolic work, so a scenario that recurs reuses it
-    (`derivatives_kept`)."""
+    The checks find the derivatives that loading took, and the file's bytes,
+    read once, key the run's symbolic work, so a scenario that recurs reuses
+    it (`derivatives_kept`)."""
+    path = Path(scenario_path)
     try:
-        key: bytes | None = Path(scenario_path).read_bytes()
-    except OSError:  # load_scenario reports it
-        key = None
-    with derivatives_kept(key):
-        try:
-            sc = load_scenario(scenario_path)
+        data = _read(path)
+        with derivatives_kept(data):
+            sc = _load(path, data)
             if seed is not None:
                 sc.seed = _integer(seed, 0, "--seed")
             if tol_override is not None:
@@ -473,14 +478,14 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
                           f"value={_fmt(c['value'])} tol={_fmt(c['tol'])}")
                 print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}")
             return report, (0 if report["passed"] else 1)
-        except ConfigError as e:
-            if not quiet:
-                print(f"config error: {e}", file=sys.stderr)
-            return {"error": str(e)}, 2
-        except Exception as e:  # runtime/domain errors
-            if not quiet:
-                print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
-            return {"error": str(e)}, 3
+    except ConfigError as e:
+        if not quiet:
+            print(f"config error: {e}", file=sys.stderr)
+        return {"error": str(e)}, 2
+    except Exception as e:  # runtime/domain errors
+        if not quiet:
+            print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
+        return {"error": str(e)}, 3
 
 
 # ---------------------------------------------------------------------------

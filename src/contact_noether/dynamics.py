@@ -27,8 +27,8 @@ from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 from .expr import DomainError, Num, ScalarField, _make, compile_bundle, number, partial, variable
-from .geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec, coordinate_names,
-                       directional_derivative)
+from .geometry import (GUARD_MARGIN, ContactSystem, ExtendedPoint, VectorFieldSpec,
+                       coordinate_names, directional_derivative)
 
 
 class TimeDependentHamiltonian(Exception):
@@ -285,7 +285,7 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float = math.inf
     min_step: float = 1e-12
-    guard_margin: float = 1e-3
+    guard_margin: float = GUARD_MARGIN
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "guard_margin"):

@@ -909,29 +909,24 @@ def partial(field: ScalarField, name: str) -> ScalarField:
 
 
 @contextmanager
-def derivatives_kept(key: object = None) -> Iterator[None]:
-    """Within the block, or a function it decorates, one list holds the root of
-    each `partial` call and its derivatives, so that the nodes' weak `_d` find
-    them, and every bundle that `compile_bundle` returns; a nested block joins
-    the outer one's list.  On exit the list is kept under `key` if `key` is
+def derivatives_kept(key: object) -> Iterator[None]:
+    """Within the block, one list holds the root of each `partial` call and its
+    derivatives, so that the nodes' weak `_d` find them, and every bundle that
+    `compile_bundle` returns.  On exit the list is kept under `key` if `key` is
     among the last `_RECENT` keys that blocks exited with, replacing its earlier
     list; otherwise only the key is recorded, so work seen once is released.
     The key decides only how long the work lives, never what is computed."""
-    if _KEPT.get() is not None:
-        yield
-        return
     kept: list[object] = []
     token = _KEPT.set(kept)
     try:
         yield
     finally:
         _KEPT.reset(token)
-        if key is not None:
-            recurs = key in _RUNS
-            _RUNS.pop(key, None)  # to be re-entered as the most recent
-            _RUNS[key] = kept if recurs else None
-            while len(_RUNS) > _RECENT:  # no lock: a race could only misjudge a lifetime
-                _RUNS.pop(next(iter(_RUNS)), None)
+        recurs = key in _RUNS
+        _RUNS.pop(key, None)  # to be re-entered as the most recent
+        _RUNS[key] = kept if recurs else None
+        while len(_RUNS) > _RECENT:  # no lock: a race could only misjudge a lifetime
+            _RUNS.pop(next(iter(_RUNS)), None)
 
 
 def _subst(node: Node, name: str, replacement: Node, s: Callable[[Node], Node]) -> Node:

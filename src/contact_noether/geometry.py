@@ -125,6 +125,9 @@ def point_bundle(fields: Sequence[ScalarField],
     return lambda pt: fn(*pt.q, *pt.p, pt.S, pt.t)
 
 
+GUARD_MARGIN = 1e-3  # by default, a point with a guard value below it is inadmissible
+
+
 @dataclass(eq=False)
 class ContactSystem:
     """A contact Hamiltonian system: dimension, Hamiltonian, parameter bindings.
@@ -132,7 +135,7 @@ class ContactSystem:
     `guards` mark the admissible region (e.g. a singularity exclusion zone):
     a point is admissible iff every guard value is >= the margin (a NaN value
     or a DomainError makes it inadmissible); no guards admit the whole space.
-    `sample_box` documents the box used by seeded point generators.
+    `sample_box` is the box of seeded point generators; None means `SampleBox()`.
     `meta` carries optional system-specific extras (auxiliary ODE data,
     registered invariants) and is not interpreted by this module.
     `param_rates` maps each parameter that varies along the flow to its d/dt,
@@ -193,7 +196,7 @@ class ContactSystem:
         """Parameters, then `extra`, then coordinates, which win as in `expr.bindable_params`."""
         return {**self.params, **(extra or {}), **point.env()}
 
-    def admissible(self, point: ExtendedPoint, margin: float = 1e-3) -> bool:
+    def admissible(self, point: ExtendedPoint, margin: float = GUARD_MARGIN) -> bool:
         env = self.env(point)
         try:
             return point.n == self.n and all(expr.eval_node(g.ast, env) >= margin for g in self.guards)
@@ -241,10 +244,9 @@ class LieDerivativeEta:
 
     def __init__(self, system: ContactSystem, Y: VectorFieldSpec):
         self.system = system
-        self.Y = Y
-        self.scalar = interior_product_eta_E(system, Y)
-        d_scalar = [partial(self.scalar, nm) for nm in coordinate_names(system.n)]
-        d_scalar[-1] += system.rate_term(self.scalar)  # dt: t moves the rated parameters too
+        scalar = interior_product_eta_E(system, Y)
+        d_scalar = [partial(scalar, nm) for nm in coordinate_names(system.n)]
+        d_scalar[-1] += system.rate_term(scalar)  # dt: t moves the rated parameters too
         self.form = tuple(c + d for c, d in zip(contract_d_eta_E(system, Y), d_scalar))
 
     def __call__(self, point: ExtendedPoint) -> list[float]:

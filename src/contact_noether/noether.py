@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from .expr import DomainError, ScalarField, number, partial
 from .dynamics import Trajectory, contact_field_of, cumulative_integral, extended_field
 from .geometry import (
+    GUARD_MARGIN,
     ContactSystem,
     ExtendedPoint,
     LieDerivativeEta,
@@ -53,7 +54,6 @@ class SymmetryReport:
     lambda_at_samples: tuple[float, ...]
     residual: float
     verdict: str
-    threshold: float
     lambda_defect: float | None = None
 
     @property
@@ -68,8 +68,6 @@ class SimilarityReport:
     Lambda_at_samples: tuple[float, ...]
     residual: float
     verdict: str
-    residual_threshold: float
-    lambda_threshold: float
 
     @property
     def passed(self) -> bool:
@@ -124,11 +122,11 @@ def _uniform_draws(seed: int) -> Callable[[float, float], float]:
 
 
 def sample_points(system: ContactSystem, count: int, seed: int,
-                  box: SampleBox | None = None, margin: float = 1e-3) -> list[ExtendedPoint]:
+                  margin: float = GUARD_MARGIN) -> list[ExtendedPoint]:
     """Uniform seeded samples from the system's box, rejecting inadmissible
     points: a DomainError of h or a guard, or a guard value below `margin` or
     NaN.  One bundle of h and the guards screens each point."""
-    box = box or system.sample_box or SampleBox()
+    box = system.sample_box or SampleBox()
     uniform = _uniform_draws(seed)
     at = point_bundle([system.h, *system.guards], system.params)
     out: list[ExtendedPoint] = []
@@ -159,15 +157,9 @@ def dissipation_field(system: ContactSystem, F: ScalarField) -> ScalarField:
         + system.rate_term(F)
 
 
-def residual_at(system: ContactSystem, F: ScalarField) -> Callable[[ExtendedPoint], float]:
-    """`dissipation_field` compiled once, as a function of a point."""
-    at = point_bundle([dissipation_field(system, F)], system.params)
-    return lambda point: at(point)[0]
-
-
 def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedPoint) -> float:
-    """`residual_at` at one point, compiling its bundle on each call."""
-    return residual_at(system, F)(point)
+    """`dissipation_field` at one point, compiling its bundle on each call."""
+    return point_bundle([dissipation_field(system, F)], system.params)(point)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +221,7 @@ def build_symmetry(system: ContactSystem, Y: VectorFieldSpec, threshold: float,
         worst, defect = nan_max(residuals), nan_max(deviations)
         failed = not worst <= threshold or (expected and not defect <= threshold)
         return SymmetryReport(tuple(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
-                              threshold, defect if expected else None)
+                              defect if expected else None)
 
     return Pointwise((*LieDerivativeEta(system, Y).form, system.h, *expected), judge)
 
@@ -267,8 +259,7 @@ def build_similarity(Y: VectorFieldSpec, X: VectorFieldSpec, residual_threshold:
             verdict = DYNAMICAL_SYMMETRY
         else:
             verdict = SIMILARITY
-        return SimilarityReport(tuple(Lambdas), worst, verdict, residual_threshold,
-                                lambda_threshold)
+        return SimilarityReport(tuple(Lambdas), worst, verdict)
 
     return Pointwise((*X.components(), *lie_bracket(Y, X, system).components()), judge)
 

@@ -88,7 +88,8 @@ def scaling_generator(ansatz: ScalingAnsatz, n: int) -> VectorFieldSpec:
 # the case table
 
 
-def _f0(n: int) -> ScalarField:
+def f0_invariant(n: int) -> ScalarField:
+    """q.p - 2S (the k = 2 scaling invariant; independent of f)."""
     return dot_qp(n) - 2.0 * variable("S", n)
 
 
@@ -142,7 +143,7 @@ def solve_scaling_explained(
         base_log = ("beta = gamma - alpha", "alpha = gamma/2 + sigma/2")
         if abs(k - 2.0) <= _TOL:
             solutions.append(ScalingSolution(
-                K2_F0, ScalingAnsatz(0.5, 0.5, 1.0, 0.0), _f0(n), None,
+                K2_F0, ScalingAnsatz(0.5, 0.5, 1.0, 0.0), f0_invariant(n), None,
                 base_log + ("sigma = 0", "k = 2"),
             ))
         elif f_kind == "free":
@@ -182,7 +183,7 @@ def solve_scaling_explained(
                              "vanish for the dissipation equation to close; emitted "
                              "with zero potential",)
             solutions.append(ScalingSolution(
-                DISSIPATIVE_F0, ScalingAnsatz(0.5, 0.5, 1.0, 0.0), _f0(n), None,
+                DISSIPATIVE_F0, ScalingAnsatz(0.5, 0.5, 1.0, 0.0), f0_invariant(n), None,
                 log, informational=informational,
             ))
     return solutions, rejected
@@ -218,6 +219,5 @@ def case3_system(k: float, Lambda: float, m: float, coupling: float = 1.0,
         guards=guards,
         sample_box=SampleBox(q=(0.3, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.5, 5.0)),
         label=label or f"case3(k={k}, Lambda={Lambda})",
-        meta={"invariant": invariant, "invariant_label": "case3-invariant",
-              "k": k, "Lambda": Lambda, "coupling": coupling},
+        meta={"invariant": invariant},
     )

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .expr import ScalarField, number, parameter, parse, substitute, variable
-from .geometry import ContactSystem, ExtendedPoint, SampleBox
+from .geometry import ContactSystem, ExtendedPoint, point_bundle
 from .dynamics import AuxComponent, IntegratorConfig, Trajectory, extended_field, integrate
-from .noether import residual_at
-from .scaling import _f0, case3_system, dot_qp
+from .noether import dissipation_field
+from .scaling import case3_system, dot_qp, f0_invariant
 
 CONSERVED = "conserved"
 DISSIPATED = "dissipated"
@@ -83,10 +83,8 @@ def make_kepler(m: float = 1.0, eps: float | None = None,
     system = ContactSystem(
         n=n, h=h, params={"m": float(m), "eps": float(eps)},
         guards=(parse("sqrt(q0^2 + q1^2 + q2^2)", n),),  # a node of h: no new arithmetic
-        sample_box=SampleBox(q=(-2.0, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.0, 5.0)),
         label="kepler",
     )
-    system.meta["k_grav"] = 4.0 * eps
     system.meta["invariants"] = {
         "Q_K": TrackedInvariant("Q_K", kepler_invariant(system), CONSERVED)}
     return system
@@ -101,8 +99,6 @@ def make_td_kepler(m: float, eps: float, Lambda: float) -> ContactSystem:
                           label="td-kepler")
     inv = system.meta.pop("invariant")
     system.meta["invariants"] = {"F_TDK": TrackedInvariant("F_TDK", inv, CONSERVED)}
-    system.meta["eps"] = eps
-    system.meta["m"] = m
     return system
 
 
@@ -126,13 +122,11 @@ def make_harmonic_dissipative(m: float, f_spec: ScalarField | str | float,
         + parameter("g0", n) * variable("S", n)
     system = ContactSystem(
         n=n, h=h, params={"m": float(m), "g0": float(g0)},
-        sample_box=SampleBox(q=(-2.0, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.0, 5.0)),
         label="harmonic-dissipative",
         param_rates={nm: substitute(parse(src, n), "f", f) for nm, src in _AUX_ODES.items()},
     )
     expected = CONSERVED if g0 == 0.0 else DISSIPATED
-    system.meta.update({"kind": "harmonic-dissipative", "f": f, "m": float(m),
-                        "g0": float(g0)})
+    system.meta.update({"kind": "harmonic-dissipative", "f": f, "g0": float(g0)})
     system.meta["invariants"] = {
         "F0": TrackedInvariant("F0", f0_invariant(n), expected),
         "F_GLR": TrackedInvariant("F_GLR", glr_invariant(), expected),
@@ -147,36 +141,31 @@ def make_harmonic_dissipative(m: float, f_spec: ScalarField | str | float,
 # invariant catalog
 
 
-def f0_invariant(n: int = 1) -> ScalarField:
-    """q.p - 2S (the k = 2 scaling invariant; independent of f)."""
-    return _f0(n)
-
-
 def kepler_invariant(system: ContactSystem) -> ScalarField:
     """2 q.p - 3 t h - S for a Kepler-type system (h inlined)."""
     n = system.n
     return 2.0 * dot_qp(n) - 3.0 * variable("t", n) * system.h - variable("S", n)
 
 
-def lr_invariant(n: int = 1) -> ScalarField:
+def lr_invariant() -> ScalarField:
     """Lewis-Riesenfeld invariant with rho, rho_dot, rho0 as bound parameters:
     (rho^2/2m) p^2 - rho rho_dot q p + (m/2)(rho_dot^2 + rho0/rho^2) q^2."""
     _verify_aux_forms()
-    rho, rho_dot = parameter("rho", n), parameter("rho_dot", n)
-    rho0, mpar = parameter("rho0", n), parameter("m", n)
-    q, p = variable("q0", n), variable("p0", n)
+    rho, rho_dot = parameter("rho", 1), parameter("rho_dot", 1)
+    rho0, mpar = parameter("rho0", 1), parameter("m", 1)
+    q, p = variable("q0", 1), variable("p0", 1)
     return (rho ** 2.0) * (p ** 2.0) / (2.0 * mpar) \
         - rho * rho_dot * q * p \
         + (mpar / 2.0) * (rho_dot ** 2.0 + rho0 / rho ** 2.0) * (q ** 2.0)
 
 
-def glr_invariant(n: int = 1) -> ScalarField:
+def glr_invariant() -> ScalarField:
     """Dissipative generalisation of the Lewis-Riesenfeld invariant with
     a, a_dot, a0 (and g0, m) as bound parameters."""
     _verify_aux_forms()
-    a, a_dot = parameter("a", n), parameter("a_dot", n)
-    a0, g0, mpar = parameter("a0", n), parameter("g0", n), parameter("m", n)
-    q, p = variable("q0", n), variable("p0", n)
+    a, a_dot = parameter("a", 1), parameter("a_dot", 1)
+    a0, g0, mpar = parameter("a0", 1), parameter("g0", 1), parameter("m", 1)
+    q, p = variable("q0", 1), variable("p0", 1)
     coeff_q2 = (a_dot ** 2.0 - g0 * a * a_dot + (g0 ** 2.0) * (a ** 2.0) / 4.0
                 + (a0 ** 3.0 / a ** 2.0) * (1.0 + 0.75 * a0 * g0 ** 2.0))
     return (a ** 2.0) * (p ** 2.0) / (2.0 * mpar) \
@@ -184,11 +173,11 @@ def glr_invariant(n: int = 1) -> ScalarField:
         + coeff_q2 * mpar * (q ** 2.0) / 2.0
 
 
-def em_invariant(n: int = 1) -> ScalarField:
+def em_invariant() -> ScalarField:
     """b p - m b_dot q with b solving its auxiliary ODE in `_AUX_ODES`."""
     _verify_aux_forms()
-    return parameter("b", n) * variable("p0", n) \
-        - parameter("m", n) * parameter("b_dot", n) * variable("q0", n)
+    return parameter("b", 1) * variable("p0", 1) \
+        - parameter("m", 1) * parameter("b_dot", 1) * variable("q0", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +219,10 @@ def _verify_aux_forms() -> None:
             ("b", 0.45, em_invariant(), {"b": 0.8, "b_dot": -0.5}),
         ]
         for which, g0, field, aux in checks:
-            residual = residual_at(make_harmonic_dissipative(1.37, f, g0).with_params(aux), field)
+            system = make_harmonic_dissipative(1.37, f, g0).with_params(aux)
+            residual = point_bundle([dissipation_field(system, field)], system.params)
             for qv, pv, sv, tv in ((0.7, -1.1, 0.3, 0.9), (-0.4, 0.6, -1.0, 2.1)):
-                res = residual(ExtendedPoint([qv], [pv], sv, tv))
+                res, = residual(ExtendedPoint([qv], [pv], sv, tv))
                 if abs(res) > 1e-9:
                     raise RuntimeError(
                         f"auxiliary invariant self-test failed for {which}: residual {res!r}")
@@ -253,8 +243,7 @@ def _harmonic_meta(system: ContactSystem) -> tuple[ScalarField, float]:
 
 def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliaryState,
                  t_end: float, cfg: IntegratorConfig | None = None,
-                 tracked: Sequence[TrackedInvariant] | Mapping[str, ScalarField] | None = None,
-                 ) -> Trajectory:
+                 tracked: Sequence[TrackedInvariant] = ()) -> Trajectory:
     """Integrate the contact flow together with the active auxiliary ODEs of
     `_AUX_ODES`, through `integrate`, under a single step controller.
 
@@ -265,14 +254,13 @@ def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliarySta
     """
     _harmonic_meta(system)
     system = system.with_params(aux0.constants())
-    if not isinstance(tracked, Mapping):
-        tracked = {ti.label: ti.field for ti in tracked or []}
     aux: dict[str, AuxComponent] = {}
     for block in ("rho", "a", "b"):
         if getattr(aux0, f"use_{block}"):
             for nm in (block, f"{block}_dot"):
                 aux[nm] = AuxComponent(getattr(aux0, nm), system.param_rates[nm], _AUX_BOX.get(nm))
-    return integrate(system, extended_field(system), start, t_end, cfg, tracked, aux)
+    return integrate(system, extended_field(system), start, t_end, cfg,
+                     {ti.label: ti.field for ti in tracked}, aux)
 
 
 # ---------------------------------------------------------------------------

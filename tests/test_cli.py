@@ -11,8 +11,8 @@ from contact_noether import cli, dynamics, expr
 from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.expr import DomainError, parse
 from contact_noether.geometry import ContactSystem, lie_bracket, nan_max, point_bundle
-from contact_noether.noether import (closure_check, residual_at, sample_points, similarity_test,
-                                     symmetry_test)
+from contact_noether.noether import (closure_check, dissipation_field, sample_points,
+                                     similarity_test, symmetry_test)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -125,8 +125,9 @@ def _alone(sc, c, tol, samples):
     at `samples`, in the order `_reported` lists a report entry's."""
     system = sc.system.with_params(sc.point_params)
     if c["type"] == "residual":
-        residual = residual_at(system, sc.invariants[c["invariant"]].field)
-        return [nan_max(abs(residual(pt)) for pt in samples)]
+        residual = point_bundle([dissipation_field(system, sc.invariants[c["invariant"]].field)],
+                                system.params)
+        return [nan_max(abs(residual(pt)[0]) for pt in samples)]
     if c["type"] == "closure":
         s1, s2 = sc.symmetries[c["first"]], sc.symmetries[c["second"]]
         rep = closure_check(system, s1["field"], s2["field"], samples, tol, s1.get("lambda"),
@@ -205,7 +206,8 @@ class TestOneBundlePerScenario:
                        {"type": "symmetry", "symmetry": "Y"}],
         })
         sc = cli.load_scenario(path)
-        residual = residual_at(sc.system, sc.invariants["F"].field)
+        residual = point_bundle([dissipation_field(sc.system, sc.invariants["F"].field)],
+                                sc.system.params)
         with pytest.raises(DomainError) as first:
             [residual(pt) for pt in samples]
         with pytest.raises(DomainError) as early:
@@ -304,6 +306,26 @@ class TestExitCodes:
         unparsable.write_text("{not json")
         _, code = cli.run(unparsable, tmp_path, quiet=True)
         assert code == 2
+
+    def test_missing_and_unparsable_files_name_the_path(self, tmp_path, capsys):
+        missing, unparsable = tmp_path / "missing.json", tmp_path / "unparsable.json"
+        unparsable.write_text('{"name":\n  not json}')
+        for path, message in ((missing, ": no such scenario file"),
+                              (unparsable, ":2: invalid JSON (Expecting value)")):
+            assert cli.run(path, tmp_path)[1] == 2
+            assert capsys.readouterr().err == f"config error: {path}{message}\n"
+
+    def test_a_run_reads_the_scenario_file_once(self, tmp_path, monkeypatch):
+        path, opened, real = write_scenario(tmp_path, "fp", FREE_PARTICLE), [], Path.open
+
+        def counted(self, *args, **kwargs):
+            opened.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted)
+        for k in range(3):
+            assert cli.run(path, tmp_path / "out", quiet=True)[1] == 0
+            assert opened.count(path) == k + 1
 
     def test_non_finite_literal_is_config_error(self, tmp_path):
         bad = json.loads(json.dumps(FREE_PARTICLE))
@@ -472,6 +494,12 @@ class TestExitCodes:
         (lambda s: s["initial"].update(p=[True]), "initial p[0] must be a finite number, got True"),
         (lambda s: s["integrator"].update(rel_tol="1e-10"),
          "integrator 'rel_tol' must be a finite number, got '1e-10'"),
+        (lambda s: s.update(system={"expression": "(p0^2 + p1^2)/2", "dimension": 2},
+                            initial={"q": [0.0, 0.0], "p": [2.0, 0.0]})
+         or s["symmetries"][0].update(Yq="q0", Yp=["0", "0"]),
+         "squeeze.Yq must be a list, got 'q0'"),
+        (lambda s: s["symmetries"][0].update(Yq={"q0": 1}),
+         "squeeze.Yq must be a list, got {'q0': 1}"),
     ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
             "string-point_param", "string-exponent", "list-point_params", "list-ansatz",
             "list-integrator", "list-system-params", "unknown-invariant", "unknown-symmetry",
@@ -482,7 +510,7 @@ class TestExitCodes:
             "string-use_a", "bool-aux-value", "string-aux-value", "inf-aux-value",
             "list-auxiliary", "unread-builtin-param", "string-builtin-param",
             "nan-builtin-param", "bool-builtin-param", "string-system-param", "string-S",
-            "null-t", "string-q", "bool-p", "string-rel_tol"])
+            "null-t", "string-q", "bool-p", "string-rel_tol", "string-Yq-2d", "object-Yq"])
     def test_bad_check_number_is_config_error(self, tmp_path, capsys, edit, message):
         scenario = json.loads(json.dumps(self.SQUEEZE))
         path = write_scenario(tmp_path, "squeeze", scenario)

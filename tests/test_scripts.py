@@ -1,0 +1,37 @@
+"""Every script under scripts/ answers -h and --help with its usage and starts
+no work: no scenario, no flow and no pytest run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# runs the script named by argv[1] with argv[2], as `python script flag` would,
+# after replacing each entry point of a run by one that exits 1 naming it
+DRIVER = """
+import os, runpy, subprocess, sys
+sys.path[0:1] = [os.path.dirname(sys.argv[1]), sys.argv[3]]
+from contact_noether import cli, systems
+
+def refuse(name):
+    def refused(*args, **kwargs):
+        raise SystemExit(f"started {name}")
+    return refused
+
+for owner, name in ((cli, "run"), (cli, "main"), (systems, "co_integrate"), (subprocess, "Popen")):
+    setattr(owner, name, refuse(name))
+sys.argv = sys.argv[1:3]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_help_prints_usage_and_runs_nothing(script, flag):
+    done = subprocess.run([sys.executable, "-c", DRIVER, str(ROOT / "scripts" / script), flag,
+                           str(ROOT / "src")], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "usage" in done.stdout.lower()
