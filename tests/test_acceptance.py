@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from contact_noether import systems
 from contact_noether.dynamics import (
     IntegratorConfig,
     contact_field,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from contact_noether.dynamics import (
     IntegratorConfig,
     TimeDependentHamiltonian,
     _C,
+    _flow_loop,
     adaptive_rk45,
     contact_field,
     cumulative_integral,
@@ -31,6 +33,29 @@ from oracles import action_consistency
 
 def make_system(h_src, n=1, params=None, guards=()):
     return ContactSystem(n=n, h=parse(h_src, n), params=params or {}, guards=guards)
+
+
+def python_loop(rhs, m, width=None, times=None, rows=None):
+    """The flow loop on m state values whose stages call the Python `rhs(t, row)`,
+    the row a new list; `rhs` returns `width` values (m by default): the
+    rates, then guards.  Accepted states are appended to `times` and `rows`."""
+    names = [*(f"y{c}" for c in range(m)), "t"]
+    return _flow_loop(lambda *a: rhs(a[-1], list(a[:-1])), width or m, names, [],
+                      [] if times is None else times, [] if rows is None else rows)
+
+
+def stepped(rhs, t0, y0, t_end, cfg, width=None):
+    """`adaptive_rk45` over a Python `rhs`, stepped by `python_loop`: the stats,
+    the tag and the accepted times and rows (the start not included)."""
+    times, rows = [], []
+    stats, tag = adaptive_rk45(rhs, t0, y0, t_end, cfg,
+                               loop=python_loop(rhs, len(y0), width, times, rows))
+    return stats, tag, times, rows
+
+
+def guarded(rhs, t_stop):
+    """`rhs` with one trailing guard value, below every margin from `t_stop` on."""
+    return lambda t, y: [*rhs(t, y), 1.0 if t < t_stop else 0.0]
 
 
 class TestFieldConstruction:
@@ -199,50 +224,44 @@ class TestRhsCalls:
         # 1 initial derivative + 1 initial-step probe + 12 stages per attempt;
         # stage 12 of an accepted step is the next step's first stage
         rhs, calls = self.counting_rhs()
-        accepted = []
-        stats, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 5.0,
-                                   IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2),
-                                   on_accept=lambda t, y, f: accepted.append((t, tuple(y))))
-        assert tag is None and stats.accepted > 0
+        stats, tag, times, rows = stepped(
+            rhs, 0.0, [2.0, 0.0], 5.0, IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2))
+        assert tag is None and stats.accepted == len(rows) > 0
         assert len(calls) == 2 + 12 * (stats.accepted + stats.rejected)
         # the reused stage was evaluated at exactly the accepted state
         evaluated = set(calls)
-        assert all((t, y) in evaluated for t, y in accepted)
+        assert all((t, tuple(y)) in evaluated for t, y in zip(times, rows))
 
     def test_fixed_step_call_count(self):
         rhs, calls = self.counting_rhs()
         cfg = IntegratorConfig(min_step=0.01, max_step=0.01)
-        stats, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 1.0, cfg)
+        stats, tag, _, _ = stepped(rhs, 0.0, [2.0, 0.0], 1.0, cfg)
         assert tag is None and stats.rejected == 0
         assert len(calls) == 1 + 12 * stats.accepted
 
 
-class TestOnAccept:
+class TestAcceptedStates:
     def test_tag_stops_before_the_state_counts(self):
-        seen = []
-
-        def on_accept(t, y, f):
-            seen.append(t)
-            return "Stop" if len(seen) == 3 else None
-
-        stats, tag = adaptive_rk45(lambda t, y: [-y[0]], 0.0, [1.0], 5.0, IntegratorConfig(),
-                                   on_accept)
-        assert tag == "Stop" and stats.accepted == 2 and len(seen) == 3
+        # a guard below the margin at the third accepted state ends the run
+        # there: the tagged state is neither counted nor recorded
+        decay = lambda t, y: [-y[0]]  # noqa: E731
+        _, _, times, rows = stepped(decay, 0.0, [1.0], 5.0, IntegratorConfig())
+        stats, tag, stopped, kept = stepped(guarded(decay, times[2]), 0.0, [1.0], 5.0,
+                                            IntegratorConfig(), width=2)
+        assert tag == DOMAIN_VIOLATION and stats.accepted == 2
+        assert stopped == times[:2] and kept == rows[:2]
 
     def test_a_stop_mid_way_counts_the_stopped_attempt(self):
         # the README's counts: two right-hand sides before the first step, twelve
         # per attempt, the stopped one included
         rhs, calls = TestRhsCalls.counting_rhs()
-        seen = []
-
-        def on_accept(t, y, f):
-            seen.append(t)
-            return "Stop" if len(seen) == 55 else None
-
-        stats, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 5.0, IntegratorConfig(rel_tol=1e-4),
-                                   on_accept)
-        assert tag == "Stop" and stats.accepted == 54 and stats.rejected == 1
+        cfg = IntegratorConfig(rel_tol=1e-4)
+        seen = stepped(rhs, 0.0, [2.0, 0.0], 5.0, cfg)[2]
+        calls.clear()
+        stats, tag, times, _ = stepped(guarded(rhs, seen[54]), 0.0, [2.0, 0.0], 5.0, cfg, width=3)
+        assert tag == DOMAIN_VIOLATION and stats.accepted == 54 and stats.rejected == 1
         assert stats.rhs_calls == len(calls) == 2 + 12 * (stats.accepted + stats.rejected + 1)
+        assert times == seen[:54]
         steps = [b - a for a, b in zip([0.0, *seen], seen[:54])]
         assert stats.smallest_step == pytest.approx(min(steps), rel=1e-12)
         assert stats.largest_step == pytest.approx(max(steps), rel=1e-12)
@@ -253,13 +272,11 @@ class TestOnAccept:
         def rhs(t, y):
             return [math.nan if t > 0.5 else -v for v in y]
 
-        accepted = []
-        stats, tag = adaptive_rk45(rhs, 0.0, [1.0], 1.0,
-                                   IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8),
-                                   lambda t, y, f: accepted.append((t, *y)))
+        stats, tag, times, rows = stepped(rhs, 0.0, [1.0], 1.0,
+                                          IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8))
         assert tag == STEP_SIZE_UNDERFLOW
         assert (stats.accepted, stats.rejected) == (26, 51)
-        assert len(accepted) == 26 and all(map(math.isfinite, np.ravel(accepted)))
+        assert len(times) == len(rows) == 26 and all(map(math.isfinite, [*times, *sum(rows, [])]))
 
     def test_fixed_step_nan_state_is_tagged(self):
         # fixed steps accept whatever the error; a non-finite state ends the
@@ -344,10 +361,8 @@ class TestIntegratorEdges:
 
     def test_fixed_step_ends_with_a_short_step(self):
         # 0.1 steps to 1.05: the last step is 0.05, below min_step, and lands on t_end
-        times = []
         cfg = IntegratorConfig(min_step=0.1, max_step=0.1)
-        stats, tag = adaptive_rk45(lambda t, y: [-y[0]], 0.0, [1.0], 1.05, cfg,
-                                   lambda t, y, f: times.append(t))
+        stats, tag, times, _ = stepped(lambda t, y: [-y[0]], 0.0, [1.0], 1.05, cfg)
         assert tag is None and stats.accepted == 11 and len(times) == 11
         assert times[-1] == 1.05
 
@@ -358,9 +373,8 @@ class TestIntegratorEdges:
             t_end = t0 + float(10.0 ** rng.uniform(-3.0, 2.0))
             cfg = IntegratorConfig(rel_tol=float(10.0 ** rng.uniform(-10, -4)),
                                    max_step=float(10.0 ** rng.uniform(-2, 1)))
-            times = []
-            stats, tag = adaptive_rk45(lambda t, y: [math.cos(t) * y[0]], t0, [1.0], t_end, cfg,
-                                       lambda t, y, f: times.append(t))
+            stats, tag, times, _ = stepped(lambda t, y: [math.cos(t) * y[0]], t0, [1.0], t_end,
+                                           cfg)
             if tag is None:
                 assert abs(times[-1] - t_end) <= 1e-14 * max(1.0, abs(t_end))
 
@@ -382,9 +396,10 @@ class TestStepSizes:
         assert st.largest_step == pytest.approx(max(steps), rel=1e-12)
 
     def test_no_accepted_step(self):
-        stats, tag = adaptive_rk45(lambda t, y: [-y[0]], 0.0, [1.0], 1.0, IntegratorConfig(),
-                                   lambda t, y, f: "Stop")
-        assert tag == "Stop" and stats.accepted == 0
+        # a guard below the margin everywhere stops the run at its first step
+        stats, tag, times, _ = stepped(guarded(lambda t, y: [-y[0]], -math.inf), 0.0, [1.0], 1.0,
+                                       IntegratorConfig(), width=2)
+        assert tag == DOMAIN_VIOLATION and stats.accepted == 0 and times == []
         assert stats.smallest_step == stats.largest_step == 0.0
 
     def test_rates_too_large_for_the_initial_step_heuristic(self):
@@ -402,10 +417,10 @@ class TestStepSizes:
 class TestFloatStages:
     @pytest.mark.parametrize("m", [*range(1, 21), 130])
     def test_attempt_matches_the_numpy_formulas_bitwise(self, m):
-        # a scripted rhs returns preset rates, each with a trailing value the
-        # stepping ignores; rows, new state and Hairer's error norm against
-        # numpy, over one step of the generic loop, fixed, then at its floor
-        from contact_noether.dynamics import _A, _E3, _E5, _dop853_loop
+        # a scripted rhs returns preset rates, each with a trailing guard value
+        # the stepping ignores; rows, new state and Hairer's error norm against
+        # numpy, over one step of the flow loop, fixed, then at its floor
+        from contact_noether.dynamics import _A, _E3, _E5
 
         rng = np.random.default_rng(3 + m)
         for trial in range(200):
@@ -417,25 +432,28 @@ class TestFloatStages:
                 k[rng.integers(0, 13)][rng.integers(0, m)] = math.nan
             t, h = float(rng.uniform(-10.0, 10.0)), float(rng.uniform(1e-6, 1.0))
             atol, rtol = (float(v) for v in 10.0 ** rng.uniform(-14, -4, size=2))
-            calls, outs, accepted = [], [], []
+            calls, times, rows = [], [], []
 
             def rhs(ti, row):
                 calls.append((ti, row))
-                outs.append((*k[len(calls)].tolist(), 7.5))
-                return outs[-1]
+                return (*k[len(calls)].tolist(), 7.5)
 
             def step(max_step):
                 calls.clear()
-                outs.clear()
-                accepted.clear()
+                times.clear()
+                rows.clear()
                 cfg = IntegratorConfig(rel_tol=rtol, abs_tol=atol, min_step=h, max_step=max_step)
-                return _dop853_loop(m)(rhs, lambda *a: accepted.append(a), t, y.tolist(),
-                                       (*k[0].tolist(), -1.0), h, t + h, cfg)
+                return python_loop(rhs, m, m + 1, times, rows)(
+                    t, y.tolist(), (*k[0].tolist(), -1.0), h, t + h, cfg)
 
-            done = step(h)  # a fixed step is accepted whatever its error
-            (t_new, new_row, last), = accepted
-            assert t_new == t + h
-            assert len(calls) == 12 and last is outs[-1] and new_row is calls[-1][1]
+            # a fixed step is accepted whatever its error, and kept if its state is finite
+            done = step(h)
+            new_row = calls[-1][1]
+            if all(map(math.isfinite, new_row)):
+                assert done[-1] is None and times == [t + h] and rows == [new_row]
+            else:
+                assert done[:3] == (0, 0, 1) and done[-1] == DOMAIN_VIOLATION and rows == []
+            assert len(calls) == 12
             for i, (ti, row) in enumerate(calls, 1):
                 ref = y + h * sum(a * k[j] for j, a in enumerate(_A[i]) if a != 0.0)
                 assert ti == t + _C[i] * h
@@ -446,7 +464,8 @@ class TestFloatStages:
             n5, n3 = np.sum(e5 * e5), np.sum(e3 * e3)
             ref_err = (np.float64(0.0) if n5 == 0.0 and n3 == 0.0
                        else h * n5 / np.sqrt((n5 + 0.01 * n3) * m))
-            # the largest accepted norm; max() keeps its start 0.0 over a NaN
+            # the largest accepted norm; max() keeps its start 0.0 over a NaN,
+            # and a tagged state is not accepted, its norm NaN
             err = done[3]
             kept = np.float64(0.0) if np.isnan(ref_err) else ref_err
             assert type(err) is float and np.float64(err).tobytes() == kept.tobytes(), m
@@ -454,7 +473,7 @@ class TestFloatStages:
             done = step(2 * h)
             assert len(calls) == 12
             if ref_err <= 1.0:
-                assert done[:4] == (1, 0, 1, err) and done[-1] is None
+                assert done[:4] == (1, 0, 1, err) and done[-1] is None and rows == [new_row]
             else:
                 assert done[:3] == (0, 1, 1) and done[-1] == STEP_SIZE_UNDERFLOW
 
@@ -462,7 +481,7 @@ class TestFloatStages:
         from contact_noether import dynamics
 
         monkeypatch.setattr(dynamics, "_initial_step", lambda *args: 0.5)
-        times, accepted = [], []
+        times = []
 
         def rhs(t, y):
             times.append(t)
@@ -470,12 +489,47 @@ class TestFloatStages:
                 raise DomainError("scripted", "q0")
             return [-y[0]]
 
-        stats, tag = adaptive_rk45(rhs, 0.0, [1.0], 1.0,
-                                   IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6),
-                                   lambda t, y, f: accepted.append(t))
+        stats, tag, accepted, _ = stepped(rhs, 0.0, [1.0], 1.0,
+                                          IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6))
         assert tag is None and stats.rejected == 1
         assert times[:5] == [0.0, _C[1] * 0.5, _C[2] * 0.5, _C[3] * 0.5, _C[1] * (0.25 * 0.5)]
         assert accepted[0] == 0.25 * 0.5
+
+
+class TestTableau:
+    """DOP853's order conditions, evaluated exactly on the float literals of the
+    tableau (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10): each
+    residual within an ulp of 1, and the first condition past each order
+    failing, so that the bounds are sharp."""
+
+    @staticmethod
+    def moment(weights, k):  # sum_i w_i c_i^(k-1), exactly
+        return sum(Fraction(w) * Fraction(c) ** (k - 1) for w, c in zip(weights, _C))
+
+    def test_rows_sum_to_their_nodes(self):
+        from contact_noether.dynamics import _A
+
+        for i, row in enumerate(_A[1:], 1):
+            residual = abs(sum(map(Fraction, row)) - Fraction(_C[i]))
+            assert residual <= 2.0 ** -52 * sum(map(abs, row)), i
+
+    def test_weights_have_order_eight(self):
+        # the bushy-tree conditions sum_i b_i c_i^(k-1) = 1/k, at most 1.6e-16 off today
+        from contact_noether.dynamics import _A
+
+        weights = _A[-1]
+        for k in range(1, 9):
+            assert abs(self.moment(weights, k) - Fraction(1, k)) <= 2.0 ** -52, k
+        assert abs(self.moment(weights, 9) - Fraction(1, 9)) > 1e-6
+
+    @pytest.mark.parametrize("name, order", [("_E5", 5), ("_E3", 3)])
+    def test_error_estimates_vanish_to_their_order(self, name, order):
+        from contact_noether import dynamics
+
+        weights = getattr(dynamics, name)
+        for k in range(1, order + 1):
+            assert abs(self.moment(weights, k)) <= 2.0 ** -52, k
+        assert abs(self.moment(weights, order + 1)) > 1e-6
 
 
 class TestCompiledOnce:
@@ -595,13 +649,13 @@ def _vanishing_aux_flow():
 
 class TestFlowAttempt:
     """integrate takes its steps with one generated loop whose stages call the
-    compiled right-hand side; it must take the steps of the generic loop that
-    calls the same compiled right-hand side, bit for bit."""
+    compiled right-hand side; a stage that raises rejects the attempt with the
+    right-hand side's own error."""
 
     @staticmethod
-    def run(monkeypatch, flow, fused=True):
-        # integrate's flow, with its loop or the generic one; the eval_node
-        # fallbacks of the bundles called while it steps counted
+    def run(monkeypatch, flow):
+        # integrate's flow, the eval_node fallbacks of the bundles called while
+        # it steps counted
         from contact_noether import dynamics, expr
 
         real, codegen, stepping, fallbacks = dynamics.adaptive_rk45, expr._codegen, [False], []
@@ -616,7 +670,7 @@ class TestFlowAttempt:
         def stepper(*args, loop):
             stepping[0] = True
             try:
-                return real(*args, loop=loop if fused else None)
+                return real(*args, loop=loop)
             finally:
                 stepping[0] = False
 
@@ -628,21 +682,13 @@ class TestFlowAttempt:
             monkeypatch.undo()
 
     @pytest.mark.parametrize("name", list(_flows()))
-    def test_same_flow_as_the_generic_attempt(self, name, monkeypatch):
+    def test_flow_ends_with_its_tag(self, name, monkeypatch):
         flow, tag, falls_back = _flows()[name]
-        (fused, fallbacks), (generic, _) = (self.run(monkeypatch, flow, kind)
-                                            for kind in (True, False))
-
-        def bits(traj):
-            return ([t.hex() for t in traj.times], [[v.hex() for v in y] for y in traj.rows],
-                    {k: [v.hex() for v in c] for k, c in traj.tracked.items()})
-
-        assert fused.error_tag == generic.error_tag == tag
-        assert fused.stats == generic.stats and fused.stats.accepted > 3
-        assert bits(fused) == bits(generic)
+        traj, fallbacks = self.run(monkeypatch, flow)
+        assert traj.error_tag == tag and traj.stats.accepted > 3
         # the right-hand side falls back to eval_node at the initial rates, the
         # initial-step probe and the stages whose compiled body fails
-        calls = fused.stats.rhs_calls
+        calls = traj.stats.rhs_calls
         assert {"never": fallbacks == 0, "always": fallbacks == calls,
                 "sometimes": 0 < fallbacks < calls}[falls_back]
 
@@ -659,7 +705,7 @@ class TestFlowAttempt:
         return made[0]
 
     @staticmethod
-    def one_step(loop, rhs, t, y, f, h):
+    def one_step(loop, t, y, f, h):
         """`loop` from (t, y) with rates f, one fixed step of h to t + h; the
         DomainErrors made meanwhile, as (type, message, where)."""
         made, real = [], DomainError.__init__
@@ -670,12 +716,11 @@ class TestFlowAttempt:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(DomainError, "__init__", init)
-            done = loop(rhs, None, t, y, f, h, t + h, IntegratorConfig(min_step=h, max_step=h))
+            done = loop(t, y, f, h, t + h, IntegratorConfig(min_step=h, max_step=h))
         assert done == (0, 1, 1, 0.0, math.inf, 0.0, STEP_SIZE_UNDERFLOW)
         return [(type(e), str(e), e.where) for e in made]
 
     def test_a_raising_stage_rejects_with_eval_nodes_error(self, monkeypatch):
-        from contact_noether import dynamics
         from contact_noether.expr import eval_node
 
         sys1 = make_system("p0^2/2 + q0*sqrt(2 - t)")
@@ -688,9 +733,9 @@ class TestFlowAttempt:
 
         # stages 1-3 are taken before t = 2.0, stage 4 past it, where sqrt(2 - t) raises
         t, y, h = 1.9, [1.0, 0.5, 0.0], 0.5
-        errors = [self.one_step(loop, recorded, t, y, rhs(t, y), h)
-                  for loop in (fused, dynamics._dop853_loop(3))]
-        # the fused loop calls no rhs; the generic one raised at its fourth stage
+        errors = [self.one_step(loop, t, y, rhs(t, y), h)
+                  for loop in (fused, python_loop(recorded, 3))]
+        # the fused loop calls no Python rhs; the one over `recorded` raised at its fourth stage
         assert len(seen) == 4 and seen[3][0] == t + _C[4] * h
         env = dict(zip(["q0", "p0", "S", "t"], [*seen[3][1], seen[3][0]]))
         field = extended_field(sys1)
@@ -713,13 +758,12 @@ class TestFlowAttempt:
         assert 5.6e102 < traj.rows[-1][0] < 5.65e102
 
     def test_a_vanishing_auxiliary_value_raises_the_rhs_error(self, monkeypatch):
-        from contact_noether import dynamics
-
+        # the flow loop's inline box test and integrate's Python rhs raise alike
         rhs, fused = self.made(monkeypatch, _vanishing_aux_flow)
         # stage 1 takes a to 1e-3 + h * C1 * -0.05 = 1e-3 - 0.02 * 0.05, about 0
         y, h = [0.0, 1.0, 0.0, 1e-3], 0.02 / _C[1]
-        errors = [self.one_step(loop, rhs, 0.0, y, rhs(0.0, y), h)
-                  for loop in (fused, dynamics._dop853_loop(4))]
+        errors = [self.one_step(loop, 0.0, y, rhs(0.0, y), h)
+                  for loop in (fused, python_loop(rhs, 4))]
         assert errors[0] == errors[1] == [(DomainError, "auxiliary function vanished in `a`", "a")]
 
     @pytest.mark.parametrize("source, m", [("p0^2/2 + q0/(m - 1)", 1.0),
@@ -730,14 +774,13 @@ class TestFlowAttempt:
         # `m - 1` runs once when the right-hand side is compiled and the quotient
         # that reads q0 at every stage; `sqrt(m - 2)` raises and `1e300/m`
         # overflows there: the stages that read them fall back to eval_node
-        from contact_noether import dynamics
         from contact_noether.expr import eval_node
 
         sys1 = make_system(source, params={"m": m})
         flow = lambda: integrate(sys1, extended_field(sys1), point(1.0, 0.5), 1.0)  # noqa: E731
-        fused, generic = (self.run(monkeypatch, flow, kind)[0] for kind in (True, False))
-        assert fused.error_tag == generic.error_tag == DOMAIN_VIOLATION
-        assert fused.stats == generic.stats and fused.rows == generic.rows == [[1.0, 0.5, 0.0]]
+        traj = self.run(monkeypatch, flow)[0]
+        assert traj.error_tag == DOMAIN_VIOLATION and traj.rows == [[1.0, 0.5, 0.0]]
+        assert traj.stats.accepted == 0
 
         rhs, loop = self.made(monkeypatch, flow)
         y, seen = [1.0, 0.5, 0.0], []
@@ -746,8 +789,8 @@ class TestFlowAttempt:
             seen.append((t, list(row)))
             return rhs(t, row)
 
-        errors = [self.one_step(each, recorded, 0.0, y, [0.0, 0.0, 0.0], 0.1)
-                  for each in (loop, dynamics._dop853_loop(3))]
+        errors = [self.one_step(each, 0.0, y, [0.0, 0.0, 0.0], 0.1)
+                  for each in (loop, python_loop(recorded, 3))]
         assert len(seen) == 1 and seen[0][0] == _C[1] * 0.1
         with pytest.raises(DomainError) as info:
             field = extended_field(sys1)
@@ -768,9 +811,9 @@ class TestFlowAttempt:
         fixed = _kepler_flow(kepler, point([1, 0, 0], [0, 1.2, 0]), 1.0,
                              IntegratorConfig(min_step=0.01, max_step=0.01)).stats
         assert fixed.rejected == 0 and fixed.rhs_calls == 1 + 12 * fixed.accepted
-        # the generic attempt: the count is the number of calls
+        # stepped over a Python rhs: the count is the number of calls
         rhs, calls = TestRhsCalls.counting_rhs()
-        st, tag = adaptive_rk45(rhs, 0.0, [2.0, 0.0], 5.0, IntegratorConfig(rel_tol=1e-4))
+        st, tag, _, _ = stepped(rhs, 0.0, [2.0, 0.0], 5.0, IntegratorConfig(rel_tol=1e-4))
         assert tag is None and st.rejected > 0 and st.rhs_calls == len(calls)
 
     def test_a_second_kepler_flow_compiles_nothing(self, monkeypatch):
@@ -874,25 +917,26 @@ def test_bundled_runs_leave_numpy_unloaded(tmp_path):
 
 def test_generated_functions_have_distinct_file_names():
     # cProfile keys functions by file name, line and name: every distinct
-    # generated source and the DOP853 loop of every state size must
+    # generated source and the DOP853 loop of every state shape must
     # be told apart, while bundles that differ only in their numbers share
     # one code object and keep their own numbers
-    from contact_noether.dynamics import _dop853_loop, _flow_loop, _rms_of
+    from contact_noether.dynamics import _rms_of
     from contact_noether.expr import compile_bundle
 
     same = [compile_bundle([parse(f"{c}*q0*p0", 1)], ["q0", "p0"]) for c in (2.5, 3.5)]
     other = compile_bundle([parse("q0*p0 + 2.5", 1)], ["q0", "p0"])
     assert same[0].__code__ is same[1].__code__
     assert (same[0](2.0, 3.0), same[1](2.0, 3.0)) == ((15.0,), (21.0,))
-    names = [f.__code__.co_filename for f in (same[0], other, _dop853_loop(3), _dop853_loop(7),
-                                              _rms_of(3), _rms_of(7))]
-    assert len(set(names)) == len(names) == 6
-    kinds = ["scalar-field", "scalar-field", "dop853-step", "dop853-step", "rms", "rms"]
-    assert all(nm.startswith(f"<{kind}-") for nm, kind in zip(names, kinds))
     state = ["q0", "p0", "S", "t"]
     rhs = compile_bundle([parse("p0", 1), parse("-q0", 1), parse("p0^2/2", 1)], state)
-    flow = _flow_loop(rhs, 3, state, [], [], []).__code__.co_filename
-    assert flow.startswith("<dop853-flow-") and flow not in names
+    flows = [_flow_loop(rhs, 3, state, [], [], []), _flow_loop(rhs, 3, state, [], [], []),
+             python_loop(lambda t, y: y, 7)]
+    assert flows[0].__code__ is flows[1].__code__
+    names = [f.__code__.co_filename for f in (same[0], other, flows[0], flows[2],
+                                              _rms_of(3), _rms_of(7))]
+    assert len(set(names)) == len(names) == 6
+    kinds = ["scalar-field", "scalar-field", "dop853-flow", "dop853-flow", "rms", "rms"]
+    assert all(nm.startswith(f"<{kind}-") for nm, kind in zip(names, kinds))
 
 
 class TestConservationAlongFlow:
@@ -926,20 +970,26 @@ class TestConservationAlongFlow:
         assert drift(1e-11) < drift(1e-7)
 
     def test_fixed_step_order_at_least_four(self):
-        # halving the step size reduces the one-period return error by at
-        # least 2^4 (the propagating method is order eight); at pi/40 the
-        # error is already at round-off
+        # q0 = cos t, p0 = -sin t, S = -sin(2t)/4 over one period at 8, 16, 32
+        # and 64 fixed steps: the largest end error falls by at least 2^7 per
+        # halving down to 32 steps (about 2^8 today: 5.8e-8, 2.3e-10, 8.9e-13;
+        # the propagating method is order eight) and is at round-off, 3.3e-15,
+        # at 64; a weight off by 1e-13 or 1e-10 makes the tableau inconsistent,
+        # and the error stalls above 1e-14
         sys1 = make_system("p0^2/2 + q0^2/2")
 
-        def period_error(h):
+        def period_error(steps):
+            h = 2 * math.pi / steps
             cfg = IntegratorConfig(rel_tol=1.0, abs_tol=1e6, max_step=h, min_step=h)
-            traj = integrate(sys1, extended_field(sys1), point(1.0, 0.0),
-                             2 * math.pi, cfg)
-            end = traj.samples[-1]
-            return math.hypot(end.q[0] - 1.0, end.p[0])
+            traj = integrate(sys1, extended_field(sys1), point(1.0, 0.0), 2 * math.pi, cfg)
+            t, y = traj.times[-1], traj.rows[-1]
+            assert traj.error_tag is None and traj.stats.accepted == steps
+            exact = (math.cos(t), -math.sin(t), -math.sin(2 * t) / 4)
+            return max(abs(a - b) for a, b in zip(y, exact))
 
-        e1, e2 = period_error(math.pi / 4), period_error(math.pi / 8)
-        assert e1 / e2 >= 16.0
+        errors = [period_error(steps) for steps in (8, 16, 32, 64)]
+        assert all(a / b >= 2.0 ** 7 for a, b in zip(errors, errors[1:3])), errors
+        assert errors[3] <= 1e-14, errors
 
 
 class TestActionConsistency:
