@@ -7,21 +7,23 @@ Runs the scenario files of workload W (generated by `certbench/workloads.py`,
 which is only read, as in `paired_rounds.py`) through `cli.run` of the
 `contact_noether` package under `src/` next to this script.  Round 0 warms
 the process up; rounds 1..K are counted.  For each counted round it prints
-four counts, taken by wrappers installed in this process:
+what the round added to the package's tally `expr.work`:
 
-- `bundles`: calls of `expr._codegen`, one compiled bundle of fields;
-- `derive`: calls of `expr._derive`, one derivative rule applied to one node;
-- `nodes`: calls of `_Node.__new__`, whether a node is made or found live;
-- `emitted`: statements that `_emit` writes, all of them for compiled bundles;
-- `kept`: the runs whose work `expr.derivatives_kept` holds after the round
-  (0 in a checkout without that table).
+- `bundles`: bundles of fields generated (`expr._codegen`);
+- `derive`: derivative rules applied to one node (`expr._derive`);
+- `nodes`: node constructions, whether a node is made or found live;
+- `emitted`: statements written into the generated bundles;
+
+and `kept`, the runs whose work `expr.derivatives_kept` holds after the
+round.
 
 A run's work is kept from its scenario's second sighting on, so a workload
 whose files recur (bundled, long-flow) counts 0 bundles, derive and emitted
 from round 2; one whose files are new every round (symbolic-sweep) keeps
 nothing.  Then it prints the means of the first four counts over the counted
 rounds.  The counts do not depend on timing, so a run repeats them exactly;
-two checkouts can be compared by copying this script into each.
+two checkouts that keep the same tally can be compared by copying this
+script into each.
 """
 
 import argparse
@@ -38,36 +40,6 @@ from paired_rounds import FIXED, cases  # noqa: E402
 COUNTS = ("bundles", "derive", "nodes", "emitted")
 
 
-def install(counts: dict[str, int]) -> None:
-    """Wrap `_codegen`, `_derive`, `_Node.__new__` and every module binding
-    of `_emit` so that each call adds to `counts`."""
-    codegen, derive, new, emit = expr._codegen, expr._derive, expr._Node.__new__, expr._emit
-
-    def counted_codegen(*args):
-        counts["bundles"] += 1
-        return codegen(*args)
-
-    def counted_derive(*args):
-        counts["derive"] += 1
-        return derive(*args)
-
-    def counted_new(cls, *args):
-        counts["nodes"] += 1
-        return new(cls, *args)
-
-    def counted_emit(*args, **kwargs):
-        out = emit(*args, **kwargs)
-        counts["emitted"] += len(out[0])
-        return out
-
-    expr._codegen = counted_codegen
-    expr._derive = counted_derive
-    expr._Node.__new__ = staticmethod(counted_new)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("contact_noether") and getattr(module, "_emit", None) is emit:
-            module._emit = counted_emit
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=[*FIXED, "symbolic-sweep"])
@@ -76,19 +48,18 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    counts = dict.fromkeys(COUNTS, 0)
-    install(counts)
     rows: list[dict[str, int]] = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for k in range(args.rounds + 1):  # round 0 is the warm-up
             paths = [case.write(work) for case in cases(args.workload, args.seed, k)]
-            counts.update(dict.fromkeys(COUNTS, 0))
+            before = dict(expr.work)
             for path in paths:
                 cli.run(path, work / "out", quiet=True)
+            counts = {c: expr.work[c] - before[c] for c in COUNTS}
             if k:
-                rows.append(dict(counts))
-                kept = sum(v is not None for v in getattr(expr, "_RUNS", {}).values())
+                rows.append(counts)
+                kept = sum(v is not None for v in expr._RUNS.values())
                 print(f"round {k}: " + ", ".join(f"{c} {counts[c]}" for c in COUNTS)
                       + f", kept {kept}")
     print(f"{args.workload} seed {args.seed}, mean over rounds 1-{args.rounds}: "

@@ -136,6 +136,8 @@ def _load(path: Path, data: bytes) -> Scenario:
 
     name = raw.get("name") or path.stem
     _require(isinstance(name, str), f"{path}: 'name' must be a string, got {name!r}")
+    _require(name not in (".", "..") and Path(name).name == name,  # out_root / name stays inside
+             f"{path}: 'name' must be one plain path component, got {name!r}")
     sysspec = raw.get("system")
     _require(isinstance(sysspec, dict), f"{path}: missing 'system' object")
     params = _object(sysspec.get("params"), f"{path}: system 'params'")
@@ -168,6 +170,9 @@ def _load(path: Path, data: bytes) -> Scenario:
         _require(initial.n == system.n, f"{path}: initial state dimension != system dimension")
 
     t_end = _finite(raw["t_end"], f"{path}: 't_end'") if "t_end" in raw else None
+    if initial is not None and t_end is not None:
+        _require(t_end > initial.t, f"{path}: 't_end' must exceed the initial 't' {initial.t!r}, "
+                                    f"got {t_end!r}")
     settings = _object(raw.get("integrator"), f"{path}: 'integrator'")
     try:
         integ = IntegratorConfig(**{k: _finite(v, f"{path}: integrator {k!r}")

@@ -99,6 +99,8 @@ _NO_NAMES: _Names = (frozenset(), frozenset())
 _KEPT: "ContextVar[list[object] | None]" = ContextVar("_KEPT", default=None)  # see derivatives_kept
 _RUNS: "dict[object, list[object] | None]" = {}  # the last _RECENT keys, oldest first
 _RECENT = 8
+# the symbolic work done since import, by kind; never reset, so readers take differences
+work = dict.fromkeys(("nodes", "derive", "bundles", "emitted", "compiles"), 0)
 
 
 def _union(a: _Names, b: _Names) -> _Names:
@@ -124,6 +126,7 @@ class _Node:
     __slots__ = ("_names", "_d")
 
     def __new__(cls, *args):
+        work["nodes"] += 1
         if cls is Num:
             args = (float(args[0]),)
             key: tuple = (cls, args[0], math.copysign(1.0, args[0]))
@@ -453,6 +456,7 @@ _SERIALS = itertools.count(1)
 def _factory(source: str, kind: str) -> Callable:
     """The `_mk` that `source` defines, compiled once per distinct text into
     a file named `<kind-N>`."""
+    work["compiles"] += 1
     loc: dict[str, object] = {}
     exec(compile(source, f"<{kind}-{next(_SERIALS)}>", "exec"), {}, loc)
     return loc["_mk"]  # type: ignore[return-value]
@@ -529,6 +533,8 @@ def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str,
     `_f` is made; one that raises leaves its name and the later ones unbound,
     so a call that reads them takes `_slow`."""
     body, consts, checked, values, fixed = _emit(roots, bound)
+    work["bundles"] += 1
+    work["emitted"] += len(body)
     params = ", ".join(f"_v_{nm}" for nm in argnames)
     check = f"_isfinite({' + '.join(checked)})" if checked else "True"
     hoisted = ["try:", *(body[k][4:] for k in sorted(fixed)), "except Exception:", "    pass"]
@@ -822,6 +828,7 @@ def parse(source: str, n: int) -> ScalarField:
 
 def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
     """The derivative rule of `node`, with `d` differentiating its operands."""
+    work["derive"] += 1
     if isinstance(node, Num):
         return _ZERO
     if isinstance(node, (Var, Param)):

@@ -128,6 +128,16 @@ def point_bundle(fields: Sequence[ScalarField],
 GUARD_MARGIN = 1e-3  # by default, a point with a guard value below it is inadmissible
 
 
+@dataclass(frozen=True)
+class SampleBox:
+    """Per-coordinate uniform sampling ranges."""
+
+    q: tuple[float, float] = (-2.0, 2.0)
+    p: tuple[float, float] = (-2.0, 2.0)
+    S: tuple[float, float] = (-1.0, 1.0)
+    t: tuple[float, float] = (0.0, 5.0)
+
+
 @dataclass(eq=False)
 class ContactSystem:
     """A contact Hamiltonian system: dimension, Hamiltonian, parameter bindings.
@@ -135,7 +145,7 @@ class ContactSystem:
     `guards` mark the admissible region (e.g. a singularity exclusion zone):
     a point is admissible iff every guard value is >= the margin (a NaN value
     or a DomainError makes it inadmissible); no guards admit the whole space.
-    `sample_box` is the box of seeded point generators; None means `SampleBox()`.
+    `sample_box` is the box of seeded point generators.
     `meta` carries optional system-specific extras (auxiliary ODE data,
     registered invariants) and is not interpreted by this module.
     `param_rates` maps each parameter that varies along the flow to its d/dt,
@@ -147,7 +157,7 @@ class ContactSystem:
     h: ScalarField
     params: dict[str, float] = dc_field(default_factory=dict)
     guards: tuple[ScalarField, ...] = ()
-    sample_box: "SampleBox | None" = None
+    sample_box: SampleBox = SampleBox()
     label: str = ""
     meta: dict = dc_field(default_factory=dict)
     param_rates: dict[str, ScalarField] = dc_field(default_factory=dict)
@@ -202,16 +212,6 @@ class ContactSystem:
             return point.n == self.n and all(expr.eval_node(g.ast, env) >= margin for g in self.guards)
         except expr.DomainError:
             return False
-
-
-@dataclass(frozen=True)
-class SampleBox:
-    """Per-coordinate uniform sampling ranges."""
-
-    q: tuple[float, float] = (-2.0, 2.0)
-    p: tuple[float, float] = (-2.0, 2.0)
-    S: tuple[float, float] = (-1.0, 1.0)
-    t: tuple[float, float] = (0.0, 5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .geometry import (
     ContactSystem,
     ExtendedPoint,
     LieDerivativeEta,
-    SampleBox,
     VectorFieldSpec,
     directional_derivative,
     lie_bracket,
@@ -126,7 +125,7 @@ def sample_points(system: ContactSystem, count: int, seed: int,
     """Uniform seeded samples from the system's box, rejecting inadmissible
     points: a DomainError of h or a guard, or a guard value below `margin` or
     NaN.  One bundle of h and the guards screens each point."""
-    box = system.sample_box or SampleBox()
+    box = system.sample_box
     uniform = _uniform_draws(seed)
     at = point_bundle([system.h, *system.guards], system.params)
     out: list[ExtendedPoint] = []

@@ -45,6 +45,13 @@ def value(field, env) -> float:
     return values([field], env)[0]
 
 
+def tally():
+    """A reader of the package's tally `expr.work`: each call returns the work
+    counted since `tally()` was called, by key."""
+    start = dict(expr.work)
+    return lambda: {k: v - start[k] for k, v in expr.work.items()}
+
+
 def case_invariant(system, tag, k):
     """The invariant of the case-table row `tag` for f constant, no S-term and
     a potential of degree k, with the placeholder h replaced by `system.h`."""

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from contact_noether.expr import DomainError, parse
 from contact_noether.geometry import ContactSystem, lie_bracket, nan_max, point_bundle
 from contact_noether.noether import (closure_check, dissipation_field, sample_points,
                                      similarity_test, symmetry_test)
+from conftest import tally
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -85,9 +87,7 @@ def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
     # one bundle for the sampler's h and one for the fields of every residual,
     # symmetry, similarity and closure check together, whatever the sample count;
     # nothing goes through an env dict
-    codegens, evals = [], []
-    real_codegen, real_eval = expr._codegen, expr.ScalarField.eval_env
-    monkeypatch.setattr(expr, "_codegen", lambda *a: codegens.append(a) or real_codegen(*a))
+    evals, real_eval = [], expr.ScalarField.eval_env
     monkeypatch.setattr(expr.ScalarField, "eval_env",
                         lambda self, env: evals.append(self) or real_eval(self, env))
     checks = [
@@ -112,10 +112,10 @@ def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
             ],
             "checks": checks,
         })
-        codegens.clear()
+        done = tally()
         report, code = cli.run(path, tmp_path / "out", quiet=True)
         assert code == 0 and len(report["checks"]) == len(checks)
-        counts.append(len(codegens))
+        counts.append(done()["bundles"])
     assert counts == [1 + 1] * 2
     assert evals == []
 
@@ -416,6 +416,15 @@ class TestExitCodes:
         _, code = cli.run(path, tmp_path / "out")
         assert code == 2 and "'t_end' must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_end", [2.0, 1.0], ids=["at-start", "before-start"])
+    def test_t_end_not_after_the_initial_t_is_config_error(self, tmp_path, capsys, t_end):
+        initial = {**FREE_PARTICLE["initial"], "t": 2.0}
+        path = write_scenario(tmp_path, "horizon", {**FREE_PARTICLE, "initial": initial,
+                                                    "t_end": t_end})
+        _, code = cli.run(path, tmp_path / "out")
+        assert code == 2
+        assert f"'t_end' must exceed the initial 't' 2.0, got {t_end}" in capsys.readouterr().err
+
     # a squeeze of q0 on the free particle is no symmetry: its check fails with value 1.0
     SQUEEZE = {**FREE_PARTICLE, "checks": [{"type": "symmetry", "symmetry": "squeeze"}],
                "symmetries": [{"label": "squeeze", "Yq": ["q0"], "Yp": ["0"], "YS": "0", "Yt": "0"}]}
@@ -475,6 +484,13 @@ class TestExitCodes:
         (lambda s: s["invariants"].append({"label": "Q", "builtin": ["Q_K"]}),
          "unknown builtin invariant ['Q_K']"),
         (lambda s: s.update(name=["fp"]), "'name' must be a string, got ['fp']"),
+        (lambda s: s.update(name=".."), "'name' must be one plain path component, got '..'"),
+        (lambda s: s.update(name="."), "'name' must be one plain path component, got '.'"),
+        (lambda s: s.update(name="../escaped"),
+         "'name' must be one plain path component, got '../escaped'"),
+        (lambda s: s.update(name="sub/fp"), "'name' must be one plain path component, got 'sub/fp'"),
+        (lambda s: s.update(name=os.path.abspath("escaped")),
+         "'name' must be one plain path component, got '/"),
         (lambda s: s.update(auxiliary={"use_a": "false"}),
          "auxiliary 'use_a' must be true or false, got 'false'"),
         (lambda s: s.update(auxiliary={"a": True}), "auxiliary 'a' must be a finite number"),
@@ -507,19 +523,23 @@ class TestExitCodes:
             "bad-against", "duplicate-symmetry", "fractional-dimension", "bool-dimension",
             "number-invariants", "bad-expected", "string-expect_symmetry",
             "misspelt-expect_verdict", "list-from_invariant", "list-builtin", "list-name",
+            "dotdot-name", "dot-name", "parent-name", "nested-name", "absolute-name",
             "string-use_a", "bool-aux-value", "string-aux-value", "inf-aux-value",
             "list-auxiliary", "unread-builtin-param", "string-builtin-param",
             "nan-builtin-param", "bool-builtin-param", "string-system-param", "string-S",
             "null-t", "string-q", "bool-p", "string-rel_tol", "string-Yq-2d", "object-Yq"])
-    def test_bad_check_number_is_config_error(self, tmp_path, capsys, edit, message):
+    def test_bad_check_number_is_config_error(self, tmp_path, capsys, monkeypatch, edit, message):
+        monkeypatch.chdir(tmp_path)  # so an absolute name made by an edit is inside tmp_path
         scenario = json.loads(json.dumps(self.SQUEEZE))
         path = write_scenario(tmp_path, "squeeze", scenario)
         report, code = cli.run(path, tmp_path / "out", quiet=True)
         assert code == 1 and report["checks"][0]["value"] == 1.0
         edit(scenario)
         path = write_scenario(tmp_path, "squeeze", scenario)
+        files = sorted(tmp_path.rglob("*"))
         _, code = cli.run(path, tmp_path / "out")
         assert code == 2 and message in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == files  # a refused scenario writes nothing
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     def test_bad_tol_override_is_config_error(self, tmp_path, capsys, value):

@@ -23,11 +23,11 @@ from contact_noether.dynamics import (
     extended_field,
     integrate,
 )
-from contact_noether.expr import DomainError, parse
+from contact_noether.expr import DomainError, Node, Num, Param, Var, parse
 from contact_noether.geometry import ContactSystem
 from contact_noether.noether import sample_points
 from contact_noether.systems import make_harmonic_dissipative
-from conftest import point, values
+from conftest import point, tally, values
 from oracles import action_consistency
 
 
@@ -531,6 +531,66 @@ class TestTableau:
             assert abs(self.moment(weights, k)) <= 2.0 ** -52, k
         assert abs(self.moment(weights, order + 1)) > 1e-6
 
+    @staticmethod
+    def trees(order):
+        """Every rooted tree of at most `order` vertices, each the sorted tuple
+        of its subtrees: a tree of n vertices is one of n - k vertices with a
+        tree of k vertices grafted onto its root."""
+        by_size = {1: [()]}
+        for n in range(2, order + 1):
+            by_size[n] = sorted({tuple(sorted((kid, *rest))) for k in range(1, n)
+                                 for kid in by_size[k] for rest in by_size[n - k]})
+        return [t for n in range(1, order + 1) for t in by_size[n]]
+
+    @staticmethod
+    def size(t):
+        return 1 + sum(map(TestTableau.size, t))
+
+    @staticmethod
+    def density(t):  # gamma(t) = |t| * prod over subtrees s of gamma(s)
+        return TestTableau.size(t) * math.prod(map(TestTableau.density, t))
+
+    @staticmethod
+    def stage_weights(t, rows, memo):
+        """Phi_i(t) for each stage i: prod over subtrees s of sum_j a_ij Phi_j(s)."""
+        if t not in memo:
+            kids = [TestTableau.stage_weights(s, rows, memo) for s in t]
+            memo[t] = [math.prod(sum(a * phi[j] for j, a in enumerate(row)) for phi in kids)
+                       for row in rows]
+        return memo[t]
+
+    @pytest.mark.parametrize("name, order, count", [("_A", 8, 200), ("_E5", 5, 17), ("_E3", 3, 4)])
+    def test_every_tree_condition_holds_to_its_order(self, name, order, count):
+        # sum_i w_i Phi_i(t) is 1/gamma(t) for the 8th-order weights (the last row
+        # of _A) and 0 for the error estimates, within 2^-52 of the same sum
+        # taken over |w_i| and |a_ij|
+        from contact_noether import dynamics
+
+        weights = dynamics._A[-1] if name == "_A" else getattr(dynamics, name)
+        weights = [Fraction(w) for w in weights]
+        rows = [[Fraction(a) for a in row] for row in dynamics._A[:-1]]
+        magnitudes = [[abs(a) for a in row] for row in rows]
+        trees, exact, bounds = self.trees(order), {}, {}
+        assert len(trees) == count
+        for t in trees:
+            target = Fraction(1, self.density(t)) if name == "_A" else 0
+            residual = sum(w * phi for w, phi in zip(weights, self.stage_weights(t, rows, exact)))
+            scale = sum(abs(w) * phi for w, phi in zip(weights,
+                                                       self.stage_weights(t, magnitudes, bounds)))
+            assert abs(residual - target) <= 2.0 ** -52 * scale, t
+
+
+def operations(fields) -> int:
+    """The distinct nodes under `fields` other than numbers and names: one
+    statement each in a bundle of the fields."""
+    seen, todo = set(), [f.ast for f in fields]
+    while todo:
+        node = todo.pop()
+        if node not in seen and not isinstance(node, (Num, Var, Param)):
+            seen.add(node)
+            todo.extend(kid for kid in vars(node).values() if isinstance(kid, Node))
+    return len(seen)
+
 
 class TestCompiledOnce:
     """integrate compiles its right-hand side and its recorded columns as one
@@ -541,15 +601,14 @@ class TestCompiledOnce:
     def count(monkeypatch, run):
         from contact_noether import expr
 
-        codegen, evals = [], []
-        real_codegen, real_eval = expr._codegen, expr.ScalarField.eval_env
-        monkeypatch.setattr(expr, "_codegen", lambda *a: codegen.append(a) or real_codegen(*a))
+        evals, real_eval = [], expr.ScalarField.eval_env
         monkeypatch.setattr(expr.ScalarField, "eval_env",
                             lambda self, env: evals.append(self) or real_eval(self, env))
+        done = tally()
         traj = run()
         monkeypatch.undo()
         assert traj.error_tag is None and traj.stats.accepted > 10
-        return len(codegen), len(evals)
+        return done()["bundles"], len(evals)
 
     def test_kepler_with_two_tracked_fields(self, kepler, monkeypatch):
         field = extended_field(kepler)
@@ -572,24 +631,14 @@ class TestCompiledOnce:
         assert counts == (2, 0)
 
     def test_one_flow_writes_each_field_set_once(self, kepler):
-        # `_emit` writes the right-hand side once and the tracked columns once,
-        # both for `_codegen`: the stepping loop writes no copy of its own
-        import sys
-
-        from contact_noether import expr
-
-        field, start, callers = extended_field(kepler), point([1, 0, 0], [0, 1.2, 0]), []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is expr._emit.__code__:
-                callers.append(frame.f_back.f_code.co_name)
-
-        sys.setprofile(profile)
-        try:
-            traj = integrate(kepler, field, start, 3.0, IntegratorConfig(), tracked={"h": kepler.h})
-        finally:
-            sys.setprofile(None)
-        assert traj.error_tag is None and callers == ["_codegen", "_codegen"]
+        # the right-hand side and the tracked columns are written once each, a
+        # statement per distinct operation: the stepping loop writes no copy of its own
+        field, start = extended_field(kepler), point([1, 0, 0], [0, 1.2, 0])
+        done = tally()
+        traj = integrate(kepler, field, start, 3.0, IntegratorConfig(), tracked={"h": kepler.h})
+        rhs = [*field.Yq, *field.Yp, field.YS, *kepler.guards]
+        assert traj.error_tag is None and done()["bundles"] == 2
+        assert done()["emitted"] == operations(rhs) + operations([kepler.h])
 
 
 def _kepler_flow(system, start, t_end, cfg=None):
@@ -816,21 +865,17 @@ class TestFlowAttempt:
         st, tag, _, _ = stepped(rhs, 0.0, [2.0, 0.0], 5.0, IntegratorConfig(rel_tol=1e-4))
         assert tag is None and st.rejected > 0 and st.rhs_calls == len(calls)
 
-    def test_a_second_kepler_flow_compiles_nothing(self, monkeypatch):
-        import builtins
-
+    def test_a_second_kepler_flow_compiles_nothing(self):
         from contact_noether.systems import make_kepler
 
         def flow(m, eps, start):
             return _kepler_flow(make_kepler(m, eps), start, 2.0)
 
         flow(1.0, 0.25, point([1, 0, 0], [0, 1.2, 0]))
-        compiled, real = [], builtins.compile
-        monkeypatch.setattr(builtins, "compile", lambda *a, **k: compiled.append(a) or real(*a, **k))
+        done = tally()
         traj = flow(1.7, 0.4, point([0.2, 1.1, -0.3], [0.9, 0.1, 0.2]))
-        monkeypatch.undo()
         assert traj.error_tag is None and traj.stats.accepted > 10
-        assert compiled == []
+        assert done()["compiles"] == 0
 
 
 @pytest.mark.parametrize("name", ["kepler", "oscillator"])

@@ -5,7 +5,6 @@ import math
 import pickle
 import weakref
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from contact_noether.expr import (
     substitute,
 )
 from contact_noether.geometry import point_bundle
-from conftest import point, value
+from conftest import point, tally, value
 from randfields import PARAM_NAMES, central_fd, derivative_pair, random_env, random_field
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -259,20 +258,23 @@ class TestBundle:
 
     def test_bundles_that_differ_in_their_numbers_share_one_compile(self):
         rng = np.random.default_rng(31)
-        raised = 0
+        raised, compiled, codes = 0, tally(), set()
         for _ in range(200):
             f = random_field(rng, 2, 6)
             g = expr.ScalarField(_with_new_numbers(f.ast), 2)
             env = random_env(rng, 2)
             first = expr.compile_bundle([f], list(env))
-            with mock.patch("builtins.compile", wraps=compile) as spy:
-                second = expr.compile_bundle([g], list(env))
-            assert spy.call_count == 0 and second.__code__ is first.__code__
+            codes.add(first.__code__)
+            done = tally()
+            second = expr.compile_bundle([g], list(env))
+            assert done()["compiles"] == 0 and second.__code__ is first.__code__
             for field, bundle in ((f, first), (g, second)):
                 ref = _outcome(lambda: [expr.eval_node(field.ast, env)])
                 assert _outcome(lambda: bundle(*env.values())) == ref
                 raised += isinstance(ref, tuple)
         assert 20 <= raised <= 380
+        # each compile made a new function, which only the first bundles can be
+        assert 0 < compiled()["compiles"] <= len(codes)
 
 
 def _with_new_numbers(root: expr.Node) -> expr.Node:
@@ -747,24 +749,17 @@ class TestRunScopedDerivatives:
         finally:
             gc.enable()
 
-    def test_the_third_run_of_the_same_bytes_derives_and_compiles_nothing(
-            self, tmp_path, monkeypatch):
-        calls: dict[str, int] = {}
-        for name in ("_derive", "_codegen", "_emit"):
-            def counted(*args, _real=getattr(expr, name), _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _real(*args)
-            monkeypatch.setattr(expr, name, counted)
+    def test_the_third_run_of_the_same_bytes_derives_and_compiles_nothing(self, tmp_path):
         counts, outputs = [], []
         for k in range(3):
-            calls.clear()
+            done = tally()
             _, code = cli.run(SCENARIOS / "kepler-scaling.json", tmp_path / str(k), quiet=True)
             assert code == 0
-            counts.append(dict(calls))
+            counts.append(done())
             outputs.append([(tmp_path / str(k) / "kepler-scaling" / f).read_bytes()
                             for f in ("report.json", "trajectory.csv")])
-        assert counts[0]["_derive"] > 1000 and counts[0]["_codegen"] == counts[0]["_emit"] > 1
-        assert counts[2] == {}
+        assert counts[0]["derive"] > 1000 and counts[0]["bundles"] > 1
+        assert [counts[2][k] for k in ("derive", "bundles", "emitted", "compiles")] == [0] * 4
         assert outputs[2] == outputs[1] == outputs[0]
 
     def test_scenarios_seen_once_keep_nothing(self, tmp_path):
@@ -796,23 +791,19 @@ class TestRunScopedDerivatives:
         finally:
             gc.enable()
 
-    def test_a_recurring_domain_error_reads_the_same_every_run(self, tmp_path, capsys,
-                                                               monkeypatch):
+    def test_a_recurring_domain_error_reads_the_same_every_run(self, tmp_path, capsys):
         path = tmp_path / "sqrt.json"
         path.write_text(json.dumps({
             "system": {"expression": "p0^2/2 + q0^2/2", "dimension": 1},
             "invariants": [{"label": "F", "expression": "sqrt(q0 - 100)"}],
             "checks": [{"type": "residual", "invariant": "F"}]}))
-        codegens = []
-        real = expr._codegen
-        monkeypatch.setattr(expr, "_codegen", lambda *args: codegens.append(1) or real(*args))
         seen = []
         for _ in range(3):
-            codegens.clear()
+            done = tally()
             report, code = cli.run(path, tmp_path / "out")
             seen.append((code, report["error"], capsys.readouterr().err))
         assert seen[0][:2] == (3, "sqrt of negative value in `sqrt(q0 - 100.0)`")
-        assert seen[2] == seen[1] == seen[0] and codegens == []
+        assert seen[2] == seen[1] == seen[0] and done()["bundles"] == 0
 
 
 class TestIntrinsicDomain:

@@ -1,5 +1,6 @@
 """Every script under scripts/ answers -h and --help with its usage and starts
-no work: no scenario, no flow and no pytest run."""
+no work: no scenario, no flow and no pytest run.  `symbolic_counts.py` prints
+the counts of `expr.work` that a workload adds."""
 
 import subprocess
 import sys
@@ -35,3 +36,18 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
                            str(ROOT / "src")], capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert "usage" in done.stdout.lower()
+
+
+def test_symbolic_counts_prints_the_tally():
+    # bundled at seed 7: round 1 derives and compiles the four files' work,
+    # which their runs keep from then on, so round 2 derives and emits nothing.
+    # A fresh interpreter: nodes that earlier tests keep alive keep their
+    # derivatives, and would lower the counts
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
+                           "--workload", "bundled", "--rounds", "2", "--seed", "7"],
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    rounds = [{c: int(v) for c, v in (kv.split() for kv in line.split(": ")[1].split(", "))}
+              for line in done.stdout.splitlines()[:2]]
+    assert rounds[0] == {"bundles": 17, "derive": 1121, "nodes": 2149, "emitted": 1141, "kept": 4}
+    assert (rounds[1]["bundles"], rounds[1]["derive"], rounds[1]["emitted"]) == (0, 0, 0)

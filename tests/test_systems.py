@@ -37,7 +37,7 @@ from contact_noether.systems import (
     make_td_kepler,
 )
 from contact_noether.scaling import GENERIC_F2, KMINUS2_F1, ScalingAnsatz, scaling_generator
-from conftest import case_invariant, point, value, values
+from conftest import case_invariant, point, tally, value, values
 from oracles import (em_invariant_closed_form, glr_equilibrium, invariant_from_symmetry,
                      lr_equilibrium)
 
@@ -50,16 +50,13 @@ class TestKepler:
         h_at = point_bundle([kepler.h], kepler.params)
         assert h_at(point([1, 0, 0], [0, 1, 0]))[0] == pytest.approx(-0.5, abs=1e-15)
 
-    def test_admissible_compiles_nothing(self, kepler, monkeypatch):
+    def test_admissible_compiles_nothing(self, kepler):
         # the guards go through eval_node; h's bundle agrees with it bit for bit
         from contact_noether import expr
 
-        codegen = []
-        real_codegen = expr._codegen
-        monkeypatch.setattr(expr, "_codegen", lambda *a: codegen.append(a) or real_codegen(*a))
         pts = sample_points(kepler, 200, seed=4)
-        codegen.clear()
-        assert all(kepler.admissible(pt) for pt in pts) and codegen == []
+        done = tally()
+        assert all(kepler.admissible(pt) for pt in pts) and done()["bundles"] == 0
         h_at = point_bundle([kepler.h], kepler.params)
         ref = [expr.eval_node(kepler.h.ast, kepler.env(pt)) for pt in pts]
         assert [h_at(pt)[0].hex() for pt in pts] == [v.hex() for v in ref]
