@@ -514,8 +514,15 @@ def _cmd_solve_scaling(args: argparse.Namespace) -> int:
     if args.g == "homogeneous" and args.kappa is None:
         print("--g=homogeneous requires --kappa", file=sys.stderr)
         return 2
+    for flag, value in (("k", args.k), ("g0", args.g0), ("kappa", args.kappa)):
+        if value is not None and not math.isfinite(value):
+            print(f"--{flag} must be a finite number", file=sys.stderr)
+            return 2
+    if args.dimension < 1:
+        print("--dimension must be at least 1", file=sys.stderr)
+        return 2
     solutions, rejected = scaling.solve_scaling_explained(
-        args.m, args.k, f_kind, args.g, args.g0, args.kappa, n=args.dimension)
+        args.k, f_kind, args.g, args.g0, args.kappa, n=args.dimension)
     if args.json:
         payload = {
             "solutions": [
@@ -552,7 +559,7 @@ def _cmd_solve_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_list_systems(args: argparse.Namespace) -> int:
+def _cmd_list_systems() -> int:
     for name in sorted(systems.BUILTIN_DOCS):
         print(f"{name}: {systems.BUILTIN_DOCS[name]}")
     return 0
@@ -574,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", nargs="+")
 
     p = sub.add_parser("solve-scaling", help="print the scaling-symmetry case table")
-    p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--k", type=float, required=True, help="homogeneity degree of V(q)")
     p.add_argument("--f", default="const", help="f(t) kind: const | power-law | free")
     p.add_argument("--g", default="zero", choices=["zero", "homogeneous"])
@@ -596,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "solve-scaling":
         return _cmd_solve_scaling(args)
     if args.command == "list-systems":
-        return _cmd_list_systems(args)
+        return _cmd_list_systems()
     raise AssertionError(args.command)
 
 

@@ -48,8 +48,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 INTRINSICS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_QP_RE = re.compile(r"([qp])([0-9]+)\Z")
+# one token of `parse`: a number, a name, one other character, or the empty end
+_TOKEN_RE = re.compile(rf"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|({_IDENT_RE.pattern})|(.|\Z))")
+_QP_RE = re.compile(r"[qp][0-9]+\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +591,16 @@ def valid_variables(n: int) -> frozenset[str]:
     return frozenset({f"q{i}" for i in range(n)} | {f"p{i}" for i in range(n)} | {"S", "t"})
 
 
+def _coordinate(name: str, n: int) -> bool:
+    """Whether `name` is one of `valid_variables(n)`; any other `[qp]<digits>`
+    name, such as `q5` for n = 2 or `q01`, raises IndexOutOfRange."""
+    if name in valid_variables(n):
+        return True
+    if _QP_RE.match(name):
+        raise IndexOutOfRange(f"{name!r} out of range for dimension n={n}")
+    return False
+
+
 @dataclass(eq=False)
 class ScalarField:
     """A parsed, exactly differentiable expression over (q, p, S, t) and params.
@@ -663,7 +674,7 @@ def number(v: float, n: int) -> ScalarField:
 
 
 def variable(name: str, n: int) -> ScalarField:
-    if name not in valid_variables(n):
+    if not _coordinate(name, n):
         raise IndexOutOfRange(f"{name!r} is not a variable for dimension n={n}")
     return ScalarField(Var(name), n)
 
@@ -684,142 +695,75 @@ def apply_intrinsic(fn: str, arg: ScalarField) -> ScalarField:
 # parsing
 
 
-class _Tokenizer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-
-    def _byte_offset(self, pos: int) -> int:
-        return len(self.source[:pos].encode("utf-8"))
-
-    def error(self, message: str, pos: int | None = None) -> ExprSyntaxError:
-        return ExprSyntaxError(message, self._byte_offset(self.pos if pos is None else pos))
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.source[self.pos] if self.pos < len(self.source) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str) -> None:
-        if not self.take(ch):
-            raise self.error(f"expected {ch!r}")
-
-    def ident(self) -> str | None:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.source, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
-    def num(self) -> float | None:
-        self.skip_ws()
-        m = _NUMBER_RE.match(self.source, self.pos)
-        if m is None:
-            return None
-        v = float(m.group(0))
-        if not math.isfinite(v):
-            raise self.error(f"numeric literal {m.group(0)!r} is not a finite float")
-        self.pos = m.end()
-        return v
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.source)
-
-
-class _Parser:
-    def __init__(self, source: str, n: int):
-        self.tk = _Tokenizer(source)
-        self.n = n
-
-    def parse(self) -> Node:
-        node = self.expr()
-        if not self.tk.at_end():
-            raise self.tk.error("unexpected trailing input")
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            if self.tk.take("+"):
-                node = add_(node, self.term())
-            elif self.tk.take("-"):
-                node = sub_(node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            if self.tk.take("*"):
-                node = mul_(node, self.unary())
-            elif self.tk.take("/"):
-                node = div_(node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Node:
-        if self.tk.take("-"):
-            return neg_(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.tk.take("^"):
-            return pow_(base, self.unary())
-        return base
-
-    def atom(self) -> Node:
-        start = self.tk.pos
-        v = self.tk.num()
-        if v is not None:
-            return Num(v)
-        name = self.tk.ident()
-        if name is not None:
-            if self.tk.peek() == "(":
-                if name not in INTRINSICS:
-                    raise UnknownIntrinsic(
-                        f"unknown intrinsic {name!r} (byte offset {self.tk._byte_offset(start)})"
-                    )
-                self.tk.expect("(")
-                arg = self.expr()
-                self.tk.expect(")")
-                return call_(name, arg)
-            if name in INTRINSICS:
-                raise self.tk.error(f"intrinsic name {name!r} used as identifier", start)
-            m = _QP_RE.fullmatch(name)
-            if m is not None:
-                idx = int(m.group(2))
-                if idx >= self.n:
-                    raise IndexOutOfRange(
-                        f"{name!r} out of range for dimension n={self.n}"
-                    )
-                return Var(f"{m.group(1)}{idx}")
-            if name in ("S", "t"):
-                return Var(name)
-            return Param(name)
-        if self.tk.take("("):
-            node = self.expr()
-            self.tk.expect(")")
-            return node
-        raise self.tk.error("expected a number, identifier or parenthesised expression")
-
-
 def parse(source: str, n: int) -> ScalarField:
-    """Parse `source` into a ScalarField of dimension `n`."""
+    """Parse `source` into a ScalarField of dimension `n`, by recursive descent
+    over its tokens, cut in one scan: a number, a name or one other character,
+    each with its start, then an empty token at the end.  `unary` parses a
+    `unary` and a `power` of the grammar, with their `atom`."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return ScalarField(_Parser(source, n).parse(), n)
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN_RE.finditer(source)]
+    i = 0
+
+    def offset(pos: int) -> int:
+        return len(source[:pos].encode("utf-8"))
+
+    def expr() -> Node:
+        nonlocal i
+        node = term()
+        while (op := tokens[i][1]) == "+" or op == "-":
+            i += 1
+            node = (add_ if op == "+" else sub_)(node, term())
+        return node
+
+    def term() -> Node:
+        nonlocal i
+        node = unary()
+        while (op := tokens[i][1]) == "*" or op == "/":
+            i += 1
+            node = (mul_ if op == "*" else div_)(node, unary())
+        return node
+
+    def unary() -> Node:
+        nonlocal i
+        kind, text, start = tokens[i]
+        i += 1
+        if text == "-":
+            return neg_(unary())
+        call = kind == 2 and tokens[i][1] == "("
+        if kind == 1:
+            if not math.isfinite(v := float(text)):
+                raise ExprSyntaxError(f"numeric literal {text!r} is not a finite float", offset(start))
+            node = Num(v)
+        elif call or text == "(":
+            if call:
+                if text not in INTRINSICS:
+                    raise UnknownIntrinsic(f"unknown intrinsic {text!r} (byte offset {offset(start)})")
+                i += 1
+            node = expr()
+            if tokens[i][1] != ")":
+                raise ExprSyntaxError("expected ')'", offset(tokens[i][2]))
+            i += 1
+            node = call_(text, node) if call else node
+        elif kind == 2:
+            if text in INTRINSICS:
+                raise ExprSyntaxError(f"intrinsic name {text!r} used as identifier", offset(start))
+            node = Var(text) if _coordinate(text, n) else Param(text)
+        else:
+            raise ExprSyntaxError("expected a number, identifier or parenthesised expression",
+                                  offset(start))
+        if tokens[i][1] == "^":
+            i += 1
+            return pow_(node, unary())
+        return node
+
+    try:
+        node = expr()
+        if tokens[i][1]:
+            raise ExprSyntaxError("unexpected trailing input", offset(tokens[i][2]))
+        return ScalarField(node, n)
+    finally:
+        del expr, term, unary  # recursive closures are a reference cycle, which would keep `tokens`
 
 
 # ---------------------------------------------------------------------------
@@ -880,10 +824,9 @@ def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
 
 def partial(field: ScalarField, name: str) -> ScalarField:
     """Exact partial derivative with respect to a variable or parameter."""
-    if name not in valid_variables(field.n) and not _IDENT_RE.fullmatch(name):
+    if not _IDENT_RE.fullmatch(name):
         raise ValueError(f"invalid differentiation target {name!r}")
-    if name not in valid_variables(field.n) and _QP_RE.match(name):
-        raise IndexOutOfRange(f"{name!r} is not a variable for dimension n={field.n}")
+    _coordinate(name, field.n)  # a [qp]<digits> name that is no coordinate raises
     memo: dict[Node, Node] = {}
 
     def d(node: Node) -> Node:

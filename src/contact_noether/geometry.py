@@ -92,9 +92,6 @@ class VectorFieldSpec:
             self.Yt + other.Yt,
         )
 
-    def __sub__(self, other: "VectorFieldSpec") -> "VectorFieldSpec":
-        return self + other.scaled(-1.0)
-
     def scaled(self, factor: ScalarField | float) -> "VectorFieldSpec":
         return VectorFieldSpec(
             tuple(c * factor for c in self.Yq),

@@ -116,7 +116,6 @@ def case3_f_required(k: float, n: int = 1) -> ScalarField:
 
 
 def solve_scaling_explained(
-    m: float,
     k: float,
     f_kind: str,
     g_kind: str,

@@ -55,5 +55,5 @@ def tally():
 def case_invariant(system, tag, k):
     """The invariant of the case-table row `tag` for f constant, no S-term and
     a potential of degree k, with the placeholder h replaced by `system.h`."""
-    solutions, _ = solve_scaling_explained(1.0, k, "constant", "zero", n=system.n)
+    solutions, _ = solve_scaling_explained(k, "constant", "zero", n=system.n)
     return next(s for s in solutions if s.case_tag == tag).invariant_for(system)

@@ -169,18 +169,18 @@ def test_criterion_05_scaling_case_table():
             want = expected(env)
             assert value(sol.invariant, env) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
-    sol = next(s for s in solve_scaling_explained(1.0, 2.0, "constant", "zero")[0]
+    sol = next(s for s in solve_scaling_explained(2.0, "constant", "zero")[0]
                if s.case_tag == K2_F0)
     check_form(sol, lambda e: e["q0"] * e["p0"] - 2 * e["S"])
-    sol = next(s for s in solve_scaling_explained(1.0, -2.0, "constant", "zero")[0]
+    sol = next(s for s in solve_scaling_explained(-2.0, "constant", "zero")[0]
                if s.case_tag == KMINUS2_F1)
     check_form(sol, lambda e: e["q0"] * e["p0"] - 2 * e["t"] * e["h"])
-    sol = next(s for s in solve_scaling_explained(1.0, -1.0, "constant", "zero")[0]
+    sol = next(s for s in solve_scaling_explained(-1.0, "constant", "zero")[0]
                if s.case_tag == GENERIC_F2)
     check_form(sol, lambda e: (2.0 / 3.0) * e["q0"] * e["p0"] - e["t"] * e["h"]
                - (1.0 / 3.0) * e["S"])
     for k in (0.0, 2.0):
-        sol = next(s for s in solve_scaling_explained(1.0, k, "constant", "homogeneous",
+        sol = next(s for s in solve_scaling_explained(k, "constant", "homogeneous",
                                                       g0=0.3, kappa=1.0)[0]
                    if s.case_tag == DISSIPATIVE_F0)
         check_form(sol, lambda e: e["q0"] * e["p0"] - 2 * e["S"])
@@ -201,7 +201,7 @@ def test_criterion_05_scaling_case_table():
             n=1, h=parse(h_src, 1),
             guards=(parse("q0", 1), parse("t", 1)),
             sample_box=SampleBox(q=(0.4, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.5, 3.0)))
-        for sol in solve_scaling_explained(1.0, **args)[0]:
+        for sol in solve_scaling_explained(**args)[0]:
             if sol.case_tag == TRIVIAL:
                 continue
             residual = point_bundle([dissipation_field(system, sol.invariant_for(system))],

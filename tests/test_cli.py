@@ -724,6 +724,17 @@ class TestSolveScalingCommand:
         code = cli.main(["solve-scaling", "--k", "2", "--g", "homogeneous"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "2", "--dimension", "0"],
+        ["--k", "inf"],
+        ["--k", "2", "--g", "homogeneous", "--kappa", "1", "--g0", "nan"],
+        ["--k", "2", "--g", "homogeneous", "--kappa", "nan"],
+    ], ids=["dimension", "k", "g0", "kappa"])
+    def test_bad_number_is_a_usage_error(self, argv, capsys):
+        assert cli.main(["solve-scaling", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and argv[-2] in err
+
     def test_json_output(self, capsys):
         code = cli.main(["solve-scaling", "--k", "2", "--f", "const", "--json"])
         assert code == 0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from contact_noether import cli, expr
 from contact_noether.expr import (
     DomainError,
+    ExprError,
     ExprSyntaxError,
     IndexOutOfRange,
     UnboundParameter,
@@ -57,6 +58,56 @@ class TestParse:
     def test_unknown_intrinsic(self):
         with pytest.raises(UnknownIntrinsic):
             parse("tan(q0)", 1)
+
+    # (source, n, error type, message, byte offset); offsets count UTF-8 bytes
+    ERRORS = [
+        ("(q0 + 1", 1, ExprSyntaxError, "expected ')' (byte offset 7)", 7),
+        ("sqrt(q0*q0", 1, ExprSyntaxError, "expected ')' (byte offset 10)", 10),
+        ("q0 q1", 2, ExprSyntaxError, "unexpected trailing input (byte offset 3)", 3),
+        ("2*q0)", 1, ExprSyntaxError, "unexpected trailing input (byte offset 4)", 4),
+        ("q0 + 1e400", 1, ExprSyntaxError,
+         "numeric literal '1e400' is not a finite float (byte offset 5)", 5),
+        ("2*sin + q0", 1, ExprSyntaxError,
+         "intrinsic name 'sin' used as identifier (byte offset 2)", 2),
+        ("q0 + * 2", 1, ExprSyntaxError,
+         "expected a number, identifier or parenthesised expression (byte offset 5)", 5),
+        ("", 1, ExprSyntaxError,
+         "expected a number, identifier or parenthesised expression (byte offset 0)", 0),
+        ("q0 +  ", 1, ExprSyntaxError,
+         "expected a number, identifier or parenthesised expression (byte offset 6)", 6),
+        ("tan(q0)", 1, UnknownIntrinsic, "unknown intrinsic 'tan' (byte offset 0)", None),
+        ("1 + foo (q0)", 1, UnknownIntrinsic, "unknown intrinsic 'foo' (byte offset 4)", None),
+        ("q5 + 1", 2, IndexOutOfRange, "'q5' out of range for dimension n=2", None),
+        ("p2", 2, IndexOutOfRange, "'p2' out of range for dimension n=2", None),
+        ("é + * 2", 1, ExprSyntaxError,
+         "expected a number, identifier or parenthesised expression (byte offset 0)", 0),
+        ("\u00a0q0 + * 2", 1, ExprSyntaxError,
+         "expected a number, identifier or parenthesised expression (byte offset 7)", 7),
+        ("\u3000q0 - é", 1, ExprSyntaxError,
+         "expected a number, identifier or parenthesised expression (byte offset 8)", 8),
+        ("\u0663\u0663 + cos", 1, ExprSyntaxError,
+         "intrinsic name 'cos' used as identifier (byte offset 7)", 7),
+        ("\u00a0ln(q0) + ex(q0)", 1, UnknownIntrinsic, "unknown intrinsic 'ex' (byte offset 11)", None),
+    ]
+
+    @pytest.mark.parametrize("source, n, kind, message, offset", ERRORS)
+    def test_error_type_message_and_offset(self, source, n, kind, message, offset):
+        with pytest.raises(ExprError) as ei:
+            parse(source, n)
+        assert type(ei.value) is kind and str(ei.value) == message
+        assert getattr(ei.value, "offset", None) == offset
+
+    def test_a_qp_name_is_a_coordinate_only_as_written(self):
+        # a leading zero names no coordinate, in the parser as in variable() and partial()
+        for source in ("q01*p00 + S", "q0*p00", "q00"):
+            with pytest.raises(IndexOutOfRange, match="'[qp]0[01]'"):
+                parse(source, 2)
+        with pytest.raises(IndexOutOfRange, match="'q01'"):
+            expr.variable("q01", 2)
+        with pytest.raises(IndexOutOfRange, match="'p00'"):
+            partial(parse("p0", 2), "p00")
+        assert parse("q1*p0 + S", 2).ast is expr.add_(expr.mul_(expr.Var("q1"), expr.Var("p0")),
+                                                     expr.Var("S"))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):

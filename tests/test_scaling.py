@@ -82,26 +82,26 @@ class TestGenerator:
 
 class TestSolveScaling:
     def test_kepler_case_coefficients(self):
-        sol = by_tag(solve_scaling_explained(1.0, -1.0, "constant", "zero")[0], GENERIC_F2)
+        sol = by_tag(solve_scaling_explained(-1.0, "constant", "zero")[0], GENERIC_F2)
         # F2 = (2/3) q.p - t h - (1/3) S
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9, "t": 2.0, "h": 1.25}
         expected = (2.0 / 3.0) * (1.5 * -0.8) - 2.0 * 1.25 - (1.0 / 3.0) * 0.9
         assert value(sol.invariant, env) == pytest.approx(expected, rel=1e-14)
 
     def test_k2_gives_f0(self):
-        sol = by_tag(solve_scaling_explained(1.0, 2.0, "constant", "zero")[0], K2_F0)
+        sol = by_tag(solve_scaling_explained(2.0, "constant", "zero")[0], K2_F0)
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9}
         assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 0.9, rel=1e-14)
         assert sol.f_required is None
 
     def test_kminus2_gives_s_independent_f1(self):
-        sol = by_tag(solve_scaling_explained(1.0, -2.0, "constant", "zero")[0], KMINUS2_F1)
+        sol = by_tag(solve_scaling_explained(-2.0, "constant", "zero")[0], KMINUS2_F1)
         assert "S" not in sol.invariant.free_vars
         env = {"q0": 1.5, "p0": -0.8, "t": 2.0, "h": 1.25}
         assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 2.0 * 1.25, rel=1e-14)
 
     def test_dissipative_branch_k2(self):
-        sols = solve_scaling_explained(1.0, 2.0, "constant", "homogeneous", g0=0.3, kappa=1.0)[0]
+        sols = solve_scaling_explained(2.0, "constant", "homogeneous", g0=0.3, kappa=1.0)[0]
         sol = by_tag(sols, DISSIPATIVE_F0)
         env = {"q0": 1.5, "p0": -0.8, "S": 0.9}
         assert value(sol.invariant, env) == pytest.approx(1.5 * -0.8 - 2 * 0.9, rel=1e-14)
@@ -109,24 +109,24 @@ class TestSolveScaling:
         assert not sol.informational
 
     def test_dissipative_branch_k0_is_informational(self):
-        sols, _ = solve_scaling_explained(1.0, 0.0, "constant", "homogeneous", g0=0.3, kappa=1.0)
+        sols, _ = solve_scaling_explained(0.0, "constant", "homogeneous", g0=0.3, kappa=1.0)
         sol = by_tag(sols, DISSIPATIVE_F0)
         assert sol.informational
 
     def test_kappa_not_one_rejected(self):
-        sols, rejected = solve_scaling_explained(1.0, 2.0, "constant", "homogeneous",
+        sols, rejected = solve_scaling_explained(2.0, "constant", "homogeneous",
                                                  g0=0.3, kappa=2.0)
         assert [s for s in sols if s.case_tag != TRIVIAL] == []
         assert any("kappa" in r for r in rejected)
 
     def test_bad_k_dissipative_rejected(self):
-        sols, rejected = solve_scaling_explained(1.0, 1.0, "constant", "homogeneous",
+        sols, rejected = solve_scaling_explained(1.0, "constant", "homogeneous",
                                                  g0=0.3, kappa=1.0)
         assert [s for s in sols if s.case_tag != TRIVIAL] == []
         assert any("k = " in r for r in rejected)
 
     def test_power_law_emits_case3(self):
-        sol = by_tag(solve_scaling_explained(1.0, -1.0, "power-law", "zero")[0], CASE3)
+        sol = by_tag(solve_scaling_explained(-1.0, "power-law", "zero")[0], CASE3)
         assert sol.f_required is not None
         # with k = -1 the forced power is t^((3 Lambda - 1)/2)
         for lam, t in ((1.0, 2.0), (1.0 / 3.0, 3.0), (2.0, 1.7)):
@@ -138,9 +138,9 @@ class TestSolveScaling:
             2.0 * 2.0 - 2.0 * 1.3 * -0.7 - 2.0 * 0.4, rel=1e-14)
 
     def test_free_f_only_k2(self):
-        sols, _ = solve_scaling_explained(1.0, 2.0, "free", "zero")
+        sols, _ = solve_scaling_explained(2.0, "free", "zero")
         assert any(s.case_tag == K2_F0 for s in sols)
-        sols, rejected = solve_scaling_explained(1.0, -1.0, "free", "zero")
+        sols, rejected = solve_scaling_explained(-1.0, "free", "zero")
         assert all(s.case_tag == TRIVIAL for s in sols)
         assert rejected
 
@@ -165,7 +165,7 @@ CONCRETE_CASES = [
 class TestEmittedSolutionsSatisfyTheirSystems:
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)
     def test_invariant_residual(self, args, mk_system, extra):
-        sols = solve_scaling_explained(1.0, **args)[0]
+        sols = solve_scaling_explained(**args)[0]
         sols = [s for s in sols if s.case_tag != TRIVIAL]
         assert sols
         system = mk_system().with_params(extra)
@@ -178,7 +178,7 @@ class TestEmittedSolutionsSatisfyTheirSystems:
 
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)
     def test_generator_passes_symmetry_test(self, args, mk_system, extra):
-        sols = [s for s in solve_scaling_explained(1.0, **args)[0] if s.case_tag != TRIVIAL]
+        sols = [s for s in solve_scaling_explained(**args)[0] if s.case_tag != TRIVIAL]
         system = mk_system().with_params(extra)
         pts = sample_points(system, 100, seed=54)
         for sol in sols:
@@ -191,7 +191,7 @@ class TestEmittedSolutionsSatisfyTheirSystems:
 
     @pytest.mark.parametrize("args,mk_system,extra", CONCRETE_CASES)
     def test_posthoc_exponent_constraints(self, args, mk_system, extra):
-        for sol in solve_scaling_explained(1.0, **args)[0]:
+        for sol in solve_scaling_explained(**args)[0]:
             a = sol.ansatz
             if a is None or sol.case_tag == TRIVIAL:
                 continue
@@ -206,7 +206,7 @@ class TestEmittedSolutionsSatisfyTheirSystems:
         probes = [{"q0": 1.1, "p0": 0.7, "S": 0.5, "t": 1.2, "h": -0.4},
                   {"q0": -0.6, "p0": 1.9, "S": -1.2, "t": 0.8, "h": 2.0}]
         for args, _, _ in CONCRETE_CASES:
-            for sol in solve_scaling_explained(1.0, **args)[0]:
+            for sol in solve_scaling_explained(**args)[0]:
                 if sol.ansatz is None or sol.case_tag == TRIVIAL:
                     continue
                 base = invariant_from_ansatz(sol.ansatz, 1)
