@@ -193,6 +193,8 @@ def _load(path: Path, data: bytes) -> Scenario:
                 for k, v in spec.items()})
         except TypeError as e:
             raise ConfigError(f"{path}: bad auxiliary spec: {e}") from e
+        _require(systems.rates_aux_odes(system), f"{path}: 'auxiliary' needs a system with "
+                 f"auxiliary equations, got {system.label!r}")
 
     builtin_invs = system.meta.get("invariants", {})
     invariants: dict[str, TrackedInvariant] = {}
@@ -288,8 +290,7 @@ def _run_flow(sc: Scenario) -> Trajectory:
         return co_integrate(sc.system, sc.initial, sc.auxiliary, sc.t_end,
                             sc.integrator, list(sc.invariants.values()))
     tracked = {ti.label: ti.field for ti in sc.invariants.values()}
-    return integrate(sc.system, extended_field(sc.system), sc.initial, sc.t_end,
-                     sc.integrator, tracked)
+    return integrate(sc.system, sc.initial, sc.t_end, sc.integrator, tracked)
 
 
 def _build(sc: Scenario, c: dict, tol: float) -> noether.Pointwise:
@@ -322,16 +323,8 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     traj: Trajectory | None = None
     if needs_flow:
         traj = _run_flow(sc)
-        report["trajectory"] = {
-            "samples": len(traj.times),
-            "accepted": traj.stats.accepted,
-            "rejected": traj.stats.rejected,
-            "rhs_calls": traj.stats.rhs_calls,
-            "max_error_estimate": traj.stats.max_error_estimate,
-            "smallest_step": traj.stats.smallest_step,
-            "largest_step": traj.stats.largest_step,
-            "error_tag": traj.error_tag,
-        }
+        report["trajectory"] = {"samples": len(traj.times), **vars(traj.stats),
+                                "error_tag": traj.error_tag}
         if traj.error_tag is not None:
             raise RuntimeError(f"integration aborted: {traj.error_tag}")
 

@@ -27,7 +27,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
-from .expr import DomainError, Num, ScalarField, _make, compile_bundle, number, partial, variable
+from .expr import DomainError, ScalarField, _make, compile_bundle, number, partial, variable
 from .geometry import (GUARD_MARGIN, ContactSystem, ExtendedPoint, VectorFieldSpec,
                        coordinate_names, directional_derivative)
 
@@ -150,13 +150,14 @@ _FAC_MAX = 10.0  # largest allowed growth factor per step
 STEP_SIZE_UNDERFLOW = "StepSizeUnderflow"
 DOMAIN_VIOLATION = "DomainViolation"
 AUXILIARY_BLOWUP = "AuxiliaryBlowup"
+_VANISHING = 1e-12  # a boxed component below this in size raises DomainError at a stage
 
 def _flow_loop(rhs: Callable[..., tuple[float, ...]], width: int, state: Sequence[str],
                boxed: Sequence[tuple[int, str, tuple[float, float]]], times: list[float],
                rows: list[list[float]]) -> Callable:
     """The DOP853 run whose stages call `rhs(<row>, <time>)`, a compiled
     bundle over `state` with `width` values (the rates, then the guards),
-    after a DomainError test of |row[i]| < 1e-12 for each boxed (i, name, _).
+    after a DomainError test of |row[i]| < _VANISHING for each boxed (i, name, _).
     An accepted state is tagged AuxiliaryBlowup out of its box,
     DomainViolation if not finite or a guard is below the margin, else
     appended to `times` and `rows`.  Its source is written once per shape
@@ -199,7 +200,7 @@ def _flow_lines(state: tuple[str, ...], width: int,
         return " + ".join(f"{a!r} * k{j}_{c}" for j, a in enumerate(coeffs) if a != 0.0)
 
     boxes = [ln for j, nm in boxed for ln in (
-        f"{ind}if -1e-12 < {names[j]} < 1e-12:",
+        f"{ind}if -{_VANISHING!r} < {names[j]} < {_VANISHING!r}:",
         f"{ind}    raise _DomainError('auxiliary function vanished', {nm!r})")]
     valid = [*map("_isfinite({})".format, names[:m]),
              *(f"k{last}_{c} >= margin" for c in range(m, width))]
@@ -274,10 +275,10 @@ class IntegratorConfig:
 class IntegratorStats:
     accepted: int = 0
     rejected: int = 0
-    max_error_estimate: float = 0.0  # scaled local error norm among accepted steps
     # right-hand sides asked for: the initial rates, the initial-step probe and
     # twelve stages per attempt (twelve also when a stage raised)
     rhs_calls: int = 0
+    max_error_estimate: float = 0.0  # scaled local error norm among accepted steps
     smallest_step: float = 0.0  # among accepted steps; both 0.0 when none was
     largest_step: float = 0.0
 
@@ -295,13 +296,6 @@ class Trajectory:
     tracked: dict[str, list[float]]
     stats: IntegratorStats
     error_tag: str | None = None
-
-    @property
-    def samples(self) -> list[ExtendedPoint]:
-        """The states as points, built on each access (the flow never builds them)."""
-        n = self.n
-        return [ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t)
-                for t, y in zip(self.times, self.rows)]
 
     def to_csv(self, target) -> None:
         """Write columns t, q0..q(n-1), p0..p(n-1), S, then tracked labels,
@@ -352,58 +346,64 @@ def adaptive_rk45(rhs: Callable[[float, Sequence[float]], Sequence[float]], t0: 
     fixed_step = cfg.min_step == cfg.max_step
     h = cfg.max_step if fixed_step else _initial_step(rhs, t0, y0, f0, t_end - t0, cfg)
     accepted, rejected, attempts, max_err, smallest, largest, tag = loop(t0, y0, f0, h, t_end, cfg)
-    return IntegratorStats(accepted, rejected, max_err, 1 + (not fixed_step) + _STAGES * attempts,
+    return IntegratorStats(accepted, rejected, 1 + (not fixed_step) + _STAGES * attempts, max_err,
                            smallest if accepted else 0.0, largest), tag
 
 
 class AuxComponent(NamedTuple):
-    """An extra state component integrated alongside (q, p, S).
+    """The start of an extra state component integrated alongside (q, p, S).
 
-    `rate` is its d/dt, a field over (q, p, S, t), the parameters and the
-    names of all extra components.  A component with a `box` is a positive
-    function whose rate is singular at zero: an accepted value outside the
-    open box stops the flow tagged AuxiliaryBlowup, and a stage value with
-    |value| < 1e-12 raises DomainError in the right-hand side.
+    Its d/dt is the system's `param_rates` entry of its name, a field over
+    (q, p, S, t), the parameters and the names of all extra components.  A
+    component with a `box` is a positive function whose rate is singular at
+    zero: it must start inside the open box, an accepted value outside it
+    stops the flow tagged AuxiliaryBlowup, and a stage value with
+    |value| < 1e-12 (`_VANISHING`) raises DomainError in the right-hand side.
     """
 
     initial: float
-    rate: ScalarField
     box: tuple[float, float] | None = None
 
 
-def integrate(system: ContactSystem, field: VectorFieldSpec, start: ExtendedPoint, t_end: float,
+def integrate(system: ContactSystem, start: ExtendedPoint, t_end: float,
               cfg: IntegratorConfig | None = None, tracked: Mapping[str, ScalarField] | None = None,
               aux: Mapping[str, AuxComponent] | None = None) -> Trajectory:
-    """Integrate the flow of a dynamics field (Yt identically 0 or 1).
+    """Integrate the flow of X_h^t, `extended_field(system)`, in t.
 
-    The independent variable is t itself.  `aux` adds state components
-    advanced under the same step controller; the right-hand side and the
-    tracked fields see their names next to q, p, S, t and the system
-    parameters.  The start and every accepted state are recorded as
-    rows, the tracked fields, then the `aux` components, as columns.  The
-    system's guards are trailing columns of the right-hand side, so the last
-    stage of a step holds their values at the accepted state.  Guard,
-    non-finite state, blow-up or step-size failures return the partial
-    trajectory with an error tag instead of raising.  The steps are taken by
-    `_flow_loop`, which tests and records each accepted state itself; the
-    Python `rhs` here gives only the initial rates and the initial-step probe.
+    `aux` adds state components, each advanced at its `system.param_rates`
+    rate under the same step controller; the right-hand side and the tracked
+    fields see their names next to q, p, S, t and the system parameters.  A
+    start outside the admissible region or a component's box, or an `aux`
+    name the system does not rate, is a ValueError.  The start and every
+    accepted state are recorded as rows, the tracked fields, then the `aux`
+    components, as columns.  The system's guards are trailing columns of the
+    right-hand side, so the last stage of a step holds their values at the
+    accepted state.  Guard, non-finite state, blow-up or step-size failures
+    return the partial trajectory with an error tag instead of raising.  The
+    steps are taken by `_flow_loop`, which tests and records each accepted
+    state itself; the Python `rhs` here gives only the initial rates and the
+    initial-step probe.
     """
     cfg = cfg or IntegratorConfig()
     aux = dict(aux or {})
-    if not (isinstance(field.Yt.ast, Num) and field.Yt.ast.value in (0.0, 1.0)):
-        raise ValueError("flow fields must have a constant time component 0 or 1")
     if not system.admissible(start, cfg.guard_margin):
         raise ValueError("start point is outside the admissible region")
+    for nm, c in aux.items():
+        if nm not in system.param_rates:
+            raise ValueError(f"the system gives no rate for auxiliary {nm!r}")
+        if c.box and not c.box[0] < c.initial < c.box[1]:
+            raise ValueError(f"auxiliary {nm!r} starts at {c.initial!r}, outside its box {c.box}")
     n = system.n
+    field = extended_field(system)
     state = [*coordinate_names(n)[:-1], *aux, "t"]
-    fields = [*field.Yq, *field.Yp, field.YS, *(c.rate for c in aux.values()), *system.guards]
+    fields = [*field.Yq, *field.Yp, field.YS, *map(system.param_rates.get, aux), *system.guards]
     rhs_fn = compile_bundle(fields, state, system.params)
     columns_fn = compile_bundle(list((tracked or {}).values()), state, system.params)
     boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
     def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
         for i, nm, _ in boxed:
-            if abs(y[i]) < 1e-12:
+            if abs(y[i]) < _VANISHING:
                 raise DomainError("auxiliary function vanished", nm)
         return rhs_fn(*y, t)
 

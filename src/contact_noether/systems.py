@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .expr import ScalarField, number, parameter, parse, substitute, variable
 from .geometry import ContactSystem, ExtendedPoint, point_bundle
-from .dynamics import AuxComponent, IntegratorConfig, Trajectory, extended_field, integrate
+from .dynamics import AuxComponent, IntegratorConfig, Trajectory, integrate
 from .noether import dissipation_field
 from .scaling import case3_system, dot_qp, f0_invariant
 
@@ -126,7 +126,6 @@ def make_harmonic_dissipative(m: float, f_spec: ScalarField | str | float,
         param_rates={nm: substitute(parse(src, n), "f", f) for nm, src in _AUX_ODES.items()},
     )
     expected = CONSERVED if g0 == 0.0 else DISSIPATED
-    system.meta.update({"kind": "harmonic-dissipative", "f": f, "g0": float(g0)})
     system.meta["invariants"] = {
         "F0": TrackedInvariant("F0", f0_invariant(n), expected),
         "F_GLR": TrackedInvariant("F_GLR", glr_invariant(), expected),
@@ -235,31 +234,30 @@ def _verify_aux_forms() -> None:
 # coupled co-integration
 
 
-def _harmonic_meta(system: ContactSystem) -> tuple[ScalarField, float]:
-    if system.meta.get("kind") != "harmonic-dissipative":
-        raise ValueError("co-integration needs a harmonic-dissipative system")
-    return system.meta["f"], system.meta["g0"]
+def rates_aux_odes(system: ContactSystem) -> bool:
+    """Whether `system` rates every name of `_AUX_ODES`, as co-integration needs."""
+    return all(nm in system.param_rates for nm in _AUX_ODES)
 
 
 def co_integrate(system: ContactSystem, start: ExtendedPoint, aux0: AuxiliaryState,
                  t_end: float, cfg: IntegratorConfig | None = None,
                  tracked: Sequence[TrackedInvariant] = ()) -> Trajectory:
-    """Integrate the contact flow together with the active auxiliary ODEs of
-    `_AUX_ODES`, through `integrate`, under a single step controller.
+    """Integrate the contact flow together with the active auxiliary ODEs,
+    at the system's `param_rates`, through `integrate`, under a single step
+    controller; a system that does not rate every `_AUX_ODES` name is a
+    ValueError.
 
     Tracked fields see the auxiliary values (and rho0/a0) as parameters at
     every accepted step; the auxiliary components follow them as tracked
-    columns.  rho or a leaving (1e-6, 1e6) tags the trajectory
-    AuxiliaryBlowup and returns the partial result.
+    columns.  rho and a must start inside (1e-6, 1e6); leaving it tags the
+    trajectory AuxiliaryBlowup and returns the partial result.
     """
-    _harmonic_meta(system)
-    system = system.with_params(aux0.constants())
-    aux: dict[str, AuxComponent] = {}
-    for block in ("rho", "a", "b"):
-        if getattr(aux0, f"use_{block}"):
-            for nm in (block, f"{block}_dot"):
-                aux[nm] = AuxComponent(getattr(aux0, nm), system.param_rates[nm], _AUX_BOX.get(nm))
-    return integrate(system, extended_field(system), start, t_end, cfg,
+    if not rates_aux_odes(system):
+        raise ValueError("co-integration needs a harmonic-dissipative system")
+    aux = {nm: AuxComponent(getattr(aux0, nm), _AUX_BOX.get(nm))
+           for block in ("rho", "a", "b") if getattr(aux0, f"use_{block}")
+           for nm in (block, f"{block}_dot")}
+    return integrate(system.with_params(aux0.constants()), start, t_end, cfg,
                      {ti.label: ti.field for ti in tracked}, aux)
 
 

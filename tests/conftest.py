@@ -36,6 +36,12 @@ def point(q, p, S=0.0, t=0.0) -> ExtendedPoint:
     return ExtendedPoint(np.atleast_1d(q), np.atleast_1d(p), S, t)
 
 
+def states(traj) -> list[ExtendedPoint]:
+    """The trajectory's states, each row with its time, as points."""
+    n = traj.n
+    return [ExtendedPoint(y[:n], y[n:2 * n], y[2 * n], t) for t, y in zip(traj.times, traj.rows)]
+
+
 def values(fields, env) -> tuple[float, ...]:
     """Each field at a name->value environment, through one compiled bundle."""
     return compile_bundle(list(fields), list(env))(*env.values())

@@ -16,12 +16,10 @@ from typing import Sequence
 
 from contact_noether.dynamics import (Trajectory, contact_field, contact_field_of,
                                       cumulative_integral, extended_field)
-from contact_noether.expr import (ScalarField, apply_intrinsic, eval_node, number, parameter,
-                                  partial, variable)
+from contact_noether.expr import ScalarField, apply_intrinsic, number, parameter, partial, variable
 from contact_noether.geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec,
                                       interior_product_eta_E, lie_bracket, nan_max, point_bundle)
 from contact_noether.scaling import _TOL, ScalingAnsatz, dot_qp
-from contact_noether.systems import _harmonic_meta
 
 
 def invariant_from_symmetry(system: ContactSystem, Y: VectorFieldSpec) -> ScalarField:
@@ -119,14 +117,11 @@ def _normalize(a: ScalingAnsatz) -> ScalingAnsatz:
     return a
 
 
-def em_invariant_closed_form(system: ContactSystem, b0: float = 1.0,
+def em_invariant_closed_form(system: ContactSystem, f0: float, b0: float = 1.0,
                              bdot0: float = 0.0) -> ScalarField:
-    """F_EM with b(t) written out in closed form; needs constant f(t) with
-    f > g0^2/4 (underdamped auxiliary equation)."""
-    f, g0 = _harmonic_meta(system)
-    if f.free_vars:
-        raise ValueError("closed-form b(t) requires constant f")
-    f0 = eval_node(f.ast, system.params)
+    """F_EM with b(t) written out in closed form for the oscillator built with
+    the constant f = f0 > g0^2/4 (underdamped auxiliary equation)."""
+    g0 = system.params["g0"]
     disc = f0 - g0 * g0 / 4.0
     if disc <= 0.0:
         raise ValueError("need f > g0^2/4 for the oscillatory closed form")

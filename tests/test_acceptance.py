@@ -55,7 +55,7 @@ from contact_noether.systems import (
     make_kepler,
     make_td_kepler,
 )
-from conftest import case_invariant, point, value
+from conftest import case_invariant, point, states, value
 from oracles import (action_consistency, contact_bracket_defect, em_invariant_closed_form,
                      glr_equilibrium, invariant_from_symmetry, lr_equilibrium)
 from randfields import derivative_pair
@@ -78,8 +78,7 @@ def inverse_square_system(m=1.0, c=0.7):
 def test_criterion_01_kepler_scaling_invariant_drift():
     kepler = make_kepler(m=1.0, k_grav=1.0)
     qk = kepler.meta["invariants"]["Q_K"].field
-    traj = integrate(kepler, extended_field(kepler),
-                     ExtendedPoint([1, 0, 0], [0, 1.2, 0], 0.0, 0.0), 10.0, CFG10,
+    traj = integrate(kepler, ExtendedPoint([1, 0, 0], [0, 1.2, 0], 0.0, 0.0), 10.0, CFG10,
                      tracked={"Q_K": qk})
     assert traj.error_tag is None
     drift = max_relative_drift(traj.tracked["Q_K"])
@@ -113,7 +112,7 @@ def _round_trip_cases():
         ("F2", kepler, case_invariant(kepler, GENERIC_F2, -1.0), {}),
         ("TDKeplerInv", td, td.meta["invariants"]["F_TDK"].field, {}),
         ("F_GLR", damped, glr_invariant(), {"a": a_eq, "a_dot": 0.0, "a0": 1.0}),
-        ("F_EM", damped, em_invariant_closed_form(damped), {}),
+        ("F_EM", damped, em_invariant_closed_form(damped, 1.0), {}),
     ]
     out = []
     for name, system, field, extra in cases:
@@ -217,8 +216,7 @@ def test_criterion_06_time_dependent_kepler():
     for lam in (1.0 / 3.0, 1.0, 2.0):
         td = make_td_kepler(1.0, 0.25, lam)
         inv = td.meta["invariants"]["F_TDK"].field
-        traj = integrate(td, extended_field(td),
-                         ExtendedPoint([2, 0, 0], [0, 2.0, 0], 0.0, 1.0), 5.0, CFG10,
+        traj = integrate(td, ExtendedPoint([2, 0, 0], [0, 2.0, 0], 0.0, 1.0), 5.0, CFG10,
                          tracked={"F": inv})
         assert traj.error_tag is None
         drift = max_relative_drift(traj.tracked["F"])
@@ -304,16 +302,15 @@ def test_criterion_10_numerics_hygiene():
 
     def period_error(h):
         cfg = IntegratorConfig(rel_tol=1.0, abs_tol=1e6, max_step=h, min_step=h)
-        traj = integrate(oscillator, extended_field(oscillator),
-                         point(1.0, 0.0), 2 * math.pi, cfg)
-        end = traj.samples[-1]
+        traj = integrate(oscillator, point(1.0, 0.0), 2 * math.pi, cfg)
+        end = states(traj)[-1]
         return math.hypot(end.q[0] - 1.0, end.p[0])
 
     ratio = period_error(math.pi / 4) / period_error(math.pi / 8)
     assert ratio >= 4.0
 
     free = ContactSystem(n=1, h=parse("p0^2/(2*m)", 1), params={"m": 1.0})
-    traj = integrate(free, extended_field(free), point(0.0, 2.0), 3.0, CFG10)
+    traj = integrate(free, point(0.0, 2.0), 3.0, CFG10)
     consistency = action_consistency(free, traj)
     assert consistency <= 1e-8
     report(10, f"FD oracle holds on 1000 random ASTs; step-halving cuts the "

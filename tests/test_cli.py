@@ -571,6 +571,29 @@ class TestExitCodes:
         "checks": [{"type": "drift", "invariant": "Q_K", "tol": 1e-6}],
     }
 
+    @pytest.mark.parametrize("check", [{"type": "drift", "invariant": "Q_K", "tol": 1e-6},
+                                       {"type": "residual", "invariant": "Q_K", "tol": 1e-9}],
+                             ids=["drift", "residual"])
+    def test_auxiliary_block_without_auxiliary_equations_is_config_error(self, tmp_path, capsys,
+                                                                           check):
+        # kepler rates no auxiliary function: refused at load, a flow or not
+        path = write_scenario(tmp_path, "aux", {**self.PLUNGE, "auxiliary": {"use_a": True},
+                                                "initial": {"q": [1, 0, 0], "p": [0, 1, 0]},
+                                                "checks": [check]})
+        _, code = cli.run(path, tmp_path / "out")
+        assert code == 2
+        assert "'auxiliary' needs a system with auxiliary equations, got 'kepler'" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", [2e6, -1.0, 1e-9, 0.0])
+    def test_auxiliary_start_outside_its_box_is_three(self, tmp_path, capsys, a):
+        scenario = json.loads((SCENARIOS / "dissipative-oscillator.json").read_text())
+        scenario["auxiliary"]["a"] = a
+        _, code = cli.run(write_scenario(tmp_path, "osc", scenario), tmp_path / "out")
+        assert code == 3
+        assert f"auxiliary 'a' starts at {a!r}, outside its box (1e-06, 1000000.0)" \
+            in capsys.readouterr().err
+
     def test_domain_violation_is_three(self, tmp_path):
         path = write_scenario(tmp_path, "plunge", self.PLUNGE)
         _, code = cli.run(path, tmp_path, quiet=True)

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,7 +28,7 @@ from contact_noether.expr import DomainError, Node, Num, Param, Var, parse
 from contact_noether.geometry import ContactSystem
 from contact_noether.noether import sample_points
 from contact_noether.systems import make_harmonic_dissipative
-from conftest import point, tally, values
+from conftest import point, states, tally, values
 from oracles import action_consistency
 
 
@@ -111,9 +112,9 @@ class TestIntegrate:
     def test_harmonic_oscillator_period(self):
         sys1 = make_system("p0^2/2 + q0^2/2")
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(sys1, extended_field(sys1), point(1.0, 0.0), 2 * math.pi, cfg)
+        traj = integrate(sys1, point(1.0, 0.0), 2 * math.pi, cfg)
         assert traj.error_tag is None
-        end = traj.samples[-1]
+        end = states(traj)[-1]
         assert end.t == pytest.approx(2 * math.pi, abs=1e-12)
         assert abs(end.q[0] - 1.0) < 1e-8
         assert abs(end.p[0]) < 1e-8
@@ -122,60 +123,59 @@ class TestIntegrate:
 
     def test_free_particle_action(self):
         sys1 = make_system("p0^2/(2*m)", params={"m": 1.0})
-        traj = integrate(sys1, extended_field(sys1), point(0.0, 2.0), 3.0,
+        traj = integrate(sys1, point(0.0, 2.0), 3.0,
                          IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
-        assert traj.samples[-1].S == pytest.approx(6.0, abs=1e-8)
+        assert states(traj)[-1].S == pytest.approx(6.0, abs=1e-8)
 
     def test_kepler_orbit_stays_admissible(self, kepler):
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, guard_margin=1e-3)
-        traj = integrate(kepler, extended_field(kepler),
-                         point([1, 0, 0], [0, 1.2, 0]), 10.0, cfg)
+        traj = integrate(kepler, point([1, 0, 0], [0, 1.2, 0]), 10.0, cfg)
         assert traj.error_tag is None
-        radii = [math.sqrt(float(np.asarray(s.q) @ np.asarray(s.q))) for s in traj.samples]
+        radii = [math.sqrt(float(np.asarray(s.q) @ np.asarray(s.q))) for s in states(traj)]
         assert min(radii) > 1e-3
 
     def test_tracked_fields_are_recorded(self):
         sys1 = make_system("p0^2/2")
-        traj = integrate(sys1, extended_field(sys1), point(0.0, 2.0), 1.0,
+        traj = integrate(sys1, point(0.0, 2.0), 1.0,
                          IntegratorConfig(), tracked={"momentum": parse("p0", 1)})
         assert np.allclose(traj.tracked["momentum"], 2.0)
-        assert len(traj.tracked["momentum"]) == len(traj.samples)
+        assert len(traj.tracked["momentum"]) == len(states(traj))
 
     def test_domain_violation_returns_partial(self):
         # radial plunge: q moving toward the excluded ball around the origin
         sys1 = make_system("p0^2/2 + 0*q0", guards=(parse("abs(q0)", 1),))
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, guard_margin=0.5, max_step=0.05)
-        traj = integrate(sys1, extended_field(sys1), point(2.0, -1.0), 10.0, cfg)
+        traj = integrate(sys1, point(2.0, -1.0), 10.0, cfg)
         assert traj.error_tag == DOMAIN_VIOLATION
-        assert len(traj.samples) > 1
-        assert all(abs(s.q[0]) >= 0.5 for s in traj.samples)
+        assert len(states(traj)) > 1
+        assert all(abs(s.q[0]) >= 0.5 for s in states(traj))
 
     def test_kepler_guard_violation_returns_partial(self, kepler):
         # radial plunge toward the origin: the radius guard ends the flow
         # before the singularity, with the states reached so far
         cfg = IntegratorConfig(guard_margin=0.5)
-        traj = integrate(kepler, extended_field(kepler), point([1, 0, 0], [-1.0, 0, 0]), 10.0, cfg)
+        traj = integrate(kepler, point([1, 0, 0], [-1.0, 0, 0]), 10.0, cfg)
         assert traj.error_tag == DOMAIN_VIOLATION
         assert len(traj.times) > 1 and traj.times[-1] < 10.0
-        assert all(math.sqrt(float(np.asarray(s.q) @ np.asarray(s.q))) >= 0.5 for s in traj.samples)
+        assert all(math.sqrt(float(np.asarray(s.q) @ np.asarray(s.q))) >= 0.5 for s in states(traj))
 
     def test_step_size_underflow_near_singularity(self):
         # 1/q0 blows up at the origin; domain errors force endless shrinking
         sys1 = make_system("p0^2/2 - 1/q0")
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, min_step=1e-10)
-        traj = integrate(sys1, extended_field(sys1), point(1.0, -1.5), 10.0, cfg)
+        traj = integrate(sys1, point(1.0, -1.5), 10.0, cfg)
         assert traj.error_tag in (STEP_SIZE_UNDERFLOW, DOMAIN_VIOLATION)
 
     def test_strictly_increasing_time(self):
         sys1 = make_system("p0^2/2 + q0^2/2")
-        traj = integrate(sys1, extended_field(sys1), point(1.0, 0.0), 3.0,
+        traj = integrate(sys1, point(1.0, 0.0), 3.0,
                          IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
         ts = np.asarray(traj.times)
         assert np.all(np.diff(ts) > 0)
 
     def test_csv_format(self):
         sys1 = make_system("p0^2/2")
-        traj = integrate(sys1, extended_field(sys1), point(0.5, 2.0), 1.0,
+        traj = integrate(sys1, point(0.5, 2.0), 1.0,
                          IntegratorConfig(), tracked={"mom": parse("p0", 1)})
         buf = io.StringIO()
         traj.to_csv(buf)
@@ -283,7 +283,7 @@ class TestAcceptedStates:
         # flow (pdot is -(inf - inf) for t > 0)
         sys1 = make_system("q0*((1e200*t)*(1e200*t) - (1e200*t)*(1e200*t))")
         cfg = IntegratorConfig(min_step=0.1, max_step=0.1)
-        traj = integrate(sys1, extended_field(sys1), point(0.5, 1.0), 1.0, cfg)
+        traj = integrate(sys1, point(0.5, 1.0), 1.0, cfg)
         assert traj.error_tag == DOMAIN_VIOLATION
         assert traj.rows == [[0.5, 1.0, 0.0]] and traj.stats.accepted == 0
 
@@ -322,7 +322,7 @@ class TestFlowBuildsNoPoints:
         real = ExtendedPoint.__post_init__
         monkeypatch.setattr(ExtendedPoint, "__post_init__",
                             lambda self: built.append(self) or real(self))
-        traj = integrate(system, extended_field(system), start, 3.0, IntegratorConfig(),
+        traj = integrate(system, start, 3.0, IntegratorConfig(),
                          tracked={"h": system.h})
         assert traj.error_tag is None and traj.stats.accepted > 10
         assert built == []
@@ -379,11 +379,33 @@ class TestIntegratorEdges:
                 assert abs(times[-1] - t_end) <= 1e-14 * max(1.0, abs(t_end))
 
 
+class TestAuxiliaryComponents:
+    """`integrate` reads each component's rate off the system's `param_rates`
+    and refuses a start that no step could accept."""
+
+    def test_a_name_the_system_does_not_rate_is_refused(self):
+        from contact_noether.dynamics import AuxComponent
+
+        with pytest.raises(ValueError, match="no rate for auxiliary 'a'"):
+            integrate(make_system("p0^2/2"), point(0.0, 1.0), 1.0, aux={"a": AuxComponent(1.0)})
+
+    @pytest.mark.parametrize("a", [2e6, -1.0, 1e-9, 0.0, 1e-6, 1e6, math.nan])
+    def test_a_start_outside_the_box_is_refused_before_any_step(self, a, monkeypatch):
+        from contact_noether import dynamics
+        from contact_noether.systems import AuxiliaryState, co_integrate
+
+        monkeypatch.setattr(dynamics, "adaptive_rk45", lambda *args, **kwargs: pytest.fail("stepped"))
+        osc = make_harmonic_dissipative(1.0, 1.0, 0.2)
+        box = f"auxiliary 'a' starts at {a!r}, outside its box (1e-06, 1000000.0)"
+        with pytest.raises(ValueError, match=re.escape(box)):
+            co_integrate(osc, point(1.0, 0.5), AuxiliaryState(a=a, use_a=True), 20.0)
+
+
 class TestStepSizes:
     def test_fixed_steps_are_all_max_step(self):
         sys1 = make_system("p0^2/2 + q0^2/2")
         cfg = IntegratorConfig(min_step=0.125, max_step=0.125)
-        st = integrate(sys1, extended_field(sys1), point(1.0, 0.0), 1.0, cfg).stats
+        st = integrate(sys1, point(1.0, 0.0), 1.0, cfg).stats
         assert st.accepted == 8 and st.smallest_step == st.largest_step == 0.125
 
     def test_adaptive_kepler_steps(self, kepler):
@@ -408,7 +430,7 @@ class TestStepSizes:
         # error is too large, so it is refused (and counted as rejected) and the
         # run ends tagged
         sys1 = make_system("p0*q0 + sin(q0*q0*q0)")
-        traj = integrate(sys1, extended_field(sys1), point(1e102, 0.0), 5.0, IntegratorConfig())
+        traj = integrate(sys1, point(1e102, 0.0), 5.0, IntegratorConfig())
         assert traj.error_tag == STEP_SIZE_UNDERFLOW
         assert traj.rows == [[1e102, 0.0, 0.0]] and traj.stats.rhs_calls == 2 + 12
         assert traj.stats.accepted == 0 and traj.stats.rejected == 1
@@ -611,12 +633,11 @@ class TestCompiledOnce:
         return done()["bundles"], len(evals)
 
     def test_kepler_with_two_tracked_fields(self, kepler, monkeypatch):
-        field = extended_field(kepler)
         tracked = {"h": kepler.h, "Q_K": kepler.meta["invariants"]["Q_K"].field}
         start = point([1, 0, 0], [0, 1.2, 0])
         for columns in ({}, {"h": tracked["h"]}, tracked):
             counts = self.count(monkeypatch, lambda: integrate(
-                kepler, field, start, 3.0, IntegratorConfig(), tracked=columns))
+                kepler, start, 3.0, IntegratorConfig(), tracked=columns))
             assert counts == (2, 0)
 
     def test_co_integrated_oscillator_with_two_auxiliary_blocks(self, damped_oscillator,
@@ -635,14 +656,14 @@ class TestCompiledOnce:
         # statement per distinct operation: the stepping loop writes no copy of its own
         field, start = extended_field(kepler), point([1, 0, 0], [0, 1.2, 0])
         done = tally()
-        traj = integrate(kepler, field, start, 3.0, IntegratorConfig(), tracked={"h": kepler.h})
+        traj = integrate(kepler, start, 3.0, IntegratorConfig(), tracked={"h": kepler.h})
         rhs = [*field.Yq, *field.Yp, field.YS, *kepler.guards]
         assert traj.error_tag is None and done()["bundles"] == 2
         assert done()["emitted"] == operations(rhs) + operations([kepler.h])
 
 
 def _kepler_flow(system, start, t_end, cfg=None):
-    return integrate(system, extended_field(system), start, t_end, cfg or IntegratorConfig(),
+    return integrate(system, start, t_end, cfg or IntegratorConfig(),
                      tracked={"h": system.h})
 
 
@@ -690,10 +711,9 @@ def _vanishing_aux_flow():
     # a decays toward 0, where stages with |a| < 1e-12 raise: the steps shrink to the floor
     from contact_noether.dynamics import AuxComponent
 
-    free = make_system("p0^2/2")
-    return integrate(free, extended_field(free), point(0.0, 1.0), 2.0,
-                     IntegratorConfig(min_step=1e-6),
-                     aux={"a": AuxComponent(1.0, parse("-50*a", 1), (0.0, 2.0))})
+    free = ContactSystem(n=1, h=parse("p0^2/2", 1), param_rates={"a": parse("-50*a", 1)})
+    return integrate(free, point(0.0, 1.0), 2.0, IntegratorConfig(min_step=1e-6),
+                     aux={"a": AuxComponent(1.0, (0.0, 2.0))})
 
 
 class TestFlowAttempt:
@@ -800,7 +820,7 @@ class TestFlowAttempt:
         # q0 grows as e^t, so q0*q0*q0 overflows near t = 0.026; sin(inf) is eval_node's
         # DomainError, which rejects the step, and no ValueError leaves integrate
         sys1 = make_system("p0*q0 + sin(q0*q0*q0)")
-        traj = integrate(sys1, extended_field(sys1), point(5.5e102, 0.0), 5.0,
+        traj = integrate(sys1, point(5.5e102, 0.0), 5.0,
                          IntegratorConfig(min_step=0.01, max_step=0.01))
         assert traj.error_tag == STEP_SIZE_UNDERFLOW
         assert traj.stats.accepted == 2 and traj.stats.rejected == 1
@@ -826,7 +846,7 @@ class TestFlowAttempt:
         from contact_noether.expr import eval_node
 
         sys1 = make_system(source, params={"m": m})
-        flow = lambda: integrate(sys1, extended_field(sys1), point(1.0, 0.5), 1.0)  # noqa: E731
+        flow = lambda: integrate(sys1, point(1.0, 0.5), 1.0)  # noqa: E731
         traj = self.run(monkeypatch, flow)[0]
         assert traj.error_tag == DOMAIN_VIOLATION and traj.rows == [[1.0, 0.5, 0.0]]
         assert traj.stats.accepted == 0
@@ -925,7 +945,7 @@ class TestHermiteQuadrature:
         sys1 = make_system("p0^2/2 + q0^2/2 + 0.05*S^2")
 
         def flow(cfg):
-            traj = integrate(sys1, extended_field(sys1), point(1.0, 0.5), 20.0, cfg)
+            traj = integrate(sys1, point(1.0, 0.5), 20.0, cfg)
             assert traj.error_tag is None
             return traj
 
@@ -987,8 +1007,7 @@ def test_generated_functions_have_distinct_file_names():
 class TestConservationAlongFlow:
     def test_h_constant_for_autonomous_h(self, kepler):
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(kepler, extended_field(kepler),
-                         point([1, 0, 0], [0, 1.2, 0]), 10.0, cfg,
+        traj = integrate(kepler, point([1, 0, 0], [0, 1.2, 0]), 10.0, cfg,
                          tracked={"h": kepler.h})
         drift = np.max(np.abs(np.asarray(traj.tracked["h"]) - traj.tracked["h"][0]))
         assert drift < 10 * cfg.rel_tol * max(1.0, abs(traj.tracked["h"][0])) * 100
@@ -997,7 +1016,7 @@ class TestConservationAlongFlow:
         g0 = 0.25
         sys1 = make_system("p0^2/2 + q0^2/2 + g0*S", params={"g0": g0})
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(sys1, extended_field(sys1), point(1.0, 0.3, S=0.1), 8.0, cfg,
+        traj = integrate(sys1, point(1.0, 0.3, S=0.1), 8.0, cfg,
                          tracked={"h": sys1.h})
         comp = np.asarray(traj.tracked["h"]) * np.exp(g0 * (np.asarray(traj.times) - traj.times[0]))
         assert np.max(np.abs(comp - comp[0])) < 1e-8
@@ -1008,7 +1027,7 @@ class TestConservationAlongFlow:
 
         def drift(rtol):
             cfg = IntegratorConfig(rel_tol=rtol, abs_tol=rtol * 1e-2)
-            traj = integrate(sys1, extended_field(sys1), point(1.0, 0.0),
+            traj = integrate(sys1, point(1.0, 0.0),
                              4 * math.pi, cfg, tracked={"h": sys1.h})
             return np.max(np.abs(np.asarray(traj.tracked["h"]) - traj.tracked["h"][0]))
 
@@ -1026,7 +1045,7 @@ class TestConservationAlongFlow:
         def period_error(steps):
             h = 2 * math.pi / steps
             cfg = IntegratorConfig(rel_tol=1.0, abs_tol=1e6, max_step=h, min_step=h)
-            traj = integrate(sys1, extended_field(sys1), point(1.0, 0.0), 2 * math.pi, cfg)
+            traj = integrate(sys1, point(1.0, 0.0), 2 * math.pi, cfg)
             t, y = traj.times[-1], traj.rows[-1]
             assert traj.error_tag is None and traj.stats.accepted == steps
             exact = (math.cos(t), -math.sin(t), -math.sin(2 * t) / 4)
@@ -1040,28 +1059,28 @@ class TestConservationAlongFlow:
 class TestActionConsistency:
     def test_free_particle(self):
         sys1 = make_system("p0^2/(2*m)", params={"m": 1.0})
-        traj = integrate(sys1, extended_field(sys1), point(0.0, 2.0), 3.0,
+        traj = integrate(sys1, point(0.0, 2.0), 3.0,
                          IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
         assert action_consistency(sys1, traj) <= 1e-8
 
     def test_constant_hamiltonian(self):
         sys1 = make_system("c", params={"c": 2.5})
-        traj = integrate(sys1, extended_field(sys1), point(0.4, -0.7, S=1.0), 2.0,
+        traj = integrate(sys1, point(0.4, -0.7, S=1.0), 2.0,
                          IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
         # Sdot = -c exactly
-        assert traj.samples[-1].S == pytest.approx(1.0 - 2.5 * 2.0, abs=1e-10)
+        assert states(traj)[-1].S == pytest.approx(1.0 - 2.5 * 2.0, abs=1e-10)
         assert action_consistency(sys1, traj) <= 1e-10
 
     def test_harmonic_oscillator_period(self):
         sys1 = make_system("p0^2/2 + q0^2/2")
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(sys1, extended_field(sys1), point(1.0, 0.0), 2 * math.pi, cfg)
+        traj = integrate(sys1, point(1.0, 0.0), 2 * math.pi, cfg)
         value = action_consistency(sys1, traj)
         assert value <= 1e-6
         # oracle: the same quadrature at double resolution differs only below
         # the claimed tolerance
         cfg2 = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01)
-        traj2 = integrate(sys1, extended_field(sys1), point(1.0, 0.0), 2 * math.pi, cfg2)
+        traj2 = integrate(sys1, point(1.0, 0.0), 2 * math.pi, cfg2)
         assert action_consistency(sys1, traj2) <= 1e-6
 
 

@@ -380,7 +380,7 @@ class TestRatioInvariant:
         sys1 = ContactSystem(n=1, h=parse("p0^2/2 + q0^2/2 + 0.3*S", 1))
         F0 = f0_invariant(1)
         r = F0 / sys1.h
-        traj = integrate(sys1, extended_field(sys1), point(1.0, 0.6, S=0.2), 10.0,
+        traj = integrate(sys1, point(1.0, 0.6, S=0.2), 10.0,
                          IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
                          tracked={"ratio": r})
         assert max_relative_drift(traj.tracked["ratio"]) <= 1e-6
@@ -541,7 +541,7 @@ class TestDissipatedAlongFlow:
         system = make_harmonic_dissipative(1.0, 1.0, g0)
         F0 = f0_invariant(1)
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(system, extended_field(system), point(1.0, 0.4, S=0.1),
+        traj = integrate(system, point(1.0, 0.4, S=0.1),
                          12.0, cfg, tracked={"F0": F0})
         comp = dissipation_compensation(system, traj)
         assert np.allclose(comp, np.exp(g0 * np.asarray(traj.times)), rtol=1e-10)

@@ -38,16 +38,18 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
     assert "usage" in done.stdout.lower()
 
 
-def test_symbolic_counts_prints_the_tally():
-    # bundled at seed 7: round 1 derives and compiles the four files' work,
-    # which their runs keep from then on, so round 2 derives and emits nothing.
-    # A fresh interpreter: nodes that earlier tests keep alive keep their
-    # derivatives, and would lower the counts
+@pytest.mark.parametrize("workload, first, second", [
+    ("bundled", (17, 1121, 2149, 1141, 4), (0, 0, 952, 0, 4)),
+    ("long-flow", (7, 102, 540, 216, 3), (0, 0, 384, 0, 3))], ids=["bundled", "long-flow"])
+def test_symbolic_counts_prints_the_tally(workload, first, second):
+    # at seed 7, round 1 derives and compiles the files' work, which their runs
+    # keep from then on, so round 2 derives and emits nothing and only looks
+    # nodes up (long-flow: the flows' fields too).  A fresh interpreter: nodes
+    # that earlier tests keep alive keep their derivatives, and would lower the counts
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
-                           "--workload", "bundled", "--rounds", "2", "--seed", "7"],
+                           "--workload", workload, "--rounds", "2", "--seed", "7"],
                           capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stderr) == (0, "")
-    rounds = [{c: int(v) for c, v in (kv.split() for kv in line.split(": ")[1].split(", "))}
+    rounds = [tuple(int(kv.split()[1]) for kv in line.split(": ")[1].split(", "))
               for line in done.stdout.splitlines()[:2]]
-    assert rounds[0] == {"bundles": 17, "derive": 1121, "nodes": 2149, "emitted": 1141, "kept": 4}
-    assert (rounds[1]["bundles"], rounds[1]["derive"], rounds[1]["emitted"]) == (0, 0, 0)
+    assert rounds == [first, second]

@@ -37,7 +37,7 @@ from contact_noether.systems import (
     make_td_kepler,
 )
 from contact_noether.scaling import GENERIC_F2, KMINUS2_F1, ScalingAnsatz, scaling_generator
-from conftest import case_invariant, point, tally, value, values
+from conftest import case_invariant, point, states, tally, value, values
 from oracles import (em_invariant_closed_form, glr_equilibrium, invariant_from_symmetry,
                      lr_equilibrium)
 
@@ -107,7 +107,7 @@ class TestKepler:
         start, bound = point(0.5, 1.0), system.with_params({"c": 1.0})
         assert system.admissible(start) and not bound.admissible(start)
         with pytest.raises(ValueError, match="outside the admissible region"):
-            integrate(bound, extended_field(bound), start, 1.0)
+            integrate(bound, start, 1.0)
 
     def test_a_guard_parameter_must_be_bound(self):
         with pytest.raises(UnboundParameter, match=r"\['c'\]"):
@@ -124,8 +124,7 @@ class TestKepler:
 
     def test_invariant_and_energy_conserved_along_flow(self, kepler):
         qk = kepler.meta["invariants"]["Q_K"].field
-        traj = integrate(kepler, extended_field(kepler),
-                         point([1, 0, 0], [0, 1.2, 0]), 10.0, CFG,
+        traj = integrate(kepler, point([1, 0, 0], [0, 1.2, 0]), 10.0, CFG,
                          tracked={"Q_K": qk, "H": kepler.h})
         assert traj.error_tag is None
         assert max_relative_drift(traj.tracked["Q_K"]) <= 1e-7
@@ -154,8 +153,7 @@ class TestTdKepler:
         residual = point_bundle([dissipation_field(td, inv)], td.params)
         for pt in sample_points(td, 100, seed=66):
             assert abs(residual(pt)[0]) <= 1e-10
-        traj = integrate(td, extended_field(td),
-                         ExtendedPoint([2, 0, 0], [0, 2.0, 0], 0.0, 1.0), 5.0, CFG,
+        traj = integrate(td, ExtendedPoint([2, 0, 0], [0, 2.0, 0], 0.0, 1.0), 5.0, CFG,
                          tracked={"F": inv})
         assert traj.error_tag is None
         assert max_relative_drift(traj.tracked["F"]) <= 1e-7
@@ -254,7 +252,7 @@ class TestClosedFormSelfTest:
         system = make_harmonic_dissipative(1.0, 1.0, 0.2)
         a_eq, _ = glr_equilibrium(1.0, 0.2, 1.0)
         extra = {"a": a_eq, "a_dot": 0.0, "a0": 1.0}
-        F_em = em_invariant_closed_form(system)
+        F_em = em_invariant_closed_form(system, 1.0)
         combo = 0.7 * f0_invariant(1) + 1.3 * glr_invariant() - 2.1 * F_em
         bound = system.with_params(extra)
         residual = point_bundle([dissipation_field(bound, combo)], bound.params)
@@ -343,8 +341,8 @@ class TestCoIntegrate:
                             IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10),
                             [system.meta["invariants"]["F0"]])
         assert traj.error_tag == AUXILIARY_BLOWUP
-        assert traj.samples[-1].t < 60.0
-        assert all(len(v) == len(traj.samples) for v in traj.tracked.values())
+        assert states(traj)[-1].t < 60.0
+        assert all(len(v) == len(states(traj)) for v in traj.tracked.values())
         assert np.all((np.asarray(traj.tracked["rho"]) > 1e-6) & (np.asarray(traj.tracked["rho"]) < 1e6))
 
     def test_aux_columns_in_csv(self, free_oscillator):
@@ -362,9 +360,15 @@ class TestCoIntegrate:
         traj.to_csv(buf)
         assert buf.getvalue().splitlines()[0] == "t,q0,p0,S,F_EM,F0,a,a_dot,b,b_dot"
 
-    def test_needs_harmonic_system(self, kepler):
-        with pytest.raises(ValueError):
-            co_integrate(kepler, point([1, 0, 0], [0, 1, 0]), AuxiliaryState(), 1.0)
+    def test_needs_harmonic_system(self, kepler, damped_oscillator):
+        # what co-integration needs is a rate for every auxiliary function
+        partly = ContactSystem(n=1, h=damped_oscillator.h, params=damped_oscillator.params,
+                               param_rates={k: v for k, v in damped_oscillator.param_rates.items()
+                                            if k != "b_dot"})
+        for system, start in ((kepler, point([1, 0, 0], [0, 1, 0])), (partly, point(1.0, 0.5))):
+            assert not systems.rates_aux_odes(system)
+            with pytest.raises(ValueError, match="co-integration needs a harmonic-dissipative"):
+                co_integrate(system, start, AuxiliaryState(use_a=True), 1.0)
 
 
 class TestGlrSymmetry:
@@ -384,8 +388,9 @@ class TestGlrSymmetry:
         aux0 = AuxiliaryState(use_a=True)
         traj = co_integrate(system, point(1.0, 0.5), aux0, 5.0, CFG)
         Y = symmetry_from_invariant(system, glr_invariant(), 0.0)
-        for k in range(1, len(traj.samples), max(1, len(traj.samples) // 12)):
-            pt = traj.samples[k]
+        pts = states(traj)
+        for k in range(1, len(pts), max(1, len(pts) // 12)):
+            pt = pts[k]
             aux = {"a": traj.tracked["a"][k], "a_dot": traj.tracked["a_dot"][k],
                    "a0": 1.0}
             rep = symmetry_test(system.with_params(aux), Y, [pt], 1e-9)
@@ -438,6 +443,8 @@ class TestBuiltinRegistry:
         assert make_builtin("kepler", {"m": 1.0, "eps": 0.25}).label == "kepler"
         assert make_builtin("td-kepler", {"m": 1.0, "eps": 0.25, "Lambda": 1.0}).label == "td-kepler"
         sys3 = make_builtin("harmonic-dissipative", {"m": 1.0, "f": "1 + t", "g0": 0.1})
-        assert sys3.meta["kind"] == "harmonic-dissipative"
+        assert sorted(sys3.param_rates) == sorted(systems._AUX_ODES)
+        assert systems.rates_aux_odes(sys3)
+        assert sys3.param_rates["rho_dot"].free_vars == {"t"}  # f = 1 + t written in
         with pytest.raises(KeyError):
             make_builtin("unknown")
