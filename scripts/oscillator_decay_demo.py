@@ -29,7 +29,7 @@ def main(argv: list[str]) -> int:
     g0 = 0.2
     system = make_harmonic_dissipative(m=1.0, f_spec=1.0, g0=g0)
     aux = AuxiliaryState(use_a=True, use_b=True)
-    invariants = [system.meta["invariants"][k] for k in ("F0", "F_GLR", "F_EM")]
+    invariants = [system.invariants[k] for k in ("F0", "F_GLR", "F_EM")]
     traj = co_integrate(system, ExtendedPoint([1.0], [0.5], 0.0, 0.0), aux, 20.0,
                         IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12), invariants)
     comp = [math.exp(g0 * t) for t in traj.times]

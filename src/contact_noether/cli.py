@@ -152,7 +152,6 @@ def _load(path: Path, data: bytes) -> Scenario:
             n = _integer(sysspec["dimension"], 1, f"{path}: system 'dimension'")
             h = _parse_field(sysspec["expression"], n, f"{path}: system.expression")
             system = ContactSystem(n=n, h=h, params=params, label=name)
-            system.meta["invariants"] = {}
     except (KeyError, ValueError, ExprError) as e:
         raise ConfigError(f"{path}: bad system spec: {e}") from e
 
@@ -196,18 +195,19 @@ def _load(path: Path, data: bytes) -> Scenario:
         _require(systems.rates_aux_odes(system), f"{path}: 'auxiliary' needs a system with "
                  f"auxiliary equations, got {system.label!r}")
 
-    builtin_invs = system.meta.get("invariants", {})
     invariants: dict[str, TrackedInvariant] = {}
     for spec in _list(raw.get("invariants", []), f"{path}: 'invariants'"):
         _require(isinstance(spec, dict) and isinstance(spec.get("label"), str),
                  f"{path}: each invariant needs a 'label'")
         label = spec["label"]
         _require(label not in invariants, f"{path}: duplicate invariant label {label!r}")
+        _require(not set(label) & set(',"\r\n'), f"{path}: invariant label {label!r} names "
+                 "a CSV column and may hold no comma, double quote, CR or LF")
         if "builtin" in spec:
-            _require(isinstance(spec["builtin"], str) and spec["builtin"] in builtin_invs,
+            _require(isinstance(spec["builtin"], str) and spec["builtin"] in system.invariants,
                      f"{path}: unknown builtin invariant {spec['builtin']!r} "
-                     f"(available: {sorted(builtin_invs)})")
-            base = builtin_invs[spec["builtin"]]
+                     f"(available: {sorted(system.invariants)})")
+            base = system.invariants[spec["builtin"]]
             fld, expected = base.field, base.expected
         else:
             fld = _parse_field(spec.get("expression"), system.n, f"{path}: invariant {label!r}")
@@ -389,12 +389,10 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             entry["value"] = float(rep.residual)
             entry["verdict"] = rep.verdict
             entry["Lambda_table"] = [float(v) for v in rep.Lambda_at_samples]
-            ok = rep.passed
+            ok = rep.verdict == c["expect_verdict"] if "expect_verdict" in c else rep.passed
             if "expect_Lambda" in c:
                 lam = float(c["expect_Lambda"])
                 ok = ok and all(abs(v - lam) <= tol for v in rep.Lambda_at_samples)
-            if "expect_verdict" in c:
-                ok = rep.verdict == c["expect_verdict"]
             entry["passed"] = bool(ok)
         elif ctype == "ratio":
             series = [a / b for a, b in zip(traj.tracked[c["numerator"]],

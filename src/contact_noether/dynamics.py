@@ -374,18 +374,18 @@ def integrate(system: ContactSystem, start: ExtendedPoint, t_end: float,
     rate under the same step controller; the right-hand side and the tracked
     fields see their names next to q, p, S, t and the system parameters.  A
     start outside the admissible region or a component's box, or an `aux`
-    name the system does not rate, is a ValueError.  The start and every
-    accepted state are recorded as rows, the tracked fields, then the `aux`
-    components, as columns.  The system's guards are trailing columns of the
-    right-hand side, so the last stage of a step holds their values at the
-    accepted state.  Guard, non-finite state, blow-up or step-size failures
-    return the partial trajectory with an error tag instead of raising.  The
-    steps are taken by `_flow_loop`, which tests and records each accepted
-    state itself; the Python `rhs` here gives only the initial rates and the
-    initial-step probe.
+    name the system does not rate, is a ValueError, and so is a `tracked`
+    label that names a state column (t, a coordinate or an `aux` name).  The
+    start and every accepted state are recorded as rows, the tracked fields,
+    then the `aux` components, as columns.  The system's guards are trailing
+    columns of the right-hand side, so the last stage of a step holds their
+    values at the accepted state.  Guard, non-finite state, blow-up or
+    step-size failures return the partial trajectory with an error tag
+    instead of raising.  The steps are taken by `_flow_loop`, which tests and
+    records each accepted state itself; the Python `rhs` here gives only the
+    initial rates and the initial-step probe.
     """
-    cfg = cfg or IntegratorConfig()
-    aux = dict(aux or {})
+    cfg, aux, tracked = cfg or IntegratorConfig(), dict(aux or {}), dict(tracked or {})
     if not system.admissible(start, cfg.guard_margin):
         raise ValueError("start point is outside the admissible region")
     for nm, c in aux.items():
@@ -394,11 +394,14 @@ def integrate(system: ContactSystem, start: ExtendedPoint, t_end: float,
         if c.box and not c.box[0] < c.initial < c.box[1]:
             raise ValueError(f"auxiliary {nm!r} starts at {c.initial!r}, outside its box {c.box}")
     n = system.n
-    field = extended_field(system)
     state = [*coordinate_names(n)[:-1], *aux, "t"]
+    clash = next((label for label in tracked if label in state), None)
+    if clash is not None:  # its column would be written over, or written twice
+        raise ValueError(f"tracked label {clash!r} names a state column")
+    field = extended_field(system)
     fields = [*field.Yq, *field.Yp, field.YS, *map(system.param_rates.get, aux), *system.guards]
     rhs_fn = compile_bundle(fields, state, system.params)
-    columns_fn = compile_bundle(list((tracked or {}).values()), state, system.params)
+    columns_fn = compile_bundle(list(tracked.values()), state, system.params)
     boxed = [(2 * n + 1 + i, nm, c.box) for i, (nm, c) in enumerate(aux.items()) if c.box]
 
     def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
@@ -413,7 +416,7 @@ def integrate(system: ContactSystem, start: ExtendedPoint, t_end: float,
     stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg,
                                loop=_flow_loop(rhs_fn, len(fields), state, boxed, times, rows))
     columns = zip(*(columns_fn(*y, t) for t, y in zip(times, rows)))
-    recorded = dict(zip(tracked or {}, map(list, columns)))
+    recorded = dict(zip(tracked, map(list, columns)))
     recorded.update({nm: [y[i] for y in rows] for i, nm in enumerate(aux, 2 * n + 1)})
     return Trajectory(n, times, rows, recorded, stats, tag)
 

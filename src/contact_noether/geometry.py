@@ -135,6 +135,20 @@ class SampleBox:
     t: tuple[float, float] = (0.0, 5.0)
 
 
+CONSERVED = "conserved"
+DISSIPATED = "dissipated"
+
+
+@dataclass(frozen=True)
+class TrackedInvariant:
+    """A labelled quantity tracked along flows, with its expected behaviour
+    (conserved, or dissipated at the rate R(h))."""
+
+    label: str
+    field: ScalarField
+    expected: str = CONSERVED
+
+
 @dataclass(eq=False)
 class ContactSystem:
     """A contact Hamiltonian system: dimension, Hamiltonian, parameter bindings.
@@ -143,8 +157,8 @@ class ContactSystem:
     a point is admissible iff every guard value is >= the margin (a NaN value
     or a DomainError makes it inadmissible); no guards admit the whole space.
     `sample_box` is the box of seeded point generators.
-    `meta` carries optional system-specific extras (auxiliary ODE data,
-    registered invariants) and is not interpreted by this module.
+    `invariants` are the system's closed-form tracked quantities, by label,
+    which a scenario names as builtin invariants.
     `param_rates` maps each parameter that varies along the flow to its d/dt,
     a field over the coordinates and the parameters; `rate_term` is the chain
     rule through them, which the residual and L_Y eta_E add to d/dt.
@@ -156,7 +170,7 @@ class ContactSystem:
     guards: tuple[ScalarField, ...] = ()
     sample_box: SampleBox = SampleBox()
     label: str = ""
-    meta: dict = dc_field(default_factory=dict)
+    invariants: dict[str, TrackedInvariant] = dc_field(default_factory=dict)
     param_rates: dict[str, ScalarField] = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -195,10 +195,8 @@ def solve_scaling_explained(
 def case3_system(k: float, Lambda: float, m: float, coupling: float = 1.0,
                  n: int = 3, label: str = "") -> ContactSystem:
     """h = p.p/2m + coupling * t^((2-k)Lambda/2 - (2+k)/2) * (q.q)^(k/2),
-    on the domain t > 0 (and q != 0 when the potential is singular there).
-
-    The matching conserved quantity (Lambda+1) q.p - 2 t h - 2 Lambda S is
-    registered in the system's meta under "invariant".
+    on the domain t > 0 (and q != 0 when the potential is singular there);
+    `case3_invariant` gives its conserved quantity.
     """
     exponent = (2.0 - k) * Lambda / 2.0 - (2.0 + k) / 2.0
     qq = number(0.0, n)
@@ -210,13 +208,19 @@ def case3_system(k: float, Lambda: float, m: float, coupling: float = 1.0,
 
     singular_at_origin = not float(k / 2.0).is_integer() or k < 0
     guards = (variable("t", n),) + ((apply_intrinsic("sqrt", qq),) if singular_at_origin else ())
-    invariant = ((Lambda + 1.0) * dot_qp(n)
-                 - 2.0 * variable("t", n) * h
-                 - 2.0 * Lambda * variable("S", n))
     return ContactSystem(
         n=n, h=h, params={},
         guards=guards,
         sample_box=SampleBox(q=(0.3, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.5, 5.0)),
         label=label or f"case3(k={k}, Lambda={Lambda})",
-        meta={"invariant": invariant},
     )
+
+
+def case3_invariant(system: ContactSystem, Lambda: float) -> ScalarField:
+    """(Lambda+1) q.p - 2 t h - 2 Lambda S with the system's h, conserved along a
+    `case3_system` of that Lambda: the concrete form of the case table's
+    `_case3_invariant(n)` template."""
+    n = system.n
+    return ((Lambda + 1.0) * dot_qp(n)
+            - 2.0 * variable("t", n) * system.h
+            - 2.0 * Lambda * variable("S", n))

@@ -22,23 +22,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .expr import ScalarField, number, parameter, parse, substitute, variable
-from .geometry import ContactSystem, ExtendedPoint, point_bundle
+from .geometry import (CONSERVED, DISSIPATED, ContactSystem, ExtendedPoint, TrackedInvariant,
+                       point_bundle)
 from .dynamics import AuxComponent, IntegratorConfig, Trajectory, integrate
 from .noether import dissipation_field
-from .scaling import case3_system, dot_qp, f0_invariant
-
-CONSERVED = "conserved"
-DISSIPATED = "dissipated"
-
-
-@dataclass(frozen=True)
-class TrackedInvariant:
-    """A labelled quantity tracked along flows, with its expected behaviour
-    (conserved, or dissipated at the rate R(h))."""
-
-    label: str
-    field: ScalarField
-    expected: str = CONSERVED
+from .scaling import case3_invariant, case3_system, dot_qp, f0_invariant
 
 
 @dataclass(frozen=True)
@@ -66,16 +54,8 @@ class AuxiliaryState:
 # builtin systems
 
 
-def make_kepler(m: float = 1.0, eps: float | None = None,
-                k_grav: float | None = None) -> ContactSystem:
-    """Kepler problem h = p.p/2m - 4 eps / sqrt(q.q) in n = 3.
-
-    `k_grav` is the convenience coupling 4*eps; give one of eps/k_grav.
-    """
-    if eps is None:
-        eps = 0.25 if k_grav is None else k_grav / 4.0
-    elif k_grav is not None:
-        raise ValueError("give either eps or k_grav, not both")
+def make_kepler(m: float = 1.0, eps: float = 0.25) -> ContactSystem:
+    """Kepler problem h = p.p/2m - 4 eps / sqrt(q.q) in n = 3, with Q_K registered."""
     if m <= 0:
         raise ValueError("m must be positive")
     n = 3
@@ -85,8 +65,7 @@ def make_kepler(m: float = 1.0, eps: float | None = None,
         guards=(parse("sqrt(q0^2 + q1^2 + q2^2)", n),),  # a node of h: no new arithmetic
         label="kepler",
     )
-    system.meta["invariants"] = {
-        "Q_K": TrackedInvariant("Q_K", kepler_invariant(system), CONSERVED)}
+    system.invariants["Q_K"] = TrackedInvariant("Q_K", kepler_invariant(system), CONSERVED)
     return system
 
 
@@ -97,8 +76,7 @@ def make_td_kepler(m: float, eps: float, Lambda: float) -> ContactSystem:
         raise ValueError("m must be positive")
     system = case3_system(k=-1.0, Lambda=Lambda, m=m, coupling=-4.0 * eps,
                           label="td-kepler")
-    inv = system.meta.pop("invariant")
-    system.meta["invariants"] = {"F_TDK": TrackedInvariant("F_TDK", inv, CONSERVED)}
+    system.invariants["F_TDK"] = TrackedInvariant("F_TDK", case3_invariant(system, Lambda))
     return system
 
 
@@ -126,13 +104,13 @@ def make_harmonic_dissipative(m: float, f_spec: ScalarField | str | float,
         param_rates={nm: substitute(parse(src, n), "f", f) for nm, src in _AUX_ODES.items()},
     )
     expected = CONSERVED if g0 == 0.0 else DISSIPATED
-    system.meta["invariants"] = {
-        "F0": TrackedInvariant("F0", f0_invariant(n), expected),
-        "F_GLR": TrackedInvariant("F_GLR", glr_invariant(), expected),
-        "F_EM": TrackedInvariant("F_EM", em_invariant(), expected),
-    }
+    system.invariants.update(
+        F0=TrackedInvariant("F0", f0_invariant(n), expected),
+        F_GLR=TrackedInvariant("F_GLR", glr_invariant(), expected),
+        F_EM=TrackedInvariant("F_EM", em_invariant(), expected),
+    )
     if g0 == 0.0:  # F_LR solves the undamped equation only
-        system.meta["invariants"]["F_LR"] = TrackedInvariant("F_LR", lr_invariant(), CONSERVED)
+        system.invariants["F_LR"] = TrackedInvariant("F_LR", lr_invariant(), CONSERVED)
     return system
 
 
@@ -269,9 +247,7 @@ def make_builtin(name: str, params: Mapping[str, object] | None = None) -> Conta
     """The builtin `name` built from `params`; a key it does not read is a ValueError."""
     params = dict(params or {})
     if name == "kepler":
-        system = make_kepler(float(params.pop("m", 1.0)),
-                             eps=params.pop("eps", None),
-                             k_grav=params.pop("k_grav", None))
+        system = make_kepler(float(params.pop("m", 1.0)), float(params.pop("eps", 0.25)))
     elif name == "td-kepler":
         system = make_td_kepler(float(params.pop("m", 1.0)),
                                 float(params.pop("eps", 0.25)),
@@ -288,7 +264,7 @@ def make_builtin(name: str, params: Mapping[str, object] | None = None) -> Conta
 
 
 BUILTIN_DOCS = {
-    "kepler": "Kepler problem (n=3). Params: m > 0, eps (or k_grav = 4*eps).",
+    "kepler": "Kepler problem (n=3). Params: m > 0, eps.",
     "td-kepler": "Time-dependent Kepler with forced power-law coupling (n=3, t > 0). "
                  "Params: m > 0, eps, Lambda.",
     "harmonic-dissipative": "Oscillator-type potential with linear dissipation (n=1). "

@@ -19,7 +19,7 @@ def no_kept_runs():
 
 @pytest.fixture
 def kepler():
-    return make_kepler(m=1.0, k_grav=1.0)
+    return make_kepler(m=1.0, eps=0.25)
 
 
 @pytest.fixture

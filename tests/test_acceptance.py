@@ -76,8 +76,8 @@ def inverse_square_system(m=1.0, c=0.7):
 
 
 def test_criterion_01_kepler_scaling_invariant_drift():
-    kepler = make_kepler(m=1.0, k_grav=1.0)
-    qk = kepler.meta["invariants"]["Q_K"].field
+    kepler = make_kepler(m=1.0, eps=0.25)
+    qk = kepler.invariants["Q_K"].field
     traj = integrate(kepler, ExtendedPoint([1, 0, 0], [0, 1.2, 0], 0.0, 0.0), 10.0, CFG10,
                      tracked={"Q_K": qk})
     assert traj.error_tag is None
@@ -87,7 +87,7 @@ def test_criterion_01_kepler_scaling_invariant_drift():
 
 
 def test_criterion_02_kepler_similarity_factor():
-    kepler = make_kepler(m=1.0, k_grav=1.0)
+    kepler = make_kepler(m=1.0, eps=0.25)
     Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 0.0), 3)
     rep = similarity_test(Y, contact_field(kepler),
                           sample_points(kepler, 100, seed=101),
@@ -101,16 +101,16 @@ def test_criterion_02_kepler_similarity_factor():
 
 def _round_trip_cases():
     """(name, system, invariant_field, extra_bindings) for criterion 3/4."""
-    kepler = make_kepler(m=1.0, k_grav=1.0)
+    kepler = make_kepler(m=1.0, eps=0.25)
     damped = make_harmonic_dissipative(1.0, 1.0, 0.2)
     td = make_td_kepler(1.0, 0.25, 1.0)
     a_eq, _ = glr_equilibrium(1.0, 0.2, 1.0)
     cases = [
-        ("Q_K", kepler, kepler.meta["invariants"]["Q_K"].field, {}),
+        ("Q_K", kepler, kepler.invariants["Q_K"].field, {}),
         ("F0", damped, f0_invariant(1), {}),
         ("F1", inverse_square_system(), None, {}),
         ("F2", kepler, case_invariant(kepler, GENERIC_F2, -1.0), {}),
-        ("TDKeplerInv", td, td.meta["invariants"]["F_TDK"].field, {}),
+        ("TDKeplerInv", td, td.invariants["F_TDK"].field, {}),
         ("F_GLR", damped, glr_invariant(), {"a": a_eq, "a_dot": 0.0, "a0": 1.0}),
         ("F_EM", damped, em_invariant_closed_form(damped, 1.0), {}),
     ]
@@ -215,7 +215,7 @@ def test_criterion_06_time_dependent_kepler():
     kepler = make_kepler(m=1.0, eps=0.25)
     for lam in (1.0 / 3.0, 1.0, 2.0):
         td = make_td_kepler(1.0, 0.25, lam)
-        inv = td.meta["invariants"]["F_TDK"].field
+        inv = td.invariants["F_TDK"].field
         traj = integrate(td, ExtendedPoint([2, 0, 0], [0, 2.0, 0], 0.0, 1.0), 5.0, CFG10,
                          tracked={"F": inv})
         assert traj.error_tag is None
@@ -234,7 +234,7 @@ def test_criterion_07_dissipative_oscillator_suite():
     g0 = 0.2
     system = make_harmonic_dissipative(1.0, 1.0, g0)
     aux = AuxiliaryState(use_a=True, use_b=True)
-    invs = [system.meta["invariants"][k] for k in ("F0", "F_GLR", "F_EM")]
+    invs = [system.invariants[k] for k in ("F0", "F_GLR", "F_EM")]
     traj = co_integrate(system, point(1.0, 0.5), aux, 20.0, CFG10, invs)
     assert traj.error_tag is None
     comp = np.exp(g0 * np.asarray(traj.times))
@@ -249,7 +249,7 @@ def test_criterion_07_dissipative_oscillator_suite():
     rho, rho_dot = lr_equilibrium(1.0, 1.0)
     aux0 = AuxiliaryState(use_rho=True, rho=rho, rho_dot=rho_dot, rho0=1.0)
     traj0 = co_integrate(free, point(1.0, 0.5), aux0, 20.0, CFG10,
-                         [free.meta["invariants"]["F_LR"]])
+                         [free.invariants["F_LR"]])
     assert traj0.error_tag is None
     assert max_relative_drift(traj0.tracked["F_LR"]) <= 1e-8
     report(7, "F0, F_GLR, F_EM decay at exactly rate g0 (1e-6); their ratios "
@@ -277,7 +277,7 @@ def test_criterion_08_lie_algebra_closure():
 
 
 def test_criterion_09_no_go_checks():
-    kepler = make_kepler(m=1.0, k_grav=1.0)
+    kepler = make_kepler(m=1.0, eps=0.25)
     z = number(0.0, 3)
     vertical = VectorFieldSpec((z,) * 3, (z,) * 3, kepler.h, z)
     pts = sample_points(kepler, 100, seed=109)

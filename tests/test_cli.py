@@ -474,6 +474,10 @@ class TestExitCodes:
         (lambda s: s.update(invariants=5), "'invariants' must be a list, got 5"),
         (lambda s: s["invariants"][0].update(expected="dissipatd"),
          "invariant 'mom' 'expected' must be 'conserved' or 'dissipated', got 'dissipatd'"),
+        (lambda s: s["invariants"][0].update(label="mom,entum"),
+         "invariant label 'mom,entum' names a CSV column and may hold no comma, double quote"),
+        (lambda s: s["invariants"][0].update(label="mom\n"),
+         "invariant label 'mom\\n' names a CSV column"),
         (lambda s: s["checks"][0].update(expect_symmetry="no"),
          "check 'expect_symmetry' must be true or false, got 'no'"),
         (lambda s: s["checks"][0].update(type="similarity", expect_verdict="Similarty"),
@@ -499,6 +503,7 @@ class TestExitCodes:
          "auxiliary 'a' must be a finite number"),
         (lambda s: s.update(auxiliary=[1]), "'auxiliary' must be a JSON object, got [1]"),
         (on_kepler({"m": 1.0, "esp": 0.3}), "builtin 'kepler' does not read params ['esp']"),
+        (on_kepler({"k_grav": 1.0}), "builtin 'kepler' does not read params ['k_grav']"),
         (on_kepler({"eps": "0.25"}), "system params 'eps' must be a finite number, got '0.25'"),
         (on_kepler({"m": float("nan")}), "system params 'm' must be a finite number, got nan"),
         (on_kepler({"m": True}), "system params 'm' must be a finite number, got True"),
@@ -521,11 +526,12 @@ class TestExitCodes:
             "list-integrator", "list-system-params", "unknown-invariant", "unknown-symmetry",
             "unknown-numerator", "unknown-denominator", "unknown-first", "unknown-second",
             "bad-against", "duplicate-symmetry", "fractional-dimension", "bool-dimension",
-            "number-invariants", "bad-expected", "string-expect_symmetry",
+            "number-invariants", "bad-expected", "comma-label", "newline-label",
+            "string-expect_symmetry",
             "misspelt-expect_verdict", "list-from_invariant", "list-builtin", "list-name",
             "dotdot-name", "dot-name", "parent-name", "nested-name", "absolute-name",
             "string-use_a", "bool-aux-value", "string-aux-value", "inf-aux-value",
-            "list-auxiliary", "unread-builtin-param", "string-builtin-param",
+            "list-auxiliary", "unread-builtin-param", "k_grav-param", "string-builtin-param",
             "nan-builtin-param", "bool-builtin-param", "string-system-param", "string-S",
             "null-t", "string-q", "bool-p", "string-rel_tol", "string-Yq-2d", "object-Yq"])
     def test_bad_check_number_is_config_error(self, tmp_path, capsys, monkeypatch, edit, message):
@@ -593,6 +599,34 @@ class TestExitCodes:
         assert code == 3
         assert f"auxiliary 'a' starts at {a!r}, outside its box (1e-06, 1000000.0)" \
             in capsys.readouterr().err
+
+    def test_a_tracked_label_naming_an_auxiliary_is_three(self, tmp_path, capsys):
+        # the co-integrated `a` would write its column over the tracked one's
+        scenario = json.loads((SCENARIOS / "dissipative-oscillator.json").read_text())
+        scenario["invariants"].append({"label": "a", "expression": "q0*p0 + 5"})
+        scenario["checks"].append({"type": "drift", "invariant": "a", "tol": 1.0})
+        _, code = cli.run(write_scenario(tmp_path, "osc", scenario), tmp_path / "out")
+        assert code == 3
+        assert "tracked label 'a' names a state column" in capsys.readouterr().err
+
+    # the contact scaling generator is a similarity of Kepler's contact field, Lambda = -3
+    @pytest.mark.parametrize("expect, passed", [
+        ({"expect_Lambda": 5.0}, False),
+        ({"expect_Lambda": 5.0, "expect_verdict": "Similarity"}, False),
+        ({"expect_Lambda": -3.0, "expect_verdict": "Similarity"}, True),
+        ({"expect_Lambda": -3.0, "expect_verdict": "Neither"}, False),
+        ({"expect_verdict": "Similarity"}, True),
+    ], ids=["Lambda-off", "Lambda-off-verdict-on", "both-on", "verdict-off", "verdict-on"])
+    def test_a_similarity_check_passes_only_when_every_expectation_holds(self, tmp_path, expect,
+                                                                           passed):
+        scenario = json.loads((SCENARIOS / "kepler-scaling.json").read_text())
+        check = next(c for c in scenario["checks"] if c["type"] == "similarity")
+        del check["expect_Lambda"]
+        scenario["checks"] = [{**check, **expect}]
+        report, code = cli.run(write_scenario(tmp_path, "ks", scenario), tmp_path / "out",
+                               quiet=True)
+        assert report["checks"][0]["verdict"] == "Similarity"
+        assert (code, report["checks"][0]["passed"]) == (0 if passed else 1, passed)
 
     def test_domain_violation_is_three(self, tmp_path):
         path = write_scenario(tmp_path, "plunge", self.PLUNGE)

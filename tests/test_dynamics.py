@@ -299,7 +299,7 @@ class TestFlowBuildsNoPoints:
         real = ExtendedPoint.__post_init__
         monkeypatch.setattr(ExtendedPoint, "__post_init__",
                             lambda self: built.append(self) or real(self))
-        tracked = [ti for ti in damped_oscillator.meta["invariants"].values()
+        tracked = [ti for ti in damped_oscillator.invariants.values()
                    if ti.label in ("F0", "F_GLR", "F_EM")]
         traj = co_integrate(damped_oscillator, start, AuxiliaryState(use_a=True, use_b=True),
                             5.0, IntegratorConfig(), tracked)
@@ -388,6 +388,19 @@ class TestAuxiliaryComponents:
 
         with pytest.raises(ValueError, match="no rate for auxiliary 'a'"):
             integrate(make_system("p0^2/2"), point(0.0, 1.0), 1.0, aux={"a": AuxComponent(1.0)})
+
+    @pytest.mark.parametrize("label", ["a", "q0", "S", "t"],
+                             ids=["aux-name", "coordinate", "S", "t"])
+    def test_a_tracked_label_naming_a_state_column_is_refused(self, label, monkeypatch):
+        # the CSV would write its column over the state's own, or beside it under one name
+        from contact_noether import dynamics
+        from contact_noether.dynamics import AuxComponent
+
+        monkeypatch.setattr(dynamics, "adaptive_rk45", lambda *args, **kwargs: pytest.fail("stepped"))
+        free = ContactSystem(n=1, h=parse("p0^2/2", 1), param_rates={"a": parse("-a", 1)})
+        with pytest.raises(ValueError, match=f"tracked label '{label}' names a state column"):
+            integrate(free, point(0.0, 1.0), 1.0, tracked={label: parse("q0*p0 + 5", 1)},
+                      aux={"a": AuxComponent(1.0)})
 
     @pytest.mark.parametrize("a", [2e6, -1.0, 1e-9, 0.0, 1e-6, 1e6, math.nan])
     def test_a_start_outside_the_box_is_refused_before_any_step(self, a, monkeypatch):
@@ -633,7 +646,7 @@ class TestCompiledOnce:
         return done()["bundles"], len(evals)
 
     def test_kepler_with_two_tracked_fields(self, kepler, monkeypatch):
-        tracked = {"h": kepler.h, "Q_K": kepler.meta["invariants"]["Q_K"].field}
+        tracked = {"h": kepler.h, "Q_K": kepler.invariants["Q_K"].field}
         start = point([1, 0, 0], [0, 1.2, 0])
         for columns in ({}, {"h": tracked["h"]}, tracked):
             counts = self.count(monkeypatch, lambda: integrate(
@@ -644,7 +657,7 @@ class TestCompiledOnce:
                                                                monkeypatch):
         from contact_noether.systems import AuxiliaryState, co_integrate
 
-        invariants = list(damped_oscillator.meta["invariants"].values())
+        invariants = list(damped_oscillator.invariants.values())
         tracked = [ti for ti in invariants if ti.label in ("F0", "F_GLR", "F_EM")]
         aux0 = AuxiliaryState(use_a=True, use_b=True)
         counts = self.count(monkeypatch, lambda: co_integrate(
@@ -670,7 +683,7 @@ def _kepler_flow(system, start, t_end, cfg=None):
 def _oscillator_flow(system, start, aux, t_end, cfg=None):
     from contact_noether.systems import co_integrate
 
-    tracked = [ti for ti in system.meta["invariants"].values() if ti.label in ("F0", "F_GLR")]
+    tracked = [ti for ti in system.invariants.values() if ti.label in ("F0", "F_GLR")]
     return co_integrate(system, start, aux, t_end, cfg or IntegratorConfig(), tracked)
 
 

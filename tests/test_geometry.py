@@ -204,7 +204,7 @@ def _oracle_cases():
     for entry in kep.symmetries.values():
         yield kep.system, entry["field"], sample_points(kep.system, 4, seed=61)
     td = systems.make_td_kepler(1.3, 0.2, 1.5)
-    F_tdk = td.meta["invariants"]["F_TDK"].field
+    F_tdk = td.invariants["F_TDK"].field
     for Y in (scaling_generator(ScalingAnsatz(1.25, 0.25, 1.5, 1.0), 3),
               symmetry_from_invariant(td, F_tdk, parse("t^2", 3))):
         yield td, Y, sample_points(td, 4, seed=62)

@@ -121,7 +121,7 @@ class TestInvariantFromSymmetry:
     def test_kepler_scaling_generator(self, kepler):
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         F = invariant_from_symmetry(kepler, Y)
-        QK = kepler.meta["invariants"]["Q_K"].field
+        QK = kepler.invariants["Q_K"].field
         at = point_bundle([F, QK], kepler.params)
         for pt in sample_points(kepler, 50, seed=4):
             f, qk = at(pt)
@@ -138,7 +138,7 @@ class TestInvariantFromSymmetry:
 
 class TestSymmetryFromInvariant:
     def test_round_trip(self, kepler):
-        QK = kepler.meta["invariants"]["Q_K"].field
+        QK = kepler.invariants["Q_K"].field
         pts = sample_points(kepler, 100, seed=8)
         for yt_src in ("0", "t", "3*t"):
             Y = symmetry_from_invariant(kepler, QK, parse(yt_src, 3))
@@ -148,7 +148,7 @@ class TestSymmetryFromInvariant:
                 assert abs(f - qk) <= 1e-12 * max(1.0, abs(qk))
 
     def test_kepler_scaling_generator_recovered(self, kepler):
-        QK = kepler.meta["invariants"]["Q_K"].field
+        QK = kepler.invariants["Q_K"].field
         Y = symmetry_from_invariant(kepler, QK, parse("3*t", 3))
         expected = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         at = point_bundle([*Y.components(), *expected.components()], kepler.params)
@@ -238,7 +238,7 @@ class TestSimilarityTest:
 
 class TestGaugeFreedom:
     def test_adding_gauge_term_preserves_invariant(self, kepler):
-        QK = kepler.meta["invariants"]["Q_K"].field
+        QK = kepler.invariants["Q_K"].field
         gauge = extended_field(kepler).scaled(parse("7*t", 3))
         for yt_src in ("0", "t", "3*t"):
             Y = symmetry_from_invariant(kepler, QK, parse(yt_src, 3))
@@ -255,7 +255,7 @@ class TestTheoremProperties:
     inclusion, exercised on constructed symmetries."""
 
     def _symmetries(self, kepler):
-        QK = kepler.meta["invariants"]["Q_K"].field
+        QK = kepler.invariants["Q_K"].field
         H = kepler.h
         yield symmetry_from_invariant(kepler, QK, parse("3*t", 3))
         yield symmetry_from_invariant(kepler, H, 0.0)  # h itself is dissipated (t-indep)
@@ -273,7 +273,7 @@ class TestTheoremProperties:
 
     def test_inverse_direction_with_lambda(self, kepler):
         pts = sample_points(kepler, 60, seed=32)
-        QK = kepler.meta["invariants"]["Q_K"].field
+        QK = kepler.invariants["Q_K"].field
         for yt_src in ("0", "t", "3*t", "t^2 - 1"):
             Yt = parse(yt_src, 3)
             Y = symmetry_from_invariant(kepler, QK, Yt)
@@ -388,7 +388,7 @@ class TestRatioInvariant:
 
 class TestClosure:
     def test_self_bracket(self, kepler):
-        QK = kepler.meta["invariants"]["Q_K"].field
+        QK = kepler.invariants["Q_K"].field
         Y = symmetry_from_invariant(kepler, QK, 0.0)
         rep = closure_check(kepler, Y, Y, sample_points(kepler, 20, seed=42))
         assert rep.passed
@@ -408,7 +408,7 @@ class TestClosure:
         assert rep.lambda_defect is not None and rep.lambda_defect <= 1e-8
 
     def test_gauge_partner_stays_in_algebra(self, kepler):
-        QK = kepler.meta["invariants"]["Q_K"].field
+        QK = kepler.invariants["Q_K"].field
         Y1 = symmetry_from_invariant(kepler, QK, 0.0)
         Y2 = extended_field(kepler).scaled(parse("2*t", 3))  # pure gauge
         rep = closure_check(kepler, Y1, Y2, sample_points(kepler, 40, seed=46), 1e-8)
@@ -488,7 +488,7 @@ class TestSeededDraws:
         return out
 
     SCREENED = {
-        "kepler": lambda: make_kepler(1.0, k_grav=1.0),
+        "kepler": lambda: make_kepler(1.0, eps=0.25),
         "td-kepler": lambda: make_td_kepler(1.0, 0.25, 1.5),
         # ln of a non-positive q0 in the guard, sqrt of p0 + 1 < 0 in h
         "raising": lambda: ContactSystem(n=1, h=parse("p0^2/2 + sqrt(p0 + 1)", 1),

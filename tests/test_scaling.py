@@ -12,6 +12,7 @@ from contact_noether.scaling import (
     KMINUS2_F1,
     TRIVIAL,
     ScalingAnsatz,
+    case3_invariant,
     case3_system,
     scaling_generator,
     solve_scaling_explained,
@@ -74,7 +75,7 @@ class TestGenerator:
         assert np.allclose(values(Y.components(), point([1, 1], [1, 1], 1, 1).env()), 0.0)
 
     def test_extended_kepler_scalings_pass_symmetry_test(self):
-        kepler = make_kepler(1.0, k_grav=1.0)
+        kepler = make_kepler(1.0, eps=0.25)
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         rep = symmetry_test(kepler, Y, sample_points(kepler, 100, seed=50), 1e-9)
         assert rep.passed
@@ -227,7 +228,7 @@ class TestNormalizationInvariance:
                 assert value(Fc, env) == pytest.approx(c * value(F1, env), rel=1e-13)
 
     def test_verdicts_survive_rescaling(self):
-        kepler = make_kepler(1.0, k_grav=1.0)
+        kepler = make_kepler(1.0, eps=0.25)
         pts = sample_points(kepler, 30, seed=56)
         for c in (1.0, 3.0, -2.0):
             Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0).scaled(c), 3)
@@ -240,7 +241,7 @@ class TestCase3System:
         # exponent (3*1 - 1)/2 = 1: the coupling scales linearly in t
         pt_a = point([1.0, 0.0, 0.0], [0, 0, 0], t=1.0)
         pt_b = point([1.0, 0.0, 0.0], [0, 0, 0], t=3.0)
-        h_at = point_bundle([system.h, system.meta["invariant"]], system.params)
+        h_at = point_bundle([system.h, case3_invariant(system, 1.0)], system.params)
         (va, _), (vb, _) = h_at(pt_a), h_at(pt_b)
         assert vb == pytest.approx(3.0 * va, rel=1e-14)
         probe = point([1, 0, 0], [0.4, 1, 0], S=0.2, t=2.0)
@@ -263,7 +264,7 @@ class TestCase3System:
     @pytest.mark.parametrize("k,lam", [(-1.0, 1.0), (-1.0, 2.0), (0.5, 1.3), (-2.0, 0.7)])
     def test_registered_invariant_is_dissipation_free(self, k, lam):
         system = case3_system(k=k, Lambda=lam, m=1.2, coupling=0.6)
-        residual = point_bundle([dissipation_field(system, system.meta["invariant"])],
+        residual = point_bundle([dissipation_field(system, case3_invariant(system, lam))],
                                 system.params)
         for pt in sample_points(system, 100, seed=60):
             assert abs(residual(pt)[0]) <= 1e-10

@@ -1,7 +1,9 @@
 """Every script under scripts/ answers -h and --help with its usage and starts
 no work: no scenario, no flow and no pytest run.  `symbolic_counts.py` prints
-the counts of `expr.work` that a workload adds."""
+the counts of `expr.work` that a workload adds.  README's quick tour runs."""
 
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,12 +42,16 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
 
 @pytest.mark.parametrize("workload, first, second", [
     ("bundled", (17, 1121, 2149, 1141, 4), (0, 0, 952, 0, 4)),
-    ("long-flow", (7, 102, 540, 216, 3), (0, 0, 384, 0, 3))], ids=["bundled", "long-flow"])
+    ("long-flow", (7, 102, 540, 216, 3), (0, 0, 384, 0, 3)),
+    ("symbolic-sweep", (6, 2274, 4140, 1657, 0), (6, 2274, 4140, 1657, 0))],
+    ids=["bundled", "long-flow", "symbolic-sweep"])
 def test_symbolic_counts_prints_the_tally(workload, first, second):
     # at seed 7, round 1 derives and compiles the files' work, which their runs
     # keep from then on, so round 2 derives and emits nothing and only looks
-    # nodes up (long-flow: the flows' fields too).  A fresh interpreter: nodes
-    # that earlier tests keep alive keep their derivatives, and would lower the counts
+    # nodes up (long-flow: the flows' fields too).  The sweep's systems are new in
+    # every round and keep nothing, so each round does the same work.  A fresh
+    # interpreter: nodes that earlier tests keep alive keep their derivatives,
+    # and would lower the counts
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
                            "--workload", workload, "--rounds", "2", "--seed", "7"],
                           capture_output=True, text=True, timeout=300)
@@ -53,3 +59,12 @@ def test_symbolic_counts_prints_the_tally(workload, first, second):
     rounds = [tuple(int(kv.split()[1]) for kv in line.split(": ")[1].split(", "))
               for line in done.stdout.splitlines()[:2]]
     assert rounds == [first, second]
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"^## Library quick tour\n+```python\n(.*?)^```", readme, re.M | re.S)
+    done = subprocess.run([sys.executable, "-c", tour.group(1)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == "GeneralizedNoether"

@@ -113,9 +113,6 @@ class TestKepler:
         with pytest.raises(UnboundParameter, match=r"\['c'\]"):
             ContactSystem(n=1, h=parse("p0", 1), guards=(parse("q0 - c", 1),))
 
-    def test_k_grav_convention(self):
-        assert make_kepler(1.0, k_grav=2.0).params["eps"] == 0.5
-
     def test_scaling_similarity(self, kepler):
         Y = scaling_generator(ScalingAnsatz(2.0, -1.0, 1.0, 3.0), 3)
         rep = similarity_test(Y, extended_field(kepler),
@@ -123,7 +120,7 @@ class TestKepler:
         assert np.allclose(rep.Lambda_at_samples, -3.0, atol=1e-9)
 
     def test_invariant_and_energy_conserved_along_flow(self, kepler):
-        qk = kepler.meta["invariants"]["Q_K"].field
+        qk = kepler.invariants["Q_K"].field
         traj = integrate(kepler, point([1, 0, 0], [0, 1.2, 0]), 10.0, CFG,
                          tracked={"Q_K": qk, "H": kepler.h})
         assert traj.error_tag is None
@@ -143,13 +140,13 @@ class TestTdKepler:
     def test_h_is_s_independent_so_invariant_is_conserved(self):
         td = make_td_kepler(1.0, 0.25, 1.0)
         assert "S" not in td.h.free_vars
-        inv = td.meta["invariants"]["F_TDK"]
+        inv = td.invariants["F_TDK"]
         assert inv.expected == systems.CONSERVED
 
     @pytest.mark.parametrize("lam", [1.0 / 3.0, 1.0, 2.0])
     def test_invariant_residual_and_flow(self, lam):
         td = make_td_kepler(1.0, 0.25, lam)
-        inv = td.meta["invariants"]["F_TDK"].field
+        inv = td.invariants["F_TDK"].field
         residual = point_bundle([dissipation_field(td, inv)], td.params)
         for pt in sample_points(td, 100, seed=66):
             assert abs(residual(pt)[0]) <= 1e-10
@@ -179,17 +176,17 @@ class TestHarmonicDissipative:
             assert residual(pt)[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_expected_behaviour_registry(self):
-        assert make_harmonic_dissipative(1.0, 1.0, 0.0).meta["invariants"]["F0"].expected \
+        assert make_harmonic_dissipative(1.0, 1.0, 0.0).invariants["F0"].expected \
             == systems.CONSERVED
-        assert make_harmonic_dissipative(1.0, 1.0, 0.1).meta["invariants"]["F0"].expected \
+        assert make_harmonic_dissipative(1.0, 1.0, 0.1).invariants["F0"].expected \
             == systems.DISSIPATED
 
     def test_lr_invariant_is_registered_without_damping_only(self):
         # F_LR solves the undamped equation: with g0 != 0 it is not dissipated
-        assert make_harmonic_dissipative(1.0, 1.0, 0.0).meta["invariants"]["F_LR"].expected \
+        assert make_harmonic_dissipative(1.0, 1.0, 0.0).invariants["F_LR"].expected \
             == systems.CONSERVED
         damped = make_harmonic_dissipative(1.0, 1.0, 0.2)
-        assert sorted(damped.meta["invariants"]) == ["F0", "F_EM", "F_GLR"]
+        assert sorted(damped.invariants) == ["F0", "F_EM", "F_GLR"]
         aux = {"rho": 1.1, "rho_dot": 0.3, "rho0": 1.0}
         bound = damped.with_params(aux)
         residual = point_bundle([dissipation_field(bound, lr_invariant())], bound.params)
@@ -282,8 +279,7 @@ class TestCoIntegrate:
         rho, rho_dot = lr_equilibrium(omega2, 1.0)
         aux = AuxiliaryState(use_rho=True, rho=rho, rho_dot=rho_dot, rho0=1.0)
         traj = co_integrate(system, point(1.0, 0.0), aux, 20.0, CFG,
-                            [system.meta["invariants"]["F_LR"],
-                             system.meta["invariants"]["F0"]])
+                            [system.invariants["F_LR"], system.invariants["F0"]])
         assert traj.error_tag is None
         assert np.max(np.abs(np.asarray(traj.tracked["rho"]) - rho)) <= 1e-9
         assert max_relative_drift(traj.tracked["F_LR"]) <= 1e-8
@@ -294,7 +290,7 @@ class TestCoIntegrate:
         system = make_harmonic_dissipative(1.0, omega**2, 0.0)
         aux = AuxiliaryState(use_b=True, b=1.0, b_dot=0.0)
         traj = co_integrate(system, point(0.3, 1.1), aux, 15.0, CFG,
-                            [system.meta["invariants"]["F_EM"]])
+                            [system.invariants["F_EM"]])
         assert traj.error_tag is None
         expected = np.cos(omega * np.asarray(traj.times))
         assert np.max(np.abs(np.asarray(traj.tracked["b"]) - expected)) <= 1e-8
@@ -317,7 +313,7 @@ class TestCoIntegrate:
     def test_dissipative_suite_compensated_constants(self, damped_oscillator):
         system = damped_oscillator
         aux = AuxiliaryState(use_a=True, use_b=True)
-        invs = [system.meta["invariants"][k] for k in ("F0", "F_GLR", "F_EM")]
+        invs = [system.invariants[k] for k in ("F0", "F_GLR", "F_EM")]
         traj = co_integrate(system, point(1.0, 0.5), aux, 20.0, CFG, invs)
         assert traj.error_tag is None
         comp = np.exp(0.2 * np.asarray(traj.times))
@@ -339,7 +335,7 @@ class TestCoIntegrate:
         aux = AuxiliaryState(use_rho=True, use_b=True)
         traj = co_integrate(system, point(0.1, 0.0), aux, 60.0,
                             IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10),
-                            [system.meta["invariants"]["F0"]])
+                            [system.invariants["F0"]])
         assert traj.error_tag == AUXILIARY_BLOWUP
         assert states(traj)[-1].t < 60.0
         assert all(len(v) == len(states(traj)) for v in traj.tracked.values())
@@ -354,7 +350,7 @@ class TestCoIntegrate:
 
     def test_csv_column_order_with_two_blocks(self, damped_oscillator):
         aux = AuxiliaryState(use_a=True, use_b=True)
-        invs = [damped_oscillator.meta["invariants"][k] for k in ("F_EM", "F0")]
+        invs = [damped_oscillator.invariants[k] for k in ("F_EM", "F0")]
         traj = co_integrate(damped_oscillator, point(1.0, 0.5), aux, 1.0, CFG, invs)
         buf = io.StringIO()
         traj.to_csv(buf)
@@ -428,7 +424,7 @@ class TestInvariantCatalog:
             f"0.6666666666666666*(q0*p0 + q1*p1 + q2*p2) - t*({h_k}) - 0.3333333333333333*S")
         assert f2_osc.source() == (
             f"1.3333333333333333*(q0*p0) - t*({h_o}) - 1.6666666666666667*S")
-        assert kepler.meta["invariants"]["Q_K"].field.source() == (
+        assert kepler.invariants["Q_K"].field.source() == (
             f"2.0*(q0*p0 + q1*p1 + q2*p2) - 3.0*t*({h_k}) - S")
         # each printed source parses back to the same (interned) tree
         for F in (f1[0], f2_osc, f2_kepler):
