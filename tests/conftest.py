@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,3 +67,16 @@ def case_invariant(system, tag, k):
     a potential of degree k, with the placeholder h replaced by `system.h`."""
     solutions, _ = solve_scaling_explained(k, "constant", "zero", n=system.n)
     return next(s for s in solutions if s.case_tag == tag).invariant_for(system)
+
+
+def certbench_workloads():
+    """certbench's scenario generators (`certbench/workloads.py`, only read),
+    loaded under a name of their own and taken out of `sys.modules` again."""
+    spec = importlib.util.spec_from_file_location(
+        "certbench_workloads", Path(__file__).resolve().parent.parent / "certbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads

@@ -2,7 +2,6 @@ import hashlib
 import importlib.util
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ from contact_noether.expr import DomainError, parse
 from contact_noether.geometry import ContactSystem, lie_bracket, nan_max, point_bundle
 from contact_noether.noether import (closure_check, dissipation_field, sample_points,
                                      similarity_test, symmetry_test)
-from conftest import tally
+from conftest import certbench_workloads, tally
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -76,9 +75,8 @@ class TestBundledScenarios:
     def test_kepler_scaling_closure_brackets_distinct_symmetries(self):
         # [Y, Y] = 0 identically, so a closure check of Y with itself cannot fail
         sc = cli.load_scenario(SCENARIOS / "kepler-scaling.json")
-        closure = next(c for c in sc.checks if c["type"] == "closure")
-        bracket = lie_bracket(sc.symmetries[closure["first"]]["field"],
-                              sc.symmetries[closure["second"]]["field"])
+        closure = next(c for c in sc.checks if c.type == "closure")
+        bracket = lie_bracket(*(sc.symmetries[label].field for label in closure.refs))
         at = point_bundle(bracket.components(), sc.system.params)
         assert max(max(map(abs, at(pt))) for pt in sample_points(sc.system, 10, sc.seed)) > 1e-2
 
@@ -124,21 +122,20 @@ def _alone(sc, c, tol, samples):
     """The values that the public function of pointwise check `c` gives alone
     at `samples`, in the order `_reported` lists a report entry's."""
     system = sc.system.with_params(sc.point_params)
-    if c["type"] == "residual":
-        residual = point_bundle([dissipation_field(system, sc.invariants[c["invariant"]].field)],
+    if c.type == "residual":
+        residual = point_bundle([dissipation_field(system, sc.invariants[c.refs[0]].field)],
                                 system.params)
         return [nan_max(abs(residual(pt)[0]) for pt in samples)]
-    if c["type"] == "closure":
-        s1, s2 = sc.symmetries[c["first"]], sc.symmetries[c["second"]]
-        rep = closure_check(system, s1["field"], s2["field"], samples, tol, s1.get("lambda"),
-                            s2.get("lambda"))
+    if c.type == "closure":
+        s1, s2 = (sc.symmetries[label] for label in c.refs)
+        rep = closure_check(system, s1.field, s2.field, samples, tol, s1.factor, s2.factor)
         return [rep.residual, *rep.lambda_at_samples, rep.lambda_defect]
-    Y = sc.symmetries[c["symmetry"]]["field"]
-    if c["type"] == "symmetry":
+    Y = sc.symmetries[c.refs[0]].field
+    if c.type == "symmetry":
         rep = symmetry_test(system, Y, samples, tol)
         return [rep.residual, *rep.lambda_at_samples]
-    X = (extended_field if c.get("against", "extended") == "extended" else contact_field)(system)
-    rep = similarity_test(Y, X, samples, tol, float(c.get("Lambda_tol", 1e-9)), system)
+    X = (extended_field if c.against == "extended" else contact_field)(system)
+    rep = similarity_test(Y, X, samples, tol, c.Lambda_tol, system)
     return [rep.residual, *rep.Lambda_at_samples]
 
 
@@ -153,15 +150,8 @@ def _hexes(values):
 
 
 def _sweep_cases():
-    """Round 0 of certbench's symbolic sweep at three seeds; its generator is
-    loaded under a name of its own, and taken out of `sys.modules` again."""
-    spec = importlib.util.spec_from_file_location(
-        "certbench_workloads", SCENARIOS.parent / "certbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
+    """Round 0 of certbench's symbolic sweep at three seeds."""
+    workloads = certbench_workloads()
     return [pytest.param(case, id=f"seed{seed}-{case.name}")
             for seed in (2, 5, 11) for case in workloads.symbolic_sweep_round(seed, 0)]
 
@@ -182,7 +172,7 @@ class TestOneBundlePerScenario:
                                 margin=sc.integrator.guard_margin)
         compared = 0
         for c, entry in zip(sc.checks, report["checks"]):
-            if c["type"] in cli.POINTWISE:
+            if cli.CHECKS[c.type].pointwise:
                 alone = _alone(sc, c, entry["tol"], samples)
                 assert _hexes(_reported(entry)) == _hexes(alone), (path.stem, c)
                 compared += 1
@@ -211,7 +201,7 @@ class TestOneBundlePerScenario:
         with pytest.raises(DomainError) as first:
             [residual(pt) for pt in samples]
         with pytest.raises(DomainError) as early:
-            symmetry_test(sc.system, sc.symmetries["Y"]["field"], samples[:1])
+            symmetry_test(sc.system, sc.symmetries["Y"].field, samples[:1])
         assert first.value.where != early.value.where
         report, code = cli.run(path, tmp_path / "out", quiet=True)
         assert (code, report["error"]) == (3, str(first.value))
@@ -236,8 +226,8 @@ class TestOneBundlePerScenario:
 def test_dissipation_compensation_is_computed_once_per_run(tmp_path, monkeypatch):
     # the bundled oscillator has three drift checks on dissipated quantities
     sc = cli.load_scenario(SCENARIOS / "dissipative-oscillator.json")
-    dissipated = [c for c in sc.checks if c["type"] == "drift"
-                  and sc.invariants[c["invariant"]].expected == "dissipated"]
+    dissipated = [c for c in sc.checks if c.type == "drift"
+                  and sc.invariants[c.refs[0]].expected == "dissipated"]
     assert len(dissipated) == 3
     calls = []
     real = cli.dissipation_compensation
@@ -446,10 +436,10 @@ class TestExitCodes:
          "check 'expect_Lambda' must be a finite number"),
         (lambda s: s.update(point_params={"a": "1.0"}), "point_params 'a' must be a finite number"),
         (lambda s: s["symmetries"].append({"label": "Z", "ansatz": {"alpha": "2"}}),
-         "Z.ansatz.alpha must be a finite number"),
+         "symmetry 'Z' ansatz 'alpha' must be a finite number"),
         (lambda s: s.update(point_params=[1, 2]), "'point_params' must be a JSON object"),
         (lambda s: s["symmetries"].append({"label": "Z", "ansatz": [1, 2]}),
-         "Z.ansatz must be a JSON object"),
+         "symmetry 'Z' 'ansatz' must be a JSON object"),
         (lambda s: s.update(integrator=[1, 2]), "'integrator' must be a JSON object"),
         (lambda s: s["system"].update(params=[1, 2]), "system 'params' must be a JSON object"),
         (lambda s: s["checks"].append({"type": "drift", "invariant": "momentum"}),
@@ -481,10 +471,10 @@ class TestExitCodes:
         (lambda s: s["checks"][0].update(expect_symmetry="no"),
          "check 'expect_symmetry' must be true or false, got 'no'"),
         (lambda s: s["checks"][0].update(type="similarity", expect_verdict="Similarty"),
-         "check 'expect_verdict' must be one of ('Similarity', 'DynamicalSymmetry', 'Neither'), "
+         "check 'expect_verdict' must be 'Similarity', 'DynamicalSymmetry' or 'Neither', "
          "got 'Similarty'"),
         (lambda s: s["symmetries"].append({"label": "Z", "from_invariant": ["mom"]}),
-         "symmetry 'Z' references unknown invariant ['mom']"),
+         "symmetry 'Z' 'from_invariant' references unknown invariant ['mom']"),
         (lambda s: s["invariants"].append({"label": "Q", "builtin": ["Q_K"]}),
          "unknown builtin invariant ['Q_K']"),
         (lambda s: s.update(name=["fp"]), "'name' must be a string, got ['fp']"),
@@ -511,16 +501,16 @@ class TestExitCodes:
          "system params 'c' must be a finite number, got '0.5'"),
         (lambda s: s["initial"].update(S="0.5"), "initial 'S' must be a finite number, got '0.5'"),
         (lambda s: s["initial"].update(t=None), "initial 't' must be a finite number, got None"),
-        (lambda s: s["initial"].update(q=["1.0"]), "initial q[0] must be a finite number, got '1.0'"),
-        (lambda s: s["initial"].update(p=[True]), "initial p[0] must be a finite number, got True"),
+        (lambda s: s["initial"].update(q=["1.0"]), "initial 'q'[0] must be a finite number, got '1.0'"),
+        (lambda s: s["initial"].update(p=[True]), "initial 'p'[0] must be a finite number, got True"),
         (lambda s: s["integrator"].update(rel_tol="1e-10"),
          "integrator 'rel_tol' must be a finite number, got '1e-10'"),
         (lambda s: s.update(system={"expression": "(p0^2 + p1^2)/2", "dimension": 2},
                             initial={"q": [0.0, 0.0], "p": [2.0, 0.0]})
          or s["symmetries"][0].update(Yq="q0", Yp=["0", "0"]),
-         "squeeze.Yq must be a list, got 'q0'"),
+         "symmetry 'squeeze' 'Yq' must be a list, got 'q0'"),
         (lambda s: s["symmetries"][0].update(Yq={"q0": 1}),
-         "squeeze.Yq must be a list, got {'q0': 1}"),
+         "symmetry 'squeeze' 'Yq' must be a list, got {'q0': 1}"),
     ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
             "string-point_param", "string-exponent", "list-point_params", "list-ansatz",
             "list-integrator", "list-system-params", "unknown-invariant", "unknown-symmetry",

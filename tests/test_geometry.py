@@ -202,7 +202,7 @@ def _oracle_cases():
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     kep = cli.load_scenario(scenarios / "kepler-scaling.json")
     for entry in kep.symmetries.values():
-        yield kep.system, entry["field"], sample_points(kep.system, 4, seed=61)
+        yield kep.system, entry.field, sample_points(kep.system, 4, seed=61)
     td = systems.make_td_kepler(1.3, 0.2, 1.5)
     F_tdk = td.invariants["F_TDK"].field
     for Y in (scaling_generator(ScalingAnsatz(1.25, 0.25, 1.5, 1.0), 3),
