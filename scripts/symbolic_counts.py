@@ -14,13 +14,15 @@ what the round added to the package's tally `expr.work`:
 - `nodes`: node constructions, whether a node is made or found live;
 - `emitted`: statements written into the generated bundles;
 
-and `kept`, the runs whose work `expr.derivatives_kept` holds after the
-round.
+and `kept`, the distinct runs whose work `expr.derivatives_kept` holds
+after the round (one run may sit under two keys, its file's and its system's).
 
-A run's work is kept from its scenario's second sighting on, so a workload
-whose files recur (bundled, long-flow) counts 0 bundles, derive and emitted
-from round 2; one whose files are new every round (symbolic-sweep) keeps
-nothing.  Then it prints the means of the first four counts over the counted
+A run's work is kept from the second sighting of its file or of its system
+on.  So a workload whose files recur (bundled, long-flow) counts 0 bundles,
+derive and emitted from round 2, and loads no file again; symbolic-sweep,
+whose files are new every round, keeps the last run of its Kepler system,
+which every round shares, and derives only what a new parameter choice
+adds.  Then it prints the means of the first four counts over the counted
 rounds.  The counts do not depend on timing, so a run repeats them exactly;
 two checkouts that keep the same tally can be compared by copying this
 script into each.
@@ -59,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
             counts = {c: expr.work[c] - before[c] for c in COUNTS}
             if k:
                 rows.append(counts)
-                kept = sum(v is not None for v in expr._RUNS.values())
+                kept = len({id(run) for run in expr._RUNS.values() if run is not None})
                 print(f"round {k}: " + ", ".join(f"{c} {counts[c]}" for c in COUNTS)
                       + f", kept {kept}")
     print(f"{args.workload} seed {args.seed}, mean over rounds 1-{args.rounds}: "

@@ -237,11 +237,16 @@ class Scenario:
     point_params: dict[str, float]
 
 
-def _parse_field(source: str, n: int, where: str) -> ScalarField:
+def _parse_field(source: str, n: int, where: str, names: set[str] | None = None) -> ScalarField:
+    """The field of `source`; if `names` is given, it may read no parameter outside them."""
     try:
-        return parse(source, n)
+        field = parse(source, n)
     except ExprError as e:
         raise ConfigError(f"{where}: {e}") from e
+    unbound = sorted(field.free_params - names) if names is not None else ()
+    _require(not unbound, f"{where} reads {unbound}, bound by no coordinate, system param, "
+                          "point_params key or auxiliary name")
+    return field
 
 
 def _read(path: Path) -> bytes:
@@ -286,6 +291,10 @@ def _scenario(raw: Any, stem: str) -> Scenario:
                                         f"got {f.t_end!r}")
     _require(f.auxiliary is None or systems.rates_aux_odes(system), "'auxiliary' needs a system "
              f"with auxiliary equations, got {system.label!r}")
+    point_params = {k: FINITE(v, f"point_params {k!r}") for k, v in f.point_params.items()}
+    names = {*system.params, *point_params}  # the names a field may read besides coordinates
+    if systems.rates_aux_odes(system):  # co-integration binds the auxiliaries
+        names |= {*system.param_rates, *AuxiliaryState().constants()}
 
     invariants: dict[str, TrackedInvariant] = {}
     for spec in f.invariants:
@@ -295,7 +304,7 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         _require(not set(g.label) & set(',"\r\n'), f"invariant label {g.label!r} names "
                  "a CSV column and may hold no comma, double quote, CR or LF")
         base = system.invariants.get(g.builtin) or TrackedInvariant(
-            g.label, _parse_field(g.expression, n, where))
+            g.label, _parse_field(g.expression, n, where, names))
         invariants[g.label] = TrackedInvariant(g.label, base.field, g.expected or base.expected)
 
     symmetries: dict[str, Symmetry] = {}
@@ -306,22 +315,21 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         if g.ansatz is not None:
             symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n))
         elif g.from_invariant is not None:
-            F, Yt = invariants[g.from_invariant].field, _parse_field(g.Yt, n, f"{where} Yt")
+            F, Yt = invariants[g.from_invariant].field, _parse_field(g.Yt, n, f"{where} Yt", names)
             symmetries[g.label] = Symmetry(symmetry_from_invariant(system, F, Yt),
                                            noether_lambda(system, F, Yt))
         else:
-            Yq = tuple(_parse_field(s, n, f"{where} Yq[{i}]") for i, s in enumerate(g.Yq))
-            Yp = tuple(_parse_field(s, n, f"{where} Yp[{i}]") for i, s in enumerate(g.Yp))
+            Yq = tuple(_parse_field(s, n, f"{where} Yq[{i}]", names) for i, s in enumerate(g.Yq))
+            Yp = tuple(_parse_field(s, n, f"{where} Yp[{i}]", names) for i, s in enumerate(g.Yp))
             _require(len(Yq) == n and len(Yp) == n, f"{where} needs {n} Yq/Yp components")
-            symmetries[g.label] = Symmetry(VectorFieldSpec(
-                Yq, Yp, _parse_field(g.YS, n, f"{where} YS"), _parse_field(g.Yt, n, f"{where} Yt")))
+            YS, Yt = (_parse_field(getattr(g, k), n, f"{where} {k}", names) for k in ("YS", "Yt"))
+            symmetries[g.label] = Symmetry(VectorFieldSpec(Yq, Yp, YS, Yt))
 
     checks = []
     for spec in f.checks:
         ctype = _choice(*CHECKS)(OBJECT(spec, "check").get(TYPE), "check 'type'")
         checks.append(_fields(spec, CHECKS[ctype], f"{ctype} check",
                               {"invariant": invariants, "symmetry": symmetries}))
-    point_params = {k: FINITE(v, f"point_params {k!r}") for k, v in f.point_params.items()}
     return Scenario(name, system, f.initial, f.t_end, f.integrator, f.seed, f.sample_count,
                     invariants, symmetries, tuple(checks), f.auxiliary, point_params)
 
@@ -469,14 +477,17 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
         seed: int | None = None, tol_override: float | None = None,
         quiet: bool = False, checks: bool = True) -> tuple[dict, int]:
     """Load, execute and persist one scenario; returns (report, exit_code).
-    The checks find the derivatives that loading took, and the file's bytes,
-    read once, key the run's symbolic work, so a scenario that recurs reuses
-    it (`derivatives_kept`)."""
+    The checks find the derivatives that loading took.  The run's symbolic
+    work is kept under two keys (`derivatives_kept`): the file's bytes, read
+    once, with its stem, the default name, under which the parsed scenario is
+    kept too, so a file that recurs is not loaded again; and the source of the
+    system's h, so another file on a system that recurs reuses its work."""
     path = Path(scenario_path)
     try:
         data = _read(path)
-        with derivatives_kept(data):
-            sc = _load(path, data)
+        with derivatives_kept((data, path.stem)) as kept:
+            sc = kept.record = kept.record or _load(path, data)
+            kept.keys.append(sc.system.h.source())
             if seed is not None:
                 sc = replace(sc, seed=SEED(seed, "--seed"))
             if tol_override is not None:

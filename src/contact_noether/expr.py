@@ -27,7 +27,10 @@ does not read a name takes its derivative by it from one signed zero, kept on
 the node, so a name-free subtree is walked once in its lifetime; within
 `derivatives_kept` (one scenario's run) one list holds every derivative and
 bundle, so a later check finds an earlier one's through the nodes' weak `_d`
-and the weak table of bundles; a run that recurs keeps its list for the next.
+and the weak table of bundles.  A run is kept for the next under each of its
+keys that recurs (cli: its file's and its system's), so a new parameter choice
+of a known system finds that system's derivatives; the keys decide only how
+long work lives, never what is computed.
 A bundle of fields compiles to one statement per distinct node, bit-identical
 to eval_node.
 """
@@ -40,7 +43,7 @@ import re
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -98,8 +101,10 @@ _LIVE = _INTERN.data  # key -> weak reference, read directly; entries are set th
 _Names = tuple[frozenset[str], frozenset[str]]  # (Var names, Param names)
 _NO_NAMES: _Names = (frozenset(), frozenset())
 _KEPT: "ContextVar[list[object] | None]" = ContextVar("_KEPT", default=None)  # see derivatives_kept
-_RUNS: "dict[object, list[object] | None]" = {}  # the last _RECENT keys, oldest first
-_RECENT = 8
+# the last _RECENT keys that `derivatives_kept` blocks exited with, oldest first: a key
+# seen once maps to None, so work seen once is released; one run may sit under two keys
+_RUNS: "dict[object, KeptRun | None]" = {}
+_RECENT = 16
 # the symbolic work done since import, by kind; never reset, so readers take differences
 work = dict.fromkeys(("nodes", "derive", "bundles", "emitted", "compiles"), 0)
 
@@ -858,23 +863,38 @@ def partial(field: ScalarField, name: str) -> ScalarField:
     return ScalarField(root, field.n)
 
 
+@dataclass(eq=False)
+class KeptRun:
+    """One `derivatives_kept` block: `work` holds its symbolic work, `record` what
+    the block keeps besides (the parsed input), and `keys` the keys it is kept under."""
+
+    keys: list[object]
+    record: object = None
+    work: list[object] = dc_field(default_factory=list)
+
+
 @contextmanager
-def derivatives_kept(key: object) -> Iterator[None]:
-    """Within the block, one list holds the root of each `partial` call and its
-    derivatives, so that the nodes' weak `_d` find them, and every bundle that
-    `compile_bundle` returns.  On exit the list is kept under `key` if `key` is
-    among the last `_RECENT` keys that blocks exited with, replacing its earlier
-    list; otherwise only the key is recorded, so work seen once is released.
-    The key decides only how long the work lives, never what is computed."""
-    kept: list[object] = []
-    token = _KEPT.set(kept)
+def derivatives_kept(key: object) -> Iterator[KeptRun]:
+    """Within the block, one list (`work` of the run yielded) holds the root of
+    each `partial` call and its derivatives, so that the nodes' weak `_d` find
+    them, and every bundle that `compile_bundle` returns.  The block may add
+    keys to the run's `keys` (say, one read from its input once parsed), and
+    finds in `record` the record of the run kept under `key`, which it may
+    set.  On exit, under each key that is among the last `_RECENT` keys that
+    blocks exited with, the run replaces the earlier one; a key seen for the
+    first time is only recorded, so work seen once is released.  The keys
+    decide only how long the work lives, never what is computed."""
+    prior = _RUNS.get(key)
+    run = KeptRun([key], None if prior is None else prior.record)
+    token = _KEPT.set(run.work)
     try:
-        yield
+        yield run
     finally:
         _KEPT.reset(token)
-        recurs = key in _RUNS
-        _RUNS.pop(key, None)  # to be re-entered as the most recent
-        _RUNS[key] = kept if recurs else None
+        for k in dict.fromkeys(run.keys):
+            recurs = k in _RUNS
+            _RUNS.pop(k, None)  # to be re-entered as the most recent
+            _RUNS[k] = run if recurs else None
         while len(_RUNS) > _RECENT:  # no lock: a race could only misjudge a lifetime
             _RUNS.pop(next(iter(_RUNS)), None)
 

@@ -14,8 +14,9 @@ from contact_noether.systems import make_harmonic_dissipative, make_kepler
 
 @pytest.fixture(autouse=True)
 def no_kept_runs():
-    """Each test starts and ends with no run's work kept (`expr.derivatives_kept`),
-    so counts of derivatives and compiles do not depend on the tests before it."""
+    """Each test starts and ends with no run kept (`expr.derivatives_kept`): no
+    symbolic work and no parsed scenario, under a file's key or a system's, so
+    counts of derivatives, compiles and loads do not depend on the tests before it."""
     expr._RUNS.clear()
     yield
     expr._RUNS.clear()

@@ -23,8 +23,9 @@ from contact_noether.expr import (
     partial,
     substitute,
 )
+from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.geometry import point_bundle
-from conftest import point, tally, value
+from conftest import certbench_workloads, point, tally, value
 from randfields import PARAM_NAMES, central_fd, derivative_pair, random_env, random_field
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -734,11 +735,34 @@ def _spaced(tmp_path, k: int) -> Path:
     return path
 
 
+def _oscillator(tmp_path, k: int) -> Path:
+    """An oscillator whose stiffness literal, 1 + k/8, is its own: a system that
+    no other k shares.  It flows, and runs a check of every pointwise type."""
+    energy = f"p0^2/2 + {1.0 + k / 8!r}*q0^2/2"
+    path = tmp_path / f"oscillator-{k}.json"
+    path.write_text(json.dumps({
+        "system": {"expression": energy, "dimension": 1},
+        "initial": {"q": [1.0], "p": [0.0]}, "t_end": 5.0,
+        "integrator": {"rel_tol": 1e-10, "abs_tol": 1e-12}, "sample_count": 20,
+        "invariants": [{"label": "E", "expression": energy}],
+        "symmetries": [
+            {"label": "scaling", "ansatz": {"alpha": 1.0, "beta": 1.0, "gamma": 2.0}},
+            {"label": "noether-of-E", "from_invariant": "E", "Yt": "t + 0.05*t^2"}],
+        "checks": [
+            {"type": "drift", "invariant": "E", "tol": 1e-8},
+            {"type": "residual", "invariant": "E"},
+            {"type": "symmetry", "symmetry": "noether-of-E"},
+            {"type": "similarity", "symmetry": "scaling", "expect_verdict": "DynamicalSymmetry"},
+            {"type": "closure", "first": "scaling", "second": "noether-of-E"}]}))
+    return path
+
+
 class TestRunScopedDerivatives:
     """While one scenario runs, one list holds every derivative that `partial`
     builds and every bundle compiled, so a later check finds an earlier one's
-    through the nodes' weak `_d`; the list goes when the run returns, unless
-    the scenario's bytes are among the last 8 that ran."""
+    through the nodes' weak `_d`.  The list goes when the run returns, unless
+    the file (its bytes and stem) or the system (its h) is among the last 16
+    keys and was seen before; the file's key keeps the parsed scenario too."""
 
     def test_a_run_derives_each_node_by_each_name_once(self, tmp_path, monkeypatch):
         names: "weakref.WeakKeyDictionary[expr._Node, set]" = weakref.WeakKeyDictionary()
@@ -781,10 +805,10 @@ class TestRunScopedDerivatives:
     def test_a_run_leaves_the_table_as_it_was(self, tmp_path, monkeypatch):
         # the first run may leave the absent-name zero, a number, on nodes that
         # outlive it; with the collector off, only reference counts can free the
-        # second run's nodes, so neither the list nor a cycle holds one, and
-        # bytes that have not run before keep nothing
-        cli.run(SCENARIOS / "kepler-scaling.json", tmp_path, quiet=True)
-        path = _spaced(tmp_path, 1)
+        # second run's nodes, so neither the list nor a cycle holds one, and a
+        # file and a system that have not run before keep nothing
+        cli.run(_oscillator(tmp_path, 0), tmp_path, quiet=True)
+        path = _oscillator(tmp_path, 1)
         sizes = []
         real = cli._write_report
         monkeypatch.setattr(cli, "_write_report",
@@ -814,8 +838,10 @@ class TestRunScopedDerivatives:
         assert outputs[2] == outputs[1] == outputs[0]
 
     def test_scenarios_seen_once_keep_nothing(self, tmp_path):
-        cli.run(_spaced(tmp_path, 0), tmp_path, quiet=True)
-        paths = [_spaced(tmp_path, k) for k in range(1, 21)]
+        # each run records two keys, its file's and its system's, so the 20 runs'
+        # 40 keys fill the window of 16 and none of them holds a run
+        cli.run(_oscillator(tmp_path, 0), tmp_path, quiet=True)
+        paths = [_oscillator(tmp_path, k) for k in range(1, 21)]
         gc.collect()
         baseline = len(expr._INTERN)
         gc.disable()
@@ -825,10 +851,13 @@ class TestRunScopedDerivatives:
             assert len(expr._INTERN) == baseline
         finally:
             gc.enable()
-        assert len(expr._RUNS) == 8 and all(kept is None for kept in expr._RUNS.values())
+        assert len(expr._RUNS) == 16 and all(kept is None for kept in expr._RUNS.values())
 
     def test_a_recurring_scenario_is_released_after_eight_others(self, tmp_path):
-        paths = [_spaced(tmp_path, k) for k in range(10)]
+        # the recurring run sits under its file's key and its system's; seven
+        # other runs add 14 keys, so both are among the last 16, and the eighth
+        # pushes both out
+        paths = [_oscillator(tmp_path, k) for k in range(10)]
         cli.run(paths[9], tmp_path, quiet=True)
         gc.collect()
         baseline = len(expr._INTERN)
@@ -841,6 +870,66 @@ class TestRunScopedDerivatives:
             assert held > baseline and len(expr._INTERN) == baseline
         finally:
             gc.enable()
+
+    def test_a_new_parameter_choice_of_a_known_system_derives_nothing_again(
+            self, tmp_path, monkeypatch):
+        # three sweep Kepler files, distinct in m, eps, the gauge and wrong-sigma:
+        # the first makes the system known, so the second's work is kept under the
+        # system's key, and the third takes none of its (node, name) pairs again
+        # for h, X_h^t, X_h or the fixed scaling field
+        files = [certbench_workloads().symbolic_sweep_round(7, k)[0].write(tmp_path)
+                 for k in range(3)]
+        sc = cli.load_scenario(files[2])
+        fields = [sc.system.h, *(c for Y in (extended_field(sc.system), contact_field(sc.system),
+                                             sc.symmetries["scaling"].field)
+                                 for c in (*Y.Yq, *Y.Yp, Y.YS, Y.Yt))]
+        shared = {expr.to_source(node) for f in fields for node in _distinct(f.ast)}
+        del sc, fields
+        cli.run(files[0], tmp_path, quiet=True)
+        pairs, calls, real = [], [], expr._derive
+        monkeypatch.setattr(expr, "_derive", lambda node, name, d: calls.append((node, name))
+                            or real(node, name, d))
+        for path in files[1:]:
+            assert cli.run(path, tmp_path, quiet=True)[1] == 0
+            pairs.append({(expr.to_source(node), name) for node, name in calls
+                          if expr.to_source(node) in shared})
+            calls.clear()
+        assert len(pairs[0]) > 100
+        assert pairs[1] & pairs[0] == set()
+
+    def test_a_file_keeps_its_work_while_another_on_its_system_runs(self, tmp_path, monkeypatch):
+        # A B A B A, with B the same scenario under other bytes: the system's key
+        # holds B's first run for A's second, so from then on nothing is derived
+        # or compiled, and the file's key holds A's own work and scenario for its
+        # third, which B's runs under the system's key do not push out
+        a, b = SCENARIOS / "kepler-scaling.json", _spaced(tmp_path, 1)
+        loads, real = [], cli._load
+        monkeypatch.setattr(cli, "_load", lambda p, data: loads.append(p) or real(p, data))
+        counts = []
+        for path in (a, b, a, b, a):
+            done = tally()
+            assert cli.run(path, tmp_path, quiet=True)[1] == 0
+            counts.append(done())
+        assert counts[0]["derive"] > 1000 and counts[1]["derive"] > 1000
+        assert [[c[k] for k in ("derive", "bundles", "emitted", "compiles")]
+                for c in counts[2:]] == [[0] * 4] * 3
+        assert loads == [a, b, a, b]
+
+    def test_a_recurring_file_is_loaded_once_for_its_later_runs(self, tmp_path, monkeypatch):
+        # the scenario loaded for the second run serves the third on; --seed and
+        # --tol-override apply to a copy of it, so the next plain run reads as the first
+        path = SCENARIOS / "kepler-scaling.json"
+        loads, real = [], cli._load
+        monkeypatch.setattr(cli, "_load", lambda p, data: loads.append(p) or real(p, data))
+        reports, loaded = [], []
+        for k, options in enumerate(({}, {}, {}, {"seed": 5}, {"tol_override": 1e-3}, {})):
+            assert cli.run(path, tmp_path / str(k), quiet=True, **options)[1] == 0
+            reports.append((tmp_path / str(k) / "kepler-scaling" / "report.json").read_bytes())
+            loaded.append(len(loads))
+        assert loaded == [1, 2, 2, 2, 2, 2]
+        seed, tols = (json.loads(reports[k]) for k in (3, 4))
+        assert seed["seed"] == 5 and {c["tol"] for c in tols["checks"]} == {1e-3}
+        assert reports[5] == reports[2] == reports[0]
 
     def test_a_recurring_domain_error_reads_the_same_every_run(self, tmp_path, capsys):
         path = tmp_path / "sqrt.json"

@@ -124,6 +124,17 @@ REFUSED = {
         "closure check needs 'second'"),
     "null-integrator": (
         lambda s: s.update(integrator=None), "'integrator' must be a JSON object, got None"),
+    "unbound-name-in-invariant": (
+        lambda s: s["invariants"].append({"label": "Z", "expression": "q0*zeta"}),
+        "invariant 'Z' reads ['zeta'], bound by no coordinate, system param, point_params key "
+        "or auxiliary name"),
+    "unbound-names-in-gauge": (
+        lambda s: _symmetry(s, "noether-of-QK-gauged").update(Yt="c*t + b*t^2"),
+        "symmetry 'noether-of-QK-gauged' Yt reads ['b', 'c'], bound by no coordinate"),
+    "auxiliary-name-on-kepler": (
+        lambda s: s["symmetries"].append({"label": "Z", "Yq": ["q0", "q1", "q2"],
+                                          "Yp": ["p0", "p1", "p2"], "YS": "rho*S", "Yt": "0"}),
+        "symmetry 'Z' YS reads ['rho'], bound by no coordinate"),
 }
 
 
@@ -159,6 +170,24 @@ class TestRefusals:
         _check(spec, "drift")["expect_verdict"] = "Similarity"
         report, code = _run(tmp_path, spec)
         assert code == 2 and "drift check has unknown key 'expect_verdict'" in report["error"]
+
+
+    def test_a_name_that_a_source_binds_loads(self, tmp_path):
+        # a point_params key, read by a pointwise check (a flow does not bind it); an
+        # auxiliary name on the oscillator, tracked while `use_b` is on (with it off the
+        # flow leaves `b` unbound: exit 3, at run time)
+        spec = _scenario("kepler-scaling")
+        spec["invariants"].append({"label": "Z", "expression": "q0*zeta"})
+        spec["checks"] = [{"type": "residual", "invariant": "Z"}]
+        spec["point_params"] = {"zeta": 0.0}
+        assert _run(tmp_path, spec)[1] == 0
+        spec = _scenario("dissipative-oscillator")
+        spec["invariants"].append({"label": "Z", "expression": "b*p0 - m*b_dot*q0"})
+        spec["checks"].append({"type": "ratio", "numerator": "Z", "denominator": "F_EM"})
+        assert _run(tmp_path, spec)[1] == 0
+        spec["auxiliary"]["use_b"] = False
+        report, code = _run(tmp_path, spec)
+        assert code == 3 and "unbound" in report["error"]
 
 
 class TestRecords:
@@ -230,7 +259,8 @@ def test_readme_names_exactly_the_tables_keys():
 
 
 # ---------------------------------------------------------------------------
-# the fuzzer: one or two edits of a bundled scenario, run twice
+# the fuzzer: one or two edits of a bundled scenario, run three times, so that the
+# third run is of the scenario and the work that the second kept (`cli.run`)
 
 
 def _small(spec):
@@ -301,7 +331,7 @@ def test_fuzzed_scenarios_exit_cleanly_and_repeat(mutant):
         path = tmp / f"{name}.json"
         path.write_bytes(data)
         outcomes = []
-        for k in range(2):
+        for k in range(3):
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 report, code = cli.run(path, tmp / f"out{k}")
@@ -316,4 +346,4 @@ def test_fuzzed_scenarios_exit_cleanly_and_repeat(mutant):
                 assert files == []
                 written = report["error"].encode()
             outcomes.append((code, files, written))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
