@@ -15,23 +15,24 @@ Grammar::
     power  := atom ("^" unary)?
     atom   := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
 
+Two tables are the one definition of the operations: a row of `_BINARY`
+gives one of ``+ - * /`` its symbol, precedence, float value, guard, smart
+constructor and derivative, and a row of `_INTRINSICS` gives one intrinsic
+its math function, domain message and derivative.  Parsing, printing,
+evaluation, code generation, `partial`, `substitute` and ScalarField's
+operators read them; ``-``, ``^``, calls and leaves are written out.
 ``^`` with a non-integer exponent is defined only for positive base;
 integer exponents are detected syntactically (a literal exponent with
-integral value) and are valid for any base.  The only simplification
-performed is eager constant folding (including 0/1 identity elimination,
-which keeps repeated derivatives small); no canonicalisation beyond that.
+integral value) and are valid for any base.  The only simplification is
+eager constant folding (including 0/1 identity elimination, which keeps
+repeated derivatives small).
 
 Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.
-Derivatives and free names are computed once per distinct node.  A node that
-does not read a name takes its derivative by it from one signed zero, kept on
-the node, so a name-free subtree is walked once in its lifetime; within
-`derivatives_kept` (one scenario's run) one list holds every derivative and
-bundle, so a later check finds an earlier one's through the nodes' weak `_d`
-and the weak table of bundles.  A run is kept for the next under each of its
-keys that recurs (cli: its file's and its system's), so a new parameter choice
-of a known system finds that system's derivatives; the keys decide only how
-long work lives, never what is computed.
-A bundle of fields compiles to one statement per distinct node, bit-identical
+Derivatives and free names are computed once per distinct node, and a node
+that does not read a name takes its derivative by it from one signed zero,
+kept on the node.  `derivatives_kept` keeps one run's derivatives and bundles,
+and a run under a recurring key (cli: a file's, a system's) for the next.  A
+bundle of fields compiles to one statement per distinct node, bit-identical
 to eval_node.
 """
 
@@ -39,16 +40,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
 from functools import cache, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-
-INTRINSICS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # one token of `parse`: a number, a name, one other character, or the empty end
@@ -248,16 +248,10 @@ def sub_(a: Node, b: Node) -> Node:
 def mul_(a: Node, b: Node) -> Node:
     if isinstance(a, Num) and isinstance(b, Num) and math.isfinite(v := a.value * b.value):
         return Num(v)
-    if isinstance(a, Num):
-        if a.value == 0.0:
-            return _ZERO
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Num):
-        if b.value == 0.0:
-            return _ZERO
-        if b.value == 1.0:
-            return a
+    if isinstance(a, Num) and (a.value == 0.0 or a.value == 1.0):
+        return _ZERO if a.value == 0.0 else b
+    if isinstance(b, Num) and (b.value == 0.0 or b.value == 1.0):
+        return _ZERO if b.value == 0.0 else a
     return Mul(a, b)
 
 
@@ -298,17 +292,63 @@ def pow_(a: Node, b: Node) -> Node:
 
 
 def call_(fn: str, arg: Node) -> Node:
+    if fn not in _INTRINSICS:
+        raise UnknownIntrinsic(f"unknown intrinsic {fn!r}")
     if isinstance(arg, Num):
         try:
-            v = _intrinsic(fn, arg.value, fn)
+            return Num(_intrinsic(fn, arg.value, fn))
         except DomainError:
-            return Call(fn, arg)
-        return Num(v)
+            pass
     return Call(fn, arg)
 
 
 # ---------------------------------------------------------------------------
-# guarded numeric kernels of the interpreter; `where` is the node being
+# the operator and intrinsic tables: the one statement of what each binary
+# operator and each intrinsic means, read by parsing, printing, evaluation,
+# code generation, differentiation, substitution and ScalarField's operators
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+class _Binary(NamedTuple):
+    symbol: str
+    prec: int  # a right operand binds one level tighter, so the operators associate left
+    value: Callable[[float, float], float]
+    domain: str | None  # a zero divisor's message; a guarded value must also be finite
+    smart: Callable[[Node, Node], Node]  # the smart constructor
+    derive: Callable[[Node, Node, Callable[[Node], Node]], Node]  # from the operands and `d`
+
+
+_BINARY: dict[type, _Binary] = {
+    Add: _Binary("+", _PREC_ADD, operator.add, None, add_, lambda a, b, d: add_(d(a), d(b))),
+    Sub: _Binary("-", _PREC_ADD, operator.sub, None, sub_, lambda a, b, d: sub_(d(a), d(b))),
+    Mul: _Binary("*", _PREC_MUL, operator.mul, None, mul_,
+                 lambda a, b, d: add_(mul_(d(a), b), mul_(a, d(b)))),
+    # (f/g)' = f'/g - f g'/g^2
+    Div: _Binary("/", _PREC_MUL, operator.truediv, "division by zero", div_,
+                 lambda a, b, d: sub_(div_(d(a), b), div_(mul_(a, d(b)), pow_(b, Num(2.0))))),
+}
+_BY_SYMBOL = {op.symbol: op for op in _BINARY.values()}
+
+
+class _Intrinsic(NamedTuple):
+    fn: Callable[[float], float]  # the math function, which compiled code calls directly
+    domain: str | None  # the DomainError message where `fn` raises; abs never does
+    derive: Callable[[Node], Node]  # d fn(a)/da
+
+
+_INTRINSICS: dict[str, _Intrinsic] = {
+    "sin": _Intrinsic(math.sin, "sin of infinite value", lambda a: call_("cos", a)),
+    "cos": _Intrinsic(math.cos, "cos of infinite value", lambda a: neg_(call_("sin", a))),
+    "exp": _Intrinsic(math.exp, "exp overflow", lambda a: call_("exp", a)),
+    "ln": _Intrinsic(math.log, "ln of non-positive value", lambda a: div_(_ONE, a)),
+    "sqrt": _Intrinsic(math.sqrt, "sqrt of negative value",
+                       lambda a: div_(_ONE, mul_(Num(2.0), call_("sqrt", a)))),
+    # sign(a) away from zero; evaluation at a == 0 raises DomainError
+    "abs": _Intrinsic(abs, None, lambda a: div_(a, call_("abs", a))),
+}
+
+# the guarded numeric kernels of the interpreter; `where` is the node being
 # evaluated, or its text, and is rendered only if an error is raised
 
 
@@ -318,21 +358,12 @@ def _guard_finite(v: float, where: Node) -> float:
     return v
 
 
-# the intrinsics are the math functions, which compiled code calls directly;
-# sin and cos raise on an infinite argument, exp on overflow, ln and sqrt
-# outside their domain, and abs never
-_INTRINSIC_IMPL: dict[str, Callable[[float], float]] = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
-}
-_DOMAIN = {"sin": "sin of infinite value", "cos": "cos of infinite value", "exp": "exp overflow",
-           "ln": "ln of non-positive value", "sqrt": "sqrt of negative value"}
-
-
 def _intrinsic(fn: str, x: float, where: Node) -> float:
+    row = _INTRINSICS[fn]
     try:
-        return _INTRINSIC_IMPL[fn](x)
+        return row.fn(x)
     except (ValueError, OverflowError):
-        raise DomainError(_DOMAIN[fn], where) from None
+        raise DomainError(row.domain, where) from None
 
 
 def _k_pow(b: float, e: float, where: Node) -> float:
@@ -347,21 +378,13 @@ def _k_pow(b: float, e: float, where: Node) -> float:
 # ---------------------------------------------------------------------------
 # pretty printing
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
 
 def _prec(node: Node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
+    if (op := _BINARY.get(type(node))) is not None:
+        return op.prec
+    if isinstance(node, Neg) or isinstance(node, Num) and node.value < 0:
         return _PREC_NEG
-    if isinstance(node, Num) and node.value < 0:
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+    return _PREC_POW if isinstance(node, Pow) else _PREC_ATOM
 
 
 def _wrap(node: Node, min_prec: int) -> str:
@@ -372,21 +395,17 @@ def _wrap(node: Node, min_prec: int) -> str:
 def to_source(node: Node) -> str:
     """Render a node back to source that parses to the same tree: binary
     operators associate left, so a right operand of equal precedence is
-    parenthesised, and re-parsing evaluates bit for bit as the original."""
+    parenthesised, and re-parsing evaluates bit for bit as the original;
+    additive operators are spaced."""
+    if (op := _BINARY.get(type(node))) is not None:
+        symbol = f" {op.symbol} " if op.prec == _PREC_ADD else op.symbol
+        return f"{_wrap(node.left, op.prec)}{symbol}{_wrap(node.right, op.prec + 1)}"
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, (Var, Param)):
         return node.name
     if isinstance(node, Neg):
         return "-" + _wrap(node.arg, _PREC_NEG)
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_MUL)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _PREC_ADD)} - {_wrap(node.right, _PREC_MUL)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL)}*{_wrap(node.right, _PREC_NEG)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, _PREC_MUL)}/{_wrap(node.right, _PREC_NEG)}"
     if isinstance(node, Pow):
         return f"{_wrap(node.base, _PREC_ATOM)}^{_wrap(node.exponent, _PREC_ATOM)}"
     if isinstance(node, Call):
@@ -411,23 +430,20 @@ def eval_node(node: Node, env: Mapping[str, float], memo: dict[Node, float] | No
 
 def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> float:
     """The evaluation rule of `node`, with `eval_node` evaluating its operands."""
+    if (op := _BINARY.get(type(node))) is not None:
+        a, b = eval_node(node.left, env, memo), eval_node(node.right, env, memo)
+        if op.domain is None:
+            return op.value(a, b)
+        try:
+            return _guard_finite(op.value(a, b), node)
+        except ZeroDivisionError:
+            raise DomainError(op.domain, node) from None
     if isinstance(node, Num):
         return node.value
     if isinstance(node, (Var, Param)):
         return env[node.name]
     if isinstance(node, Neg):
         return -eval_node(node.arg, env, memo)
-    if isinstance(node, Add):
-        return eval_node(node.left, env, memo) + eval_node(node.right, env, memo)
-    if isinstance(node, Sub):
-        return eval_node(node.left, env, memo) - eval_node(node.right, env, memo)
-    if isinstance(node, Mul):
-        return eval_node(node.left, env, memo) * eval_node(node.right, env, memo)
-    if isinstance(node, Div):
-        a, b = eval_node(node.left, env, memo), eval_node(node.right, env, memo)
-        if b == 0.0:
-            raise DomainError("division by zero", node)
-        return _guard_finite(a / b, node)
     if isinstance(node, Pow):
         b, k = eval_node(node.base, env, memo), _int_exponent(node.exponent)
         if k is None:
@@ -452,8 +468,7 @@ def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> floa
 # so bundles that differ only in these values share one compile; a statement
 # that reads nothing else runs once, when the function is made
 
-_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_KERNELS = tuple(f"_{fn}" for fn in ("isfinite", "nan", *_INTRINSIC_IMPL))
+_KERNELS = tuple(f"_{fn}" for fn in ("isfinite", "nan", *_INTRINSICS))
 # numbers the generated functions' file names, so that profiles tell them apart
 _SERIALS = itertools.count(1)
 
@@ -491,19 +506,19 @@ def _emit(roots: Sequence[Node], slots: Mapping[str, float],
                 consts.append(slot)
                 return ref.setdefault(node, f"_k{len(consts) - 1}")
             k = _int_exponent(node.exponent) if isinstance(node, Pow) else None
-            if isinstance(node, Neg):
+            if (op := _BINARY.get(type(node))) is not None:
+                value = f"{emit(node.left)} {op.symbol} {emit(node.right)}"
+            elif isinstance(node, Neg):
                 value = f"-{emit(node.arg)}"
             elif isinstance(node, Call):
                 value = f"_{node.fn}({emit(node.arg)})"
             elif k is not None:
                 value = f"{emit(node.base)} ** {k}"
-            elif isinstance(node, Pow):
+            else:
                 base = emit(node.base)
                 value = f"{base} ** {emit(node.exponent)} if {base} > 0.0 else _nan"
-            else:
-                value = f"{emit(node.left)} {_OPS[type(node)]} {emit(node.right)}"
             ref[node] = f"_t{len(lines)}"
-            if isinstance(node, (Pow, Div)):
+            if isinstance(node, Pow) or op is not None and op.domain is not None:
                 checked.append(ref[node])
             if slots and slots.keys() >= node._names[0] and slots.keys() >= node._names[1]:
                 fixed.add(len(lines))
@@ -523,7 +538,7 @@ def _make(lines: Sequence[str], kind: str, prelude: Mapping[str, object],
     source = "\n".join([f"def _mk({args}):",
                         *("    " + ln for ln in lines), "    return _f"])
     return _factory(source, kind)(*prelude.values(), math.isfinite, math.nan,
-                                  *_INTRINSIC_IMPL.values(), *consts)
+                                  *(row.fn for row in _INTRINSICS.values()), *consts)
 
 
 def bindable_params(params: Mapping[str, float], argnames: Sequence[str]) -> dict[str, float]:
@@ -606,6 +621,13 @@ def _coordinate(name: str, n: int) -> bool:
     return False
 
 
+def _operator(cls: type) -> tuple[Callable, Callable]:
+    """ScalarField's method of the binary operator `cls`, and its reflection."""
+    smart = _BINARY[cls].smart
+    return (lambda self, other: self._make(smart(self.ast, self._lift(other))),
+            lambda self, other: self._make(smart(self._lift(other), self.ast)))
+
+
 @dataclass(eq=False)
 class ScalarField:
     """A parsed, exactly differentiable expression over (q, p, S, t) and params.
@@ -640,29 +662,10 @@ class ScalarField:
     def _make(self, node: Node) -> "ScalarField":
         return ScalarField(node, self.n)
 
-    def __add__(self, other):
-        return self._make(add_(self.ast, self._lift(other)))
-
-    def __radd__(self, other):
-        return self._make(add_(self._lift(other), self.ast))
-
-    def __sub__(self, other):
-        return self._make(sub_(self.ast, self._lift(other)))
-
-    def __rsub__(self, other):
-        return self._make(sub_(self._lift(other), self.ast))
-
-    def __mul__(self, other):
-        return self._make(mul_(self.ast, self._lift(other)))
-
-    def __rmul__(self, other):
-        return self._make(mul_(self._lift(other), self.ast))
-
-    def __truediv__(self, other):
-        return self._make(div_(self.ast, self._lift(other)))
-
-    def __rtruediv__(self, other):
-        return self._make(div_(self._lift(other), self.ast))
+    __add__, __radd__ = _operator(Add)
+    __sub__, __rsub__ = _operator(Sub)
+    __mul__, __rmul__ = _operator(Mul)
+    __truediv__, __rtruediv__ = _operator(Div)
 
     def __pow__(self, other):
         return self._make(pow_(self.ast, self._lift(other)))
@@ -685,14 +688,12 @@ def variable(name: str, n: int) -> ScalarField:
 
 
 def parameter(name: str, n: int) -> ScalarField:
-    if not _IDENT_RE.fullmatch(name) or name in INTRINSICS:
+    if not _IDENT_RE.fullmatch(name) or name in _INTRINSICS:
         raise ValueError(f"invalid parameter name {name!r}")
     return ScalarField(Param(name), n)
 
 
 def apply_intrinsic(fn: str, arg: ScalarField) -> ScalarField:
-    if fn not in INTRINSICS:
-        raise UnknownIntrinsic(f"unknown intrinsic {fn!r}")
     return ScalarField(call_(fn, arg.ast), arg.n)
 
 
@@ -703,8 +704,9 @@ def apply_intrinsic(fn: str, arg: ScalarField) -> ScalarField:
 def parse(source: str, n: int) -> ScalarField:
     """Parse `source` into a ScalarField of dimension `n`, by recursive descent
     over its tokens, cut in one scan: a number, a name or one other character,
-    each with its start, then an empty token at the end.  `unary` parses a
-    `unary` and a `power` of the grammar, with their `atom`."""
+    each with its start, then an empty token at the end.  `operands(1)` parses
+    an `expr` of the grammar and `operands(2)` a `term`; `unary` parses a
+    `unary` and a `power`, with their `atom`."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN_RE.finditer(source)]
@@ -713,20 +715,13 @@ def parse(source: str, n: int) -> ScalarField:
     def offset(pos: int) -> int:
         return len(source[:pos].encode("utf-8"))
 
-    def expr() -> Node:
+    def operands(prec: int) -> Node:
+        """Operands joined by the operators of precedence `prec`, left to right."""
         nonlocal i
-        node = term()
-        while (op := tokens[i][1]) == "+" or op == "-":
+        node = operands(prec + 1) if prec < _PREC_MUL else unary()
+        while (op := _BY_SYMBOL.get(tokens[i][1])) is not None and op.prec == prec:
             i += 1
-            node = (add_ if op == "+" else sub_)(node, term())
-        return node
-
-    def term() -> Node:
-        nonlocal i
-        node = unary()
-        while (op := tokens[i][1]) == "*" or op == "/":
-            i += 1
-            node = (mul_ if op == "*" else div_)(node, unary())
+            node = op.smart(node, operands(prec + 1) if prec < _PREC_MUL else unary())
         return node
 
     def unary() -> Node:
@@ -742,16 +737,16 @@ def parse(source: str, n: int) -> ScalarField:
             node = Num(v)
         elif call or text == "(":
             if call:
-                if text not in INTRINSICS:
+                if text not in _INTRINSICS:
                     raise UnknownIntrinsic(f"unknown intrinsic {text!r} (byte offset {offset(start)})")
                 i += 1
-            node = expr()
+            node = operands(_PREC_ADD)
             if tokens[i][1] != ")":
                 raise ExprSyntaxError("expected ')'", offset(tokens[i][2]))
             i += 1
             node = call_(text, node) if call else node
         elif kind == 2:
-            if text in INTRINSICS:
+            if text in _INTRINSICS:
                 raise ExprSyntaxError(f"intrinsic name {text!r} used as identifier", offset(start))
             node = Var(text) if _coordinate(text, n) else Param(text)
         else:
@@ -763,12 +758,12 @@ def parse(source: str, n: int) -> ScalarField:
         return node
 
     try:
-        node = expr()
+        node = operands(_PREC_ADD)
         if tokens[i][1]:
             raise ExprSyntaxError("unexpected trailing input", offset(tokens[i][2]))
         return ScalarField(node, n)
     finally:
-        del expr, term, unary  # recursive closures are a reference cycle, which would keep `tokens`
+        del operands, unary  # recursive closures are a reference cycle, which would keep `tokens`
 
 
 # ---------------------------------------------------------------------------
@@ -778,24 +773,14 @@ def parse(source: str, n: int) -> ScalarField:
 def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
     """The derivative rule of `node`, with `d` differentiating its operands."""
     work["derive"] += 1
+    if (op := _BINARY.get(type(node))) is not None:
+        return op.derive(node.left, node.right, d)
     if isinstance(node, Num):
         return _ZERO
     if isinstance(node, (Var, Param)):
         return _ONE if node.name == name else _ZERO
     if isinstance(node, Neg):
         return neg_(d(node.arg))
-    if isinstance(node, Add):
-        return add_(d(node.left), d(node.right))
-    if isinstance(node, Sub):
-        return sub_(d(node.left), d(node.right))
-    if isinstance(node, Mul):
-        return add_(mul_(d(node.left), node.right), mul_(node.left, d(node.right)))
-    if isinstance(node, Div):
-        # (f/g)' = f'/g - f g'/g^2
-        return sub_(
-            div_(d(node.left), node.right),
-            div_(mul_(node.left, d(node.right)), pow_(node.right, Num(2.0))),
-        )
     if isinstance(node, Pow):
         dbase = d(node.base)
         if isinstance(node.exponent, Num):
@@ -807,23 +792,7 @@ def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
                                mul_(node.exponent, div_(dbase, node.base))))
     if isinstance(node, Call):
         inner = d(node.arg)
-        a = node.arg
-        if node.fn == "sin":
-            outer: Node = call_("cos", a)
-        elif node.fn == "cos":
-            outer = neg_(call_("sin", a))
-        elif node.fn == "exp":
-            outer = call_("exp", a)
-        elif node.fn == "ln":
-            outer = div_(_ONE, a)
-        elif node.fn == "sqrt":
-            outer = div_(_ONE, mul_(Num(2.0), call_("sqrt", a)))
-        elif node.fn == "abs":
-            # sign(a) away from zero; evaluation at a == 0 raises DomainError
-            outer = div_(a, call_("abs", a))
-        else:
-            raise UnknownIntrinsic(node.fn)
-        return mul_(outer, inner)
+        return mul_(_INTRINSICS[node.fn].derive(node.arg), inner)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -905,7 +874,8 @@ def _subst(node: Node, name: str, replacement: Node, s: Callable[[Node], Node]) 
         return replacement if node.name == name else node
     if isinstance(node, Num):
         return node
-    smart = {Neg: neg_, Add: add_, Sub: sub_, Mul: mul_, Div: div_, Pow: pow_, Call: call_}[type(node)]
+    op = _BINARY.get(type(node))
+    smart = op.smart if op is not None else {Neg: neg_, Pow: pow_, Call: call_}[type(node)]
     return smart(*(s(v) if isinstance(v, _Node) else v for v in vars(node).values()))
 
 

@@ -6,17 +6,20 @@ Ermakov-Milne invariant with b(t) written out, the constant solutions of the
 auxiliary equations, the invariant of a symmetry, the contact-level Noether
 obstruction, the Poisson and Jacobi brackets) or an identity (Euler's for
 homogeneous potentials, the action identity dS/dt = p.dh/dp - h) so that a
-test can check the package's own construction against it.
+test can check the package's own construction against it.  `dual_gradient`
+differentiates a field's tree by forward-mode dual numbers, with rules of its
+own, as a check on the structural derivatives.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from contact_noether.dynamics import (Trajectory, contact_field, contact_field_of,
                                       cumulative_integral, extended_field)
-from contact_noether.expr import ScalarField, apply_intrinsic, number, parameter, partial, variable
+from contact_noether.expr import (Add, Call, Div, Mul, Neg, Num, Param, Pow, ScalarField, Sub, Var,
+                                  apply_intrinsic, number, parameter, partial, variable)
 from contact_noether.geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec,
                                       interior_product_eta_E, lie_bracket, nan_max, point_bundle)
 from contact_noether.scaling import _TOL, ScalingAnsatz, dot_qp
@@ -149,3 +152,70 @@ def glr_equilibrium(f0: float, g0: float, a0: float = 1.0) -> tuple[float, float
     if denom <= 0 or a0 <= 0:
         raise ValueError("need f0 > g0^2/4 and a0 > 0")
     return (a0**3 * (1.0 + 0.75 * a0 * g0 * g0) / denom) ** 0.25, 0.0
+
+
+# each intrinsic's value and derivative at a: a -> (f(a), f'(a))
+_DUAL_INTRINSICS = {
+    "sin": lambda a: (math.sin(a), math.cos(a)),
+    "cos": lambda a: (math.cos(a), -math.sin(a)),
+    "exp": lambda a: (math.exp(a),) * 2,
+    "ln": lambda a: (math.log(a), 1.0 / a),
+    "sqrt": lambda a: (math.sqrt(a), 1.0 / (2.0 * math.sqrt(a))),
+    "abs": lambda a: (abs(a), math.copysign(1.0, a)),
+}
+
+
+def dual_gradient(field: ScalarField, env: Mapping[str, float],
+                  names: Sequence[str]) -> tuple[float, tuple[float, ...]]:
+    """The value of `field` at `env` and its gradient by `names`, by forward-mode
+    dual numbers: each distinct node's (value, gradient) follows from its
+    operands' by the rules of calculus written out here, which share no code
+    with the package's derivative rules, code generation or interpreter.  The
+    products and quotients are in the order of the package's rules, so that
+    the two round alike.  Outside the real domain it may raise or return
+    nonsense (a negative base's fractional power is complex)."""
+    zero = (0.0,) * len(names)
+    memo: dict = {}
+
+    def ev(node) -> tuple[float, tuple[float, ...]]:
+        if node in memo:
+            return memo[node]
+        match node:
+            case Num(v):
+                out = v, zero
+            case Var(name) | Param(name):
+                out = env[name], tuple(float(name == nm) for nm in names)
+            case Neg(a):
+                u, du = ev(a)
+                out = -u, tuple(-x for x in du)
+            case Add(a, b):
+                (u, du), (v, dv) = ev(a), ev(b)
+                out = u + v, tuple(x + y for x, y in zip(du, dv))
+            case Sub(a, b):
+                (u, du), (v, dv) = ev(a), ev(b)
+                out = u - v, tuple(x - y for x, y in zip(du, dv))
+            case Mul(a, b):
+                (u, du), (v, dv) = ev(a), ev(b)
+                out = u * v, tuple(x * v + u * y for x, y in zip(du, dv))
+            case Div(a, b):
+                (u, du), (v, dv) = ev(a), ev(b)
+                out = u / v, tuple(x / v - u * y / v ** 2 for x, y in zip(du, dv))
+            case Pow(a, Num(k)):
+                u, du = ev(a)
+                out = u ** k, tuple(k * u ** (k - 1.0) * x for x in du)
+            case Pow(a, b):
+                (u, du), (v, dv) = ev(a), ev(b)
+                w = u ** v
+                out = w, tuple(w * (y * math.log(u) + v * (x / u)) for x, y in zip(du, dv))
+            case Call(fn, a):
+                u, du = ev(a)
+                f, df = _DUAL_INTRINSICS[fn](u)
+                out = f, tuple(df * x for x in du)
+            case _:
+                raise TypeError(f"unknown node {node!r}")
+        memo[node] = out
+        return out
+
+    result = ev(field.ast)
+    del ev  # a recursive closure is a reference cycle, which would keep the nodes
+    return result

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import pickle
+import random
 import weakref
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contact_noether import cli, expr
+from contact_noether import cli, expr, systems
 from contact_noether.expr import (
     DomainError,
     ExprError,
@@ -26,6 +27,7 @@ from contact_noether.expr import (
 from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.geometry import point_bundle
 from conftest import certbench_workloads, point, tally, value
+from oracles import dual_gradient
 from randfields import PARAM_NAMES, central_fd, derivative_pair, random_env, random_field
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -59,6 +61,15 @@ class TestParse:
     def test_unknown_intrinsic(self):
         with pytest.raises(UnknownIntrinsic):
             parse("tan(q0)", 1)
+
+    def test_no_node_calls_an_unknown_intrinsic(self):
+        # `call_` refuses the name, so no tree holds a call that evaluation,
+        # compiled code or `partial` could not run
+        for arg in (expr.Var("q0"), expr.Num(0.5)):
+            with pytest.raises(UnknownIntrinsic, match="unknown intrinsic 'tan'"):
+                expr.call_("tan", arg)
+        with pytest.raises(UnknownIntrinsic, match="unknown intrinsic 'tan'"):
+            expr.apply_intrinsic("tan", parse("q0", 1))
 
     # (source, n, error type, message, byte offset); offsets count UTF-8 bytes
     ERRORS = [
@@ -433,15 +444,15 @@ class TestSharing:
 
     def test_each_distinct_subexpression_is_evaluated_once(self, monkeypatch):
         calls = []
-        real = expr._INTRINSIC_IMPL["sqrt"]
+        row = expr._INTRINSICS["sqrt"]
 
         def counting(x):
             calls.append(x)
-            return real(x)
+            return row.fn(x)
 
         f = parse("sqrt(q0^2+1)*sqrt(q0^2+1) + q0/sqrt(q0^2+1)", 1)
         ref = expr.eval_node(f.ast, {"q0": 2.0})
-        monkeypatch.setitem(expr._INTRINSIC_IMPL, "sqrt", counting)
+        monkeypatch.setitem(expr._INTRINSICS, "sqrt", row._replace(fn=counting))
         assert value(f, {"q0": 2.0}) == ref
         assert calls == [5.0]
 
@@ -595,6 +606,78 @@ class TestPartial:
             assert expr.to_source(partial(f, name).ast) in ("0.0", "-0.0")
         big_rules = [node for node in rules if node in nodes]
         assert big_rules and len(big_rules) == len(set(big_rules))
+
+
+class TestDualNumberOracle:
+    """Compiled partials are the gradient that forward-mode dual numbers give
+    (`oracles.dual_gradient`): those of every builtin h and every bound builtin
+    invariant, by each coordinate and rated parameter, at 100 seeded points
+    each, and those of random fields by every name they read."""
+
+    # the dual rules take the package's products and quotients in the same order,
+    # so the two agree to the bit (0 ulps measured); the slack admits a rule
+    # rewritten into an equivalent order, and is far below the 4.6e4 ulps that a
+    # relative change of 1e-13 in one rule's constant shows
+    MAX_ULPS = 4
+
+    @staticmethod
+    def gap(field, names, envs, bound={}):
+        """The largest gap in ulps between the compiled `partial(field, x)` for x
+        in `names` (and the value) and the dual gradient, over the points `envs`
+        (values by `names`), and the number of points skipped because the
+        package raises DomainError there."""
+        bundle = expr.compile_bundle([field, *(partial(field, x) for x in names)], names, bound)
+        worst, skipped = 0.0, 0
+        for env in envs:
+            try:
+                got = bundle(*(env[nm] for nm in names))
+            except DomainError:
+                skipped += 1
+                continue
+            v, grad = dual_gradient(field, {**bound, **env}, names)
+            for g, w in zip(got, (v, *grad)):
+                worst = max(worst, abs(g - w) / math.ulp(max(abs(g), abs(w), 5e-324)))
+        return worst, skipped
+
+    @pytest.mark.parametrize("name, params", [
+        ("kepler", {}),
+        ("td-kepler", {}),
+        ("td-kepler", {"Lambda": 0.6}),  # a fractional power of t
+        ("harmonic-dissipative", {"f": "1 + 0.3*sin(t)", "g0": 0.2}),
+        ("harmonic-dissipative", {"f": "2 + cos(t)*exp(-t/4) + ln(1 + t)/3 + abs(sin(3*t))/5 + sqrt(t)"}),
+    ], ids=["kepler", "td-kepler", "td-kepler-fractional", "damped-oscillator", "six-intrinsics"])
+    def test_builtin_partials_are_the_dual_gradient(self, name, params):
+        system = systems.make_builtin(name, params)
+        n = system.n
+        names = [*(f"q{i}" for i in range(n)), *(f"p{i}" for i in range(n)), "S", "t",
+                 *sorted(system.param_rates)]
+        rng = random.Random(7)
+        envs = []
+        for _ in range(100):
+            env = {nm: rng.uniform(-2.0, 2.0) for nm in names}
+            env["t"] = rng.uniform(0.2, 3.0)
+            env.update({nm: rng.uniform(0.5, 2.0) for nm in ("rho", "a", "b") if nm in env})
+            envs.append(env)
+        bound = {**system.params, "rho0": 1.3, "a0": 0.8}
+        for field in (system.h, *(inv.field for inv in system.invariants.values())):
+            worst, skipped = self.gap(field, names, envs, bound)
+            assert worst <= self.MAX_ULPS, field.source()
+            assert skipped <= 10, f"{skipped} of 100 points out of the domain"
+
+    def test_random_field_partials_are_the_dual_gradient(self):
+        # `randfields` trees (every binary operator, integer and fractional
+        # powers, five intrinsics) and two written fields: a power with a
+        # variable exponent, and abs
+        fields = [random_field(np.random.default_rng(seed), 2, 6) for seed in range(300)]
+        fields += [parse("(1 + q0^2)^(p0*t - c1)", 2), parse("abs(q0 - p1)*ln(2 + sin(q1))", 2)]
+        names = ["q0", "q1", "p0", "p1", "S", "t", *PARAM_NAMES]
+        skipped = 0
+        for seed, field in enumerate(fields):
+            env = random_env(np.random.default_rng(1000 + seed), 2)
+            worst, skips = self.gap(field, names, [env])
+            assert worst <= self.MAX_ULPS, field.source()
+            skipped += skips
+        assert skipped <= len(fields) // 5, f"{skipped} of {len(fields)} points out of the domain"
 
 
 class TestRoundTrip:
