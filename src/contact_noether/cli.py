@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -236,6 +236,28 @@ class Scenario:
     auxiliary: AuxiliaryState | None
     point_params: dict[str, float]
 
+    @cached_property
+    def bound(self) -> ContactSystem:
+        """The system with `point_params` bound over its parameters, as the checks
+        read it; the flow does not, so that a tracked field reading a point-only
+        name stays unbound."""
+        return self.system.with_params(self.point_params)
+
+    @cached_property
+    def fused(self) -> tuple[dict[int, noether.Pointwise], Callable] | None:
+        """Every pointwise check, built (`_build`), by its index, and one bundle of
+        all their fields, bound like the sampler; None if building or compiling
+        them raised.  Made on first use and kept with the record, so a run of a
+        kept scenario builds nothing; `--seed` and `--tol-override` run a copy,
+        which makes its own."""
+        try:
+            built = {i: _build(self, c) for i, c in enumerate(self.checks)
+                     if CHECKS[c.type].pointwise}
+            return built, point_bundle([f for b in built.values() for f in b.fields],
+                                       self.bound.params)
+        except Exception:
+            return None
+
 
 def _parse_field(source: str, n: int, where: str, names: set[str] | None = None) -> ScalarField:
     """The field of `source`; if `names` is given, it may read no parameter outside them."""
@@ -363,7 +385,10 @@ def _build(sc: Scenario, c: Check) -> noether.Pointwise:
 
 
 def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
-    """Execute every check of a loaded scenario; returns (report, trajectory)."""
+    """Execute every check of a loaded scenario; returns (report, trajectory).
+    The flow, the samples, the bundle's rows, the judges and the report are
+    computed on every call; the pointwise checks and their bundle are built
+    once per scenario record (`Scenario.fused`) and then only called."""
     report: dict[str, Any] = {"scenario": sc.name, "version": __version__, "seed": sc.seed,
                               "sample_count": sc.sample_count, "checks": [], "passed": True}
     pointwise = [CHECKS[c.type].pointwise for c in sc.checks]
@@ -375,26 +400,24 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
         if traj.error_tag is not None:
             raise RuntimeError(f"integration aborted: {traj.error_tag}")
 
-    # the checks bind `point_params` over the system's; the flow does not, so that a tracked
-    # field reading a point-only name stays unbound.  Built on first use, once per run
-    bound = sc.system.with_params(sc.point_params)
+    # drawn and computed on first use, once per run
+    bound = sc.bound
     points = cache(lambda: sample_points(bound, sc.sample_count, sc.seed,
                                          margin=sc.integrator.guard_margin))
     compensation = cache(lambda: dissipation_compensation(bound, traj))
 
-    # every pointwise check's fields in one bundle, called once per sample; if building,
-    # compiling or calling it raises, each check calls its own bundle at its turn instead,
-    # so that the first error is the one the checks raise one by one
-    fused = {}
-    if any(pointwise):
+    # the fused bundle (`Scenario.fused`), called once per sample; if building, compiling
+    # or calling it raises, each check calls its own bundle at its turn instead, so that
+    # the first error is the one the checks raise one by one
+    columns = {}
+    if any(pointwise) and sc.fused is not None:
+        built, at = sc.fused
         try:
-            built = {i: _build(sc, c) for i, c in enumerate(sc.checks) if pointwise[i]}
-            at = point_bundle([f for b in built.values() for f in b.fields], bound.params)
             rows, lo = [at(pt) for pt in points()], 0
         except Exception:
             built = {}
         for i, b in built.items():
-            fused[i] = b, [v[lo:lo + len(b.fields)] for v in rows]
+            columns[i] = b, [v[lo:lo + len(b.fields)] for v in rows]
             lo += len(b.fields)
 
     for i, c in enumerate(sc.checks):
@@ -402,8 +425,8 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
         entry: dict[str, Any] = {"type": ctype, "target": CHECKS[ctype].target.format(*c.refs),
                                  "tol": tol}
         if pointwise[i]:
-            if i in fused:
-                b, rows = fused[i]
+            if i in columns:
+                b, rows = columns[i]
             else:  # its own bundle, as the check ran alone: a residual compiled before the draw
                 if ctype != "residual":
                     points()
@@ -418,7 +441,7 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
             rep = max_relative_drift(series)
         elif ctype == "ratio":
             series = [a / b for a, b in zip(*(traj.tracked[label] for label in c.refs))
-                      if abs(b) >= 1e-12]
+                      if not abs(b) < 1e-12]  # a NaN denominator is kept, and fails
             _require(bool(series), f"{sc.name}: ratio denominator vanishes everywhere")
             rep = max_relative_drift(series)
         if ctype in ("drift", "ratio", "residual"):  # one value, within tol or not
@@ -480,8 +503,11 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
     The checks find the derivatives that loading took.  The run's symbolic
     work is kept under two keys (`derivatives_kept`): the file's bytes, read
     once, with its stem, the default name, under which the parsed scenario is
-    kept too, so a file that recurs is not loaded again; and the source of the
-    system's h, so another file on a system that recurs reuses its work."""
+    kept too, with its built checks and their bundle (`Scenario.fused`) and
+    its system's X_h, so a file that recurs is neither loaded nor built again
+    and only numeric work is redone; and the source of the system's h, so
+    another file on a system that recurs reuses its work.  `seed` and
+    `tol_override` run a copy of the scenario, which builds its own checks."""
     path = Path(scenario_path)
     try:
         data = _read(path)

@@ -27,7 +27,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
-from .expr import DomainError, ScalarField, _make, compile_bundle, number, partial, variable
+from .expr import DomainError, ScalarField, _make, compile_bundle, number
 from .geometry import (GUARD_MARGIN, ContactSystem, ExtendedPoint, VectorFieldSpec,
                        coordinate_names, directional_derivative)
 
@@ -36,32 +36,17 @@ class TimeDependentHamiltonian(Exception):
     """Raised when a plain contact field is requested for a t-dependent h."""
 
 
-def contact_field_of(F: ScalarField) -> VectorFieldSpec:
-    """Contact Hamiltonian vector field of an arbitrary function F:
-    X_F = dF/dp_a d_q - (dF/dq^a + p_a dF/dS) d_p + (p_a dF/dp_a - F) d_S."""
-    n = F.n
-    Fp = [partial(F, f"p{i}") for i in range(n)]
-    Yq = tuple(Fp)
-    Yp = tuple(-(partial(F, f"q{i}") + variable(f"p{i}", n) * partial(F, "S"))
-               for i in range(n))
-    YS = number(0.0, n)
-    for i in range(n):
-        YS = YS + variable(f"p{i}", n) * Fp[i]
-    YS = YS - F
-    return VectorFieldSpec(Yq, Yp, YS, number(0.0, n))
-
-
 def contact_field(system: ContactSystem) -> VectorFieldSpec:
     """X_h for a time-independent contact Hamiltonian (Yt = 0)."""
     if "t" in system.h.free_vars:
         raise TimeDependentHamiltonian(
             "h depends on t; use extended_field for time-dependent systems")
-    return contact_field_of(system.h)
+    return system.X_h
 
 
 def extended_field(system: ContactSystem) -> VectorFieldSpec:
-    """X_h^t = X_h + d/dt (the f = 1 normalisation)."""
-    base = contact_field_of(system.h)
+    """X_h^t = X_h + d/dt (the f = 1 normalisation), over the system's kept X_h."""
+    base = system.X_h
     return VectorFieldSpec(base.Yq, base.Yp, base.YS, number(1.0, system.n))
 
 

@@ -100,7 +100,7 @@ _INTERN: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictiona
 _LIVE = _INTERN.data  # key -> weak reference, read directly; entries are set through _INTERN
 _Names = tuple[frozenset[str], frozenset[str]]  # (Var names, Param names)
 _NO_NAMES: _Names = (frozenset(), frozenset())
-_KEPT: "ContextVar[list[object] | None]" = ContextVar("_KEPT", default=None)  # see derivatives_kept
+_KEPT: "ContextVar[set[object] | None]" = ContextVar("_KEPT", default=None)  # see derivatives_kept
 # the last _RECENT keys that `derivatives_kept` blocks exited with, oldest first: a key
 # seen once maps to None, so work seen once is released; one run may sit under two keys
 _RUNS: "dict[object, KeptRun | None]" = {}
@@ -591,7 +591,7 @@ def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
 
         fn = _BUNDLES[key] = _codegen(roots, argnames, bound, slow)
     if (kept := _KEPT.get()) is not None:
-        kept.append(fn)
+        kept.add(fn)
     return fn
 
 
@@ -827,34 +827,40 @@ def partial(field: ScalarField, name: str) -> ScalarField:
     root = d(field.ast)
     del d  # a recursive closure is a reference cycle, which would keep the nodes
     if (kept := _KEPT.get()) is not None:
-        kept.append(field.ast)
-        kept.extend(memo.values())
+        kept.add(field.ast)
+        kept.update(memo.values())
     return ScalarField(root, field.n)
 
 
 @dataclass(eq=False)
 class KeptRun:
-    """One `derivatives_kept` block: `work` holds its symbolic work, `record` what
-    the block keeps besides (the parsed input), and `keys` the keys it is kept under."""
+    """One `derivatives_kept` block: `work` holds its symbolic work (nodes and
+    bundles, which hash by identity, so one added again does not grow it),
+    `record` what the block keeps besides (the parsed input), and `keys` the
+    keys it is kept under."""
 
     keys: list[object]
     record: object = None
-    work: list[object] = dc_field(default_factory=list)
+    work: set[object] = dc_field(default_factory=set)
 
 
 @contextmanager
 def derivatives_kept(key: object) -> Iterator[KeptRun]:
-    """Within the block, one list (`work` of the run yielded) holds the root of
+    """Within the block, one set (`work` of the run yielded) holds the root of
     each `partial` call and its derivatives, so that the nodes' weak `_d` find
     them, and every bundle that `compile_bundle` returns.  The block may add
     keys to the run's `keys` (say, one read from its input once parsed), and
     finds in `record` the record of the run kept under `key`, which it may
-    set.  On exit, under each key that is among the last `_RECENT` keys that
-    blocks exited with, the run replaces the earlier one; a key seen for the
-    first time is only recorded, so work seen once is released.  The keys
-    decide only how long the work lives, never what is computed."""
+    set.  A run that takes over that record takes over its `work` too: the
+    record may hold what that work built (a recurring input builds nothing
+    again), and another key of this run (say, a system's) must still find
+    the derivatives behind it.  On exit, under each key that is among the
+    last `_RECENT` keys that blocks exited with, the run replaces the earlier
+    one; a key seen for the first time is only recorded, so work seen once is
+    released.  The keys decide only how long the work lives, never what is
+    computed."""
     prior = _RUNS.get(key)
-    run = KeptRun([key], None if prior is None else prior.record)
+    run = KeptRun([key]) if prior is None else KeptRun([key], prior.record, prior.work)
     token = _KEPT.set(run.work)
     try:
         yield run

@@ -106,6 +106,21 @@ class VectorFieldSpec:
         return VectorFieldSpec((z,) * n, (z,) * n, z, z)
 
 
+def contact_field_of(F: ScalarField) -> VectorFieldSpec:
+    """Contact Hamiltonian vector field of an arbitrary function F:
+    X_F = dF/dp_a d_q - (dF/dq^a + p_a dF/dS) d_p + (p_a dF/dp_a - F) d_S."""
+    n = F.n
+    Fp = [partial(F, f"p{i}") for i in range(n)]
+    Yq = tuple(Fp)
+    Yp = tuple(-(partial(F, f"q{i}") + variable(f"p{i}", n) * partial(F, "S"))
+               for i in range(n))
+    YS = number(0.0, n)
+    for i in range(n):
+        YS = YS + variable(f"p{i}", n) * Fp[i]
+    YS = YS - F
+    return VectorFieldSpec(Yq, Yp, YS, number(0.0, n))
+
+
 @lru_cache(maxsize=None)
 def coordinate_names(n: int) -> tuple[str, ...]:
     """Coordinate order used for component arrays: q0.., p0.., S, t."""
@@ -198,6 +213,13 @@ class ContactSystem:
         so any rates through which h moves would cancel there."""
         return partial(self.h, "t")
 
+    @cached_property
+    def X_h(self) -> VectorFieldSpec:
+        """The contact Hamiltonian field of h, `contact_field_of(h)`, built once:
+        X_h^t (`dynamics.extended_field`), the flow and every similarity check
+        of the system share it."""
+        return contact_field_of(self.h)
+
     def rate_term(self, F: ScalarField) -> ScalarField:
         """The sum of rate * dF/d(name) over the rated parameters F reads: the
         number 0 when it reads none, so adding it leaves a field's tree as it is."""
@@ -210,8 +232,13 @@ class ContactSystem:
     def with_params(self, extra: Mapping[str, float]) -> "ContactSystem":
         """This system with `extra` bound over its parameters, so that `extra`
         wins; the coordinates still win over both (`expr.bindable_params`).
-        With no `extra` it is this system itself, its derivatives kept."""
-        return replace(self, params={**self.params, **extra}) if extra else self
+        With no `extra` it is this system itself.  Either way it keeps the
+        derivatives already built (`h_q` ... `X_h`), which read no value."""
+        if not extra:
+            return self
+        bound = replace(self, params={**self.params, **extra})
+        vars(bound).update({**vars(self), **vars(bound)})  # its own fields win
+        return bound
 
     def env(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> dict[str, float]:
         """Parameters, then `extra`, then coordinates, which win as in `expr.bindable_params`."""

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import DomainError, ScalarField, number, partial
-from .dynamics import Trajectory, contact_field_of, cumulative_integral, extended_field
+from .dynamics import Trajectory, cumulative_integral, extended_field
 from .geometry import (
     GUARD_MARGIN,
     ContactSystem,
     ExtendedPoint,
     LieDerivativeEta,
     VectorFieldSpec,
+    contact_field_of,
     directional_derivative,
     lie_bracket,
     nan_max,

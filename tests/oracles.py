@@ -8,7 +8,8 @@ obstruction, the Poisson and Jacobi brackets) or an identity (Euler's for
 homogeneous potentials, the action identity dS/dt = p.dh/dp - h) so that a
 test can check the package's own construction against it.  `dual_gradient`
 differentiates a field's tree by forward-mode dual numbers, with rules of its
-own, as a check on the structural derivatives.
+own, as a check on the structural derivatives, and `dual_residual` builds the
+dissipation residual from those gradients.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from contact_noether.dynamics import (Trajectory, contact_field, contact_field_of,
-                                      cumulative_integral, extended_field)
+from contact_noether.dynamics import Trajectory, contact_field, cumulative_integral, extended_field
 from contact_noether.expr import (Add, Call, Div, Mul, Neg, Num, Param, Pow, ScalarField, Sub, Var,
                                   apply_intrinsic, number, parameter, partial, variable)
 from contact_noether.geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec,
-                                      interior_product_eta_E, lie_bracket, nan_max, point_bundle)
+                                      contact_field_of, coordinate_names, interior_product_eta_E,
+                                      lie_bracket, nan_max, point_bundle)
 from contact_noether.scaling import _TOL, ScalingAnsatz, dot_qp
 
 
@@ -219,3 +220,25 @@ def dual_gradient(field: ScalarField, env: Mapping[str, float],
     result = ev(field.ast)
     del ev  # a recursive closure is a reference cycle, which would keep the nodes
     return result
+
+
+def dual_residual(system: ContactSystem, F: ScalarField,
+                  env: Mapping[str, float]) -> tuple[float, float]:
+    """The dissipation residual X_h^t(F) + (dh/dS) F + sum of rate * dF/d(name),
+    over the rated parameters F reads, at `env`, from the `dual_gradient`s of h,
+    F and the rates with X_h^t written out:
+    Yq = dh/dp, Yp = -(dh/dq + p dh/dS), YS = p.dh/dp - h, Yt = 1.  Returns the
+    residual, summed exactly (`math.fsum`) from its products expanded one by
+    one, and the sum of those products' magnitudes, the scale of its rounding."""
+    n, names = system.n, coordinate_names(system.n)
+    rated = [nm for nm in system.param_rates if nm in F.free_params]
+    h, dh = dual_gradient(system.h, env, names)
+    f, dF = dual_gradient(F, env, (*names, *rated))
+    p, hS, FS = [env[f"p{i}"] for i in range(n)], dh[2 * n], dF[2 * n]
+    terms = [dF[2 * n + 1], hS * f, -h * FS]
+    for i in range(n):
+        terms += [dh[n + i] * dF[i], -dh[i] * dF[n + i], -p[i] * hS * dF[n + i],
+                  p[i] * dh[n + i] * FS]
+    terms += [dual_gradient(system.param_rates[nm], env, ())[0] * dF[2 * n + 2 + k]
+              for k, nm in enumerate(rated)]
+    return math.fsum(terms), math.fsum(map(abs, terms))

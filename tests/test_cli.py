@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from contact_noether.geometry import ContactSystem, lie_bracket, nan_max, point_
 from contact_noether.noether import (closure_check, dissipation_field, sample_points,
                                      similarity_test, symmetry_test)
 from conftest import certbench_workloads, tally
+from oracles import dual_residual
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -285,6 +289,24 @@ class TestExitCodes:
         text = (tmp_path / "out" / "nan-residual" / "report.json").read_text()
         written = json.loads(text, parse_constant=reject)
         assert written["checks"][0]["value"] == "NaN" and written["checks"][0]["passed"] is False
+
+    def test_nan_ratio_denominator_is_a_failure(self, tmp_path):
+        # G is p0 + (inf - inf) once q0 = 1 + t/2 passes 1.34: at the last two of
+        # the flow's seven states.  Only a denominator below 1e-12 in size is masked
+        big = "(1e154*q0)*(1e154*q0)"
+        path = write_scenario(tmp_path, "nan-ratio", {
+            "system": {"expression": "p0^2/2", "dimension": 1},
+            "initial": {"q": [1.0], "p": [0.5]},
+            "t_end": 2.0,
+            "invariants": [{"label": "P", "expression": "p0"},
+                           {"label": "G", "expression": f"p0 + ({big} - {big})"}],
+            "checks": [{"type": "ratio", "numerator": "P", "denominator": "G", "tol": 1e-6}],
+        })
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        column = (tmp_path / "out" / "nan-ratio" / "trajectory.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[1] for row in column[1:]].count("nan") == 2
+        assert code == 1 and report["trajectory"]["samples"] == 7
+        assert np.isnan(report["checks"][0]["value"]) and not report["checks"][0]["passed"]
 
     def test_config_error_is_two(self, tmp_path):
         _, code = cli.run(tmp_path / "missing.json", tmp_path, quiet=True)
@@ -633,6 +655,106 @@ class TestExitCodes:
         _, code = cli.run(write_scenario(tmp_path, "plunge", bad), tmp_path)
         assert code == 2 and calls == []
         assert "references unknown invariant 'Q_k'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", [*sorted(SCENARIOS.glob("*.json")), "aux-point-params"],
+                         ids=lambda s: getattr(s, "stem", s))
+def test_each_residual_matches_its_dual_number_oracle(tmp_path, source):
+    # the compiled residual X_h^t(F) + (dh/dS) F + rate terms at every sample,
+    # against the same sum built from forward-mode gradients of h, F and the
+    # rates (`oracles.dual_residual`), which share no code with `partial`,
+    # `dissipation_field` or code generation.  Both routes take each gradient
+    # alike, so they differ by the rounding of the products and sums: within
+    # 4 * 2^-52 of the sum of the products' magnitudes (0.66 of it measured)
+    path = source if isinstance(source, Path) else write_scenario(
+        tmp_path, source, TestExitCodes.AUX_POINT_PARAMS)
+    sc = cli.load_scenario(path)
+    system = sc.bound
+    samples = sample_points(system, sc.sample_count, sc.seed, margin=sc.integrator.guard_margin)
+    residuals = [sc.invariants[c.refs[0]].field for c in sc.checks if c.type == "residual"]
+    assert residuals
+    for F in residuals:
+        at = point_bundle([dissipation_field(system, F)], system.params)
+        for pt in samples:
+            value, scale = dual_residual(system, F, {**system.params, **pt.env()})
+            assert abs(at(pt)[0] - value) <= 4 * 2**-52 * scale, (F, pt)
+
+
+# a run of the command line in an interpreter of its own
+FRESH = "import sys; from contact_noether.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _outputs(out, name):
+    return [(out / name / f).read_bytes() for f in ("report.json", "trajectory.csv")
+            if (out / name / f).exists()]
+
+
+class TestRecurringRuns:
+    """A recurring file runs its kept scenario, with the checks it built and their
+    fused bundle, on its system's kept X_h: from its third run on in a process
+    only numeric work is done again, and the bytes written never change."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+    def test_the_third_run_builds_nothing_and_writes_the_first_runs_bytes(self, tmp_path, name):
+        # X_h^t's d/dt and the compensation's derivatives along the flow are all
+        # the nodes it makes
+        outputs = []
+        for k in range(3):
+            done = tally()
+            assert cli.run(SCENARIOS / f"{name}.json", tmp_path / str(k), quiet=True)[1] == 0
+            outputs.append(_outputs(tmp_path / str(k), name))
+        work = done()
+        assert [work[k] for k in ("bundles", "derive", "emitted")] == [0, 0, 0]
+        assert work["nodes"] <= 20
+        assert outputs[2] == outputs[0] and outputs[0]
+
+    def test_overrides_after_kept_runs_match_a_fresh_interpreter(self, tmp_path):
+        # a plan built for one tolerance never judges another, and the samples
+        # follow the overriding seed; a plain run after them is the first run again
+        path, name = SCENARIOS / "kepler-scaling.json", "kepler-scaling"
+        overrides = {"tol": (["--tol-override", "1e-300"], {"tol_override": 1e-300}, 1),
+                     "seed": (["--seed", "5"], {"seed": 5}, 0)}
+        for label, (argv, _, code) in overrides.items():
+            done = subprocess.run([sys.executable, "-c", FRESH, "--quiet",
+                                   "--out", str(tmp_path / f"fresh-{label}"), *argv, "check",
+                                   str(path)], capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")})
+            assert (done.returncode, done.stderr) == (code, "")
+        for k in range(2):
+            assert cli.run(path, tmp_path / f"plain-{k}", quiet=True)[1] == 0
+        for label, (_, kwargs, code) in overrides.items():
+            assert cli.run(path, tmp_path / label, quiet=True, **kwargs)[1] == code
+            assert _outputs(tmp_path / label, name) == _outputs(tmp_path / f"fresh-{label}", name)
+        assert cli.run(path, tmp_path / "again", quiet=True)[1] == 0
+        assert _outputs(tmp_path / "again", name) == _outputs(tmp_path / "plain-0", name)
+
+    def test_a_file_that_takes_over_a_kept_run_keeps_its_work_for_the_system(self, tmp_path):
+        # a third run builds nothing, but it is kept under the system's key in
+        # place of the second, so it must hold the second's derivatives: a sweep
+        # Kepler file derives as much after three runs of kepler-scaling as after
+        # two (465 rules at seed 7 in a fresh interpreter)
+        kepler = SCENARIOS.parent / "certbench" / "bundled" / "kepler-scaling.json"
+        sweep = certbench_workloads().symbolic_sweep_round(7, 5)[0]
+        assert sweep.spec["system"]["builtin"] == "kepler"
+        derived = []
+        for runs in (2, 3):
+            expr._RUNS.clear()
+            gc.collect()
+            for _ in range(runs):
+                assert cli.run(kepler, tmp_path, quiet=True)[1] == 0
+            done = tally()
+            assert cli.run(sweep.write(tmp_path), tmp_path, quiet=True)[1] == 0
+            derived.append(done()["derive"])
+        assert derived[0] == derived[1] > 0
+
+    def test_the_kept_work_of_a_file_does_not_grow(self, tmp_path):
+        path = SCENARIOS / "kepler-scaling.json"
+        key, sizes = (path.read_bytes(), path.stem), []
+        for _ in range(50):
+            assert cli.run(path, tmp_path, quiet=True)[1] == 0
+            if expr._RUNS[key] is not None:
+                sizes.append(len(expr._RUNS[key].work))
+        assert len(sizes) == 49 and set(sizes) == {sizes[0]}
 
 
 class TestArtifacts:
