@@ -248,8 +248,8 @@ class Scenario:
         """Every pointwise check, built (`_build`), by its index, and one bundle of
         all their fields, bound like the sampler; None if building or compiling
         them raised.  Made on first use and kept with the record, so a run of a
-        kept scenario builds nothing; `--seed` and `--tol-override` run a copy,
-        which makes its own."""
+        kept scenario builds nothing; a `--seed` copy takes it over, and a
+        `--tol-override` copy, whose judges read its tolerance, makes its own."""
         try:
             built = {i: _build(self, c) for i, c in enumerate(self.checks)
                      if CHECKS[c.type].pointwise}
@@ -507,15 +507,16 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
     its system's X_h, so a file that recurs is neither loaded nor built again
     and only numeric work is redone; and the source of the system's h, so
     another file on a system that recurs reuses its work.  `seed` and
-    `tol_override` run a copy of the scenario, which builds its own checks."""
+    `tol_override` run a copy; only a `tol_override` copy builds its own checks."""
     path = Path(scenario_path)
     try:
         data = _read(path)
         with derivatives_kept((data, path.stem)) as kept:
             sc = kept.record = kept.record or _load(path, data)
             kept.keys.append(sc.system.h.source())
-            if seed is not None:
-                sc = replace(sc, seed=SEED(seed, "--seed"))
+            if seed is not None:  # the built checks and their bundle read no seed
+                built = {k: v for k, v in vars(sc).items() if k in ("bound", "fused")}
+                vars(sc := replace(sc, seed=SEED(seed, "--seed"))).update(built)
             if tol_override is not None:
                 tol = TOL(tol_override, "--tol-override")
                 sc = replace(sc, checks=tuple(replace(c, tol=tol) for c in sc.checks))

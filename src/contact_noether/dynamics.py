@@ -414,9 +414,12 @@ def cumulative_integral(system: ContactSystem, traj: Trajectory,
     + d^3/84 (g0" + g1") + d^4/1680 (g0'" - g1'"), the derivatives of g taken
     along X_h^t (the rated parameters moving at their rates).  So it is exact
     for g of degree 7 in t, and for a constant g it is the one term d*g."""
-    m, flow, g = 2 * traj.n + 1, extended_field(system), [integrand]
-    for _ in range(3):
-        g.append(directional_derivative(flow, g[-1]) + system.rate_term(g[-1]))
+    m, g = 2 * traj.n + 1, system.flow_chains.get(integrand.ast)
+    if g is None:  # built once per system and integrand, and kept (`flow_chains`)
+        flow, g = extended_field(system), [integrand]
+        for _ in range(3):
+            g.append(directional_derivative(flow, g[-1]) + system.rate_term(g[-1]))
+        system.flow_chains[integrand.ast] = g
     fn = compile_bundle(g, coordinate_names(traj.n), system.params)
     vals = [fn(*y[:m], t) for t, y in zip(traj.times, traj.rows)]
     steps = [b - a for a, b in zip(traj.times, traj.times[1:])]

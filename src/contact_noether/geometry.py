@@ -47,6 +47,13 @@ class ExtendedPoint:
         if not all(map(math.isfinite, (*q, *p, self.S, self.t))):
             raise ValueError("non-finite state entries")
 
+    @classmethod
+    def drawn(cls, coords: Sequence[float], n: int) -> "ExtendedPoint":
+        """The point of `coords`, finite floats such as any draw from a `SampleBox`, unchecked."""
+        pt = object.__new__(cls)
+        vars(pt).update(q=tuple(coords[:n]), p=tuple(coords[n:-2]), S=coords[-2], t=coords[-1])
+        return pt
+
     @property
     def n(self) -> int:
         return len(self.q)
@@ -142,12 +149,19 @@ GUARD_MARGIN = 1e-3  # by default, a point with a guard value below it is inadmi
 
 @dataclass(frozen=True)
 class SampleBox:
-    """Per-coordinate uniform sampling ranges."""
+    """Per-coordinate uniform sampling ranges, checked once: floats lo < hi a finite width apart."""
 
     q: tuple[float, float] = (-2.0, 2.0)
     p: tuple[float, float] = (-2.0, 2.0)
     S: tuple[float, float] = (-1.0, 1.0)
     t: tuple[float, float] = (0.0, 5.0)
+
+    def __post_init__(self) -> None:
+        for name in ("q", "p", "S", "t"):
+            lo, hi = map(float, getattr(self, name))
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(f"sample box {name} must be finite with lo < hi, got {(lo, hi)}")
+            object.__setattr__(self, name, (lo, hi))
 
 
 CONSERVED = "conserved"
@@ -220,6 +234,11 @@ class ContactSystem:
         of the system share it."""
         return contact_field_of(self.h)
 
+    @cached_property
+    def flow_chains(self) -> dict[expr.Node, list[ScalarField]]:
+        """`dynamics.cumulative_integral`'s derivative chains, by integrand node, kept as X_h is."""
+        return {}
+
     def rate_term(self, F: ScalarField) -> ScalarField:
         """The sum of rate * dF/d(name) over the rated parameters F reads: the
         number 0 when it reads none, so adding it leaves a field's tree as it is."""
@@ -233,7 +252,7 @@ class ContactSystem:
         """This system with `extra` bound over its parameters, so that `extra`
         wins; the coordinates still win over both (`expr.bindable_params`).
         With no `extra` it is this system itself.  Either way it keeps the
-        derivatives already built (`h_q` ... `X_h`), which read no value."""
+        derivatives already built (`h_q` ... `flow_chains`), which read no value."""
         if not extra:
             return self
         bound = replace(self, params={**self.params, **extra})
@@ -293,10 +312,12 @@ class LieDerivativeEta:
 
 
 def nan_max(values: Iterable[float]) -> float:
-    """The largest of some magnitudes, 0.0 for none, and NaN when any is NaN
-    (the builtin max drops a NaN unless it comes first)."""
+    """The largest of some magnitudes, 0.0 for none, and the first NaN when any is
+    NaN, which one sum finds (the builtin max drops a NaN unless it comes first)."""
     values = list(values)
-    return next((v for v in values if v != v), max(values, default=0.0))
+    if (total := sum(values)) != total:  # a NaN value, or inf + -inf
+        return next((v for v in values if v != v), max(values))
+    return max(values, default=0.0)
 
 
 def proportionality_residual(omega: Sequence[float], eta: Sequence[float]) -> tuple[float, float]:
@@ -306,8 +327,8 @@ def proportionality_residual(omega: Sequence[float], eta: Sequence[float]) -> tu
     normalised by max(1, ||omega||_inf); NaN when any coefficient is NaN."""
     s = len(omega) - 2  # the dS slot defines lambda exactly
     lam = omega[s]
-    mism = nan_max(abs(w - lam * e) for i, (w, e) in enumerate(zip(omega, eta)) if i != s)
-    return lam, mism / max(1.0, max(abs(w) for w in omega))
+    mism = [abs(w - lam * e) for i, (w, e) in enumerate(zip(omega, eta)) if i != s]
+    return lam, nan_max(mism) / max(1.0, max(map(abs, omega)))
 
 
 # ---------------------------------------------------------------------------

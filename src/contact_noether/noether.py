@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import neg
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .expr import DomainError, ScalarField, number, partial
+from .expr import DomainError, ScalarField, compile_bundle, number, partial
 from .dynamics import Trajectory, cumulative_integral, extended_field
 from .geometry import (
     GUARD_MARGIN,
@@ -24,6 +25,7 @@ from .geometry import (
     LieDerivativeEta,
     VectorFieldSpec,
     contact_field_of,
+    coordinate_names,
     directional_derivative,
     lie_bracket,
     nan_max,
@@ -91,10 +93,10 @@ def _hasher(const: int, mult: int) -> Callable[[int], int]:
     return hashmix
 
 
-def _uniform_draws(seed: int) -> Callable[[float, float], float]:
-    """`uniform(lo, hi)`, one draw per call, bit for bit the draws of NumPy's
-    ``default_rng(seed).uniform``: SeedSequence(seed) seeds PCG64 (O'Neill's
-    XSL-RR 128/64), and a draw is lo + (hi - lo) * ((next64 >> 11) * 2**-53)."""
+def _uniform_draws(seed: int, spans: Sequence[tuple[float, float]] = ()) -> Callable:
+    """`uniform(lo, hi)`, one draw per call, or given (lo, width) `spans`, `row()`, one per span,
+    bit for bit NumPy's ``default_rng(seed).uniform``: SeedSequence(seed) seeds PCG64 (O'Neill's
+    XSL-RR 128/64), and a draw is lo + width * ((next64 >> 11) * 2**-53), width = hi - lo."""
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -111,35 +113,38 @@ def _uniform_draws(seed: int) -> Callable[[float, float], float]:
     mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, ((i_hi << 64 | i_lo) << 1 | 1) & _M128
     state = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & _M128  # step from 0, add seed, step
 
-    def uniform(lo: float, hi: float) -> float:
+    def row(spans: Sequence[tuple[float, float]] = spans) -> list[float]:
         nonlocal state
-        state = state * mult + inc & _M128
-        word, rot = (state >> 64 ^ state) & _M64, state >> 122
-        bits = (word >> rot | word << 64 - rot) & _M64
-        return float(lo) + (float(hi) - float(lo)) * ((bits >> 11) * 2.0**-53)
+        s, out = state, []
+        for lo, width in spans:
+            s = s * mult + inc & _M128
+            word, rot = (s >> 64 ^ s) & _M64, s >> 122
+            out.append(lo + width * ((((word >> rot | word << 64 - rot) & _M64) >> 11) * 2.0**-53))
+        state = s
+        return out
 
-    return uniform
+    return row if spans else lambda lo, hi: row(((float(lo), float(hi) - float(lo)),))[0]
 
 
 def sample_points(system: ContactSystem, count: int, seed: int,
                   margin: float = GUARD_MARGIN) -> list[ExtendedPoint]:
     """Uniform seeded samples from the system's box, rejecting inadmissible
     points: a DomainError of h or a guard, or a guard value below `margin` or
-    NaN.  One bundle of h and the guards screens each point."""
-    box = system.sample_box
-    uniform = _uniform_draws(seed)
-    at = point_bundle([system.h, *system.guards], system.params)
+    NaN.  One call draws a candidate's q, p, S and t, which one bundle of h and the
+    guards screens; only an accepted one is made a point, unchecked (`ExtendedPoint.drawn`)."""
+    n, box = system.n, system.sample_box
+    spans = [(lo, hi - lo) for lo, hi in (*[box.q] * n, *[box.p] * n, box.S, box.t)]
+    draw, admits = _uniform_draws(seed, spans), float(margin).__le__
+    screen = compile_bundle([system.h, *system.guards], coordinate_names(n), system.params)
     out: list[ExtendedPoint] = []
     for _ in range(200 * count + 1000):
-        q = [uniform(*box.q) for _ in range(system.n)]
-        p = [uniform(*box.p) for _ in range(system.n)]
-        pt = ExtendedPoint(q, p, uniform(*box.S), uniform(*box.t))
+        coords = draw()
         try:
-            _, *guards = at(pt)
+            _, *guards = screen(*coords)
         except DomainError:
             continue
-        if all(g >= margin for g in guards):
-            out.append(pt)
+        if all(map(admits, guards)):
+            out.append(ExtendedPoint.drawn(coords, n))
         if len(out) >= count:
             return out
     raise RuntimeError("sampling box rejects too many points")
@@ -202,7 +207,7 @@ class Pointwise(NamedTuple):
 
 def build_residual(system: ContactSystem, F: ScalarField) -> Pointwise:
     """The largest |`dissipation_field`| over the samples."""
-    return Pointwise((dissipation_field(system, F),), lambda _, rows: nan_max(abs(v) for v, in rows))
+    return Pointwise((dissipation_field(system, F),), lambda _, rows: nan_max([abs(v) for v, in rows]))
 
 
 def build_symmetry(system: ContactSystem, Y: VectorFieldSpec, threshold: float,
@@ -214,10 +219,10 @@ def build_symmetry(system: ContactSystem, Y: VectorFieldSpec, threshold: float,
     def judge(samples: Sequence[ExtendedPoint], rows: Iterable[Sequence[float]]) -> SymmetryReport:
         lambdas, residuals, deviations = [], [], []
         for pt, v in zip(samples, rows):
-            lam, res = proportionality_residual(v[:m], (*(-p for p in pt.p), *zeros, 1.0, v[m]))
+            lam, res = proportionality_residual(v[:m], (*map(neg, pt.p), *zeros, 1.0, v[m]))
             lambdas.append(lam)
             residuals.append(res)
-            deviations.extend(abs(e - lam) for e in v[m + 1:])
+            deviations += [abs(e - lam) for e in v[m + 1:]]
         worst, defect = nan_max(residuals), nan_max(deviations)
         failed = not worst <= threshold or (expected and not defect <= threshold)
         return SymmetryReport(tuple(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
@@ -243,19 +248,19 @@ def build_similarity(Y: VectorFieldSpec, X: VectorFieldSpec, residual_threshold:
         Lambdas, residuals = [], []
         for k, v in enumerate(rows):
             xv, bv = v[:m], v[m:]
-            xabs = [abs(x) for x in xv]
+            xabs = list(map(abs, xv))
             xmax = max(xabs)
             if xmax <= 1e-8:
                 raise DegeneratePoint(f"reference field vanishes at sample {k}")
             idx = xabs.index(xmax)
             lam = bv[idx] / xv[idx]
             Lambdas.append(lam)
-            residuals.append(nan_max(abs(b - lam * x) for b, x in zip(bv, xv))
-                             / max(1.0, max(abs(b) for b in bv)))
+            residuals.append(nan_max([abs(b - lam * x) for b, x in zip(bv, xv)])
+                             / max(1.0, max(map(abs, bv))))
         worst = nan_max(residuals)
         if not worst <= residual_threshold:
             verdict = NEITHER
-        elif max(abs(lam) for lam in Lambdas) <= lambda_threshold:
+        elif max(map(abs, Lambdas)) <= lambda_threshold:
             verdict = DYNAMICAL_SYMMETRY
         else:
             verdict = SIMILARITY
@@ -315,4 +320,4 @@ def dissipation_compensation(system: ContactSystem, traj: Trajectory) -> list[fl
 def max_relative_drift(values: Sequence[float]) -> float:
     """max_k |v_k - v_0| / max(1, |v_0|); NaN when any value is NaN."""
     v0 = values[0]
-    return nan_max(abs(v - v0) for v in values) / max(1.0, abs(v0))
+    return nan_max([abs(v - v0) for v in values]) / max(1.0, abs(v0))

@@ -9,13 +9,16 @@ homogeneous potentials, the action identity dS/dt = p.dh/dp - h) so that a
 test can check the package's own construction against it.  `dual_gradient`
 differentiates a field's tree by forward-mode dual numbers, with rules of its
 own, as a check on the structural derivatives, and `dual_residual` builds the
-dissipation residual from those gradients.
+dissipation residual from those gradients.  `reference_nan_max` and
+`reference_proportionality_residual` are the package's `nan_max` and
+`proportionality_residual` as first written, one generator per call, as
+references for their faster forms.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from contact_noether.dynamics import Trajectory, contact_field, cumulative_integral, extended_field
 from contact_noether.expr import (Add, Call, Div, Mul, Neg, Num, Param, Pow, ScalarField, Sub, Var,
@@ -242,3 +245,20 @@ def dual_residual(system: ContactSystem, F: ScalarField,
     terms += [dual_gradient(system.param_rates[nm], env, ())[0] * dF[2 * n + 2 + k]
               for k, nm in enumerate(rated)]
     return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+def reference_nan_max(values: Iterable[float]) -> float:
+    """The largest of some magnitudes, 0.0 for none, and the first NaN when any is NaN."""
+    values = list(values)
+    return next((v for v in values if v != v), max(values, default=0.0))
+
+
+def reference_proportionality_residual(omega: Sequence[float],
+                                       eta: Sequence[float]) -> tuple[float, float]:
+    """lambda from the dS slot of omega, and max |omega_i - lambda*eta_i| over the
+    other slots, normalised by max(1, ||omega||_inf)."""
+    s = len(omega) - 2
+    lam = omega[s]
+    mism = reference_nan_max(abs(w - lam * e) for i, (w, e) in enumerate(zip(omega, eta))
+                             if i != s)
+    return lam, mism / max(1.0, max(abs(w) for w in omega))

@@ -696,8 +696,7 @@ class TestRecurringRuns:
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
     def test_the_third_run_builds_nothing_and_writes_the_first_runs_bytes(self, tmp_path, name):
-        # X_h^t's d/dt and the compensation's derivatives along the flow are all
-        # the nodes it makes
+        # X_h^t's d/dt, one node per flow, is all it makes
         outputs = []
         for k in range(3):
             done = tally()
@@ -727,6 +726,25 @@ class TestRecurringRuns:
             assert _outputs(tmp_path / label, name) == _outputs(tmp_path / f"fresh-{label}", name)
         assert cli.run(path, tmp_path / "again", quiet=True)[1] == 0
         assert _outputs(tmp_path / "again", name) == _outputs(tmp_path / "plain-0", name)
+
+    def test_a_seed_run_of_a_kept_scenario_builds_nothing(self, tmp_path):
+        # the built checks and their bundle read no seed, so the seeded copy
+        # takes them over and draws and judges its own samples
+        path, name = SCENARIOS / "kepler-scaling.json", "kepler-scaling"
+        done = subprocess.run([sys.executable, "-c", FRESH, "--quiet", "--out",
+                               str(tmp_path / "fresh"), "--seed", "5", "check", str(path)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")})
+        assert (done.returncode, done.stderr) == (0, "")
+        for k in range(2):
+            assert cli.run(path, tmp_path / f"plain-{k}", quiet=True)[1] == 0
+        done = tally()
+        assert cli.run(path, tmp_path / "seeded", quiet=True, seed=5)[1] == 0
+        work = done()
+        assert [work[k] for k in ("bundles", "derive")] == [0, 0]
+        assert work["nodes"] <= 20
+        assert _outputs(tmp_path / "seeded", name) == _outputs(tmp_path / "fresh", name)
+        assert _outputs(tmp_path / "seeded", name) != _outputs(tmp_path / "plain-0", name)
 
     def test_a_file_that_takes_over_a_kept_run_keeps_its_work_for_the_system(self, tmp_path):
         # a third run builds nothing, but it is kept under the system's key in

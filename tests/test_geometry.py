@@ -1,7 +1,10 @@
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contact_noether import cli, systems
 from contact_noether.dynamics import contact_field, extended_field
@@ -10,19 +13,22 @@ from contact_noether.geometry import (
     ContactSystem,
     ExtendedPoint,
     LieDerivativeEta,
+    SampleBox,
     VectorFieldSpec,
     coordinate_names,
     contract_d_eta_E,
     directional_derivative,
     interior_product_eta_E,
     lie_bracket,
+    nan_max,
     point_bundle,
     proportionality_residual,
 )
 from contact_noether.noether import sample_points, symmetry_from_invariant
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from conftest import point, value, values
-from oracles import jacobi_bracket, poisson_bracket
+from oracles import (jacobi_bracket, poisson_bracket, reference_nan_max,
+                     reference_proportionality_residual)
 from randfields import PARAM_NAMES, random_env, random_field
 
 
@@ -46,6 +52,66 @@ class TestExtendedPoint:
     def test_rejects_malformed_input(self, q, p, S):
         with pytest.raises(ValueError):
             ExtendedPoint(q, p, S, 0.0)
+
+
+class TestSampleBox:
+    @pytest.mark.parametrize("bounds", [
+        {"q": (float("nan"), 1.0)},
+        {"p": (0.0, float("inf"))},
+        {"t": (float("-inf"), 0.0)},
+        {"S": (1.0, 1.0)},                 # empty
+        {"q": (2.0, -2.0)},                # reversed
+        {"p": (-1e308, 1e308)},            # finite ends, but hi - lo overflows
+    ])
+    def test_refuses_a_non_finite_or_empty_interval(self, bounds):
+        with pytest.raises(ValueError):
+            SampleBox(**bounds)
+
+    def test_bounds_are_pairs_of_floats(self):
+        box = SampleBox(q=(0, 2), t=(0.5, 5))
+        assert box.q == (0.0, 2.0) and box.t == (0.5, 5.0)
+        assert all(type(v) is float for pair in (box.q, box.p, box.S, box.t) for v in pair)
+
+
+def _nan(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+INF = float("inf")
+# NaNs of both signs and two payloads, infinities, signed zeros and subnormals
+SPECIAL = [_nan(0x7FF8000000000000), _nan(0xFFF8000000000000), _nan(0x7FF8000000000001),
+           _nan(0x7FF0000000000001), INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308]
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+
+
+def _bits(*xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+class TestHelpersMatchTheirReferences:
+    """`nan_max` and `proportionality_residual` return their references' values
+    bit for bit, NaN payload and sign included."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(FLOATS, max_size=12))
+    @example([])
+    @example([INF, -INF])
+    @example([-INF, INF, SPECIAL[2], SPECIAL[1]])
+    @example([1.0, SPECIAL[3], 2.0, SPECIAL[0]])
+    def test_nan_max(self, values):
+        assert _bits(nan_max(values)) == _bits(reference_nan_max(values))
+        assert _bits(nan_max(iter(values))) == _bits(reference_nan_max(values))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(FLOATS, min_size=2 * n + 2, max_size=2 * n + 2),
+        st.lists(FLOATS, min_size=2 * n + 2, max_size=2 * n + 2))))
+    @example(([1.0, -2.0, INF, 0.5], [-1.0, 0.0, 1.0, 2.0]))
+    @example(([INF, -INF, 1.0, SPECIAL[1]], [1.0, 1.0, 1.0, 0.0]))
+    def test_proportionality_residual(self, omega_eta):
+        omega, eta = omega_eta
+        assert _bits(*proportionality_residual(omega, eta)) \
+            == _bits(*reference_proportionality_residual(omega, eta))
 
 
 def const_field(v, n):

@@ -1,6 +1,7 @@
 """Every script under scripts/ answers -h and --help with its usage and starts
 no work: no scenario, no flow and no pytest run.  `symbolic_counts.py` prints
-the counts of `expr.work` that a workload adds.  README's quick tour runs."""
+the counts of `expr.work` that a workload adds, and `phase_times.py` the time
+of each phase of a round.  README's quick tour runs."""
 
 import os
 import re
@@ -41,15 +42,15 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
 
 
 @pytest.mark.parametrize("workload, first, second", [
-    ("bundled", (17, 1121, 2064, 1141, 4), (0, 0, 14, 0, 4)),
-    ("long-flow", (7, 102, 540, 216, 3), (0, 0, 13, 0, 3)),
+    ("bundled", (17, 1121, 2064, 1141, 4), (0, 0, 4, 0, 4)),
+    ("long-flow", (7, 102, 540, 216, 3), (0, 0, 3, 0, 3)),
     ("symbolic-sweep", (6, 2159, 3885, 1657, 1), (6, 1629, 3274, 1657, 1))],
     ids=["bundled", "long-flow", "symbolic-sweep"])
 def test_symbolic_counts_prints_the_tally(workload, first, second):
     # at seed 7, round 1 derives and compiles the files' work, which their runs
     # keep from then on with the loaded scenario, its built checks and its
-    # system's X_h, so round 2 derives, emits and loads nothing and makes only a
-    # few nodes (X_h^t's d/dt and the compensation's derivatives along it).
+    # system's X_h and compensation chain, so round 2 derives, emits and loads
+    # nothing and makes only X_h^t's d/dt, one node per flow.
     # The sweep's files are new in every round, but its Kepler system is not:
     # from round 1 the last Kepler run is kept under the system's key, so round 1
     # (td-kepler shares some of its nodes) and round 2 derive less than round 0,
@@ -62,6 +63,20 @@ def test_symbolic_counts_prints_the_tally(workload, first, second):
     rounds = [tuple(int(kv.split()[1]) for kv in line.split(": ")[1].split(", "))
               for line in done.stdout.splitlines()[:2]]
     assert rounds == [first, second]
+
+
+def test_phase_times_prints_every_phase_within_the_round():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "phase_times.py"),
+                           "--workload", "bundled", "--rounds", "1", "--seed", "7"],
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    ms = {line[:26].strip(): float(line[26:]) for line in done.stdout.splitlines()[1:]}
+    phases = ["cli._load", "cli._build", "expr._codegen", "cli._run_flow",
+              "noether.sample_points", "cli._write_report", "Trajectory.to_csv",
+              "cli.run_checks rest"]
+    assert list(ms) == [*phases, "round", "rest of round"]
+    assert all(ms[p] >= 0.0 for p in phases) and ms["cli._run_flow"] > 0.0
+    assert sum(ms[p] for p in phases) <= ms["round"]
 
 
 def test_readme_quick_tour_runs():
