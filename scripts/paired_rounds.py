@@ -17,14 +17,16 @@ minute.
 Prints each round's two times and their ratio (change / parent), then the
 median ratio with its quartiles; a ratio below 1 means the change is faster.
 The number of scenarios whose reports differ between the trees goes to
-stderr: a change that moves values by design (step counts, drift values)
-differs there and still exits 0.  A scenario whose outcome differs (the exit
+stderr, with the largest relative difference of any reported float among
+them and where it is: a change that moves values by design (step counts,
+drift values, last bits) differs there and still exits 0.  A scenario whose outcome differs (the exit
 code, the report's `passed`, or a check's `verdict` or `passed`) is named on
 stderr, and the exit code is then 1.
 """
 
 import argparse
 import importlib.util
+import math
 import statistics
 import sys
 import tempfile
@@ -70,6 +72,21 @@ def outcome(run: tuple[dict, int]) -> tuple:
                                         for c in report.get("checks", [])]
 
 
+def float_differences(a, b, where: str = ""):
+    """(|a - b| / max(|a|, |b|), where) for each float that differs between two reports
+    of one shape, inf where one is not finite; two NaNs do not differ."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a != b and not (a != a and b != b):
+            finite = math.isfinite(a) and math.isfinite(b)
+            yield (abs(a - b) / max(abs(a), abs(b)) if finite else math.inf), where
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() & b.keys()):
+            yield from float_differences(a[key], b[key], f"{where}.{key}".lstrip("."))
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from float_differences(x, y, f"{where}[{i}]")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src")
@@ -82,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--rounds must be at least 1")
     trees = {"parent": load(args.parent_src, "cn_parent"),
              "change": load(args.change_src, "cn_change")}
-    differing, moved = set(), set()
+    differing, moved, largest = set(), set(), (0.0, "")
     ratios: list[float] = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -96,6 +113,8 @@ def main(argv: list[str] | None = None) -> int:
             for case, a, b in zip(round_cases, reports["parent"], reports["change"]):
                 if a[0] != b[0]:
                     moved.add(case.name)
+                    largest = max([largest, *((rel, f"{case.name} {where}")
+                                              for rel, where in float_differences(a[0], b[0]))])
                 if outcome(a) != outcome(b):
                     differing.add(case.name)
             if k:
@@ -107,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload}: median change/parent round-time ratio {med:.3f} "
           f"(q1 {q1:.3f}, q3 {q3:.3f}); change faster in {wins}/{len(ratios)} rounds")
     print(f"{len(moved)} scenario(s) with reports that differ", file=sys.stderr)
+    if largest[1]:
+        print(f"largest relative difference of a reported float: {largest[0]:.3g} "
+              f"({largest[1]})", file=sys.stderr)
     for name in sorted(differing):
         print(f"outcome differs: {name}", file=sys.stderr)
     return 1 if differing else 0

@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 from . import __version__, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
 from .expr import ExprError, ScalarField, derivatives_kept, parse
-from .geometry import ContactSystem, ExtendedPoint, VectorFieldSpec, point_bundle
+from .geometry import ContactSystem, ExtendedPoint, LieDerivativeEta, VectorFieldSpec, point_bundle
 from .noether import (FLOW_THRESHOLD, SYMBOLIC_THRESHOLD, dissipation_compensation,
                       max_relative_drift, noether_lambda, sample_points, symmetry_from_invariant)
 from .systems import AuxiliaryState, TrackedInvariant, co_integrate, make_builtin
@@ -379,7 +379,7 @@ def _build(sc: Scenario, c: Check) -> noether.Pointwise:
         return noether.build_closure(sc.system, s1.field, s2.field, c.tol, s1.factor, s2.factor)
     Y = sc.symmetries[c.refs[0]].field
     if c.type == "symmetry":
-        return noether.build_symmetry(sc.system, Y, c.tol)
+        return noether.build_symmetry(sc.system, LieDerivativeEta(sc.system, Y).form, c.tol)
     X = (extended_field if c.against == "extended" else contact_field)(sc.system)
     return noether.build_similarity(Y, X, c.tol, c.Lambda_tol, sc.system)
 

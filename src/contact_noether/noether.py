@@ -12,7 +12,7 @@ closure checks live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import neg
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -24,8 +24,10 @@ from .geometry import (
     ExtendedPoint,
     LieDerivativeEta,
     VectorFieldSpec,
+    bracket_lie_derivative,
     contact_field_of,
     coordinate_names,
+    derivative_along,
     directional_derivative,
     lie_bracket,
     nan_max,
@@ -174,10 +176,12 @@ def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedP
 def symmetry_from_invariant(system: ContactSystem, F: ScalarField,
                             Yt: ScalarField | float = 0.0) -> VectorFieldSpec:
     """The most general symmetry associated with a dissipated quantity F:
-    X_F plus the gauge term Yt * X_h^t (Yt a free function)."""
+    X_F plus the gauge term Yt * X_h^t (Yt a free function), recording these
+    parts, from which its checks are built (`geometry.LieDerivativeEta`)."""
     if not isinstance(Yt, ScalarField):
         Yt = number(float(Yt), system.n)
-    return contact_field_of(F) + extended_field(system).scaled(Yt)
+    V, X = contact_field_of(F), extended_field(system)
+    return replace(V + X.scaled(Yt), parts=(F, V, Yt, X))
 
 
 def noether_lambda(system: ContactSystem, F: ScalarField,
@@ -210,10 +214,10 @@ def build_residual(system: ContactSystem, F: ScalarField) -> Pointwise:
     return Pointwise((dissipation_field(system, F),), lambda _, rows: nan_max([abs(v) for v, in rows]))
 
 
-def build_symmetry(system: ContactSystem, Y: VectorFieldSpec, threshold: float,
+def build_symmetry(system: ContactSystem, form: Sequence[ScalarField], threshold: float,
                    *expected: ScalarField) -> Pointwise:
-    """lambda and the proportionality residual at every sample, from L_Y eta_E, h and
-    the expected lambda, if given (the defect is its largest deviation)."""
+    """lambda and the proportionality residual at every sample, from a form L_Y eta_E, h
+    and the expected lambda, if given (the defect is its largest deviation)."""
     m, zeros = 2 * system.n + 2, (0.0,) * system.n
 
     def judge(samples: Sequence[ExtendedPoint], rows: Iterable[Sequence[float]]) -> SymmetryReport:
@@ -228,7 +232,7 @@ def build_symmetry(system: ContactSystem, Y: VectorFieldSpec, threshold: float,
         return SymmetryReport(tuple(lambdas), worst, NOT_SYMMETRY if failed else GENERALIZED_NOETHER,
                               defect if expected else None)
 
-    return Pointwise((*LieDerivativeEta(system, Y).form, system.h, *expected), judge)
+    return Pointwise((*form, system.h, *expected), judge)
 
 
 def symmetry_test(system: ContactSystem, Y: VectorFieldSpec,
@@ -236,7 +240,8 @@ def symmetry_test(system: ContactSystem, Y: VectorFieldSpec,
                   threshold: float = SYMBOLIC_THRESHOLD) -> SymmetryReport:
     """Test L_Y eta_E = lambda eta_E pointwise; lambda is read from the dS
     component (eta_E has dS coefficient identically 1)."""
-    return build_symmetry(system, Y, threshold).run(samples, system.params)
+    return build_symmetry(system, LieDerivativeEta(system, Y).form, threshold).run(
+        samples, system.params)
 
 
 def build_similarity(Y: VectorFieldSpec, X: VectorFieldSpec, residual_threshold: float,
@@ -285,14 +290,11 @@ def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,
 def build_closure(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpec,
                   threshold: float, lambda1: ScalarField | None,
                   lambda2: ScalarField | None) -> Pointwise:
-    """`closure_check`, built."""
-    def along(Y: VectorFieldSpec, f: ScalarField) -> ScalarField:
-        return directional_derivative(Y, f) + Y.Yt * system.rate_term(f)
-
+    """`closure_check`, built from L_{[Y1, Y2]} eta_E (`bracket_lie_derivative`)."""
     expected = []
     if lambda1 is not None and lambda2 is not None:
-        expected = [along(Y1, lambda2) - along(Y2, lambda1)]
-    return build_symmetry(system, lie_bracket(Y1, Y2, system), threshold, *expected)
+        expected = [derivative_along(system, Y1, lambda2) - derivative_along(system, Y2, lambda1)]
+    return build_symmetry(system, bracket_lie_derivative(system, Y1, Y2), threshold, *expected)
 
 
 def closure_check(system: ContactSystem, Y1: VectorFieldSpec, Y2: VectorFieldSpec,

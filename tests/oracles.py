@@ -8,8 +8,9 @@ obstruction, the Poisson and Jacobi brackets) or an identity (Euler's for
 homogeneous potentials, the action identity dS/dt = p.dh/dp - h) so that a
 test can check the package's own construction against it.  `dual_gradient`
 differentiates a field's tree by forward-mode dual numbers, with rules of its
-own, as a check on the structural derivatives, and `dual_residual` builds the
-dissipation residual from those gradients.  `reference_nan_max` and
+own, as a check on the structural derivatives; `dual_residual` builds the
+dissipation residual from those gradients, and `dual_lie_derivative` the
+coefficients of L_Y eta_E by the coordinate formula.  `reference_nan_max` and
 `reference_proportionality_residual` are the package's `nan_max` and
 `proportionality_residual` as first written, one generator per call, as
 references for their faster forms.
@@ -158,14 +159,14 @@ def glr_equilibrium(f0: float, g0: float, a0: float = 1.0) -> tuple[float, float
     return (a0**3 * (1.0 + 0.75 * a0 * g0 * g0) / denom) ** 0.25, 0.0
 
 
-# each intrinsic's value and derivative at a: a -> (f(a), f'(a))
+# each intrinsic's value and first two derivatives at a: a -> (f(a), f'(a), f''(a))
 _DUAL_INTRINSICS = {
-    "sin": lambda a: (math.sin(a), math.cos(a)),
-    "cos": lambda a: (math.cos(a), -math.sin(a)),
-    "exp": lambda a: (math.exp(a),) * 2,
-    "ln": lambda a: (math.log(a), 1.0 / a),
-    "sqrt": lambda a: (math.sqrt(a), 1.0 / (2.0 * math.sqrt(a))),
-    "abs": lambda a: (abs(a), math.copysign(1.0, a)),
+    "sin": lambda a: (math.sin(a), math.cos(a), -math.sin(a)),
+    "cos": lambda a: (math.cos(a), -math.sin(a), -math.cos(a)),
+    "exp": lambda a: (math.exp(a),) * 3,
+    "ln": lambda a: (math.log(a), 1.0 / a, -1.0 / a ** 2),
+    "sqrt": lambda a: (math.sqrt(a), 1.0 / (2.0 * math.sqrt(a)), -0.25 / (a * math.sqrt(a))),
+    "abs": lambda a: (abs(a), math.copysign(1.0, a), 0.0),
 }
 
 
@@ -213,7 +214,7 @@ def dual_gradient(field: ScalarField, env: Mapping[str, float],
                 out = w, tuple(w * (y * math.log(u) + v * (x / u)) for x, y in zip(du, dv))
             case Call(fn, a):
                 u, du = ev(a)
-                f, df = _DUAL_INTRINSICS[fn](u)
+                f, df, _ = _DUAL_INTRINSICS[fn](u)
                 out = f, tuple(df * x for x in du)
             case _:
                 raise TypeError(f"unknown node {node!r}")
@@ -245,6 +246,125 @@ def dual_residual(system: ContactSystem, F: ScalarField,
     terms += [dual_gradient(system.param_rates[nm], env, ())[0] * dF[2 * n + 2 + k]
               for k, nm in enumerate(rated)]
     return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+def dual_magnitude(field: ScalarField, env: Mapping[str, float],
+                   names: Sequence[str]) -> tuple[float, tuple[float, ...]]:
+    """Bounds on the magnitudes that the value of `field` at `env` and its gradient by
+    `names` sum, the scale of their rounding: `dual_gradient`'s rules with nothing
+    cancelling, |a +- b| -> M(a) + M(b) and |a b| -> M(a) M(b), and to first order a
+    relative change of the operand of a quotient, a power or an intrinsic moves it as much."""
+    zero = (0.0,) * len(names)
+    memo: dict = {}
+
+    def ev(node) -> tuple[float, tuple[float, ...], float, tuple[float, ...]]:
+        """(value, gradient, the value's magnitude, the gradient's magnitudes)."""
+        if node in memo:
+            return memo[node]
+        match node:
+            case Num(v):
+                out = v, zero, abs(v), zero
+            case Var(name) | Param(name):
+                one = tuple(float(name == nm) for nm in names)
+                out = env[name], one, abs(env[name]), one
+            case Neg(a):
+                u, du, U, dU = ev(a)
+                out = -u, tuple(-x for x in du), U, dU
+            case Add(a, b) | Sub(a, b):
+                (u, du, U, dU), (v, dv, V, dV) = ev(a), ev(b)
+                s = 1.0 if isinstance(node, Add) else -1.0
+                out = (u + s * v, tuple(x + s * y for x, y in zip(du, dv)), U + V,
+                       tuple(X + Y for X, Y in zip(dU, dV)))
+            case Mul(a, b):
+                (u, du, U, dU), (v, dv, V, dV) = ev(a), ev(b)
+                out = (u * v, tuple(x * v + u * y for x, y in zip(du, dv)), U * V,
+                       tuple(X * V + U * Y for X, Y in zip(dU, dV)))
+            case Div(a, b):
+                (u, du, U, dU), (v, dv, V, dV) = ev(a), ev(b)
+                r = V / abs(v)  # the denominator's relative magnitude
+                out = (u / v, tuple(x / v - u * y / v ** 2 for x, y in zip(du, dv)),
+                       (U + abs(u) * r) / abs(v),
+                       tuple((X + abs(x) * r) / abs(v) + (U * abs(y) + abs(u) * Y
+                                                          + 2.0 * abs(u * y) * r) / v ** 2
+                             for x, y, X, Y in zip(du, dv, dU, dV)))
+            case Pow(a, Num(k)):
+                u, du, U, dU = ev(a)
+                c, c2 = k * u ** (k - 1.0), k * (k - 1.0) * u ** (k - 2.0) if k != 1.0 else 0.0
+                out = (u ** k, tuple(c * x for x in du), abs(u ** k) + abs(c) * U,
+                       tuple(abs(c) * X + abs(c2 * x) * U for x, X in zip(du, dU)))
+            case Pow(a, b):
+                (u, du, U, dU), (v, dv, V, dV) = ev(a), ev(b)
+                w, lu = u ** v, math.log(u)
+                W = abs(w) * (1.0 + abs(v) * U / abs(u) + abs(lu) * V)
+                out = (w, tuple(w * (y * lu + v * (x / u)) for x, y in zip(du, dv)), W,
+                       tuple(W * (abs(y * lu) + abs(v * x / u)) + abs(w) * (
+                           Y * abs(lu) + abs(y) * U / abs(u) + V * abs(x / u) + abs(v) * X / abs(u)
+                           + abs(v * x) * U / u ** 2) for x, y, X, Y in zip(du, dv, dU, dV)))
+            case Call(fn, a):
+                u, du, U, dU = ev(a)
+                f, df, d2f = _DUAL_INTRINSICS[fn](u)
+                out = (f, tuple(df * x for x in du), abs(f) + abs(df) * U,
+                       tuple(abs(df) * X + abs(d2f * x) * U for x, X in zip(du, dU)))
+            case _:
+                raise TypeError(f"unknown node {node!r}")
+        memo[node] = out
+        return out
+
+    _, _, magnitude, gradient = ev(field.ast)
+    del ev  # a recursive closure is a reference cycle, which would keep the nodes
+    return magnitude, gradient
+
+
+def dual_lie_derivative(system: ContactSystem, Y: VectorFieldSpec, env: Mapping[str, float],
+                        magnitudes: bool = False) -> tuple[list[float], list[float]]:
+    """The 2n+2 coefficients of L_Y eta_E at `env`, in coordinate_names order, by the
+    coordinate formula (L_Y eta)_i = Y^j d_j eta_i + eta_j d_i Y^j with
+    eta_E = (-p, 0, 1, h), from the `dual_gradient`s of Y's components and of h; d_t
+    also moves each rated parameter that they read, at its rate.  It shares neither
+    the Cartan formula nor the Leibniz rule with `LieDerivativeEta`.  Returns each
+    coefficient, summed exactly (`math.fsum`) from its products expanded one by one,
+    and the scale of its rounding: the sum of those products' magnitudes plus twice
+    |Y^t d_i h|, a product that iota_Y d(eta_E) subtracts and both routes of the
+    package add back.  With `magnitudes`, each factor of the scale is its
+    `dual_magnitude`, which bounds the cancellation within the factor too."""
+    n, names = system.n, coordinate_names(system.n)
+    m, comps = 2 * n + 2, Y.components()
+    read = set().union(*(f.free_params for f in (system.h, *comps)))
+    rated = [nm for nm in system.param_rates if nm in read]
+    by = (*names, *rated)
+
+    def products(ys, dys, h, dh, rates, p) -> list[tuple[list[float], list[float]]]:
+        """Per slot i: the products that sum to (L_Y eta)_i, and the products Y^t d_i h."""
+        eta = [*(-x for x in p), *[0.0] * n, 1.0, h]
+
+        def slot(grad: Sequence[float], i: int) -> list[float]:
+            """d_i by a gradient, expanded: d_t adds rate * d/d(name) per rated name."""
+            return [grad[i], *(r * grad[m + k] for k, r in enumerate(rates))] if i == m - 1 \
+                else [grad[i]]
+
+        out = []
+        for i in range(m):
+            terms = [-ys[n + i]] if i < n else []  # Y^j d_j eta_i: d_j(-p_i) is -1 at j = p_i
+            if i == m - 1:  # Y^j d_j h
+                terms += [y * d for j, y in enumerate(ys) for d in slot(dh, j)]
+            terms += [e * d for e, dy in zip(eta, dys) if e for d in slot(dy, i)]
+            out.append((terms, [ys[-1] * d for d in slot(dh, i)]))
+        return out
+
+    p = [env[f"p{a}"] for a in range(n)]
+    rates = [dual_gradient(system.param_rates[nm], env, ())[0] for nm in rated]
+    h, dh = dual_gradient(system.h, env, by)
+    ys, dys = zip(*(dual_gradient(c, env, by) for c in comps))
+    exact = products(ys, dys, h, dh, rates, p)
+    if magnitudes:
+        rates = [dual_magnitude(system.param_rates[nm], env, ())[0] for nm in rated]
+        h, dh = dual_magnitude(system.h, env, by)
+        ys, dys = zip(*(dual_magnitude(c, env, by) for c in comps))
+        p = list(map(abs, p))
+    bounds = products(ys, dys, h, dh, rates, p) if magnitudes else exact
+    return ([math.fsum(terms) for terms, _ in exact],
+            [math.fsum(map(abs, terms)) + 2.0 * math.fsum(map(abs, extra))
+             for terms, extra in bounds])
 
 
 def reference_nan_max(values: Iterable[float]) -> float:

@@ -13,11 +13,14 @@ import pytest
 from contact_noether import cli, dynamics, expr
 from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.expr import DomainError, parse
-from contact_noether.geometry import ContactSystem, lie_bracket, nan_max, point_bundle
+from contact_noether.geometry import (ContactSystem, LieDerivativeEta, VectorFieldSpec,
+                                      lie_bracket, nan_max, point_bundle)
 from contact_noether.noether import (closure_check, dissipation_field, sample_points,
-                                     similarity_test, symmetry_test)
+                                     similarity_test, symmetry_from_invariant, symmetry_test)
+from contact_noether.scaling import ScalingAnsatz, scaling_generator
+from contact_noether.systems import make_builtin
 from conftest import certbench_workloads, tally
-from oracles import dual_residual
+from oracles import dual_lie_derivative, dual_residual
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -680,6 +683,53 @@ def test_each_residual_matches_its_dual_number_oracle(tmp_path, source):
             assert abs(at(pt)[0] - value) <= 4 * 2**-52 * scale, (F, pt)
 
 
+# the rated oscillator's from_invariant symmetries, with point values of the rated parameters
+RATED_SYMMETRIES = {
+    **TestExitCodes.AUX_POINT_PARAMS,
+    "name": "rated-symmetries",
+    "symmetries": [{"label": "glr", "from_invariant": "F_GLR", "Yt": "a*t"},
+                   {"label": "em", "from_invariant": "F_EM", "Yt": "b + t"}],
+    "checks": [{"type": "symmetry", "symmetry": "glr"}, {"type": "symmetry", "symmetry": "em"}],
+}
+
+
+@pytest.mark.parametrize("source", [*(p for p in sorted(SCENARIOS.glob("*.json"))
+                                      if '"symmetry"' in p.read_text()),
+                                    *_sweep_cases(), "rated-symmetries"],
+                         ids=lambda s: getattr(s, "stem", None) or getattr(s, "name", s))
+def test_each_symmetry_form_matches_its_dual_number_oracle(tmp_path, source):
+    # the first 2n+2 compiled roots of every symmetry check, L_Y eta_E, at every
+    # sample, against the coordinate formula from forward-mode gradients of Y's
+    # components and h (`oracles.dual_lie_derivative`), which shares neither the
+    # Cartan formula nor the Leibniz rule that build it: within the residual
+    # oracle's 4 * 2^-52 of the scale of the products' rounding.  That scale
+    # takes each factor's value, or, where that bound fails (at most 6 of the 465
+    # samples, measured), its magnitude with nothing cancelling (3.0 of the 4 at worst)
+    if isinstance(source, Path):
+        path = source
+    elif source == "rated-symmetries":
+        path = write_scenario(tmp_path, source, RATED_SYMMETRIES)
+    else:
+        path = source.write(tmp_path)
+    sc = cli.load_scenario(path)
+    system, built = sc.bound, sc.fused[0]
+    m = 2 * system.n + 2
+    samples = sample_points(system, sc.sample_count, sc.seed, margin=sc.integrator.guard_margin)
+    checks = [(i, c) for i, c in enumerate(sc.checks) if c.type == "symmetry"]
+    assert checks
+    for i, c in checks:
+        Y = sc.symmetries[c.refs[0]].field
+        at = point_bundle(built[i].fields[:m], system.params)
+        for pt in samples:
+            got, env = at(pt), {**system.params, **pt.env()}
+            for magnitudes in (False, True):
+                oracle, scales = dual_lie_derivative(system, Y, env, magnitudes)
+                if all(abs(g - v) <= 4 * 2**-52 * s for g, v, s in zip(got, oracle, scales)):
+                    break
+            else:
+                raise AssertionError((path.stem, c.refs, pt, got, oracle, scales))
+
+
 # a run of the command line in an interpreter of its own
 FRESH = "import sys; from contact_noether.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -765,6 +815,43 @@ class TestRecurringRuns:
             derived.append(done()["derive"])
         assert derived[0] == derived[1] > 0
 
+    def test_a_new_gauge_on_a_kept_system_derives_only_its_own_partials(self, tmp_path):
+        # after two runs of one sweep Kepler file, its system keeps the gauge-free
+        # parts of its gauged field's checks (`geometry.LieDerivativeEta`,
+        # `geometry.bracket_lie_derivative`): a file with a new m, eps, gauge and
+        # wrong-sigma ansatz derives the gauge's partials and the wrong-sigma
+        # checks, 27 rules measured, where the whole gauged field took 452
+        first, second = (certbench_workloads().symbolic_sweep_round(7, k)[0] for k in (0, 1))
+        assert first.spec["system"]["builtin"] == second.spec["system"]["builtin"] == "kepler"
+        assert first.spec["symmetries"][3]["Yt"] != second.spec["symmetries"][3]["Yt"]
+        for _ in range(2):
+            assert cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)[1] == 0
+        done = tally()
+        report, code = cli.run(second.write(tmp_path), tmp_path / "second", quiet=True)
+        assert code == 0 and done()["derive"] <= 40
+
+    def test_a_field_gauged_for_another_h_is_checked_whole(self):
+        # X_F + Yt X_h^t built on Kepler and checked on td-Kepler, whose X_h^t is
+        # another: its recorded parts do not split over this X_h^t, so its symmetry
+        # and closure checks are those of the same components with no parts, the
+        # route every field took before parts were recorded, bit for bit
+        kepler = make_builtin("kepler")
+        td = make_builtin("td-kepler", {"Lambda": 1.5}).with_params(kepler.params)
+        Y = symmetry_from_invariant(kepler, kepler.invariants["Q_K"].field, parse("t + q0*p1", 3))
+        whole = VectorFieldSpec(Y.Yq, Y.Yp, Y.YS, Y.Yt)
+        assert Y.parts is not None and whole.parts is None
+        scaling = scaling_generator(ScalingAnsatz(1.25, 0.25, 1.5, 1.0), 3)
+        samples = sample_points(td, 20, seed=17)
+        for field in (Y, whole):
+            reports = [symmetry_test(td, field, samples), closure_check(td, field, scaling, samples),
+                       closure_check(td, scaling, field, samples)]
+            if field is Y:
+                split = reports
+        assert [_hexes([r.residual, *r.lambda_at_samples]) for r in split] == \
+            [_hexes([r.residual, *r.lambda_at_samples]) for r in reports]
+        assert [f.ast for f in LieDerivativeEta(td, Y).form] == \
+            [f.ast for f in LieDerivativeEta(td, whole).form]
+
     def test_the_kept_work_of_a_file_does_not_grow(self, tmp_path):
         path = SCENARIOS / "kepler-scaling.json"
         key, sizes = (path.read_bytes(), path.stem), []
@@ -808,8 +895,8 @@ class TestArtifacts:
             "969217c7571afe1aba3717f935dea1badd79b8860e71079117f4b89ad0f1af7a",
             "d203330944584d41a648ca2b4acddfe72266a2f4153dc3e1069e9a5c62299acb"),
         "kepler-scaling": (
-            "6cd624f8260ee62e3223d31fc88c2373a1a149598fde33c70efacf64cb7cef07",
-            "64ff3c07190225143e5280fdfc4059e77ac738f8047f5b87cd78a4651987386f",
+            "403a0b3ab1132a1756915b6c4b63544df912cf642771e0df8f39e4b5d5b9b3b7",
+            "a83e7abfd5eba628097ff3bee22ce1740eb21548157fb07071689b45984fc6d2",
             "efad186f09cda0eb1e2ec6966d9356865bd46048f738dd74388baf1e7eed1093"),
         "td-kepler": (
             "d5dbda17cf72e5a443e43d027fb5f49fa5b02d7c7318082aa17dc2f176314372",

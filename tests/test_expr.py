@@ -862,7 +862,7 @@ class TestRunScopedDerivatives:
 
         monkeypatch.setattr(expr, "_derive", counted)
         report, code = cli.run(SCENARIOS / "kepler-scaling.json", tmp_path, quiet=True)
-        assert code == 0 and calls[0] > 1000
+        assert code == 0 and calls[0] > 800
         assert again == []
 
     def test_loading_and_checking_derive_each_pair_once(self, tmp_path, monkeypatch):
@@ -916,7 +916,7 @@ class TestRunScopedDerivatives:
             counts.append(done())
             outputs.append([(tmp_path / str(k) / "kepler-scaling" / f).read_bytes()
                             for f in ("report.json", "trajectory.csv")])
-        assert counts[0]["derive"] > 1000 and counts[0]["bundles"] > 1
+        assert counts[0]["derive"] > 800 and counts[0]["bundles"] > 1
         assert [counts[2][k] for k in ("derive", "bundles", "emitted", "compiles")] == [0] * 4
         assert outputs[2] == outputs[1] == outputs[0]
 
@@ -993,7 +993,7 @@ class TestRunScopedDerivatives:
             done = tally()
             assert cli.run(path, tmp_path, quiet=True)[1] == 0
             counts.append(done())
-        assert counts[0]["derive"] > 1000 and counts[1]["derive"] > 1000
+        assert counts[0]["derive"] > 800 and counts[1]["derive"] > 800
         assert [[c[k] for k in ("derive", "bundles", "emitted", "compiles")]
                 for c in counts[2:]] == [[0] * 4] * 3
         assert loads == [a, b, a, b]

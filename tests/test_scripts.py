@@ -1,7 +1,8 @@
 """Every script under scripts/ answers -h and --help with its usage and starts
 no work: no scenario, no flow and no pytest run.  `symbolic_counts.py` prints
 the counts of `expr.work` that a workload adds, and `phase_times.py` the time
-of each phase of a round.  README's quick tour runs."""
+of each phase of a round, and `paired_rounds.py` names the largest relative
+difference of a float between two reports.  README's quick tour runs."""
 
 import os
 import re
@@ -42,9 +43,9 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
 
 
 @pytest.mark.parametrize("workload, first, second", [
-    ("bundled", (17, 1121, 2064, 1141, 4), (0, 0, 4, 0, 4)),
+    ("bundled", (17, 906, 1876, 1081, 4), (0, 0, 4, 0, 4)),
     ("long-flow", (7, 102, 540, 216, 3), (0, 0, 3, 0, 3)),
-    ("symbolic-sweep", (6, 2159, 3885, 1657, 1), (6, 1629, 3274, 1657, 1))],
+    ("symbolic-sweep", (6, 1926, 3984, 1642, 1), (6, 1076, 2816, 1642, 1))],
     ids=["bundled", "long-flow", "symbolic-sweep"])
 def test_symbolic_counts_prints_the_tally(workload, first, second):
     # at seed 7, round 1 derives and compiles the files' work, which their runs
@@ -77,6 +78,28 @@ def test_phase_times_prints_every_phase_within_the_round():
     assert list(ms) == [*phases, "round", "rest of round"]
     assert all(ms[p] >= 0.0 for p in phases) and ms["cli._run_flow"] > 0.0
     assert sum(ms[p] for p in phases) <= ms["round"]
+
+
+PAIRED = """
+import math, sys
+sys.path.insert(0, sys.argv[1])
+from paired_rounds import float_differences
+a = {"passed": True, "seed": 3, "checks": [
+    {"value": 1.5e-15, "verdict": "x", "lambda_table": [0.5, 2.0, math.nan, 0.0, 1.0]}]}
+b = {"passed": False, "seed": 4, "checks": [
+    {"value": 3.0e-15, "verdict": "y", "lambda_table": [0.5, 2.0 + 2**-51, math.nan, -0.0, math.inf]}]}
+for rel, where in float_differences(a, b):
+    print(repr(rel), where)
+"""
+
+
+def test_paired_rounds_finds_each_float_that_moved():
+    # only floats count; two NaNs and the two zeros do not differ, an infinity is inf
+    done = subprocess.run([sys.executable, "-c", PAIRED, str(ROOT / "scripts")],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["2.2204460492503126e-16 checks[0].lambda_table[1]",
+                                        "inf checks[0].lambda_table[4]", "0.5 checks[0].value"]
 
 
 def test_readme_quick_tour_runs():
