@@ -358,9 +358,12 @@ class LieDerivativeEta:
     def __init__(self, system: ContactSystem, Y: VectorFieldSpec):
         self.system = system
         V, a, flow, X = _split(system, Y)
-        self.form = _cartan(system, Y)[0] if X is None else _kept(  # iota_V d(eta_E) - dF
-            system, "L_V", Y.parts[0].ast, build=lambda: [tuple(map(operator.sub, contract_d_eta_E(
-                system, V), exterior_d(system, Y.parts[0])))])[0]
+        if X is None:
+            self.form = _cartan(system, Y)[0]
+            return
+        F = Y.parts[0]
+        self.form = _kept(system, "L_V", F.ast, build=lambda: [tuple(  # iota_V d(eta_E) - dF
+            map(operator.sub, contract_d_eta_E(system, V), exterior_d(system, F)))])[0]
         if a is not None:
             self.form = tuple(f + a * x for f, x in zip(self.form, flow))
 
