@@ -5,8 +5,11 @@ extended contact phase space: a symmetry Y (with L_Y eta_E = lambda eta_E)
 yields the dissipated quantity F = -iota_Y eta_E (the negated
 `geometry.interior_product_eta_E`), and a dissipated quantity
 F yields the symmetry X_F + Yt * X_h^t with the gauge function Yt free.
-Classification of dynamical similarities ([Y, X] = Lambda X) and Lie-algebra
-closure checks live here as well.
+That symmetry records its parts, whose checks are built by the Leibniz rule
+from eta_E(X_F) = -F and eta_E(X_h^t) = 0 over gauge-free parts that the
+system keeps (`geometry.LieDerivativeEta`, `geometry.bracket_lie_derivative`),
+so a new gauge costs only its own partials.  Classification of dynamical
+similarities ([Y, X] = Lambda X) and Lie-algebra closure checks live here as well.
 """
 
 from __future__ import annotations

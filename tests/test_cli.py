@@ -800,7 +800,7 @@ class TestRecurringRuns:
         # a third run builds nothing, but it is kept under the system's key in
         # place of the second, so it must hold the second's derivatives: a sweep
         # Kepler file derives as much after three runs of kepler-scaling as after
-        # two (465 rules at seed 7 in a fresh interpreter)
+        # two (346 rules at seed 7 in a fresh interpreter)
         kepler = SCENARIOS.parent / "certbench" / "bundled" / "kepler-scaling.json"
         sweep = certbench_workloads().symbolic_sweep_round(7, 5)[0]
         assert sweep.spec["system"]["builtin"] == "kepler"
