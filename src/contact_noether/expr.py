@@ -30,10 +30,10 @@ repeated derivatives small).
 Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.
 Derivatives and free names are computed once per distinct node, and a node
 that does not read a name takes its derivative by it from one signed zero,
-kept on the node.  `derivatives_kept` keeps one run's derivatives and bundles,
-and a run under a recurring key (cli: a file's, a system's) for the next.  A
-bundle of fields compiles to one statement per distinct node, bit-identical
-to eval_node.
+kept on the node.  `derivatives_kept` keeps one run's derivatives, bundles and
+other keyed work (`live_work`), and a run under a recurring key (cli: a file's,
+a system's) for the next.  A bundle of fields compiles to one statement per
+distinct node, bit-identical to eval_node.
 """
 
 from __future__ import annotations
@@ -566,8 +566,19 @@ def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str,
     return _make(lines, "scalar-field", {"_slow": slow}, consts)
 
 
-# the live bundles by (roots, argnames, bound names with their values' type, value and sign)
-_BUNDLES: "weakref.WeakValueDictionary[tuple, Callable]" = weakref.WeakValueDictionary()
+# the live bundles, by (roots, argnames, bound names with their values' type, value and
+# sign), and the other work kept by a key whose first item names its kind (`live_work`)
+_LIVE_WORK: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
+
+
+def live_work(key: tuple, build: Callable[[], object]) -> object:
+    """The live work under `key`, else `build()`, under `key` while it lives; the running
+    `derivatives_kept` block, if any, holds it."""
+    if (work := _LIVE_WORK.get(key)) is None:
+        work = _LIVE_WORK[key] = build()
+    if (kept := _KEPT.get()) is not None:
+        kept.add(work)
+    return work
 
 
 def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
@@ -581,18 +592,14 @@ def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
     unbound = set().union(*(f.free_vars | f.free_params for f in fields)) - {*argnames, *bound}
     if unbound:
         raise UnboundParameter(f"unbound names {sorted(unbound)}")
-    key = (tuple(roots), tuple(argnames),
-           tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in bound.items()))
-    fn = _BUNDLES.get(key)
-    if fn is None:
-        def slow(*args: float) -> tuple[float, ...]:
-            env, memo = {**bound, **dict(zip(argnames, args))}, {}
-            return tuple(eval_node(r, env, memo) for r in roots)
 
-        fn = _BUNDLES[key] = _codegen(roots, argnames, bound, slow)
-    if (kept := _KEPT.get()) is not None:
-        kept.add(fn)
-    return fn
+    def slow(*args: float) -> tuple[float, ...]:
+        env, memo = {**bound, **dict(zip(argnames, args))}, {}
+        return tuple(eval_node(r, env, memo) for r in roots)
+
+    return live_work((tuple(roots), tuple(argnames),
+                      tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in bound.items())),
+                     lambda: _codegen(roots, argnames, bound, slow))
 
 
 def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]], float]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -317,23 +316,17 @@ def _cartan(system: ContactSystem, Y: VectorFieldSpec) -> list:
 
 
 class _Kept(list):
-    """A part that `_kept` made, which a run's work holds and `_PARTS` names weakly."""
+    """A part that `_kept` made: a list, which a weak table can name, hashed by identity."""
 
     __hash__ = object.__hash__
 
 
-_PARTS: "weakref.WeakValueDictionary[tuple, _Kept]" = weakref.WeakValueDictionary()
-
-
-def _kept(system: ContactSystem, *key: object, build: Callable[[], list]) -> _Kept:
-    """`build()`, made once while a run (`expr.derivatives_kept`) keeps it with its derivatives;
-    keyed by n and the nodes of h and the rates, all it reads, as every copy of a system shares them."""
-    key = (system.n, system.h.ast, *((nm, r.ast) for nm, r in system.param_rates.items()), *key)
-    if (part := _PARTS.get(key)) is None:
-        part = _PARTS[key] = _Kept(build())
-    if (work := expr._KEPT.get()) is not None:
-        work.add(part)
-    return part
+def _kept(*key: object, system: ContactSystem, build: Callable[[], list]) -> _Kept:
+    """`build()` under `key` while a run keeps it with its derivatives: a system's part is keyed
+    by n and the nodes of h and its rates, all it reads, so every copy of the system finds it."""
+    return expr.live_work((*key, system.n, system.h.ast, *((nm, r.ast) for nm, r in
+                                                            system.param_rates.items())),
+                          lambda: _Kept(build()))
 
 
 def _nodes(Y: VectorFieldSpec) -> tuple[expr.Node, ...]:
@@ -348,7 +341,7 @@ def _split(system: ContactSystem, Y: VectorFieldSpec) -> tuple:
     _, V, a, X = Y.parts
     if a.ast is expr.Num(0.0):
         return V, None, None, X
-    return V, a, _kept(system, "L_X", build=lambda: [contract_d_eta_E(system, X)])[0], X
+    return V, a, _kept("L_X", system=system, build=lambda: [contract_d_eta_E(system, X)])[0], X
 
 
 class LieDerivativeEta:
@@ -362,7 +355,7 @@ class LieDerivativeEta:
             self.form = _cartan(system, Y)[0]
             return
         F = Y.parts[0]
-        self.form = _kept(system, "L_V", F.ast, build=lambda: [tuple(  # iota_V d(eta_E) - dF
+        self.form = _kept("L_V", F.ast, system=system, build=lambda: [tuple(  # iota_V d(eta_E) - dF
             map(operator.sub, contract_d_eta_E(system, V), exterior_d(system, F)))])[0]
         if a is not None:
             self.form = tuple(f + a * x for f, x in zip(self.form, flow))
@@ -380,7 +373,7 @@ def bracket_lie_derivative(system: ContactSystem, Y1: VectorFieldSpec,
     (V1, a, flow1, X1), (V2, b, flow2, X2) = _split(system, Y1), _split(system, Y2)
     nil, X = number(0.0, system.n), X1 or X2
     form = [nil] * (2 * system.n + 2) if _nodes(V1) == _nodes(V2) else _kept(
-        system, "L_[V,W]", _nodes(V1), _nodes(V2),
+        "L_[V,W]", _nodes(V1), _nodes(V2), system=system,
         build=lambda: _cartan(system, lie_bracket(V1, V2, system)))[0]
     c = (nil if b is None else derivative_along(system, V1, b)) \
         - (nil if a is None else derivative_along(system, V2, a))
@@ -389,7 +382,7 @@ def bracket_lie_derivative(system: ContactSystem, Y1: VectorFieldSpec,
     form = [f + c * x for f, x in zip(form, flow1 or flow2)] if a or b else form
     for g, V, op in ((b, V1, operator.add), (a, V2, operator.sub)):
         if g is not None:
-            lz, ez = _kept(system, "L_[V,X]", _nodes(V),
+            lz, ez = _kept("L_[V,X]", _nodes(V), system=system,
                            build=lambda: _cartan(system, lie_bracket(V, X, system)))
             form = [op(f, g * l + ez * d) for f, l, d in zip(form, lz, exterior_d(system, g))]
     return tuple(form)
