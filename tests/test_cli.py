@@ -842,13 +842,14 @@ class TestRecurringRuns:
         assert Y.parts is not None and whole.parts is None
         scaling = scaling_generator(ScalingAnsatz(1.25, 0.25, 1.5, 1.0), 3)
         samples = sample_points(td, 20, seed=17)
-        for field in (Y, whole):
-            reports = [symmetry_test(td, field, samples), closure_check(td, field, scaling, samples),
-                       closure_check(td, scaling, field, samples)]
-            if field is Y:
-                split = reports
-        assert [_hexes([r.residual, *r.lambda_at_samples]) for r in split] == \
-            [_hexes([r.residual, *r.lambda_at_samples]) for r in reports]
+
+        def reported(field):
+            return [_hexes([r.residual, *r.lambda_at_samples])
+                    for r in (symmetry_test(td, field, samples),
+                              closure_check(td, field, scaling, samples),
+                              closure_check(td, scaling, field, samples))]
+
+        assert reported(Y) == reported(whole)
         assert [f.ast for f in LieDerivativeEta(td, Y).form] == \
             [f.ast for f in LieDerivativeEta(td, whole).form]
 
