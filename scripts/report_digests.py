@@ -5,8 +5,10 @@ Usage: python3 scripts/report_digests.py scenarios/*.json
        python3 scripts/report_digests.py -h | --help
 
 Each scenario runs through `cli.run` into a temporary directory.  Output is
-one line per file, `<sha256>  <scenario>/<file>`, plus the exit code of each
-run, so that two checkouts can be compared with `diff`.
+one line per file, `<sha256>  <scenario>/<file>`, after a line with the exit
+code of each run, `exit <code>  <scenario>`, to which a run that writes no
+report appends its error message, so that two checkouts can be compared with
+`diff`, error text included.
 
 The scenarios run twice in this one process, the second pass in reverse
 order, so that every scenario also runs on code that earlier scenarios
@@ -25,10 +27,11 @@ from contact_noether.cli import run  # noqa: E402
 
 
 def digest_lines(path: str, out: Path) -> list[str]:
-    """The exit line and the digest lines of one run of `path` into `out`."""
+    """The exit line, with the error if the run failed, and the digest lines of
+    one run of `path` into `out`."""
     report, code = run(path, out, quiet=True)
     name = report.get("scenario", Path(path).stem)
-    lines = [f"exit {code}  {name}"]
+    lines = [f"exit {code}  {name}" + (f"  {report['error']}" if "error" in report else "")]
     for fname in ("report.json", "report.txt", "trajectory.csv"):
         target = out / name / fname
         if target.exists():

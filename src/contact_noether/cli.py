@@ -13,15 +13,16 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import __version__, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
-from .expr import ExprError, ScalarField, derivatives_kept, parse
+from .expr import DomainError, ExprError, ScalarField, derivatives_kept, parse
 from .geometry import ContactSystem, ExtendedPoint, LieDerivativeEta, VectorFieldSpec, point_bundle
 from .noether import (FLOW_THRESHOLD, SYMBOLIC_THRESHOLD, dissipation_compensation,
                       max_relative_drift, noether_lambda, sample_points, symmetry_from_invariant)
@@ -244,19 +245,15 @@ class Scenario:
         return self.system.with_params(self.point_params)
 
     @cached_property
-    def fused(self) -> tuple[dict[int, noether.Pointwise], Callable] | None:
-        """Every pointwise check, built (`_build`), by its index, and one bundle of
-        all their fields, bound like the sampler; None if building or compiling
-        them raised.  Made on first use and kept with the record, so a run of a
-        kept scenario builds nothing; a `--seed` copy takes it over, and a
-        `--tol-override` copy, whose judges read its tolerance, makes its own."""
-        try:
-            built = {i: _build(self, c) for i, c in enumerate(self.checks)
-                     if CHECKS[c.type].pointwise}
-            return built, point_bundle([f for b in built.values() for f in b.fields],
-                                       self.bound.params)
-        except Exception:
-            return None
+    def fused(self) -> tuple[dict[int, noether.Pointwise], Callable]:
+        """Every pointwise check, built (`_build`), by its index, and one bundle of all
+        their fields, bound like the sampler; kept with the record, so a run of a kept
+        scenario builds nothing, a `--seed` copy takes it over, and a `--tol-override`
+        copy, whose judges read its tolerance, makes its own."""
+        built = {i: _build(self, c) for i, c in enumerate(self.checks)
+                 if CHECKS[c.type].pointwise}
+        return built, point_bundle([f for b in built.values() for f in b.fields],
+                                   self.bound.params)
 
 
 def _parse_field(source: str, n: int, where: str, names: set[str] | None = None) -> ScalarField:
@@ -384,11 +381,25 @@ def _build(sc: Scenario, c: Check) -> noether.Pointwise:
     return noether.build_similarity(Y, X, c.tol, c.Lambda_tol, sc.system)
 
 
+def _replay(b: noether.Pointwise, samples: list[ExtendedPoint], params: dict) -> Iterator:
+    """The rows of the built check `b` alone, from a bundle of its own fields, as
+    `Pointwise.run` reads them; a DomainError gains its sample's index and coordinates."""
+    at = point_bundle(b.fields, params)
+    for k, pt in enumerate(samples):
+        try:
+            yield at(pt)
+        except DomainError as e:
+            coords = ", ".join(f"{name}={v!r}" for name, v in pt.env().items())
+            e.args = (f"sample {k} ({coords}): {e}",)
+            raise
+
+
 def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     """Execute every check of a loaded scenario; returns (report, trajectory).
-    The flow, the samples, the bundle's rows, the judges and the report are
-    computed on every call; the pointwise checks and their bundle are built
-    once per scenario record (`Scenario.fused`) and then only called."""
+    The flow, the samples, the rows of the pointwise checks' one bundle (`Scenario.fused`,
+    built once per scenario record), the judges and the report are computed on every call.
+    If a row leaves the domain, each pointwise check replays its own fields at its turn
+    (`_replay`).  A pointwise check's error is prefixed with its index, type and target."""
     report: dict[str, Any] = {"scenario": sc.name, "version": __version__, "seed": sc.seed,
                               "sample_count": sc.sample_count, "checks": [], "passed": True}
     pointwise = [CHECKS[c.type].pointwise for c in sc.checks]
@@ -398,41 +409,30 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
         report["trajectory"] = {"samples": len(traj.times), **vars(traj.stats),
                                 "error_tag": traj.error_tag}
         if traj.error_tag is not None:
-            raise RuntimeError(f"integration aborted: {traj.error_tag}")
+            raise RuntimeError(f"integration aborted: {traj.error_tag} after t="
+                               f"{traj.times[-1]!r}, state {[*traj.rows[-1]]!r}")
 
-    # drawn and computed on first use, once per run
-    bound = sc.bound
-    points = cache(lambda: sample_points(bound, sc.sample_count, sc.seed,
-                                         margin=sc.integrator.guard_margin))
-    compensation = cache(lambda: dissipation_compensation(bound, traj))
-
-    # the fused bundle (`Scenario.fused`), called once per sample; if building, compiling
-    # or calling it raises, each check calls its own bundle at its turn instead, so that
-    # the first error is the one the checks raise one by one
-    columns = {}
-    if any(pointwise) and sc.fused is not None:
+    bound, samples, rows, lo = sc.bound, [], None, 0
+    compensation = cache(lambda: dissipation_compensation(bound, traj))  # on first use
+    if any(pointwise):
         built, at = sc.fused
-        try:
-            rows, lo = [at(pt) for pt in points()], 0
-        except Exception:
-            built = {}
-        for i, b in built.items():
-            columns[i] = b, [v[lo:lo + len(b.fields)] for v in rows]
-            lo += len(b.fields)
+        samples = sample_points(bound, sc.sample_count, sc.seed, margin=sc.integrator.guard_margin)
+        with suppress(DomainError):  # rows stays None
+            rows = [at(pt) for pt in samples]
 
     for i, c in enumerate(sc.checks):
         ctype, tol = c.type, c.tol
         entry: dict[str, Any] = {"type": ctype, "target": CHECKS[ctype].target.format(*c.refs),
                                  "tol": tol}
         if pointwise[i]:
-            if i in columns:
-                b, rows = columns[i]
-            else:  # its own bundle, as the check ran alone: a residual compiled before the draw
-                if ctype != "residual":
-                    points()
-                b = _build(sc, c)
-                rows = map(point_bundle(b.fields, bound.params), points())
-            rep = b.judge(points(), rows)
+            b = built[i]
+            try:
+                rep = b.judge(samples, _replay(b, samples, bound.params) if rows is None
+                              else [v[lo:lo + len(b.fields)] for v in rows])
+            except (DomainError, noether.DegeneratePoint) as e:
+                e.args = (f"check[{i}] {ctype} {entry['target']}: {e}",)
+                raise
+            lo += len(b.fields)
         if ctype == "drift":
             inv = sc.invariants[c.refs[0]]
             series = traj.tracked[inv.label]
@@ -447,17 +447,16 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
         if ctype in ("drift", "ratio", "residual"):  # one value, within tol or not
             entry["value"] = float(rep)
             entry["passed"] = bool(rep <= tol)
-        elif ctype in ("symmetry", "closure"):
+        else:  # a classifier: its residual and verdict, then its factors
             entry["value"] = float(rep.residual)
             entry["verdict"] = rep.verdict
+        if ctype in ("symmetry", "closure"):
             entry["lambda_table"] = [float(v) for v in rep.lambda_at_samples]
             if rep.lambda_defect is not None:
                 entry["lambda_defect"] = float(rep.lambda_defect)
             entry["passed"] = bool(rep.passed if ctype == "closure"
                                    else rep.passed == c.expect_symmetry)
         elif ctype == "similarity":
-            entry["value"] = float(rep.residual)
-            entry["verdict"] = rep.verdict
             entry["Lambda_table"] = [float(v) for v in rep.Lambda_at_samples]
             ok = rep.passed if c.expect_verdict is None else rep.verdict == c.expect_verdict
             if c.expect_Lambda is not None:
@@ -507,7 +506,8 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
     its system's X_h, so a file that recurs is neither loaded nor built again
     and only numeric work is redone; and the source of the system's h, so
     another file on a system that recurs reuses its work.  `seed` and
-    `tol_override` run a copy; only a `tol_override` copy builds its own checks."""
+    `tol_override` run a copy; only a `tol_override` copy builds its own checks.
+    A runtime error exits 3 with a message that names where it arose (`run_checks`)."""
     path = Path(scenario_path)
     try:
         data = _read(path)

@@ -15,8 +15,9 @@ from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.expr import DomainError, parse
 from contact_noether.geometry import (ContactSystem, LieDerivativeEta, VectorFieldSpec,
                                       lie_bracket, nan_max, point_bundle)
-from contact_noether.noether import (closure_check, dissipation_field, sample_points,
-                                     similarity_test, symmetry_from_invariant, symmetry_test)
+from contact_noether.noether import (DegeneratePoint, closure_check, dissipation_field,
+                                     sample_points, similarity_test, symmetry_from_invariant,
+                                     symmetry_test)
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from contact_noether.systems import make_builtin
 from conftest import certbench_workloads, tally
@@ -156,6 +157,63 @@ def _hexes(values):
     return [None if v is None else float(v).hex() for v in values]
 
 
+def _coords(pt):
+    """A sample's coordinates as a runtime error names them."""
+    return ", ".join(f"{name}={v!r}" for name, v in pt.env().items())
+
+
+def _first_error(sc, c, samples):
+    """The error that pointwise check `c` raises alone at `samples`, if any."""
+    try:
+        _alone(sc, c, c.tol, samples)
+    except (DomainError, DegeneratePoint) as e:
+        return e
+    return None
+
+
+def _kepler_ln():
+    """The bundled kepler-scaling file with one more symmetry check, of a field
+    that reads ln(q0), which leaves the domain at about half the samples."""
+    scenario = json.loads((SCENARIOS / "kepler-scaling.json").read_text())
+    scenario["symmetries"].append({"label": "bad", "Yq": ["ln(q0)", "0", "0"],
+                                   "Yp": ["0", "0", "0"], "YS": "0", "Yt": "0"})
+    scenario["checks"].append({"type": "symmetry", "symmetry": "bad"})
+    return scenario
+
+
+OSCILLATOR = {"system": {"expression": "p0^2/2 + q0^2/2", "dimension": 1}, "sample_count": 20}
+VANISHING = {"system": {"expression": "(q0 - q0)*p0", "dimension": 1}, "sample_count": 20}
+
+
+def _field(label, Yq, Yp="0"):
+    return {"label": label, "Yq": [Yq], "Yp": [Yp], "YS": "0", "Yt": "0"}
+
+
+# scenarios whose runs fail in a pointwise check, with every pointwise type the one to fail
+ERROR_ROWS = {
+    "kepler-ln-symmetry": _kepler_ln,
+    "residual-after-a-symmetry": lambda: {
+        **OSCILLATOR, "invariants": [{"label": "F", "expression": "sqrt(q0 - 1)"}],
+        "symmetries": [_field("Y", "p0", "-q0")],
+        "checks": [{"type": "symmetry", "symmetry": "Y"}, {"type": "residual", "invariant": "F"}]},
+    "similarity-domain": lambda: {
+        **OSCILLATOR, "symmetries": [_field("Y", "sqrt(q0)")],
+        "checks": [{"type": "similarity", "symmetry": "Y"}]},
+    "similarity-degenerate": lambda: {
+        **VANISHING, "symmetries": [_field("Y", "q0")],
+        "checks": [{"type": "similarity", "symmetry": "Y", "against": "contact"}]},
+    "degenerate-before-domain": lambda: {
+        **VANISHING, "symmetries": [_field("Y", "q0"), _field("Z", "ln(q0)")],
+        "checks": [{"type": "similarity", "symmetry": "Y", "against": "contact"},
+                   {"type": "symmetry", "symmetry": "Z"}]},
+    "closure-domain": lambda: {
+        **OSCILLATOR, "symmetries": [_field("Y", "q0", "-p0"), _field("Z", "ln(q0 + 1)"),
+                                     _field("W", "ln(q0 - 1)")],  # W fails at an earlier sample
+        "checks": [{"type": "closure", "first": "Y", "second": "Z"},
+                   {"type": "symmetry", "symmetry": "W"}]},
+}
+
+
 def _sweep_cases():
     """Round 0 of certbench's symbolic sweep at three seeds."""
     workloads = certbench_workloads()
@@ -211,7 +269,55 @@ class TestOneBundlePerScenario:
             symmetry_test(sc.system, sc.symmetries["Y"].field, samples[:1])
         assert first.value.where != early.value.where
         report, code = cli.run(path, tmp_path / "out", quiet=True)
-        assert (code, report["error"]) == (3, str(first.value))
+        assert (code, report["error"]) == (
+            3, f"check[0] residual F: sample {i} ({_coords(samples[i])}): {first.value}")
+
+    @pytest.mark.parametrize("name", sorted(ERROR_ROWS))
+    def test_a_failing_check_is_named_before_the_error_it_raises_alone(self, tmp_path, name):
+        # the first pointwise check, in scenario order, that raises when each runs
+        # alone through the library gives the error: its message, after the check's
+        # index, type and target and, for a DomainError, the first sample it raises at
+        path = write_scenario(tmp_path, name, ERROR_ROWS[name]())
+        sc = cli.load_scenario(path)
+        samples = sample_points(sc.bound, sc.sample_count, sc.seed,
+                                margin=sc.integrator.guard_margin)
+        i, c, error = next((i, c, e) for i, c in enumerate(sc.checks)
+                           if cli.CHECKS[c.type].pointwise
+                           and (e := _first_error(sc, c, samples)) is not None)
+        named = f"check[{i}] {c.type} {cli.CHECKS[c.type].target.format(*c.refs)}: "
+        if isinstance(error, DomainError):
+            k = next(k for k in range(len(samples))
+                     if _first_error(sc, c, samples[:k + 1]) is not None)
+            named += f"sample {k} ({_coords(samples[k])}): "
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert (code, report["error"]) == (3, named + str(error))
+
+    def test_the_kepler_ln_case_names_its_check_sample_and_subexpression(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "kepler-ln", _kepler_ln())
+        sc = cli.load_scenario(path)
+        first = sample_points(sc.bound, sc.sample_count, sc.seed)[0]
+        _, code = cli.run(path, tmp_path / "out")
+        assert code == 3 and capsys.readouterr().err == (
+            f"runtime error: DomainError: check[7] symmetry bad: sample 0 ({_coords(first)}): "
+            "ln of non-positive value in `ln(q0)`\n")
+
+    def test_a_similarity_judge_error_names_its_check(self, tmp_path):
+        path = write_scenario(tmp_path, "vanishing", ERROR_ROWS["similarity-degenerate"]())
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert (code, report["error"]) == (
+            3, "check[0] similarity Y: reference field vanishes at sample 0")
+
+    def test_a_build_error_propagates_from_the_fused_checks(self, tmp_path, monkeypatch):
+        # `Scenario.fused` is never None: what building raises is the run's error
+        def refuse(sc, c):
+            raise RuntimeError(f"cannot build {c.type}")
+
+        monkeypatch.setattr(cli, "_build", refuse)
+        path = write_scenario(tmp_path, "refused", ERROR_ROWS["similarity-degenerate"]())
+        with pytest.raises(RuntimeError, match="cannot build similarity"):
+            cli.load_scenario(path).fused
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert (code, report["error"]) == (3, "cannot build similarity")
 
     def test_a_ratio_between_pointwise_checks_still_exits_two(self, tmp_path, capsys):
         # the last check fails at every sample, after the ratio's config error
@@ -645,8 +751,11 @@ class TestExitCodes:
 
     def test_domain_violation_is_three(self, tmp_path):
         path = write_scenario(tmp_path, "plunge", self.PLUNGE)
-        _, code = cli.run(path, tmp_path, quiet=True)
+        report, code = cli.run(path, tmp_path, quiet=True)
         assert code == 3
+        traj = cli._run_flow(cli.load_scenario(path))  # the error names its last accepted row
+        assert report["error"] == (f"integration aborted: DomainViolation after t="
+                                   f"{traj.times[-1]!r}, state {list(traj.rows[-1])!r}")
 
     def test_a_bad_reference_is_refused_before_the_flow(self, tmp_path, capsys, monkeypatch):
         # the same aborting flow with a check naming no invariant: a config error
@@ -776,6 +885,19 @@ class TestRecurringRuns:
             assert _outputs(tmp_path / label, name) == _outputs(tmp_path / f"fresh-{label}", name)
         assert cli.run(path, tmp_path / "again", quiet=True)[1] == 0
         assert _outputs(tmp_path / "again", name) == _outputs(tmp_path / "plain-0", name)
+
+    def test_the_third_run_of_a_failing_check_builds_nothing_and_reads_the_same(self, tmp_path,
+                                                                                  capsys):
+        # the failing check replays the fields it built, kept with the scenario
+        path = write_scenario(tmp_path, "kepler-ln", _kepler_ln())
+        seen = []
+        for _ in range(3):
+            done = tally()
+            report, code = cli.run(path, tmp_path / "out")
+            seen.append((code, report["error"], capsys.readouterr().err))
+        work = done()
+        assert [work[k] for k in ("bundles", "derive")] == [0, 0] and work["nodes"] <= 20
+        assert seen[2] == seen[1] == seen[0] and seen[0][0] == 3
 
     def test_a_seed_run_of_a_kept_scenario_builds_nothing(self, tmp_path):
         # the built checks and their bundle read no seed, so the seeded copy

@@ -26,6 +26,7 @@ from contact_noether.expr import (
 )
 from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.geometry import point_bundle
+from contact_noether.noether import sample_points
 from conftest import certbench_workloads, point, tally, value
 from oracles import dual_gradient
 from randfields import PARAM_NAMES, central_fd, derivative_pair, random_env, random_field
@@ -1025,7 +1026,11 @@ class TestRunScopedDerivatives:
             done = tally()
             report, code = cli.run(path, tmp_path / "out")
             seen.append((code, report["error"], capsys.readouterr().err))
-        assert seen[0][:2] == (3, "sqrt of negative value in `sqrt(q0 - 100.0)`")
+        sc = cli.load_scenario(path)
+        first = sample_points(sc.bound, sc.sample_count, sc.seed)[0]
+        coords = ", ".join(f"{name}={v!r}" for name, v in first.env().items())
+        assert seen[0][:2] == (3, f"check[0] residual F: sample 0 ({coords}): "
+                                  "sqrt of negative value in `sqrt(q0 - 100.0)`")
         assert seen[2] == seen[1] == seen[0] and done()["bundles"] == 0
 
 

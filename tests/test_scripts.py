@@ -1,9 +1,11 @@
 """Every script under scripts/ answers -h and --help with its usage and starts
-no work: no scenario, no flow and no pytest run.  `symbolic_counts.py` prints
-the counts of `expr.work` that a workload adds, and `phase_times.py` the time
-of each phase of a round, and `paired_rounds.py` names the largest relative
-difference of a float between two reports.  README's quick tour runs."""
+no work: no scenario, no flow and no pytest run.  `report_digests.py` prints a
+failing run's error, `symbolic_counts.py` the counts of `expr.work` that a
+workload adds, and `phase_times.py` the time of each phase of a round, and
+`paired_rounds.py` names the largest relative difference of a float between
+two reports.  README's quick tour runs."""
 
+import json
 import os
 import re
 import subprocess
@@ -64,6 +66,25 @@ def test_symbolic_counts_prints_the_tally(workload, first, second):
     rounds = [tuple(int(kv.split()[1]) for kv in line.split(": ")[1].split(", "))
               for line in done.stdout.splitlines()[:2]]
     assert rounds == [first, second]
+
+
+def test_report_digests_prints_the_error_of_a_failing_run(tmp_path):
+    # a passing run's exit line and digests, and a failing run's exit line with its error
+    failing = tmp_path / "sqrt.json"
+    failing.write_text(json.dumps({
+        "system": {"expression": "p0^2/2 + q0^2/2", "dimension": 1},
+        "invariants": [{"label": "F", "expression": "sqrt(q0 - 100)"}],
+        "checks": [{"type": "residual", "invariant": "F"}]}))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digests.py"),
+                           str(ROOT / "scenarios" / "free-particle.json"), str(failing)],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == "exit 0  free-particle"
+    assert [line.split("  ")[1] for line in lines[1:4]] == [
+        f"free-particle/{name}" for name in ("report.json", "report.txt", "trajectory.csv")]
+    assert len(lines) == 5 and lines[4].startswith("exit 3  sqrt  check[0] residual F: sample 0 (")
+    assert lines[4].endswith("): sqrt of negative value in `sqrt(q0 - 100.0)`")
 
 
 def test_phase_times_prints_every_phase_within_the_round():
