@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Count the symbolic work of each round of one certbench workload.
 
-Usage: python3 scripts/symbolic_counts.py --workload W --rounds K [--seed S]
+Usage: python3 scripts/symbolic_counts.py --workload W --rounds K [--seed S] [--by-file]
 
 Runs the scenario files of workload W (generated by `certbench/workloads.py`,
 which is only read, as in `paired_rounds.py`) through `cli.run` of the
@@ -16,6 +16,8 @@ what the round added to the package's tally `expr.work`:
 
 and `kept`, the distinct runs whose work `expr.derivatives_kept` holds
 after the round (one run may sit under two keys, its file's and its system's).
+With `--by-file`, the round's line is followed by one line per file, indented,
+with the first four counts that the file's run added.
 
 A run's work is kept from the second sighting of its file or of its system
 on.  So a workload whose files recur (bundled, long-flow) counts 0 bundles,
@@ -47,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True, choices=[*FIXED, "symbolic-sweep"])
     ap.add_argument("--rounds", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--by-file", action="store_true", help="also print each file's counts")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -55,15 +58,19 @@ def main(argv: list[str] | None = None) -> int:
         work = Path(tmp)
         for k in range(args.rounds + 1):  # round 0 is the warm-up
             paths = [case.write(work) for case in cases(args.workload, args.seed, k)]
-            before = dict(expr.work)
+            before, files = dict(expr.work), []
             for path in paths:
+                start = dict(expr.work)
                 cli.run(path, work / "out", quiet=True)
+                files.append((path.stem, {c: expr.work[c] - start[c] for c in COUNTS}))
             counts = {c: expr.work[c] - before[c] for c in COUNTS}
             if k:
                 rows.append(counts)
                 kept = len({id(run) for run in expr._RUNS.values() if run is not None})
                 print(f"round {k}: " + ", ".join(f"{c} {counts[c]}" for c in COUNTS)
                       + f", kept {kept}")
+                for stem, own in files if args.by_file else ():
+                    print(f"  {stem}: " + ", ".join(f"{c} {own[c]}" for c in COUNTS))
     print(f"{args.workload} seed {args.seed}, mean over rounds 1-{args.rounds}: "
           + ", ".join(f"{c} {statistics.fmean(r[c] for r in rows):.1f}" for c in COUNTS))
     return 0

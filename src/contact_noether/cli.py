@@ -327,12 +327,14 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         invariants[g.label] = TrackedInvariant(g.label, base.field, g.expected or base.expected)
 
     symmetries: dict[str, Symmetry] = {}
-    for spec in f.symmetries:
+    rates: dict[str, float] = {}  # the ansatz fields' nonzero rates, one name per value
+    for position, spec in enumerate(f.symmetries):
         where = f"symmetry {OBJECT(spec, 'symmetry').get(LABEL)!r}"
         g = _fields(spec, SCHEMA["symmetry"], where, {"invariant": invariants})
         _require(g.label not in symmetries, f"duplicate symmetry label {g.label!r}")
         if g.ansatz is not None:
-            symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n))
+            rates = g.ansatz.params(f"Y{position}", rates)
+            symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n, rates))
         elif g.from_invariant is not None:
             F, Yt = invariants[g.from_invariant].field, _parse_field(g.Yt, n, f"{where} Yt", names)
             symmetries[g.label] = Symmetry(symmetry_from_invariant(system, F, Yt),
@@ -349,8 +351,10 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         ctype = _choice(*CHECKS)(OBJECT(spec, "check").get(TYPE), "check 'type'")
         checks.append(_fields(spec, CHECKS[ctype], f"{ctype} check",
                               {"invariant": invariants, "symmetry": symmetries}))
-    return Scenario(name, system, f.initial, f.t_end, f.integrator, f.seed, f.sample_count,
-                    invariants, symmetries, tuple(checks), f.auxiliary, point_params)
+    clash = sorted(rates.keys() & point_params.keys())  # no expression reads a rate's name
+    _require(not clash, f"point_params {clash} name rates of ansatz fields")
+    return Scenario(name, system.with_params(rates), f.initial, f.t_end, f.integrator, f.seed,
+                    f.sample_count, invariants, symmetries, tuple(checks), f.auxiliary, point_params)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ Expressions are parsed into immutable ASTs over the phase-space variables
 (late-bound at evaluation).  Derivatives are taken structurally on the AST
 (forward mode), so every downstream geometric residual is computed with
 machine-precision derivatives; finite differences exist only as a test
-oracle.
+oracle.  A power ``b^g`` whose exponent does not read the name takes
+``g b^(g-1) b'``, be ``g`` a number or a field of parameters, so that a
+number bound as a parameter derives as its literal does; any other takes
+``b^g (g' ln b + g b'/b)``.
 
 Grammar::
 
@@ -789,14 +792,12 @@ def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
     if isinstance(node, Neg):
         return neg_(d(node.arg))
     if isinstance(node, Pow):
-        dbase = d(node.base)
-        if isinstance(node.exponent, Num):
-            k = node.exponent.value
-            return mul_(mul_(Num(k), pow_(node.base, Num(k - 1.0))), dbase)
-        dexp = d(node.exponent)
+        dbase, g = d(node.base), node.exponent
+        if name not in g._names[0] and name not in g._names[1]:  # g b^(g-1) b'
+            return mul_(mul_(g, pow_(node.base, sub_(g, _ONE))), dbase)
         # f^g * (g' ln f + g f'/f); valid on the f > 0 domain of f^g
-        return mul_(node, add_(mul_(dexp, call_("ln", node.base)),
-                               mul_(node.exponent, div_(dbase, node.base))))
+        return mul_(node, add_(mul_(d(g), call_("ln", node.base)),
+                               mul_(g, div_(dbase, node.base))))
     if isinstance(node, Call):
         inner = d(node.arg)
         return mul_(_INTRINSICS[node.fn].derive(node.arg), inner)

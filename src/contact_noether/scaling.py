@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ScalarField, apply_intrinsic, number, parameter, substitute, variable
+from .expr import Param, ScalarField, apply_intrinsic, number, parameter, substitute, variable
 from .geometry import ContactSystem, SampleBox, VectorFieldSpec
 
 TRIVIAL = "Trivial"
@@ -45,6 +45,16 @@ class ScalingAnsatz:
 
     def scaled(self, c: float) -> "ScalingAnsatz":
         return ScalingAnsatz(c * self.alpha, c * self.beta, c * self.gamma, c * self.sigma)
+
+    def params(self, label: str, known: dict[str, float] = {}) -> dict[str, float]:
+        """`known`, then each nonzero rate whose value it does not hold, by the name
+        `_<label>_<rate>`, which no expression can read (a name starts with a letter):
+        the parameters for `scaling_generator`."""
+        out = dict(known)
+        for k, v in vars(self).items():
+            if v != 0.0 and v not in out.values():
+                out[f"_{label}_{k}"] = v
+        return out
 
 
 @dataclass(frozen=True)
@@ -74,13 +84,20 @@ def dot_qp(n: int) -> ScalarField:
     return acc
 
 
-def scaling_generator(ansatz: ScalingAnsatz, n: int) -> VectorFieldSpec:
-    """The linear field alpha q d_q + beta p d_p + gamma S d_S + sigma t d_t."""
+def scaling_generator(ansatz: ScalingAnsatz, n: int,
+                      params: dict[str, float] = {}) -> VectorFieldSpec:
+    """The linear field alpha q d_q + beta p d_p + gamma S d_S + sigma t d_t.  Each nonzero
+    rate is the parameter of `params` that holds its value, if any (`ScalingAnsatz.params`),
+    so that fields whose rates differ only in value are one tree, and fields that share a
+    rate share its nodes; a zero rate, which folds its terms away, stays the number 0."""
+    names = {v: nm for nm, v in params.items()}
+    alpha, beta, gamma, sigma = (ScalarField(Param(names[v]), n) if v != 0.0 and v in names
+                                 else v for v in vars(ansatz).values())
     return VectorFieldSpec(
-        tuple(ansatz.alpha * variable(f"q{i}", n) for i in range(n)),
-        tuple(ansatz.beta * variable(f"p{i}", n) for i in range(n)),
-        ansatz.gamma * variable("S", n),
-        ansatz.sigma * variable("t", n),
+        tuple(alpha * variable(f"q{i}", n) for i in range(n)),
+        tuple(beta * variable(f"p{i}", n) for i in range(n)),
+        gamma * variable("S", n),
+        sigma * variable("t", n),
     )
 
 
@@ -192,35 +209,41 @@ def solve_scaling_explained(
 # concrete time-dependent systems (Case 3 instantiation)
 
 
-def case3_system(k: float, Lambda: float, m: float, coupling: float = 1.0,
-                 n: int = 3, label: str = "") -> ContactSystem:
+def case3_system(k: float, Lambda: float, m: float, coupling: float | ScalarField = 1.0,
+                 n: int = 3, label: str = "", **params: float) -> ContactSystem:
     """h = p.p/2m + coupling * t^((2-k)Lambda/2 - (2+k)/2) * (q.q)^(k/2),
     on the domain t > 0 (and q != 0 when the potential is singular there);
-    `case3_invariant` gives its conserved quantity.
+    `case3_invariant` gives its conserved quantity.  `m` and `Lambda` are the
+    system's parameters of those names, and `coupling` is a number or a field
+    of `params` (td-kepler's -4 eps), so one k and coupling make one h whatever
+    the values; `k` sets the shape, and stays a number.
     """
-    exponent = (2.0 - k) * Lambda / 2.0 - (2.0 + k) / 2.0
+    mpar, lam = parameter("m", n), parameter("Lambda", n)
+    exponent = (2.0 - k) * lam / 2.0 - (2.0 + k) / 2.0
     qq = number(0.0, n)
     pp = number(0.0, n)
     for i in range(n):
         qq = qq + variable(f"q{i}", n) ** 2.0
         pp = pp + variable(f"p{i}", n) ** 2.0
-    h = pp / (2.0 * m) + coupling * (variable("t", n) ** exponent) * (qq ** (k / 2.0))
+    h = pp / (2.0 * mpar) + coupling * (variable("t", n) ** exponent) * (qq ** (k / 2.0))
 
     singular_at_origin = not float(k / 2.0).is_integer() or k < 0
     guards = (variable("t", n),) + ((apply_intrinsic("sqrt", qq),) if singular_at_origin else ())
     return ContactSystem(
-        n=n, h=h, params={},
+        n=n, h=h, params={"m": float(m), "Lambda": float(Lambda), **params},
         guards=guards,
         sample_box=SampleBox(q=(0.3, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0), t=(0.5, 5.0)),
         label=label or f"case3(k={k}, Lambda={Lambda})",
     )
 
 
-def case3_invariant(system: ContactSystem, Lambda: float) -> ScalarField:
+def case3_invariant(system: ContactSystem, Lambda: float | None = None) -> ScalarField:
     """(Lambda+1) q.p - 2 t h - 2 Lambda S with the system's h, conserved along a
     `case3_system` of that Lambda: the concrete form of the case table's
-    `_case3_invariant(n)` template."""
+    `_case3_invariant(n)` template.  Lambda is the system's parameter, or the
+    number `Lambda` if given."""
     n = system.n
-    return ((Lambda + 1.0) * dot_qp(n)
+    lam = parameter("Lambda", n) if Lambda is None else Lambda
+    return ((lam + 1.0) * dot_qp(n)
             - 2.0 * variable("t", n) * system.h
-            - 2.0 * Lambda * variable("S", n))
+            - 2.0 * lam * variable("S", n))

@@ -71,12 +71,13 @@ def make_kepler(m: float = 1.0, eps: float = 0.25) -> ContactSystem:
 
 def make_td_kepler(m: float, eps: float, Lambda: float) -> ContactSystem:
     """Time-dependent Kepler h = p.p/2m - t^((3 Lambda - 1)/2) 4 eps/sqrt(q.q),
-    with the conserved quantity (Lambda+1) q.p - 2 t h - 2 Lambda S registered."""
+    with the conserved quantity (Lambda+1) q.p - 2 t h - 2 Lambda S registered;
+    both read m, eps and Lambda as parameters, like Kepler's h."""
     if m <= 0:
         raise ValueError("m must be positive")
-    system = case3_system(k=-1.0, Lambda=Lambda, m=m, coupling=-4.0 * eps,
-                          label="td-kepler")
-    system.invariants["F_TDK"] = TrackedInvariant("F_TDK", case3_invariant(system, Lambda))
+    system = case3_system(k=-1.0, Lambda=Lambda, m=m, coupling=-4.0 * parameter("eps", 3),
+                          label="td-kepler", eps=float(eps))
+    system.invariants["F_TDK"] = TrackedInvariant("F_TDK", case3_invariant(system))
     return system
 
 

@@ -13,7 +13,8 @@ dissipation residual from those gradients, and `dual_lie_derivative` the
 coefficients of L_Y eta_E by the coordinate formula.  `reference_nan_max` and
 `reference_proportionality_residual` are the package's `nan_max` and
 `proportionality_residual` as first written, one generator per call, as
-references for their faster forms.
+references for their faster forms, and `literal_td_kepler` writes td-Kepler's
+numbers into its trees, as the reference for the bits of the bound system.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from contact_noether.dynamics import Trajectory, contact_field, cumulative_integral, extended_field
 from contact_noether.expr import (Add, Call, Div, Mul, Neg, Num, Param, Pow, ScalarField, Sub, Var,
                                   apply_intrinsic, number, parameter, partial, variable)
-from contact_noether.geometry import (ContactSystem, ExtendedPoint, VectorFieldSpec,
+from contact_noether.geometry import (ContactSystem, ExtendedPoint, SampleBox, VectorFieldSpec,
                                       contact_field_of, coordinate_names, interior_product_eta_E,
                                       lie_bracket, nan_max, point_bundle)
 from contact_noether.scaling import _TOL, ScalingAnsatz, dot_qp
@@ -125,6 +126,24 @@ def _normalize(a: ScalingAnsatz) -> ScalingAnsatz:
     return a
 
 
+def literal_td_kepler(m: float, eps: float, Lambda: float) -> tuple[ContactSystem, ScalarField]:
+    """td-Kepler and its F_TDK with m, eps and Lambda written into the trees as numbers,
+    by the float arithmetic that builds them in the package from parameters, in the
+    same order: the reference for the bits of the parameter-bound system."""
+    n, k, coupling = 3, -1.0, -4.0 * eps
+    exponent = (2.0 - k) * Lambda / 2.0 - (2.0 + k) / 2.0
+    qq = pp = number(0.0, n)
+    for i in range(n):
+        qq = qq + variable(f"q{i}", n) ** 2.0
+        pp = pp + variable(f"p{i}", n) ** 2.0
+    h = pp / (2.0 * m) + coupling * (variable("t", n) ** exponent) * (qq ** (k / 2.0))
+    system = ContactSystem(n=n, h=h, guards=(variable("t", n), apply_intrinsic("sqrt", qq)),
+                           sample_box=SampleBox(q=(0.3, 2.0), p=(-2.0, 2.0), S=(-1.0, 1.0),
+                                                t=(0.5, 5.0)))
+    return system, ((Lambda + 1.0) * dot_qp(n) - 2.0 * variable("t", n) * h
+                    - 2.0 * Lambda * variable("S", n))
+
+
 def em_invariant_closed_form(system: ContactSystem, f0: float, b0: float = 1.0,
                              bdot0: float = 0.0) -> ScalarField:
     """F_EM with b(t) written out in closed form for the oscillator built with
@@ -208,10 +227,11 @@ def dual_gradient(field: ScalarField, env: Mapping[str, float],
             case Pow(a, Num(k)):
                 u, du = ev(a)
                 out = u ** k, tuple(k * u ** (k - 1.0) * x for x in du)
-            case Pow(a, b):
+            case Pow(a, b):  # along a name that the exponent does not move, as for a number
                 (u, du), (v, dv) = ev(a), ev(b)
                 w = u ** v
-                out = w, tuple(w * (y * math.log(u) + v * (x / u)) for x, y in zip(du, dv))
+                out = w, tuple(v * u ** (v - 1.0) * x if y == 0.0
+                               else w * (y * math.log(u) + v * (x / u)) for x, y in zip(du, dv))
             case Call(fn, a):
                 u, du = ev(a)
                 f, df, _ = _DUAL_INTRINSICS[fn](u)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,29 @@ class TestOneBundlePerScenario:
                 assert _hexes(_reported(entry)) == _hexes(alone), (path.stem, c)
                 compared += 1
         assert compared > 0
+
+    @pytest.mark.parametrize("source", [SCENARIOS / "kepler-scaling.json", *_sweep_cases()],
+                             ids=lambda s: getattr(s, "stem", None))
+    def test_ansatz_columns_are_those_of_the_literal_fields(self, tmp_path, source):
+        # an ansatz field reads its nonzero rates as bound parameters, one per value;
+        # every column of the fused bundle, its symmetry, similarity and closure
+        # columns among them, is bit for bit that of the same checks on the field
+        # that `scaling_generator` writes with its rates as numbers
+        path = source if isinstance(source, Path) else source.write(tmp_path)
+        sc, spec = cli.load_scenario(path), json.loads(path.read_text())
+        zero = dict.fromkeys(("alpha", "beta", "gamma", "sigma"), 0.0)
+        ansatz = {s["label"]: ScalingAnsatz(**{**zero, **s["ansatz"]})
+                  for s in spec["symmetries"] if "ansatz" in s}
+        literal = replace(sc, symmetries={**sc.symmetries, **{
+            label: cli.Symmetry(scaling_generator(a, sc.system.n)) for label, a in ansatz.items()}})
+        assert all([c.ast for c in sc.symmetries[label].field.components()]
+                   != [c.ast for c in literal.symmetries[label].field.components()]
+                   for label in ansatz)
+        assert any(set(c.refs) & ansatz.keys() for c in sc.checks if c.type != "symmetry")
+        samples = sample_points(sc.bound, sc.sample_count, sc.seed,
+                                margin=sc.integrator.guard_margin)
+        (_, ours), (_, theirs) = sc.fused, literal.fused
+        assert [_hexes(ours(pt)) for pt in samples] == [_hexes(theirs(pt)) for pt in samples]
 
     def test_a_later_check_failing_at_an_earlier_sample_raises_second(self, tmp_path):
         # the residual of sqrt(p0 - a1) first fails at sample i > 0, the symmetry
@@ -951,6 +975,38 @@ class TestRecurringRuns:
         done = tally()
         report, code = cli.run(second.write(tmp_path), tmp_path / "second", quiet=True)
         assert code == 0 and done()["derive"] <= 40
+
+    def test_a_td_kepler_file_with_new_numbers_derives_only_its_gauges_partials(self, tmp_path):
+        # td-kepler's h and F_TDK read m, eps and Lambda as parameters, and an ansatz
+        # field reads its rates, so after two runs of one sweep td-kepler file, a file
+        # with new m, eps, Lambda, ansatz rates and gauge finds its system's kept parts
+        # and derives the gauge's partials: 8 rules measured, where 903 were derived
+        # when the numbers were written into the trees
+        first, second = (certbench_workloads().symbolic_sweep_round(7, k)[1] for k in (0, 1))
+        assert first.spec["system"]["builtin"] == second.spec["system"]["builtin"] == "td-kepler"
+        params = [case.spec["system"]["params"] for case in (first, second)]
+        assert all(params[0][k] != params[1][k] for k in ("m", "eps", "Lambda"))
+        for k in range(3):
+            assert first.spec["symmetries"][k] != second.spec["symmetries"][k]
+        for _ in range(2):
+            assert cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)[1] == 0
+        done = tally()
+        report, code = cli.run(second.write(tmp_path), tmp_path / "second", quiet=True)
+        assert code == 0 and done()["derive"] <= 40
+
+    def test_a_new_ansatz_rate_on_a_kept_system_derives_nothing(self, tmp_path):
+        # a Kepler file whose wrong-sigma field has a new sigma, on new m and eps,
+        # finds that field's derivatives under its kept shape and derives no rule
+        first = certbench_workloads().symbolic_sweep_round(7, 0)[0]
+        spec = json.loads(json.dumps(first.spec))
+        spec["system"]["params"] = {"m": 1.7, "eps": 0.3}
+        assert spec["symmetries"][2]["label"] == "wrong-sigma"
+        spec["symmetries"][2]["ansatz"]["sigma"] += 0.125
+        for _ in range(2):
+            assert cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)[1] == 0
+        done = tally()
+        report, code = cli.run(write_scenario(tmp_path, "new-sigma", spec), tmp_path, quiet=True)
+        assert code == 0 and done()["derive"] == 0
 
     def test_a_field_gauged_for_another_h_is_checked_whole(self):
         # X_F + Yt X_h^t built on Kepler and checked on td-Kepler, whose X_h^t is

@@ -665,6 +665,24 @@ class TestDualNumberOracle:
             assert worst <= self.MAX_ULPS, field.source()
             assert skipped <= 10, f"{skipped} of 100 points out of the domain"
 
+    def test_a_power_derives_by_g_b_to_the_g_minus_1_unless_its_exponent_reads_the_name(self):
+        # a number exponent k gives the node k b^(k-1) b' as written out, `sub_` folding
+        # k - 1; an exponent of parameters takes the same rule (0 ulps from the dual
+        # gradient, which takes it wherever the exponent does not move), and the
+        # derivative by a parameter that the exponent reads takes the ln rule
+        base = parse("q0*p0 + t^2 + 1", 1)
+        for k in (2.5, -0.5, 3.0, 1e-3):
+            power = expr.pow_(base.ast, expr.Num(k))
+            want = expr.mul_(expr.mul_(expr.Num(k), expr.pow_(base.ast, expr.Num(k - 1.0))),
+                             partial(base, "q0").ast)
+            assert partial(expr.ScalarField(power, 1), "q0").ast is want
+        field = parse("(q0*p0 + t^2 + 1)^(3*Lambda/2 - 0.5) * t^(c - Lambda)", 1)
+        names = ["q0", "p0", "S", "t"]
+        envs = [{"q0": q, "p0": 1.5 - q, "S": 0.2, "t": 0.4 + q} for q in (0.1, 0.7, 1.3, 2.0)]
+        assert self.gap(field, names, envs, {"Lambda": 0.37, "c": 1.6}) == (0.0, 0)
+        assert self.gap(field, ["Lambda", "c"], [{"Lambda": 0.37, "c": 1.6}],
+                        {"q0": 0.7, "p0": 0.8, "S": 0.2, "t": 1.1})[0] <= self.MAX_ULPS
+
     def test_random_field_partials_are_the_dual_gradient(self):
         # `randfields` trees (every binary operator, integer and fractional
         # powers, five intrinsics) and two written fields: a power with a

@@ -131,6 +131,9 @@ REFUSED = {
     "unbound-names-in-gauge": (
         lambda s: _symmetry(s, "noether-of-QK-gauged").update(Yt="c*t + b*t^2"),
         "symmetry 'noether-of-QK-gauged' Yt reads ['b', 'c'], bound by no coordinate"),
+    "point_params-naming-an-ansatz-rate": (
+        lambda s: s.update(point_params={"_Y0_alpha": 1.0}),
+        "point_params ['_Y0_alpha'] name rates of ansatz fields"),
     "auxiliary-name-on-kepler": (
         lambda s: s["symmetries"].append({"label": "Z", "Yq": ["q0", "q1", "q2"],
                                           "Yp": ["p0", "p1", "p2"], "YS": "rho*S", "Yt": "0"}),
@@ -188,6 +191,26 @@ class TestRefusals:
         spec["auxiliary"]["use_b"] = False
         report, code = _run(tmp_path, spec)
         assert code == 3 and "unbound" in report["error"]
+
+    def test_a_td_kepler_expression_reads_its_systems_numbers(self, tmp_path):
+        # td-kepler's m, eps and Lambda are system params, as Kepler's m and eps are: F_TDK
+        # written out is conserved, and point_params of those names bind over them for
+        # the checks, in h and in every expression alike
+        spec = _scenario("td-kepler")
+        spec["invariants"].append({"label": "Z", "expression": (
+            "(Lambda + 1)*(q0*p0 + q1*p1 + q2*p2) - 2*t*((p0^2 + p1^2 + p2^2)/(2*m)"
+            " - 4*eps*t^((3*Lambda - 1)/2)/sqrt(q0^2 + q1^2 + q2^2)) - 2*Lambda*S")})
+        spec["checks"].append({"type": "residual", "invariant": "Z", "tol": 1e-10})
+        assert _run(tmp_path, spec)[1] == 0
+        spec["point_params"] = {"m": 1.3, "eps": 0.2, "Lambda": 0.7}
+        spec["checks"] = [c for c in spec["checks"] if c["type"] == "residual"]
+        assert _run(tmp_path, spec)[1] == 0
+        spec["point_params"] = {}
+        spec["system"]["params"]["Lambda"] = 0.7  # Z then reads a Lambda that h does not
+        spec["invariants"][-1]["expression"] = spec["invariants"][-1]["expression"].replace(
+            "Lambda", "(Lambda + 0.5)")
+        report, code = _run(tmp_path, spec)
+        assert code == 1 and [c["passed"] for c in report["checks"]] == [True, False]
 
 
 class TestRecords:

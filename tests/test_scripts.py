@@ -3,7 +3,8 @@ no work: no scenario, no flow and no pytest run.  `report_digests.py` prints a
 failing run's error, `symbolic_counts.py` the counts of `expr.work` that a
 workload adds, and `phase_times.py` the time of each phase of a round, and
 `paired_rounds.py` names the largest relative difference of a float between
-two reports.  README's quick tour runs."""
+two reports.  `symbolic_counts.py --by-file` splits each round's counts by file.
+README's quick tour runs."""
 
 import json
 import os
@@ -45,19 +46,20 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
 
 
 @pytest.mark.parametrize("workload, first, second", [
-    ("bundled", (17, 906, 1876, 1081, 4), (0, 0, 4, 0, 4)),
-    ("long-flow", (7, 102, 540, 216, 3), (0, 0, 3, 0, 3)),
-    ("symbolic-sweep", (6, 1926, 3984, 1642, 1), (6, 1076, 2816, 1642, 1))],
+    ("bundled", (17, 932, 1859, 1146, 4), (0, 0, 4, 0, 4)),
+    ("long-flow", (7, 99, 520, 228, 3), (0, 0, 3, 0, 3)),
+    ("symbolic-sweep", (6, 1835, 3659, 1772, 2), (6, 160, 1575, 1772, 2))],
     ids=["bundled", "long-flow", "symbolic-sweep"])
 def test_symbolic_counts_prints_the_tally(workload, first, second):
     # at seed 7, round 1 derives and compiles the files' work, which their runs
     # keep from then on with the loaded scenario, its built checks and its
     # system's X_h and compensation chain, so round 2 derives, emits and loads
     # nothing and makes only X_h^t's d/dt, one node per flow.
-    # The sweep's files are new in every round, but its Kepler system is not:
-    # from round 1 the last Kepler run is kept under the system's key, so round 1
-    # (td-kepler shares some of its nodes) and round 2 derive less than round 0,
-    # and only its bundles are compiled again.  A fresh interpreter: nodes that
+    # The sweep's files are new in every round, but its Kepler and td-kepler
+    # systems are not, as they read their numbers, and ansatz fields their rates,
+    # as parameters: from round 1 the last run of each is kept under its system's
+    # key, so round 2 derives only the gauges' partials and the oscillator's new
+    # system, and only its bundles are compiled again.  A fresh interpreter: nodes that
     # earlier tests keep alive keep their derivatives, and would lower the counts
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
                            "--workload", workload, "--rounds", "2", "--seed", "7"],
@@ -66,6 +68,25 @@ def test_symbolic_counts_prints_the_tally(workload, first, second):
     rounds = [tuple(int(kv.split()[1]) for kv in line.split(": ")[1].split(", "))
               for line in done.stdout.splitlines()[:2]]
     assert rounds == [first, second]
+
+
+def test_symbolic_counts_by_file_splits_each_rounds_tally():
+    # each round's line, then one line per file of the round, whose counts sum to
+    # the round's; the warm td-kepler file, on its kept system, derives only its
+    # gauge's partials (8 rules at seed 7)
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
+                           "--workload", "symbolic-sweep", "--rounds", "2", "--seed", "7",
+                           "--by-file"], capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert [line.split(": ")[0] for line in lines[:8]] == [
+        "round 1", *(f"  sweep-{k:05d}" for k in (3, 4, 5)),
+        "round 2", *(f"  sweep-{k:05d}" for k in (6, 7, 8))]
+    counts = [[int(kv.split()[1]) for kv in line.split(": ")[1].split(", ")[:4]]
+              for line in lines[:8]]
+    for r in (0, 4):
+        assert counts[r] == [sum(column) for column in zip(*counts[r + 1:r + 4])]
+    assert counts[6][1] <= 40
 
 
 def test_report_digests_prints_the_error_of_a_failing_run(tmp_path):

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from contact_noether.systems import (
 from contact_noether.scaling import GENERIC_F2, KMINUS2_F1, ScalingAnsatz, scaling_generator
 from conftest import case_invariant, point, states, tally, value, values
 from oracles import (em_invariant_closed_form, glr_equilibrium, invariant_from_symmetry,
-                     lr_equilibrium)
+                     literal_td_kepler, lr_equilibrium)
 
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -128,7 +129,38 @@ class TestKepler:
         assert max_relative_drift(traj.tracked["H"]) <= 1e-8
 
 
+_DRAWN = random.Random(8)
+TD_CHOICES = [(1.0, 0.25, 1.0 / 3.0), (1.0, 0.25, 1.0), (1.0, 0.25, 0.34), (1.3, 0.2, 1.5),
+              *((_DRAWN.uniform(0.5, 2.0), _DRAWN.uniform(0.1, 0.5), _DRAWN.uniform(0.5, 1.5))
+                for _ in range(4))]
+
+
 class TestTdKepler:
+    @pytest.mark.parametrize("m, eps, lam", TD_CHOICES)
+    def test_bound_parameters_give_the_literal_systems_bits(self, m, eps, lam):
+        # h, its partials, F_TDK and its residual read m, eps and Lambda as bound
+        # parameters, by the float operations that wrote them in as numbers, in the
+        # same order, and a power whose exponent reads no coordinate derives as a
+        # number's: every value is the literal tree's, but for one sign of zero.  At
+        # Lambda = 1/3 the literal t^0 folds to 1, so its dh/dt is the number 0, where
+        # the bound one is -4 eps (0 t^-1) q.q^(-1/2), which is -0.0
+        def fields(system, F):
+            return [system.h, *system.h_q, *system.h_p, system.h_S, system.h_t, F,
+                    dissipation_field(system, F)]
+
+        bound = make_td_kepler(m, eps, lam)
+        literal, F = literal_td_kepler(m, eps, lam)
+        assert bound.params == {"m": m, "eps": eps, "Lambda": lam} and not literal.params
+        ours = point_bundle(fields(bound, bound.invariants["F_TDK"].field), bound.params)
+        reference = point_bundle(fields(literal, F), {})
+        h_t = 2 * bound.n + 2
+        for pt in sample_points(bound, 200, seed=9):
+            got, want = ([v.hex() for v in row] for row in (ours(pt), reference(pt)))
+            if lam == 1.0 / 3.0:
+                assert (got[h_t], want[h_t]) == ("-0x0.0p+0", "0x0.0p+0")
+                got[h_t] = want[h_t]
+            assert got == want, pt
+
     def test_lambda_third_is_static_kepler(self):
         td = make_td_kepler(1.0, 0.25, 1.0 / 3.0)
         kep = make_kepler(1.0, eps=0.25)
