@@ -22,9 +22,9 @@ with the first four counts that the file's run added.
 A run's work is kept from the second sighting of its file or of its system
 on.  So a workload whose files recur (bundled, long-flow) counts 0 bundles,
 derive and emitted from round 2, and loads no file again; symbolic-sweep,
-whose files are new every round, keeps the last run of its Kepler system,
-which every round shares, and derives only what a new parameter choice
-adds.  Then it prints the means of the first four counts over the counted
+whose files are new every round, keeps the last run of its Kepler and
+td-kepler systems, which every round shares, and derives only what a new
+parameter choice adds.  Then it prints the means of the first four counts over the counted
 rounds.  The counts do not depend on timing, so a run repeats them exactly;
 two checkouts that keep the same tally can be compared by copying this
 script into each.

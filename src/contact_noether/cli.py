@@ -327,14 +327,14 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         invariants[g.label] = TrackedInvariant(g.label, base.field, g.expected or base.expected)
 
     symmetries: dict[str, Symmetry] = {}
-    rates: dict[str, float] = {}  # the ansatz fields' nonzero rates, one name per value
+    rates: dict[str, float] = {}  # the ansatz fields' nonzero rates, by name
     for position, spec in enumerate(f.symmetries):
         where = f"symmetry {OBJECT(spec, 'symmetry').get(LABEL)!r}"
         g = _fields(spec, SCHEMA["symmetry"], where, {"invariant": invariants})
         _require(g.label not in symmetries, f"duplicate symmetry label {g.label!r}")
         if g.ansatz is not None:
-            rates = g.ansatz.params(f"Y{position}", rates)
-            symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n, rates))
+            rates |= {f"_Y{position}_{k}": v for k, v in vars(g.ansatz).items() if v != 0.0}
+            symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n, f"Y{position}"))
         elif g.from_invariant is not None:
             F, Yt = invariants[g.from_invariant].field, _parse_field(g.Yt, n, f"{where} Yt", names)
             symmetries[g.label] = Symmetry(symmetry_from_invariant(system, F, Yt),

@@ -46,16 +46,6 @@ class ScalingAnsatz:
     def scaled(self, c: float) -> "ScalingAnsatz":
         return ScalingAnsatz(c * self.alpha, c * self.beta, c * self.gamma, c * self.sigma)
 
-    def params(self, label: str, known: dict[str, float] = {}) -> dict[str, float]:
-        """`known`, then each nonzero rate whose value it does not hold, by the name
-        `_<label>_<rate>`, which no expression can read (a name starts with a letter):
-        the parameters for `scaling_generator`."""
-        out = dict(known)
-        for k, v in vars(self).items():
-            if v != 0.0 and v not in out.values():
-                out[f"_{label}_{k}"] = v
-        return out
-
 
 @dataclass(frozen=True)
 class ScalingSolution:
@@ -84,15 +74,14 @@ def dot_qp(n: int) -> ScalarField:
     return acc
 
 
-def scaling_generator(ansatz: ScalingAnsatz, n: int,
-                      params: dict[str, float] = {}) -> VectorFieldSpec:
-    """The linear field alpha q d_q + beta p d_p + gamma S d_S + sigma t d_t.  Each nonzero
-    rate is the parameter of `params` that holds its value, if any (`ScalingAnsatz.params`),
-    so that fields whose rates differ only in value are one tree, and fields that share a
-    rate share its nodes; a zero rate, which folds its terms away, stays the number 0."""
-    names = {v: nm for nm, v in params.items()}
-    alpha, beta, gamma, sigma = (ScalarField(Param(names[v]), n) if v != 0.0 and v in names
-                                 else v for v in vars(ansatz).values())
+def scaling_generator(ansatz: ScalingAnsatz, n: int, label: str | None = None) -> VectorFieldSpec:
+    """The linear field alpha q d_q + beta p d_p + gamma S d_S + sigma t d_t.  Given a
+    `label`, each nonzero rate is the parameter `_<label>_<rate>`, which no expression can
+    read (a name starts with a letter), so fields whose rates differ only in value are one
+    tree; a zero rate, which folds its terms away, stays the number 0."""
+    alpha, beta, gamma, sigma = (ScalarField(Param(f"_{label}_{k}"), n)
+                                 if label is not None and v != 0.0 else v
+                                 for k, v in vars(ansatz).items())
     return VectorFieldSpec(
         tuple(alpha * variable(f"q{i}", n) for i in range(n)),
         tuple(beta * variable(f"p{i}", n) for i in range(n)),
@@ -237,13 +226,11 @@ def case3_system(k: float, Lambda: float, m: float, coupling: float | ScalarFiel
     )
 
 
-def case3_invariant(system: ContactSystem, Lambda: float | None = None) -> ScalarField:
+def case3_invariant(system: ContactSystem, Lambda: float | ScalarField) -> ScalarField:
     """(Lambda+1) q.p - 2 t h - 2 Lambda S with the system's h, conserved along a
     `case3_system` of that Lambda: the concrete form of the case table's
-    `_case3_invariant(n)` template.  Lambda is the system's parameter, or the
-    number `Lambda` if given."""
+    `_case3_invariant(n)` template.  Lambda is a number or the system's parameter."""
     n = system.n
-    lam = parameter("Lambda", n) if Lambda is None else Lambda
-    return ((lam + 1.0) * dot_qp(n)
+    return ((Lambda + 1.0) * dot_qp(n)
             - 2.0 * variable("t", n) * system.h
-            - 2.0 * lam * variable("S", n))
+            - 2.0 * Lambda * variable("S", n))

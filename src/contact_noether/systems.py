@@ -77,7 +77,8 @@ def make_td_kepler(m: float, eps: float, Lambda: float) -> ContactSystem:
         raise ValueError("m must be positive")
     system = case3_system(k=-1.0, Lambda=Lambda, m=m, coupling=-4.0 * parameter("eps", 3),
                           label="td-kepler", eps=float(eps))
-    system.invariants["F_TDK"] = TrackedInvariant("F_TDK", case3_invariant(system))
+    F = case3_invariant(system, parameter("Lambda", 3))
+    system.invariants["F_TDK"] = TrackedInvariant("F_TDK", F)
     return system
 
 

@@ -247,7 +247,7 @@ class TestOneBundlePerScenario:
     @pytest.mark.parametrize("source", [SCENARIOS / "kepler-scaling.json", *_sweep_cases()],
                              ids=lambda s: getattr(s, "stem", None))
     def test_ansatz_columns_are_those_of_the_literal_fields(self, tmp_path, source):
-        # an ansatz field reads its nonzero rates as bound parameters, one per value;
+        # an ansatz field reads its nonzero rates as bound parameters, one per rate;
         # every column of the fused bundle, its symmetry, similarity and closure
         # columns among them, is bit for bit that of the same checks on the field
         # that `scaling_generator` writes with its rates as numbers

@@ -682,6 +682,16 @@ class TestDualNumberOracle:
         assert self.gap(field, names, envs, {"Lambda": 0.37, "c": 1.6}) == (0.0, 0)
         assert self.gap(field, ["Lambda", "c"], [{"Lambda": 0.37, "c": 1.6}],
                         {"q0": 0.7, "p0": 0.8, "S": 0.2, "t": 1.1})[0] <= self.MAX_ULPS
+        # an exponent that reads another coordinate takes the same rule: q0^p0 by q0 is
+        # p0 q0^(p0-1), no longer q0^p0 (p0 (1/q0)), so its value moves in the last bit,
+        # and at q0 = 0, out of the domain both ways, the error names the new power
+        power = parse("q0^p0", 1)
+        d = partial(power, "q0")
+        assert d.source() == "p0*q0^(p0 - 1.0)"
+        bundle = expr.compile_bundle([d], ["q0", "p0", "S", "t"], {})
+        assert bundle(1.7, 2.5, 0.0, 1.0) == (2.5 * 1.7 ** 1.5,)
+        with pytest.raises(DomainError, match=r"in `q0\^\(p0 - 1\.0\)`"):
+            bundle(0.0, 2.0, 0.0, 1.0)
 
     def test_random_field_partials_are_the_dual_gradient(self):
         # `randfields` trees (every binary operator, integer and fractional
