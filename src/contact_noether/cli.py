@@ -20,7 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NamedTuple
 
-from . import __version__, noether, scaling, systems
+from . import __version__, expr, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
 from .expr import DomainError, ExprError, ScalarField, derivatives_kept, parse
 from .geometry import ContactSystem, ExtendedPoint, LieDerivativeEta, VectorFieldSpec, point_bundle
@@ -268,6 +268,26 @@ def _parse_field(source: str, n: int, where: str, names: set[str] | None = None)
     return field
 
 
+def _lifted(field: ScalarField, prefix: str, numbers: dict[str, float]) -> ScalarField:
+    """`field` with its i-th nonzero number outside an exponent read as the parameter
+    `<prefix>_c<i>`, whose value goes to `numbers`: one tree for any such values, of the
+    literal tree's shape (the plain constructors rebuild it).  A zero, which folds terms
+    away, and an exponent, which sets the `^` domain rule, stay."""
+    start = len(numbers)
+
+    def lift(node):
+        if isinstance(node, expr.Num) and node.value != 0.0:
+            numbers[name := f"{prefix}_c{len(numbers) - start}"] = node.value
+            return expr.Param(name)
+        if isinstance(node, (expr.Num, expr.Var, expr.Param)):
+            return node
+        if isinstance(node, expr.Pow):
+            return expr.Pow(lift(node.base), node.exponent)
+        return type(node)(*(v if isinstance(v, str) else lift(v) for v in vars(node).values()))
+
+    return ScalarField(lift(field.ast), field.n)
+
+
 def _read(path: Path) -> bytes:
     try:
         return path.read_bytes()
@@ -297,8 +317,11 @@ def _scenario(raw: Any, stem: str) -> Scenario:
     s = f.system
     params = {k: v if k == "f" and s.builtin and isinstance(v, str)  # f(t), a source
               else FINITE(v, f"system params {k!r}") for k, v in s.params.items()}
+    lifted: dict[str, float] = {}  # the numbers of f, of the gauges and the ansatz rates, by name
     try:
-        system = make_builtin(s.builtin, params) if s.builtin else ContactSystem(
+        if s.builtin == "harmonic-dissipative" and isinstance(source := params.get("f"), str):
+            params["f"] = _lifted(parse(source, 1), "_f", lifted)
+        system = make_builtin(s.builtin, {**params, **lifted}) if s.builtin else ContactSystem(
             n=s.dimension, h=_parse_field(s.expression, s.dimension, "system 'expression'"),
             params=params, label=name)
     except (ValueError, ExprError) as e:
@@ -327,16 +350,16 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         invariants[g.label] = TrackedInvariant(g.label, base.field, g.expected or base.expected)
 
     symmetries: dict[str, Symmetry] = {}
-    rates: dict[str, float] = {}  # the ansatz fields' nonzero rates, by name
     for position, spec in enumerate(f.symmetries):
         where = f"symmetry {OBJECT(spec, 'symmetry').get(LABEL)!r}"
         g = _fields(spec, SCHEMA["symmetry"], where, {"invariant": invariants})
         _require(g.label not in symmetries, f"duplicate symmetry label {g.label!r}")
         if g.ansatz is not None:
-            rates |= {f"_Y{position}_{k}": v for k, v in vars(g.ansatz).items() if v != 0.0}
+            lifted |= {f"_Y{position}_{k}": v for k, v in vars(g.ansatz).items() if v != 0.0}
             symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n, f"Y{position}"))
         elif g.from_invariant is not None:
-            F, Yt = invariants[g.from_invariant].field, _parse_field(g.Yt, n, f"{where} Yt", names)
+            F = invariants[g.from_invariant].field
+            Yt = _lifted(_parse_field(g.Yt, n, f"{where} Yt", names), f"_Y{position}", lifted)
             symmetries[g.label] = Symmetry(symmetry_from_invariant(system, F, Yt),
                                            noether_lambda(system, F, Yt))
         else:
@@ -351,9 +374,10 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         ctype = _choice(*CHECKS)(OBJECT(spec, "check").get(TYPE), "check 'type'")
         checks.append(_fields(spec, CHECKS[ctype], f"{ctype} check",
                               {"invariant": invariants, "symmetry": symmetries}))
-    clash = sorted(rates.keys() & point_params.keys())  # no expression reads a rate's name
-    _require(not clash, f"point_params {clash} name rates of ansatz fields")
-    return Scenario(name, system.with_params(rates), f.initial, f.t_end, f.integrator, f.seed,
+    for given, keys in (("point_params", point_params), ("system params", s.params)):
+        clash = sorted(lifted.keys() & keys.keys())  # no expression reads these names
+        _require(not clash, f"{given} {clash} name rates of ansatz fields or numbers of f or Yt")
+    return Scenario(name, system.with_params(lifted), f.initial, f.t_end, f.integrator, f.seed,
                     f.sample_count, invariants, symmetries, tuple(checks), f.auxiliary, point_params)
 
 

@@ -299,7 +299,7 @@ def call_(fn: str, arg: Node) -> Node:
         raise UnknownIntrinsic(f"unknown intrinsic {fn!r}")
     if isinstance(arg, Num):
         try:
-            return Num(_intrinsic(fn, arg.value, fn))
+            return Num(_intrinsic(fn, arg.value, arg))
         except DomainError:
             pass
     return Call(fn, arg)
@@ -352,30 +352,31 @@ _INTRINSICS: dict[str, _Intrinsic] = {
 }
 
 # the guarded numeric kernels of the interpreter; `where` is the node being
-# evaluated, or its text, and is rendered only if an error is raised
+# evaluated, which is rendered only if an error is raised, with the numbers of
+# its source that `env` binds (`to_source`)
 
 
-def _guard_finite(v: float, where: Node) -> float:
+def _guard_finite(v: float, where: Node, env: Mapping[str, float]) -> float:
     if not math.isfinite(v):
-        raise DomainError("non-finite result", where)
+        raise DomainError("non-finite result", to_source(where, env))
     return v
 
 
-def _intrinsic(fn: str, x: float, where: Node) -> float:
+def _intrinsic(fn: str, x: float, where: Node, env: Mapping[str, float] = {}) -> float:
     row = _INTRINSICS[fn]
     try:
         return row.fn(x)
     except (ValueError, OverflowError):
-        raise DomainError(row.domain, where) from None
+        raise DomainError(row.domain, to_source(where, env)) from None
 
 
-def _k_pow(b: float, e: float, where: Node) -> float:
+def _k_pow(b: float, e: float, where: Node, env: Mapping[str, float]) -> float:
     if b <= 0.0:
-        raise DomainError("non-integer power of non-positive base", where)
+        raise DomainError("non-integer power of non-positive base", to_source(where, env))
     try:
-        return _guard_finite(b**e, where)
+        return _guard_finite(b**e, where, env)
     except OverflowError:
-        raise DomainError("power overflow", where) from None
+        raise DomainError("power overflow", to_source(where, env)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +391,38 @@ def _prec(node: Node) -> int:
     return _PREC_POW if isinstance(node, Pow) else _PREC_ATOM
 
 
-def _wrap(node: Node, min_prec: int) -> str:
-    s = to_source(node)
+def _shown(node: Node, numbers: Mapping[str, float]) -> Node:
+    """The number of `numbers` that a parameter ``_...`` stands for, else `node`."""
+    if isinstance(node, Param) and numbers and node.name[0] == "_" and node.name in numbers:
+        return Num(numbers[node.name])
+    return node
+
+
+def _wrap(node: Node, min_prec: int, numbers: Mapping[str, float]) -> str:
+    s = to_source(node := _shown(node, numbers), numbers)
     return f"({s})" if _prec(node) < min_prec else s
 
 
-def to_source(node: Node) -> str:
+def to_source(node: Node, numbers: Mapping[str, float] = {}) -> str:
     """Render a node back to source that parses to the same tree: binary
     operators associate left, so a right operand of equal precedence is
     parenthesised, and re-parsing evaluates bit for bit as the original;
-    additive operators are spaced."""
+    additive operators are spaced.  A parameter ``_...`` of `numbers` (a number
+    of a source, bound under a name no expression can read) prints as its number."""
+    node = _shown(node, numbers)
     if (op := _BINARY.get(type(node))) is not None:
         symbol = f" {op.symbol} " if op.prec == _PREC_ADD else op.symbol
-        return f"{_wrap(node.left, op.prec)}{symbol}{_wrap(node.right, op.prec + 1)}"
+        return f"{_wrap(node.left, op.prec, numbers)}{symbol}{_wrap(node.right, op.prec + 1, numbers)}"
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, (Var, Param)):
         return node.name
     if isinstance(node, Neg):
-        return "-" + _wrap(node.arg, _PREC_NEG)
+        return "-" + _wrap(node.arg, _PREC_NEG, numbers)
     if isinstance(node, Pow):
-        return f"{_wrap(node.base, _PREC_ATOM)}^{_wrap(node.exponent, _PREC_ATOM)}"
+        return f"{_wrap(node.base, _PREC_ATOM, numbers)}^{_wrap(node.exponent, _PREC_ATOM, numbers)}"
     if isinstance(node, Call):
-        return f"{node.fn}({to_source(node.arg)})"
+        return f"{node.fn}({to_source(node.arg, numbers)})"
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -438,9 +448,9 @@ def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> floa
         if op.domain is None:
             return op.value(a, b)
         try:
-            return _guard_finite(op.value(a, b), node)
+            return _guard_finite(op.value(a, b), node, env)
         except ZeroDivisionError:
-            raise DomainError(op.domain, node) from None
+            raise DomainError(op.domain, to_source(node, env)) from None
     if isinstance(node, Num):
         return node.value
     if isinstance(node, (Var, Param)):
@@ -450,13 +460,13 @@ def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> floa
     if isinstance(node, Pow):
         b, k = eval_node(node.base, env, memo), _int_exponent(node.exponent)
         if k is None:
-            return _k_pow(b, eval_node(node.exponent, env, memo), node)
+            return _k_pow(b, eval_node(node.exponent, env, memo), node, env)
         try:
-            return _guard_finite(b**k, node)
+            return _guard_finite(b**k, node, env)
         except (OverflowError, ZeroDivisionError):
-            raise DomainError("integer power out of domain", node) from None
+            raise DomainError("integer power out of domain", to_source(node, env)) from None
     if isinstance(node, Call):
-        return _intrinsic(node.fn, eval_node(node.arg, env, memo), node)
+        return _intrinsic(node.fn, eval_node(node.arg, env, memo), node, env)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -468,8 +478,8 @@ def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> floa
 # functions, which raise where eval_node does.  Any exception or non-finite
 # checked value re-runs eval_node, so values and the first DomainError are the
 # interpreter's.  Each number and bound parameter is a closure cell, not text,
-# so bundles that differ only in these values share one compile; a statement
-# that reads nothing else runs once, when the function is made
+# so bundles that differ only in these values share one program (`_codegen`);
+# a statement that reads nothing else runs once, when the function is made
 
 _KERNELS = tuple(f"_{fn}" for fn in ("isfinite", "nan", *_INTRINSICS))
 # numbers the generated functions' file names, so that profiles tell them apart
@@ -477,37 +487,38 @@ _SERIALS = itertools.count(1)
 
 
 @lru_cache(maxsize=256)
-def _factory(source: str, kind: str) -> Callable:
-    """The `_mk` that `source` defines, compiled once per distinct text into
-    a file named `<kind-N>`."""
+def _factory(lines: tuple[str, ...], kind: str, prelude: tuple[str, ...], cells: int) -> Callable:
+    """`_mk(<prelude>, <kernels>, _k0, ..., _k<cells - 1>)`, which makes the function
+    `_f` that `lines` define, compiled once per distinct text into a file named `<kind-N>`."""
     work["compiles"] += 1
+    args = ", ".join([*prelude, *_KERNELS, *(f"_k{i}" for i in range(cells))])
+    source = "\n".join([f"def _mk({args}):", *("    " + ln for ln in lines), "    return _f"])
     loc: dict[str, object] = {}
     exec(compile(source, f"<{kind}-{next(_SERIALS)}>", "exec"), {}, loc)
     return loc["_mk"]  # type: ignore[return-value]
 
 
-def _emit(roots: Sequence[Node], slots: Mapping[str, float],
-          ) -> tuple[list[str], list[float], list[str], list[str], set[int]]:
+def _emit(roots: Sequence[Node], names: frozenset[str],
+          ) -> tuple[list[str], list[float | str], list[str], list[str], set[int]]:
     """The statements `_tN = <value>`, indented for a try block of a function,
     that evaluate every node under `roots`, one per distinct node, with `_ki`
-    for the i-th distinct number or name of `slots` and `_v_<name>` for any
-    other name.  Returns the statements, the slot values, the checked
-    temporaries (`/` and `^`), the roots' values and the indices of the
-    statements that read names of `slots` only (none if it is empty)."""
+    for the i-th distinct number or bound name (of `names`) and `_v_<name>` for
+    any other name.  Returns the statements, the cells (each such number, or
+    name), the checked temporaries (`/` and `^`), the roots' values and the
+    indices of the statements that read bound names only (none if there are none)."""
     lines: list[str] = []
     ref: dict[Node, str] = {}
-    consts: list[float] = []
+    cells: list[float | str] = []
     checked: list[str] = []
     fixed: set[int] = set()
 
     def emit(node: Node) -> str:
         if node not in ref:
             if isinstance(node, (Num, Var, Param)):
-                slot = node.value if isinstance(node, Num) else slots.get(node.name)
-                if slot is None:
+                if not isinstance(node, Num) and node.name not in names:
                     return ref.setdefault(node, f"_v_{node.name}")
-                consts.append(slot)
-                return ref.setdefault(node, f"_k{len(consts) - 1}")
+                cells.append(node.value if isinstance(node, Num) else node.name)
+                return ref.setdefault(node, f"_k{len(cells) - 1}")
             k = _int_exponent(node.exponent) if isinstance(node, Pow) else None
             if (op := _BINARY.get(type(node))) is not None:
                 value = f"{emit(node.left)} {op.symbol} {emit(node.right)}"
@@ -523,25 +534,26 @@ def _emit(roots: Sequence[Node], slots: Mapping[str, float],
             ref[node] = f"_t{len(lines)}"
             if isinstance(node, Pow) or op is not None and op.domain is not None:
                 checked.append(ref[node])
-            if slots and slots.keys() >= node._names[0] and slots.keys() >= node._names[1]:
+            if names and names >= node._names[0] and names >= node._names[1]:
                 fixed.add(len(lines))
             lines.append(f"        {ref[node]} = {value}")
         return ref[node]
 
     values = [emit(r) for r in roots]
     del emit  # a recursive closure is a reference cycle, which would keep the nodes
-    return lines, consts, checked, values, fixed
+    return lines, cells, checked, values, fixed
+
+
+def _kernels() -> tuple:
+    """The values of `_KERNELS`, read when a function is made."""
+    return (math.isfinite, math.nan, *(row.fn for row in _INTRINSICS.values()))
 
 
 def _make(lines: Sequence[str], kind: str, prelude: Mapping[str, object],
           consts: Sequence[float]) -> Callable:
-    """The function `_f` that `lines` define, made by `_mk(<prelude>, <kernels>,
-    _k0, _k1, ...)` with the numbers `consts`; the kernels are read when `_f` is made."""
-    args = ", ".join([*prelude, *_KERNELS, *(f"_k{i}" for i in range(len(consts)))])
-    source = "\n".join([f"def _mk({args}):",
-                        *("    " + ln for ln in lines), "    return _f"])
-    return _factory(source, kind)(*prelude.values(), math.isfinite, math.nan,
-                                  *(row.fn for row in _INTRINSICS.values()), *consts)
+    """The function `_f` that `lines` define, made by `_factory`'s `_mk` of `prelude`, `consts`."""
+    mk = _factory(tuple(lines), kind, tuple(prelude), len(consts))
+    return mk(*prelude.values(), *_kernels(), *consts)
 
 
 def bindable_params(params: Mapping[str, float], argnames: Sequence[str]) -> dict[str, float]:
@@ -553,20 +565,29 @@ def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str,
              slow: Callable) -> Callable:
     """`def _f(<argnames>)`: run every node under `roots`, the names of `bound`
     as numbers, and return the roots' values as a tuple, or `_slow(<argnames>)`.
-    The statements that read only numbers and names of `bound` run once, when
-    `_f` is made; one that raises leaves its name and the later ones unbound,
-    so a call that reads them takes `_slow`."""
-    body, consts, checked, values, fixed = _emit(roots, bound)
+    It is made by the program of its roots, argnames and bound names, emitted
+    once while it lives (`live_work`), whose text reads which names are bound,
+    never their values.  The statements that read only numbers and names of
+    `bound` run once, when `_f` is made; one that raises leaves its name and the
+    later ones unbound, so a call that reads them takes `_slow`."""
     work["bundles"] += 1
-    work["emitted"] += len(body)
-    params = ", ".join(f"_v_{nm}" for nm in argnames)
-    check = f"_isfinite({' + '.join(checked)})" if checked else "True"
-    hoisted = ["try:", *(body[k][4:] for k in sorted(fixed)), "except Exception:", "    pass"]
-    lines = [*(hoisted if fixed else ()), f"def _f({params}):", "    try:",
-             *(ln for k, ln in enumerate(body) if k not in fixed), f"        if {check}:",
-             f"            return ({''.join(v + ', ' for v in values)})",
-             "    except Exception:", "        pass", f"    return _slow({params})"]
-    return _make(lines, "scalar-field", {"_slow": slow}, consts)
+    names = frozenset(bound)
+
+    def program() -> Callable:  # `make(slow, bound)`; each of its cells is a number or a name
+        body, cells, checked, values, fixed = _emit(roots, names)
+        work["emitted"] += len(body)
+        params = ", ".join(f"_v_{nm}" for nm in argnames)
+        check = f"_isfinite({' + '.join(checked)})" if checked else "True"
+        hoisted = ["try:", *(body[k][4:] for k in sorted(fixed)), "except Exception:", "    pass"]
+        lines = [*(hoisted if fixed else ()), f"def _f({params}):", "    try:",
+                 *(ln for k, ln in enumerate(body) if k not in fixed), f"        if {check}:",
+                 f"            return ({''.join(v + ', ' for v in values)})",
+                 "    except Exception:", "        pass", f"    return _slow({params})"]
+        mk = _factory(tuple(lines), "scalar-field", ("_slow",), len(cells))
+        return lambda slow, bound: mk(slow, *_kernels(),
+                                      *(c if isinstance(c, float) else bound[c] for c in cells))
+
+    return live_work(("program", tuple(roots), tuple(argnames), names), program)(slow, bound)
 
 
 # the live bundles, by (roots, argnames, bound names with their values' type, value and
@@ -590,7 +611,8 @@ def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
     that returns a tuple with one value per field, bit for bit eval_node's,
     and raises eval_node's first DomainError; `params` binds the other names,
     by `bindable_params`, as numbers of the function.  While it lives, the
-    same roots, names and bound values return it again."""
+    same roots, names and bound values return it again; while its program
+    lives, other values of the same bound names emit nothing (`_codegen`)."""
     roots, bound = [f.ast for f in fields], bindable_params(params, argnames)
     unbound = set().union(*(f.free_vars | f.free_params for f in fields)) - {*argnames, *bound}
     if unbound:

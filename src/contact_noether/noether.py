@@ -27,6 +27,8 @@ from .geometry import (
     ExtendedPoint,
     LieDerivativeEta,
     VectorFieldSpec,
+    _kept,
+    _nodes,
     bracket_lie_derivative,
     contact_field_of,
     coordinate_names,
@@ -274,7 +276,9 @@ def build_similarity(Y: VectorFieldSpec, X: VectorFieldSpec, residual_threshold:
             verdict = SIMILARITY
         return SimilarityReport(tuple(Lambdas), worst, verdict)
 
-    return Pointwise((*X.components(), *lie_bracket(Y, X, system).components()), judge)
+    bracket = (lambda: lie_bracket(Y, X, system).components())
+    return Pointwise((*X.components(), *(bracket() if system is None else _kept(  # kept as L_[V,X]
+        "[Y,X]", _nodes(Y), _nodes(X), system=system, build=bracket))), judge)
 
 
 def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,

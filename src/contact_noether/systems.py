@@ -83,8 +83,8 @@ def make_td_kepler(m: float, eps: float, Lambda: float) -> ContactSystem:
 
 
 def make_harmonic_dissipative(m: float, f_spec: ScalarField | str | float,
-                              g0: float) -> ContactSystem:
-    """h = p0^2/2m + (m/2) f(t) q0^2 + g0 S in n = 1."""
+                              g0: float, **params: float) -> ContactSystem:
+    """h = p0^2/2m + (m/2) f(t) q0^2 + g0 S in n = 1; `params` binds the other names f reads."""
     if m <= 0:
         raise ValueError("m must be positive")
     n = 1
@@ -101,7 +101,7 @@ def make_harmonic_dissipative(m: float, f_spec: ScalarField | str | float,
         + (mpar / 2.0) * f * (variable("q0", n) ** 2.0) \
         + parameter("g0", n) * variable("S", n)
     system = ContactSystem(
-        n=n, h=h, params={"m": float(m), "g0": float(g0)},
+        n=n, h=h, params={"m": float(m), "g0": float(g0), **params},
         label="harmonic-dissipative",
         param_rates={nm: substitute(parse(src, n), "f", f) for nm, src in _AUX_ODES.items()},
     )
@@ -255,9 +255,9 @@ def make_builtin(name: str, params: Mapping[str, object] | None = None) -> Conta
                                 float(params.pop("eps", 0.25)),
                                 float(params.pop("Lambda", 1.0)))
     elif name == "harmonic-dissipative":
-        system = make_harmonic_dissipative(float(params.pop("m", 1.0)),
-                                           params.pop("f", 1.0),
-                                           float(params.pop("g0", 0.0)))
+        m, f, g0 = float(params.pop("m", 1.0)), params.pop("f", 1.0), float(params.pop("g0", 0.0))
+        system = make_harmonic_dissipative(m, f, g0, **{k: params.pop(k) for k in getattr(
+            f, "free_params", ()) if k in params})
     else:
         raise KeyError(f"unknown builtin system {name!r}")
     if params:

@@ -182,6 +182,16 @@ def _kepler_ln():
     return scenario
 
 
+def _kepler_gauge_ln():
+    """The bundled kepler-scaling file with one more symmetry check, of Q_K's symmetry at
+    a gauge that reads ln(q0 - 2.0), which leaves the domain at every sample."""
+    scenario = json.loads((SCENARIOS / "kepler-scaling.json").read_text())
+    scenario["symmetries"].append({"label": "bad-gauge", "from_invariant": "Q_K",
+                                   "Yt": "ln(q0 - 2.0)"})
+    scenario["checks"].append({"type": "symmetry", "symmetry": "bad-gauge"})
+    return scenario
+
+
 OSCILLATOR = {"system": {"expression": "p0^2/2 + q0^2/2", "dimension": 1}, "sample_count": 20}
 VANISHING = {"system": {"expression": "(q0 - q0)*p0", "dimension": 1}, "sample_count": 20}
 
@@ -193,6 +203,7 @@ def _field(label, Yq, Yp="0"):
 # scenarios whose runs fail in a pointwise check, with every pointwise type the one to fail
 ERROR_ROWS = {
     "kepler-ln-symmetry": _kepler_ln,
+    "gauge-domain": _kepler_gauge_ln,
     "residual-after-a-symmetry": lambda: {
         **OSCILLATOR, "invariants": [{"label": "F", "expression": "sqrt(q0 - 1)"}],
         "symmetries": [_field("Y", "p0", "-q0")],
@@ -267,6 +278,30 @@ class TestOneBundlePerScenario:
         (_, ours), (_, theirs) = sc.fused, literal.fused
         assert [_hexes(ours(pt)) for pt in samples] == [_hexes(theirs(pt)) for pt in samples]
 
+    @pytest.mark.parametrize("source", [SCENARIOS / "kepler-scaling.json", *_sweep_cases()],
+                             ids=lambda s: getattr(s, "stem", None))
+    def test_gauge_and_f_columns_are_those_of_the_literal_fields(self, tmp_path, monkeypatch,
+                                                                 source):
+        # a from_invariant symmetry's gauge and the oscillator's f read their nonzero
+        # numbers as bound parameters; every column of the fused bundle is bit for bit
+        # that of the same file loaded with these numbers written into the trees
+        path = source if isinstance(source, Path) else source.write(tmp_path)
+        sc = cli.load_scenario(path)
+        monkeypatch.setattr(cli, "_lifted", lambda field, prefix, numbers: field)
+        literal = cli.load_scenario(path)
+        gauged = [label for label, s in sc.symmetries.items() if s.field.parts is not None]
+        assert gauged and all(sc.symmetries[label].field.parts[2].ast
+                              is not literal.symmetries[label].field.parts[2].ast
+                              for label in gauged)
+        if sc.system.label == "harmonic-dissipative":
+            assert sc.system.h.ast is not literal.system.h.ast
+        samples = sample_points(sc.bound, sc.sample_count, sc.seed,
+                                margin=sc.integrator.guard_margin)
+        assert samples == sample_points(literal.bound, sc.sample_count, sc.seed,
+                                        margin=sc.integrator.guard_margin)
+        (_, ours), (_, theirs) = sc.fused, literal.fused
+        assert [_hexes(ours(pt)) for pt in samples] == [_hexes(theirs(pt)) for pt in samples]
+
     def test_a_later_check_failing_at_an_earlier_sample_raises_second(self, tmp_path):
         # the residual of sqrt(p0 - a1) first fails at sample i > 0, the symmetry
         # that reads sqrt(q0 - a2) fails at sample 0: the residual's error wins
@@ -324,6 +359,18 @@ class TestOneBundlePerScenario:
         assert code == 3 and capsys.readouterr().err == (
             f"runtime error: DomainError: check[7] symmetry bad: sample 0 ({_coords(first)}): "
             "ln of non-positive value in `ln(q0)`\n")
+
+    def test_a_gauge_error_names_the_numbers_the_file_wrote(self, tmp_path):
+        # the gauge reads its 2.0 as a bound parameter, and the error names the
+        # subexpression as the file wrote it
+        path = write_scenario(tmp_path, "gauge-ln", _kepler_gauge_ln())
+        sc = cli.load_scenario(path)
+        assert "ln(q0 - 2.0)" not in sc.symmetries["bad-gauge"].field.parts[2].source()
+        first = sample_points(sc.bound, sc.sample_count, sc.seed)[0]
+        report, code = cli.run(path, tmp_path / "out", quiet=True)
+        assert (code, report["error"]) == (
+            3, f"check[7] symmetry bad-gauge: sample 0 ({_coords(first)}): "
+               "ln of non-positive value in `ln(q0 - 2.0)`")
 
     def test_a_similarity_judge_error_names_its_check(self, tmp_path):
         path = write_scenario(tmp_path, "vanishing", ERROR_ROWS["similarity-degenerate"]())
@@ -965,8 +1012,8 @@ class TestRecurringRuns:
         # after two runs of one sweep Kepler file, its system keeps the gauge-free
         # parts of its gauged field's checks (`geometry.LieDerivativeEta`,
         # `geometry.bracket_lie_derivative`): a file with a new m, eps, gauge and
-        # wrong-sigma ansatz derives the gauge's partials and the wrong-sigma
-        # checks, 27 rules measured, where the whole gauged field took 452
+        # wrong-sigma ansatz derives only the partials of its gauge's shape, whose
+        # sign is new, 2 rules measured, where the whole gauged field took 452
         first, second = (certbench_workloads().symbolic_sweep_round(7, k)[0] for k in (0, 1))
         assert first.spec["system"]["builtin"] == second.spec["system"]["builtin"] == "kepler"
         assert first.spec["symmetries"][3]["Yt"] != second.spec["symmetries"][3]["Yt"]
@@ -979,9 +1026,9 @@ class TestRecurringRuns:
     def test_a_td_kepler_file_with_new_numbers_derives_only_its_gauges_partials(self, tmp_path):
         # td-kepler's h and F_TDK read m, eps and Lambda as parameters, and an ansatz
         # field reads its rates, so after two runs of one sweep td-kepler file, a file
-        # with new m, eps, Lambda, ansatz rates and gauge finds its system's kept parts
-        # and derives the gauge's partials: 8 rules measured, where 903 were derived
-        # when the numbers were written into the trees
+        # with new m, eps, Lambda, ansatz rates and gauge finds its system's kept parts,
+        # and the gauge's, whose numbers are parameters too: no rule derived, where 903
+        # were when the numbers were written into the trees
         first, second = (certbench_workloads().symbolic_sweep_round(7, k)[1] for k in (0, 1))
         assert first.spec["system"]["builtin"] == second.spec["system"]["builtin"] == "td-kepler"
         params = [case.spec["system"]["params"] for case in (first, second)]
@@ -1007,6 +1054,36 @@ class TestRecurringRuns:
         done = tally()
         report, code = cli.run(write_scenario(tmp_path, "new-sigma", spec), tmp_path, quiet=True)
         assert code == 0 and done()["derive"] == 0
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["kepler", "td-kepler", "oscillator"])
+    def test_a_file_of_a_kept_shape_with_new_numbers_derives_and_emits_nothing(self, tmp_path,
+                                                                               index):
+        # a gauge's nonzero numbers and the oscillator's f's are parameters named by
+        # their place (`_Y<position>_c<i>`, `_f_c<i>`), and a bundle's program is kept
+        # by its roots, argnames and bound names: after two runs of one sweep file, a
+        # later file of its system whose gauges have the same signs, with new numbers
+        # everywhere, derives no rule and writes no statement (the oscillator derived
+        # 134 rules, and every file emitted all its statements, when these were literals)
+        workloads = certbench_workloads()
+
+        def shape(case):
+            return [" - " in s["Yt"] for s in case.spec["symmetries"] if "Yt" in s]
+
+        first = workloads.symbolic_sweep_round(7, 0)[index]
+        second = next(case for k in range(1, 20)
+                      if shape(case := workloads.symbolic_sweep_round(7, k)[index]) == shape(first))
+        assert first.spec["system"]["builtin"] == second.spec["system"]["builtin"]
+        old, new = (case.spec["system"]["params"] for case in (first, second))
+        assert all(old[k] != new[k] for k in old)
+        assert [s.get("Yt") for s in first.spec["symmetries"]] != \
+            [s.get("Yt") for s in second.spec["symmetries"]]
+        for _ in range(2):
+            assert cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)[1] == 0
+        done = tally()
+        report, code = cli.run(second.write(tmp_path), tmp_path / "second", quiet=True)
+        work = done()
+        assert code == 0 and [work[k] for k in ("derive", "emitted")] == [0, 0]
+        assert work["bundles"] > 0
 
     def test_a_field_gauged_for_another_h_is_checked_whole(self):
         # X_F + Yt X_h^t built on Kepler and checked on td-Kepler, whose X_h^t is

@@ -312,6 +312,23 @@ class TestBundle:
         for m, bundle in ((2.0, two), (3.0, three)):
             assert bundle(0.5) == (expr.eval_node(f.ast, {"q0": 0.5, "m": m}),)
 
+    def test_parameter_values_share_one_program(self):
+        # a bundle's program reads which names are bound, never their values: while a
+        # run holds it, a bundle of the same roots and bound names at other values
+        # writes no statement and returns its own values, and other bound names emit again
+        f = parse("m*q0 + sin(m)/k", 1)
+        with expr.derivatives_kept(object()):
+            done = tally()
+            two = expr.compile_bundle([f], ["q0"], {"m": 2.0, "k": 3.0})
+            emitted = done()["emitted"]
+            three = expr.compile_bundle([f], ["q0"], {"m": 3.0, "k": 5.0})
+            assert emitted > 0 and done()["emitted"] == emitted and done()["bundles"] == 2
+            for bundle, env in ((two, {"m": 2.0, "k": 3.0}), (three, {"m": 3.0, "k": 5.0})):
+                assert bundle(0.5) == (expr.eval_node(f.ast, {"q0": 0.5, **env}),)
+            assert two(0.5) != three(0.5)
+            expr.compile_bundle([f], ["q0"], {"m": 2.0, "k": 3.0, "w": 1.0})
+            assert done()["emitted"] == 2 * emitted
+
     def test_a_parameter_named_like_an_argument_is_ignored(self):
         fn = expr.compile_bundle([parse("q0*m", 1)], ["q0", "m"], {"m": 5.0, "q0": 7.0})
         assert fn(2.0, 3.0) == (6.0,)

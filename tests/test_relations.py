@@ -21,8 +21,9 @@ import pytest
 from contact_noether import cli
 from contact_noether.expr import DomainError, compile_bundle, number, parse, partial, variable
 from contact_noether.geometry import coordinate_names, point_bundle
-from contact_noether.noether import sample_points
+from contact_noether.noether import sample_points, symmetry_from_invariant
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
+from contact_noether.systems import make_builtin
 from randfields import random_field
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -151,8 +152,10 @@ def test_scaled_and_summed_symmetries_scale_and_sum_their_factors(tmp_path, name
     symmetries = [{"label": "Y1", "ansatz": ansatz},
                   {"label": "Y2", "from_invariant": spec["invariants"][0]["label"],
                    "Yt": gauge.source()}]
-    path.write_text(json.dumps({**base, "symmetries": symmetries}))
-    Y2 = cli.load_scenario(path).symmetries["Y2"].field
+    # Y2 over the system with its numbers written in: a loaded oscillator reads f's as parameters
+    given = spec["system"]
+    literal = make_builtin(given["builtin"], given["params"]) if "builtin" in given else sc.system
+    Y2 = symmetry_from_invariant(literal, sc.invariants[symmetries[1]["from_invariant"]].field, gauge)
     total = [c.source() for c in (scaling_generator(ScalingAnsatz(**ansatz), n) + Y2).components()]
     symmetries += [{"label": f"{c}Y1", "ansatz": vars(ScalingAnsatz(**ansatz).scaled(c))}
                    for c in (2.0, -0.5)]

@@ -46,20 +46,20 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
 
 
 @pytest.mark.parametrize("workload, first, second", [
-    ("bundled", (17, 938, 1859, 1152, 4), (0, 0, 4, 0, 4)),
-    ("long-flow", (7, 99, 520, 228, 3), (0, 0, 3, 0, 3)),
-    ("symbolic-sweep", (6, 1897, 3686, 1989, 2), (6, 150, 1563, 1989, 2))],
+    ("bundled", (17, 943, 1858, 1158, 4), (0, 0, 4, 0, 4)),
+    ("long-flow", (7, 101, 526, 231, 3), (0, 0, 3, 0, 3)),
+    ("symbolic-sweep", (6, 1891, 3693, 1989, 3), (6, 0, 1029, 837, 3))],
     ids=["bundled", "long-flow", "symbolic-sweep"])
 def test_symbolic_counts_prints_the_tally(workload, first, second):
     # at seed 7, round 1 derives and compiles the files' work, which their runs
     # keep from then on with the loaded scenario, its built checks and its
     # system's X_h and compensation chain, so round 2 derives, emits and loads
     # nothing and makes only X_h^t's d/dt, one node per flow.
-    # The sweep's files are new in every round, but its Kepler and td-kepler
-    # systems are not, as they read their numbers, and ansatz fields their rates,
-    # as parameters: from round 1 the last run of each is kept under its system's
-    # key, so round 2 derives only the gauges' partials and the oscillator's new
-    # system, and only its bundles are compiled again.  A fresh interpreter: nodes that
+    # The sweep's files are new in every round, but its systems are not, as they
+    # read their numbers, and ansatz fields, gauges and f theirs, as parameters:
+    # from round 1 the last run of each is kept under its system's key, so round 2
+    # derives nothing, and emits only the programs of the one file whose gauge's
+    # sign its system's kept run has not seen.  A fresh interpreter: nodes that
     # earlier tests keep alive keep their derivatives, and would lower the counts
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
                            "--workload", workload, "--rounds", "2", "--seed", "7"],
@@ -72,8 +72,8 @@ def test_symbolic_counts_prints_the_tally(workload, first, second):
 
 def test_symbolic_counts_by_file_splits_each_rounds_tally():
     # each round's line, then one line per file of the round, whose counts sum to
-    # the round's; the warm td-kepler file, on its kept system, derives only its
-    # gauge's partials (8 rules at seed 7)
+    # the round's; the warm td-kepler file, on its kept system, derives no rule
+    # at seed 7 (its gauge's numbers are parameters)
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
                            "--workload", "symbolic-sweep", "--rounds", "2", "--seed", "7",
                            "--by-file"], capture_output=True, text=True, timeout=300)
