@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
@@ -23,7 +23,8 @@ from typing import Any, Callable, Iterator, NamedTuple
 from . import __version__, expr, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
 from .expr import DomainError, ExprError, ScalarField, derivatives_kept, parse
-from .geometry import ContactSystem, ExtendedPoint, LieDerivativeEta, VectorFieldSpec, point_bundle
+from .geometry import (ContactSystem, ExtendedPoint, LieDerivativeEta, VectorFieldSpec, _kept,
+                       point_bundle)
 from .noether import (FLOW_THRESHOLD, SYMBOLIC_THRESHOLD, dissipation_compensation,
                       max_relative_drift, noether_lambda, sample_points, symmetry_from_invariant)
 from .systems import AuxiliaryState, TrackedInvariant, co_integrate, make_builtin
@@ -245,15 +246,39 @@ class Scenario:
         return self.system.with_params(self.point_params)
 
     @cached_property
-    def fused(self) -> tuple[dict[int, noether.Pointwise], Callable]:
-        """Every pointwise check, built (`_build`), by its index, and one bundle of all
-        their fields, bound like the sampler; kept with the record, so a run of a kept
-        scenario builds nothing, a `--seed` copy takes it over, and a `--tol-override`
-        copy, whose judges read its tolerance, makes its own."""
-        built = {i: _build(self, c) for i, c in enumerate(self.checks)
-                 if CHECKS[c.type].pointwise}
-        return built, point_bundle([f for b in built.values() for f in b.fields],
-                                   self.bound.params)
+    def fused(self) -> tuple[list[noether.Pointwise | None], Callable]:
+        """Each pointwise check, built (`_build`), at its index, and one bundle of all their
+        fields, bound like the sampler.  The built checks are kept by the skeleton, all that
+        `_build` reads (the nodes and the checks with their tolerances): a file or a `--seed`
+        copy of a kept skeleton builds nothing.  A build error names its check."""
+        def build() -> list:
+            built = []
+            for i, c in enumerate(self.checks):
+                with _named(i, c, Exception):
+                    built.append(_build(self, c) if CHECKS[c.type].pointwise else None)
+            return built
+
+        built = _kept("checks", *((k, v.field.ast) for k, v in self.invariants.items()),
+                      *((k, _nodes(v.field, v.factor, *(v.field.parts or ())))
+                        for k, v in self.symmetries.items()), self.checks,
+                      system=self.system, build=build)
+        return built, point_bundle([f for b in built if b for f in b.fields], self.bound.params)
+
+
+def _nodes(*fields: ScalarField | VectorFieldSpec | None) -> tuple:
+    """The nodes of scalar and vector fields (None for none), as a key reads them."""
+    return tuple(f.ast if isinstance(f, ScalarField) else f and _nodes(*f.components())
+                 for f in fields)
+
+
+@contextmanager
+def _named(i: int, c: Check, *errors: type[Exception]) -> Iterator[None]:
+    """An error of `errors` raised within, prefixed by check `c`'s index, type and target."""
+    try:
+        yield
+    except errors as e:
+        e.args = (f"check[{i}] {c.type} {CHECKS[c.type].target.format(*c.refs)}: {e}",)
+        raise
 
 
 def _parse_field(source: str, n: int, where: str, names: set[str] | None = None) -> ScalarField:
@@ -271,18 +296,26 @@ def _parse_field(source: str, n: int, where: str, names: set[str] | None = None)
 def _lifted(field: ScalarField, prefix: str, numbers: dict[str, float]) -> ScalarField:
     """`field` with its i-th nonzero number outside an exponent read as the parameter
     `<prefix>_c<i>`, whose value goes to `numbers`: one tree for any such values, of the
-    literal tree's shape (the plain constructors rebuild it).  A zero, which folds terms
-    away, and an exponent, which sets the `^` domain rule, stay."""
+    literal tree's shape (the plain constructors rebuild it).  `x - c*y` and `x - c` read
+    `x + (-c)*y` and `x + (-c)`, `-c` bound: equal bits in IEEE arithmetic, so a sign is a
+    value.  A zero, which folds terms away, and an exponent, which sets the `^` domain
+    rule, stay."""
     start = len(numbers)
 
-    def lift(node):
+    def lift(node, sign=1.0):
         if isinstance(node, expr.Num) and node.value != 0.0:
-            numbers[name := f"{prefix}_c{len(numbers) - start}"] = node.value
+            numbers[name := f"{prefix}_c{len(numbers) - start}"] = sign * node.value
             return expr.Param(name)
         if isinstance(node, (expr.Num, expr.Var, expr.Param)):
             return node
         if isinstance(node, expr.Pow):
             return expr.Pow(lift(node.base), node.exponent)
+        if sign < 0.0:  # the c*y of `x - c*y`
+            return expr.Mul(lift(node.left, sign), lift(node.right))
+        if isinstance(node, expr.Sub):
+            c = node.right.left if isinstance(node.right, expr.Mul) else node.right
+            if isinstance(c, expr.Num) and c.value != 0.0:
+                return expr.Add(lift(node.left), lift(node.right, -1.0))
         return type(node)(*(v if isinstance(v, str) else lift(v) for v in vars(node).values()))
 
     return ScalarField(lift(field.ast), field.n)
@@ -454,12 +487,9 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
                                  "tol": tol}
         if pointwise[i]:
             b = built[i]
-            try:
+            with _named(i, c, DomainError, noether.DegeneratePoint):
                 rep = b.judge(samples, _replay(b, samples, bound.params) if rows is None
                               else [v[lo:lo + len(b.fields)] for v in rows])
-            except (DomainError, noether.DegeneratePoint) as e:
-                e.args = (f"check[{i}] {ctype} {entry['target']}: {e}",)
-                raise
             lo += len(b.fields)
         if ctype == "drift":
             inv = sc.invariants[c.refs[0]]
@@ -527,24 +557,18 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
         seed: int | None = None, tol_override: float | None = None,
         quiet: bool = False, checks: bool = True) -> tuple[dict, int]:
     """Load, execute and persist one scenario; returns (report, exit_code).
-    The checks find the derivatives that loading took.  The run's symbolic
-    work is kept under two keys (`derivatives_kept`): the file's bytes, read
-    once, with its stem, the default name, under which the parsed scenario is
-    kept too, with its built checks and their bundle (`Scenario.fused`) and
-    its system's X_h, so a file that recurs is neither loaded nor built again
-    and only numeric work is redone; and the source of the system's h, so
-    another file on a system that recurs reuses its work.  `seed` and
-    `tol_override` run a copy; only a `tol_override` copy builds its own checks.
-    A runtime error exits 3 with a message that names where it arose (`run_checks`)."""
+    The run's symbolic work is kept (`derivatives_kept`) under the file's bytes with its
+    stem, with the parsed scenario, so a file that recurs is not loaded again, and under
+    the source of its system's h, so another file on that system finds its work, and its
+    built checks if its skeleton recurs (`Scenario.fused`).  `seed` and `tol_override`
+    run a copy.  A runtime error exits 3 with a message that names where it arose."""
     path = Path(scenario_path)
     try:
         data = _read(path)
         with derivatives_kept((data, path.stem)) as kept:
             sc = kept.record = kept.record or _load(path, data)
             kept.keys.append(sc.system.h.source())
-            if seed is not None:  # the built checks and their bundle read no seed
-                built = {k: v for k, v in vars(sc).items() if k in ("bound", "fused")}
-                vars(sc := replace(sc, seed=SEED(seed, "--seed"))).update(built)
+            sc = sc if seed is None else replace(sc, seed=SEED(seed, "--seed"))
             if tol_override is not None:
                 tol = TOL(tol_override, "--tol-override")
                 sc = replace(sc, checks=tuple(replace(c, tol=tol) for c in sc.checks))

@@ -392,9 +392,15 @@ def _prec(node: Node) -> int:
 
 
 def _shown(node: Node, numbers: Mapping[str, float]) -> Node:
-    """The number of `numbers` that a parameter ``_...`` stands for, else `node`."""
+    """The number of `numbers` that a parameter ``_...`` stands for, and ``x + _c`` or
+    ``x + _c*y`` of a negative one as ``x - |c|`` or ``x - |c|*y``, else `node`."""
     if isinstance(node, Param) and numbers and node.name[0] == "_" and node.name in numbers:
         return Num(numbers[node.name])
+    if isinstance(node, Add) and numbers:
+        c = node.right.left if isinstance(node.right, Mul) else node.right
+        if isinstance(c, Param) and c.name[0] == "_" and numbers.get(c.name, 0.0) < 0.0:
+            c = Num(-numbers[c.name])
+            return Sub(node.left, Mul(c, node.right.right) if isinstance(node.right, Mul) else c)
     return node
 
 

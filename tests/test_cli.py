@@ -182,12 +182,12 @@ def _kepler_ln():
     return scenario
 
 
-def _kepler_gauge_ln():
+def _kepler_gauge_ln(gauge="ln(q0 - 2.0)"):
     """The bundled kepler-scaling file with one more symmetry check, of Q_K's symmetry at
-    a gauge that reads ln(q0 - 2.0), which leaves the domain at every sample."""
+    a gauge that reads ln(q0 - 2.0), which leaves the domain at every sample, or `gauge`."""
     scenario = json.loads((SCENARIOS / "kepler-scaling.json").read_text())
     scenario["symmetries"].append({"label": "bad-gauge", "from_invariant": "Q_K",
-                                   "Yt": "ln(q0 - 2.0)"})
+                                   "Yt": gauge})
     scenario["checks"].append({"type": "symmetry", "symmetry": "bad-gauge"})
     return scenario
 
@@ -204,6 +204,7 @@ def _field(label, Yq, Yp="0"):
 ERROR_ROWS = {
     "kepler-ln-symmetry": _kepler_ln,
     "gauge-domain": _kepler_gauge_ln,
+    "gauge-product-domain": lambda: _kepler_gauge_ln("ln(q0 - 2.0*q1)"),
     "residual-after-a-symmetry": lambda: {
         **OSCILLATOR, "invariants": [{"label": "F", "expression": "sqrt(q0 - 1)"}],
         "symmetries": [_field("Y", "p0", "-q0")],
@@ -226,11 +227,29 @@ ERROR_ROWS = {
 }
 
 
-def _sweep_cases():
-    """Round 0 of certbench's symbolic sweep at three seeds."""
+def _sweep_cases(flip=False):
+    """Round 0 of certbench's symbolic sweep at three seeds, each gauge's sign flipped if `flip`."""
     workloads = certbench_workloads()
-    return [pytest.param(case, id=f"seed{seed}-{case.name}")
+    return [pytest.param(_flipped(case) if flip else case,
+                         id=f"seed{seed}-{case.name}" + "-flipped" * flip)
             for seed in (2, 5, 11) for case in workloads.symbolic_sweep_round(seed, 0)]
+
+
+def _flipped(case):
+    """A copy of the sweep file `case` whose gauges `a*t +/- b*t^2` have the other sign."""
+    spec = json.loads(json.dumps(case.spec))
+    for s in spec["symmetries"]:
+        if "Yt" in s:
+            s["Yt"] = " - ".join(part.replace(" - ", " + ") for part in s["Yt"].split(" + "))
+    return replace(case, name=f"{case.name}-flipped", spec=spec)
+
+
+def _kepler_minus():
+    """kepler-scaling with the gauges `3*t - 2.5` and `t - 0.05*t^2`, where it has
+    `3*t` and `t + 0.05*t^2`."""
+    spec = json.loads((SCENARIOS / "kepler-scaling.json").read_text())
+    spec["symmetries"][2]["Yt"], spec["symmetries"][3]["Yt"] = "3*t - 2.5", "t - 0.05*t^2"
+    return certbench_workloads().Case("kepler-minus", spec)
 
 
 class TestOneBundlePerScenario:
@@ -278,13 +297,16 @@ class TestOneBundlePerScenario:
         (_, ours), (_, theirs) = sc.fused, literal.fused
         assert [_hexes(ours(pt)) for pt in samples] == [_hexes(theirs(pt)) for pt in samples]
 
-    @pytest.mark.parametrize("source", [SCENARIOS / "kepler-scaling.json", *_sweep_cases()],
-                             ids=lambda s: getattr(s, "stem", None))
+    @pytest.mark.parametrize("source", [SCENARIOS / "kepler-scaling.json", _kepler_minus(),
+                                        *_sweep_cases(), *_sweep_cases(flip=True)],
+                             ids=lambda s: getattr(s, "stem", getattr(s, "name", None)))
     def test_gauge_and_f_columns_are_those_of_the_literal_fields(self, tmp_path, monkeypatch,
                                                                  source):
         # a from_invariant symmetry's gauge and the oscillator's f read their nonzero
-        # numbers as bound parameters; every column of the fused bundle is bit for bit
-        # that of the same file loaded with these numbers written into the trees
+        # numbers as bound parameters, `x - c*y` and `x - c` as `x + c'*y` and `x + c'`
+        # with c' = -c bound; every column of the fused bundle is bit for bit that of
+        # the same file loaded with these numbers written into the trees, for gauges
+        # of both signs (a sign rule that binds c, not -c, fails here)
         path = source if isinstance(source, Path) else source.write(tmp_path)
         sc = cli.load_scenario(path)
         monkeypatch.setattr(cli, "_lifted", lambda field, prefix, numbers: field)
@@ -379,16 +401,18 @@ class TestOneBundlePerScenario:
             3, "check[0] similarity Y: reference field vanishes at sample 0")
 
     def test_a_build_error_propagates_from_the_fused_checks(self, tmp_path, monkeypatch):
-        # `Scenario.fused` is never None: what building raises is the run's error
+        # `Scenario.fused` is never None: what building raises is the run's error,
+        # named by its check; no checks that earlier tests built are alive to be found
         def refuse(sc, c):
             raise RuntimeError(f"cannot build {c.type}")
 
+        gc.collect()
         monkeypatch.setattr(cli, "_build", refuse)
         path = write_scenario(tmp_path, "refused", ERROR_ROWS["similarity-degenerate"]())
         with pytest.raises(RuntimeError, match="cannot build similarity"):
             cli.load_scenario(path).fused
         report, code = cli.run(path, tmp_path / "out", quiet=True)
-        assert (code, report["error"]) == (3, "cannot build similarity")
+        assert (code, report["error"]) == (3, "check[0] similarity Y: cannot build similarity")
 
     def test_a_ratio_between_pointwise_checks_still_exits_two(self, tmp_path, capsys):
         # the last check fails at every sample, after the ratio's config error
@@ -910,6 +934,25 @@ def test_each_symmetry_form_matches_its_dual_number_oracle(tmp_path, source):
                 raise AssertionError((path.stem, c.refs, pt, got, oracle, scales))
 
 
+def _builds(monkeypatch):
+    """The checks that `cli._build` builds from now on, appended as it builds them; no
+    checks that earlier tests built are alive to be found instead."""
+    gc.collect()
+    calls, real = [], cli._build
+    monkeypatch.setattr(cli, "_build", lambda sc, c: calls.append(c) or real(sc, c))
+    return calls
+
+
+def _alone_run(path, out, builds):
+    """`cli.run` of `path` with no kept run and no built checks alive (it builds them all)."""
+    expr._RUNS.clear()
+    gc.collect()
+    del builds[:]
+    done = cli.run(path, out, quiet=True)
+    assert builds
+    return done
+
+
 # a run of the command line in an interpreter of its own
 FRESH = "import sys; from contact_noether.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -970,9 +1013,10 @@ class TestRecurringRuns:
         assert [work[k] for k in ("bundles", "derive")] == [0, 0] and work["nodes"] <= 20
         assert seen[2] == seen[1] == seen[0] and seen[0][0] == 3
 
-    def test_a_seed_run_of_a_kept_scenario_builds_nothing(self, tmp_path):
-        # the built checks and their bundle read no seed, so the seeded copy
-        # takes them over and draws and judges its own samples
+    def test_a_seed_run_of_a_kept_scenario_builds_nothing(self, tmp_path, monkeypatch):
+        # the built checks and their bundle read no seed, so the seeded copy finds
+        # them, by its skeleton and by its bound values, and draws and judges its
+        # own samples: it derives, emits and builds nothing
         path, name = SCENARIOS / "kepler-scaling.json", "kepler-scaling"
         done = subprocess.run([sys.executable, "-c", FRESH, "--quiet", "--out",
                                str(tmp_path / "fresh"), "--seed", "5", "check", str(path)],
@@ -981,10 +1025,11 @@ class TestRecurringRuns:
         assert (done.returncode, done.stderr) == (0, "")
         for k in range(2):
             assert cli.run(path, tmp_path / f"plain-{k}", quiet=True)[1] == 0
+        builds = _builds(monkeypatch)
         done = tally()
         assert cli.run(path, tmp_path / "seeded", quiet=True, seed=5)[1] == 0
         work = done()
-        assert [work[k] for k in ("bundles", "derive")] == [0, 0]
+        assert [work[k] for k in ("bundles", "derive", "emitted")] == [0, 0, 0] and builds == []
         assert work["nodes"] <= 20
         assert _outputs(tmp_path / "seeded", name) == _outputs(tmp_path / "fresh", name)
         assert _outputs(tmp_path / "seeded", name) != _outputs(tmp_path / "plain-0", name)
@@ -1012,8 +1057,9 @@ class TestRecurringRuns:
         # after two runs of one sweep Kepler file, its system keeps the gauge-free
         # parts of its gauged field's checks (`geometry.LieDerivativeEta`,
         # `geometry.bracket_lie_derivative`): a file with a new m, eps, gauge and
-        # wrong-sigma ansatz derives only the partials of its gauge's shape, whose
-        # sign is new, 2 rules measured, where the whole gauged field took 452
+        # wrong-sigma ansatz derives only the partials of its gauge's shape, 0 rules
+        # measured (2 when its gauge's sign was a shape), where the whole gauged
+        # field took 452
         first, second = (certbench_workloads().symbolic_sweep_round(7, k)[0] for k in (0, 1))
         assert first.spec["system"]["builtin"] == second.spec["system"]["builtin"] == "kepler"
         assert first.spec["symmetries"][3]["Yt"] != second.spec["symmetries"][3]["Yt"]
@@ -1084,6 +1130,83 @@ class TestRecurringRuns:
         work = done()
         assert code == 0 and [work[k] for k in ("derive", "emitted")] == [0, 0]
         assert work["bundles"] > 0
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["kepler", "td-kepler", "oscillator"])
+    def test_a_file_whose_gauges_have_the_other_sign_derives_emits_and_builds_nothing(
+            self, tmp_path, monkeypatch, index):
+        # `x - c*y` reads `x + c'*y` with c' = -c bound, so both signs of the sweep's
+        # gauge `a*t +/- b*t^2` are one tree: after two runs of a sweep file, the same
+        # file with its gauges' sign flipped derives no rule, writes no statement and
+        # builds no check (it emitted its whole fused bundle when the sign was a shape)
+        first = certbench_workloads().symbolic_sweep_round(7, 0)[index]
+        for _ in range(2):
+            assert cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)[1] == 0
+        builds = _builds(monkeypatch)
+        done = tally()
+        report, code = cli.run(_flipped(first).write(tmp_path), tmp_path / "second", quiet=True)
+        work = done()
+        assert code == 0 and [work[k] for k in ("derive", "emitted")] == [0, 0] and builds == []
+
+    def test_a_file_that_differs_only_in_a_tol_builds_its_own_judges(self, tmp_path, monkeypatch):
+        # the judges read each check's tol, so the built checks are kept under the
+        # checks with their tolerances: a copy of a kept sweep file whose wrong-sigma
+        # symmetry check has tol 1e3 builds its checks again and judges that field a
+        # symmetry (with the checks kept by their nodes alone it would find the file's)
+        first = certbench_workloads().symbolic_sweep_round(7, 0)[0]
+        spec = json.loads(json.dumps(first.spec))
+        assert spec["checks"][3]["symmetry"] == "wrong-sigma"
+        spec["checks"][3]["tol"] = 1e3
+        for _ in range(2):
+            report, code = cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)
+        builds = _builds(monkeypatch)
+        loose, loose_code = cli.run(write_scenario(tmp_path, "loose", spec), tmp_path / "loose",
+                                    quiet=True)
+        assert len(builds) == sum(cli.CHECKS[c["type"]].pointwise for c in spec["checks"])
+        assert (code, report["checks"][3]["verdict"]) == (0, "NotSymmetry")
+        assert (loose_code, loose["checks"][3]["verdict"]) == (1, "GeneralizedNoether")
+
+    def test_a_file_whose_ansatz_rate_becomes_zero_builds_anew(self, tmp_path, monkeypatch):
+        # a zero rate stays the number 0, which folds its terms away, so a kept sweep
+        # file with its wrong-sigma field's sigma set to 0 is another skeleton: its
+        # checks are built again, and it reports what it reports with nothing kept
+        first = certbench_workloads().symbolic_sweep_round(7, 0)[0]
+        spec = json.loads(json.dumps(first.spec))
+        spec["symmetries"][2]["ansatz"]["sigma"] = 0.0
+        path = write_scenario(tmp_path, "zero-sigma", spec)
+        for _ in range(2):
+            assert cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)[1] == 0
+        builds = _builds(monkeypatch)
+        kept = cli.run(path, tmp_path / "kept", quiet=True)
+        assert len(builds) == sum(cli.CHECKS[c["type"]].pointwise for c in spec["checks"])
+        assert kept == _alone_run(path, tmp_path / "alone", builds)
+
+    def test_a_tol_override_copy_builds_its_own_checks(self, tmp_path, monkeypatch):
+        # a `--tol-override` copy's judges read its tolerance, so it does not find the
+        # kept file's built checks, which judge by the file's
+        path = SCENARIOS / "kepler-scaling.json"
+        for _ in range(2):
+            assert cli.run(path, tmp_path / "plain", quiet=True)[1] == 0
+        builds = _builds(monkeypatch)
+        report, code = cli.run(path, tmp_path / "tight", quiet=True, tol_override=1e-300)
+        pointwise = [c for c in cli.load_scenario(path).checks if cli.CHECKS[c.type].pointwise]
+        assert code == 1 and [replace(c, tol=1e-300) for c in pointwise] == builds
+
+    def test_two_wrong_sigma_files_of_one_skeleton_report_their_own_values(self, tmp_path,
+                                                                          monkeypatch):
+        # a Kepler file whose wrong-sigma field has another nonzero sigma has the kept
+        # file's skeleton, so it builds nothing, but it binds its own numbers into its
+        # own bundle: it reports its own residual, the one it reports with nothing kept
+        first = certbench_workloads().symbolic_sweep_round(7, 0)[0]
+        spec = json.loads(json.dumps(first.spec))
+        spec["symmetries"][2]["ansatz"]["sigma"] += 0.125
+        path = write_scenario(tmp_path, "new-sigma", spec)
+        for _ in range(2):
+            report, code = cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)
+        builds = _builds(monkeypatch)
+        kept = cli.run(path, tmp_path / "kept", quiet=True)
+        assert builds == [] and kept[1] == code == 0
+        assert kept[0]["checks"][3]["value"] != report["checks"][3]["value"]
+        assert kept == _alone_run(path, tmp_path / "alone", builds)
 
     def test_a_field_gauged_for_another_h_is_checked_whole(self):
         # X_F + Yt X_h^t built on Kepler and checked on td-Kepler, whose X_h^t is
