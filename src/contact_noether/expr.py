@@ -30,13 +30,15 @@ integral value) and are valid for any base.  The only simplification is
 eager constant folding (including 0/1 identity elimination, which keeps
 repeated derivatives small).
 
-Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.
-Derivatives and free names are computed once per distinct node, and a node
-that does not read a name takes its derivative by it from one signed zero,
-kept on the node.  `derivatives_kept` keeps one run's derivatives, bundles and
-other keyed work (`live_work`), and a run under a recurring key (cli: a file's,
-a system's) for the next.  A bundle of fields compiles to one statement per
-distinct node, bit-identical to eval_node.
+Nodes are hash-consed, so an AST is a DAG of distinct subexpressions.  Every
+pass over one (printing, evaluation, code generation, `partial`, `substitute`)
+runs its rule once per distinct node, operands first, by `_walk`, on a stack of
+its own, so no tree is too deep; only `parse` recurses, and refuses too deep a
+nesting.  A node that does not read a name takes its derivative by it from one
+signed zero, kept on the node.  `derivatives_kept` keeps one run's derivatives,
+bundles and other keyed work (`live_work`), and a run under a recurring key
+(cli: a file's, a system's) for the next.  A bundle of fields compiles to one
+statement per distinct node, bit-identical to eval_node.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
@@ -223,6 +225,39 @@ def _int_exponent(node: Node) -> int | None:
     return None
 
 
+def _operands(node: Node) -> tuple:  # left to right
+    if (cls := type(node)) in _BINARY:
+        return node.left, node.right
+    if cls is Pow:
+        return node.base, node.exponent
+    return (node.arg,) if cls is Neg or cls is Call else ()
+
+
+def _valued(node: Node) -> tuple:  # the operands but an integer exponent, read as a literal
+    if type(node) is Pow and _int_exponent(node.exponent) is not None:
+        return (node.base,)
+    return _operands(node)
+
+
+def _walk(roots: Iterable[Node], rule: Callable[[Node, Callable], object], memo: dict,
+          operands: Callable[[Node], Sequence[Node]]) -> dict:
+    """Set ``memo[node] = rule(node, memo.__getitem__)`` for each distinct node under `roots`
+    that `memo` lacks, after the nodes `operands(node)` gives, left to right, and the roots
+    in order, as a recursion would, but on a stack of its own, so at any depth; return `memo`.
+    `operands` may set ``memo[node]`` itself and give none, which stops the walk there."""
+    get, stack = memo.__getitem__, [*roots][::-1]
+    while stack:
+        if (node := stack.pop()) is None:  # above a node whose operands are done
+            node = stack.pop()
+            memo[node] = rule(node, get)
+        elif node not in memo:
+            if kids := operands(node):
+                stack += node, None, *kids[::-1]
+            elif node not in memo:
+                memo[node] = rule(node, get)
+    return memo
+
+
 # ---------------------------------------------------------------------------
 # smart constructors (constant folding only; a non-finite result is not
 # folded, so that evaluation sees the operation)
@@ -383,30 +418,36 @@ def _k_pow(b: float, e: float, where: Node, env: Mapping[str, float]) -> float:
 # pretty printing
 
 
-def _prec(node: Node) -> int:
+def _parens(printed: tuple[int, list], min_prec: int) -> list:
+    return ["(", printed[1], ")"] if printed[0] < min_prec else printed[1]
+
+
+def _printed(node: Node, numbers: Mapping[str, float],
+             of: Callable[[Node], tuple[int, list]]) -> tuple[int, list]:
+    """The precedence and source of `node`, a list of strings and of its operands' lists,
+    which `of` gives with their precedence.  A parameter ``_...`` of `numbers` prints as
+    its number, and ``x + _c`` or ``x + _c*y`` of a negative one as ``x - |c|`` or ``x - |c|*y``."""
     if (op := _BINARY.get(type(node))) is not None:
-        return op.prec
-    if isinstance(node, Neg) or isinstance(node, Num) and node.value < 0:
-        return _PREC_NEG
-    return _PREC_POW if isinstance(node, Pow) else _PREC_ATOM
-
-
-def _shown(node: Node, numbers: Mapping[str, float]) -> Node:
-    """The number of `numbers` that a parameter ``_...`` stands for, and ``x + _c`` or
-    ``x + _c*y`` of a negative one as ``x - |c|`` or ``x - |c|*y``, else `node`."""
-    if isinstance(node, Param) and numbers and node.name[0] == "_" and node.name in numbers:
-        return Num(numbers[node.name])
-    if isinstance(node, Add) and numbers:
-        c = node.right.left if isinstance(node.right, Mul) else node.right
-        if isinstance(c, Param) and c.name[0] == "_" and numbers.get(c.name, 0.0) < 0.0:
-            c = Num(-numbers[c.name])
-            return Sub(node.left, Mul(c, node.right.right) if isinstance(node.right, Mul) else c)
-    return node
-
-
-def _wrap(node: Node, min_prec: int, numbers: Mapping[str, float]) -> str:
-    s = to_source(node := _shown(node, numbers), numbers)
-    return f"({s})" if _prec(node) < min_prec else s
+        left, c = _parens(of(node.left), op.prec), node.right
+        c = c.left if isinstance(c, Mul) else c
+        if (numbers and op.symbol == "+" and isinstance(c, Param) and c.name[0] == "_"
+                and numbers.get(c.name, 0.0) < 0.0):
+            return _PREC_ADD, [left, " - ", repr(-float(numbers[c.name])), *of(node.right)[1][1:]]
+        symbol = f" {op.symbol} " if op.prec == _PREC_ADD else op.symbol
+        return op.prec, [left, symbol, _parens(of(node.right), op.prec + 1)]
+    if isinstance(node, (Var, Param)) and (node.name[0] != "_" or node.name not in numbers):
+        return _PREC_ATOM, [node.name]
+    if isinstance(node, (Num, Param)):
+        v = float(numbers[node.name]) if isinstance(node, Param) else node.value
+        return _PREC_NEG if v < 0 else _PREC_ATOM, [repr(v)]
+    if isinstance(node, Neg):
+        return _PREC_NEG, ["-", _parens(of(node.arg), _PREC_NEG)]
+    if isinstance(node, Pow):
+        return _PREC_POW, [_parens(of(node.base), _PREC_ATOM), "^",
+                           _parens(of(node.exponent), _PREC_ATOM)]
+    if isinstance(node, Call):
+        return _PREC_ATOM, [f"{node.fn}(", of(node.arg)[1], ")"]
+    raise TypeError(f"unknown node {node!r}")
 
 
 def to_source(node: Node, numbers: Mapping[str, float] = {}) -> str:
@@ -415,42 +456,30 @@ def to_source(node: Node, numbers: Mapping[str, float] = {}) -> str:
     parenthesised, and re-parsing evaluates bit for bit as the original;
     additive operators are spaced.  A parameter ``_...`` of `numbers` (a number
     of a source, bound under a name no expression can read) prints as its number."""
-    node = _shown(node, numbers)
-    if (op := _BINARY.get(type(node))) is not None:
-        symbol = f" {op.symbol} " if op.prec == _PREC_ADD else op.symbol
-        return f"{_wrap(node.left, op.prec, numbers)}{symbol}{_wrap(node.right, op.prec + 1, numbers)}"
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Param)):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.arg, _PREC_NEG, numbers)
-    if isinstance(node, Pow):
-        return f"{_wrap(node.base, _PREC_ATOM, numbers)}^{_wrap(node.exponent, _PREC_ATOM, numbers)}"
-    if isinstance(node, Call):
-        return f"{node.fn}({to_source(node.arg, numbers)})"
-    raise TypeError(f"unknown node {node!r}")
+    memo = _walk((node,), lambda node, of: _printed(node, numbers, of), {}, _operands)
+    text, stack = [], [memo[node][1]]
+    while stack:
+        if type(piece := stack.pop()) is str:
+            text.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(text)
 
 
 # ---------------------------------------------------------------------------
 # reference interpreter
 
 
-def eval_node(node: Node, env: Mapping[str, float], memo: dict[Node, float] | None = None) -> float:
-    """The reference semantics of the compiled path, over the DAG: each distinct
-    node is evaluated once per `memo` (one per call unless given), its operands
-    left to right, so the first DomainError is the tree walk's."""
-    if memo is None:
-        memo = {}
-    if node not in memo:
-        memo[node] = _eval(node, env, memo)
-    return memo[node]
+def eval_node(node: Node, env: Mapping[str, float]) -> float:
+    """The reference semantics of the compiled path, over the DAG: each distinct node is
+    evaluated once, after its operands, left to right, so the first DomainError is the tree's."""
+    return _walk((node,), lambda node, v: _eval(node, env, v), {}, _valued)[node]
 
 
-def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> float:
-    """The evaluation rule of `node`, with `eval_node` evaluating its operands."""
+def _eval(node: Node, env: Mapping[str, float], v: Callable[[Node], float]) -> float:
+    """The evaluation rule of `node`, with `v` giving its operands' values."""
     if (op := _BINARY.get(type(node))) is not None:
-        a, b = eval_node(node.left, env, memo), eval_node(node.right, env, memo)
+        a, b = v(node.left), v(node.right)
         if op.domain is None:
             return op.value(a, b)
         try:
@@ -462,17 +491,17 @@ def _eval(node: Node, env: Mapping[str, float], memo: dict[Node, float]) -> floa
     if isinstance(node, (Var, Param)):
         return env[node.name]
     if isinstance(node, Neg):
-        return -eval_node(node.arg, env, memo)
+        return -v(node.arg)
     if isinstance(node, Pow):
-        b, k = eval_node(node.base, env, memo), _int_exponent(node.exponent)
+        b, k = v(node.base), _int_exponent(node.exponent)
         if k is None:
-            return _k_pow(b, eval_node(node.exponent, env, memo), node, env)
+            return _k_pow(b, v(node.exponent), node, env)
         try:
             return _guard_finite(b**k, node, env)
         except (OverflowError, ZeroDivisionError):
             raise DomainError("integer power out of domain", to_source(node, env)) from None
     if isinstance(node, Call):
-        return _intrinsic(node.fn, eval_node(node.arg, env, memo), node, env)
+        return _intrinsic(node.fn, v(node.arg), node, env)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -512,42 +541,35 @@ def _emit(roots: Sequence[Node], names: frozenset[str],
     any other name.  Returns the statements, the cells (each such number, or
     name), the checked temporaries (`/` and `^`), the roots' values and the
     indices of the statements that read bound names only (none if there are none)."""
-    lines: list[str] = []
-    ref: dict[Node, str] = {}
-    cells: list[float | str] = []
-    checked: list[str] = []
-    fixed: set[int] = set()
+    lines, cells, checked, fixed = [], [], [], set()
 
-    def emit(node: Node) -> str:
-        if node not in ref:
-            if isinstance(node, (Num, Var, Param)):
-                if not isinstance(node, Num) and node.name not in names:
-                    return ref.setdefault(node, f"_v_{node.name}")
-                cells.append(node.value if isinstance(node, Num) else node.name)
-                return ref.setdefault(node, f"_k{len(cells) - 1}")
-            k = _int_exponent(node.exponent) if isinstance(node, Pow) else None
-            if (op := _BINARY.get(type(node))) is not None:
-                value = f"{emit(node.left)} {op.symbol} {emit(node.right)}"
-            elif isinstance(node, Neg):
-                value = f"-{emit(node.arg)}"
-            elif isinstance(node, Call):
-                value = f"_{node.fn}({emit(node.arg)})"
-            elif k is not None:
-                value = f"{emit(node.base)} ** {k}"
-            else:
-                base = emit(node.base)
-                value = f"{base} ** {emit(node.exponent)} if {base} > 0.0 else _nan"
-            ref[node] = f"_t{len(lines)}"
-            if isinstance(node, Pow) or op is not None and op.domain is not None:
-                checked.append(ref[node])
-            if names and names >= node._names[0] and names >= node._names[1]:
-                fixed.add(len(lines))
-            lines.append(f"        {ref[node]} = {value}")
-        return ref[node]
+    def emit(node: Node, of: Callable[[Node], str]) -> str:  # `of` names the operands' values
+        if isinstance(node, (Num, Var, Param)):
+            if not isinstance(node, Num) and node.name not in names:
+                return f"_v_{node.name}"
+            cells.append(node.value if isinstance(node, Num) else node.name)
+            return f"_k{len(cells) - 1}"
+        if (op := _BINARY.get(type(node))) is not None:
+            value = f"{of(node.left)} {op.symbol} {of(node.right)}"
+        elif isinstance(node, Neg):
+            value = f"-{of(node.arg)}"
+        elif isinstance(node, Call):
+            value = f"_{node.fn}({of(node.arg)})"
+        elif (k := _int_exponent(node.exponent)) is not None:
+            value = f"{of(node.base)} ** {k}"
+        else:
+            base = of(node.base)
+            value = f"{base} ** {of(node.exponent)} if {base} > 0.0 else _nan"
+        name = f"_t{len(lines)}"
+        if isinstance(node, Pow) or op is not None and op.domain is not None:
+            checked.append(name)
+        if names and names >= node._names[0] and names >= node._names[1]:
+            fixed.add(len(lines))
+        lines.append(f"        {name} = {value}")
+        return name
 
-    values = [emit(r) for r in roots]
-    del emit  # a recursive closure is a reference cycle, which would keep the nodes
-    return lines, cells, checked, values, fixed
+    ref = _walk(roots, emit, {}, _valued)
+    return lines, cells, checked, [ref[r] for r in roots], fixed
 
 
 def _kernels() -> tuple:
@@ -625,8 +647,9 @@ def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
         raise UnboundParameter(f"unbound names {sorted(unbound)}")
 
     def slow(*args: float) -> tuple[float, ...]:
-        env, memo = {**bound, **dict(zip(argnames, args))}, {}
-        return tuple(eval_node(r, env, memo) for r in roots)
+        env = {**bound, **dict(zip(argnames, args))}
+        memo = _walk(roots, lambda node, v: _eval(node, env, v), {}, _valued)
+        return tuple(memo[r] for r in roots)
 
     return live_work((tuple(roots), tuple(argnames),
                       tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in bound.items())),
@@ -800,6 +823,8 @@ def parse(source: str, n: int) -> ScalarField:
         if tokens[i][1]:
             raise ExprSyntaxError("unexpected trailing input", offset(tokens[i][2]))
         return ScalarField(node, n)
+    except RecursionError:  # the descent recurses once per nesting level
+        raise ExprSyntaxError("expression nests too deeply", offset(tokens[i - 1][2])) from None
     finally:
         del operands, unary  # recursive closures are a reference cycle, which would keep `tokens`
 
@@ -833,39 +858,41 @@ def _derive(node: Node, name: str, d: Callable[[Node], Node]) -> Node:
 
 
 def partial(field: ScalarField, name: str) -> ScalarField:
-    """Exact partial derivative with respect to a variable or parameter."""
+    """Exact partial derivative with respect to a variable or parameter, by `_derive` once
+    per distinct node.  A node's `_d` keeps earlier calls' derivatives, weakly, per name, and
+    under "" the one derivative, a signed zero, by any name it does not read; the walk stops
+    where `_d` has it, and visits an exponent only where it reads the name, as `_derive` does."""
     if not _IDENT_RE.fullmatch(name):
         raise ValueError(f"invalid differentiation target {name!r}")
     _coordinate(name, field.n)  # a [qp]<digits> name that is no coordinate raises
     memo: dict[Node, Node] = {}
 
-    def d(node: Node) -> Node:
-        """d(node)/d(name), once per distinct node of this walk (`memo`); the node's
-        `_d` keeps earlier walks' derivatives, weakly, per name, and under "" the
-        one derivative, a signed zero, by any name that the node does not read."""
-        if node not in memo:
-            try:
-                known = node._d
-            except AttributeError:
-                known = {}
-                object.__setattr__(node, "_d", known)
-            if name in node._names[0] or name in node._names[1]:
-                ref = known.get(name)
-                dn = None if ref is None else ref()
-                if dn is None:
-                    dn = _derive(node, name, d)
-                    known[name] = weakref.ref(dn)
-            elif (dn := known.get("")) is None:
-                dn = known[""] = _derive(node, "", d)
+    def operands(node: Node) -> tuple:
+        if (known := getattr(node, "_d", None)) is None:
+            object.__setattr__(node, "_d", known := {})
+        if name in node._names[0] or name in node._names[1]:
+            dn = None if (ref := known.get(name)) is None else ref()
+        else:
+            dn = known.get("")
+        if dn is not None:
             memo[node] = dn
-        return memo[node]
+            return ()
+        g = node.exponent if type(node) is Pow else None
+        if g is not None and name not in g._names[0] and name not in g._names[1]:
+            return (node.base,)
+        return _operands(node)
 
-    root = d(field.ast)
-    del d  # a recursive closure is a reference cycle, which would keep the nodes
+    def rule(node: Node, d: Callable[[Node], Node]) -> Node:
+        if name in node._names[0] or name in node._names[1]:
+            node._d[name] = weakref.ref(dn := _derive(node, name, d))
+        else:
+            dn = node._d[""] = _derive(node, "", d)
+        return dn
+
+    _walk((field.ast,), rule, memo, operands)
     if (kept := _KEPT.get()) is not None:
-        kept.add(field.ast)
-        kept.update(memo.values())
-    return ScalarField(root, field.n)
+        kept.update((field.ast, *memo.values()))
+    return ScalarField(memo[field.ast], field.n)
 
 
 @dataclass(eq=False)
@@ -929,7 +956,5 @@ def substitute(field: ScalarField, name: str, replacement: ScalarField | float) 
         rep = replacement.ast
     else:
         rep = Num(replacement)
-    s = cache(lambda node: _subst(node, name, rep, s))  # once per distinct node, as in `partial`
-    root = s(field.ast)
-    del s  # a recursive closure is a reference cycle, which would keep the nodes
-    return ScalarField(root, field.n)
+    memo = _walk((field.ast,), lambda node, s: _subst(node, name, rep, s), {}, _operands)
+    return ScalarField(memo[field.ast], field.n)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,6 +89,21 @@ class TestBundledScenarios:
         bracket = lie_bracket(*(sc.symmetries[label].field for label in closure.refs))
         at = point_bundle(bracket.components(), sc.system.params)
         assert max(max(map(abs, at(pt))) for pt in sample_points(sc.system, 10, sc.seed)) > 1e-2
+
+
+def test_a_long_sum_in_the_largest_dimension_runs(tmp_path):
+    # a sum nests once per term, so h's 600 terms are a tree 600 levels deep,
+    # which every pass of `expr` walks on a stack of its own
+    n = cli.MAX_DIMENSION
+    h = " + ".join(f"{'pq'[k % 2]}{k // 2 % n}^2/2" for k in range(600))
+    path = write_scenario(tmp_path, "long-sum", {
+        "system": {"expression": h, "dimension": n}, "seed": 3, "sample_count": 10,
+        "invariants": [{"label": "H", "expression": h}],
+        "checks": [{"type": "residual", "invariant": "H", "tol": 1e-9}]})
+    start = time.perf_counter()
+    report, code = cli.run(path, tmp_path / "out", quiet=True)
+    assert (code, report["checks"][0]["passed"]) == (0, True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
@@ -737,6 +753,8 @@ class TestExitCodes:
          "symmetry 'squeeze' 'Yq' must be a list, got 'q0'"),
         (lambda s: s["symmetries"][0].update(Yq={"q0": 1}),
          "symmetry 'squeeze' 'Yq' must be a list, got {'q0': 1}"),
+        (lambda s: s["invariants"][0].update(expression="(" * 400 + "q0" + ")" * 400),
+         "invariant 'mom': expression nests too deeply (byte offset "),
     ], ids=["inf-tol", "string-tol", "negative-tol", "string-Lambda_tol", "nan-expect_Lambda",
             "string-point_param", "string-exponent", "list-point_params", "list-ansatz",
             "list-integrator", "list-system-params", "unknown-invariant", "unknown-symmetry",
@@ -749,7 +767,8 @@ class TestExitCodes:
             "string-use_a", "bool-aux-value", "string-aux-value", "inf-aux-value",
             "list-auxiliary", "unread-builtin-param", "k_grav-param", "string-builtin-param",
             "nan-builtin-param", "bool-builtin-param", "string-system-param", "string-S",
-            "null-t", "string-q", "bool-p", "string-rel_tol", "string-Yq-2d", "object-Yq"])
+            "null-t", "string-q", "bool-p", "string-rel_tol", "string-Yq-2d", "object-Yq",
+            "too-deep-invariant"])
     def test_bad_check_number_is_config_error(self, tmp_path, capsys, monkeypatch, edit, message):
         monkeypatch.chdir(tmp_path)  # so an absolute name made by an edit is inside tmp_path
         scenario = json.loads(json.dumps(self.SQUEEZE))

@@ -4,6 +4,8 @@ import json
 import math
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -109,6 +111,15 @@ class TestParse:
             parse(source, n)
         assert type(ei.value) is kind and str(ei.value) == message
         assert getattr(ei.value, "offset", None) == offset
+
+    @pytest.mark.parametrize("source", ["(" * 400 + "q0" + ")" * 400, "-" * 1000 + "q0"],
+                             ids=["parentheses", "unary-minus"])
+    def test_too_deep_a_nesting_is_a_syntax_error(self, source):
+        # the descent recurses once per nesting level, so it refuses a nesting
+        # that would exhaust the interpreter's stack, with where it was reading
+        with pytest.raises(ExprSyntaxError, match=r"^expression nests too deeply \(byte offset") as ei:
+            parse(source, 1)
+        assert 0 < ei.value.offset < len(source)
 
     def test_a_qp_name_is_a_coordinate_only_as_written(self):
         # a leading zero names no coordinate, in the parser as in variable() and partial()
@@ -379,6 +390,70 @@ def _with_new_numbers(root: expr.Node) -> expr.Node:
     return copy(root)
 
 
+def test_the_generated_program_texts_are_pinned():
+    # every text that `_factory` compiles (the module's one `compile` call) while
+    # the four bundled scenarios run, in compile order, in a fresh interpreter so
+    # that no program is already live: a change to code generation moves the pin
+    script = f"""
+import builtins, hashlib, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, {str(SCENARIOS.parent / "src")!r})
+from contact_noether import cli, expr
+texts = []
+expr.compile = lambda source, *args: texts.append(source) or builtins.compile(source, *args)
+with tempfile.TemporaryDirectory() as out:
+    for path in sorted(Path({str(SCENARIOS)!r}).glob("*.json")):
+        assert cli.run(path, Path(out), quiet=True)[1] == 0
+print(len(texts), hashlib.sha256("\\0".join(texts).encode()).hexdigest())
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == [
+        "26", "2f7b8ac3f20d15495370c354f1b9273daaf63b24f8d60e774c4678974b218043"]
+
+
+class TestDeepTrees:
+    """A sum nests once per term, so one of 5,000 terms is a tree 5,000 levels
+    deep, which every pass walks on a stack of its own (`expr._walk`)."""
+
+    ENV = {f"q{j}": 0.01 * (j + 1) for j in range(128)}
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return parse(" + ".join(f"{1.5 + i}*q{i % 128}" for i in range(5000)), 128)
+
+    @staticmethod
+    def total(env):
+        """The sum, term by term, left to right, as the tree adds."""
+        acc = 1.5 * env["q0"]
+        for i in range(1, 5000):
+            acc = acc + (1.5 + i) * env[f"q{i % 128}"]
+        return acc
+
+    def test_partial(self, deep):
+        want = 1.5
+        for i in range(128, 5000, 128):
+            want = want + (1.5 + i)
+        assert partial(deep, "q0").ast is expr.Num(want)
+
+    def test_eval_node(self, deep):
+        assert expr.eval_node(deep.ast, self.ENV) == self.total(self.ENV)
+
+    def test_to_source_parses_back_to_the_tree(self, deep):
+        assert parse(expr.to_source(deep.ast), 128).ast is deep.ast
+
+    def test_substitute(self, deep):
+        g = substitute(deep, "q0", 2.0)
+        assert "q0" not in g.free_vars
+        assert expr.eval_node(g.ast, self.ENV) == self.total({**self.ENV, "q0": 2.0})
+
+    def test_compile_bundle(self, deep):
+        names = sorted(self.ENV)
+        fn = expr.compile_bundle([deep], names)
+        assert fn(*(self.ENV[k] for k in names)) == (expr.eval_node(deep.ast, self.ENV),)
+
+
 class TestNonFiniteConstants:
     def test_overflowing_fold_is_kept_as_an_operation(self):
         for src in ("1e200*1e200*q0", "1e200*1e200", "q0 - 1e308 - 1e308"):
@@ -503,7 +578,7 @@ class TestSharing:
         visits.clear()
         with pytest.raises(DomainError) as info:
             expr.eval_node(bad.ast, env)
-        assert info.value.where == "ln(xi_eval - 1.0)" and len(visits) == len(set(visits)) == 41
+        assert info.value.where == "ln(xi_eval - 1.0)" and len(visits) == len(set(visits)) == 40
 
 
 class TestPartial:

@@ -502,12 +502,12 @@ class TestSeededDraws:
                                                ("raising", True), ("nan", False)])
     def test_sample_points_match_a_reference_filter(self, label, raises):
         # one bundle of h and the guards screens each candidate; the interpreter
-        # runs only to re-raise a candidate's DomainError
+        # (its rule `_eval`) runs only to re-raise a candidate's DomainError
         from contact_noether import expr
 
         system = self.SCREENED[label]()
         for seed in range(1, 6):
-            with mock.patch.object(expr, "eval_node", wraps=expr.eval_node) as spy:
+            with mock.patch.object(expr, "_eval", wraps=expr._eval) as spy:
                 ours = sample_points(system, 30, seed)
             assert (spy.call_count > 0) == raises
             ref = self.reference_sample_points(system, 30, seed)
