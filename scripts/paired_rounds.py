@@ -18,8 +18,11 @@ Prints each round's two times and their ratio (change / parent), then the
 median ratio with its quartiles; a ratio below 1 means the change is faster.
 The number of scenarios whose reports differ between the trees goes to
 stderr, with the largest relative difference of any reported float among
-them and where it is: a change that moves values by design (step counts,
-drift values, last bits) differs there and still exits 0.  A scenario whose outcome differs (the exit
+them and where it is, and the largest moved check `value` as a share of its
+`tol` on each side, which says how near a moved value came to failing where a
+relative difference of rounding-level residuals says nothing: a change that
+moves values by design (step counts, drift values, last bits) differs there
+and still exits 0.  A scenario whose outcome differs (the exit
 code, the report's `passed`, or a check's `verdict` or `passed`) is named on
 stderr, and the exit code is then 1.
 """
@@ -87,6 +90,20 @@ def float_differences(a, b, where: str = ""):
             yield from float_differences(x, y, f"{where}[{i}]")
 
 
+def moved_shares(a: dict, b: dict):
+    """((value / tol in a, in b), where) for each check whose `value` moved between two
+    reports of one shape, as `float_differences` finds it; inf for a tol of 0."""
+    for i, (x, y) in enumerate(zip(a.get("checks", []), b.get("checks", []))):
+        if any(float_differences(x["value"], y["value"])):
+            yield tuple(c["value"] / c["tol"] if c["tol"] else math.inf for c in (x, y)), \
+                f"checks[{i}]"
+
+
+def _rank(moved: tuple) -> float:
+    """The larger share of a `moved_shares` item, NaN ranking above every number."""
+    return max(math.inf if v != v else v for v in moved[0])
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src")
@@ -99,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--rounds must be at least 1")
     trees = {"parent": load(args.parent_src, "cn_parent"),
              "change": load(args.change_src, "cn_change")}
-    differing, moved, largest = set(), set(), (0.0, "")
+    differing, moved, largest, nearest = set(), set(), (0.0, ""), ((0.0, 0.0), "")
     ratios: list[float] = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -115,6 +132,9 @@ def main(argv: list[str] | None = None) -> int:
                     moved.add(case.name)
                     largest = max([largest, *((rel, f"{case.name} {where}")
                                               for rel, where in float_differences(a[0], b[0]))])
+                    nearest = max([nearest, *((shares, f"{case.name} {where}")
+                                              for shares, where in moved_shares(a[0], b[0]))],
+                                  key=_rank)
                 if outcome(a) != outcome(b):
                     differing.add(case.name)
             if k:
@@ -129,6 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     if largest[1]:
         print(f"largest relative difference of a reported float: {largest[0]:.3g} "
               f"({largest[1]})", file=sys.stderr)
+    if nearest[1]:
+        print(f"largest moved check value as a share of its tol: parent {nearest[0][0]:.3g}, "
+              f"change {nearest[0][1]:.3g} ({nearest[1]})", file=sys.stderr)
     for name in sorted(differing):
         print(f"outcome differs: {name}", file=sys.stderr)
     return 1 if differing else 0

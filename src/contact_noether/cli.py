@@ -23,8 +23,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 from . import __version__, expr, noether, scaling, systems
 from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
 from .expr import DomainError, ExprError, ScalarField, derivatives_kept, parse
-from .geometry import (ContactSystem, ExtendedPoint, LieDerivativeEta, VectorFieldSpec, _kept,
-                       point_bundle)
+from .geometry import ContactSystem, ExtendedPoint, LieDerivativeEta, VectorFieldSpec, point_bundle
 from .noether import (FLOW_THRESHOLD, SYMBOLIC_THRESHOLD, dissipation_compensation,
                       max_relative_drift, noether_lambda, sample_points, symmetry_from_invariant)
 from .systems import AuxiliaryState, TrackedInvariant, co_integrate, make_builtin
@@ -251,18 +250,27 @@ class Scenario:
         fields, bound like the sampler.  The built checks are kept by the skeleton, all that
         `_build` reads (the nodes and the checks with their tolerances): a file or a `--seed`
         copy of a kept skeleton builds nothing.  A build error names its check."""
-        def build() -> list:
-            built = []
+        def build() -> _Built:
+            built = _Built()
             for i, c in enumerate(self.checks):
                 with _named(i, c, Exception):
                     built.append(_build(self, c) if CHECKS[c.type].pointwise else None)
             return built
 
-        built = _kept("checks", *((k, v.field.ast) for k, v in self.invariants.items()),
-                      *((k, _nodes(v.field, v.factor, *(v.field.parts or ())))
-                        for k, v in self.symmetries.items()), self.checks,
-                      system=self.system, build=build)
+        system = self.system  # the checks read n and the nodes of h and of its rates
+        built = expr.live_work(("checks", *((k, v.field.ast) for k, v in self.invariants.items()),
+                                *((k, _nodes(v.field, v.factor)) for k, v in self.symmetries.items()),
+                                self.checks, system.n, system.h.ast,
+                                *((nm, r.ast) for nm, r in system.param_rates.items())),
+                               build)
         return built, point_bundle([f for b in built if b for f in b.fields], self.bound.params)
+
+
+class _Built(list):
+    """Built checks, kept by `expr.live_work`: a list, which a weak table can name, hashed
+    by identity."""
+
+    __hash__ = object.__hash__
 
 
 def _nodes(*fields: ScalarField | VectorFieldSpec | None) -> tuple:

@@ -129,12 +129,13 @@ class _Node:
     object and equality is identity.  The table holds nodes weakly, and its
     key tells ``Num(0.0)`` from ``Num(-0.0)``.
 
-    Two slots, outside ``vars(node)`` and the dataclass fields, hold what is
+    Three slots, outside ``vars(node)`` and the dataclass fields, hold what is
     known of a node: ``_names``, its (Var names, Param names), set when the
-    node is built from its children's; and ``_d``, made on first use, its
-    derivatives by name, held weakly (``exp(a)``'s refers back to it)."""
+    node is built from its children's; ``_d``, made on first use, its
+    derivatives by name, held weakly (``exp(a)``'s refers back to it); and
+    ``_source``, its text, set when `ScalarField.source` first prints it."""
 
-    __slots__ = ("_names", "_d")
+    __slots__ = ("_names", "_d", "_source")
 
     def __new__(cls, *args):
         work["nodes"] += 1
@@ -509,7 +510,7 @@ def _eval(node: Node, env: Mapping[str, float], v: Callable[[Node], float]) -> f
 # compilation: one python function per bundle of fields, with one local per
 # distinct node across the bundle.  `/` and `^` run inline (a non-integer `^`
 # of a base that is not positive gives NaN) and their results are checked once
-# per call, by one isfinite test on their sum; the intrinsics are the math
+# per call, by isfinite tests on sums of at most 256; the intrinsics are the math
 # functions, which raise where eval_node does.  Any exception or non-finite
 # checked value re-runs eval_node, so values and the first DomainError are the
 # interpreter's.  Each number and bound parameter is a closure cell, not text,
@@ -605,7 +606,9 @@ def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str,
         body, cells, checked, values, fixed = _emit(roots, names)
         work["emitted"] += len(body)
         params = ", ".join(f"_v_{nm}" for nm in argnames)
-        check = f"_isfinite({' + '.join(checked)})" if checked else "True"
+        check = " and ".join(  # a sum nests once per term in CPython's compiler, so cut it
+            f"_isfinite({' + '.join(checked[k:k + 256])})" for k in range(0, len(checked), 256)) \
+            or "True"
         hoisted = ["try:", *(body[k][4:] for k in sorted(fixed)), "except Exception:", "    pass"]
         lines = [*(hoisted if fixed else ()), f"def _f({params}):", "    try:",
                  *(ln for k, ln in enumerate(body) if k not in fixed), f"        if {check}:",
@@ -711,7 +714,10 @@ class ScalarField:
         return _compile(self.ast, self.free_vars | self.free_params)(env)
 
     def source(self) -> str:
-        return to_source(self.ast)
+        """`to_source` of the tree, printed once while its node lives, which keeps the text."""
+        if (text := getattr(self.ast, "_source", None)) is None:
+            object.__setattr__(self.ast, "_source", text := to_source(self.ast))
+        return text
 
     def _lift(self, other: "ScalarField | float | int") -> Node:
         if isinstance(other, ScalarField):

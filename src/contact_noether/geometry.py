@@ -15,7 +15,6 @@ a point is ``(-p..., 0..., 1, h)``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -65,14 +64,12 @@ class ExtendedPoint:
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
-    """Symbolic components of a vector field on the extended space; `parts`, if recorded
-    (`noether.symmetry_from_invariant`), are (F, X_F, a, X_h^t) of X_F + a X_h^t."""
+    """Symbolic components of a vector field on the extended space."""
 
     Yq: tuple[ScalarField, ...]
     Yp: tuple[ScalarField, ...]
     YS: ScalarField
     Yt: ScalarField
-    parts: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Yq", tuple(self.Yq))
@@ -298,67 +295,21 @@ def interior_product_eta_E(system: ContactSystem, Y: VectorFieldSpec) -> ScalarF
     return acc + system.h * Y.Yt
 
 
-def exterior_d(system: ContactSystem, f: ScalarField) -> list[ScalarField]:
-    """df in coordinate_names order; dt moves the rated parameters too."""
-    return [*(partial(f, nm) for nm in coordinate_names(system.n)[:-1]),
-            partial(f, "t") + system.rate_term(f)]
-
-
 def derivative_along(system: ContactSystem, Y: VectorFieldSpec, f: ScalarField) -> ScalarField:
     """Y(f), d/dt taken through the rated parameters too, as `lie_bracket` takes it."""
     return directional_derivative(Y, f) + Y.Yt * system.rate_term(f)
 
 
-def _cartan(system: ContactSystem, Y: VectorFieldSpec) -> list:
-    """[L_Y eta_E = iota_Y d(eta_E) + d(iota_Y eta_E), iota_Y eta_E]."""
-    scalar = interior_product_eta_E(system, Y)
-    return [tuple(map(operator.add, contract_d_eta_E(system, Y), exterior_d(system, scalar))), scalar]
-
-
-class _Kept(list):
-    """A part that `_kept` made: a list, which a weak table can name, hashed by identity."""
-
-    __hash__ = object.__hash__
-
-
-def _kept(*key: object, system: ContactSystem, build: Callable[[], list]) -> _Kept:
-    """`build()` under `key` while a run keeps it with its derivatives: a system's part is keyed
-    by n and the nodes of h and its rates, all it reads, so every copy of the system finds it."""
-    return expr.live_work((*key, system.n, system.h.ast, *((nm, r.ast) for nm, r in
-                                                            system.param_rates.items())),
-                          lambda: _Kept(build()))
-
-
-def _nodes(Y: VectorFieldSpec) -> tuple[expr.Node, ...]:
-    return tuple(c.ast for c in Y.components())
-
-
-def _split(system: ContactSystem, Y: VectorFieldSpec) -> tuple:
-    """(V, a, L_X eta_E, X) by Y's parts if X is `system`'s X_h^t node for node, a and L_X
-    eta_E = iota_X d(eta_E) None for a zero gauge; else (Y, None, None, None), Y taken whole."""
-    if Y.parts is None or _nodes(Y.parts[3])[:-1] != _nodes(system.X_h)[:-1]:
-        return Y, None, None, None
-    _, V, a, X = Y.parts
-    if a.ast is expr.Num(0.0):
-        return V, None, None, X
-    return V, a, _kept("L_X", system=system, build=lambda: [contract_d_eta_E(system, X)])[0], X
-
-
 class LieDerivativeEta:
-    """L_Y eta_E as 2n+2 fields in coordinate_names order, written once per (system, Y): by the
-    Cartan formula, and for Y = X_F + a X (`_split`) with eta_E(X_F) = -F, plus a L_X eta_E."""
+    """L_Y eta_E = iota_Y d(eta_E) + d(iota_Y eta_E) (Cartan formula), written
+    once per (system, Y) pair as 2n+2 fields in coordinate_names order."""
 
     def __init__(self, system: ContactSystem, Y: VectorFieldSpec):
         self.system = system
-        V, a, flow, X = _split(system, Y)
-        if X is None:
-            self.form = _cartan(system, Y)[0]
-            return
-        F = Y.parts[0]
-        self.form = _kept("L_V", F.ast, system=system, build=lambda: [tuple(  # iota_V d(eta_E) - dF
-            map(operator.sub, contract_d_eta_E(system, V), exterior_d(system, F)))])[0]
-        if a is not None:
-            self.form = tuple(f + a * x for f, x in zip(self.form, flow))
+        scalar = interior_product_eta_E(system, Y)
+        d_scalar = [partial(scalar, nm) for nm in coordinate_names(system.n)]
+        d_scalar[-1] += system.rate_term(scalar)  # dt: t moves the rated parameters too
+        self.form = tuple(c + d for c, d in zip(contract_d_eta_E(system, Y), d_scalar))
 
     def __call__(self, point: ExtendedPoint) -> list[float]:
         """The 2n+2 coefficients at one point, compiling a bundle on each call."""
@@ -367,25 +318,11 @@ class LieDerivativeEta:
 
 def bracket_lie_derivative(system: ContactSystem, Y1: VectorFieldSpec,
                            Y2: VectorFieldSpec) -> tuple[ScalarField, ...]:
-    """L_{[Y1,Y2]} eta_E for Y1 = V1 + a X, Y2 = V2 + b X (`_split`) by L_{fZ} eta = f L_Z eta +
-    eta(Z) df and eta_E(X) = 0: L_{[V1,V2]} + c L_X + b L_{[V1,X]} + eta_E([V1,X]) db
-    - a L_{[V2,X]} - eta_E([V2,X]) da, c = V1(b) - V2(a) + a X(b) - b X(a), and [V, V] = 0."""
-    (V1, a, flow1, X1), (V2, b, flow2, X2) = _split(system, Y1), _split(system, Y2)
-    nil, X = number(0.0, system.n), X1 or X2
-    form = [nil] * (2 * system.n + 2) if _nodes(V1) == _nodes(V2) else _kept(
-        "L_[V,W]", _nodes(V1), _nodes(V2), system=system,
-        build=lambda: _cartan(system, lie_bracket(V1, V2, system)))[0]
-    c = (nil if b is None else derivative_along(system, V1, b)) \
-        - (nil if a is None else derivative_along(system, V2, a))
-    if a is not None and b is not None:
-        c = c + a * derivative_along(system, X, b) - b * derivative_along(system, X, a)
-    form = [f + c * x for f, x in zip(form, flow1 or flow2)] if a or b else form
-    for g, V, op in ((b, V1, operator.add), (a, V2, operator.sub)):
-        if g is not None:
-            lz, ez = _kept("L_[V,X]", _nodes(V), system=system,
-                           build=lambda: _cartan(system, lie_bracket(V, X, system)))
-            form = [op(f, g * l + ez * d) for f, l, d in zip(form, lz, exterior_d(system, g))]
-    return tuple(form)
+    """L_{[Y1,Y2]} eta_E, the Cartan form of `lie_bracket(Y1, Y2, system)`; the number 0
+    in every slot when Y1 is Y2 node for node, as [Y, Y] = 0."""
+    if all(a.ast is b.ast for a, b in zip(Y1.components(), Y2.components())):
+        return (number(0.0, system.n),) * (2 * system.n + 2)
+    return LieDerivativeEta(system, lie_bracket(Y1, Y2, system)).form
 
 
 def nan_max(values: Iterable[float]) -> float:

@@ -5,17 +5,16 @@ extended contact phase space: a symmetry Y (with L_Y eta_E = lambda eta_E)
 yields the dissipated quantity F = -iota_Y eta_E (the negated
 `geometry.interior_product_eta_E`), and a dissipated quantity
 F yields the symmetry X_F + Yt * X_h^t with the gauge function Yt free.
-That symmetry records its parts, whose checks are built by the Leibniz rule
-from eta_E(X_F) = -F and eta_E(X_h^t) = 0 over gauge-free parts that the
-system keeps (`geometry.LieDerivativeEta`, `geometry.bracket_lie_derivative`),
-so a new gauge costs only its own partials.  Classification of dynamical
-similarities ([Y, X] = Lambda X) and Lie-algebra closure checks live here as well.
+Every field's checks are built whole, L_Y eta_E and L_[Y1,Y2] eta_E by the
+Cartan formula (`geometry.LieDerivativeEta`, `geometry.bracket_lie_derivative`).
+Classification of dynamical similarities ([Y, X] = Lambda X) and Lie-algebra
+closure checks live here as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import neg
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -27,8 +26,6 @@ from .geometry import (
     ExtendedPoint,
     LieDerivativeEta,
     VectorFieldSpec,
-    _kept,
-    _nodes,
     bracket_lie_derivative,
     contact_field_of,
     coordinate_names,
@@ -181,12 +178,10 @@ def dissipation_residual(system: ContactSystem, F: ScalarField, point: ExtendedP
 def symmetry_from_invariant(system: ContactSystem, F: ScalarField,
                             Yt: ScalarField | float = 0.0) -> VectorFieldSpec:
     """The most general symmetry associated with a dissipated quantity F:
-    X_F plus the gauge term Yt * X_h^t (Yt a free function), recording these
-    parts, from which its checks are built (`geometry.LieDerivativeEta`)."""
+    X_F plus the gauge term Yt * X_h^t (Yt a free function)."""
     if not isinstance(Yt, ScalarField):
         Yt = number(float(Yt), system.n)
-    V, X = contact_field_of(F), extended_field(system)
-    return replace(V + X.scaled(Yt), parts=(F, V, Yt, X))
+    return contact_field_of(F) + extended_field(system).scaled(Yt)
 
 
 def noether_lambda(system: ContactSystem, F: ScalarField,
@@ -276,9 +271,7 @@ def build_similarity(Y: VectorFieldSpec, X: VectorFieldSpec, residual_threshold:
             verdict = SIMILARITY
         return SimilarityReport(tuple(Lambdas), worst, verdict)
 
-    bracket = (lambda: lie_bracket(Y, X, system).components())
-    return Pointwise((*X.components(), *(bracket() if system is None else _kept(  # kept as L_[V,X]
-        "[Y,X]", _nodes(Y), _nodes(X), system=system, build=bracket))), judge)
+    return Pointwise((*X.components(), *lie_bracket(Y, X, system).components()), judge)
 
 
 def similarity_test(Y: VectorFieldSpec, X: VectorFieldSpec,

@@ -9,8 +9,9 @@ homogeneous potentials, the action identity dS/dt = p.dh/dp - h) so that a
 test can check the package's own construction against it.  `dual_gradient`
 differentiates a field's tree by forward-mode dual numbers, with rules of its
 own, as a check on the structural derivatives; `dual_residual` builds the
-dissipation residual from those gradients, and `dual_lie_derivative` the
-coefficients of L_Y eta_E by the coordinate formula.  `reference_nan_max` and
+dissipation residual from those gradients, `dual_lie_derivative` the
+coefficients of L_Y eta_E and `dual_bracket` the components of [Y, X], each by
+the coordinate formula.  `reference_nan_max` and
 `reference_proportionality_residual` are the package's `nan_max` and
 `proportionality_residual` as first written, one generator per call, as
 references for their faster forms, and `literal_td_kepler` writes td-Kepler's
@@ -340,12 +341,12 @@ def dual_lie_derivative(system: ContactSystem, Y: VectorFieldSpec, env: Mapping[
     """The 2n+2 coefficients of L_Y eta_E at `env`, in coordinate_names order, by the
     coordinate formula (L_Y eta)_i = Y^j d_j eta_i + eta_j d_i Y^j with
     eta_E = (-p, 0, 1, h), from the `dual_gradient`s of Y's components and of h; d_t
-    also moves each rated parameter that they read, at its rate.  It shares neither
-    the Cartan formula nor the Leibniz rule with `LieDerivativeEta`.  Returns each
+    also moves each rated parameter that they read, at its rate.  It does not share
+    the Cartan formula by which `LieDerivativeEta` builds them.  Returns each
     coefficient, summed exactly (`math.fsum`) from its products expanded one by one,
     and the scale of its rounding: the sum of those products' magnitudes plus twice
-    |Y^t d_i h|, a product that iota_Y d(eta_E) subtracts and both routes of the
-    package add back.  With `magnitudes`, each factor of the scale is its
+    |Y^t d_i h|, a product that iota_Y d(eta_E) subtracts and d(iota_Y eta_E) adds
+    back.  With `magnitudes`, each factor of the scale is its
     `dual_magnitude`, which bounds the cancellation within the factor too."""
     n, names = system.n, coordinate_names(system.n)
     m, comps = 2 * n + 2, Y.components()
@@ -385,6 +386,31 @@ def dual_lie_derivative(system: ContactSystem, Y: VectorFieldSpec, env: Mapping[
     return ([math.fsum(terms) for terms, _ in exact],
             [math.fsum(map(abs, terms)) + 2.0 * math.fsum(map(abs, extra))
              for terms, extra in bounds])
+
+
+def dual_bracket(system: ContactSystem, Y: VectorFieldSpec, X: VectorFieldSpec,
+                 env: Mapping[str, float]) -> tuple[list[float], list[float]]:
+    """The 2n+2 components of [Y, X] at `env`, in coordinate_names order, by the coordinate
+    formula [Y, X]^i = Y^j d_j X^i - X^j d_j Y^i, from the `dual_gradient` Jacobians of
+    Y's and X's components; d_t also moves each rated parameter that they read, at its
+    rate.  It shares no code with `lie_bracket`.  Returns each component, summed exactly
+    (`math.fsum`) from its products expanded one by one, and the scale of its rounding,
+    the sum of those products' magnitudes."""
+    m, names = 2 * system.n + 2, coordinate_names(system.n)
+    comps = (*Y.components(), *X.components())
+    read = set().union(*(f.free_params for f in comps))
+    rated = [nm for nm in system.param_rates if nm in read]
+    rates = [dual_gradient(system.param_rates[nm], env, ())[0] for nm in rated]
+    vs, grads = zip(*(dual_gradient(c, env, (*names, *rated)) for c in comps))
+
+    def along(ws: Sequence[float], grad: Sequence[float]) -> list[float]:
+        """The products of W^j d_j, d_t expanded per rated name."""
+        return [*(w * g for w, g in zip(ws, grad)),
+                *(ws[-1] * r * grad[m + k] for k, r in enumerate(rates))]
+
+    terms = [along(vs[:m], grads[m + i]) + [-x for x in along(vs[m:], grads[i])]
+             for i in range(m)]
+    return [math.fsum(t) for t in terms], [math.fsum(map(abs, t)) for t in terms]
 
 
 def reference_nan_max(values: Iterable[float]) -> float:

@@ -15,15 +15,12 @@ import pytest
 from contact_noether import cli, dynamics, expr
 from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.expr import DomainError, parse
-from contact_noether.geometry import (ContactSystem, LieDerivativeEta, VectorFieldSpec,
-                                      lie_bracket, nan_max, point_bundle)
+from contact_noether.geometry import ContactSystem, lie_bracket, nan_max, point_bundle
 from contact_noether.noether import (DegeneratePoint, closure_check, dissipation_field,
-                                     sample_points, similarity_test, symmetry_from_invariant,
-                                     symmetry_test)
+                                     sample_points, similarity_test, symmetry_test)
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
-from contact_noether.systems import make_builtin
 from conftest import certbench_workloads, tally
-from oracles import dual_lie_derivative, dual_residual
+from oracles import dual_bracket, dual_lie_derivative, dual_residual
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -104,6 +101,20 @@ def test_a_long_sum_in_the_largest_dimension_runs(tmp_path):
     report, code = cli.run(path, tmp_path / "out", quiet=True)
     assert (code, report["checks"][0]["passed"]) == (0, True)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_sum_of_3000_quotients_compiles(tmp_path):
+    # a bundle checks its `/` and `^` results by isfinite tests on their sums, each of
+    # at most 256 terms, as one sum of 3,000 nests too deep for CPython's compiler
+    h = "p0^2/2 + " + " + ".join(f"q0/{k + 2}" for k in range(3000))
+    path = write_scenario(tmp_path, "quotients", {
+        "system": {"expression": h, "dimension": 1}, "seed": 3, "sample_count": 10,
+        "invariants": [{"label": "H", "expression": h}],
+        "checks": [{"type": "residual", "invariant": "H", "tol": 1e-9}]})
+    start = time.perf_counter()
+    report, code = cli.run(path, tmp_path / "out", quiet=True)
+    assert (code, report["checks"][0]["passed"]) == (0, True)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
@@ -327,9 +338,10 @@ class TestOneBundlePerScenario:
         sc = cli.load_scenario(path)
         monkeypatch.setattr(cli, "_lifted", lambda field, prefix, numbers: field)
         literal = cli.load_scenario(path)
-        gauged = [label for label, s in sc.symmetries.items() if s.field.parts is not None]
-        assert gauged and all(sc.symmetries[label].field.parts[2].ast
-                              is not literal.symmetries[label].field.parts[2].ast
+        gauged = [s["label"] for s in json.loads(path.read_text())["symmetries"]
+                  if "from_invariant" in s]
+        assert gauged and all(sc.symmetries[label].field.Yt.ast
+                              is not literal.symmetries[label].field.Yt.ast
                               for label in gauged)
         if sc.system.label == "harmonic-dissipative":
             assert sc.system.h.ast is not literal.system.h.ast
@@ -403,7 +415,7 @@ class TestOneBundlePerScenario:
         # subexpression as the file wrote it
         path = write_scenario(tmp_path, "gauge-ln", _kepler_gauge_ln())
         sc = cli.load_scenario(path)
-        assert "ln(q0 - 2.0)" not in sc.symmetries["bad-gauge"].field.parts[2].source()
+        assert "ln(q0 - 2.0)" not in sc.symmetries["bad-gauge"].field.Yt.source()
         first = sample_points(sc.bound, sc.sample_count, sc.seed)[0]
         report, code = cli.run(path, tmp_path / "out", quiet=True)
         assert (code, report["error"]) == (
@@ -923,11 +935,11 @@ RATED_SYMMETRIES = {
 def test_each_symmetry_form_matches_its_dual_number_oracle(tmp_path, source):
     # the first 2n+2 compiled roots of every symmetry check, L_Y eta_E, at every
     # sample, against the coordinate formula from forward-mode gradients of Y's
-    # components and h (`oracles.dual_lie_derivative`), which shares neither the
-    # Cartan formula nor the Leibniz rule that build it: within the residual
-    # oracle's 4 * 2^-52 of the scale of the products' rounding.  That scale
-    # takes each factor's value, or, where that bound fails (at most 6 of the 465
-    # samples, measured), its magnitude with nothing cancelling (3.0 of the 4 at worst)
+    # components and h (`oracles.dual_lie_derivative`), which does not share the
+    # Cartan formula that builds it: within the residual oracle's 4 * 2^-52 of the
+    # scale of the products' rounding (3.0 of the 4 at worst).  That scale takes each
+    # factor's value, or, where that bound fails (5 of the 550 samples, measured),
+    # its magnitude with nothing cancelling
     if isinstance(source, Path):
         path = source
     elif source == "rated-symmetries":
@@ -951,6 +963,71 @@ def test_each_symmetry_form_matches_its_dual_number_oracle(tmp_path, source):
                     break
             else:
                 raise AssertionError((path.stem, c.refs, pt, got, oracle, scales))
+
+
+# the rated oscillator's from_invariant symmetries against its extended field: d/dt of the
+# brackets moves the rated parameters that the fields read
+RATED_SIMILARITIES = {
+    **RATED_SYMMETRIES,
+    "name": "rated-similarities",
+    "checks": [{"type": "similarity", "symmetry": label, "expect_verdict": "Neither"}
+               for label in ("glr", "em")],
+}
+
+
+def _assert_brackets_match_the_oracle(sc):
+    """The [Y, X] columns of every similarity check of `sc`, built and bound as a run reads
+    them, at every sample, against `oracles.dual_bracket` of the scenario's own fields."""
+    system, built = sc.bound, sc.fused[0]
+    m = 2 * system.n + 2
+    samples = sample_points(system, sc.sample_count, sc.seed, margin=sc.integrator.guard_margin)
+    checks = [(i, c) for i, c in enumerate(sc.checks) if c.type == "similarity"]
+    assert checks
+    for i, c in checks:
+        Y = sc.symmetries[c.refs[0]].field
+        X = (extended_field if c.against == "extended" else contact_field)(system)
+        at = point_bundle(built[i].fields[m:], system.params)
+        for pt in samples:
+            got = at(pt)
+            oracle, scales = dual_bracket(system, Y, X, {**system.params, **pt.env()})
+            assert all(abs(g - v) <= 4 * 2**-52 * s for g, v, s in zip(got, oracle, scales)), \
+                (sc.name, c.refs, pt, got, oracle, scales)
+
+
+@pytest.mark.parametrize("source", [*(p for p in sorted(SCENARIOS.glob("*.json"))
+                                      if '"similarity"' in p.read_text()),
+                                    *_sweep_cases(), "rated-similarities"],
+                         ids=lambda s: getattr(s, "stem", None) or getattr(s, "name", s))
+def test_each_bracket_matches_its_dual_number_oracle(tmp_path, source):
+    # the [Y, X] columns of every similarity check (`geometry.lie_bracket`), at every
+    # sample, against Y^j d_j X^i - X^j d_j Y^i from forward-mode gradients of the
+    # fields' components (`oracles.dual_bracket`), which shares no code with it:
+    # within 4 * 2^-52 of the scale of the products' rounding (0.99 of it at worst
+    # over the 360 samples, measured)
+    if isinstance(source, Path):
+        path = source
+    elif source == "rated-similarities":
+        path = write_scenario(tmp_path, source, RATED_SIMILARITIES)
+    else:
+        path = source.write(tmp_path)
+    _assert_brackets_match_the_oracle(cli.load_scenario(path))
+
+
+def test_the_brackets_of_a_second_file_of_a_kept_skeleton_match_the_oracle(tmp_path,
+                                                                           monkeypatch):
+    # a Kepler file with new m, eps and wrong-sigma rate finds the kept file's built
+    # checks by its skeleton and binds its own numbers: its [Y, X] columns are those
+    # of its own fields
+    first = certbench_workloads().symbolic_sweep_round(7, 0)[0]
+    spec = json.loads(json.dumps(first.spec))
+    spec["system"]["params"] = {"m": 1.7, "eps": 0.3}
+    spec["symmetries"][2]["ansatz"]["sigma"] += 0.125
+    for _ in range(2):
+        assert cli.run(first.write(tmp_path), tmp_path / "first", quiet=True)[1] == 0
+    builds = _builds(monkeypatch)
+    sc = cli.load_scenario(write_scenario(tmp_path, "second", spec))
+    _assert_brackets_match_the_oracle(sc)
+    assert builds == []
 
 
 def _builds(monkeypatch):
@@ -1057,7 +1134,7 @@ class TestRecurringRuns:
         # a third run builds nothing, but it is kept under the system's key in
         # place of the second, so it must hold the second's derivatives: a sweep
         # Kepler file derives as much after three runs of kepler-scaling as after
-        # two (346 rules at seed 7 in a fresh interpreter)
+        # two (729 rules at seed 7 in a fresh interpreter)
         kepler = SCENARIOS.parent / "certbench" / "bundled" / "kepler-scaling.json"
         sweep = certbench_workloads().symbolic_sweep_round(7, 5)[0]
         assert sweep.spec["system"]["builtin"] == "kepler"
@@ -1073,12 +1150,11 @@ class TestRecurringRuns:
         assert derived[0] == derived[1] > 0
 
     def test_a_new_gauge_on_a_kept_system_derives_only_its_own_partials(self, tmp_path):
-        # after two runs of one sweep Kepler file, its system keeps the gauge-free
-        # parts of its gauged field's checks (`geometry.LieDerivativeEta`,
-        # `geometry.bracket_lie_derivative`): a file with a new m, eps, gauge and
-        # wrong-sigma ansatz derives only the partials of its gauge's shape, 0 rules
-        # measured (2 when its gauge's sign was a shape), where the whole gauged
-        # field took 452
+        # after two runs of one sweep Kepler file, its system keeps the derivatives of
+        # its checks, each built whole by the Cartan formula, and a gauge's numbers and
+        # sign are bound parameters: a file with a new m, eps, gauge and wrong-sigma
+        # ansatz of the same shapes derives 0 rules, measured (a gauge of a new shape,
+        # such as `1.5*t^3`, derives its whole field's partials: 437)
         first, second = (certbench_workloads().symbolic_sweep_round(7, k)[0] for k in (0, 1))
         assert first.spec["system"]["builtin"] == second.spec["system"]["builtin"] == "kepler"
         assert first.spec["symmetries"][3]["Yt"] != second.spec["symmetries"][3]["Yt"]
@@ -1091,9 +1167,9 @@ class TestRecurringRuns:
     def test_a_td_kepler_file_with_new_numbers_derives_only_its_gauges_partials(self, tmp_path):
         # td-kepler's h and F_TDK read m, eps and Lambda as parameters, and an ansatz
         # field reads its rates, so after two runs of one sweep td-kepler file, a file
-        # with new m, eps, Lambda, ansatz rates and gauge finds its system's kept parts,
-        # and the gauge's, whose numbers are parameters too: no rule derived, where 903
-        # were when the numbers were written into the trees
+        # with new m, eps, Lambda, ansatz rates and gauge finds its system's kept
+        # derivatives, the gauge's numbers being parameters too: no rule derived, where
+        # 903 were when the numbers were written into the trees
         first, second = (certbench_workloads().symbolic_sweep_round(7, k)[1] for k in (0, 1))
         assert first.spec["system"]["builtin"] == second.spec["system"]["builtin"] == "td-kepler"
         params = [case.spec["system"]["params"] for case in (first, second)]
@@ -1227,28 +1303,17 @@ class TestRecurringRuns:
         assert kept[0]["checks"][3]["value"] != report["checks"][3]["value"]
         assert kept == _alone_run(path, tmp_path / "alone", builds)
 
-    def test_a_field_gauged_for_another_h_is_checked_whole(self):
-        # X_F + Yt X_h^t built on Kepler and checked on td-Kepler, whose X_h^t is
-        # another: its recorded parts do not split over this X_h^t, so its symmetry
-        # and closure checks are those of the same components with no parts, the
-        # route every field took before parts were recorded, bit for bit
-        kepler = make_builtin("kepler")
-        td = make_builtin("td-kepler", {"Lambda": 1.5}).with_params(kepler.params)
-        Y = symmetry_from_invariant(kepler, kepler.invariants["Q_K"].field, parse("t + q0*p1", 3))
-        whole = VectorFieldSpec(Y.Yq, Y.Yp, Y.YS, Y.Yt)
-        assert Y.parts is not None and whole.parts is None
-        scaling = scaling_generator(ScalingAnsatz(1.25, 0.25, 1.5, 1.0), 3)
-        samples = sample_points(td, 20, seed=17)
-
-        def reported(field):
-            return [_hexes([r.residual, *r.lambda_at_samples])
-                    for r in (symmetry_test(td, field, samples),
-                              closure_check(td, field, scaling, samples),
-                              closure_check(td, scaling, field, samples))]
-
-        assert reported(Y) == reported(whole)
-        assert [f.ast for f in LieDerivativeEta(td, Y).form] == \
-            [f.ast for f in LieDerivativeEta(td, whole).form]
+    def test_a_warm_sweep_file_prints_nothing(self, tmp_path, monkeypatch):
+        # a run is kept under the source of its system's h, whose text is kept on
+        # h's node once printed, so a new file of a kept system prints no tree
+        workloads = certbench_workloads()
+        for case in workloads.symbolic_sweep_round(7, 0) * 2:
+            assert cli.run(case.write(tmp_path), tmp_path, quiet=True)[1] == 0
+        printed, real = [], expr.to_source
+        monkeypatch.setattr(expr, "to_source", lambda *a: printed.append(a) or real(*a))
+        for case in workloads.symbolic_sweep_round(7, 1):
+            assert cli.run(case.write(tmp_path), tmp_path, quiet=True)[1] == 0
+        assert printed == []
 
     def test_the_kept_work_of_a_file_does_not_grow(self, tmp_path):
         path = SCENARIOS / "kepler-scaling.json"
@@ -1293,8 +1358,8 @@ class TestArtifacts:
             "969217c7571afe1aba3717f935dea1badd79b8860e71079117f4b89ad0f1af7a",
             "d203330944584d41a648ca2b4acddfe72266a2f4153dc3e1069e9a5c62299acb"),
         "kepler-scaling": (
-            "403a0b3ab1132a1756915b6c4b63544df912cf642771e0df8f39e4b5d5b9b3b7",
-            "a83e7abfd5eba628097ff3bee22ce1740eb21548157fb07071689b45984fc6d2",
+            "6cd624f8260ee62e3223d31fc88c2373a1a149598fde33c70efacf64cb7cef07",
+            "64ff3c07190225143e5280fdfc4059e77ac738f8047f5b87cd78a4651987386f",
             "efad186f09cda0eb1e2ec6966d9356865bd46048f738dd74388baf1e7eed1093"),
         "td-kepler": (
             "d5dbda17cf72e5a443e43d027fb5f49fa5b02d7c7318082aa17dc2f176314372",

@@ -410,7 +410,7 @@ print(len(texts), hashlib.sha256("\\0".join(texts).encode()).hexdigest())
                           timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.split() == [
-        "26", "2f7b8ac3f20d15495370c354f1b9273daaf63b24f8d60e774c4678974b218043"]
+        "26", "11e7a8561d4305ea3b31072d69cb1050ca470b1e471dddf154c06a54549def1c"]
 
 
 class TestDeepTrees:

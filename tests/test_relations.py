@@ -90,9 +90,8 @@ def test_gauges_keep_every_check_and_move_lambda_by_the_noether_rule(tmp_path, n
     # lambda = -Yt dh/dS - dF/dS is read from the dS slot of L_Y eta_E, so two gauges'
     # tables differ by -(Yt' - Yt) dh/dS up to the rounding of that slot's sums.  Their
     # terms are at most lambda, Yt dh/dS and, in d_S(iota_Y eta_E) = d_S(-F + Yt eta_E(X_h^t)),
-    # dYt/dS (p.dh/dp - h) twice over: eta_E(X_h^t) is zero, but a route may sum its terms.
-    # The worst sample reads 1.0 of the 4 * 2^-52 of that scale (the Cartan route) and
-    # 0.47 (the Leibniz rule), measured
+    # dYt/dS (p.dh/dp - h) twice over: eta_E(X_h^t) is zero, but the Cartan form sums its
+    # terms.  The worst sample reads 1.0 of the 4 * 2^-52 of that scale, measured
     start = COPIES[name][2]
     path = tmp_path / "start.json"
     path.write_text(json.dumps(_copy(name, [start])))

@@ -3,7 +3,8 @@ no work: no scenario, no flow and no pytest run.  `report_digests.py` prints a
 failing run's error, `symbolic_counts.py` the counts of `expr.work` that a
 workload adds, and `phase_times.py` the time of each phase of a round, and
 `paired_rounds.py` names the largest relative difference of a float between
-two reports.  `symbolic_counts.py --by-file` splits each round's counts by file.
+two reports and reads each moved check value as a share of its tol.
+`symbolic_counts.py --by-file` splits each round's counts by file.
 README's quick tour runs."""
 
 import json
@@ -46,9 +47,9 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
 
 
 @pytest.mark.parametrize("workload, first, second", [
-    ("bundled", (17, 943, 1858, 1158, 4), (0, 0, 4, 0, 4)),
+    ("bundled", (17, 502, 1250, 823, 4), (0, 0, 4, 0, 4)),
     ("long-flow", (7, 101, 526, 231, 3), (0, 0, 3, 0, 3)),
-    ("symbolic-sweep", (6, 1889, 3691, 1989, 3), (6, 0, 621, 0, 3))],
+    ("symbolic-sweep", (6, 2150, 3639, 1990, 3), (6, 0, 621, 0, 3))],
     ids=["bundled", "long-flow", "symbolic-sweep"])
 def test_symbolic_counts_prints_the_tally(workload, first, second):
     # at seed 7, round 1 derives and compiles the files' work, which their runs
@@ -126,23 +127,33 @@ def test_phase_times_prints_every_phase_within_the_round():
 PAIRED = """
 import math, sys
 sys.path.insert(0, sys.argv[1])
-from paired_rounds import float_differences
+from paired_rounds import float_differences, moved_shares
 a = {"passed": True, "seed": 3, "checks": [
-    {"value": 1.5e-15, "verdict": "x", "lambda_table": [0.5, 2.0, math.nan, 0.0, 1.0]}]}
+    {"value": 1.5e-15, "tol": 3e-15, "verdict": "x",
+     "lambda_table": [0.5, 2.0, math.nan, 0.0, 1.0]},
+    {"value": math.nan, "tol": 1e-9}, {"value": 0.25, "tol": 0.5}, {"value": 0.0, "tol": 0.0}]}
 b = {"passed": False, "seed": 4, "checks": [
-    {"value": 3.0e-15, "verdict": "y", "lambda_table": [0.5, 2.0 + 2**-51, math.nan, -0.0, math.inf]}]}
+    {"value": 3.0e-15, "tol": 3e-15, "verdict": "y",
+     "lambda_table": [0.5, 2.0 + 2**-51, math.nan, -0.0, math.inf]},
+    {"value": math.nan, "tol": 1e-9}, {"value": 0.75, "tol": 0.5}, {"value": 1e-300, "tol": 0.0}]}
 for rel, where in float_differences(a, b):
     print(repr(rel), where)
+for shares, where in moved_shares(a, b):
+    print(*map(repr, shares), where)
 """
 
 
 def test_paired_rounds_finds_each_float_that_moved():
-    # only floats count; two NaNs and the two zeros do not differ, an infinity is inf
+    # only floats count; two NaNs and the two zeros do not differ, an infinity is inf;
+    # a check whose value moved is also read as a share of its tol on each side, inf
+    # for a tol of 0, which a relative difference of about 0.5 to 1 does not tell
     done = subprocess.run([sys.executable, "-c", PAIRED, str(ROOT / "scripts")],
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines() == ["2.2204460492503126e-16 checks[0].lambda_table[1]",
-                                        "inf checks[0].lambda_table[4]", "0.5 checks[0].value"]
+    assert done.stdout.splitlines() == [
+        "2.2204460492503126e-16 checks[0].lambda_table[1]", "inf checks[0].lambda_table[4]",
+        "0.5 checks[0].value", "0.6666666666666666 checks[2].value", "1.0 checks[3].value",
+        "0.5 1.0 checks[0]", "0.5 1.5 checks[2]", "inf inf checks[3]"]
 
 
 def test_readme_quick_tour_runs():
