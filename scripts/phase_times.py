@@ -6,7 +6,7 @@ Usage: python3 scripts/phase_times.py --workload W --rounds K [--seed S]
 Runs the scenario files of workload W (generated by `certbench/workloads.py`,
 which is only read, as in `paired_rounds.py`) through `cli.run` of the
 `contact_noether` package under `src/` next to this script.  Rounds 0 and 1
-warm the process up (a file's work is kept from its second run on, see
+warm the process up (a file's work is kept from its first run on, see
 `symbolic_counts.py`); rounds 2..K+1 are timed.  Each phase below is a
 function wrapped with `perf_counter`, and is timed by its self time: a phase
 called inside another (a bundle compiled inside the flow, say) counts for

@@ -14,17 +14,18 @@ what the round added to the package's tally `expr.work`:
 - `nodes`: node constructions, whether a node is made or found live;
 - `emitted`: statements written into the generated bundles;
 
-and `kept`, the distinct runs whose work `expr.derivatives_kept` holds
-after the round (one run may sit under two keys, its file's and its system's).
-With `--by-file`, the round's line is followed by one line per file, indented,
-with the first four counts that the file's run added.
+and `kept`, the runs whose work `expr.derivatives_kept` holds after the
+round, each under its file's key.  With `--by-file`, the round's line is
+followed by one line per file, indented, with the first four counts that the
+file's run added.
 
-A run's work is kept from the second sighting of its file or of its system
-on.  So a workload whose files recur (bundled, long-flow) counts 0 bundles,
-derive and emitted from round 2, and loads no file again; symbolic-sweep,
-whose files are new every round, keeps the last run of its Kepler and
-td-kepler systems, which every round shares, and derives only what a new
-parameter choice adds.  Then it prints the means of the first four counts over the counted
+A run's work is kept from its file's first run on, while it is among the
+last 16 runs.  So a workload whose files recur (bundled, long-flow) counts 0
+bundles, derive and emitted from round 1, and loads no file again;
+symbolic-sweep, whose files are new every round but whose trees are not (every
+number of a file is a bound parameter), finds each system's derivatives and
+programs in the kept runs of earlier files, and derives only what a new shape
+adds.  Then it prints the means of the first four counts over the counted
 rounds.  The counts do not depend on timing, so a run repeats them exactly;
 two checkouts that keep the same tally can be compared by copying this
 script into each.
@@ -66,9 +67,8 @@ def main(argv: list[str] | None = None) -> int:
             counts = {c: expr.work[c] - before[c] for c in COUNTS}
             if k:
                 rows.append(counts)
-                kept = len({id(run) for run in expr._RUNS.values() if run is not None})
                 print(f"round {k}: " + ", ".join(f"{c} {counts[c]}" for c in COUNTS)
-                      + f", kept {kept}")
+                      + f", kept {len(expr._RUNS)}")
                 for stem, own in files if args.by_file else ():
                     print(f"  {stem}: " + ", ".join(f"{c} {own[c]}" for c in COUNTS))
     print(f"{args.workload} seed {args.seed}, mean over rounds 1-{args.rounds}: "

@@ -85,6 +85,8 @@ def _choice(*options: str) -> Kind:
 STRING = _kind("a string", lambda v: isinstance(v, str))
 FLAG = _kind("true or false", lambda v: isinstance(v, bool))
 OBJECT = _kind("a JSON object", lambda v: isinstance(v, dict))
+NAMES = _kind("a JSON object with no key that starts with '_', which names a number of the "
+              "file", lambda v: isinstance(v, dict) and not any(k[:1] == "_" for k in v))
 FINITE, TOL, SEED = _number(), _number(0), _number(0, integer=True)
 REQUIRED = object()  # the default of a key that its object must give
 
@@ -153,7 +155,7 @@ SCHEMA = {
     "system": Shape({"builtin": (_choice(*systems.BUILTIN_DOCS), None),
                      "expression": (STRING, None),
                      "dimension": (_number(1, MAX_DIMENSION, integer=True), None),
-                     "params": (OBJECT, {})}, forms=(("builtin",), ("expression", "dimension"))),
+                     "params": (NAMES, {})}, forms=(("builtin",), ("expression", "dimension"))),
     "initial": Shape({"q": (_list(FINITE), REQUIRED), "p": (_list(FINITE), REQUIRED),
                       "S": (FINITE, 0.0), "t": (FINITE, 0.0)}, build=ExtendedPoint),
     "integrator": Shape({f.name: (FINITE, f.default) for f in fields(IntegratorConfig)},
@@ -182,7 +184,7 @@ SCHEMA["scenario"] = Shape({
     "sample_count": (_number(1, MAX_SAMPLES, integer=True), 100),
     "auxiliary": (SCHEMA["auxiliary"], None),
     "invariants": (_list(), []), "symmetries": (_list(), []), "checks": (_list(), []),
-    "point_params": (OBJECT, {}),
+    "point_params": (NAMES, {}),
 })
 
 
@@ -289,10 +291,12 @@ def _named(i: int, c: Check, *errors: type[Exception]) -> Iterator[None]:
         raise
 
 
-def _parse_field(source: str, n: int, where: str, names: set[str] | None = None) -> ScalarField:
-    """The field of `source`; if `names` is given, it may read no parameter outside them."""
+def _parse_field(source: str, n: int, where: str, numbers: dict[str, float], place: str,
+                 names: set[str] | None = None) -> ScalarField:
+    """The field of `source`, the string at `place`, its numbers lifted into `numbers`
+    (`expr.parse`); if `names` is given, it may read no other parameter."""
     try:
-        field = parse(source, n)
+        field = parse(source, n, numbers, place)
     except ExprError as e:
         raise ConfigError(f"{where}: {e}") from e
     unbound = sorted(field.free_params - names) if names is not None else ()
@@ -301,39 +305,13 @@ def _parse_field(source: str, n: int, where: str, names: set[str] | None = None)
     return field
 
 
-def _lifted(field: ScalarField, prefix: str, numbers: dict[str, float]) -> ScalarField:
-    """`field` with its i-th nonzero number outside an exponent read as the parameter
-    `<prefix>_c<i>`, whose value goes to `numbers`: one tree for any such values, of the
-    literal tree's shape (the plain constructors rebuild it).  `x - c*y` and `x - c` read
-    `x + (-c)*y` and `x + (-c)`, `-c` bound: equal bits in IEEE arithmetic, so a sign is a
-    value.  A zero, which folds terms away, and an exponent, which sets the `^` domain
-    rule, stay."""
-    start = len(numbers)
-
-    def lift(node, sign=1.0):
-        if isinstance(node, expr.Num) and node.value != 0.0:
-            numbers[name := f"{prefix}_c{len(numbers) - start}"] = sign * node.value
-            return expr.Param(name)
-        if isinstance(node, (expr.Num, expr.Var, expr.Param)):
-            return node
-        if isinstance(node, expr.Pow):
-            return expr.Pow(lift(node.base), node.exponent)
-        if sign < 0.0:  # the c*y of `x - c*y`
-            return expr.Mul(lift(node.left, sign), lift(node.right))
-        if isinstance(node, expr.Sub):
-            c = node.right.left if isinstance(node.right, expr.Mul) else node.right
-            if isinstance(c, expr.Num) and c.value != 0.0:
-                return expr.Add(lift(node.left), lift(node.right, -1.0))
-        return type(node)(*(v if isinstance(v, str) else lift(v) for v in vars(node).values()))
-
-    return ScalarField(lift(field.ast), field.n)
-
-
 def _read(path: Path) -> bytes:
     try:
         return path.read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such scenario file") from None
+    except OSError as e:  # a directory, say
+        raise ConfigError(f"{path}: cannot read the scenario file ({e.strerror})") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -343,6 +321,8 @@ def load_scenario(path: str | Path) -> Scenario:
 def _load(path: Path, data: bytes) -> Scenario:
     try:
         return _scenario(json.loads(data.decode()), path.stem)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason}, byte offset {e.start})") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from None
     except ConfigError as e:
@@ -356,15 +336,13 @@ def _scenario(raw: Any, stem: str) -> Scenario:
     _require(name not in (".", "..") and Path(name).name == name,  # out_root / name stays inside
              f"'name' must be one plain path component, got {name!r}")
     s = f.system
-    params = {k: v if k == "f" and s.builtin and isinstance(v, str)  # f(t), a source
-              else FINITE(v, f"system params {k!r}") for k, v in s.params.items()}
-    lifted: dict[str, float] = {}  # the numbers of f, of the gauges and the ansatz rates, by name
+    lifted: dict[str, float] = {}  # the file's nonzero numbers, by name (`expr.lift`)
     try:
-        if s.builtin == "harmonic-dissipative" and isinstance(source := params.get("f"), str):
-            params["f"] = _lifted(parse(source, 1), "_f", lifted)
-        system = make_builtin(s.builtin, {**params, **lifted}) if s.builtin else ContactSystem(
-            n=s.dimension, h=_parse_field(s.expression, s.dimension, "system 'expression'"),
-            params=params, label=name)
+        params = {k: parse(v, 1, lifted, "f") if k == "f" and s.builtin and isinstance(v, str)
+                  else FINITE(v, f"system params {k!r}") for k, v in s.params.items()}  # f(t)
+        system = make_builtin(s.builtin, params) if s.builtin else ContactSystem(
+            n=s.dimension, h=_parse_field(s.expression, s.dimension, "system 'expression'",
+                                          lifted, "h"), params=params, label=name)
     except (ValueError, ExprError) as e:
         raise ConfigError(f"bad system spec: {e}") from e
     n = system.n
@@ -380,14 +358,14 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         names |= {*system.param_rates, *AuxiliaryState().constants()}
 
     invariants: dict[str, TrackedInvariant] = {}
-    for spec in f.invariants:
+    for position, spec in enumerate(f.invariants):
         where = f"invariant {OBJECT(spec, 'invariant').get(LABEL)!r}"
         g = _fields(spec, SCHEMA["invariant"], where, {"builtin invariant": system.invariants})
         _require(g.label not in invariants, f"duplicate invariant label {g.label!r}")
         _require(not set(g.label) & set(',"\r\n'), f"invariant label {g.label!r} names "
                  "a CSV column and may hold no comma, double quote, CR or LF")
         base = system.invariants.get(g.builtin) or TrackedInvariant(
-            g.label, _parse_field(g.expression, n, where, names))
+            g.label, _parse_field(g.expression, n, where, lifted, f"I{position}", names))
         invariants[g.label] = TrackedInvariant(g.label, base.field, g.expected or base.expected)
 
     symmetries: dict[str, Symmetry] = {}
@@ -395,19 +373,21 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         where = f"symmetry {OBJECT(spec, 'symmetry').get(LABEL)!r}"
         g = _fields(spec, SCHEMA["symmetry"], where, {"invariant": invariants})
         _require(g.label not in symmetries, f"duplicate symmetry label {g.label!r}")
+        place = f"Y{position}"  # and its strings' places: Y<position>q<i>, ...p<i>, ...S, ...t
         if g.ansatz is not None:
-            lifted |= {f"_Y{position}_{k}": v for k, v in vars(g.ansatz).items() if v != 0.0}
-            symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n, f"Y{position}"))
+            symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n, lifted, place))
         elif g.from_invariant is not None:
             F = invariants[g.from_invariant].field
-            Yt = _lifted(_parse_field(g.Yt, n, f"{where} Yt", names), f"_Y{position}", lifted)
+            Yt = _parse_field(g.Yt, n, f"{where} Yt", lifted, f"{place}t", names)
             symmetries[g.label] = Symmetry(symmetry_from_invariant(system, F, Yt),
                                            noether_lambda(system, F, Yt))
         else:
-            Yq = tuple(_parse_field(s, n, f"{where} Yq[{i}]", names) for i, s in enumerate(g.Yq))
-            Yp = tuple(_parse_field(s, n, f"{where} Yp[{i}]", names) for i, s in enumerate(g.Yp))
+            Yq, Yp = (tuple(_parse_field(s, n, f"{where} {k}[{i}]", lifted, f"{place}{k[1]}{i}",
+                                         names) for i, s in enumerate(getattr(g, k)))
+                      for k in ("Yq", "Yp"))
             _require(len(Yq) == n and len(Yp) == n, f"{where} needs {n} Yq/Yp components")
-            YS, Yt = (_parse_field(getattr(g, k), n, f"{where} {k}", names) for k in ("YS", "Yt"))
+            YS, Yt = (_parse_field(getattr(g, k), n, f"{where} {k}", lifted, place + k[1], names)
+                      for k in ("YS", "Yt"))
             symmetries[g.label] = Symmetry(VectorFieldSpec(Yq, Yp, YS, Yt))
 
     checks = []
@@ -415,9 +395,6 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         ctype = _choice(*CHECKS)(OBJECT(spec, "check").get(TYPE), "check 'type'")
         checks.append(_fields(spec, CHECKS[ctype], f"{ctype} check",
                               {"invariant": invariants, "symmetry": symmetries}))
-    for given, keys in (("point_params", point_params), ("system params", s.params)):
-        clash = sorted(lifted.keys() & keys.keys())  # no expression reads these names
-        _require(not clash, f"{given} {clash} name rates of ansatz fields or numbers of f or Yt")
     return Scenario(name, system.with_params(lifted), f.initial, f.t_end, f.integrator, f.seed,
                     f.sample_count, invariants, symmetries, tuple(checks), f.auxiliary, point_params)
 
@@ -566,16 +543,15 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
         quiet: bool = False, checks: bool = True) -> tuple[dict, int]:
     """Load, execute and persist one scenario; returns (report, exit_code).
     The run's symbolic work is kept (`derivatives_kept`) under the file's bytes with its
-    stem, with the parsed scenario, so a file that recurs is not loaded again, and under
-    the source of its system's h, so another file on that system finds its work, and its
-    built checks if its skeleton recurs (`Scenario.fused`).  `seed` and `tol_override`
-    run a copy.  A runtime error exits 3 with a message that names where it arose."""
+    stem, with the parsed scenario, so a file that recurs is not loaded again; while it is
+    kept, another file on that system finds its derivatives and programs, and its built
+    checks if its skeleton recurs (`Scenario.fused`).  `seed` and `tol_override` run a
+    copy.  A runtime error exits 3 with a message that names where it arose."""
     path = Path(scenario_path)
     try:
         data = _read(path)
         with derivatives_kept((data, path.stem)) as kept:
             sc = kept.record = kept.record or _load(path, data)
-            kept.keys.append(sc.system.h.source())
             sc = sc if seed is None else replace(sc, seed=SEED(seed, "--seed"))
             if tol_override is not None:
                 tol = TOL(tol_override, "--tol-override")
@@ -628,7 +604,8 @@ def _cmd_solve_scaling(args: argparse.Namespace) -> int:
         ("--g=homogeneous requires --kappa", args.g == "homogeneous" and args.kappa is None),
         *((f"--{flag} must be a finite number", value is not None and not math.isfinite(value))
           for flag, value in (("k", args.k), ("g0", args.g0), ("kappa", args.kappa))),
-        ("--dimension must be at least 1", args.dimension < 1)) if wrong]
+        (f"--dimension must be from 1 to {MAX_DIMENSION}",
+         not 1 <= args.dimension <= MAX_DIMENSION)) if wrong]
     if usage:
         print(usage[0], file=sys.stderr)
         return 2

@@ -36,9 +36,9 @@ runs its rule once per distinct node, operands first, by `_walk`, on a stack of
 its own, so no tree is too deep; only `parse` recurses, and refuses too deep a
 nesting.  A node that does not read a name takes its derivative by it from one
 signed zero, kept on the node.  `derivatives_kept` keeps one run's derivatives,
-bundles and other keyed work (`live_work`), and a run under a recurring key
-(cli: a file's, a system's) for the next.  A bundle of fields compiles to one
-statement per distinct node, bit-identical to eval_node.
+bundles and other keyed work (`live_work`), and the last runs under their keys
+(cli: a file's) for later runs.  A bundle of fields compiles to one statement
+per distinct node, bit-identical to eval_node.
 """
 
 from __future__ import annotations
@@ -106,9 +106,8 @@ _LIVE = _INTERN.data  # key -> weak reference, read directly; entries are set th
 _Names = tuple[frozenset[str], frozenset[str]]  # (Var names, Param names)
 _NO_NAMES: _Names = (frozenset(), frozenset())
 _KEPT: "ContextVar[set[object] | None]" = ContextVar("_KEPT", default=None)  # see derivatives_kept
-# the last _RECENT keys that `derivatives_kept` blocks exited with, oldest first: a key
-# seen once maps to None, so work seen once is released; one run may sit under two keys
-_RUNS: "dict[object, KeptRun | None]" = {}
+# the runs of the last _RECENT keys that `derivatives_kept` blocks exited with, oldest first
+_RUNS: "dict[object, KeptRun]" = {}
 _RECENT = 16
 # the symbolic work done since import, by kind; never reset, so readers take differences
 work = dict.fromkeys(("nodes", "derive", "bundles", "emitted", "compiles"), 0)
@@ -129,13 +128,12 @@ class _Node:
     object and equality is identity.  The table holds nodes weakly, and its
     key tells ``Num(0.0)`` from ``Num(-0.0)``.
 
-    Three slots, outside ``vars(node)`` and the dataclass fields, hold what is
+    Two slots, outside ``vars(node)`` and the dataclass fields, hold what is
     known of a node: ``_names``, its (Var names, Param names), set when the
-    node is built from its children's; ``_d``, made on first use, its
-    derivatives by name, held weakly (``exp(a)``'s refers back to it); and
-    ``_source``, its text, set when `ScalarField.source` first prints it."""
+    node is built from its children's; and ``_d``, made on first use, its
+    derivatives by name, held weakly (``exp(a)``'s refers back to it)."""
 
-    __slots__ = ("_names", "_d", "_source")
+    __slots__ = ("_names", "_d")
 
     def __new__(cls, *args):
         work["nodes"] += 1
@@ -151,7 +149,7 @@ class _Node:
             node.__dict__.update(zip(cls.__match_args__, args))
             if cls is Var:
                 names = (frozenset(args), _NO_NAMES[1])
-            elif cls is Param:
+            elif cls is Param and args[0][0] != "_":  # a lifted number (`lift`) reads none
                 names = (_NO_NAMES[0], frozenset(args))
             else:
                 names = _NO_NAMES
@@ -709,15 +707,13 @@ class ScalarField:
     free_params = property(lambda self: self.ast._names[1])
 
     def eval_env(self, env: Mapping[str, float]) -> float:
-        """The value at a name->value environment, compiled on each call; build
-        a bundle (`compile_bundle`, `geometry.point_bundle`) to evaluate often."""
-        return _compile(self.ast, self.free_vars | self.free_params)(env)
+        """The value at a name->value environment, lifted numbers (`lift`) included,
+        compiled on each call; build a bundle (`compile_bundle`,
+        `geometry.point_bundle`) to evaluate often."""
+        return _compile(self.ast, env)(env)
 
     def source(self) -> str:
-        """`to_source` of the tree, printed once while its node lives, which keeps the text."""
-        if (text := getattr(self.ast, "_source", None)) is None:
-            object.__setattr__(self.ast, "_source", text := to_source(self.ast))
-        return text
+        return to_source(self.ast)
 
     def _lift(self, other: "ScalarField | float | int") -> Node:
         if isinstance(other, ScalarField):
@@ -768,19 +764,39 @@ def apply_intrinsic(fn: str, arg: ScalarField) -> ScalarField:
 # parsing
 
 
-def parse(source: str, n: int) -> ScalarField:
+def lift(value: float, numbers: dict[str, float], place: str, before: int) -> Node:
+    """A number at `place` of a scenario (an expression string or an ansatz) as its tree
+    reads it: a zero, which folds terms away, stays; any other is the parameter `_<place>_<k>`,
+    bound to `value` in `numbers`, k the count of `place`'s numbers after the first `before`."""
+    if value == 0.0:
+        return Num(value)
+    numbers[name := f"_{place}_{len(numbers) - before}"] = value
+    return Param(name)
+
+
+def parse(source: str, n: int, numbers: dict[str, float] | None = None,
+          place: str = "") -> ScalarField:
     """Parse `source` into a ScalarField of dimension `n`, by recursive descent
     over its tokens, cut in one scan: a number, a name or one other character,
     each with its start, then an empty token at the end.  `operands(1)` parses
     an `expr` of the grammar and `operands(2)` a `term`; `unary` parses a
-    `unary` and a `power`, with their `atom`."""
+    `unary` and a `power`, with their `atom`.  Given `numbers`, a number outside
+    an exponent is `lift`ed, and a sign is a value: `-c`, `x - c*y` and `x - c`
+    read `c'`, `x + c'*y` and `x + c'` with `c' = -c` bound, bit for bit the
+    literal in IEEE arithmetic (`x - z == x + (-z)`, `(-c)*y == -(c*y)`)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN_RE.finditer(source)]
-    i = 0
+    i, before = 0, len(numbers or ())  # the numbers of other places
+    literal = numbers is None  # not lifting, or within an exponent
 
     def offset(pos: int) -> int:
         return len(source[:pos].encode("utf-8"))
+
+    def negated(node: Node) -> bool:  # whether `node` is a lifted number, now of the other sign
+        if lifted := type(node) is Param and node.name[0] == "_":
+            numbers[node.name] = -numbers[node.name]
+        return lifted
 
     def operands(prec: int) -> Node:
         """Operands joined by the operators of precedence `prec`, left to right."""
@@ -788,20 +804,23 @@ def parse(source: str, n: int) -> ScalarField:
         node = operands(prec + 1) if prec < _PREC_MUL else unary()
         while (op := _BY_SYMBOL.get(tokens[i][1])) is not None and op.prec == prec:
             i += 1
-            node = op.smart(node, operands(prec + 1) if prec < _PREC_MUL else unary())
+            right = operands(prec + 1) if prec < _PREC_MUL else unary()
+            c = right.left if type(right) is Mul else right
+            node = add_(node, right) if op.symbol == "-" and negated(c) else op.smart(node, right)
         return node
 
     def unary() -> Node:
-        nonlocal i
+        nonlocal i, literal
         kind, text, start = tokens[i]
         i += 1
         if text == "-":
-            return neg_(unary())
+            node = unary()
+            return node if negated(node) else neg_(node)
         call = kind == 2 and tokens[i][1] == "("
         if kind == 1:
             if not math.isfinite(v := float(text)):
                 raise ExprSyntaxError(f"numeric literal {text!r} is not a finite float", offset(start))
-            node = Num(v)
+            node = Num(v) if literal else lift(v, numbers, place, before)
         elif call or text == "(":
             if call:
                 if text not in _INTRINSICS:
@@ -819,9 +838,10 @@ def parse(source: str, n: int) -> ScalarField:
         else:
             raise ExprSyntaxError("expected a number, identifier or parenthesised expression",
                                   offset(start))
-        if tokens[i][1] == "^":
-            i += 1
-            return pow_(node, unary())
+        if tokens[i][1] == "^":  # an exponent's numbers stay: they set the `^` domain rule
+            i, outer, literal = i + 1, literal, True
+            node = pow_(node, unary())
+            literal = outer
         return node
 
     try:
@@ -904,11 +924,9 @@ def partial(field: ScalarField, name: str) -> ScalarField:
 @dataclass(eq=False)
 class KeptRun:
     """One `derivatives_kept` block: `work` holds its symbolic work (nodes and
-    bundles, which hash by identity, so one added again does not grow it),
-    `record` what the block keeps besides (the parsed input), and `keys` the
-    keys it is kept under."""
+    bundles, which hash by identity, so one added again does not grow it), and
+    `record` what the block keeps besides (the parsed input)."""
 
-    keys: list[object]
     record: object = None
     work: set[object] = dc_field(default_factory=set)
 
@@ -917,28 +935,18 @@ class KeptRun:
 def derivatives_kept(key: object) -> Iterator[KeptRun]:
     """Within the block, one set (`work` of the run yielded) holds the root of
     each `partial` call and its derivatives, so that the nodes' weak `_d` find
-    them, and every bundle that `compile_bundle` returns.  The block may add
-    keys to the run's `keys` (say, one read from its input once parsed), and
-    finds in `record` the record of the run kept under `key`, which it may
-    set.  A run that takes over that record takes over its `work` too: the
-    record may hold what that work built (a recurring input builds nothing
-    again), and another key of this run (say, a system's) must still find
-    the derivatives behind it.  On exit, under each key that is among the
-    last `_RECENT` keys that blocks exited with, the run replaces the earlier
-    one; a key seen for the first time is only recorded, so work seen once is
-    released.  The keys decide only how long the work lives, never what is
-    computed."""
-    prior = _RUNS.get(key)
-    run = KeptRun([key]) if prior is None else KeptRun([key], prior.record, prior.work)
+    them, and every bundle that `compile_bundle` returns.  The run is the one
+    kept under `key`, if any, whose `record` (set by the block) its `work` built.
+    On exit it is kept under `key` as the most recent, and only the runs of the
+    last `_RECENT` keys stay, serving every block with their work.  The key
+    decides only how long the work lives, never what is computed."""
+    run = _RUNS.pop(key, None) or KeptRun()
     token = _KEPT.set(run.work)
     try:
         yield run
     finally:
         _KEPT.reset(token)
-        for k in dict.fromkeys(run.keys):
-            recurs = k in _RUNS
-            _RUNS.pop(k, None)  # to be re-entered as the most recent
-            _RUNS[k] = run if recurs else None
+        _RUNS[key] = run
         while len(_RUNS) > _RECENT:  # no lock: a race could only misjudge a lifetime
             _RUNS.pop(next(iter(_RUNS)), None)
 

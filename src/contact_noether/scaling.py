@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Param, ScalarField, apply_intrinsic, number, parameter, substitute, variable
+from .expr import ScalarField, apply_intrinsic, lift, number, parameter, substitute, variable
 from .geometry import ContactSystem, SampleBox, VectorFieldSpec
 
 TRIVIAL = "Trivial"
@@ -74,14 +74,14 @@ def dot_qp(n: int) -> ScalarField:
     return acc
 
 
-def scaling_generator(ansatz: ScalingAnsatz, n: int, label: str | None = None) -> VectorFieldSpec:
-    """The linear field alpha q d_q + beta p d_p + gamma S d_S + sigma t d_t.  Given a
-    `label`, each nonzero rate is the parameter `_<label>_<rate>`, which no expression can
-    read (a name starts with a letter), so fields whose rates differ only in value are one
-    tree; a zero rate, which folds its terms away, stays the number 0."""
-    alpha, beta, gamma, sigma = (ScalarField(Param(f"_{label}_{k}"), n)
-                                 if label is not None and v != 0.0 else v
-                                 for k, v in vars(ansatz).items())
+def scaling_generator(ansatz: ScalingAnsatz, n: int, numbers: dict[str, float] | None = None,
+                      place: str = "") -> VectorFieldSpec:
+    """The linear field alpha q d_q + beta p d_p + gamma S d_S + sigma t d_t; given `numbers`,
+    its rates are `expr.lift`ed, as `expr.parse` lifts a scenario string's numbers."""
+    before = len(numbers or ())
+    alpha, beta, gamma, sigma = (
+        v if numbers is None else ScalarField(lift(v, numbers, place, before), n)
+        for v in vars(ansatz).values())
     return VectorFieldSpec(
         tuple(alpha * variable(f"q{i}", n) for i in range(n)),
         tuple(beta * variable(f"p{i}", n) for i in range(n)),

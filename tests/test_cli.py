@@ -133,6 +133,8 @@ def test_pointwise_checks_compile_one_bundle_each(tmp_path, monkeypatch):
     ]
     counts = []
     for samples in (5, 50):
+        expr._RUNS.clear()  # each alone: the first's kept bundles would serve the second
+        gc.collect()
         path = write_scenario(tmp_path, f"pointwise-{samples}", {
             "system": {"builtin": "kepler"},
             "sample_count": samples,
@@ -279,6 +281,46 @@ def _kepler_minus():
     return certbench_workloads().Case("kepler-minus", spec)
 
 
+def _kepler_explicit():
+    """kepler-scaling with a residual check of its `expression` invariant H and the
+    checks of an explicit field, the scaling field written out with numbers that the
+    literal trees fold (`1*S`), negate (`-1*p0`) or subtract (`4*t - 1*t`)."""
+    spec = json.loads((SCENARIOS / "kepler-scaling.json").read_text())
+    spec["symmetries"].append({"label": "explicit", "Yq": [f"2*q{i}" for i in range(3)],
+                               "Yp": [f"-1*p{i}" for i in range(3)], "YS": "1*S",
+                               "Yt": "4*t - 1*t"})
+    spec["checks"] += [{"type": "residual", "invariant": "H"},
+                       {"type": "symmetry", "symmetry": "explicit"},
+                       {"type": "closure", "first": "explicit", "second": "noether-of-QK-gauged"}]
+    return certbench_workloads().Case("kepler-explicit", spec)
+
+
+def _string_roots(sc, spec):
+    """The roots of the fields that `sc` read from strings of `spec`, its file: the h of
+    an `expression` system or of an `f` source, `expression` invariants, gauges and
+    explicit fields."""
+    system = spec["system"]
+    roots = [sc.system.h.ast] if "expression" in system or isinstance(
+        system.get("params", {}).get("f"), str) else []
+    roots += [sc.invariants[i["label"]].field.ast for i in spec["invariants"] if "expression" in i]
+    for s in spec.get("symmetries", []):
+        Y = sc.symmetries[s["label"]].field
+        roots += [] if "ansatz" in s else [Y.Yt.ast] if "from_invariant" in s else \
+            [c.ast for c in Y.components()]
+    return roots
+
+
+def _holds_a_number(root):
+    """Whether the tree `root` holds a nonzero number outside an exponent."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, expr.Num) and node.value != 0.0:
+            return True
+        stack += expr._operands(node)[:1] if isinstance(node, expr.Pow) else expr._operands(node)
+    return False
+
+
 class TestOneBundlePerScenario:
     """Every pointwise check of a scenario is judged from the columns of one
     bundle; the values and the first error are those of the checks alone."""
@@ -324,33 +366,34 @@ class TestOneBundlePerScenario:
         (_, ours), (_, theirs) = sc.fused, literal.fused
         assert [_hexes(ours(pt)) for pt in samples] == [_hexes(theirs(pt)) for pt in samples]
 
-    @pytest.mark.parametrize("source", [SCENARIOS / "kepler-scaling.json", _kepler_minus(),
-                                        *_sweep_cases(), *_sweep_cases(flip=True)],
+    @pytest.mark.parametrize("source", [SCENARIOS / "kepler-scaling.json",
+                                        SCENARIOS / "free-particle.json", _kepler_minus(),
+                                        _kepler_explicit(), *_sweep_cases(),
+                                        *_sweep_cases(flip=True)],
                              ids=lambda s: getattr(s, "stem", getattr(s, "name", None)))
-    def test_gauge_and_f_columns_are_those_of_the_literal_fields(self, tmp_path, monkeypatch,
-                                                                 source):
-        # a from_invariant symmetry's gauge and the oscillator's f read their nonzero
-        # numbers as bound parameters, `x - c*y` and `x - c` as `x + c'*y` and `x + c'`
-        # with c' = -c bound; every column of the fused bundle is bit for bit that of
-        # the same file loaded with these numbers written into the trees, for gauges
-        # of both signs (a sign rule that binds c, not -c, fails here)
+    def test_lifted_columns_are_those_of_the_literal_fields(self, tmp_path, monkeypatch, source):
+        # every string of a file (a system's expression or f, an invariant, a gauge, an
+        # explicit field) reads its nonzero numbers outside an exponent as bound
+        # parameters, `x - c*y` and `x - c` as `x + c'*y` and `x + c'` with c' = -c
+        # bound: every string that holds such a number has another tree, and
+        # every column of the fused bundle, and the report, is bit for bit that of the
+        # same file loaded with its numbers written into the trees, for gauges of both
+        # signs (a sign rule that binds c, not -c, fails here)
         path = source if isinstance(source, Path) else source.write(tmp_path)
-        sc = cli.load_scenario(path)
-        monkeypatch.setattr(cli, "_lifted", lambda field, prefix, numbers: field)
+        spec, sc, real = json.loads(path.read_text()), cli.load_scenario(path), cli.parse
+        monkeypatch.setattr(cli, "parse", lambda text, n, numbers=None, place="": real(text, n))
         literal = cli.load_scenario(path)
-        gauged = [s["label"] for s in json.loads(path.read_text())["symmetries"]
-                  if "from_invariant" in s]
-        assert gauged and all(sc.symmetries[label].field.Yt.ast
-                              is not literal.symmetries[label].field.Yt.ast
-                              for label in gauged)
-        if sc.system.label == "harmonic-dissipative":
-            assert sc.system.h.ast is not literal.system.h.ast
+        lifted = [ours is not theirs for ours, theirs in zip(_string_roots(sc, spec),
+                                                             _string_roots(literal, spec))
+                  if _holds_a_number(theirs)]
+        assert lifted and all(lifted)
         samples = sample_points(sc.bound, sc.sample_count, sc.seed,
                                 margin=sc.integrator.guard_margin)
         assert samples == sample_points(literal.bound, sc.sample_count, sc.seed,
                                         margin=sc.integrator.guard_margin)
         (_, ours), (_, theirs) = sc.fused, literal.fused
         assert [_hexes(ours(pt)) for pt in samples] == [_hexes(theirs(pt)) for pt in samples]
+        assert json.dumps(cli.run_checks(sc)[0]) == json.dumps(cli.run_checks(literal)[0])
 
     def test_a_later_check_failing_at_an_earlier_sample_raises_second(self, tmp_path):
         # the residual of sqrt(p0 - a1) first fails at sample i > 0, the symmetry
@@ -554,8 +597,12 @@ class TestExitCodes:
     def test_missing_and_unparsable_files_name_the_path(self, tmp_path, capsys):
         missing, unparsable = tmp_path / "missing.json", tmp_path / "unparsable.json"
         unparsable.write_text('{"name":\n  not json}')
+        (utf16 := tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+        (directory := tmp_path / "directory.json").mkdir()
         for path, message in ((missing, ": no such scenario file"),
-                              (unparsable, ":2: invalid JSON (Expecting value)")):
+                              (unparsable, ":2: invalid JSON (Expecting value)"),
+                              (utf16, ": not UTF-8 text (invalid start byte, byte offset 0)"),
+                              (directory, ": cannot read the scenario file (Is a directory)")):
             assert cli.run(path, tmp_path)[1] == 2
             assert capsys.readouterr().err == f"config error: {path}{message}\n"
 
@@ -1060,7 +1107,7 @@ def _outputs(out, name):
 
 class TestRecurringRuns:
     """A recurring file runs its kept scenario, with the checks it built and their
-    fused bundle, on its system's kept X_h: from its third run on in a process
+    fused bundle, on its system's kept X_h: from its second run on in a process
     only numeric work is done again, and the bytes written never change."""
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
@@ -1131,10 +1178,9 @@ class TestRecurringRuns:
         assert _outputs(tmp_path / "seeded", name) != _outputs(tmp_path / "plain-0", name)
 
     def test_a_file_that_takes_over_a_kept_run_keeps_its_work_for_the_system(self, tmp_path):
-        # a third run builds nothing, but it is kept under the system's key in
-        # place of the second, so it must hold the second's derivatives: a sweep
-        # Kepler file derives as much after three runs of kepler-scaling as after
-        # two (729 rules at seed 7 in a fresh interpreter)
+        # a later run builds nothing, but it replaces the earlier one under the
+        # file's key, so it must hold the earlier one's derivatives: a sweep Kepler
+        # file derives as much after three runs of kepler-scaling as after two
         kepler = SCENARIOS.parent / "certbench" / "bundled" / "kepler-scaling.json"
         sweep = certbench_workloads().symbolic_sweep_round(7, 5)[0]
         assert sweep.spec["system"]["builtin"] == "kepler"
@@ -1200,7 +1246,7 @@ class TestRecurringRuns:
     def test_a_file_of_a_kept_shape_with_new_numbers_derives_and_emits_nothing(self, tmp_path,
                                                                                index):
         # a gauge's nonzero numbers and the oscillator's f's are parameters named by
-        # their place (`_Y<position>_c<i>`, `_f_c<i>`), and a bundle's program is kept
+        # their place (`_Y<position>t_<k>`, `_f_<k>`), and a bundle's program is kept
         # by its roots, argnames and bound names: after two runs of one sweep file, a
         # later file of its system whose gauges have the same signs, with new numbers
         # everywhere, derives no rule and writes no statement (the oscillator derived
@@ -1304,8 +1350,8 @@ class TestRecurringRuns:
         assert kept == _alone_run(path, tmp_path / "alone", builds)
 
     def test_a_warm_sweep_file_prints_nothing(self, tmp_path, monkeypatch):
-        # a run is kept under the source of its system's h, whose text is kept on
-        # h's node once printed, so a new file of a kept system prints no tree
+        # a run is kept under its file's key alone, which reads no tree, so a new
+        # file of a recently run system prints none
         workloads = certbench_workloads()
         for case in workloads.symbolic_sweep_round(7, 0) * 2:
             assert cli.run(case.write(tmp_path), tmp_path, quiet=True)[1] == 0
@@ -1315,14 +1361,36 @@ class TestRecurringRuns:
             assert cli.run(case.write(tmp_path), tmp_path, quiet=True)[1] == 0
         assert printed == []
 
+    def test_expression_files_that_differ_only_in_numbers_share_their_programs(self, tmp_path):
+        # a system's expression, an invariant and an explicit field read their nonzero
+        # numbers as bound parameters, so after a file's runs, a file that differs from
+        # it only in these numbers has its trees: it derives no rule and writes no
+        # statement (it wrote every statement anew when they were literals)
+        def spec(c):
+            energy = f"p0^2/2 + {c!r}*q0^2/2 - {c / 4!r}*q0^4"
+            return {"system": {"expression": energy, "dimension": 1}, "sample_count": 10,
+                    "invariants": [{"label": "E", "expression": energy}],
+                    "symmetries": [{"label": "Y", "Yq": [f"{c!r}*p0"], "Yp": ["0"], "YS": "0",
+                                    "Yt": "1.5"}],
+                    "checks": [{"type": "residual", "invariant": "E"},
+                               {"type": "symmetry", "symmetry": "Y", "expect_symmetry": False}]}
+
+        first, second = (write_scenario(tmp_path, f"quartic-{k}", spec(c))
+                         for k, c in enumerate((1.25, 0.75)))
+        for _ in range(2):
+            assert cli.run(first, tmp_path, quiet=True)[1] == 0
+        done = tally()
+        assert cli.run(second, tmp_path, quiet=True)[1] == 0
+        work = done()
+        assert [work[k] for k in ("derive", "emitted")] == [0, 0] and work["bundles"] > 0
+
     def test_the_kept_work_of_a_file_does_not_grow(self, tmp_path):
         path = SCENARIOS / "kepler-scaling.json"
         key, sizes = (path.read_bytes(), path.stem), []
         for _ in range(50):
             assert cli.run(path, tmp_path, quiet=True)[1] == 0
-            if expr._RUNS[key] is not None:
-                sizes.append(len(expr._RUNS[key].work))
-        assert len(sizes) == 49 and set(sizes) == {sizes[0]}
+            sizes.append(len(expr._RUNS[key].work))
+        assert set(sizes) == {sizes[0]}
 
 
 class TestArtifacts:
@@ -1463,10 +1531,11 @@ class TestSolveScalingCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--k", "2", "--dimension", "0"],
+        ["--k", "2", "--dimension", "129"],  # above cli.MAX_DIMENSION: memory grows as n^2
         ["--k", "inf"],
         ["--k", "2", "--g", "homogeneous", "--kappa", "1", "--g0", "nan"],
         ["--k", "2", "--g", "homogeneous", "--kappa", "nan"],
-    ], ids=["dimension", "k", "g0", "kappa"])
+    ], ids=["dimension", "dimension-over-the-bound", "k", "g0", "kappa"])
     def test_bad_number_is_a_usage_error(self, argv, capsys):
         assert cli.main(["solve-scaling", *argv]) == 2
         out, err = capsys.readouterr()

@@ -26,7 +26,6 @@ from contact_noether.expr import (
     partial,
     substitute,
 )
-from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.geometry import point_bundle
 from contact_noether.noether import sample_points
 from conftest import certbench_workloads, point, tally, value
@@ -410,7 +409,7 @@ print(len(texts), hashlib.sha256("\\0".join(texts).encode()).hexdigest())
                           timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.split() == [
-        "26", "11e7a8561d4305ea3b31072d69cb1050ca470b1e471dddf154c06a54549def1c"]
+        "26", "b545569ae100af2e028abaddba3c933be18a0673f5a8bf5698a543baae584e38"]
 
 
 class TestDeepTrees:
@@ -940,9 +939,10 @@ def _spaced(tmp_path, k: int) -> Path:
 
 
 def _oscillator(tmp_path, k: int) -> Path:
-    """An oscillator whose stiffness literal, 1 + k/8, is its own: a system that
-    no other k shares.  It flows, and runs a check of every pointwise type."""
-    energy = f"p0^2/2 + {1.0 + k / 8!r}*q0^2/2"
+    """An oscillator of stiffness about 1 + k/8, written as a power `s^(k + 1)`: a
+    nonzero number is a bound parameter, but an exponent stays, so it is a system
+    that no other k shares.  It flows, and runs a check of every pointwise type."""
+    energy = f"p0^2/2 + {(1.0 + k / 8) ** (1.0 / (k + 1))!r}^{k + 1}*q0^2/2"
     path = tmp_path / f"oscillator-{k}.json"
     path.write_text(json.dumps({
         "system": {"expression": energy, "dimension": 1},
@@ -962,11 +962,11 @@ def _oscillator(tmp_path, k: int) -> Path:
 
 
 class TestRunScopedDerivatives:
-    """While one scenario runs, one list holds every derivative that `partial`
+    """While one scenario runs, one set holds every derivative that `partial`
     builds and every bundle compiled, so a later check finds an earlier one's
-    through the nodes' weak `_d`.  The list goes when the run returns, unless
-    the file (its bytes and stem) or the system (its h) is among the last 16
-    keys and was seen before; the file's key keeps the parsed scenario too."""
+    through the nodes' weak `_d`.  When the run returns, the set is kept under
+    its file's key (its bytes and stem), with the parsed scenario; only the
+    runs of the last 16 keys are kept, so a file is released after 16 others."""
 
     def test_a_run_derives_each_node_by_each_name_once(self, tmp_path, monkeypatch):
         names: "weakref.WeakKeyDictionary[expr._Node, set]" = weakref.WeakKeyDictionary()
@@ -1006,11 +1006,11 @@ class TestRunScopedDerivatives:
         assert code == 0 and calls[0] > 20
         assert again == []
 
-    def test_a_run_leaves_the_table_as_it_was(self, tmp_path, monkeypatch):
+    def test_a_run_holds_its_nodes_in_its_kept_run_alone(self, tmp_path, monkeypatch):
         # the first run may leave the absent-name zero, a number, on nodes that
         # outlive it; with the collector off, only reference counts can free the
-        # second run's nodes, so neither the list nor a cycle holds one, and a
-        # file and a system that have not run before keep nothing
+        # second run's nodes, so neither the set nor a cycle holds one: the nodes
+        # of a file of a new system live while its run is kept, and go with it
         cli.run(_oscillator(tmp_path, 0), tmp_path, quiet=True)
         path = _oscillator(tmp_path, 1)
         sizes = []
@@ -1024,6 +1024,8 @@ class TestRunScopedDerivatives:
             report, code = cli.run(path, tmp_path, quiet=True)
             assert code == 0 and sizes[0] > baseline and expr._KEPT.get() is None
             del report
+            assert len(expr._INTERN) > baseline
+            del expr._RUNS[(path.read_bytes(), path.stem)]
             assert len(expr._INTERN) == baseline
         finally:
             gc.enable()
@@ -1041,71 +1043,52 @@ class TestRunScopedDerivatives:
         assert [counts[2][k] for k in ("derive", "bundles", "emitted", "compiles")] == [0] * 4
         assert outputs[2] == outputs[1] == outputs[0]
 
-    def test_scenarios_seen_once_keep_nothing(self, tmp_path):
-        # each run records two keys, its file's and its system's, so the 20 runs'
-        # 40 keys fill the window of 16 and none of them holds a run
-        cli.run(_oscillator(tmp_path, 0), tmp_path, quiet=True)
-        paths = [_oscillator(tmp_path, k) for k in range(1, 21)]
-        gc.collect()
-        baseline = len(expr._INTERN)
-        gc.disable()
-        try:
-            for path in paths:
-                assert cli.run(path, tmp_path, quiet=True)[1] == 0
-            assert len(expr._INTERN) == baseline
-        finally:
-            gc.enable()
-        assert len(expr._RUNS) == 16 and all(kept is None for kept in expr._RUNS.values())
+    def test_at_most_16_runs_are_kept(self, tmp_path):
+        # 20 files of 20 systems, each run once: the runs of the last 16 are kept,
+        # each from its first run, under its own file's key
+        paths = [_oscillator(tmp_path, k) for k in range(20)]
+        for path in paths:
+            assert cli.run(path, tmp_path, quiet=True)[1] == 0
+        assert list(expr._RUNS) == [(path.read_bytes(), path.stem) for path in paths[4:]]
 
-    def test_a_recurring_scenario_is_released_after_eight_others(self, tmp_path):
-        # the recurring run sits under its file's key and its system's; seven
-        # other runs add 14 keys, so both are among the last 16, and the eighth
-        # pushes both out
-        paths = [_oscillator(tmp_path, k) for k in range(10)]
-        cli.run(paths[9], tmp_path, quiet=True)
+    def test_a_file_is_released_after_16_other_files(self, tmp_path):
+        # with the collector off, only reference counts free a run: a file's run,
+        # and the h of its system, which no other file reads, live while 15 other
+        # files run and go when the 16th returns
+        paths = [_oscillator(tmp_path, k) for k in range(17)]
         gc.collect()
-        baseline = len(expr._INTERN)
         gc.disable()
         try:
-            for path in (paths[0], paths[0], *paths[1:8]):
+            assert cli.run(paths[0], tmp_path, quiet=True)[1] == 0
+            run = expr._RUNS[(paths[0].read_bytes(), paths[0].stem)]
+            refs = [weakref.ref(run), weakref.ref(run.record.system.h.ast)]
+            del run
+            for path in paths[1:16]:
                 assert cli.run(path, tmp_path, quiet=True)[1] == 0
-            held = len(expr._INTERN)
-            assert cli.run(paths[8], tmp_path, quiet=True)[1] == 0
-            assert held > baseline and len(expr._INTERN) == baseline
+            assert all(ref() is not None for ref in refs)
+            assert cli.run(paths[16], tmp_path, quiet=True)[1] == 0
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
-    def test_a_new_parameter_choice_of_a_known_system_derives_nothing_again(
-            self, tmp_path, monkeypatch):
-        # three sweep Kepler files, distinct in m, eps, the gauge and wrong-sigma:
-        # the first makes the system known, so the second's work is kept under the
-        # system's key, and the third takes none of its (node, name) pairs again
-        # for h, X_h^t, X_h or the fixed scaling field
+    def test_a_new_parameter_choice_of_a_recently_run_system_derives_nothing(self, tmp_path):
+        # three sweep Kepler files, distinct in m, eps, the gauge's numbers and
+        # wrong-sigma's: every number is a bound parameter, so the three are one set
+        # of trees, and the first file's run, kept from its first run on, holds their
+        # derivatives for the other two
         files = [certbench_workloads().symbolic_sweep_round(7, k)[0].write(tmp_path)
                  for k in range(3)]
-        sc = cli.load_scenario(files[2])
-        fields = [sc.system.h, *(c for Y in (extended_field(sc.system), contact_field(sc.system),
-                                             sc.symmetries["scaling"].field)
-                                 for c in (*Y.Yq, *Y.Yp, Y.YS, Y.Yt))]
-        shared = {expr.to_source(node) for f in fields for node in _distinct(f.ast)}
-        del sc, fields
-        cli.run(files[0], tmp_path, quiet=True)
-        pairs, calls, real = [], [], expr._derive
-        monkeypatch.setattr(expr, "_derive", lambda node, name, d: calls.append((node, name))
-                            or real(node, name, d))
+        assert cli.run(files[0], tmp_path, quiet=True)[1] == 0
         for path in files[1:]:
+            done = tally()
             assert cli.run(path, tmp_path, quiet=True)[1] == 0
-            pairs.append({(expr.to_source(node), name) for node, name in calls
-                          if expr.to_source(node) in shared})
-            calls.clear()
-        assert len(pairs[0]) > 100
-        assert pairs[1] & pairs[0] == set()
+            assert done()["derive"] == 0
 
     def test_a_file_keeps_its_work_while_another_on_its_system_runs(self, tmp_path, monkeypatch):
-        # A B A B A, with B the same scenario under other bytes: the system's key
-        # holds B's first run for A's second, so from then on nothing is derived
-        # or compiled, and the file's key holds A's own work and scenario for its
-        # third, which B's runs under the system's key do not push out
+        # A B A B A, with B the same scenario under other bytes: A's first run is
+        # kept, so B's first run finds its derivatives and bundles, and each file's
+        # key holds its own scenario for its later runs: only A's first run derives
+        # or compiles, and each file is loaded once
         a, b = SCENARIOS / "kepler-scaling.json", _spaced(tmp_path, 1)
         loads, real = [], cli._load
         monkeypatch.setattr(cli, "_load", lambda p, data: loads.append(p) or real(p, data))
@@ -1114,13 +1097,13 @@ class TestRunScopedDerivatives:
             done = tally()
             assert cli.run(path, tmp_path, quiet=True)[1] == 0
             counts.append(done())
-        assert counts[0]["derive"] > 800 and counts[1]["derive"] > 800
+        assert counts[0]["derive"] > 800
         assert [[c[k] for k in ("derive", "bundles", "emitted", "compiles")]
-                for c in counts[2:]] == [[0] * 4] * 3
-        assert loads == [a, b, a, b]
+                for c in counts[1:]] == [[0] * 4] * 4
+        assert loads == [a, b]
 
     def test_a_recurring_file_is_loaded_once_for_its_later_runs(self, tmp_path, monkeypatch):
-        # the scenario loaded for the second run serves the third on; --seed and
+        # the scenario loaded for the first run serves every later one; --seed and
         # --tol-override apply to a copy of it, so the next plain run reads as the first
         path = SCENARIOS / "kepler-scaling.json"
         loads, real = [], cli._load
@@ -1130,7 +1113,7 @@ class TestRunScopedDerivatives:
             assert cli.run(path, tmp_path / str(k), quiet=True, **options)[1] == 0
             reports.append((tmp_path / str(k) / "kepler-scaling" / "report.json").read_bytes())
             loaded.append(len(loads))
-        assert loaded == [1, 2, 2, 2, 2, 2]
+        assert loaded == [1, 1, 1, 1, 1, 1]
         seed, tols = (json.loads(reports[k]) for k in (3, 4))
         assert seed["seed"] == 5 and {c["tol"] for c in tols["checks"]} == {1e-3}
         assert reports[5] == reports[2] == reports[0]

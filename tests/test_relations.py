@@ -20,7 +20,7 @@ import pytest
 
 from contact_noether import cli
 from contact_noether.expr import DomainError, compile_bundle, number, parse, partial, variable
-from contact_noether.geometry import coordinate_names, point_bundle
+from contact_noether.geometry import ContactSystem, coordinate_names, point_bundle
 from contact_noether.noether import sample_points, symmetry_from_invariant
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from contact_noether.systems import make_builtin
@@ -151,9 +151,10 @@ def test_scaled_and_summed_symmetries_scale_and_sum_their_factors(tmp_path, name
     symmetries = [{"label": "Y1", "ansatz": ansatz},
                   {"label": "Y2", "from_invariant": spec["invariants"][0]["label"],
                    "Yt": gauge.source()}]
-    # Y2 over the system with its numbers written in: a loaded oscillator reads f's as parameters
+    # Y2 over the system with its numbers written in: a loaded file reads them as parameters
     given = spec["system"]
-    literal = make_builtin(given["builtin"], given["params"]) if "builtin" in given else sc.system
+    literal = (make_builtin(given["builtin"], given["params"]) if "builtin" in given
+               else ContactSystem(n, parse(given["expression"], n), given.get("params", {})))
     Y2 = symmetry_from_invariant(literal, sc.invariants[symmetries[1]["from_invariant"]].field, gauge)
     total = [c.source() for c in (scaling_generator(ScalingAnsatz(**ansatz), n) + Y2).components()]
     symmetries += [{"label": f"{c}Y1", "ansatz": vars(ScalingAnsatz(**ansatz).scaled(c))}

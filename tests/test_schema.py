@@ -132,8 +132,12 @@ REFUSED = {
         lambda s: _symmetry(s, "noether-of-QK-gauged").update(Yt="c*t + b*t^2"),
         "symmetry 'noether-of-QK-gauged' Yt reads ['b', 'c'], bound by no coordinate"),
     "point_params-naming-an-ansatz-rate": (
-        lambda s: s.update(point_params={"_Y0_alpha": 1.0}),
-        "point_params ['_Y0_alpha'] name rates of ansatz fields"),
+        lambda s: s.update(point_params={"_Y0_0": 1.0}),
+        "'point_params' must be a JSON object with no key that starts with '_', which names a "
+        "number of the file, got {'_Y0_0': 1.0}"),
+    "system-params-naming-a-number": (
+        lambda s: s["system"]["params"].update(_x=1.0),
+        "system 'params' must be a JSON object with no key that starts with '_'"),
     "auxiliary-name-on-kepler": (
         lambda s: s["symmetries"].append({"label": "Z", "Yq": ["q0", "q1", "q2"],
                                           "Yp": ["p0", "p1", "p2"], "YS": "rho*S", "Yt": "0"}),
@@ -283,7 +287,7 @@ def test_readme_names_exactly_the_tables_keys():
 
 # ---------------------------------------------------------------------------
 # the fuzzer: one or two edits of a bundled scenario, run three times, so that the
-# third run is of the scenario and the work that the second kept (`cli.run`)
+# later runs are of the scenario and the work that the first kept (`cli.run`)
 
 
 def _small(spec):
