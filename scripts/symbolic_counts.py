@@ -9,7 +9,8 @@ which is only read, as in `paired_rounds.py`) through `cli.run` of the
 the process up; rounds 1..K are counted.  For each counted round it prints
 what the round added to the package's tally `expr.work`:
 
-- `bundles`: bundles of fields generated (`expr._codegen`);
+- `bundles`: programs of bundles emitted (`expr._codegen`); a bundle whose
+  program is live, whatever its bound values, emits none;
 - `derive`: derivative rules applied to one node (`expr._derive`);
 - `nodes`: node constructions, whether a node is made or found live;
 - `emitted`: statements written into the generated bundles;
@@ -21,7 +22,9 @@ file's run added.
 
 A run's work is kept from its file's first run on, while it is among the
 last 16 runs.  So a workload whose files recur (bundled, long-flow) counts 0
-bundles, derive and emitted from round 1, and loads no file again;
+bundles, derive and emitted from round 1, and loads no file again; its nodes
+are those of the compensation chains and bindings that each run builds
+again from live nodes;
 symbolic-sweep, whose files are new every round but whose trees are not (every
 number of a file is a bound parameter), finds each system's derivatives and
 programs in the kept runs of earlier files, and derives only what a new shape

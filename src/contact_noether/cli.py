@@ -391,10 +391,13 @@ def _scenario(raw: Any, stem: str) -> Scenario:
             symmetries[g.label] = Symmetry(VectorFieldSpec(Yq, Yp, YS, Yt))
 
     checks = []
-    for spec in f.checks:
+    for i, spec in enumerate(f.checks):
         ctype = _choice(*CHECKS)(OBJECT(spec, "check").get(TYPE), "check 'type'")
-        checks.append(_fields(spec, CHECKS[ctype], f"{ctype} check",
-                              {"invariant": invariants, "symmetry": symmetries}))
+        checks.append(c := _fields(spec, CHECKS[ctype], f"{ctype} check",
+                                   {"invariant": invariants, "symmetry": symmetries}))
+        _require(c.against != "contact" or "t" not in system.h.free_vars,
+                 f"check[{i}] {ctype} {CHECKS[ctype].target.format(*c.refs)}: 'against' "
+                 "'contact' needs an h that does not read t; use 'extended'")
     return Scenario(name, system.with_params(lifted), f.initial, f.t_end, f.integrator, f.seed,
                     f.sample_count, invariants, symmetries, tuple(checks), f.auxiliary, point_params)
 
@@ -427,25 +430,13 @@ def _build(sc: Scenario, c: Check) -> noether.Pointwise:
     return noether.build_similarity(Y, X, c.tol, c.Lambda_tol, sc.system)
 
 
-def _replay(b: noether.Pointwise, samples: list[ExtendedPoint], params: dict) -> Iterator:
-    """The rows of the built check `b` alone, from a bundle of its own fields, as
-    `Pointwise.run` reads them; a DomainError gains its sample's index and coordinates."""
-    at = point_bundle(b.fields, params)
-    for k, pt in enumerate(samples):
-        try:
-            yield at(pt)
-        except DomainError as e:
-            coords = ", ".join(f"{name}={v!r}" for name, v in pt.env().items())
-            e.args = (f"sample {k} ({coords}): {e}",)
-            raise
-
-
 def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     """Execute every check of a loaded scenario; returns (report, trajectory).
     The flow, the samples, the rows of the pointwise checks' one bundle (`Scenario.fused`,
     built once per scenario record), the judges and the report are computed on every call.
-    If a row leaves the domain, each pointwise check replays its own fields at its turn
-    (`_replay`).  A pointwise check's error is prefixed with its index, type and target."""
+    If a row leaves the domain, each pointwise check reads the rows of its own fields at
+    its turn (`Pointwise.rows`).  A pointwise check's error is prefixed with its index, type
+    and target."""
     report: dict[str, Any] = {"scenario": sc.name, "version": __version__, "seed": sc.seed,
                               "sample_count": sc.sample_count, "checks": [], "passed": True}
     pointwise = [CHECKS[c.type].pointwise for c in sc.checks]
@@ -473,7 +464,7 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
         if pointwise[i]:
             b = built[i]
             with _named(i, c, DomainError, noether.DegeneratePoint):
-                rep = b.judge(samples, _replay(b, samples, bound.params) if rows is None
+                rep = b.judge(samples, b.rows(samples, bound.params) if rows is None
                               else [v[lo:lo + len(b.fields)] for v in rows])
             lo += len(b.fields)
         if ctype == "drift":

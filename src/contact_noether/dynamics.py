@@ -22,9 +22,9 @@ import math
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import accumulate
-from operator import itemgetter
+from functools import lru_cache
+from itertools import accumulate, product
+from operator import itemgetter, truediv
 from typing import Callable, Mapping, NamedTuple
 
 from .expr import DomainError, ScalarField, _make, compile_bundle, number
@@ -91,35 +91,16 @@ _E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993
 _STAGES = len(_A) - 1
 
 
-def _pairwise(terms: list[str]) -> str:
-    """Source of the sum of `terms`, non-negative floats, in the order of
-    NumPy's add.reduce: one by one below 8 terms, eight interleaved
-    accumulators up to 128, halves above."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return f"({_pairwise(terms[:half])} + {_pairwise(terms[half:])})"
-    if n < 8:
-        return f"({' + '.join(['0.0', *terms])})"
-    m = n - n % 8
-    r = [f"({' + '.join(['0.0', *terms[j:m:8]])})" for j in range(8)]
-    return (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
-            f"{''.join(f' + {v}' for v in terms[m:])})")
-
-
 def _squares(name: str, m: int) -> str:  # the sum of squares of the locals name0..name(m-1)
-    return _pairwise([f"{name}{c} * {name}{c}" for c in range(m)])
-
-
-@cache
-def _rms_of(m: int) -> Callable[[Sequence[float], Sequence[float]], float]:
-    return _make(["def _f(v, s):", *(f"    r{c} = v[{c}] / s[{c}]" for c in range(m)),
-                  f"    return _sqrt({_squares('r', m)} / {m})"], "rms", {}, ())
+    return f"({' + '.join(['0.0', *(f'{name}{c} * {name}{c}' for c in range(m))])})"
 
 
 def _rms(values: Sequence[float], scale: Sequence[float]) -> float:
-    """sqrt(mean((values / scale) ** 2)) over the first len(scale) values."""
-    return _rms_of(len(scale))(values, scale)
+    """sqrt(mean((values / scale) ** 2)) over the first len(scale) values, summed left to right."""
+    total = 0.0
+    for r in map(truediv, values, scale):
+        total += r * r
+    return math.sqrt(total / len(scale))
 
 
 def _unpack(name: str, m: int) -> str:
@@ -368,7 +349,8 @@ def integrate(system: ContactSystem, start: ExtendedPoint, t_end: float,
     step-size failures return the partial trajectory with an error tag
     instead of raising.  The steps are taken by `_flow_loop`, which tests and
     records each accepted state itself; the Python `rhs` here gives only the
-    initial rates and the initial-step probe.
+    initial rates and the initial-step probe.  A DomainError of a tracked
+    field, evaluated after the flow, names the field, the time and the state.
     """
     cfg, aux, tracked = cfg or IntegratorConfig(), dict(aux or {}), dict(tracked or {})
     if not system.admissible(start, cfg.guard_margin):
@@ -400,7 +382,17 @@ def integrate(system: ContactSystem, start: ExtendedPoint, t_end: float,
              *(float(c.initial) for c in aux.values())]]
     stats, tag = adaptive_rk45(rhs, start.t, rows[0], t_end, cfg,
                                loop=_flow_loop(rhs_fn, len(fields), state, boxed, times, rows))
-    columns = zip(*(columns_fn(*y, t) for t, y in zip(times, rows)))
+    try:
+        columns = zip(*(columns_fn(*y, t) for t, y in zip(times, rows)))
+    except DomainError as e:  # the bundle's is the first row's first field to raise alone
+        alone = {label: compile_bundle([f], state, system.params) for label, f in tracked.items()}
+        for (t, y), (label, fn) in product(zip(times, rows), alone.items()):
+            try:
+                fn(*y, t)
+            except DomainError:
+                e.args = (f"tracked {label!r} at t={t!r}, state {[*y]!r}: {e}",)
+                break
+        raise
     recorded = dict(zip(tracked, map(list, columns)))
     recorded.update({nm: [y[i] for y in rows] for i, nm in enumerate(aux, 2 * n + 1)})
     return Trajectory(n, times, rows, recorded, stats, tag)
@@ -414,12 +406,9 @@ def cumulative_integral(system: ContactSystem, traj: Trajectory,
     + d^3/84 (g0" + g1") + d^4/1680 (g0'" - g1'"), the derivatives of g taken
     along X_h^t (the rated parameters moving at their rates).  So it is exact
     for g of degree 7 in t, and for a constant g it is the one term d*g."""
-    m, g = 2 * traj.n + 1, system.flow_chains.get(integrand.ast)
-    if g is None:  # built once per system and integrand, and kept (`flow_chains`)
-        flow, g = extended_field(system), [integrand]
-        for _ in range(3):
-            g.append(directional_derivative(flow, g[-1]) + system.rate_term(g[-1]))
-        system.flow_chains[integrand.ast] = g
+    m, flow, g = 2 * traj.n + 1, extended_field(system), [integrand]
+    for _ in range(3):
+        g.append(directional_derivative(flow, g[-1]) + system.rate_term(g[-1]))
     fn = compile_bundle(g, coordinate_names(traj.n), system.params)
     vals = [fn(*y[:m], t) for t, y in zip(traj.times, traj.rows)]
     steps = [b - a for a, b in zip(traj.times, traj.times[1:])]

@@ -36,7 +36,7 @@ runs its rule once per distinct node, operands first, by `_walk`, on a stack of
 its own, so no tree is too deep; only `parse` recurses, and refuses too deep a
 nesting.  A node that does not read a name takes its derivative by it from one
 signed zero, kept on the node.  `derivatives_kept` keeps one run's derivatives,
-bundles and other keyed work (`live_work`), and the last runs under their keys
+programs and other keyed work (`live_work`), and the last runs under their keys
 (cli: a file's) for later runs.  A bundle of fields compiles to one statement
 per distinct node, bit-identical to eval_node.
 """
@@ -597,10 +597,10 @@ def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str,
     never their values.  The statements that read only numbers and names of
     `bound` run once, when `_f` is made; one that raises leaves its name and the
     later ones unbound, so a call that reads them takes `_slow`."""
-    work["bundles"] += 1
     names = frozenset(bound)
 
     def program() -> Callable:  # `make(slow, bound)`; each of its cells is a number or a name
+        work["bundles"] += 1
         body, cells, checked, values, fixed = _emit(roots, names)
         work["emitted"] += len(body)
         params = ", ".join(f"_v_{nm}" for nm in argnames)
@@ -619,8 +619,8 @@ def _codegen(roots: Sequence[Node], argnames: Sequence[str], bound: Mapping[str,
     return live_work(("program", tuple(roots), tuple(argnames), names), program)(slow, bound)
 
 
-# the live bundles, by (roots, argnames, bound names with their values' type, value and
-# sign), and the other work kept by a key whose first item names its kind (`live_work`)
+# the live programs of bundles, by (roots, argnames, bound names), and the other work
+# kept by a key whose first item names its kind (`live_work`)
 _LIVE_WORK: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
 
 
@@ -639,9 +639,9 @@ def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
     """One function of positional floats, given in the order of `argnames`,
     that returns a tuple with one value per field, bit for bit eval_node's,
     and raises eval_node's first DomainError; `params` binds the other names,
-    by `bindable_params`, as numbers of the function.  While it lives, the
-    same roots, names and bound values return it again; while its program
-    lives, other values of the same bound names emit nothing (`_codegen`)."""
+    by `bindable_params`, as numbers of the function.  While its program
+    lives, the same roots and names, whatever their bound values, emit
+    nothing (`_codegen`)."""
     roots, bound = [f.ast for f in fields], bindable_params(params, argnames)
     unbound = set().union(*(f.free_vars | f.free_params for f in fields)) - {*argnames, *bound}
     if unbound:
@@ -652,9 +652,7 @@ def compile_bundle(fields: Sequence["ScalarField"], argnames: Sequence[str],
         memo = _walk(roots, lambda node, v: _eval(node, env, v), {}, _valued)
         return tuple(memo[r] for r in roots)
 
-    return live_work((tuple(roots), tuple(argnames),
-                      tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in bound.items())),
-                     lambda: _codegen(roots, argnames, bound, slow))
+    return _codegen(roots, argnames, bound, slow)
 
 
 def _compile(node: Node, names: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
@@ -924,7 +922,7 @@ def partial(field: ScalarField, name: str) -> ScalarField:
 @dataclass(eq=False)
 class KeptRun:
     """One `derivatives_kept` block: `work` holds its symbolic work (nodes and
-    bundles, which hash by identity, so one added again does not grow it), and
+    programs, which hash by identity, so one added again does not grow it), and
     `record` what the block keeps besides (the parsed input)."""
 
     record: object = None
@@ -935,7 +933,7 @@ class KeptRun:
 def derivatives_kept(key: object) -> Iterator[KeptRun]:
     """Within the block, one set (`work` of the run yielded) holds the root of
     each `partial` call and its derivatives, so that the nodes' weak `_d` find
-    them, and every bundle that `compile_bundle` returns.  The run is the one
+    them, and each program that `compile_bundle` uses.  The run is the one
     kept under `key`, if any, whose `record` (set by the block) its `work` built.
     On exit it is kept under `key` as the most recent, and only the runs of the
     last `_RECENT` keys stay, serving every block with their work.  The key

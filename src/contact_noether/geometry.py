@@ -234,11 +234,6 @@ class ContactSystem:
         of the system share it."""
         return contact_field_of(self.h)
 
-    @cached_property
-    def flow_chains(self) -> dict[expr.Node, list[ScalarField]]:
-        """`dynamics.cumulative_integral`'s derivative chains, by integrand node, kept as X_h is."""
-        return {}
-
     def rate_term(self, F: ScalarField) -> ScalarField:
         """The sum of rate * dF/d(name) over the rated parameters F reads: the
         number 0 when it reads none, so adding it leaves a field's tree as it is."""
@@ -250,14 +245,10 @@ class ContactSystem:
 
     def with_params(self, extra: Mapping[str, float]) -> "ContactSystem":
         """This system with `extra` bound over its parameters, so that `extra`
-        wins; the coordinates still win over both (`expr.bindable_params`).
-        With no `extra` it is this system itself.  Either way it keeps the
-        derivatives already built (`h_q` ... `flow_chains`), which read no value."""
-        if not extra:
-            return self
-        bound = replace(self, params={**self.params, **extra})
-        vars(bound).update({**vars(self), **vars(bound)})  # its own fields win
-        return bound
+        wins; the coordinates still win over both (`expr.bindable_params`).  With no
+        `extra` it is this system itself; a new binding builds its `h_q` ... `X_h`
+        again on first use, from the derivatives that its nodes keep."""
+        return replace(self, params={**self.params, **extra}) if extra else self
 
     def env(self, point: ExtendedPoint, extra: Mapping[str, float] | None = None) -> dict[str, float]:
         """Parameters, then `extra`, then coordinates, which win as in `expr.bindable_params`."""

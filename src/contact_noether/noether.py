@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import neg
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .expr import DomainError, ScalarField, compile_bundle, number, partial
 from .dynamics import Trajectory, cumulative_integral, extended_field
@@ -204,9 +204,21 @@ class Pointwise(NamedTuple):
     fields: tuple[ScalarField, ...]
     judge: Callable[[Sequence[ExtendedPoint], Iterable[Sequence[float]]], Any]
 
+    def rows(self, samples: Sequence[ExtendedPoint], params: Mapping[str, float]) -> Iterator:
+        """Its fields' values at each sample in turn, from a bundle of its own; a
+        DomainError gains its sample's index and coordinates."""
+        at = point_bundle(self.fields, params)
+        for k, pt in enumerate(samples):
+            try:
+                yield at(pt)
+            except DomainError as e:
+                coords = ", ".join(f"{name}={v!r}" for name, v in pt.env().items())
+                e.args = (f"sample {k} ({coords}): {e}",)
+                raise
+
     def run(self, samples: Sequence[ExtendedPoint], params: Mapping[str, float]) -> Any:
-        """Judged from a bundle of its own fields, called at each sample in turn."""
-        return self.judge(samples, map(point_bundle(self.fields, params), samples))
+        """Judged from its `rows`."""
+        return self.judge(samples, self.rows(samples, params))
 
 
 def build_residual(system: ContactSystem, F: ScalarField) -> Pointwise:

@@ -15,9 +15,10 @@ import pytest
 from contact_noether import cli, dynamics, expr
 from contact_noether.dynamics import contact_field, extended_field
 from contact_noether.expr import DomainError, parse
-from contact_noether.geometry import ContactSystem, lie_bracket, nan_max, point_bundle
-from contact_noether.noether import (DegeneratePoint, closure_check, dissipation_field,
-                                     sample_points, similarity_test, symmetry_test)
+from contact_noether.geometry import ContactSystem, lie_bracket, point_bundle
+from contact_noether.noether import (DegeneratePoint, build_residual, closure_check,
+                                     dissipation_field, sample_points, similarity_test,
+                                     symmetry_test)
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
 from conftest import certbench_workloads, tally
 from oracles import dual_bracket, dual_lie_derivative, dual_residual
@@ -161,9 +162,7 @@ def _alone(sc, c, tol, samples):
     at `samples`, in the order `_reported` lists a report entry's."""
     system = sc.system.with_params(sc.point_params)
     if c.type == "residual":
-        residual = point_bundle([dissipation_field(system, sc.invariants[c.refs[0]].field)],
-                                system.params)
-        return [nan_max(abs(residual(pt)[0]) for pt in samples)]
+        return [build_residual(system, sc.invariants[c.refs[0]].field).run(samples, system.params)]
     if c.type == "closure":
         s1, s2 = (sc.symmetries[label] for label in c.refs)
         rep = closure_check(system, s1.field, s2.field, samples, tol, s1.factor, s2.factor)
@@ -413,22 +412,20 @@ class TestOneBundlePerScenario:
                        {"type": "symmetry", "symmetry": "Y"}],
         })
         sc = cli.load_scenario(path)
-        residual = point_bundle([dissipation_field(sc.system, sc.invariants["F"].field)],
-                                sc.system.params)
         with pytest.raises(DomainError) as first:
-            [residual(pt) for pt in samples]
+            build_residual(sc.system, sc.invariants["F"].field).run(samples, sc.system.params)
         with pytest.raises(DomainError) as early:
             symmetry_test(sc.system, sc.symmetries["Y"].field, samples[:1])
         assert first.value.where != early.value.where
+        assert str(first.value).startswith(f"sample {i} ({_coords(samples[i])}): ")
         report, code = cli.run(path, tmp_path / "out", quiet=True)
-        assert (code, report["error"]) == (
-            3, f"check[0] residual F: sample {i} ({_coords(samples[i])}): {first.value}")
+        assert (code, report["error"]) == (3, f"check[0] residual F: {first.value}")
 
     @pytest.mark.parametrize("name", sorted(ERROR_ROWS))
     def test_a_failing_check_is_named_before_the_error_it_raises_alone(self, tmp_path, name):
         # the first pointwise check, in scenario order, that raises when each runs
-        # alone through the library gives the error: its message, after the check's
-        # index, type and target and, for a DomainError, the first sample it raises at
+        # alone through the library gives the error: its message, which names the
+        # first sample a DomainError is raised at, after the check's index, type and target
         path = write_scenario(tmp_path, name, ERROR_ROWS[name]())
         sc = cli.load_scenario(path)
         samples = sample_points(sc.bound, sc.sample_count, sc.seed,
@@ -440,7 +437,7 @@ class TestOneBundlePerScenario:
         if isinstance(error, DomainError):
             k = next(k for k in range(len(samples))
                      if _first_error(sc, c, samples[:k + 1]) is not None)
-            named += f"sample {k} ({_coords(samples[k])}): "
+            assert str(error).startswith(f"sample {k} ({_coords(samples[k])}): ")
         report, code = cli.run(path, tmp_path / "out", quiet=True)
         assert (code, report["error"]) == (3, named + str(error))
 
@@ -531,6 +528,19 @@ class TestExitCodes:
         report, code = cli.run(path, tmp_path / "out", quiet=True)
         assert code == 1
         assert report["checks"][0]["value"] > 1.0  # q grows linearly to 6
+
+    @pytest.mark.parametrize("checks", [True, False], ids=["check", "simulate"])
+    def test_a_tracked_field_that_raises_names_its_label(self, tmp_path, checks):
+        # an unused invariant reading ln(q0), evaluated after the flow, as q0 swings below 0
+        path = write_scenario(tmp_path, "tracked-ln", {
+            "system": {"expression": "p0^2/2 + q0^2/2", "dimension": 1},
+            "initial": {"q": [1.0], "p": [0.0]}, "t_end": 3.0,
+            "invariants": [{"label": "E", "expression": "p0^2/2 + q0^2/2"},
+                           {"label": "L", "expression": "ln(q0) + p0^2/2 + q0^2/2"}],
+            "checks": [{"type": "drift", "invariant": "E"}]})
+        report, code = cli.run(path, tmp_path / "out", quiet=True, checks=checks)
+        assert code == 3 and report["error"].startswith("tracked 'L' at t=")
+        assert report["error"].endswith("]: ln of non-positive value in `ln(q0)`")
 
     def test_nan_residual_is_a_failure(self, tmp_path):
         # F is inf - inf where |q0| > 1.34, at the third and fifth of the five samples
@@ -1249,7 +1259,7 @@ class TestRecurringRuns:
         # their place (`_Y<position>t_<k>`, `_f_<k>`), and a bundle's program is kept
         # by its roots, argnames and bound names: after two runs of one sweep file, a
         # later file of its system whose gauges have the same signs, with new numbers
-        # everywhere, derives no rule and writes no statement (the oscillator derived
+        # everywhere, derives no rule and emits no program (the oscillator derived
         # 134 rules, and every file emitted all its statements, when these were literals)
         workloads = certbench_workloads()
 
@@ -1269,8 +1279,7 @@ class TestRecurringRuns:
         done = tally()
         report, code = cli.run(second.write(tmp_path), tmp_path / "second", quiet=True)
         work = done()
-        assert code == 0 and [work[k] for k in ("derive", "emitted")] == [0, 0]
-        assert work["bundles"] > 0
+        assert code == 0 and [work[k] for k in ("bundles", "derive", "emitted")] == [0, 0, 0]
 
     @pytest.mark.parametrize("index", [0, 1, 2], ids=["kepler", "td-kepler", "oscillator"])
     def test_a_file_whose_gauges_have_the_other_sign_derives_emits_and_builds_nothing(
@@ -1364,8 +1373,8 @@ class TestRecurringRuns:
     def test_expression_files_that_differ_only_in_numbers_share_their_programs(self, tmp_path):
         # a system's expression, an invariant and an explicit field read their nonzero
         # numbers as bound parameters, so after a file's runs, a file that differs from
-        # it only in these numbers has its trees: it derives no rule and writes no
-        # statement (it wrote every statement anew when they were literals)
+        # it only in these numbers has its trees: it derives no rule and emits no
+        # program (it wrote every statement anew when they were literals)
         def spec(c):
             energy = f"p0^2/2 + {c!r}*q0^2/2 - {c / 4!r}*q0^4"
             return {"system": {"expression": energy, "dimension": 1}, "sample_count": 10,
@@ -1382,7 +1391,7 @@ class TestRecurringRuns:
         done = tally()
         assert cli.run(second, tmp_path, quiet=True)[1] == 0
         work = done()
-        assert [work[k] for k in ("derive", "emitted")] == [0, 0] and work["bundles"] > 0
+        assert [work[k] for k in ("bundles", "derive", "emitted")] == [0, 0, 0]
 
     def test_the_kept_work_of_a_file_does_not_grow(self, tmp_path):
         path = SCENARIOS / "kepler-scaling.json"

@@ -141,6 +141,26 @@ class TestIntegrate:
         assert np.allclose(traj.tracked["momentum"], 2.0)
         assert len(traj.tracked["momentum"]) == len(states(traj))
 
+    def test_a_tracked_field_that_raises_is_named_with_its_time_and_state(self):
+        # the tracked columns are one bundle, evaluated after the flow: its error names
+        # the field that raises alone, at the first row where it does, not only the
+        # subexpression (an unused invariant reading ln(q0) as the oscillator swings)
+        sys1 = make_system("p0^2/2 + q0^2/2")
+        plain = integrate(sys1, point(1.0, 0.0), 3.0)
+        t, row = next((t, y) for t, y in zip(plain.times, plain.rows) if y[0] <= 0.0)
+        tracked = {"E": sys1.h, "L": parse("ln(q0) + p0^2/2 + q0^2/2", 1)}
+        with pytest.raises(DomainError) as raised:
+            integrate(sys1, point(1.0, 0.0), 3.0, tracked=tracked)
+        assert str(raised.value) == (f"tracked 'L' at t={t!r}, state {row!r}: "
+                                     "ln of non-positive value in `ln(q0)`")
+
+    def test_a_tracked_field_that_raises_at_the_start_is_named_at_its_time(self):
+        # the flow's own DomainViolation at its start leaves one row, where h raises too
+        sys1 = make_system("p0^2/2 + ln(q0)")
+        with pytest.raises(DomainError, match=re.escape(
+                "tracked 'h' at t=0.0, state [-1.0, 0.0, 0.0]: ln of non-positive value")):
+            integrate(sys1, point(-1.0, 0.0), 3.0, tracked={"h": sys1.h})
+
     def test_domain_violation_returns_partial(self):
         # radial plunge: q moving toward the excluded ball around the origin
         sys1 = make_system("p0^2/2 + 0*q0", guards=(parse("abs(q0)", 1),))
@@ -328,9 +348,15 @@ class TestFlowBuildsNoPoints:
         assert built == []
 
 
+def _left_to_right(squares):
+    """The sum of `squares` term by term: NumPy's sum below 8 terms, where it adds
+    left to right, and from 8 on NumPy's running sum, which does too."""
+    return np.sum(squares) if len(squares) < 8 else np.add.accumulate(squares)[-1]
+
+
 class TestFloatNorm:
     def test_rms_matches_numpy_bitwise(self):
-        # sequential below 8 values, 8 accumulators up to 128, halving above
+        # NumPy's mean below 8 values, the running sum from 8 on
         from contact_noether.dynamics import _rms
 
         rng = np.random.default_rng(5)
@@ -343,7 +369,8 @@ class TestFloatNorm:
                     v[rng.integers(0, size, size=max(1, size // 3))] = -0.0
                 elif case >= 2:
                     v[rng.integers(0, size)] = specials[rng.integers(0, len(specials))]
-                ref = np.sqrt(np.mean([(r := a / b) * r for a, b in zip(v.tolist(), s.tolist())]))
+                ref = np.sqrt(_left_to_right(np.array([(r := a / b) * r for a, b in
+                                                       zip(v.tolist(), s.tolist())])) / size)
                 assert _rms(v.tolist(), s.tolist()).hex() == float(ref).hex(), (size, case)
 
     def test_trailing_values_are_ignored(self):
@@ -453,8 +480,9 @@ class TestFloatStages:
     @pytest.mark.parametrize("m", [*range(1, 21), 130])
     def test_attempt_matches_the_numpy_formulas_bitwise(self, m):
         # a scripted rhs returns preset rates, each with a trailing guard value
-        # the stepping ignores; rows, new state and Hairer's error norm against
-        # numpy, over one step of the flow loop, fixed, then at its floor
+        # the stepping ignores; rows, new state and Hairer's error norm, its sums
+        # left to right, against numpy, over one step of the flow loop, fixed, then
+        # at its floor
         from contact_noether.dynamics import _A, _E3, _E5
 
         rng = np.random.default_rng(3 + m)
@@ -496,7 +524,7 @@ class TestFloatStages:
             sc = atol + rtol * np.maximum(np.abs(y), np.abs(ref))
             e5, e3 = (sum(e * k[j] for j, e in enumerate(coeffs) if e != 0.0) / sc
                       for coeffs in (_E5, _E3))
-            n5, n3 = np.sum(e5 * e5), np.sum(e3 * e3)
+            n5, n3 = _left_to_right(e5 * e5), _left_to_right(e3 * e3)
             ref_err = (np.float64(0.0) if n5 == 0.0 and n3 == 0.0
                        else h * n5 / np.sqrt((n5 + 0.01 * n3) * m))
             # the largest accepted norm; max() keeps its start 0.0 over a NaN,
@@ -998,7 +1026,6 @@ def test_generated_functions_have_distinct_file_names():
     # generated source and the DOP853 loop of every state shape must
     # be told apart, while bundles that differ only in their numbers share
     # one code object and keep their own numbers
-    from contact_noether.dynamics import _rms_of
     from contact_noether.expr import compile_bundle
 
     same = [compile_bundle([parse(f"{c}*q0*p0", 1)], ["q0", "p0"]) for c in (2.5, 3.5)]
@@ -1010,10 +1037,9 @@ def test_generated_functions_have_distinct_file_names():
     flows = [_flow_loop(rhs, 3, state, [], [], []), _flow_loop(rhs, 3, state, [], [], []),
              python_loop(lambda t, y: y, 7)]
     assert flows[0].__code__ is flows[1].__code__
-    names = [f.__code__.co_filename for f in (same[0], other, flows[0], flows[2],
-                                              _rms_of(3), _rms_of(7))]
-    assert len(set(names)) == len(names) == 6
-    kinds = ["scalar-field", "scalar-field", "dop853-flow", "dop853-flow", "rms", "rms"]
+    names = [f.__code__.co_filename for f in (same[0], other, flows[0], flows[2])]
+    assert len(set(names)) == len(names) == 4
+    kinds = ["scalar-field", "scalar-field", "dop853-flow", "dop853-flow"]
     assert all(nm.startswith(f"<{kind}-") for nm, kind in zip(names, kinds))
 
 

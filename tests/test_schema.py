@@ -64,6 +64,11 @@ REFUSED = {
         lambda s: _check(s, "symmetry").update(against="contact"),
         "symmetry check has unknown key 'against'; "
         "allowed: ['expect_symmetry', 'symmetry', 'tol', 'type']"),
+    "against-contact-on-a-t-dependent-h": (
+        lambda s: s.update(system={"builtin": "td-kepler"}, invariants=[],
+                           symmetries=s["symmetries"][:2], checks=[_check(s, "similarity")]),
+        "check[0] similarity contact-scaling-generator: 'against' 'contact' needs an h that "
+        "does not read t; use 'extended'"),
     "unrelated-key": (
         lambda s: s["system"].update(colour="blue"),
         "system has unknown key 'colour'; allowed: ['builtin', 'dimension', 'expression', "

@@ -47,22 +47,23 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
 
 
 @pytest.mark.parametrize("workload, first, second", [
-    ("bundled", (0, 0, 4, 0, 4), (0, 0, 4, 0, 4)),
-    ("long-flow", (0, 0, 3, 0, 3), (0, 0, 3, 0, 3)),
-    ("symbolic-sweep", (6, 0, 598, 0, 6), (6, 0, 598, 0, 9))],
+    ("bundled", (0, 0, 23, 0, 4), (0, 0, 23, 0, 4)),
+    ("long-flow", (0, 0, 22, 0, 3), (0, 0, 22, 0, 3)),
+    ("symbolic-sweep", (0, 0, 598, 0, 6), (0, 0, 598, 0, 9))],
     ids=["bundled", "long-flow", "symbolic-sweep"])
 def test_symbolic_counts_prints_the_tally(workload, first, second):
     # at seed 7, the warm-up round derives and compiles the files' work, which each
     # run keeps from its first run on, under its file's key, with the loaded
-    # scenario, its built checks and its system's X_h and compensation chain, so
-    # round 1 already derives, emits and loads nothing and makes only X_h^t's d/dt,
-    # one node per flow.  The sweep's files are new in every round, but their trees
-    # are not, as every number of theirs is a bound parameter: the last 16 runs are
-    # kept, and with them the derivatives and programs of every system, and the
-    # checks built under the files' skeleton, which recurs, so each round derives,
-    # emits and builds nothing, and makes only the nodes of loading its files; the
-    # kept runs grow by its three.  A fresh interpreter: nodes that earlier tests
-    # keep alive keep their derivatives, and would lower the counts
+    # scenario, its built checks and its system's X_h, so round 1 already derives,
+    # emits and loads nothing; it makes only the nodes of X_h^t's d/dt, of each
+    # compensation chain and of a co-integrated binding's X_h, built again from live
+    # nodes.  The sweep's files are new in every round, but their trees are not, as
+    # every number of theirs is a bound parameter: the last 16 runs are kept, and
+    # with them the derivatives and programs of every system, and the checks built
+    # under the files' skeleton, which recurs, so each round derives, emits and
+    # builds nothing, and makes only the nodes of loading its files; the kept runs
+    # grow by its three.  A fresh interpreter: nodes that earlier tests keep alive
+    # keep their derivatives, and would lower the counts
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
                            "--workload", workload, "--rounds", "2", "--seed", "7"],
                           capture_output=True, text=True, timeout=300)

@@ -70,3 +70,22 @@ def test_every_definition_is_read_in_src():
               if read[name] - names_read(node)[name] <= 0}
     assert unread - UNREAD_BY_SRC.keys() == set(), "defined in src/ and read nowhere in it"
     assert UNREAD_BY_SRC.keys() - unread == set(), "allowed unread, but read or gone"
+
+
+def imported_names(tree: ast.Module):
+    """`(line, name)` for each name that an import binds, `from __future__` features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_read():
+    # a name imported and never read is left over from deleted code; the package's
+    # __init__ imports to re-export, so it is not counted
+    unread = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+              if path.stem != "__init__"
+              for tree in [ast.parse(path.read_text())]
+              for line, name in imported_names(tree) if not names_read(tree)[name]]
+    assert unread == []
