@@ -12,7 +12,8 @@ function wrapped with `perf_counter`, and is timed by its self time: a phase
 called inside another (a bundle compiled inside the flow, say) counts for
 itself only, so the phases add up to at most the round.
 
-- `cli._load`: parsing a scenario file into its records;
+- `cli._load`: parsing a scenario file into its records, less `cli._fields`;
+- `cli._fields`: checking each object of the file against its schema;
 - `cli._build`: building one pointwise check;
 - `expr._codegen`: writing and compiling a bundle of fields;
 - `cli._run_flow`: integrating the flow;
@@ -39,8 +40,9 @@ from contact_noether import cli, dynamics, expr, noether  # noqa: E402
 from paired_rounds import FIXED, cases  # noqa: E402
 
 # (owner, attribute, phase): cli reads sample_points by its own name
-PHASES = ((cli, "_load", "cli._load"), (cli, "_build", "cli._build"),
-          (expr, "_codegen", "expr._codegen"), (cli, "_run_flow", "cli._run_flow"),
+PHASES = ((cli, "_load", "cli._load"), (cli, "_fields", "cli._fields"),
+          (cli, "_build", "cli._build"), (expr, "_codegen", "expr._codegen"),
+          (cli, "_run_flow", "cli._run_flow"),
           (noether, "sample_points", "noether.sample_points"),
           (cli, "sample_points", "noether.sample_points"),
           (cli, "_write_report", "cli._write_report"),

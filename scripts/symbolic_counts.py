@@ -28,7 +28,9 @@ again from live nodes;
 symbolic-sweep, whose files are new every round but whose trees are not (every
 number of a file is a bound parameter), finds each system's derivatives and
 programs in the kept runs of earlier files, and derives only what a new shape
-adds.  Then it prints the means of the first four counts over the counted
+adds; the loader finds its builtin systems, ansatz fields and symmetries of
+invariants kept by the nodes and names they read, so a warm file's nodes are
+those of its strings and of its lifted ansatz rates.  Then it prints the means of the first four counts over the counted
 rounds.  The counts do not depend on timing, so a run repeats them exactly;
 two checkouts that keep the same tally can be compared by copying this
 script into each.

@@ -305,6 +305,27 @@ def _parse_field(source: str, n: int, where: str, numbers: dict[str, float], pla
     return field
 
 
+def _kept(kind: str, build: Callable[[], Any], *reads: Any) -> Any:
+    """`build()`, which reads nothing but `reads`, kept by `expr.live_work` under `kind` and
+    `reads` (a field as its dimension and tree, anything else as itself).  `_load` builds
+    the systems and fields of a file's trees so, never of its values, which the file binds
+    apart: a file whose trees recur builds none.  What it keeps is never changed after."""
+    return expr.live_work((kind, *((r.n, r.ast) if isinstance(r, ScalarField) else r
+                                   for r in reads)), build)
+
+
+def _builtin(name: str, params: dict[str, Any]) -> ContactSystem:
+    """The builtin `name` with `params`' values bound.  Its trees and invariants read the
+    names given, f's tree (a JSON number's is a literal) and whether g0 is 0, so the system
+    built of them is kept (`_kept`), and a value is checked for each file."""
+    if params.get("m", 1.0) <= 0:
+        raise ValueError("m must be positive")
+    f = params.get("f")
+    system = _kept("builtin", lambda: make_builtin(name, params), name, frozenset(params),
+                   expr.Num(f) if isinstance(f, float) else f, params.get("g0", 0.0) == 0.0)
+    return system.with_params({k: v for k, v in params.items() if k != "f"})
+
+
 def _read(path: Path) -> bytes:
     try:
         return path.read_bytes()
@@ -340,7 +361,7 @@ def _scenario(raw: Any, stem: str) -> Scenario:
     try:
         params = {k: parse(v, 1, lifted, "f") if k == "f" and s.builtin and isinstance(v, str)
                   else FINITE(v, f"system params {k!r}") for k, v in s.params.items()}  # f(t)
-        system = make_builtin(s.builtin, params) if s.builtin else ContactSystem(
+        system = _builtin(s.builtin, params) if s.builtin else ContactSystem(
             n=s.dimension, h=_parse_field(s.expression, s.dimension, "system 'expression'",
                                           lifted, "h"), params=params, label=name)
     except (ValueError, ExprError) as e:
@@ -374,13 +395,18 @@ def _scenario(raw: Any, stem: str) -> Scenario:
         g = _fields(spec, SCHEMA["symmetry"], where, {"invariant": invariants})
         _require(g.label not in symmetries, f"duplicate symmetry label {g.label!r}")
         place = f"Y{position}"  # and its strings' places: Y<position>q<i>, ...p<i>, ...S, ...t
-        if g.ansatz is not None:
-            symmetries[g.label] = Symmetry(scaling.scaling_generator(g.ansatz, n, lifted, place))
+        if g.ansatz is not None:  # its rates lifted as `parse` lifts a string's numbers
+            before = len(lifted)
+            rates = [ScalarField(expr.lift(v, lifted, place, before), n)
+                     for v in vars(g.ansatz).values()]
+            symmetries[g.label] = _kept(
+                "ansatz", lambda: Symmetry(scaling.scaling_generator(rates, n)), *rates)
         elif g.from_invariant is not None:
             F = invariants[g.from_invariant].field
             Yt = _parse_field(g.Yt, n, f"{where} Yt", lifted, f"{place}t", names)
-            symmetries[g.label] = Symmetry(symmetry_from_invariant(system, F, Yt),
-                                           noether_lambda(system, F, Yt))
+            symmetries[g.label] = _kept("from_invariant", lambda: Symmetry(
+                symmetry_from_invariant(system, F, Yt), noether_lambda(system, F, Yt)),
+                system.h, F, Yt)
         else:
             Yq, Yp = (tuple(_parse_field(s, n, f"{where} {k}[{i}]", lifted, f"{place}{k[1]}{i}",
                                          names) for i, s in enumerate(getattr(g, k)))

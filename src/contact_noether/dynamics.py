@@ -350,7 +350,9 @@ def integrate(system: ContactSystem, start: ExtendedPoint, t_end: float,
     instead of raising.  The steps are taken by `_flow_loop`, which tests and
     records each accepted state itself; the Python `rhs` here gives only the
     initial rates and the initial-step probe.  A DomainError of a tracked
-    field, evaluated after the flow, names the field, the time and the state.
+    field, evaluated after the flow, names the field, the time and the state;
+    after a flow that ended with a tag, the tag names the failure, and such a
+    value reads NaN.
     """
     cfg, aux, tracked = cfg or IntegratorConfig(), dict(aux or {}), dict(tracked or {})
     if not system.admissible(start, cfg.guard_margin):
@@ -386,16 +388,26 @@ def integrate(system: ContactSystem, start: ExtendedPoint, t_end: float,
         columns = zip(*(columns_fn(*y, t) for t, y in zip(times, rows)))
     except DomainError as e:  # the bundle's is the first row's first field to raise alone
         alone = {label: compile_bundle([f], state, system.params) for label, f in tracked.items()}
-        for (t, y), (label, fn) in product(zip(times, rows), alone.items()):
-            try:
-                fn(*y, t)
-            except DomainError:
-                e.args = (f"tracked {label!r} at t={t!r}, state {[*y]!r}: {e}",)
-                break
-        raise
+        if tag is None:
+            for (t, y), (label, fn) in product(zip(times, rows), alone.items()):
+                try:
+                    fn(*y, t)
+                except DomainError:
+                    e.args = (f"tracked {label!r} at t={t!r}, state {[*y]!r}: {e}",)
+                    break
+            raise
+        columns = [[_or_nan(fn, t, y) for t, y in zip(times, rows)] for fn in alone.values()]
     recorded = dict(zip(tracked, map(list, columns)))
     recorded.update({nm: [y[i] for y in rows] for i, nm in enumerate(aux, 2 * n + 1)})
     return Trajectory(n, times, rows, recorded, stats, tag)
+
+
+def _or_nan(fn: Callable[..., tuple[float, ...]], t: float, y: Sequence[float]) -> float:
+    """The one value of the bundle `fn` at the row (t, y), or NaN where it leaves the domain."""
+    try:
+        return fn(*y, t)[0]
+    except DomainError:
+        return math.nan
 
 
 def cumulative_integral(system: ContactSystem, traj: Trajectory,

@@ -16,8 +16,9 @@ dissipation equation is linear, so both scalings are solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .expr import ScalarField, apply_intrinsic, lift, number, parameter, substitute, variable
+from .expr import ScalarField, apply_intrinsic, number, parameter, substitute, variable
 from .geometry import ContactSystem, SampleBox, VectorFieldSpec
 
 TRIVIAL = "Trivial"
@@ -74,14 +75,11 @@ def dot_qp(n: int) -> ScalarField:
     return acc
 
 
-def scaling_generator(ansatz: ScalingAnsatz, n: int, numbers: dict[str, float] | None = None,
-                      place: str = "") -> VectorFieldSpec:
-    """The linear field alpha q d_q + beta p d_p + gamma S d_S + sigma t d_t; given `numbers`,
-    its rates are `expr.lift`ed, as `expr.parse` lifts a scenario string's numbers."""
-    before = len(numbers or ())
-    alpha, beta, gamma, sigma = (
-        v if numbers is None else ScalarField(lift(v, numbers, place, before), n)
-        for v in vars(ansatz).values())
+def scaling_generator(ansatz: ScalingAnsatz | Sequence[ScalarField], n: int) -> VectorFieldSpec:
+    """The linear field alpha q d_q + beta p d_p + gamma S d_S + sigma t d_t, its rates the
+    ansatz's numbers or four fields (a scenario's, lifted as `expr.parse` lifts numbers)."""
+    alpha, beta, gamma, sigma = (vars(ansatz).values() if isinstance(ansatz, ScalingAnsatz)
+                                 else ansatz)
     return VectorFieldSpec(
         tuple(alpha * variable(f"q{i}", n) for i in range(n)),
         tuple(beta * variable(f"p{i}", n) for i in range(n)),

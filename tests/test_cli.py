@@ -542,6 +542,26 @@ class TestExitCodes:
         assert code == 3 and report["error"].startswith("tracked 'L' at t=")
         assert report["error"].endswith("]: ln of non-positive value in `ln(q0)`")
 
+    @pytest.mark.parametrize("checks", [True, False], ids=["check", "simulate"])
+    def test_a_flow_that_ends_with_a_tag_is_named_by_it_over_a_tracked_field(self, tmp_path,
+                                                                            checks):
+        # h leaves its domain at the start, and so does the tracked L that reads it:
+        # the flow's tag names the failure, and the written L reads NaN
+        energy = "p0^2/2 + ln(q0)"
+        path = write_scenario(tmp_path, "ln-start", {
+            "system": {"expression": energy, "dimension": 1},
+            "initial": {"q": [-1.0], "p": [0.0]}, "t_end": 3.0,
+            "invariants": [{"label": "L", "expression": energy}],
+            "checks": [{"type": "drift", "invariant": "L"}]})
+        report, code = cli.run(path, tmp_path / "out", quiet=True, checks=checks)
+        if checks:
+            assert (code, report["error"]) == (3, "integration aborted: DomainViolation after "
+                                                  "t=0.0, state [-1.0, 0.0, 0.0]")
+        else:
+            assert (code, report["passed"]) == (3, False)
+            assert (tmp_path / "out" / "ln-start" / "trajectory.csv").read_text() == \
+                "t,q0,p0,S,L\n0.0,-1.0,0.0,0.0,nan\n"
+
     def test_nan_residual_is_a_failure(self, tmp_path):
         # F is inf - inf where |q0| > 1.34, at the third and fifth of the five samples
         path = write_scenario(tmp_path, "nan-residual", {
@@ -1400,6 +1420,121 @@ class TestRecurringRuns:
             assert cli.run(path, tmp_path, quiet=True)[1] == 0
             sizes.append(len(expr._RUNS[key].work))
         assert set(sizes) == {sizes[0]}
+
+
+def _read_back(sc):
+    """All that a loaded scenario's checks and flow read of its system and fields: its
+    numbers, the nodes of h, of each invariant and of each symmetry, and what each
+    invariant is expected to do."""
+    system = sc.system
+    return (system.params, system.h.ast, system.label,
+            {k: (v.field.ast, v.expected) for k, v in system.invariants.items()},
+            {k: (v.field.ast, v.expected) for k, v in sc.invariants.items()},
+            {k: cli._nodes(v.field, v.factor) for k, v in sc.symmetries.items()})
+
+
+def _sweep_spec(index, **params):
+    """Round 0's sweep file of system `index` at seed 7, `params` over its system's."""
+    spec = json.loads(json.dumps(certbench_workloads().symbolic_sweep_round(7, 0)[index].spec))
+    spec["system"]["params"].update(params)
+    return spec
+
+
+def _with_sigma(spec, position, sigma):
+    """`spec` with the ansatz of its symmetry at `position` given the rate `sigma`."""
+    spec["symmetries"][position]["ansatz"]["sigma"] = sigma
+    return spec
+
+
+def _builders(monkeypatch):
+    """The builders of the loader's kept systems and fields, by name, as they are called
+    from now on."""
+    calls = []
+    for owner, name in ((cli, "make_builtin"), (cli, "symmetry_from_invariant"),
+                        (cli.scaling, "scaling_generator")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, _real=real:
+                            calls.append(_name) or _real(*a))
+    return calls
+
+
+class TestKeptLoad:
+    """`cli._load` keeps the systems and fields it builds under the nodes and names they
+    read (`cli._kept`) and binds each file's numbers afterwards: a file whose skeleton is
+    kept builds no tree, and it reads as it does with nothing kept."""
+
+    @pytest.mark.parametrize("first, second, built", [
+        (_sweep_spec(2, g0=0.3), _sweep_spec(2, g0=0.0), ["make_builtin"]),
+        (_sweep_spec(2, g0=0.0), _sweep_spec(2, g0=0.3), ["make_builtin"]),
+        (_sweep_spec(2, f=1.0), _sweep_spec(2, f=2.0), ["make_builtin", "symmetry_from_invariant"]),
+        (_sweep_spec(0), _with_sigma(_sweep_spec(0), 0, 3.0 + 1e-10), []),
+        (_sweep_spec(0), _with_sigma(_sweep_spec(0), 2, 0.0), ["scaling_generator"])],
+        ids=["g0-zero-after-nonzero", "g0-nonzero-after-zero", "number-f", "sigma-off-three",
+             "zero-rate"])
+    def test_a_file_loaded_after_another_reads_as_it_does_alone(self, tmp_path, monkeypatch,
+                                                                first, second, built):
+        # whether g0 is 0 picks the oscillator's invariants; a JSON-number f is a literal
+        # of h; a rate of 3 + 1e-10 is bound like a rate of 3, and a zero rate stays 0,
+        # which folds its terms away: each file builds what its own skeleton needs
+        paths = [write_scenario(tmp_path, f"file-{k}", s) for k, s in enumerate((first, second))]
+        expr._RUNS.clear()
+        gc.collect()
+        alone = []
+        for path in paths:  # with nothing kept: a read-back holds no kept system or field
+            alone.append(_read_back(cli.load_scenario(path)))
+            gc.collect()
+        key, in_turn, builds = object(), [], []
+        with expr.derivatives_kept(key):
+            for path in paths:
+                builds = _builders(monkeypatch)
+                in_turn.append(_read_back(cli.load_scenario(path)))
+        del expr._RUNS[key]
+        assert in_turn == alone and builds == built
+        if "g0" in second["system"]["params"]:
+            conserved = second["system"]["params"]["g0"] == 0.0
+            assert ("F_LR" in in_turn[1][3]) == conserved
+            assert in_turn[1][4]["F0"][1] == ("conserved" if conserved else "dissipated")
+
+    @pytest.mark.parametrize("params, message", [
+        ({"m": -1.0}, "m must be positive"),
+        ({"f": "t + q0"}, "f must be a function of t only"),
+        ({"eps": 0.2}, "builtin 'harmonic-dissipative' does not read params ['eps']")],
+        ids=["m", "f", "key"])
+    def test_a_bad_builtin_value_is_refused_after_its_skeleton_is_kept(self, tmp_path, params,
+                                                                       message):
+        good = write_scenario(tmp_path, "good", _sweep_spec(2))
+        for _ in range(2):
+            assert cli.run(good, tmp_path / "out", quiet=True)[1] == 0
+        bad = write_scenario(tmp_path, "bad", _sweep_spec(2, **params))
+        assert cli.run(bad, tmp_path / "out", quiet=True) == (
+            {"error": f"{bad}: bad system spec: {message}"}, 2)
+
+    def test_warm_files_of_kept_skeletons_write_a_fresh_interpreters_bytes(self, tmp_path,
+                                                                           monkeypatch):
+        # round 1's files have new m, eps, Lambda, f coefficients, g0 and gauges: run
+        # after round 0's, they build no system and no field, and write the bytes that
+        # they write in an interpreter of their own
+        firsts, seconds = (certbench_workloads().symbolic_sweep_round(7, k) for k in (0, 1))
+        for first, second in zip(firsts, seconds):
+            old, new = (case.spec["system"]["params"] for case in (first, second))
+            assert old.keys() == new.keys() and all(old[k] != new[k] for k in old)
+            assert [s.get("Yt") for s in first.spec["symmetries"]] != \
+                [s.get("Yt") for s in second.spec["symmetries"]]
+        (tmp_path / "in").mkdir()
+        paths = [case.write(tmp_path / "in") for case in seconds]
+        done = subprocess.run([sys.executable, "-c", FRESH, "--quiet", "--out",
+                               str(tmp_path / "fresh"), "check", *map(str, paths)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")})
+        assert (done.returncode, done.stderr) == (0, "")
+        for case in firsts * 2:
+            assert cli.run(case.write(tmp_path), tmp_path / "first", quiet=True)[1] == 0
+        builds = _builders(monkeypatch)
+        for path in paths:
+            assert cli.run(path, tmp_path / "warm", quiet=True)[1] == 0
+        assert builds == []
+        for case in seconds:
+            assert _outputs(tmp_path / "warm", case.name) == _outputs(tmp_path / "fresh", case.name)
 
 
 class TestArtifacts:

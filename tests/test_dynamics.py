@@ -154,12 +154,15 @@ class TestIntegrate:
         assert str(raised.value) == (f"tracked 'L' at t={t!r}, state {row!r}: "
                                      "ln of non-positive value in `ln(q0)`")
 
-    def test_a_tracked_field_that_raises_at_the_start_is_named_at_its_time(self):
-        # the flow's own DomainViolation at its start leaves one row, where h raises too
+    def test_a_flow_that_ends_with_a_tag_keeps_it_over_a_tracked_fields_error(self):
+        # the flow's own DomainViolation at its start leaves one row, where h raises too:
+        # the tag names the failure, and the tracked value there reads NaN, the others theirs
         sys1 = make_system("p0^2/2 + ln(q0)")
-        with pytest.raises(DomainError, match=re.escape(
-                "tracked 'h' at t=0.0, state [-1.0, 0.0, 0.0]: ln of non-positive value")):
-            integrate(sys1, point(-1.0, 0.0), 3.0, tracked={"h": sys1.h})
+        traj = integrate(sys1, point(-1.0, 0.0), 3.0,
+                         tracked={"h": sys1.h, "p": parse("p0 + 1", 1)})
+        assert (traj.error_tag, traj.times, [list(y) for y in traj.rows]) == (
+            DOMAIN_VIOLATION, [0.0], [[-1.0, 0.0, 0.0]])
+        assert math.isnan(traj.tracked["h"][0]) and traj.tracked["p"] == [1.0]
 
     def test_domain_violation_returns_partial(self):
         # radial plunge: q moving toward the excluded ball around the origin

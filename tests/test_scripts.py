@@ -49,7 +49,7 @@ def test_help_prints_usage_and_runs_nothing(script, flag):
 @pytest.mark.parametrize("workload, first, second", [
     ("bundled", (0, 0, 23, 0, 4), (0, 0, 23, 0, 4)),
     ("long-flow", (0, 0, 22, 0, 3), (0, 0, 22, 0, 3)),
-    ("symbolic-sweep", (0, 0, 598, 0, 6), (0, 0, 598, 0, 9))],
+    ("symbolic-sweep", (0, 0, 61, 0, 6), (0, 0, 61, 0, 9))],
     ids=["bundled", "long-flow", "symbolic-sweep"])
 def test_symbolic_counts_prints_the_tally(workload, first, second):
     # at seed 7, the warm-up round derives and compiles the files' work, which each
@@ -61,9 +61,11 @@ def test_symbolic_counts_prints_the_tally(workload, first, second):
     # every number of theirs is a bound parameter: the last 16 runs are kept, and
     # with them the derivatives and programs of every system, and the checks built
     # under the files' skeleton, which recurs, so each round derives, emits and
-    # builds nothing, and makes only the nodes of loading its files; the kept runs
-    # grow by its three.  A fresh interpreter: nodes that earlier tests keep alive
-    # keep their derivatives, and would lower the counts
+    # builds nothing; the loader keeps its systems and fields by the nodes and
+    # names they read, so the round makes only the nodes of its files' strings
+    # and lifted rates; the kept runs grow by its three.  A fresh interpreter:
+    # nodes that earlier tests keep alive keep their derivatives, and would lower
+    # the counts
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
                            "--workload", workload, "--rounds", "2", "--seed", "7"],
                           capture_output=True, text=True, timeout=300)
@@ -76,7 +78,8 @@ def test_symbolic_counts_prints_the_tally(workload, first, second):
 def test_symbolic_counts_by_file_splits_each_rounds_tally():
     # each round's line, then one line per file of the round, whose counts sum to
     # the round's; the warm td-kepler file, on its kept system, derives no rule
-    # at seed 7 (its gauge's numbers are parameters)
+    # at seed 7 (its gauge's numbers are parameters), and no warm file builds a
+    # system or field, so each makes at most 50 nodes (17-23 at seed 7)
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "symbolic_counts.py"),
                            "--workload", "symbolic-sweep", "--rounds", "2", "--seed", "7",
                            "--by-file"], capture_output=True, text=True, timeout=300)
@@ -90,6 +93,7 @@ def test_symbolic_counts_by_file_splits_each_rounds_tally():
     for r in (0, 4):
         assert counts[r] == [sum(column) for column in zip(*counts[r + 1:r + 4])]
     assert counts[6][1] <= 40
+    assert all(counts[r][2] <= 50 for r in (1, 2, 3, 5, 6, 7))
 
 
 def test_report_digests_prints_the_error_of_a_failing_run(tmp_path):
@@ -117,7 +121,7 @@ def test_phase_times_prints_every_phase_within_the_round():
                           capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stderr) == (0, "")
     ms = {line[:26].strip(): float(line[26:]) for line in done.stdout.splitlines()[1:]}
-    phases = ["cli._load", "cli._build", "expr._codegen", "cli._run_flow",
+    phases = ["cli._load", "cli._fields", "cli._build", "expr._codegen", "cli._run_flow",
               "noether.sample_points", "cli._write_report", "Trajectory.to_csv",
               "cli.run_checks rest"]
     assert list(ms) == [*phases, "round", "rest of round"]
