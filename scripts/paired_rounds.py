@@ -24,7 +24,12 @@ relative difference of rounding-level residuals says nothing: a change that
 moves values by design (step counts, drift values, last bits) differs there
 and still exits 0.  A scenario whose outcome differs (the exit
 code, the report's `passed`, or a check's `verdict` or `passed`) is named on
-stderr, and the exit code is then 1.
+stderr, and the exit code is then 1.  After each round the two trees' output
+files (report.json, report.txt and trajectory.csv) of each scenario are
+compared byte for byte, a missing file differing from a present one; the
+number of scenarios whose output bytes ever differed goes to stderr, and each
+is named there.  This catches a writer change that keeps every report dict but
+moves a byte; it does not change the exit code.
 """
 
 import argparse
@@ -75,6 +80,22 @@ def outcome(run: tuple[dict, int]) -> tuple:
                                         for c in report.get("checks", [])]
 
 
+OUTPUTS = ("report.json", "report.txt", "trajectory.csv")
+
+
+def _bytes(path: Path) -> bytes | None:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
+
+
+def outputs_differ(a: Path, b: Path) -> bool:
+    """Whether two output directories of one scenario differ in the bytes of any file
+    of OUTPUTS, or in which of them exist."""
+    return any(_bytes(a / name) != _bytes(b / name) for name in OUTPUTS)
+
+
 def float_differences(a, b, where: str = ""):
     """(|a - b| / max(|a|, |b|), where) for each float that differs between two reports
     of one shape, inf where one is not finite; two NaNs do not differ."""
@@ -117,6 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": load(args.parent_src, "cn_parent"),
              "change": load(args.change_src, "cn_change")}
     differing, moved, largest, nearest = set(), set(), (0.0, ""), ((0.0, 0.0), "")
+    byte_differing = set()
     ratios: list[float] = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -137,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
                                   key=_rank)
                 if outcome(a) != outcome(b):
                     differing.add(case.name)
+                if outputs_differ(work / "parent" / case.name, work / "change" / case.name):
+                    byte_differing.add(case.name)
             if k:
                 ratios.append(seconds["change"] / seconds["parent"])
                 print(f"round {k} ({order[0]} first): parent {seconds['parent']:.4f} s, "
@@ -152,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     if nearest[1]:
         print(f"largest moved check value as a share of its tol: parent {nearest[0][0]:.3g}, "
               f"change {nearest[0][1]:.3g} ({nearest[1]})", file=sys.stderr)
+    print(f"{len(byte_differing)} scenario(s) with output bytes that differ", file=sys.stderr)
+    for name in sorted(byte_differing):
+        print(f"output bytes differ: {name}", file=sys.stderr)
     for name in sorted(differing):
         print(f"outcome differs: {name}", file=sys.stderr)
     return 1 if differing else 0

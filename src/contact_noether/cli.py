@@ -16,12 +16,14 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NamedTuple
 
 from . import __version__, expr, noether, scaling, systems
-from .dynamics import IntegratorConfig, Trajectory, contact_field, extended_field, integrate
+from .dynamics import (IntegratorConfig, Trajectory, contact_field, extended_field, integrate,
+                       write_over)
 from .expr import DomainError, ExprError, ScalarField, derivatives_kept, parse
 from .geometry import ContactSystem, ExtendedPoint, LieDerivativeEta, VectorFieldSpec, point_bundle
 from .noether import (FLOW_THRESHOLD, SYMBOLIC_THRESHOLD, dissipation_compensation,
@@ -527,13 +529,28 @@ def run_checks(sc: Scenario) -> tuple[dict, Trajectory | None]:
     return report, traj
 
 
-def _strict(obj: Any) -> Any:
-    """`obj` with each non-finite float spelled as the string "NaN", "Infinity" or "-Infinity"."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
-    return {k: _strict(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
+def _json(value: Any, indent: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` with each non-finite float as the string
+    "NaN", "Infinity" or "-Infinity", without the pure-Python encoder `indent` costs."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return '"NaN"' if value != value else '"Infinity"' if value > 0 else '"-Infinity"'
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    items = [_json(v, inner) for v in value]
+    return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
 
 
 def _text(value: Any) -> str:
@@ -545,14 +562,13 @@ def _text(value: Any) -> str:
 
 def _write_report(report: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n")
+    write_over(out_dir / "report.json", (_json(report), "\n"))
     items = [(k, report[k]) for k in ("scenario", "version", "seed", "sample_count")]
     items += [(f"trajectory.{k}", v) for k, v in report.get("trajectory", {}).items()]
     for i, c in enumerate(report["checks"]):
         items += [(f"check[{i}].{c['type']}.{k}", v) for k, v in c.items() if k != "type"]
     items.append(("passed", report["passed"]))
-    (out_dir / "report.txt").write_text("".join(f"{k}: {_text(v)}\n" for k, v in items))
+    write_over(out_dir / "report.txt", ("".join(f"{k}: {_text(v)}\n" for k, v in items),))
 
 
 def run(scenario_path: str | Path, out_root: str | Path | None = None,
@@ -564,16 +580,16 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
     kept, another file on that system finds its derivatives and programs, and its built
     checks if its skeleton recurs (`Scenario.fused`).  `seed` and `tol_override` run a
     copy.  A runtime error exits 3 with a message that names where it arose."""
-    path = Path(scenario_path)
+    path, out_dir = Path(scenario_path), None
     try:
         data = _read(path)
         with derivatives_kept((data, path.stem)) as kept:
             sc = kept.record = kept.record or _load(path, data)
+            out_dir = Path(out_root or os.environ.get(DEFAULT_OUT_ENV, "out")) / sc.name
             sc = sc if seed is None else replace(sc, seed=SEED(seed, "--seed"))
             if tol_override is not None:
                 tol = TOL(tol_override, "--tol-override")
                 sc = replace(sc, checks=tuple(replace(c, tol=tol) for c in sc.checks))
-            out_dir = Path(out_root or os.environ.get(DEFAULT_OUT_ENV, "out")) / sc.name
             if not checks:
                 traj = _run_flow(sc)
                 out_dir.mkdir(parents=True, exist_ok=True)
@@ -587,6 +603,8 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
             _write_report(report, out_dir)
             if traj is not None:
                 traj.to_csv(out_dir / "trajectory.csv")
+            else:  # no flow: an earlier run's trajectory would stand as this run's
+                (out_dir / "trajectory.csv").unlink(missing_ok=True)
             if not quiet:
                 for c in report["checks"]:
                     status = "PASS" if c["passed"] else "FAIL"
@@ -594,14 +612,16 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
                           f"value={_fmt(c['value'])} tol={_fmt(c['tol'])}")
                 print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}")
             return report, (0 if report["passed"] else 1)
-    except ConfigError as e:
+    except Exception as e:  # a config error exits 2, a runtime/domain error 3
+        if checks and out_dir is not None:  # leave no earlier run's outputs standing
+            with suppress(OSError):
+                for name in ("report.json", "report.txt", "trajectory.csv"):
+                    (out_dir / name).unlink(missing_ok=True)
+        config = isinstance(e, ConfigError)
         if not quiet:
-            print(f"config error: {e}", file=sys.stderr)
-        return {"error": str(e)}, 2
-    except Exception as e:  # runtime/domain errors
-        if not quiet:
-            print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
-        return {"error": str(e)}, 3
+            print("config error: " if config else f"runtime error: {type(e).__name__}: ",
+                  e, sep="", file=sys.stderr)
+        return {"error": str(e)}, 2 if config else 3
 
 
 # ---------------------------------------------------------------------------

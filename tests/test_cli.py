@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contact_noether import cli, dynamics, expr
 from contact_noether.dynamics import contact_field, extended_field
@@ -1650,6 +1653,118 @@ class TestArtifacts:
         code = cli.main(["--quiet", "check", str(path)])
         assert code == 0
         assert (tmp_path / "envout" / "fp" / "report.txt").exists()
+
+
+def _strict(obj):
+    """The pass the report writer made before `json.dumps`: each non-finite float
+    as the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return {k: _strict(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
+
+
+def _encoded(value) -> str:
+    """`value` as the report writer encoded it with the `json` module: the oracle."""
+    return json.dumps(_strict(value), sort_keys=True, indent=2, allow_nan=False)
+
+
+_LEAVES = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]),
+    st.integers(-2**200, 2**200), st.booleans(), st.none(),
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ü", "\u2028", "\U0001f4a1"]))
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4)), max_leaves=30)
+
+
+class TestReportEncoding:
+    """report.json is written by `cli._json`, byte for byte as `json.dumps` wrote it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_VALUES)
+    def test_the_writer_gives_the_json_modules_text(self, value):
+        assert cli._json(value) == _encoded(value)
+
+    def test_a_value_json_cannot_write_is_refused(self):
+        for value in ([1.0, {2}], {"a": object()}):
+            with pytest.raises(TypeError):
+                _encoded(value)
+            with pytest.raises(TypeError):
+                cli._json(value)
+
+    @pytest.mark.parametrize("source", ["scenarios", "bundled", "long-flow", "symbolic-sweep"])
+    def test_every_report_of_a_round_is_the_json_modules_bytes(self, tmp_path, source):
+        # the scenarios/ files, and round 1 of each certbench workload at seed 7
+        if source == "scenarios":
+            paths = sorted(SCENARIOS.glob("*.json"))
+        else:
+            workloads = certbench_workloads()
+            cases = {"bundled": workloads.bundled, "long-flow": workloads.long_flow}.get(
+                source, lambda seed: workloads.symbolic_sweep_round(seed, 1))(7)
+            paths = [case.write(tmp_path) for case in cases]
+        for path in paths:
+            report, code = cli.run(path, tmp_path / "out", quiet=True)
+            assert code in (0, 1)
+            written = (tmp_path / "out" / report["scenario"] / "report.json").read_bytes()
+            assert written == (_encoded(report) + "\n").encode(), path.name
+
+
+class TestOutputsInPlace:
+    """A run writes each output file over its old bytes and cuts it after the new
+    ones; a `check` run leaves in out/<name>/ only the files it wrote."""
+
+    def test_a_short_run_over_a_long_one_leaves_exactly_its_bytes(self, tmp_path, monkeypatch):
+        long = {**FREE_PARTICLE, "t_end": 30.0, "checks": [
+            {"type": "drift", "invariant": "mom", "tol": 1e-12},
+            {"type": "residual", "invariant": "mom", "tol": 1e-12},
+            {"type": "drift", "invariant": "mom", "tol": 1e-11}]}
+        out, base = tmp_path / "out", tmp_path / "out" / "fp"
+        assert cli.run(write_scenario(tmp_path, "long", long), out, quiet=True)[1] == 0
+        sizes = [(base / name).stat().st_size for name in TestArtifacts.FILES]
+        opened, real = [], os.open
+        monkeypatch.setattr(os, "open", lambda name, flags, *rest:
+                            opened.append((Path(name).name, flags)) or real(name, flags, *rest))
+        short = write_scenario(tmp_path, "fp", FREE_PARTICLE)
+        assert cli.run(short, out, quiet=True)[1] == 0
+        monkeypatch.undo()
+        assert cli.run(short, tmp_path / "fresh", quiet=True)[1] == 0
+        for name, size in zip(TestArtifacts.FILES, sizes):
+            fresh = (tmp_path / "fresh" / "fp" / name).read_bytes()
+            assert len(fresh) < size and (base / name).read_bytes() == fresh, name
+        written = [flags for name, flags in opened if name in TestArtifacts.FILES]
+        assert len(written) == 3 and not any(flags & os.O_TRUNC for flags in written)
+
+    LN_START = {"name": "fp", "system": {"expression": "p0^2/2 + ln(q0)", "dimension": 1},
+                "initial": {"q": [-1.0], "p": [0.0]}, "t_end": 3.0,
+                "invariants": [{"label": "L", "expression": "p0^2/2 + ln(q0)"}],
+                "checks": [{"type": "drift", "invariant": "L"}]}
+    POINTWISE = {"name": "fp", "system": {"expression": "p0^2/2", "dimension": 1},
+                 "invariants": [{"label": "mom", "expression": "p0"}],
+                 "checks": [{"type": "residual", "invariant": "mom"}]}
+
+    @pytest.mark.parametrize("spec, options, code, left", [
+        (LN_START, {}, 3, ()),
+        (FREE_PARTICLE, {"seed": -1}, 2, ()),
+        (POINTWISE, {}, 0, ("report.json", "report.txt")),
+        (LN_START, {"checks": False}, 3, ("report.json", "report.txt", "trajectory.csv"))],
+        ids=["domain-error", "config-error", "no-flow", "simulate"])
+    def test_a_run_leaves_no_earlier_runs_outputs(self, tmp_path, spec, options, code, left):
+        # after a passing run of fp: a check run that fails after its name is known
+        # removes all three files, and one with no flow an earlier trajectory.csv;
+        # a simulate run writes its trajectory and leaves the reports as they were
+        out, base = tmp_path / "out", tmp_path / "out" / "fp"
+        assert cli.run(write_scenario(tmp_path, "first", FREE_PARTICLE), out, quiet=True)[1] == 0
+        first = (base / "report.json").read_bytes()
+        report, got = cli.run(write_scenario(tmp_path, "second", spec), out, quiet=True, **options)
+        assert got == code
+        assert sorted(p.name for p in base.iterdir()) == list(left)
+        if "trajectory.csv" in left:
+            assert (base / "report.json").read_bytes() == first
+            assert (base / "trajectory.csv").read_text() == "t,q0,p0,S,L\n0.0,-1.0,0.0,0.0,nan\n"
+        elif left:
+            assert json.loads((base / "report.json").read_text())["checks"][0]["type"] == "residual"
 
 
 class TestSolveScalingCommand:

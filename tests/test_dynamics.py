@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,6 +229,58 @@ class TestIntegrate:
         assert (tmp_path / "trajectory.csv").read_bytes() == by_row().encode()
         column = [ln.split(",")[6] for ln in buf.getvalue().splitlines()[1:]]
         assert column == ["-0.0", "5e-324", "1e+300", "nan", "inf", "-inf", "0.1", "-2.5e-17"]
+
+
+def _line_trajectory(samples: int):
+    from contact_noether.dynamics import IntegratorStats, Trajectory
+
+    times = [0.25 * k for k in range(samples)]
+    return Trajectory(1, times, [[t / 3, -t, 0.1 * t] for t in times], {"E": times},
+                      IntegratorStats())
+
+
+def _text(traj) -> str:
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    return buf.getvalue()
+
+
+class TestCsvWrittenInPlace:
+    """A path target is written over its old bytes and cut after the new ones
+    (`dynamics.write_over`); a file object is written as it is."""
+
+    def test_a_short_csv_over_a_long_one_leaves_exactly_its_bytes(self, tmp_path, monkeypatch):
+        path, opened, real = tmp_path / "trajectory.csv", [], os.open
+        _line_trajectory(400).to_csv(path)
+        monkeypatch.setattr(os, "open", lambda name, flags, *rest:
+                            opened.append((Path(name), flags)) or real(name, flags, *rest))
+        _line_trajectory(3).to_csv(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == _text(_line_trajectory(3)).encode()
+        assert [name for name, _ in opened] == [path]
+        assert not opened[0][1] & os.O_TRUNC  # not cut first: the old bytes are written over
+
+    def test_a_new_file_has_the_mode_open_gives_it(self, tmp_path):
+        from contact_noether.dynamics import write_over
+
+        umask = os.umask(0o027)
+        try:
+            write_over(tmp_path / "new.csv", ["t\n"])
+            open(tmp_path / "opened.csv", "w").close()
+        finally:
+            os.umask(umask)
+        modes = {(tmp_path / name).stat().st_mode & 0o7777 for name in ("new.csv", "opened.csv")}
+        assert modes == {0o640} and (tmp_path / "new.csv").read_text() == "t\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs only")
+    def test_a_fifo_path_is_written_and_not_cut(self, tmp_path):
+        fifo, got = tmp_path / "trajectory.csv", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        _line_trajectory(200).to_csv(fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == [_text(_line_trajectory(200)).encode()]
 
 
 class TestRhsCalls:

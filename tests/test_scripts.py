@@ -3,13 +3,15 @@ no work: no scenario, no flow and no pytest run.  `report_digests.py` prints a
 failing run's error, `symbolic_counts.py` the counts of `expr.work` that a
 workload adds, and `phase_times.py` the time of each phase of a round, and
 `paired_rounds.py` names the largest relative difference of a float between
-two reports and reads each moved check value as a share of its tol.
+two reports, reads each moved check value as a share of its tol, and names
+each scenario whose output files differ in bytes.
 `symbolic_counts.py --by-file` splits each round's counts by file.
 README's quick tour runs."""
 
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +161,35 @@ def test_paired_rounds_finds_each_float_that_moved():
         "2.2204460492503126e-16 checks[0].lambda_table[1]", "inf checks[0].lambda_table[4]",
         "0.5 checks[0].value", "0.6666666666666666 checks[2].value", "1.0 checks[3].value",
         "0.5 1.0 checks[0]", "0.5 1.5 checks[2]", "inf inf checks[3]"]
+
+
+def test_paired_rounds_names_each_scenario_whose_output_bytes_differ(tmp_path):
+    # a change whose report.txt gains a last newline keeps every report dict, and so
+    # every outcome: only the byte comparison sees it, and the exit code stays 0;
+    # two identical trees write identical bytes
+    change = tmp_path / "src"
+    shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(change / "contact_noether" / "cli.py", "a") as fh:
+        fh.write("\n_unchanged_write = _write_report\n\n\n"
+                 "def _write_report(report, out_dir):\n"
+                 "    _unchanged_write(report, out_dir)\n"
+                 "    with open(out_dir / 'report.txt', 'a') as fh:\n"
+                 "        fh.write('\\n')\n")
+    stderr = {}
+    for side in (ROOT / "src", change):
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / "paired_rounds.py"),
+                               str(ROOT / "src"), str(side), "--workload", "bundled",
+                               "--rounds", "1", "--seed", "7"],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        stderr[side] = done.stderr.splitlines()
+    assert stderr[ROOT / "src"] == ["0 scenario(s) with reports that differ",
+                                    "0 scenario(s) with output bytes that differ"]
+    assert stderr[change] == ["0 scenario(s) with reports that differ",
+                              "4 scenario(s) with output bytes that differ",
+                              *(f"output bytes differ: {name}" for name in (
+                                  "dissipative-oscillator", "free-particle", "kepler-scaling",
+                                  "td-kepler"))]
 
 
 def test_readme_quick_tour_runs():
