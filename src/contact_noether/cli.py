@@ -31,6 +31,8 @@ from .noether import (FLOW_THRESHOLD, SYMBOLIC_THRESHOLD, dissipation_compensati
 from .systems import AuxiliaryState, TrackedInvariant, co_integrate, make_builtin
 
 DEFAULT_OUT_ENV = "CONTACT_NOETHER_OUT"
+#: the files a run may write in out/<name>/
+OUTPUTS = ("report.json", "report.txt", "trajectory.csv")
 
 
 class ConfigError(Exception):
@@ -561,7 +563,6 @@ def _text(value: Any) -> str:
 
 
 def _write_report(report: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_over(out_dir / "report.json", (_json(report), "\n"))
     items = [(k, report[k]) for k in ("scenario", "version", "seed", "sample_count")]
     items += [(f"trajectory.{k}", v) for k, v in report.get("trajectory", {}).items()]
@@ -580,7 +581,7 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
     kept, another file on that system finds its derivatives and programs, and its built
     checks if its skeleton recurs (`Scenario.fused`).  `seed` and `tol_override` run a
     copy.  A runtime error exits 3 with a message that names where it arose."""
-    path, out_dir = Path(scenario_path), None
+    path, out_dir, wrote = Path(scenario_path), None, ()
     try:
         data = _read(path)
         with derivatives_kept((data, path.stem)) as kept:
@@ -590,21 +591,20 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
             if tol_override is not None:
                 tol = TOL(tol_override, "--tol-override")
                 sc = replace(sc, checks=tuple(replace(c, tol=tol) for c in sc.checks))
-            if not checks:
-                traj = _run_flow(sc)
-                out_dir.mkdir(parents=True, exist_ok=True)
+            report, traj = run_checks(sc) if checks else (None, _run_flow(sc))
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if report is not None:
+                _write_report(report, out_dir)
+            if traj is not None:
                 traj.to_csv(out_dir / "trajectory.csv")
+            wrote = [name for name, made in zip(OUTPUTS, (report, report, traj))
+                     if made is not None]
+            if not checks:
                 if not quiet:
                     print(f"{sc.name}: wrote {out_dir / 'trajectory.csv'} "
                           f"({len(traj.times)} samples, error_tag={traj.error_tag})")
                 return {"scenario": sc.name, "passed": traj.error_tag is None}, \
                     (0 if traj.error_tag is None else 3)
-            report, traj = run_checks(sc)
-            _write_report(report, out_dir)
-            if traj is not None:
-                traj.to_csv(out_dir / "trajectory.csv")
-            else:  # no flow: an earlier run's trajectory would stand as this run's
-                (out_dir / "trajectory.csv").unlink(missing_ok=True)
             if not quiet:
                 for c in report["checks"]:
                     status = "PASS" if c["passed"] else "FAIL"
@@ -613,15 +613,17 @@ def run(scenario_path: str | Path, out_root: str | Path | None = None,
                 print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}")
             return report, (0 if report["passed"] else 1)
     except Exception as e:  # a config error exits 2, a runtime/domain error 3
-        if checks and out_dir is not None:  # leave no earlier run's outputs standing
-            with suppress(OSError):
-                for name in ("report.json", "report.txt", "trajectory.csv"):
-                    (out_dir / name).unlink(missing_ok=True)
         config = isinstance(e, ConfigError)
         if not quiet:
             print("config error: " if config else f"runtime error: {type(e).__name__}: ",
                   e, sep="", file=sys.stderr)
         return {"error": str(e)}, 2 if config else 3
+    finally:  # no earlier run's output stands beside this run's, and none once it failed
+        if out_dir is not None:
+            with suppress(OSError):
+                for name in OUTPUTS:
+                    if name not in wrote:
+                        (out_dir / name).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +651,12 @@ def _cmd_solve_scaling(args: argparse.Namespace) -> int:
     solutions, rejected = scaling.solve_scaling_explained(
         args.k, f_kind, args.g, args.g0, args.kappa, n=args.dimension)
     if args.json:
-        print(json.dumps({"solutions": [{
+        print(_json({"solutions": [{
             "case_tag": s.case_tag, "ansatz": s.ansatz and vars(s.ansatz),
             "invariant": s.invariant.source(),
             "f_required": s.f_required and s.f_required.source(),
             "constraints": list(s.constraints_log), "informational": s.informational,
-        } for s in solutions], "rejected": rejected}, sort_keys=True, indent=2))
+        } for s in solutions], "rejected": rejected}))
     else:
         for s in solutions:
             print(f"{s.case_tag}{' [informational]' if s.informational else ''}")

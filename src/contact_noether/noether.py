@@ -14,6 +14,7 @@ closure checks live here as well.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from operator import neg
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -83,66 +84,23 @@ class SimilarityReport:
 # ---------------------------------------------------------------------------
 # seeded sample generation
 
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-
-
-def _hasher(const: int, mult: int) -> Callable[[int], int]:
-    """SeedSequence's 32-bit hashmix, whose constant advances per call."""
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _uniform_draws(seed: int, spans: Sequence[tuple[float, float]] = ()) -> Callable:
-    """`uniform(lo, hi)`, one draw per call, or given (lo, width) `spans`, `row()`, one per span,
-    bit for bit NumPy's ``default_rng(seed).uniform``: SeedSequence(seed) seeds PCG64 (O'Neill's
-    XSL-RR 128/64), and a draw is lo + width * ((next64 >> 11) * 2**-53), width = hi - lo."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(max(4, len(entropy))):  # mix_entropy: pool words, then words past 4
-        for dst in range(4):
-            if src != dst:
-                y = hashmix(pool[src] if src < 4 else entropy[src])
-                pool[dst] = (r := 0xCA01F9DD * pool[dst] - 0x4973F715 * y & _M32) ^ r >> 16
-    out = _hasher(0x8B51F9DD, 0x58F38DED)
-    words = [out(pool[i % 4]) for i in range(8)]
-    s_hi, s_lo, i_hi, i_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
-    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-    state = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & _M128  # step from 0, add seed, step
-
-    def row(spans: Sequence[tuple[float, float]] = spans) -> list[float]:
-        nonlocal state
-        s, out = state, []
-        for lo, width in spans:
-            s = s * mult + inc & _M128
-            word, rot = (s >> 64 ^ s) & _M64, s >> 122
-            out.append(lo + width * ((((word >> rot | word << 64 - rot) & _M64) >> 11) * 2.0**-53))
-        state = s
-        return out
-
-    return row if spans else lambda lo, hi: row(((float(lo), float(hi) - float(lo)),))[0]
-
 
 def sample_points(system: ContactSystem, count: int, seed: int,
                   margin: float = GUARD_MARGIN) -> list[ExtendedPoint]:
     """Uniform seeded samples from the system's box, rejecting inadmissible
     points: a DomainError of h or a guard, or a guard value below `margin` or
-    NaN.  One call draws a candidate's q, p, S and t, which one bundle of h and the
-    guards screens; only an accepted one is made a point, unchecked (`ExtendedPoint.drawn`)."""
+    NaN.  `random.Random(seed)` draws each candidate's q, p, S and t as `Random.uniform` does,
+    lo + width * random(); one bundle of h and the guards screens it, and only an accepted one
+    is made a point, unchecked (`ExtendedPoint.drawn`)."""
+    if not isinstance(seed, int) or seed < 0:  # Random would take None, a float or a string
+        raise ValueError("seed must be a non-negative integer")
     n, box = system.n, system.sample_box
     spans = [(lo, hi - lo) for lo, hi in (*[box.q] * n, *[box.p] * n, box.S, box.t)]
-    draw, admits = _uniform_draws(seed, spans), float(margin).__le__
+    uniform, admits = random.Random(seed).random, float(margin).__le__
     screen = compile_bundle([system.h, *system.guards], coordinate_names(n), system.params)
     out: list[ExtendedPoint] = []
     for _ in range(200 * count + 1000):
-        coords = draw()
+        coords = [lo + width * uniform() for lo, width in spans]
         try:
             _, *guards = screen(*coords)
         except DomainError:

@@ -23,7 +23,7 @@ from contact_noether.noether import (DegeneratePoint, build_residual, closure_ch
                                      dissipation_field, sample_points, similarity_test,
                                      symmetry_test)
 from contact_noether.scaling import ScalingAnsatz, scaling_generator
-from conftest import certbench_workloads, tally
+from conftest import certbench_workloads, point, tally
 from oracles import dual_bracket, dual_lie_derivative, dual_residual
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -90,6 +90,22 @@ class TestBundledScenarios:
         bracket = lie_bracket(*(sc.symmetries[label].field for label in closure.refs))
         at = point_bundle(bracket.components(), sc.system.params)
         assert max(max(map(abs, at(pt))) for pt in sample_points(sc.system, 10, sc.seed)) > 1e-2
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a float closure near the Kepler singularity reads above its "
+                              "tol though the bracket is exact (ROADMAP item 2)")
+    def test_kepler_scaling_closure_passes_near_the_singularity(self):
+        # an admissible point at |q| = 0.0244, where the closure reads 1.19e-8
+        # against tol 1e-8
+        sc = cli.load_scenario(SCENARIOS / "kepler-scaling.json")
+        closure = next(c for c in sc.checks if c.type == "closure")
+        s1, s2 = (sc.symmetries[label] for label in closure.refs)
+        pt = point([-0.016433680246755955, 0.013182822389461446, 0.01228019830622662],
+                   [1.2830486028682437, -0.9810055570835785, 1.5091726139745947],
+                   -0.16205815884457997, 3.944960328639521)
+        system = sc.system.with_params(sc.point_params)
+        assert closure_check(system, s1.field, s2.field, [pt], closure.tol,
+                             s1.factor, s2.factor).passed
 
 
 def test_a_long_sum_in_the_largest_dimension_runs(tmp_path):
@@ -1565,20 +1581,20 @@ class TestArtifacts:
     FILES = ("report.json", "report.txt", "trajectory.csv")
     PINNED_DIGESTS = {
         "dissipative-oscillator": (
-            "8c0b4ddc439bce9a1d2479dd0e794a7e1c6e437b296ef05155b9c6fcecc6b473",
-            "5201058336bc82c2b0df1d256c3027bf53fd271bffe6c882ec1d740aa48daf57",
+            "e15cce6547c89a8b0701c3a36e959c9294c45ab1372b65c10c311d2d42bdba5d",
+            "43ad8e1e90390f2c0219d151509b4f0e18d702b31d5d29ce6ec15d88749f5ceb",
             "6c8fb25cffe4b123c55ea983185d24ca39d1dfde155dde731cc6820225ade79b"),
         "free-particle": (
             "03c7109c2f9a5276dcea5941c761d4fc47fa41126ca40e2ff9684599e07350c5",
             "969217c7571afe1aba3717f935dea1badd79b8860e71079117f4b89ad0f1af7a",
             "d203330944584d41a648ca2b4acddfe72266a2f4153dc3e1069e9a5c62299acb"),
         "kepler-scaling": (
-            "6cd624f8260ee62e3223d31fc88c2373a1a149598fde33c70efacf64cb7cef07",
-            "64ff3c07190225143e5280fdfc4059e77ac738f8047f5b87cd78a4651987386f",
+            "c8bafbe4c5b00e58182b08586e351464b1adc3450e682ef20383b2cc2c0c24d7",
+            "7f862589c16910261916e499512f3dff0b24d84d8d76ea1acd143ff1cf7a0e38",
             "efad186f09cda0eb1e2ec6966d9356865bd46048f738dd74388baf1e7eed1093"),
         "td-kepler": (
-            "d5dbda17cf72e5a443e43d027fb5f49fa5b02d7c7318082aa17dc2f176314372",
-            "bf6625c9be50ed7ba4cfa7cad343e78e9f15eae13a919af507f81e41b470a10a",
+            "98ffc1507a89f0efbb33f9f9c67262d37f3fb3285b825389d1956dd614bfc6c7",
+            "c159cf5341efa36b60fe920513d844bc4b274056ad6ea4acd685252f23118fea",
             "91f40214ad1110e7aeb6cae3e682f5faaaaf2ce9d5d509a8b9ec92d2275294b2"),
     }
 
@@ -1713,7 +1729,7 @@ class TestReportEncoding:
 
 class TestOutputsInPlace:
     """A run writes each output file over its old bytes and cuts it after the new
-    ones; a `check` run leaves in out/<name>/ only the files it wrote."""
+    ones; a run leaves in out/<name>/ only the files it wrote."""
 
     def test_a_short_run_over_a_long_one_leaves_exactly_its_bytes(self, tmp_path, monkeypatch):
         long = {**FREE_PARTICLE, "t_end": 30.0, "checks": [
@@ -1748,20 +1764,19 @@ class TestOutputsInPlace:
         (LN_START, {}, 3, ()),
         (FREE_PARTICLE, {"seed": -1}, 2, ()),
         (POINTWISE, {}, 0, ("report.json", "report.txt")),
-        (LN_START, {"checks": False}, 3, ("report.json", "report.txt", "trajectory.csv"))],
-        ids=["domain-error", "config-error", "no-flow", "simulate"])
+        (LN_START, {"checks": False}, 3, ("trajectory.csv",)),
+        (POINTWISE, {"checks": False}, 2, ())],
+        ids=["domain-error", "config-error", "no-flow", "simulate", "simulate-fails"])
     def test_a_run_leaves_no_earlier_runs_outputs(self, tmp_path, spec, options, code, left):
-        # after a passing run of fp: a check run that fails after its name is known
-        # removes all three files, and one with no flow an earlier trajectory.csv;
-        # a simulate run writes its trajectory and leaves the reports as they were
+        # after a passing run of fp: a run that fails after its name is known removes
+        # all three files, one with no flow an earlier trajectory.csv, and a simulate
+        # run the reports; a simulate run's tagged partial trajectory is its output
         out, base = tmp_path / "out", tmp_path / "out" / "fp"
         assert cli.run(write_scenario(tmp_path, "first", FREE_PARTICLE), out, quiet=True)[1] == 0
-        first = (base / "report.json").read_bytes()
         report, got = cli.run(write_scenario(tmp_path, "second", spec), out, quiet=True, **options)
         assert got == code
         assert sorted(p.name for p in base.iterdir()) == list(left)
         if "trajectory.csv" in left:
-            assert (base / "report.json").read_bytes() == first
             assert (base / "trajectory.csv").read_text() == "t,q0,p0,S,L\n0.0,-1.0,0.0,0.0,nan\n"
         elif left:
             assert json.loads((base / "report.json").read_text())["checks"][0]["type"] == "residual"
@@ -1801,9 +1816,12 @@ class TestSolveScalingCommand:
         assert out == "" and argv[-2] in err
 
     def test_json_output(self, capsys):
+        # the report writer's encoding, which is json.dumps(sort_keys=True, indent=2)'s
         code = cli.main(["solve-scaling", "--k", "2", "--f", "const", "--json"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         tags = [s["case_tag"] for s in payload["solutions"]]
         assert "K2_F0" in tags
 

@@ -1187,12 +1187,12 @@ class TestSamplingHelpers:
             assert math.sqrt(float(np.asarray(pt.q) @ np.asarray(pt.q))) >= 1e-3
 
     @pytest.mark.parametrize("label, digest", [
-        ("kepler", "9793ec3565d2aacf91a1505e7d4c2ce7b559905277f8ed53c256103da3be9585"),
-        ("td-kepler", "5545e106cd97641470e3f164c7d6b8f1ecaaddc27828fe233c6f7d8b655a9f5f"),
+        ("kepler", "4905c7ab99e7d7a4cfb886e7df72803223d24c40130ffc6943edfdc1d633d7f8"),
+        ("td-kepler", "3a37249fbb812592eb18b23c69fab131827d54397e0ffd3a6bf5fca1a55bd64d"),
     ])
     def test_guarded_samples_are_pinned(self, label, digest):
         # a margin of 1 makes both the radius guard and td-Kepler's t guard reject
-        # points; the digest was taken when the guards were callables of a point
+        # points; the digests are of random.Random(5)'s draws
         import hashlib
 
         from contact_noether.systems import make_kepler, make_td_kepler
